@@ -20,8 +20,6 @@ import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from mpmath import mp, mpf
-
 from .numeric import real_to_str
 from .reductions import FAMILIES, ReductionDomainError
 from .series import (
@@ -39,6 +37,7 @@ from .suite import (
     DEFAULT_WEIGHT_MAX,
     SuiteConfig,
     WEIGHT_MAX_GUARD,
+    WEIGHT_MIN,
     run_reduction_case,
     run_suite,
     _report_to_dict,
@@ -186,8 +185,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.weight_max > WEIGHT_MAX_GUARD:
-        print(f"error: weight-max must be <= {WEIGHT_MAX_GUARD}", file=sys.stderr)
+    if not WEIGHT_MIN <= args.weight_max <= WEIGHT_MAX_GUARD:
+        print(f"error: weight-max must be in {WEIGHT_MIN}..{WEIGHT_MAX_GUARD}", file=sys.stderr)
         return 2
     names = tuple(FAMILIES) if args.family == "all" else (args.family,)
     for name in names:

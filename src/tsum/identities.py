@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from mpmath import mp, mpf
 
 from .jets import jet_from_coeffs, jet_mul, jet_residue, jet_scale
-from .numeric import round_to, to_mpf
+from .numeric import real_const, round_to, to_mpf, tolerance_mpf
 from .series import SeriesResult, accel_linear_sum
 from .special import (
     DEFAULT_CONVENTION,
@@ -26,7 +26,6 @@ from .special import (
     KernelKind,
     ZetaConvention,
     alt_hurwitz_any,
-    alt_shifted_power_sum,
     alt_zeta,
     digamma_any,
     hurwitz_any,
@@ -34,7 +33,6 @@ from .special import (
     kernel_value,
     psi_jet,
     riemann_zeta,
-    shifted_power_sum,
     ttilde,
     ttilde_bar,
 )
@@ -109,8 +107,45 @@ def _pair_pf(a: Frac, b: Frac, negate: bool) -> list[tuple[Frac, int, Frac]]:
 # single-parameter specializations
 # ---------------------------------------------------------------------------
 
-def verify_thm3_1(p: int, a: Frac, b: Frac, prec: int, tolerance,
-                  convention: ZetaConvention = DEFAULT_CONVENTION) -> VerificationReport:
+@dataclass(frozen=True)
+class _Kernel:
+    """What the tangent and secant halves of each identity pair differ in:
+    the kernel, the sign sigma of the series, the ttilde family at j =
+    first_j, first_j + 2, ..., and the zeta family paired with it."""
+
+    kind: KernelKind
+    sigma: int
+    first_j: int
+
+    def tt(self, j: int, wp: int) -> mpf:
+        return ttilde(j, wp) if self.sigma > 0 else ttilde_bar(j, wp)
+
+    def zeta(self, s: int, x: Frac, conv: ZetaConvention, wp: int) -> mpf:
+        return _zx(s, x, conv, wp) if self.sigma > 0 else alt_hurwitz_any(s, x, wp)
+
+
+_TAN = _Kernel(KernelKind.PI_TAN, 1, 2)
+_SEC = _Kernel(KernelKind.PI_OVER_COS, -1, 1)
+
+
+def _zeta_sum(kern: _Kernel, p: int, a: Frac, b: Frac, start: mpf, scale, sign: int,
+              conv: ZetaConvention, wp: int) -> mpf:
+    """start + sum_j scale * tt(j) * sign * (zeta(p+1-j; a) - zeta(p+1-j; b)).
+
+    ``sign`` = -1 stands for the stated order zeta(b) - zeta(a); a factor
+    of +-1 is exact in mpf, so either order gives the same bits.
+    """
+    total = start
+    for j in range(kern.first_j, p + 1, 2):
+        s = p + 1 - j
+        total += scale * kern.tt(j, wp) * (
+            sign * (kern.zeta(s, a, conv, wp) - kern.zeta(s, b, conv, wp)))
+    return total
+
+
+def _verify_pair(kern: _Kernel, family: str, p: int, a: Frac, b: Frac, prec: int,
+                 tolerance, convention: ZetaConvention) -> VerificationReport:
+    """Theorems 3.1 (tangent) and 3.4 (secant)."""
     t0 = time.perf_counter()
     if p < 1:
         raise HypothesisError("requires p >= 1")
@@ -118,72 +153,44 @@ def verify_thm3_1(p: int, a: Frac, b: Frac, prec: int, tolerance,
     _check_ab(a, b)
     wp = prec + 24
     with mp.workprec(wp):
-        tol = _tol_mpf(tolerance, wp)
-        s1 = accel_linear_sum(p, 0, 1, _pair_pf(a, b, False), wp)
-        s2 = accel_linear_sum(p, 1, 1, _pair_pf(a, b, True), wp)
+        tol = tolerance_mpf(tolerance, wp)
+        s1 = accel_linear_sum(p, 0, kern.sigma, _pair_pf(a, b, False), wp)
+        s2 = accel_linear_sum(p, 1, kern.sigma, _pair_pf(a, b, True), wp)
         sgn = 1 if p % 2 == 0 else -1
-        lhs = s1.value - sgn * s2.value
+        lhs = s1.value - kern.sigma * sgn * s2.value
         inv_ba = 1 / to_mpf(b - a, wp)
-        ksum = mpf(0)
-        for k in range(1, p // 2 + 1):
-            ksum += ttilde(2 * k, wp) * (_zx(p - 2 * k + 1, a, convention, wp)
-                                         - _zx(p - 2 * k + 1, b, convention, wp))
+        ksum = _zeta_sum(kern, p, a, b, mpf(0), 1, kern.sigma, convention, wp)
         rhs = 2 * sgn * inv_ba * ksum
         tp = ttilde(p, wp)
         rhs += sgn * inv_ba * (
-            kernel_value(KernelKind.PI_TAN, b, wp) * (_zx(p, b, convention, wp) - tp)
-            - kernel_value(KernelKind.PI_TAN, a, wp) * (_zx(p, a, convention, wp) - tp))
+            kernel_value(kern.kind, b, wp) * (_zx(p, b, convention, wp) - tp)
+            - kernel_value(kern.kind, a, wp) * (_zx(p, a, convention, wp) - tp))
         lhs, rhs = round_to(lhs, prec), round_to(rhs, prec)
     params = {"p": p, "a": _fmt(a), "b": _fmt(b)}
-    case_id = f"thm3_1[p={p},a={_fmt(a)},b={_fmt(b)}]"
-    return _report(case_id, "thm3_1", params, lhs, rhs, tol, prec,
+    case_id = f"{family}[p={p},a={_fmt(a)},b={_fmt(b)}]"
+    return _report(case_id, family, params, lhs, rhs, tol, prec,
                    s1.terms_used + s2.terms_used, t0)
+
+
+def verify_thm3_1(p: int, a: Frac, b: Frac, prec: int, tolerance,
+                  convention: ZetaConvention = DEFAULT_CONVENTION) -> VerificationReport:
+    return _verify_pair(_TAN, "thm3_1", p, a, b, prec, tolerance, convention)
 
 
 def verify_thm3_4(p: int, a: Frac, b: Frac, prec: int, tolerance,
                   convention: ZetaConvention = DEFAULT_CONVENTION) -> VerificationReport:
-    t0 = time.perf_counter()
-    if p < 1:
-        raise HypothesisError("requires p >= 1")
-    a, b = Fraction(a), Fraction(b)
-    _check_ab(a, b)
-    wp = prec + 24
-    with mp.workprec(wp):
-        tol = _tol_mpf(tolerance, wp)
-        s1 = accel_linear_sum(p, 0, -1, _pair_pf(a, b, False), wp)
-        s2 = accel_linear_sum(p, 1, -1, _pair_pf(a, b, True), wp)
-        sgn = 1 if p % 2 == 0 else -1
-        lhs = s1.value + sgn * s2.value
-        inv_ba = 1 / to_mpf(b - a, wp)
-        ksum = mpf(0)
-        for k in range(0, (p - 1) // 2 + 1):
-            ksum += ttilde_bar(2 * k + 1, wp) * (alt_hurwitz_any(p - 2 * k, b, wp)
-                                                 - alt_hurwitz_any(p - 2 * k, a, wp))
-        rhs = 2 * sgn * inv_ba * ksum
-        tp = ttilde(p, wp)
-        rhs += sgn * inv_ba * (
-            kernel_value(KernelKind.PI_OVER_COS, b, wp) * (_zx(p, b, convention, wp) - tp)
-            - kernel_value(KernelKind.PI_OVER_COS, a, wp) * (_zx(p, a, convention, wp) - tp))
-        lhs, rhs = round_to(lhs, prec), round_to(rhs, prec)
-    params = {"p": p, "a": _fmt(a), "b": _fmt(b)}
-    case_id = f"thm3_4[p={p},a={_fmt(a)},b={_fmt(b)}]"
-    return _report(case_id, "thm3_4", params, lhs, rhs, tol, prec,
-                   s1.terms_used + s2.terms_used, t0)
+    return _verify_pair(_SEC, "thm3_4", p, a, b, prec, tolerance, convention)
 
 
-def _tol_mpf(tolerance, wp: int) -> mpf:
-    with mp.workprec(wp):
-        return +mpf(str(tolerance))
-
-
-def _check_single_a(a: Frac, *, half_box: bool, exclude_half: bool) -> None:
+def _check_single_a(a: Frac, reflect: bool) -> None:
+    """Hypotheses on a for b = -a, or for b = 1 - a when ``reflect``."""
     if a.denominator == 1:
         raise HypothesisError("requires a not an integer")
     if a.denominator == 2:
         raise HypothesisError("requires a + 1/2 not an integer")
-    if half_box and not (0 < abs(a) < Frac(1, 2)):
+    if not reflect and not (0 < abs(a) < Frac(1, 2)):
         raise HypothesisError("requires 0 < |a| < 1/2")
-    if exclude_half and a == Frac(1, 2):
+    if reflect and a == Frac(1, 2):
         raise HypothesisError("requires a != 1/2")
     if abs(a) >= 1:
         raise HypothesisError("this artifact restricts shift parameters to |a| < 1")
@@ -195,115 +202,67 @@ def _pure_series(q: Sequence[int], a_params: Sequence[Frac], sigma: int, wp: int
     return euler_t_sum(spec, wp)
 
 
+def _verify_single(kern: _Kernel, family: str, m: int, a: Frac, prec: int, tolerance,
+                   convention: ZetaConvention, reflect: bool) -> VerificationReport:
+    """The b = -a specializations (Corollaries 3.2 and 3.5) of the pair
+    theorems, or the b = 1 - a ones (3.3 and 3.6) when ``reflect``.  The
+    harmonic order is p = 2m + 1, except p = 2m for the secant at b = -a."""
+    t0 = time.perf_counter()
+    even = kern.sigma < 0 and not reflect
+    m_min = 1 if even else 0
+    if m < m_min:
+        raise HypothesisError(f"requires m >= {m_min}")
+    a = Fraction(a)
+    _check_single_a(a, reflect)
+    b = 1 - a if reflect else -a
+    wp = prec + 24
+    p = 2 * m if even else 2 * m + 1
+    with mp.workprec(wp):
+        tol = tolerance_mpf(tolerance, wp)
+        s1 = accel_linear_sum(p, 0, kern.sigma, _pair_pf(a, b, False), wp)
+        lhs = s1.value
+        terms = s1.terms_used
+        if reflect:
+            inv = 1 / to_mpf(2 * a - 1, wp)
+            rhs = _zeta_sum(kern, p, a, b, mpf(0), inv, kern.sigma, convention, wp)
+            rhs += kernel_value(kern.kind, a, wp) * inv / 2 * (
+                2 * ttilde(p, wp) - _zx(p, a, convention, wp) - _zx(p, b, convention, wp))
+        else:
+            s0 = _pure_series((p, 1, 1), (Frac(0), a, b), kern.sigma, wp)
+            terms += s0.terms_used
+            inv2a = 1 / (2 * to_mpf(a, wp))
+            rhs = _zeta_sum(kern, p, a, b, s0.value / 2, inv2a, 1, convention, wp)
+            za, zb = _zx(p, a, convention, wp), _zx(p, b, convention, wp)
+            rhs += kernel_value(kern.kind, a, wp) / (4 * to_mpf(a, wp)) * (
+                za - zb if even else 2 * ttilde(p, wp) - za - zb)
+        lhs, rhs = round_to(lhs, prec), round_to(rhs, prec)
+    params = {"m": m, "a": _fmt(a)}
+    return _report(f"{family}[m={m},a={_fmt(a)}]", family, params, lhs, rhs, tol,
+                   prec, terms, t0)
+
+
 def verify_cor3_2(m: int, a: Frac, prec: int, tolerance,
                   convention: ZetaConvention = DEFAULT_CONVENTION) -> VerificationReport:
     """The b = -a specialization of the tangent-kernel identity, odd-order factor."""
-    t0 = time.perf_counter()
-    if m < 0:
-        raise HypothesisError("requires m >= 0")
-    a = Fraction(a)
-    _check_single_a(a, half_box=True, exclude_half=False)
-    wp = prec + 24
-    p = 2 * m + 1
-    with mp.workprec(wp):
-        tol = _tol_mpf(tolerance, wp)
-        s1 = accel_linear_sum(p, 0, 1, _pair_pf(a, -a, False), wp)
-        lhs = s1.value
-        s0 = _pure_series((p, 1, 1), (Frac(0), a, -a), 1, wp)
-        inv2a = 1 / (2 * to_mpf(a, wp))
-        rhs = s0.value / 2
-        for k in range(1, m + 1):
-            rhs += inv2a * ttilde(2 * k, wp) * (hurwitz_any(2 * m - 2 * k + 2, a, wp)
-                                                - hurwitz_any(2 * m - 2 * k + 2, -a, wp))
-        rhs += kernel_value(KernelKind.PI_TAN, a, wp) / (4 * to_mpf(a, wp)) * (
-            2 * ttilde(p, wp) - _zx(p, a, convention, wp) - _zx(p, -a, convention, wp))
-        lhs, rhs = round_to(lhs, prec), round_to(rhs, prec)
-    params = {"m": m, "a": _fmt(a)}
-    return _report(f"cor3_2[m={m},a={_fmt(a)}]", "cor3_2", params, lhs, rhs, tol,
-                   prec, s1.terms_used + s0.terms_used, t0)
+    return _verify_single(_TAN, "cor3_2", m, a, prec, tolerance, convention, False)
 
 
 def verify_cor3_3(m: int, a: Frac, prec: int, tolerance,
                   convention: ZetaConvention = DEFAULT_CONVENTION) -> VerificationReport:
     """The b = 1 - a specialization of the tangent-kernel identity."""
-    t0 = time.perf_counter()
-    if m < 0:
-        raise HypothesisError("requires m >= 0")
-    a = Fraction(a)
-    _check_single_a(a, half_box=False, exclude_half=True)
-    wp = prec + 24
-    p = 2 * m + 1
-    with mp.workprec(wp):
-        tol = _tol_mpf(tolerance, wp)
-        s1 = accel_linear_sum(p, 0, 1, _pair_pf(a, 1 - a, False), wp)
-        lhs = s1.value
-        inv = 1 / to_mpf(2 * a - 1, wp)
-        rhs = mpf(0)
-        for k in range(1, m + 1):
-            rhs += inv * ttilde(2 * k, wp) * (hurwitz_any(2 * m - 2 * k + 2, a, wp)
-                                              - hurwitz_any(2 * m - 2 * k + 2, 1 - a, wp))
-        rhs += kernel_value(KernelKind.PI_TAN, a, wp) * inv / 2 * (
-            2 * ttilde(p, wp) - _zx(p, a, convention, wp) - _zx(p, 1 - a, convention, wp))
-        lhs, rhs = round_to(lhs, prec), round_to(rhs, prec)
-    params = {"m": m, "a": _fmt(a)}
-    return _report(f"cor3_3[m={m},a={_fmt(a)}]", "cor3_3", params, lhs, rhs, tol,
-                   prec, s1.terms_used, t0)
+    return _verify_single(_TAN, "cor3_3", m, a, prec, tolerance, convention, True)
 
 
 def verify_cor3_5(m: int, a: Frac, prec: int, tolerance,
                   convention: ZetaConvention = DEFAULT_CONVENTION) -> VerificationReport:
     """The b = -a specialization of the secant-kernel identity, even-order factor."""
-    t0 = time.perf_counter()
-    if m < 1:
-        raise HypothesisError("requires m >= 1")
-    a = Fraction(a)
-    _check_single_a(a, half_box=True, exclude_half=False)
-    wp = prec + 24
-    p = 2 * m
-    with mp.workprec(wp):
-        tol = _tol_mpf(tolerance, wp)
-        s1 = accel_linear_sum(p, 0, -1, _pair_pf(a, -a, False), wp)
-        lhs = s1.value
-        s0 = _pure_series((p, 1, 1), (Frac(0), a, -a), -1, wp)
-        inv2a = 1 / (2 * to_mpf(a, wp))
-        rhs = s0.value / 2
-        for k in range(0, m):
-            rhs += inv2a * ttilde_bar(2 * k + 1, wp) * (alt_hurwitz_any(2 * m - 2 * k, a, wp)
-                                                        - alt_hurwitz_any(2 * m - 2 * k, -a, wp))
-        rhs += kernel_value(KernelKind.PI_OVER_COS, a, wp) / (4 * to_mpf(a, wp)) * (
-            hurwitz_any(p, a, wp) - hurwitz_any(p, -a, wp))
-        lhs, rhs = round_to(lhs, prec), round_to(rhs, prec)
-    params = {"m": m, "a": _fmt(a)}
-    return _report(f"cor3_5[m={m},a={_fmt(a)}]", "cor3_5", params, lhs, rhs, tol,
-                   prec, s1.terms_used + s0.terms_used, t0)
+    return _verify_single(_SEC, "cor3_5", m, a, prec, tolerance, convention, False)
 
 
 def verify_cor3_6(m: int, a: Frac, prec: int, tolerance,
                   convention: ZetaConvention = DEFAULT_CONVENTION) -> VerificationReport:
     """The b = 1 - a specialization of the secant-kernel identity."""
-    t0 = time.perf_counter()
-    if m < 0:
-        raise HypothesisError("requires m >= 0")
-    a = Fraction(a)
-    _check_single_a(a, half_box=False, exclude_half=True)
-    wp = prec + 24
-    p = 2 * m + 1
-    with mp.workprec(wp):
-        tol = _tol_mpf(tolerance, wp)
-        s1 = accel_linear_sum(p, 0, -1, _pair_pf(a, 1 - a, False), wp)
-        lhs = s1.value
-        inv = 1 / to_mpf(2 * a - 1, wp)
-        rhs = mpf(0)
-        for k in range(0, m + 1):
-            rhs += inv * ttilde_bar(2 * k + 1, wp) * (
-                alt_hurwitz_any(2 * m - 2 * k + 1, 1 - a, wp)
-                - alt_hurwitz_any(2 * m - 2 * k + 1, a, wp))
-        rhs += kernel_value(KernelKind.PI_OVER_COS, a, wp) * inv / 2 * (
-            2 * ttilde(p, wp) - _zx(p, a, convention, wp) - _zx(p, 1 - a, convention, wp))
-        lhs, rhs = round_to(lhs, prec), round_to(rhs, prec)
-    params = {"m": m, "a": _fmt(a)}
-    return _report(f"cor3_6[m={m},a={_fmt(a)}]", "cor3_6", params, lhs, rhs, tol,
-                   prec, s1.terms_used, t0)
+    return _verify_single(_SEC, "cor3_6", m, a, prec, tolerance, convention, True)
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +340,13 @@ def _derivative_sum(r: PartialFractionRational, d: int, wp: int, alternating: bo
         q = m + d
         rising = factorial(m + d - 1) // factorial(m - 1)
         if alternating:
-            sigma = alt_shifted_power_sum(q, beta, wp)
+            sigma = alt_hurwitz_any(q, -beta, wp)
         elif q == 1:
             # grouped below through digamma (coefficients sum to zero)
             psi_part -= to_mpf(c, wp) * digamma_any(-beta, wp)
             continue
         else:
-            sigma = shifted_power_sum(q, beta, wp)
+            sigma = hurwitz_any(q, -beta, wp)
         total += to_mpf(c, wp) * sgn * rising * sigma
     return total + psi_part
 
@@ -417,62 +376,45 @@ def _residue_total(kind: KernelKind, p: int, r: PartialFractionRational, wp: int
     return total
 
 
-def verify_thm3_6(p: int, r: PartialFractionRational, prec: int, tolerance) -> VerificationReport:
-    """Residue-sum-zero check with the tangent kernel."""
+def _verify_residue(kern: _Kernel, family: str, p: int, r: PartialFractionRational,
+                    prec: int, tolerance) -> VerificationReport:
+    """Residue-sum-zero check: Theorems 3.6 (tangent) and 3.7 (secant)."""
     t0 = time.perf_counter()
     if p < 1:
         raise HypothesisError("requires p >= 1")
     wp = prec + 24
     with mp.workprec(wp):
-        tol = _tol_mpf(tolerance, wp)
+        tol = tolerance_mpf(tolerance, wp)
         pf1 = _half_shift_pf(r, False)
         pf2 = _half_shift_pf(r, True)
         sgn = 1 if p % 2 == 0 else -1
         tp = ttilde(p, wp)
-        sum1 = accel_linear_sum(p, 0, 1, pf1, wp)
-        rat1 = accel_linear_sum(None, 0, 1, pf1, wp)
-        term1 = -(sgn * tp * rat1.value + sum1.value)
-        sum2 = accel_linear_sum(p, 1, 1, pf2, wp)
-        rat2 = accel_linear_sum(None, 0, 1, pf2, wp)
+        sum1 = accel_linear_sum(p, 0, kern.sigma, pf1, wp)
+        rat1 = accel_linear_sum(None, 0, kern.sigma, pf1, wp)
+        term1 = -kern.sigma * (sgn * tp * rat1.value + sum1.value)
+        sum2 = accel_linear_sum(p, 1, kern.sigma, pf2, wp)
+        rat2 = accel_linear_sum(None, 0, kern.sigma, pf2, wp)
         term2 = -sgn * (tp * rat2.value - sum2.value)
         term3 = mpf(0)
-        for k in range(1, p // 2 + 1):
-            d = p - 2 * k
-            term3 += 2 * ttilde(2 * k, wp) / factorial(d) * _derivative_sum(r, d, wp, False)
-        term4 = _residue_total(KernelKind.PI_TAN, p, r, wp)
+        for j in range(kern.first_j, p + 1, 2):
+            d = p - j
+            term3 += kern.sigma * (2 * kern.tt(j, wp) / factorial(d)
+                                   * _derivative_sum(r, d, wp, kern.sigma < 0))
+        term4 = _residue_total(kern.kind, p, r, wp)
         total = round_to(term1 + term2 + term3 + term4, prec)
     params = {"p": p, "r": r.text()}
-    return _report(f"thm3_6[p={p},r={r.text()}]", "thm3_6", params, total, mpf(0),
+    return _report(f"{family}[p={p},r={r.text()}]", family, params, total, mpf(0),
                    tol, prec, sum1.terms_used + sum2.terms_used, t0)
+
+
+def verify_thm3_6(p: int, r: PartialFractionRational, prec: int, tolerance) -> VerificationReport:
+    """Residue-sum-zero check with the tangent kernel."""
+    return _verify_residue(_TAN, "thm3_6", p, r, prec, tolerance)
 
 
 def verify_thm3_7(p: int, r: PartialFractionRational, prec: int, tolerance) -> VerificationReport:
     """Residue-sum-zero check with the secant kernel."""
-    t0 = time.perf_counter()
-    if p < 1:
-        raise HypothesisError("requires p >= 1")
-    wp = prec + 24
-    with mp.workprec(wp):
-        tol = _tol_mpf(tolerance, wp)
-        pf1 = _half_shift_pf(r, False)
-        pf2 = _half_shift_pf(r, True)
-        sgn = 1 if p % 2 == 0 else -1
-        tp = ttilde(p, wp)
-        sum1 = accel_linear_sum(p, 0, -1, pf1, wp)
-        rat1 = accel_linear_sum(None, 0, -1, pf1, wp)
-        term1 = sgn * tp * rat1.value + sum1.value
-        sum2 = accel_linear_sum(p, 1, -1, pf2, wp)
-        rat2 = accel_linear_sum(None, 0, -1, pf2, wp)
-        term2 = -sgn * (tp * rat2.value - sum2.value)
-        term3 = mpf(0)
-        for k in range(0, (p - 1) // 2 + 1):
-            d = p - 1 - 2 * k
-            term3 -= 2 * ttilde_bar(2 * k + 1, wp) / factorial(d) * _derivative_sum(r, d, wp, True)
-        term4 = _residue_total(KernelKind.PI_OVER_COS, p, r, wp)
-        total = round_to(term1 + term2 + term3 + term4, prec)
-    params = {"p": p, "r": r.text()}
-    return _report(f"thm3_7[p={p},r={r.text()}]", "thm3_7", params, total, mpf(0),
-                   tol, prec, sum1.terms_used + sum2.terms_used, t0)
+    return _verify_residue(_SEC, "thm3_7", p, r, prec, tolerance)
 
 
 RESIDUE_CASE_CATALOG: list[tuple[int, str]] = [
@@ -489,24 +431,24 @@ RESIDUE_CASE_CATALOG: list[tuple[int, str]] = [
 # Expansion-coefficient suites (the two lemma families)
 # ---------------------------------------------------------------------------
 
-def _lemma_psi_checks(order: int, prec: int) -> tuple[mpf, mpf, mpf, int]:
-    """Compare psi jets against the closed expansion coefficients.
+class _Worst:
+    """The largest |lhs - rhs| over a run of comparisons, with its sides."""
 
-    Returns (max gap, lhs-at-max, rhs-at-max, comparison count).
-    """
-    from .series import harmonic, odd_harmonic
-    worst = mpf(0)
-    wl = wr = mpf(0)
-    count = 0
-    wp = prec + 16
+    def __init__(self):
+        self.gap = self.lhs = self.rhs = mpf(0)
+        self.count = 0
 
-    def _note(lv: mpf, rv: mpf):
-        nonlocal worst, wl, wr, count
-        count += 1
+    def note(self, lv: mpf, rv: mpf) -> None:
+        self.count += 1
         g = abs(lv - rv)
-        if g > worst:
-            worst, wl, wr = g, lv, rv
+        if g > self.gap:
+            self.gap, self.lhs, self.rhs = g, lv, rv
 
+
+def _lemma_psi_checks(order: int, prec: int, note) -> None:
+    """Compare psi jets against the closed expansion coefficients."""
+    from .series import harmonic, odd_harmonic
+    wp = prec + 16
     with mp.workprec(wp):
         for p in (1, 2, 3):
             fac = factorial(p - 1)
@@ -514,22 +456,22 @@ def _lemma_psi_checks(order: int, prec: int) -> tuple[mpf, mpf, mpf, int]:
             for n in range(4):
                 # expansion at the integer pole n
                 jet = psi_jet(p, Fraction(n), order, wp)
-                _note(jet.coeffs[0] / fac, mpf(1))
+                note(jet.coeffs[0] / fac, mpf(1))
                 for i in range(1, min(p, order + 1)):
-                    _note(jet.coeffs[i], mpf(0))
+                    note(jet.coeffs[i], mpf(0))
                 for j in range(p, order + 1):
                     i = j
-                    zi = -2 * _log2(wp) if i == 1 else riemann_zeta(i, wp)
+                    zi = -2 * real_const("log2", wp) if i == 1 else riemann_zeta(i, wp)
                     closed = sgn * comb(i - 1, p - 1) * (
                         (-1) ** i * to_mpf(harmonic(n, i), wp) + zi)
-                    _note(jet.coeffs[j] / fac, closed)
+                    note(jet.coeffs[j] / fac, closed)
                 # expansion at n - 1/2 (analytic)
                 jet = psi_jet(p, Fraction(2 * n - 1, 2), order, wp)
                 for j in range(order + 1):
                     i = p + j
                     closed = sgn * comb(i - 1, p - 1) * (
                         (-1) ** i * to_mpf(odd_harmonic(n, i), wp) + ttilde(i, wp))
-                    _note(jet.coeffs[j], closed * fac)
+                    note(jet.coeffs[j], closed * fac)
                 # expansion at 1/2 - n (analytic), n >= 1
                 if n >= 1:
                     jet = psi_jet(p, Fraction(1 - 2 * n, 2), order, wp)
@@ -537,60 +479,42 @@ def _lemma_psi_checks(order: int, prec: int) -> tuple[mpf, mpf, mpf, int]:
                         i = p + j
                         closed = sgn * comb(i - 1, p - 1) * (
                             ttilde(i, wp) - to_mpf(odd_harmonic(n - 1, i), wp))
-                        _note(jet.coeffs[j], closed * fac)
-    return worst, wl, wr, count
+                        note(jet.coeffs[j], closed * fac)
 
 
-def _log2(wp: int) -> mpf:
-    from .numeric import real_const
-    return real_const("log2", wp)
-
-
-def _lemma_trig_checks(order: int, prec: int) -> tuple[mpf, mpf, mpf, int]:
+def _lemma_trig_checks(order: int, prec: int, note) -> None:
     """Compare trig kernel jets against the closed expansion coefficients."""
-    worst = mpf(0)
-    wl = wr = mpf(0)
-    count = 0
     wp = prec + 16
-
-    def _note(lv: mpf, rv: mpf):
-        nonlocal worst, wl, wr, count
-        count += 1
-        g = abs(lv - rv)
-        if g > worst:
-            worst, wl, wr = g, lv, rv
-
     with mp.workprec(wp):
         for n in range(4):
             # tangent kernel at the integer n: odd coefficients 2*ttilde(j+1)
             jet = kernel_jet(KernelKind.PI_TAN, Fraction(n), order, wp)
             for j in range(order + 1):
                 closed = 2 * ttilde(j + 1, wp) if j % 2 == 1 else mpf(0)
-                _note(jet.coeffs[j], closed)
+                note(jet.coeffs[j], closed)
                 # derivative form: j! c_j vs (1 - (-1)^j) j! ttilde(j+1)
-                _note(factorial(j) * jet.coeffs[j],
+                note(factorial(j) * jet.coeffs[j],
                       (1 - (-1) ** j) * factorial(j) * ttilde(j + 1, wp))
             # secant kernel at n: even coefficients (-1)^(n-1) 2 ttilde_bar(j+1)
             jet = kernel_jet(KernelKind.PI_OVER_COS, Fraction(n), order, wp)
             for j in range(order + 1):
                 closed = (-1) ** (n - 1) * 2 * ttilde_bar(j + 1, wp) if j % 2 == 0 else mpf(0)
-                _note(jet.coeffs[j], closed)
-                _note(factorial(j) * jet.coeffs[j],
+                note(jet.coeffs[j], closed)
+                note(factorial(j) * jet.coeffs[j],
                       (-1) ** (n - 1) * (1 + (-1) ** j) * factorial(j) * ttilde_bar(j + 1, wp))
             # tangent kernel at the pole n - 1/2
             jet = kernel_jet(KernelKind.PI_TAN, Fraction(2 * n - 1, 2), order, wp)
-            _note(jet.coeffs[0], mpf(-1))
+            note(jet.coeffs[0], mpf(-1))
             for j in range(1, order + 1):
                 closed = 2 * riemann_zeta(j, wp) if (j % 2 == 0 and j >= 2) else mpf(0)
-                _note(jet.coeffs[j], closed)
+                note(jet.coeffs[j], closed)
             # secant kernel at the pole n - 1/2
             jet = kernel_jet(KernelKind.PI_OVER_COS, Fraction(2 * n - 1, 2), order, wp)
             s = (-1) ** n
-            _note(jet.coeffs[0], mpf(s))
+            note(jet.coeffs[0], mpf(s))
             for j in range(1, order + 1):
                 closed = s * 2 * alt_zeta(j, wp) if (j % 2 == 0 and j >= 2) else mpf(0)
-                _note(jet.coeffs[j], closed)
-    return worst, wl, wr, count
+                note(jet.coeffs[j], closed)
 
 
 def verify_kernel_expansions(order: int, prec: int, tolerance,
@@ -599,22 +523,16 @@ def verify_kernel_expansions(order: int, prec: int, tolerance,
     t0 = time.perf_counter()
     if order > 8:
         raise HypothesisError("expansion checks support order <= 8")
-    with mp.workprec(prec + 16):
-        tol = _tol_mpf(tolerance, prec + 16)
-    worst = mpf(0)
-    wl = wr = mpf(0)
-    count = 0
+    tol = tolerance_mpf(tolerance, prec + 16)
+    worst = _Worst()
     for part in parts:
         if part == "lemma2_3":
-            g, lv, rv, n = _lemma_psi_checks(order, prec)
+            _lemma_psi_checks(order, prec, worst.note)
         elif part == "lemma2_4":
-            g, lv, rv, n = _lemma_trig_checks(order, prec)
+            _lemma_trig_checks(order, prec, worst.note)
         else:
             raise HypothesisError(f"unknown expansion part {part!r}")
-        count += n
-        if g > worst:
-            worst, wl, wr = g, lv, rv
     family = parts[0] if len(parts) == 1 else "lemma2_3+lemma2_4"
     params = {"order": order}
     case_id = f"{family}[order={order}]"
-    return _report(case_id, family, params, wl, wr, tol, prec, count, t0)
+    return _report(case_id, family, params, worst.lhs, worst.rhs, tol, prec, worst.count, t0)

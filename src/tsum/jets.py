@@ -54,11 +54,6 @@ def jet_from_coeffs(base: RealLike, coeffs: Sequence[RealLike], prec: int,
     return JetSeries(b, len(cs) - 1, cs, pole_order, prec)
 
 
-def jet_const(base: RealLike, value: RealLike, order: int, prec: int) -> JetSeries:
-    cs = [value] + [0] * order
-    return jet_from_coeffs(base, cs, prec)
-
-
 def _check_compatible(a: JetSeries, b: JetSeries) -> None:
     if a.order != b.order:
         raise JetError(f"jet orders differ: {a.order} vs {b.order}")

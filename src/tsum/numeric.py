@@ -5,12 +5,15 @@ deterministic round-to-nearest at the active precision).  Every public
 operation in this package takes a target precision ``prec`` in bits, works
 internally at ``prec`` plus guard bits, and rounds the result back to
 ``prec``.  Exact rational bookkeeping uses ``fractions.Fraction``.
+
+Parallelism is process-only: ``mp.workprec`` mutates mpmath's
+process-global context, so no computation here may run on two threads of
+one process at once.  The module caches are plain dicts for that reason.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from math import comb
 from typing import Union
@@ -22,7 +25,6 @@ RealLike = Union[int, Fraction, mpf]
 
 MIN_PRECISION = 16
 
-_lock = threading.Lock()
 _const_cache: dict[tuple[str, int], mpf] = {}
 _bernoulli_even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
 
@@ -36,10 +38,27 @@ def guard_bits(term_count: int) -> int:
     return 32 + max(0, math.ceil(math.log2(term_count + 2)))
 
 
-def working_prec(prec: int, term_count: int = 1) -> int:
+def check_precision(prec: int) -> None:
     if prec < MIN_PRECISION:
         raise PrecisionError(f"precision must be >= {MIN_PRECISION} bits, got {prec}")
+
+
+def working_prec(prec: int, term_count: int = 1) -> int:
+    check_precision(prec)
     return prec + guard_bits(term_count)
+
+
+def tolerance_mpf(tol, wp: int) -> mpf:
+    """The acceptance tolerance ``tol`` (a decimal string) as an mpf at
+    ``wp`` bits; NaN, infinities and values <= 0 are rejected."""
+    with mp.workprec(wp):
+        try:
+            value = +mpf(str(tol))
+        except ValueError:
+            value = mp.nan
+    if not (mp.isfinite(value) and value > 0):
+        raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
+    return value
 
 
 def to_mpf(x: RealLike, prec: int) -> mpf:
@@ -57,8 +76,7 @@ def round_to(x: mpf, prec: int) -> mpf:
 
 def real_const(name: str, prec: int) -> mpf:
     """Fundamental constant (``pi``, ``log2`` or ``euler_gamma``) at ``prec`` bits."""
-    if prec < MIN_PRECISION:
-        raise PrecisionError(f"precision must be >= {MIN_PRECISION} bits, got {prec}")
+    check_precision(prec)
     key = (name, prec)
     cached = _const_cache.get(key)
     if cached is not None:
@@ -73,8 +91,7 @@ def real_const(name: str, prec: int) -> mpf:
         else:
             raise ValueError(f"unknown constant {name!r}")
     value = round_to(value, prec)
-    with _lock:
-        _const_cache[key] = value
+    _const_cache[key] = value
     return value
 
 
@@ -92,16 +109,15 @@ def bernoulli(n: int) -> Fraction:
     if n % 2 == 1:
         return Fraction(0)
     k = n // 2
-    with _lock:
-        while len(_bernoulli_even) <= k:
-            m = len(_bernoulli_even)
-            nn = 2 * m
-            s = Fraction(0)
-            for j in range(m):
-                s += comb(nn + 1, 2 * j) * _bernoulli_even[j]
-            s += Fraction(-(nn + 1), 2)  # B_1 contribution, C(n+1,1) * (-1/2)
-            _bernoulli_even.append(-s / (nn + 1))
-        return _bernoulli_even[k]
+    while len(_bernoulli_even) <= k:
+        m = len(_bernoulli_even)
+        nn = 2 * m
+        s = Fraction(0)
+        for j in range(m):
+            s += comb(nn + 1, 2 * j) * _bernoulli_even[j]
+        s += Fraction(-(nn + 1), 2)  # B_1 contribution, C(n+1,1) * (-1/2)
+        _bernoulli_even.append(-s / (nn + 1))
+    return _bernoulli_even[k]
 
 
 def real_to_str(x: mpf, prec: int) -> str:
@@ -110,7 +126,3 @@ def real_to_str(x: mpf, prec: int) -> str:
     with mp.workprec(prec + 8):
         return mp.nstr(mpf(x), dps, strip_zeros=False)
 
-
-def mpf_from_str(s: str, prec: int) -> mpf:
-    with mp.workprec(prec):
-        return +mpf(s)

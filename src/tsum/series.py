@@ -29,7 +29,6 @@ summation; no closed form in this package covers them.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -37,7 +36,7 @@ from typing import Optional, Sequence
 
 from mpmath import mp, mpf
 
-from .numeric import bernoulli, guard_bits, round_to, to_mpf
+from .numeric import bernoulli, check_precision, guard_bits, round_to, to_mpf
 from .special import alt_hurwitz_zeta, digamma, hurwitz_zeta
 
 
@@ -192,7 +191,6 @@ def partial_fractions(factors: Sequence[tuple[Fraction, int]]) -> list[tuple[Fra
 PowerTail = dict[int, Fraction]
 
 _expansion_cache: dict = {}
-_exp_lock = threading.Lock()
 
 
 def _add_scaled(dst: PowerTail, src: PowerTail, scale: Fraction) -> None:
@@ -420,8 +418,7 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int,
         for t, e, c in pf:
             delta = t + offset + Fraction(1, 2)
             key = (sigma, e, delta, W, J)
-            with _exp_lock:
-                comp = _expansion_cache.get(key)
+            comp = _expansion_cache.get(key)
             if comp is None:
                 if sigma == 1:
                     if e == 1:
@@ -433,8 +430,7 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int,
                         comp = _hurwitz_powers(e, delta, W, J)
                 else:
                     comp = _alt_hurwitz_powers(e, delta, W, J)
-                with _exp_lock:
-                    _expansion_cache[key] = comp
+                _expansion_cache[key] = comp
             _add_scaled(expansion, comp, c)
 
         piece2 = mpf(0)
@@ -533,8 +529,12 @@ def euler_t_sum(spec: SumSpec, prec: int, method: str = "auto",
     """
     if method not in ("auto", "accelerated", "naive"):
         raise SpecError(f"unknown method {method!r}")
+    check_precision(prec)
+    n = NAIVE_START_TERMS if max_terms is None else max_terms
+    if n < 1:
+        raise SpecError(f"max_terms must be >= 1, got {n}")
     if method == "naive":
-        return naive_sum(spec, prec, max_terms or NAIVE_START_TERMS)
+        return naive_sum(spec, prec, n)
     if len(spec.p) <= 1:
         p = spec.p[0] if spec.p else None
         pf = partial_fractions(spec.factors())
@@ -542,7 +542,6 @@ def euler_t_sum(spec: SumSpec, prec: int, method: str = "auto",
     if method == "accelerated":
         raise SpecError("accelerated evaluation covers at most one harmonic factor")
     # budgeted naive fallback for r >= 2
-    n = max_terms or NAIVE_START_TERMS
     target = mpf(2) ** (-prec + 16)
     while True:
         res = naive_sum(spec, prec, n)

@@ -6,16 +6,15 @@ function, and Taylor recurrences for the trigonometric kernels.  Shift
 identities extend the a > 0 domain of the zeta/digamma engines to every
 admissible real argument the identity checks need.
 
-Conventions for the divergent boundary symbols live in ``ZetaConvention``:
-zeta(1) -> -2 log 2, ttilde(1) -> 0 and zeta(1; a) -> psi(1/2) - psi(a).
-They are only applied where explicitly requested; ``riemann_zeta(1)`` is an
-error.
+Conventions for the divergent boundary symbols: ``ttilde(1)`` is 0, and
+zeta(1; a) -> psi(1/2) - psi(a) lives in ``ZetaConvention``, applied only
+where explicitly requested; ``riemann_zeta(1)`` is an error.  The symbolic
+zeta(1) -> -2 log 2 rule lives with the reductions.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,7 +27,6 @@ from .jets import JetSeries, jet_from_coeffs, jet_mul, jet_recip
 from .numeric import (
     RealLike,
     bernoulli,
-    guard_bits,
     real_const,
     round_to,
     to_mpf,
@@ -51,7 +49,6 @@ class KernelKind(Enum):
     PI_OVER_SIN = "pi_over_sin"
 
 
-_lock = threading.Lock()
 _zeta_cache: dict = {}
 
 
@@ -115,8 +112,7 @@ def hurwitz_zeta(s: int, a: RealLike, prec: int) -> mpf:
     if not a > 0:
         raise DomainError("hurwitz_zeta requires a > 0")
     key = ("hz", s, _akey(a), prec)
-    with _lock:
-        cached = _zeta_cache.get(key)
+    cached = _zeta_cache.get(key)
     if cached is not None:
         return cached
     wp = working_prec(prec, max(64, math.ceil(0.35 * prec)) + prec // 8)
@@ -126,8 +122,7 @@ def hurwitz_zeta(s: int, a: RealLike, prec: int) -> mpf:
             shift += to_mpf(a, wp) ** (-s)
             a = a + 1
         value = round_to(shift + _hurwitz_em(s, a, wp), prec)
-    with _lock:
-        _zeta_cache[key] = value
+    _zeta_cache[key] = value
     return value
 
 
@@ -144,8 +139,7 @@ def digamma(a: RealLike, prec: int) -> mpf:
     if not a > 0:
         raise DomainError("digamma requires a > 0")
     key = ("psi", _akey(a), prec)
-    with _lock:
-        cached = _zeta_cache.get(key)
+    cached = _zeta_cache.get(key)
     if cached is not None:
         return cached
     wp = working_prec(prec, max(64, math.ceil(0.35 * prec)))
@@ -173,8 +167,7 @@ def digamma(a: RealLike, prec: int) -> mpf:
         for j in range(K):
             res -= 1 / (am + j)
         value = round_to(res, prec)
-    with _lock:
-        _zeta_cache[key] = value
+    _zeta_cache[key] = value
     return value
 
 
@@ -200,8 +193,7 @@ def alt_hurwitz_zeta(s: int, a: RealLike, prec: int) -> mpf:
     if not a > 0:
         raise DomainError("alt_hurwitz_zeta requires a > 0")
     key = ("ahz", s, _akey(a), prec)
-    with _lock:
-        cached = _zeta_cache.get(key)
+    cached = _zeta_cache.get(key)
     if cached is not None:
         return cached
     wp = prec + 16
@@ -212,8 +204,7 @@ def alt_hurwitz_zeta(s: int, a: RealLike, prec: int) -> mpf:
         else:
             value = (hurwitz_zeta(s, half, wp) - hurwitz_zeta(s, half1, wp)) / mpf(2) ** s
         value = round_to(value, prec)
-    with _lock:
-        _zeta_cache[key] = value
+    _zeta_cache[key] = value
     return value
 
 
@@ -249,71 +240,49 @@ def param_digamma_deriv(p: int, a: RealLike, prec: int) -> mpf:
 # Shift helpers extending the a > 0 domain to all admissible real arguments
 # ---------------------------------------------------------------------------
 
-def _shifts_to_positive(x: Fraction) -> int:
-    if x > 0:
-        return 0
-    return int(math.floor(-x)) + 1
+def _unit_shift(x: Union[Fraction, mpf], s: int, alternating: bool) -> tuple[int, Fraction]:
+    """Unit shifts K taking x to x + K > 0, and the exact finite part
+    sum_{j<K} (+-1)^j (x + j)^(-s) that they move out of the series."""
+    if not isinstance(x, Fraction):
+        if not x > 0:
+            raise DomainError("non-rational arguments require x > 0")
+        return 0, Fraction(0)
+    if x.denominator == 1 and x <= 0:
+        raise DomainError(f"undefined at the non-positive integer {x}")
+    K = 0 if x > 0 else int(math.floor(-x)) + 1
+    finite = sum((Fraction(-1 if alternating and j % 2 else 1) / (x + j) ** s
+                  for j in range(K)), Fraction(0))
+    return K, finite
 
 
 def hurwitz_any(s: int, x: RealLike, prec: int) -> mpf:
     """zeta(s; x) for any rational x not a non-positive integer, via unit shifts."""
     x = _as_exact(x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1 and x <= 0:
-            raise DomainError("zeta(s; x) undefined at non-positive integers")
-        K = _shifts_to_positive(x)
-    else:
-        if not x > 0:
-            raise DomainError("non-rational shifts require x > 0")
-        K = 0
+    K, finite = _unit_shift(x, s, False)
     wp = prec + 16
     with mp.workprec(wp):
-        extra = mpf(0)
-        for j in range(K):
-            extra += to_mpf((x + j) ** (-s), wp) if isinstance(x, Fraction) else (x + j) ** (-s)
-        return round_to(extra + hurwitz_zeta(s, x + K, wp), prec)
+        return round_to(to_mpf(finite, wp) + hurwitz_zeta(s, x + K, wp), prec)
 
 
 def alt_hurwitz_any(s: int, x: RealLike, prec: int) -> mpf:
     """Alternating Hurwitz zeta at any rational non-(non-positive-integer) x."""
     x = _as_exact(x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1 and x <= 0:
-            raise DomainError("alternating zeta(s; x) undefined at non-positive integers")
-        K = _shifts_to_positive(x)
-    else:
-        if not x > 0:
-            raise DomainError("non-rational shifts require x > 0")
-        K = 0
+    K, finite = _unit_shift(x, s, True)
     wp = prec + 16
     with mp.workprec(wp):
-        extra = mpf(0)
-        for j in range(K):
-            term = to_mpf((x + j) ** (-s), wp) if isinstance(x, Fraction) else (x + j) ** (-s)
-            extra += term if j % 2 == 0 else -term
         tail = alt_hurwitz_zeta(s, x + K, wp)
         if K % 2 == 1:
             tail = -tail
-        return round_to(extra + tail, prec)
+        return round_to(to_mpf(finite, wp) + tail, prec)
 
 
 def digamma_any(x: RealLike, prec: int) -> mpf:
     """psi(x) for any rational x not a non-positive integer."""
     x = _as_exact(x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1 and x <= 0:
-            raise DomainError("digamma undefined at non-positive integers")
-        K = _shifts_to_positive(x)
-    else:
-        if not x > 0:
-            raise DomainError("non-rational arguments require x > 0")
-        K = 0
+    K, finite = _unit_shift(x, 1, False)
     wp = prec + 16
     with mp.workprec(wp):
-        extra = mpf(0)
-        for j in range(K):
-            extra += 1 / to_mpf(x + j, wp)
-        return round_to(digamma(x + K, wp) - extra, prec)
+        return round_to(digamma(x + K, wp) - to_mpf(finite, wp), prec)
 
 
 def hurwitz_zeta1_any(x: RealLike, prec: int) -> mpf:
@@ -323,59 +292,15 @@ def hurwitz_zeta1_any(x: RealLike, prec: int) -> mpf:
         return round_to(digamma(Fraction(1, 2), wp) - digamma_any(x, wp), prec)
 
 
-def shifted_power_sum(q: int, beta: Fraction, prec: int) -> mpf:
-    """sum_{k>=0} (k - beta)^(-q) for q >= 2 and rational beta not in N0."""
-    if q < 2:
-        raise DomainError("shifted_power_sum requires q >= 2")
-    beta = _as_exact(beta)
-    if beta.denominator == 1 and beta >= 0:
-        raise DomainError("summand has a pole at k = beta")
-    m0 = 0 if beta < 0 else int(math.floor(beta)) + 1
-    finite = Fraction(0)
-    for k in range(m0):
-        finite += Fraction(1) / (k - beta) ** q
-    wp = prec + 16
-    with mp.workprec(wp):
-        return round_to(to_mpf(finite, wp) + hurwitz_zeta(q, m0 - beta, wp), prec)
-
-
-def alt_shifted_power_sum(q: int, beta: Fraction, prec: int) -> mpf:
-    """sum_{k>=0} (-1)^k (k - beta)^(-q) for q >= 1 and rational beta not in N0."""
-    if q < 1:
-        raise DomainError("alt_shifted_power_sum requires q >= 1")
-    beta = _as_exact(beta)
-    if beta.denominator == 1 and beta >= 0:
-        raise DomainError("summand has a pole at k = beta")
-    m0 = 0 if beta < 0 else int(math.floor(beta)) + 1
-    finite = Fraction(0)
-    for k in range(m0):
-        term = Fraction(1) / (k - beta) ** q
-        finite += term if k % 2 == 0 else -term
-    wp = prec + 16
-    with mp.workprec(wp):
-        tail = alt_hurwitz_zeta(q, m0 - beta, wp)
-        if m0 % 2 == 1:
-            tail = -tail
-        return round_to(to_mpf(finite, wp) + tail, prec)
-
-
 # ---------------------------------------------------------------------------
 # Conventions for the divergent boundary symbols
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ZetaConvention:
-    """Explicit replacements for zeta(1), ttilde(1) and zeta(1; a)."""
+    """Explicit replacement for zeta(1; a); ``enabled=False`` drops it."""
 
     enabled: bool = True
-
-    def zeta1(self, prec: int) -> mpf:
-        if not self.enabled:
-            return mpf(0)
-        return -2 * real_const("log2", prec)
-
-    def ttilde1(self, prec: int) -> mpf:
-        return mpf(0)
 
     def hurwitz1(self, a: RealLike, prec: int) -> mpf:
         if not self.enabled:
@@ -643,7 +568,7 @@ def psi_jet(p: int, base: RealLike, order: int, prec: int) -> JetSeries:
                 if q == 1:
                     coeffs.append(+(digamma_any(-base, wp) - digamma(Fraction(1, 2), wp)))
                 else:
-                    sigma = shifted_power_sum(q, base, wp)
+                    sigma = hurwitz_any(q, -base, wp)
                     coeffs.append(+(sign * fac * comb(p - 1 + j, j) * sigma))
             pole_order = 0
     return jet_from_coeffs(base, [round_to(v, prec) for v in coeffs], prec, pole_order=pole_order)

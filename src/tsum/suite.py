@@ -1,7 +1,7 @@
 """Suite assembly and execution for the verification CLI.
 
 A suite is a canonical, deterministically ordered list of case descriptors
-(family name plus primitive parameters).  Cases run independently, possibly
+(a family name plus its verifier's arguments).  Cases run independently, possibly
 in a process pool; reports are reassembled in case-id order so worker count
 never changes the output.
 """
@@ -13,8 +13,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from typing import Callable
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .identities import (
     HypothesisError,
@@ -33,14 +34,8 @@ from .identities import (
     verify_thm3_6,
     verify_thm3_7,
 )
-from .numeric import real_to_str
+from .numeric import real_to_str, tolerance_mpf
 from .reductions import FAMILIES, eval_symbolic
-from .special import ZetaConvention
-
-IDENTITY_FAMILIES = ("thm3_1", "cor3_2", "cor3_3", "thm3_4", "cor3_5", "cor3_6",
-                     "thm3_6", "thm3_7", "lemma2_3", "lemma2_4")
-REDUCTION_FAMILIES = tuple(FAMILIES)
-ALL_FAMILIES = IDENTITY_FAMILIES + REDUCTION_FAMILIES
 
 DEFAULT_SAMPLES = ((Fraction(1, 4), Fraction(1, 3)),
                    (Fraction(1, 5), Fraction(2, 5)),
@@ -48,50 +43,19 @@ DEFAULT_SAMPLES = ((Fraction(1, 4), Fraction(1, 3)),
 DEFAULT_PRECISION = 192
 DEFAULT_TOLERANCE = "1e-40"
 DEFAULT_WEIGHT_MAX = 9
+WEIGHT_MIN = 2  # the least weight of any reduction pair
 WEIGHT_MAX_GUARD = 13
 PAIR_P_RANGE = (1, 2, 3, 4, 5)
-COR_M_RANGES = {"cor3_2": (0, 1, 2), "cor3_3": (0, 1, 2),
-                "cor3_5": (1, 2), "cor3_6": (0, 1, 2)}
 
 
 class ConfigError(ValueError):
     """Invalid suite configuration."""
 
 
-@dataclass
-class SuiteConfig:
-    precision_bits: int = DEFAULT_PRECISION
-    tolerance: str = DEFAULT_TOLERANCE
-    families: tuple[str, ...] = ALL_FAMILIES
-    weight_max: int = DEFAULT_WEIGHT_MAX
-    samples: tuple = DEFAULT_SAMPLES
-    order: int = 6
-    workers: int = 1
-    timings: bool = False
-
-    def __post_init__(self):
-        if self.precision_bits < 64:
-            raise ConfigError("precision_bits must be >= 64")
-        try:
-            with mp.workprec(64):
-                if not mpf(self.tolerance) > 0:
-                    raise ConfigError("tolerance must be positive")
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad tolerance {self.tolerance!r}") from exc
-        if self.weight_max > WEIGHT_MAX_GUARD:
-            raise ConfigError(f"weight_max must be <= {WEIGHT_MAX_GUARD}")
-        unknown = [f for f in self.families if f not in ALL_FAMILIES]
-        if unknown:
-            raise ConfigError(f"unknown families: {', '.join(unknown)}")
-        if self.order > 8 or self.order < 1:
-            raise ConfigError("expansion order must be in 1..8")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-
-
 @dataclass(frozen=True)
 class IdentityCase:
-    """One runnable case: a family name plus primitive parameters.
+    """One runnable case: a family name plus the leading arguments of its
+    verifier, which precision and tolerance follow.
 
     Everything is picklable so cases can cross a process-pool boundary.
     """
@@ -102,66 +66,68 @@ class IdentityCase:
     tolerance: str
 
 
-def _single_samples(samples) -> list[Fraction]:
-    seen: list[Fraction] = []
-    for s in samples:
-        for v in (s if isinstance(s, tuple) else (s,)):
-            if v not in seen:
-                seen.append(v)
-    return seen
+@dataclass(frozen=True)
+class FamilySpec:
+    """One suite family: ``cases(spec, config)`` lists the verifier
+    arguments of its cases, applying the family's hypotheses, over the
+    order range ``sweep``; ``reflect`` picks b = 1 - a over b = -a."""
+
+    name: str
+    cases: Callable[..., list[tuple]]
+    verifier: Callable[..., VerificationReport]
+    sweep: tuple[int, ...] = ()
+    reflect: bool = False
 
 
-def build_cases(config: SuiteConfig) -> list[IdentityCase]:
-    """Expand the configuration into concrete case descriptors.
-
-    Explicit pair samples are validated strictly (hypothesis violations are
-    configuration errors); singleton samples derived from pair components
-    are filtered per each single-parameter family's hypotheses, keeping three.
-    """
-    def case(fam, params):
-        return IdentityCase(fam, params, config.precision_bits, config.tolerance)
-
-    cases: list[IdentityCase] = []
+def _pair_cases(spec: FamilySpec, config) -> list[tuple]:
+    """Explicit pair samples are validated strictly: a hypothesis violation
+    is a configuration error."""
     pair_samples = [s for s in config.samples if isinstance(s, tuple) and len(s) == 2]
-    singles = _single_samples(config.samples)
-    for fam in config.families:
-        if fam in ("thm3_1", "thm3_4"):
-            if not pair_samples:
-                raise ConfigError(f"{fam} needs two-parameter samples")
-            for a, b in pair_samples:
-                try:
-                    _check_ab(Fraction(a), Fraction(b))
-                except HypothesisError as exc:
-                    raise ConfigError(f"sample ({a},{b}) rejected for {fam}: {exc}") from exc
-                for p in PAIR_P_RANGE:
-                    cases.append(case(fam, (p, str(a), str(b))))
-        elif fam in COR_M_RANGES:
-            half_box = fam in ("cor3_2", "cor3_5")
-            exclude_half = fam in ("cor3_3", "cor3_6")
-            kept = []
-            for a in singles:
-                try:
-                    _check_single_a(Fraction(a), half_box=half_box, exclude_half=exclude_half)
-                except HypothesisError:
-                    continue
-                kept.append(a)
-                if len(kept) == 3:
-                    break
-            if not kept:
-                raise ConfigError(f"no admissible samples for {fam}")
-            for a in kept:
-                for m in COR_M_RANGES[fam]:
-                    cases.append(case(fam, (m, str(a))))
-        elif fam in ("thm3_6", "thm3_7"):
-            for p, rtext in RESIDUE_CASE_CATALOG:
-                cases.append(case(fam, (p, rtext)))
-        elif fam in ("lemma2_3", "lemma2_4"):
-            cases.append(case(fam, (config.order,)))
-        else:  # reduction family
-            family = FAMILIES[fam]
-            for j, m in family.pairs_up_to_weight(config.weight_max):
-                cases.append(case(fam, (j, m)))
-    return cases
+    if not pair_samples:
+        raise ConfigError(f"{spec.name} needs two-parameter samples")
+    out = []
+    for a, b in pair_samples:
+        try:
+            _check_ab(Fraction(a), Fraction(b))
+        except HypothesisError as exc:
+            raise ConfigError(f"sample ({a},{b}) rejected for {spec.name}: {exc}") from exc
+        out.extend((p, Fraction(a), Fraction(b)) for p in spec.sweep)
+    return out
+
+
+def _single_cases(spec: FamilySpec, config) -> list[tuple]:
+    """Singletons drawn from all sample components, filtered by the
+    family's hypotheses, keeping the first three."""
+    kept = []
+    components = (v for s in config.samples for v in (s if isinstance(s, tuple) else (s,)))
+    for a in dict.fromkeys(components):
+        try:
+            _check_single_a(Fraction(a), spec.reflect)
+        except HypothesisError:
+            continue
+        kept.append(Fraction(a))
+        if len(kept) == 3:
+            break
+    if not kept:
+        raise ConfigError(f"no admissible samples for {spec.name}")
+    return [(m, a) for a in kept for m in spec.sweep]
+
+
+def _residue_cases(spec: FamilySpec, config) -> list[tuple]:
+    return [(p, PartialFractionRational.parse(r)) for p, r in RESIDUE_CASE_CATALOG]
+
+
+def _lemma_cases(spec: FamilySpec, config) -> list[tuple]:
+    return [(config.order, spec.name)]
+
+
+def _reduction_cases(spec: FamilySpec, config) -> list[tuple]:
+    pairs = FAMILIES[spec.name].pairs_up_to_weight(config.weight_max)
+    return [(spec.name, j, m) for j, m in pairs]
+
+
+def _verify_lemma(order: int, part: str, precision: int, tolerance: str) -> VerificationReport:
+    return verify_kernel_expansions(order, precision, tolerance, parts=(part,))
 
 
 def _report_to_dict(rep: VerificationReport, timings: bool) -> dict:
@@ -181,35 +147,19 @@ def _report_to_dict(rep: VerificationReport, timings: bool) -> dict:
     }
 
 
-def run_case(case: IdentityCase, timings: bool = False,
-             zeta1_convention: bool = True) -> dict:
+def build_cases(config: SuiteConfig) -> list[IdentityCase]:
+    """Expand the configuration into concrete case descriptors."""
+    return [IdentityCase(fam, params, config.precision_bits, config.tolerance)
+            for fam in config.families
+            for params in FAMILY_SPECS[fam].cases(FAMILY_SPECS[fam], config)]
+
+
+def run_case(case: IdentityCase, timings: bool = False) -> dict:
     """Run one case descriptor and return its report as primitives."""
-    family, params = case.family, case.params
-    precision, tolerance = case.precision_bits, case.tolerance
-    conv = ZetaConvention(enabled=zeta1_convention)
-    if family == "thm3_1":
-        p, a, b = params
-        rep = verify_thm3_1(int(p), Fraction(a), Fraction(b), precision, tolerance, conv)
-    elif family == "thm3_4":
-        p, a, b = params
-        rep = verify_thm3_4(int(p), Fraction(a), Fraction(b), precision, tolerance, conv)
-    elif family in COR_M_RANGES:
-        m, a = params
-        fn = {"cor3_2": verify_cor3_2, "cor3_3": verify_cor3_3,
-              "cor3_5": verify_cor3_5, "cor3_6": verify_cor3_6}[family]
-        rep = fn(int(m), Fraction(a), precision, tolerance, conv)
-    elif family in ("thm3_6", "thm3_7"):
-        p, rtext = params
-        r = PartialFractionRational.parse(rtext)
-        fn = verify_thm3_6 if family == "thm3_6" else verify_thm3_7
-        rep = fn(int(p), r, precision, tolerance)
-    elif family in ("lemma2_3", "lemma2_4"):
-        (order,) = params
-        rep = verify_kernel_expansions(int(order), precision, tolerance, parts=(family,))
-    elif family in FAMILIES:
-        rep = run_reduction_case(family, int(params[0]), int(params[1]), precision, tolerance)
-    else:
-        raise ConfigError(f"unknown family {family!r}")
+    spec = FAMILY_SPECS.get(case.family)
+    if spec is None:
+        raise ConfigError(f"unknown family {case.family!r}")
+    rep = spec.verifier(*case.params, case.precision_bits, case.tolerance)
     return _report_to_dict(rep, timings)
 
 
@@ -217,18 +167,65 @@ def run_reduction_case(family: str, j: int, m: int, precision: int,
                        tolerance: str) -> VerificationReport:
     """Certify one closed-form reduction against its series oracle."""
     t0 = time.perf_counter()
+    tol = tolerance_mpf(tolerance, precision + 16)
     fam = FAMILIES[family]
     expr = fam.reduce(j, m)
     value = eval_symbolic(expr, precision)
     oracle = fam.oracle(j, m, precision)
     with mp.workprec(precision + 16):
-        tol = +mpf(tolerance)
         gap = abs(value - oracle.value)
         passed = bool(gap <= tol)
     params = {"j": j, "m": m, "value_label": fam.label(j, m), "expr": expr.to_text()}
     return VerificationReport(f"{family}[j={j},m={m}]", family, params, value,
                               oracle.value, gap, passed, tol, precision,
                               oracle.terms_used, (time.perf_counter() - t0) * 1000.0)
+
+
+# Insertion order is the canonical family order of ``ALL_FAMILIES``, which
+# the default suite prints as its ``suite_id``.
+FAMILY_SPECS: dict[str, FamilySpec] = {spec.name: spec for spec in (
+    FamilySpec("thm3_1", _pair_cases, verify_thm3_1, PAIR_P_RANGE),
+    FamilySpec("cor3_2", _single_cases, verify_cor3_2, (0, 1, 2)),
+    FamilySpec("cor3_3", _single_cases, verify_cor3_3, (0, 1, 2), reflect=True),
+    FamilySpec("thm3_4", _pair_cases, verify_thm3_4, PAIR_P_RANGE),
+    FamilySpec("cor3_5", _single_cases, verify_cor3_5, (1, 2)),
+    FamilySpec("cor3_6", _single_cases, verify_cor3_6, (0, 1, 2), reflect=True),
+    FamilySpec("thm3_6", _residue_cases, verify_thm3_6),
+    FamilySpec("thm3_7", _residue_cases, verify_thm3_7),
+    FamilySpec("lemma2_3", _lemma_cases, _verify_lemma),
+    FamilySpec("lemma2_4", _lemma_cases, _verify_lemma),
+    *(FamilySpec(name, _reduction_cases, run_reduction_case) for name in FAMILIES),
+)}
+ALL_FAMILIES = tuple(FAMILY_SPECS)
+
+
+@dataclass
+class SuiteConfig:
+    precision_bits: int = DEFAULT_PRECISION
+    tolerance: str = DEFAULT_TOLERANCE
+    families: tuple[str, ...] = ALL_FAMILIES
+    weight_max: int = DEFAULT_WEIGHT_MAX
+    samples: tuple = DEFAULT_SAMPLES
+    order: int = 6
+    workers: int = 1
+    timings: bool = False
+
+    def __post_init__(self):
+        if self.precision_bits < 64:
+            raise ConfigError("precision_bits must be >= 64")
+        try:
+            tolerance_mpf(self.tolerance, 64)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not WEIGHT_MIN <= self.weight_max <= WEIGHT_MAX_GUARD:
+            raise ConfigError(f"weight_max must be in {WEIGHT_MIN}..{WEIGHT_MAX_GUARD}")
+        unknown = [f for f in self.families if f not in FAMILY_SPECS]
+        if unknown:
+            raise ConfigError(f"unknown families: {', '.join(unknown)}")
+        if self.order > 8 or self.order < 1:
+            raise ConfigError("expansion order must be in 1..8")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
 
 
 def _pool_entry(args):

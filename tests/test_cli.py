@@ -151,3 +151,22 @@ def test_verify_with_workers_matches_serial(capsys):
     assert main(argv + ["--workers", "2"]) == 0
     parallel = json.loads(capsys.readouterr().out)
     assert serial["cases"] == parallel["cases"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--p", "1", "--q", "2", "--a", "1/2", "--precision-bits", "0"],
+    ["eval", "--p", "1", "--q", "2", "--a", "1/2", "--precision-bits", "-5"],
+    ["eval", "--p", "1", "--q", "2", "--a", "1/2", "--precision-bits", "8"],
+    ["eval", "--p", "1", "--q", "2", "--a", "1/2", "--method", "naive", "--max-terms", "0"],
+    ["eval", "--p", "1", "--q", "2", "--a", "1/2", "--method", "naive", "--max-terms=-4"],
+    ["verify", "--families", "lemma2_4", "--tolerance", "inf"],
+    ["table", "--family", "t_bar_odd", "--tolerance", "inf"],
+    ["table", "--family", "t_bar_odd", "--tolerance=-1"],
+    ["table", "--family", "t_bar_odd", "--tolerance", "nan"],
+    ["reduce", "--family", "T_even_odd", "--j", "1", "--m", "0", "--tolerance", "nan"],
+    ["table", "--family", "t_bar_odd", "--weight-max=-3"],
+    ["verify", "--families", "t_bar_odd", "--weight-max", "1"],
+])
+def test_out_of_domain_budgets_and_tolerances_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
