@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -42,19 +41,6 @@ from .suite import (
     run_suite,
     _report_to_dict,
 )
-
-ENV_PRECISION = "TSUM_DEFAULT_PRECISION_BITS"
-
-
-def _default_precision() -> int:
-    raw = os.environ.get(ENV_PRECISION)
-    if raw is None:
-        return DEFAULT_PRECISION
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{ENV_PRECISION} must be an integer, got {raw!r}") from exc
-
 
 def _parse_samples(raw: str) -> tuple:
     out = []
@@ -235,10 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tsum",
         description="Evaluate parametric Euler T-sums and certify their closed-form identities.")
     sub = parser.add_subparsers(dest="command", required=True)
-    prec_default = None  # resolved per-run so the env var is honored
 
     def add_common(p):
-        p.add_argument("--precision-bits", type=int, default=prec_default)
+        p.add_argument("--precision-bits", type=int, default=DEFAULT_PRECISION)
         p.add_argument("--tolerance", default=DEFAULT_TOLERANCE)
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--out", default=None)
@@ -290,8 +275,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.precision_bits is None:
-            args.precision_bits = _default_precision()
         return args.func(args)
     except (ConfigError, SpecError, DomainError, ReductionDomainError,
             ValueError, ZeroDivisionError) as exc:

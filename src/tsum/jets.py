@@ -39,13 +39,6 @@ class JetSeries:
         if len(self.coeffs) != self.order + 1:
             raise JetError("coeffs length must equal order + 1")
 
-    def coefficient(self, power: int) -> mpf:
-        """Coefficient of (z - base)**power, zero if outside the stored window."""
-        i = power + self.pole_order
-        if 0 <= i <= self.order:
-            return self.coeffs[i]
-        return mpf(0)
-
 
 def jet_from_coeffs(base: RealLike, coeffs: Sequence[RealLike], prec: int,
                     pole_order: int = 0) -> JetSeries:

@@ -115,9 +115,6 @@ class SymbolicExpr:
     def weights(self) -> set[int]:
         return {sum(s.weight for s in mono) for mono in self.terms}
 
-    def is_weight_homogeneous(self) -> bool:
-        return len(self.weights()) <= 1
-
     def to_text(self) -> str:
         if not self.terms:
             return "0"

@@ -18,9 +18,11 @@ Evaluation strategy for the linear case (at most one harmonic factor):
   h(N) * sum_{n>N} sigma^n R(n)  (a closed form in Hurwitz zeta / digamma /
   alternating Hurwitz zeta values) plus sum_{k>N} (k-1/2)^(-p) G(k) where
   G(k) = sum_{n>=k+off} sigma^n R(n) is again such a closed form.  G is then
-  expanded asymptotically in powers of 1/(k-1/2) with exact rational
-  coefficients (Euler-Maclaurin series recomposed binomially), so the k-sum
-  collapses to (alternating) Hurwitz zeta values at N + 1/2.
+  expanded in powers of 1/u, u = k - 1/2, with exact rational coefficients by
+  one builder: the Euler-Maclaurin series of zeta(e; (u + delta)/h),
+  recomposed binomially.  sigma = +1 takes h = 1; sigma = -1 takes the h = 2
+  even/odd pairing 2^(-e)(zeta(e; (u+delta)/2) - zeta(e; (u+delta+1)/2)).
+  The k-sum then collapses to (alternating) Hurwitz zeta values at N + 1/2.
 
 Products of two or more harmonic factors fall back to budgeted direct
 summation; no closed form in this package covers them.
@@ -249,87 +251,26 @@ def _pick_truncation(wp: int, N: int, dmax: float, emax: int) -> int:
     return W + emax + 4
 
 
-def _hurwitz_powers(e: int, delta: Fraction, W: int, J: int) -> PowerTail:
-    """Asymptotic zeta(e; u + delta) as a truncated power tail (e >= 2)."""
+def _zeta_powers(e: int, delta: Fraction, h: int, W: int, J: int) -> PowerTail:
+    """Asymptotic zeta(e; y), y = (u + delta)/h, as a truncated power tail (e >= 1).
+
+    Euler-Maclaurin gives y^(1-e)/(e-1) + y^(-e)/2 + sum_j B_2j/(2j)! (m-1)!/(e-1)!
+    y^(-m) with m = e + 2j - 1, and y^(-m) = h^m (u + delta)^(-m).  At e = 1 the
+    divergent y^0 term becomes -ln(1 + delta/u): the tail is ln(u/h) - psi(y).
+    """
     out: PowerTail = {}
-    _add_scaled(out, _binom_powers(e - 1, delta, W), Fraction(1, e - 1))
-    _add_scaled(out, _binom_powers(e, delta, W), Fraction(1, 2))
+    if e > 1:
+        _add_scaled(out, _binom_powers(e - 1, delta, W), Fraction(h ** (e - 1), e - 1))
+    elif delta:
+        out = {r: (-delta) ** r / r for r in range(1, W + 1)}
+    _add_scaled(out, _binom_powers(e, delta, W), Fraction(h ** e, 2))
     for j in range(1, J + 1):
         m = e + 2 * j - 1
         if m > W:
             break
-        rise = Fraction(1)
-        for i in range(2 * j - 1):
-            rise *= e + i
-        coef = bernoulli(2 * j) / factorial(2 * j) * rise
+        coef = bernoulli(2 * j) / factorial(2 * j) * Fraction(factorial(m - 1) * h ** m,
+                                                              factorial(e - 1))
         _add_scaled(out, _binom_powers(m, delta, W), coef)
-    return out
-
-
-def _psi_reg_powers(delta: Fraction, W: int, J: int) -> PowerTail:
-    """psi(u + delta) - ln u as a truncated power tail."""
-    out: PowerTail = {}
-    if delta != 0:
-        pw = delta
-        for r in range(1, W + 1):
-            out[r] = out.get(r, Fraction(0)) + Fraction((-1) ** (r - 1), r) * pw
-            pw *= delta
-    _add_scaled(out, _binom_powers(1, delta, W), Fraction(-1, 2))
-    for j in range(1, J + 1):
-        if 2 * j > W:
-            break
-        _add_scaled(out, _binom_powers(2 * j, delta, W), -bernoulli(2 * j) / (2 * j))
-    return out
-
-
-def _log_ratio_powers(delta: Fraction, W: int) -> PowerTail:
-    """ln(1 + delta/u) as a truncated power tail."""
-    out: PowerTail = {}
-    if delta == 0:
-        return out
-    pw = delta
-    for r in range(1, W + 1):
-        out[r] = Fraction((-1) ** (r - 1), r) * pw
-        pw *= delta
-    return out
-
-
-def _alt_hurwitz_powers(e: int, delta: Fraction, W: int, J: int) -> PowerTail:
-    """Asymptotic alternating Hurwitz zeta(e; u + delta), e >= 1.
-
-    Built from the even/odd pairing zeta_alt(e; x) =
-    2^(-e)(zeta(e; x/2) - zeta(e; (x+1)/2)); for e = 1 the digamma form.
-    """
-    out: PowerTail = {}
-    if e == 1:
-        # (psi((x+1)/2) - psi(x/2)) / 2 with x = u + delta
-        _add_scaled(out, _log_ratio_powers(delta + 1, W), Fraction(1, 2))
-        _add_scaled(out, _log_ratio_powers(delta, W), Fraction(-1, 2))
-        for c, sign in ((1, Fraction(1, 2)), (0, Fraction(-1, 2))):
-            # T(y) = psi(y) - ln y at y = (u + delta + c)/2; y^-m = 2^m (u+delta+c)^-m
-            _add_scaled(out, _binom_powers(1, delta + c, W), -sign)
-            for j in range(1, J + 1):
-                if 2 * j > W:
-                    break
-                coef = -bernoulli(2 * j) / (2 * j) * Fraction(2) ** (2 * j)
-                _add_scaled(out, _binom_powers(2 * j, delta + c, W), sign * coef)
-        return out
-    half = Fraction(1, 2) ** e
-    for c, sign in ((0, half), (1, -half)):
-        dc = delta + c
-        # zeta(e; y) EM terms with y = (u + dc)/2
-        _add_scaled(out, _binom_powers(e - 1, dc, W),
-                    sign * Fraction(2) ** (e - 1) / (e - 1))
-        _add_scaled(out, _binom_powers(e, dc, W), sign * Fraction(2) ** e / 2)
-        for j in range(1, J + 1):
-            m = e + 2 * j - 1
-            if m > W:
-                break
-            rise = Fraction(1)
-            for i in range(2 * j - 1):
-                rise *= e + i
-            coef = bernoulli(2 * j) / factorial(2 * j) * rise * Fraction(2) ** m
-            _add_scaled(out, _binom_powers(m, dc, W), sign * coef)
     return out
 
 
@@ -337,11 +278,13 @@ def _alt_hurwitz_powers(e: int, delta: Fraction, W: int, J: int) -> PowerTail:
 # Accelerated linear evaluation
 # ---------------------------------------------------------------------------
 
-def _tail_zeta(w: int, N: int, sigma: int, wp: int) -> mpf:
-    x = Fraction(2 * N + 1, 2)
-    if sigma == 1:
-        return hurwitz_zeta(w, x, wp)
-    return alt_hurwitz_zeta(w, x, wp)
+def _tail_zeta(sigma: int, s: int, x: Fraction, wp: int) -> mpf:
+    """sum_{n>=0} sigma^n (n + x)^(-s); -psi(x) stands in for sigma = +1, s = 1."""
+    if sigma == -1:
+        return alt_hurwitz_zeta(s, x, wp)
+    if s == 1:
+        return -digamma(x, wp)
+    return hurwitz_zeta(s, x, wp)
 
 
 def accel_linear_sum(p: Optional[int], offset: int, sigma: int,
@@ -390,20 +333,9 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int,
         # closed-form rational tail sum_{n>N} sigma^n R(n)
         def rational_tail(m0: int) -> mpf:
             total = mpf(0)
-            if sigma == 1:
-                for t, e, c in pf:
-                    arg = Fraction(m0) + t
-                    if e == 1:
-                        total -= to_mpf(c, wp) * digamma(arg, wp)
-                    else:
-                        total += to_mpf(c, wp) * hurwitz_zeta(e, arg, wp)
-            else:
-                for t, e, c in pf:
-                    arg = Fraction(m0) + t
-                    total += to_mpf(c, wp) * alt_hurwitz_zeta(e, arg, wp)
-                if m0 % 2 == 1:
-                    total = -total
-            return total
+            for t, e, c in pf:
+                total += to_mpf(c, wp) * _tail_zeta(sigma, e, Fraction(m0) + t, wp)
+            return -total if sigma == -1 and m0 % 2 == 1 else total
 
         if p is None:
             value = head + rational_tail(N + 1)
@@ -420,16 +352,16 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int,
             key = (sigma, e, delta, W, J)
             comp = _expansion_cache.get(key)
             if comp is None:
+                # sigma = +1: zeta(e; u + delta), and at e = 1 the ln(u) parts
+                # cancel across the order-1 group (its coefficients sum to zero).
+                # sigma = -1: the even/odd pairing 2^(-e)(zeta(e; (u + delta)/2)
+                # - zeta(e; (u + delta + 1)/2)), whose ln(u/2) parts cancel.
                 if sigma == 1:
-                    if e == 1:
-                        # -psi(k+off+t); the ln(u) parts cancel across the
-                        # order-1 group (their coefficients sum to zero)
-                        comp = {}
-                        _add_scaled(comp, _psi_reg_powers(delta, W, J), Fraction(-1))
-                    else:
-                        comp = _hurwitz_powers(e, delta, W, J)
+                    comp = _zeta_powers(e, delta, 1, W, J)
                 else:
-                    comp = _alt_hurwitz_powers(e, delta, W, J)
+                    comp, half = {}, Fraction(1, 2 ** e)
+                    _add_scaled(comp, _zeta_powers(e, delta, 2, W, J), half)
+                    _add_scaled(comp, _zeta_powers(e, delta + 1, 2, W, J), -half)
                 _expansion_cache[key] = comp
             _add_scaled(expansion, comp, c)
 
@@ -443,7 +375,7 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int,
             ww = w + p
             if sigma == 1 and ww < 2:
                 raise DivergentSumError("internal: divergent tail power")
-            zval = _tail_zeta(ww, N, sigma, wp)
+            zval = _tail_zeta(sigma, ww, Fraction(2 * N + 1, 2), wp)
             contrib = to_mpf(coef, wp) * zval
             if sigma == -1:
                 if (offset + N + 1) % 2 == 1:

@@ -34,7 +34,7 @@ from .identities import (
     verify_thm3_6,
     verify_thm3_7,
 )
-from .numeric import real_to_str, tolerance_mpf
+from .numeric import check_precision, real_to_str, tolerance_mpf
 from .reductions import FAMILIES, eval_symbolic
 
 DEFAULT_SAMPLES = ((Fraction(1, 4), Fraction(1, 3)),
@@ -167,6 +167,7 @@ def run_reduction_case(family: str, j: int, m: int, precision: int,
                        tolerance: str) -> VerificationReport:
     """Certify one closed-form reduction against its series oracle."""
     t0 = time.perf_counter()
+    check_precision(precision)
     tol = tolerance_mpf(tolerance, precision + 16)
     fam = FAMILIES[family]
     expr = fam.reduce(j, m)

@@ -113,15 +113,6 @@ def test_verify_deterministic_modulo_timestamp(capsys):
     assert first == second
 
 
-def test_env_var_sets_default_precision(capsys, monkeypatch):
-    monkeypatch.setenv("TSUM_DEFAULT_PRECISION_BITS", "128")
-    rc = main(["eval", "--q", "2,2", "--a", "0,1/4", "--format", "json"])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["precision_bits"] == 128
-    monkeypatch.setenv("TSUM_DEFAULT_PRECISION_BITS", "not-a-number")
-    assert main(["eval", "--q", "2,2", "--a", "0,1/4"]) == 2
-
-
 def test_table_guard_and_output(tmp_path, capsys):
     assert main(["table", "--family", "all", "--weight-max", "99"]) == 2
     out = tmp_path / "table.json"
@@ -166,6 +157,8 @@ def test_verify_with_workers_matches_serial(capsys):
     ["reduce", "--family", "T_even_odd", "--j", "1", "--m", "0", "--tolerance", "nan"],
     ["table", "--family", "t_bar_odd", "--weight-max=-3"],
     ["verify", "--families", "t_bar_odd", "--weight-max", "1"],
+    ["reduce", "--family", "T_even_odd", "--j", "1", "--m", "0", "--precision-bits", "8"],
+    ["table", "--family", "t_bar_odd", "--weight-max", "2", "--precision-bits", "8"],
 ])
 def test_out_of_domain_budgets_and_tolerances_exit_2(argv, capsys):
     assert main(argv) == 2
