@@ -280,7 +280,7 @@ def main(argv=None) -> int:
             ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,6 +6,11 @@ pi.  Divergent boundary symbols never survive construction: zeta(1) is
 rewritten to -2*log2, zetabar(1) to log2, and any monomial containing t(1)
 is dropped.  Every emitted reduction is weight-homogeneous of weight
 s1 + s2 (log2 and pi count 1).
+
+Two closed forms in (s1, s2) build all eight families: Hoffman's
+(alternating) double t-values and Kaneko-Tsumura's (alternating) double
+T-values.  A family fixes the slot parities, (s1, s2) = (2j + e1, 2m + e2),
+and whether s1 carries the bar.
 """
 
 from __future__ import annotations
@@ -151,17 +156,41 @@ def _sym_value(s: Symbol, prec: int) -> mpf:
     return real_const("pi", prec)
 
 
+_GUARD, _SLACK, _GUARD_STEP, _GUARD_MAX = 16, 8, 32, 2048  # bits, see eval_symbolic
+
+
 def eval_symbolic(expr: SymbolicExpr, prec: int) -> mpf:
-    """Numeric value of ``expr`` with every symbol replaced by its constant."""
-    wp = prec + 16
-    with mp.workprec(wp):
-        total = mpf(0)
-        for mono, coeff in expr:
-            v = to_mpf(coeff, wp)
-            for s in mono:
-                v *= _sym_value(s, wp)
-            total += v
-        return round_to(total, prec)
+    """Numeric value of ``expr`` with every symbol replaced by its constant.
+
+    The terms of a reduction cancel, by about 1.6 bits per unit of weight.
+    The loss is log2(sum |terms| / |total|), and every bit when non-zero
+    terms sum to 0.  A sum with _GUARD guard bits that loses more than
+    _GUARD - _SLACK of them is summed again with a guard that covers the
+    loss, rounded up to a multiple of _GUARD_STEP so that the rows of a
+    table share their constant caches.  One that would need more than
+    _GUARD_MAX guard bits, such as an expression whose value is 0, raises
+    ArithmeticError.
+    """
+    guard = _GUARD
+    while True:
+        wp = prec + guard
+        with mp.workprec(wp):
+            total = size = mpf(0)
+            for mono, coeff in expr:
+                v = to_mpf(coeff, wp)
+                for s in mono:
+                    v *= _sym_value(s, wp)
+                total += v
+                size += abs(v)
+            loss = mp.log(size / abs(total), 2) if total else (wp if size else 0)
+        if loss <= guard - _SLACK:
+            return round_to(total, prec)
+        need = int(mp.ceil(loss)) + _GUARD
+        guard = max(2 * guard, -(-need // _GUARD_STEP) * _GUARD_STEP)
+        if guard > _GUARD_MAX:
+            raise ArithmeticError(
+                f"symbolic sum cancels {int(loss)} of {wp} bits; "
+                f"more than {_GUARD_MAX} guard bits would be needed")
 
 
 def normalize_to_zeta(expr: SymbolicExpr) -> SymbolicExpr:
@@ -174,158 +203,106 @@ def normalize_to_zeta(expr: SymbolicExpr) -> SymbolicExpr:
     for mono, coeff in expr:
         syms = []
         for s in mono:
-            if s.kind == "t":
-                coeff = coeff * (1 - Fraction(1, 2 ** s.arg))
-                syms.append(Symbol("zeta", s.arg))
-            elif s.kind == "T":
-                coeff = coeff * 2 * (1 - Fraction(1, 2 ** s.arg))
-                syms.append(Symbol("zeta", s.arg))
-            else:
-                syms.append(s)
+            if s.kind in ("t", "T"):
+                coeff *= (2 if s.kind == "T" else 1) * (1 - Fraction(1, 2 ** s.arg))
+                s = Symbol("zeta", s.arg)
+            syms.append(s)
         out.add(coeff, syms)
     return out
 
 
 # ---------------------------------------------------------------------------
-# The eight reduction families
+# The two closed forms and the eight reduction families
 # ---------------------------------------------------------------------------
 
-def _half_power(n: int) -> Fraction:
-    return Fraction(1, 2 ** n)
+def _slot_range(s: int, bar: bool) -> range:
+    """The even slots 2, 4, ... <= s, or the odd slots 1, 3, ... <= s when ``bar``."""
+    return range(1 if bar else 2, s + 1, 2)
+
+
+def _t_form(s1: int, s2: int, bar: bool) -> SymbolicExpr:
+    """Hoffman's t(s1, s2), or t(s1 with bar, s2) when ``bar``."""
+    w = s1 + s2
+    x, z = ("tbar", "zetabar") if bar else ("t", "zeta")
+    sign = (-1) ** (s1 - 1 + bar)
+    e = SymbolicExpr()
+    if s2 % 2:
+        e.add(1, [Symbol(x, s1), Symbol("t", s2)])
+    e.add(Fraction(-1, 2), [Symbol(x, w)])
+    for i in _slot_range(s2, bar):
+        e.add(sign * comb(w - i - 1, s1 - 1) * Fraction(2) ** (i - w),
+              [Symbol(z, w - i), Symbol(x, i)])
+    for i in _slot_range(s1, bar):
+        e.add(sign * comb(w - i - 1, s2 - 1) * Fraction(2) ** (i - w),
+              [Symbol("zeta", w - i), Symbol(x, i)])
+    return e
+
+
+def _T_form(s1: int, s2: int, bar: bool) -> SymbolicExpr:
+    """Kaneko-Tsumura's T(s1, s2), or T(s1 with bar, s2) when ``bar``."""
+    w = s1 + s2
+    y, z = ("Tbar", "zetabar") if bar else ("T", "zeta")
+    sign = (-1) ** (s1 - 1)
+    phi = -1 if bar else 1
+    e = SymbolicExpr()
+    e.add(-sign * phi * comb(w - 1, s1), [Symbol("T", w)])
+    for i in _slot_range(s2, bar):
+        e.add(sign * phi * comb(w - i - 1, s1 - 1), [Symbol(y, w - i), Symbol(y, i)])
+    for i in _slot_range(s1 - 1, False):
+        e.add(sign * comb(w - i - 1, s2 - 1) * Fraction(2) ** (1 - i),
+              [Symbol(z, i), Symbol("T", w - i)])
+    return e
+
+
+def _reduce(name: str, j: int, m: int) -> SymbolicExpr:
+    fam = FAMILIES[name]
+    if j < fam.jmin or m < fam.mmin:
+        raise ReductionDomainError(f"{name} requires j >= {fam.jmin}, m >= {fam.mmin}")
+    return (_T_form if fam.big else _t_form)(*fam._slots(j, m), fam.bar1)
 
 
 def reduce_t_even_odd(j: int, m: int) -> SymbolicExpr:
     """t(2j, 2m+1) for j >= 1, m >= 0."""
-    if j < 1 or m < 0:
-        raise ReductionDomainError("t_even_odd requires j >= 1, m >= 0")
-    e = SymbolicExpr()
-    e.add(1, [Symbol("t", 2 * j), Symbol("t", 2 * m + 1)])
-    e.add(Fraction(-1, 2), [Symbol("t", 2 * j + 2 * m + 1)])
-    for k in range(1, m + 1):
-        w = 2 * j + 2 * m - 2 * k + 1
-        e.add(-comb(w - 1, 2 * j - 1) * _half_power(w),
-              [Symbol("zeta", w), Symbol("t", 2 * k)])
-    for l in range(1, j + 1):
-        w = 2 * j + 2 * m - 2 * l + 1
-        e.add(-comb(w - 1, 2 * m) * _half_power(w),
-              [Symbol("zeta", w), Symbol("t", 2 * l)])
-    return e
+    return _reduce("t_even_odd", j, m)
 
 
 def reduce_t_odd_even(j: int, m: int) -> SymbolicExpr:
     """t(2j+1, 2m) for j, m >= 1."""
-    if j < 1 or m < 1:
-        raise ReductionDomainError("t_odd_even requires j >= 1, m >= 1")
-    e = SymbolicExpr()
-    e.add(Fraction(-1, 2), [Symbol("t", 2 * j + 2 * m + 1)])
-    for k in range(1, m + 1):
-        w = 2 * j + 2 * m - 2 * k + 1
-        e.add(comb(w - 1, 2 * j) * _half_power(w),
-              [Symbol("zeta", w), Symbol("t", 2 * k)])
-    for l in range(1, j + 1):
-        w = 2 * j + 2 * m - 2 * l + 1
-        e.add(comb(w - 1, 2 * m - 1) * _half_power(w),
-              [Symbol("zeta", w), Symbol("t", 2 * l)])
-    return e
+    return _reduce("t_odd_even", j, m)
 
 
 def reduce_t_bar_even(j: int, m: int) -> SymbolicExpr:
     """t(2j with bar, 2m) for j, m >= 1."""
-    if j < 1 or m < 1:
-        raise ReductionDomainError("t_bar_even requires j >= 1, m >= 1")
-    e = SymbolicExpr()
-    e.add(Fraction(-1, 2), [Symbol("tbar", 2 * j + 2 * m)])
-    for k in range(0, m):
-        w = 2 * j + 2 * m - 2 * k - 1
-        e.add(comb(w - 1, 2 * j - 1) * _half_power(w),
-              [Symbol("zetabar", w), Symbol("tbar", 2 * k + 1)])
-    for l in range(0, j):
-        w = 2 * j + 2 * m - 2 * l - 1
-        e.add(comb(w - 1, 2 * m - 1) * _half_power(w),
-              [Symbol("zeta", w), Symbol("tbar", 2 * l + 1)])
-    return e
+    return _reduce("t_bar_even", j, m)
 
 
 def reduce_t_bar_odd(j: int, m: int) -> SymbolicExpr:
     """t(2j+1 with bar, 2m+1) for j, m >= 0."""
-    if j < 0 or m < 0:
-        raise ReductionDomainError("t_bar_odd requires j >= 0, m >= 0")
-    e = SymbolicExpr()
-    e.add(1, [Symbol("tbar", 2 * j + 1), Symbol("t", 2 * m + 1)])
-    e.add(Fraction(-1, 2), [Symbol("tbar", 2 * j + 2 * m + 2)])
-    for k in range(0, m + 1):
-        w = 2 * j + 2 * m - 2 * k + 1
-        e.add(-comb(w - 1, 2 * j) * _half_power(w),
-              [Symbol("zetabar", w), Symbol("tbar", 2 * k + 1)])
-    for l in range(0, j + 1):
-        w = 2 * j + 2 * m - 2 * l + 1
-        e.add(-comb(w - 1, 2 * m) * _half_power(w),
-              [Symbol("zeta", w), Symbol("tbar", 2 * l + 1)])
-    return e
+    return _reduce("t_bar_odd", j, m)
 
 
 def reduce_T_even_odd(j: int, m: int) -> SymbolicExpr:
     """T(2j, 2m+1) for j >= 1, m >= 0."""
-    if j < 1 or m < 0:
-        raise ReductionDomainError("T_even_odd requires j >= 1, m >= 0")
-    e = SymbolicExpr()
-    e.add(comb(2 * m + 2 * j, 2 * m), [Symbol("T", 2 * m + 2 * j + 1)])
-    for k in range(1, m + 1):
-        e.add(-comb(2 * m + 2 * j - 2 * k, 2 * j - 1),
-              [Symbol("T", 2 * m + 2 * j - 2 * k + 1), Symbol("T", 2 * k)])
-    for l in range(1, j):
-        e.add(-comb(2 * m + 2 * j - 2 * l, 2 * m) * _half_power(2 * l - 1),
-              [Symbol("zeta", 2 * l), Symbol("T", 2 * m + 2 * j - 2 * l + 1)])
-    return e
+    return _reduce("T_even_odd", j, m)
 
 
 def reduce_T_odd_even(j: int, m: int) -> SymbolicExpr:
     """T(2j+1, 2m) for j, m >= 1."""
-    if j < 1 or m < 1:
-        raise ReductionDomainError("T_odd_even requires j >= 1, m >= 1")
-    e = SymbolicExpr()
-    e.add(-comb(2 * m + 2 * j, 2 * j + 1), [Symbol("T", 2 * m + 2 * j + 1)])
-    for k in range(1, m + 1):
-        e.add(comb(2 * m + 2 * j - 2 * k, 2 * j),
-              [Symbol("T", 2 * m + 2 * j - 2 * k + 1), Symbol("T", 2 * k)])
-    for l in range(1, j + 1):
-        e.add(comb(2 * m + 2 * j - 2 * l, 2 * m - 1) * _half_power(2 * l - 1),
-              [Symbol("zeta", 2 * l), Symbol("T", 2 * m + 2 * j - 2 * l + 1)])
-    return e
+    return _reduce("T_odd_even", j, m)
 
 
 def reduce_T_bar_even(j: int, m: int) -> SymbolicExpr:
     """T(2j with bar, 2m+1) for j >= 1, m >= 0."""
-    if j < 1 or m < 0:
-        raise ReductionDomainError("T_bar_even requires j >= 1, m >= 0")
-    e = SymbolicExpr()
-    e.add(-comb(2 * m + 2 * j, 2 * m), [Symbol("T", 2 * m + 2 * j + 1)])
-    for k in range(0, m + 1):
-        e.add(comb(2 * m + 2 * j - 2 * k - 1, 2 * j - 1),
-              [Symbol("Tbar", 2 * m + 2 * j - 2 * k), Symbol("Tbar", 2 * k + 1)])
-    for l in range(1, j):
-        e.add(-comb(2 * m + 2 * j - 2 * l, 2 * m) * _half_power(2 * l - 1),
-              [Symbol("zetabar", 2 * l), Symbol("T", 2 * m + 2 * j - 2 * l + 1)])
-    return e
+    return _reduce("T_bar_even", j, m)
 
 
 def reduce_T_bar_odd(j: int, m: int) -> SymbolicExpr:
     """T(2j+1 with bar, 2m) for j >= 0, m >= 1."""
-    if j < 0 or m < 1:
-        raise ReductionDomainError("T_bar_odd requires j >= 0, m >= 1")
-    e = SymbolicExpr()
-    e.add(comb(2 * m + 2 * j, 2 * j + 1), [Symbol("T", 2 * m + 2 * j + 1)])
-    for k in range(0, m):
-        e.add(-comb(2 * m + 2 * j - 2 * k - 1, 2 * j),
-              [Symbol("Tbar", 2 * m + 2 * j - 2 * k), Symbol("Tbar", 2 * k + 1)])
-    for l in range(1, j + 1):
-        e.add(comb(2 * m + 2 * j - 2 * l, 2 * m - 1) * _half_power(2 * l - 1),
-              [Symbol("zetabar", 2 * l), Symbol("T", 2 * m + 2 * j - 2 * l + 1)])
-    return e
+    return _reduce("T_bar_odd", j, m)
 
 
 # ---------------------------------------------------------------------------
-# Family registry: domains, weights and series oracles
+# Family registry: domains, slot parities and series oracles
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -334,56 +311,42 @@ class Family:
     reduce: callable
     jmin: int
     mmin: int
-    s1: callable  # (j, m) -> leading exponent
-    s2: callable
+    e1: int  # (s1, s2) = (2j + e1, 2m + e2)
+    e2: int
     bar1: bool
     big: bool  # T family vs t family
 
+    def _slots(self, j: int, m: int) -> tuple[int, int]:
+        return 2 * j + self.e1, 2 * m + self.e2
+
     def weight(self, j: int, m: int) -> int:
-        return self.s1(j, m) + self.s2(j, m)
+        return sum(self._slots(j, m))
 
     def oracle(self, j: int, m: int, prec: int) -> SeriesResult:
-        s1, s2 = self.s1(j, m), self.s2(j, m)
-        if self.big:
-            return double_T(s1, s2, self.bar1, prec)
-        return double_t(s1, s2, self.bar1, prec)
+        return (double_T if self.big else double_t)(*self._slots(j, m), self.bar1, prec)
 
     def label(self, j: int, m: int) -> str:
-        s1, s2 = self.s1(j, m), self.s2(j, m)
+        s1, s2 = self._slots(j, m)
         name = "T" if self.big else "t"
         bar = "-" if self.bar1 else ""
         return f"{name}({s1}{bar},{s2})"
 
     def pairs_up_to_weight(self, weight_max: int) -> list[tuple[int, int]]:
-        out = []
-        j = self.jmin
-        while self.weight(j, self.mmin) <= weight_max:
-            m = self.mmin
-            while self.weight(j, m) <= weight_max:
-                out.append((j, m))
-                m += 1
-            j += 1
-        return out
+        top = weight_max - self.e1 - self.e2  # 2j + 2m <= top
+        return [(j, m) for j in range(self.jmin, (top - 2 * self.mmin) // 2 + 1)
+                for m in range(self.mmin, (top - 2 * j) // 2 + 1)]
 
 
 FAMILIES: dict[str, Family] = {
     f.name: f
     for f in [
-        Family("t_even_odd", reduce_t_even_odd, 1, 0,
-               lambda j, m: 2 * j, lambda j, m: 2 * m + 1, False, False),
-        Family("t_odd_even", reduce_t_odd_even, 1, 1,
-               lambda j, m: 2 * j + 1, lambda j, m: 2 * m, False, False),
-        Family("t_bar_even", reduce_t_bar_even, 1, 1,
-               lambda j, m: 2 * j, lambda j, m: 2 * m, True, False),
-        Family("t_bar_odd", reduce_t_bar_odd, 0, 0,
-               lambda j, m: 2 * j + 1, lambda j, m: 2 * m + 1, True, False),
-        Family("T_even_odd", reduce_T_even_odd, 1, 0,
-               lambda j, m: 2 * j, lambda j, m: 2 * m + 1, False, True),
-        Family("T_odd_even", reduce_T_odd_even, 1, 1,
-               lambda j, m: 2 * j + 1, lambda j, m: 2 * m, False, True),
-        Family("T_bar_even", reduce_T_bar_even, 1, 0,
-               lambda j, m: 2 * j, lambda j, m: 2 * m + 1, True, True),
-        Family("T_bar_odd", reduce_T_bar_odd, 0, 1,
-               lambda j, m: 2 * j + 1, lambda j, m: 2 * m, True, True),
+        Family("t_even_odd", reduce_t_even_odd, 1, 0, 0, 1, False, False),
+        Family("t_odd_even", reduce_t_odd_even, 1, 1, 1, 0, False, False),
+        Family("t_bar_even", reduce_t_bar_even, 1, 1, 0, 0, True, False),
+        Family("t_bar_odd", reduce_t_bar_odd, 0, 0, 1, 1, True, False),
+        Family("T_even_odd", reduce_T_even_odd, 1, 0, 0, 1, False, True),
+        Family("T_odd_even", reduce_T_odd_even, 1, 1, 1, 0, False, True),
+        Family("T_bar_even", reduce_T_bar_even, 1, 0, 0, 1, True, True),
+        Family("T_bar_odd", reduce_T_bar_odd, 0, 1, 1, 0, True, True),
     ]
 }

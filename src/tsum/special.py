@@ -45,8 +45,6 @@ class PoleProximityError(DomainError):
 class KernelKind(Enum):
     PI_TAN = "pi_tan"
     PI_OVER_COS = "pi_over_cos"
-    PI_COT = "pi_cot"
-    PI_OVER_SIN = "pi_over_sin"
 
 
 _zeta_cache: dict = {}
@@ -392,18 +390,11 @@ def _reduce_mod_one(a: RealLike, wp: int):
         return k, a - k
 
 
-def _kernel_pole_distance(kind: KernelKind, r) -> Fraction | mpf:
-    # r is the mod-1 reduction in [-1/2, 1/2)
-    if kind in (KernelKind.PI_TAN, KernelKind.PI_OVER_COS):
-        return Fraction(1, 2) - abs(r) if isinstance(r, Fraction) else mpf(0.5) - abs(r)
-    return abs(r)
-
-
 def kernel_value(kind: KernelKind, a: RealLike, prec: int) -> mpf:
-    """pi*tan(pi a), pi/cos(pi a), pi*cot(pi a) or pi/sin(pi a)."""
+    """pi*tan(pi a) or pi/cos(pi a); both have their poles at the half-integers."""
     wp = prec + 16
-    k, r = _reduce_mod_one(a, wp)
-    dist = _kernel_pole_distance(kind, r)
+    k, r = _reduce_mod_one(a, wp)  # r in [-1/2, 1/2)
+    dist = Fraction(1, 2) - abs(r) if isinstance(r, Fraction) else mpf(0.5) - abs(r)
     if dist == 0:
         raise PoleProximityError(f"{kind.value} has a pole at {a}")
     with mp.workprec(wp):
@@ -412,46 +403,25 @@ def kernel_value(kind: KernelKind, a: RealLike, prec: int) -> mpf:
         x = mp.pi * to_mpf(r, wp)
         if kind is KernelKind.PI_TAN:
             value = mp.pi * mp.tan(x)
-        elif kind is KernelKind.PI_OVER_COS:
-            value = mp.pi / mp.cos(x)
-            if k % 2 == 1:
-                value = -value
-        elif kind is KernelKind.PI_COT:
-            value = mp.pi / mp.tan(x)
         else:
-            value = mp.pi / mp.sin(x)
+            value = mp.pi / mp.cos(x)
             if k % 2 == 1:
                 value = -value
         return round_to(value, prec)
 
 
-def _is_kernel_pole(kind: KernelKind, base: RealLike) -> bool:
-    if not isinstance(base, (int, Fraction)):
-        return False
-    b = Fraction(base)
-    if kind in (KernelKind.PI_TAN, KernelKind.PI_OVER_COS):
-        return b.denominator == 2
-    return b.denominator == 1
+def _is_kernel_pole(base: RealLike) -> bool:
+    return isinstance(base, (int, Fraction)) and Fraction(base).denominator == 2
 
 
 def _sin_cos_jets(base: RealLike, order: int, wp: int):
-    """Taylor coefficients of sin(pi(base+x)) and cos(pi(base+x)).
-
-    For rational bases the reduction mod 1 is exact, so seeds at poles of
-    the derived kernels are exactly 0 / +-1.
+    """Taylor coefficients of sin(pi(base+x)) and cos(pi(base+x)) at a
+    half-integer base k - 1/2, seeded exactly: sin = -(-1)^k, cos = 0.
     """
-    k, r = _reduce_mod_one(base, wp)
+    k, _ = _reduce_mod_one(base, wp)
     with mp.workprec(wp):
         pi = +mp.pi
-        if isinstance(r, Fraction) and r == 0:
-            s0, c0 = mpf(0), mpf(1)
-        elif isinstance(r, Fraction) and r == Fraction(-1, 2):
-            s0, c0 = mpf(-1), mpf(0)
-        else:
-            x = pi * to_mpf(r, wp)
-            s0, c0 = mp.sin(x), mp.cos(x)
-        if k % 2 == 1:
-            s0, c0 = -s0, -c0
+        s0, c0 = mpf(1 if k % 2 else -1), mpf(0)
         s = [s0]
         c = [c0]
         for j in range(order):
@@ -463,29 +433,24 @@ def _sin_cos_jets(base: RealLike, order: int, wp: int):
 def kernel_jet(kind: KernelKind, base: RealLike, order: int, prec: int) -> JetSeries:
     """Jet of the requested kernel at ``base``.
 
-    Analytic bases use the tan'/sec'/cot'/csc' derivative recurrences.  At a
-    pole of the kernel (rational base) the jet is the exact-seeded sin/cos
-    ratio with the simple zero of the denominator divided out, producing a
-    pole_order-1 Laurent jet.
+    Analytic bases use the tan'/sec' derivative recurrences.  At a pole of the
+    kernel (a half-integer base) the jet is the exact-seeded sin/cos ratio
+    with the simple zero of cos divided out, producing a pole_order-1 Laurent
+    jet.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
     wp = working_prec(prec, order + 4)
-    if _is_kernel_pole(kind, base):
+    if _is_kernel_pole(base):
         s, c = _sin_cos_jets(base, order + 1, wp)
         with mp.workprec(wp):
             pi = +mp.pi
-            if kind in (KernelKind.PI_TAN, KernelKind.PI_OVER_COS):
-                num = [pi * v for v in s] if kind is KernelKind.PI_TAN else None
-                den = c[1:]  # cos has an exact simple zero here
+            inv = jet_recip(jet_from_coeffs(base, c[1:], wp))  # cos has an exact simple zero
+            if kind is KernelKind.PI_TAN:
+                num = [pi * v for v in s[: order + 1]]
+                coeffs = jet_mul(jet_from_coeffs(base, num, wp), inv).coeffs
             else:
-                num = [pi * v for v in c] if kind is KernelKind.PI_COT else None
-                den = s[1:]
-            inv = jet_recip(jet_from_coeffs(base, den, wp))
-            if num is None:
                 coeffs = [+(pi * v) for v in inv.coeffs]
-            else:
-                coeffs = jet_mul(jet_from_coeffs(base, num[: order + 1], wp), inv).coeffs
         return jet_from_coeffs(base, [round_to(v, prec) for v in coeffs[: order + 1]], prec,
                                pole_order=1)
 
@@ -496,28 +461,15 @@ def kernel_jet(kind: KernelKind, base: RealLike, order: int, prec: int) -> JetSe
         def conv(u, v, j):
             return sum(u[i] * v[j - i] for i in range(j + 1))
 
-        if kind in (KernelKind.PI_TAN, KernelKind.PI_OVER_COS):
-            t = [kernel_value(KernelKind.PI_TAN, base, wp)]
+        t = [kernel_value(KernelKind.PI_TAN, base, wp)]
+        for j in range(order):
+            t.append(+(((pi2 if j == 0 else 0) + conv(t, t, j)) / (j + 1)))
+        coeffs = t
+        if kind is KernelKind.PI_OVER_COS:
+            g = [kernel_value(KernelKind.PI_OVER_COS, base, wp)]
             for j in range(order):
-                t.append(+(((pi2 if j == 0 else 0) + conv(t, t, j)) / (j + 1)))
-            if kind is KernelKind.PI_TAN:
-                coeffs = t
-            else:
-                g = [kernel_value(KernelKind.PI_OVER_COS, base, wp)]
-                for j in range(order):
-                    g.append(+(conv(g, t, j) / (j + 1)))
-                coeffs = g
-        else:
-            ct = [kernel_value(KernelKind.PI_COT, base, wp)]
-            for j in range(order):
-                ct.append(+(-((pi2 if j == 0 else 0) + conv(ct, ct, j)) / (j + 1)))
-            if kind is KernelKind.PI_COT:
-                coeffs = ct
-            else:
-                g = [kernel_value(KernelKind.PI_OVER_SIN, base, wp)]
-                for j in range(order):
-                    g.append(+(-conv(g, ct, j) / (j + 1)))
-                coeffs = g
+                g.append(+(conv(g, t, j) / (j + 1)))
+            coeffs = g
     return jet_from_coeffs(base, [round_to(v, prec) for v in coeffs[: order + 1]], prec)
 
 

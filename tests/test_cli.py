@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from mpmath import mp, mpf
 
+import tsum.suite
 from tsum.cli import main
 
 
@@ -37,6 +39,24 @@ def test_reduce_prints_certificate(capsys):
     assert rc == 0
     assert out.splitlines()[0] == "T(2,1) = 1 * T(3)"
     assert "passed = True" in out
+
+
+def test_reduce_high_weight_value_matches_oracle(capsys):
+    # the terms of t(200, 1) cancel about 320 bits; a 16-bit guard printed 0.0
+    assert main(["reduce", "--family", "t_even_odd", "--j", "100", "--m", "0",
+                 "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    with mp.workprec(256):
+        value, oracle = mpf(rep["lhs"]), mpf(rep["rhs"])
+        assert abs(value - oracle) <= abs(oracle) * mpf(2) ** -188
+
+
+def test_arithmetic_error_exits_1(monkeypatch, capsys):
+    def cancels(expr, prec):
+        raise ArithmeticError("symbolic sum cancels every bit")
+    monkeypatch.setattr(tsum.suite, "eval_symbolic", cancels)
+    assert main(["reduce", "--family", "T_even_odd", "--j", "1", "--m", "0"]) == 1
+    assert capsys.readouterr().err == "error: symbolic sum cancels every bit\n"
 
 
 def test_reduce_out_of_domain(capsys):

@@ -1,16 +1,19 @@
-"""Byte-for-byte golden reports of ``tsum verify``, ``tsum table`` and ``tsum eval``.
+"""Byte-for-byte golden outputs of ``tsum verify``, ``tsum table``, ``tsum eval``
+and the symbolic reductions.
 
 The files under ``tests/golden`` hold the CSV output of
 
     tsum verify --precision-bits 96 --tolerance 1e-20 --format csv
     tsum table --weight-max 13 --precision-bits 96 --tolerance 1e-20 --format csv
 
-and, in ``eval-192.txt``, the text output of ``tsum eval ... --precision-bits
-192`` for each spec in ``EVAL_SPECS``, each block headed by its argv.  These
-reports carry no timestamp, so every byte is deterministic.  A change that
-alters printed digits on purpose regenerates the files with these commands
-(``python tests/test_golden.py`` rewrites ``eval-192.txt``) and says so in
-CHANGES.md; any other difference is a regression.
+in ``verify-96.csv`` and ``table-96.csv``; in ``eval-192.txt``, the text
+output of ``tsum eval ... --precision-bits 192`` for each spec in
+``EVAL_SPECS``, each block headed by its argv; and in ``reductions-21.txt``,
+one line ``name[j=..,m=..] <expression>`` for every reduction pair up to
+weight 21.  None of them carries a timestamp, so every byte is deterministic.
+A change that alters printed digits on purpose regenerates all four files
+with ``python tests/test_golden.py`` and says so in CHANGES.md; any other
+difference is a regression.
 """
 
 import contextlib
@@ -20,9 +23,15 @@ from pathlib import Path
 import pytest
 
 from tsum.cli import main
+from tsum.reductions import FAMILIES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMON = ["--precision-bits", "96", "--tolerance", "1e-20", "--format", "csv"]
+REPORTS = {
+    "verify-96.csv": ["verify", *COMMON],
+    "table-96.csv": ["table", "--weight-max", "13", *COMMON],
+}
+REDUCTION_WEIGHT_MAX = 21
 
 # Both signs, e = 1..3, both offsets, p absent and p >= 1, and far shifts.
 EVAL_SPECS = [
@@ -38,22 +47,30 @@ EVAL_SPECS = [
 ]
 
 
+def _run(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
 def render_evals() -> str:
     """Text output of every ``EVAL_SPECS`` eval at 192 bits, each headed by its argv."""
     blocks = []
     for spec in EVAL_SPECS:
         argv = ["eval", *spec, "--precision-bits", "192", "--format", "text"]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(argv) == 0
-        blocks.append("$ tsum " + " ".join(argv) + "\n" + out.getvalue())
+        blocks.append("$ tsum " + " ".join(argv) + "\n" + _run(argv))
     return "".join(blocks)
 
 
-@pytest.mark.parametrize("name, argv", [
-    ("verify-96.csv", ["verify", *COMMON]),
-    ("table-96.csv", ["table", "--weight-max", "13", *COMMON]),
-])
+def render_reductions() -> str:
+    """Every family's reduction up to ``REDUCTION_WEIGHT_MAX``, one line each."""
+    return "".join(f"{name}[j={j},m={m}] {fam.reduce(j, m).to_text()}\n"
+                   for name, fam in FAMILIES.items()
+                   for j, m in fam.pairs_up_to_weight(REDUCTION_WEIGHT_MAX))
+
+
+@pytest.mark.parametrize("name, argv", list(REPORTS.items()))
 def test_report_matches_golden_bytes(name, argv, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
@@ -63,5 +80,12 @@ def test_eval_matches_golden_bytes():
     assert render_evals() == (GOLDEN / "eval-192.txt").read_text(encoding="utf-8")
 
 
+def test_reductions_match_golden_bytes():
+    assert render_reductions() == (GOLDEN / "reductions-21.txt").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
+    for name, argv in REPORTS.items():
+        (GOLDEN / name).write_text(_run(argv), encoding="utf-8")
     (GOLDEN / "eval-192.txt").write_text(render_evals(), encoding="utf-8")
+    (GOLDEN / "reductions-21.txt").write_text(render_reductions(), encoding="utf-8")

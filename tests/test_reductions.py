@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from tsum.numeric import real_const
+from tsum.series import double_t
 from tsum.reductions import (
     FAMILIES,
     ReductionDomainError,
@@ -41,6 +43,11 @@ def test_domain_violations_rejected():
         FAMILIES["T_bar_odd"].reduce(1, 0)
     with pytest.raises(ReductionDomainError):
         reduce_t_even_odd(0, 3)
+    for name, fam in FAMILIES.items():
+        for j, m in ((fam.jmin - 1, fam.mmin), (fam.jmin, fam.mmin - 1)):
+            with pytest.raises(ReductionDomainError) as info:
+                fam.reduce(j, m)
+            assert str(info.value) == f"{name} requires j >= {fam.jmin}, m >= {fam.mmin}"
 
 
 def test_weight_homogeneity_everywhere():
@@ -70,6 +77,24 @@ def test_eval_symbolic_log2_monomial():
         pi = real_const("pi", P + 16)
         want = real_const("log2", P + 16) * pi * pi / 16
         assert abs(eval_symbolic(e, P) - want) < mpf(2) ** -180
+
+
+@pytest.mark.parametrize("j", [30, 60, 100])
+def test_high_weight_reduction_keeps_every_digit(j):
+    # t(2j, 1) cancels about 1.6 bits per unit of weight; at j = 100 a fixed
+    # 16-bit guard left no correct digit
+    value = eval_symbolic(reduce_t_even_odd(j, 0), P)
+    oracle = double_t(2 * j, 1, False, P + 64).value
+    with mp.workprec(P + 64):
+        assert abs(value - oracle) <= abs(oracle) * mpf(2) ** -188
+
+
+def test_eval_symbolic_of_zero_raises_promptly():
+    e = SymbolicExpr().add(1, [Symbol("zeta", 2)]).add(F(-1, 6), [Symbol("pi"), Symbol("pi")])
+    t0 = time.perf_counter()
+    with pytest.raises(ArithmeticError):
+        eval_symbolic(e, P)
+    assert time.perf_counter() - t0 < 5
 
 
 def test_normalize_to_zeta():

@@ -233,18 +233,14 @@ class TestKernels:
             pi = real_const("pi", P + 16)
             assert _gap(kernel_value(KernelKind.PI_TAN, Fraction(1, 4), P), pi) < TIGHT
             assert _gap(kernel_value(KernelKind.PI_OVER_COS, 0, P), pi) < TIGHT
-            assert _gap(kernel_value(KernelKind.PI_COT, Fraction(1, 4), P), pi) < TIGHT
-            assert _gap(kernel_value(KernelKind.PI_OVER_SIN, Fraction(1, 2), P), pi) < TIGHT
 
     def test_pole_rejection(self):
         with pytest.raises(PoleProximityError):
             kernel_value(KernelKind.PI_TAN, Fraction(3, 2), P)
-        with pytest.raises(PoleProximityError):
-            kernel_value(KernelKind.PI_COT, 2, P)
         with mp.workprec(300):
-            near = 1 + mpf(2) ** -150
+            near = mpf(3) / 2 + mpf(2) ** -150
             with pytest.raises(PoleProximityError):
-                kernel_value(KernelKind.PI_OVER_SIN, near, P)
+                kernel_value(KernelKind.PI_OVER_COS, near, P)
 
     def test_non_rational_argument(self):
         with mp.workprec(P + 16):
@@ -271,8 +267,6 @@ class TestKernels:
     @pytest.mark.parametrize("kind,base", [
         (KernelKind.PI_TAN, Fraction(1, 5)),
         (KernelKind.PI_OVER_COS, Fraction(-2, 7)),
-        (KernelKind.PI_COT, Fraction(1, 5)),
-        (KernelKind.PI_OVER_SIN, Fraction(-2, 7)),
     ])
     def test_first_coefficient_matches_finite_difference(self, kind, base):
         jet = kernel_jet(kind, base, 2, P)
@@ -283,31 +277,13 @@ class TestKernels:
             rel = abs(jet.coeffs[1] - fd) / abs(fd)
             assert rel < mpf(2) ** (-(P // 3) + 8)
 
-    def test_cot_jet_matches_reflection_series(self):
-        # pi cot(pi a) = 1/a - 2 sum zeta(2i) a^(2i-1), re-expanded about 1/8
-        base = Fraction(1, 8)
-        K = 4
-        jet = kernel_jet(KernelKind.PI_COT, base, K, P)
-        with mp.workprec(P + 32):
-            b = mpf(1) / 8
-            for j in range(K + 1):
-                # d^j/da^j [1/a] / j! = (-1)^j / a^(j+1)
-                want = (-1) ** j * b ** -(j + 1)
-                for i in range(1, 60):
-                    e = 2 * i - 1
-                    if e >= j:
-                        # d^j of a^e / j! = C(e, j) a^(e-j)
-                        from math import comb
-                        want -= 2 * riemann_zeta(2 * i, P + 32) * comb(e, j) * b ** (e - j)
-                assert abs(jet.coeffs[j] - want) < mpf(2) ** -150
-
     def test_pole_jets_have_simple_poles(self):
         jet = kernel_jet(KernelKind.PI_TAN, Fraction(1, 2), 4, P)
         assert jet.pole_order == 1
         assert _gap(jet.coeffs[0], -1) == 0
-        jet = kernel_jet(KernelKind.PI_OVER_SIN, 3, 2, P)
+        jet = kernel_jet(KernelKind.PI_OVER_COS, Fraction(5, 2), 2, P)
         assert jet.pole_order == 1
-        assert _gap(jet.coeffs[0], -1) == 0  # (-1)^n at n = 3
+        assert _gap(jet.coeffs[0], -1) == 0  # (-1)^n at n = 3, base n - 1/2
 
 
 class TestPsiJet:
