@@ -166,7 +166,8 @@ def eval_symbolic(expr: SymbolicExpr, prec: int) -> mpf:
     The loss is log2(sum |terms| / |total|), and every bit when non-zero
     terms sum to 0.  A sum with _GUARD guard bits that loses more than
     _GUARD - _SLACK of them is summed again with a guard that covers the
-    loss, rounded up to a multiple of _GUARD_STEP so that the rows of a
+    loss (log2(3) bits per unit of weight if no bit is left to measure it
+    by), rounded up to a multiple of _GUARD_STEP so that the rows of a
     table share their constant caches.  One that would need more than
     _GUARD_MAX guard bits, such as an expression whose value is 0, raises
     ArithmeticError.
@@ -185,7 +186,8 @@ def eval_symbolic(expr: SymbolicExpr, prec: int) -> mpf:
             loss = mp.log(size / abs(total), 2) if total else (wp if size else 0)
         if loss <= guard - _SLACK:
             return round_to(total, prec)
-        need = int(mp.ceil(loss)) + _GUARD
+        bound = loss if loss < wp - _SLACK else mp.log(3, 2) * max(expr.weights())
+        need = int(mp.ceil(bound)) + _GUARD
         guard = max(2 * guard, -(-need // _GUARD_STEP) * _GUARD_STEP)
         if guard > _GUARD_MAX:
             raise ArithmeticError(

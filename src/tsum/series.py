@@ -10,7 +10,8 @@ R(n) = prod_i (n + a_i - 1/2)^(-q_i).
 
 Evaluation strategy for the linear case (at most one harmonic factor):
 
-* R is partial-fractioned exactly over Q.
+* R is partial-fractioned exactly over Q; the working precision grows by
+  the bits near-coincident poles cancel beyond 40.
 * The first N terms are summed directly with an incrementally updated
   harmonic value.
 * The tail is rearranged exactly: with h the harmonic prefix sums,
@@ -22,7 +23,8 @@ Evaluation strategy for the linear case (at most one harmonic factor):
   one builder: the Euler-Maclaurin series of zeta(e; (u + delta)/h),
   recomposed binomially.  sigma = +1 takes h = 1; sigma = -1 takes the h = 2
   even/odd pairing 2^(-e)(zeta(e; (u+delta)/2) - zeta(e; (u+delta+1)/2)).
-  The k-sum then collapses to (alternating) Hurwitz zeta values at N + 1/2.
+  Each coefficient is one integer dot product.  The k-sum then collapses to
+  (alternating) Hurwitz zeta values at N + 1/2, one ``tail_zeta_batch``.
 
 Products of two or more harmonic factors fall back to budgeted direct
 summation; no closed form in this package covers them.
@@ -39,7 +41,7 @@ from typing import Optional, Sequence
 from mpmath import mp, mpf
 
 from .numeric import bernoulli, check_precision, guard_bits, round_to, to_mpf
-from .special import alt_hurwitz_zeta, digamma, hurwitz_zeta
+from .special import alt_hurwitz_zeta, digamma, hurwitz_zeta, tail_zeta_batch
 
 
 class SpecError(ValueError):
@@ -195,28 +197,6 @@ PowerTail = dict[int, Fraction]
 _expansion_cache: dict = {}
 
 
-def _add_scaled(dst: PowerTail, src: PowerTail, scale: Fraction) -> None:
-    if scale == 0:
-        return
-    for w, c in src.items():
-        dst[w] = dst.get(w, Fraction(0)) + scale * c
-
-
-def _binom_powers(m: int, delta: Fraction, W: int) -> PowerTail:
-    """(u + delta)^(-m) = sum_r binom(-m, r) delta^r u^(-m-r), truncated at W."""
-    out: PowerTail = {}
-    if m > W:
-        return out
-    if delta == 0:
-        out[m] = Fraction(1)
-        return out
-    pw = Fraction(1)
-    for r in range(W - m + 1):
-        out[m + r] = Fraction((-1) ** r * comb(m + r - 1, r)) * pw
-        pw *= delta
-    return out
-
-
 def _em_depth(e: int, xmin: float, target_bits: int) -> int:
     """Number of Bernoulli correction terms for accuracy 2^-target_bits at x >= xmin."""
     lx = math.log2(xmin)
@@ -251,26 +231,37 @@ def _pick_truncation(wp: int, N: int, dmax: float, emax: int) -> int:
     return W + emax + 4
 
 
-def _zeta_powers(e: int, delta: Fraction, h: int, W: int, J: int) -> PowerTail:
-    """Asymptotic zeta(e; y), y = (u + delta)/h, as a truncated power tail (e >= 1).
+def _tail_powers(sigma: int, e: int, delta: Fraction, W: int, J: int) -> PowerTail:
+    """Exact power tail in 1/u of sum_{n>=0} sigma^n (u + delta + n)^(-e), e >= 1
+    (at sigma = +1, e = 1: ln u - psi(u + delta)).
 
-    Euler-Maclaurin gives y^(1-e)/(e-1) + y^(-e)/2 + sum_j B_2j/(2j)! (m-1)!/(e-1)!
-    y^(-m) with m = e + 2j - 1, and y^(-m) = h^m (u + delta)^(-m).  At e = 1 the
-    divergent y^0 term becomes -ln(1 + delta/u): the tail is ln(u/h) - psi(y).
+    sigma = +1 is zeta(e; y), y = u + delta; sigma = -1 is 2^(-e)(zeta(e; y/2)
+    - zeta(e; (y+1)/2)).  Euler-Maclaurin gives zeta(e; y/h) = sum beta h^m
+    y^(-m) over (m, beta) = (e-1, 1/(e-1)), (e, 1/2), (e+2j-1, B_2j/(2j)!
+    (m-1)!/(e-1)!), plus -ln(1 + delta/u) at e = 1.  With delta = n/d, the
+    u^(-w) coefficient of y^(-m) is (-1)^r C(w-1, r) n^r/d^r, r = w - m: one
+    integer dot product over L d^w per power; the second half adds -(n + d)^r.
     """
+    n, d = delta.numerator, delta.denominator
+    h, scale = (1, Fraction(1)) if sigma == 1 else (2, Fraction(1, 2 ** e))
+    betas = [(e - 1, Fraction(1, e - 1))] if e > 1 else []
+    betas.append((e, Fraction(1, 2)))
+    betas += [(m, bernoulli(m - e + 1) / factorial(m - e + 1)
+               * Fraction(factorial(m - 1), factorial(e - 1)))
+              for m in range(e + 1, min(e + 2 * J - 1, W) + 1, 2)]
+    betas = [(m, scale * h ** m * beta) for m, beta in betas]
+    L = math.lcm(*(beta.denominator for _, beta in betas))
+    ints = [(m, (beta * L).numerator * d ** m) for m, beta in betas]
+    shifted = [n ** r if sigma == 1 else n ** r - (n + d) ** r for r in range(W + 1)]
     out: PowerTail = {}
-    if e > 1:
-        _add_scaled(out, _binom_powers(e - 1, delta, W), Fraction(h ** (e - 1), e - 1))
-    elif delta:
-        out = {r: (-delta) ** r / r for r in range(1, W + 1)}
-    _add_scaled(out, _binom_powers(e, delta, W), Fraction(h ** e, 2))
-    for j in range(1, J + 1):
-        m = e + 2 * j - 1
-        if m > W:
-            break
-        coef = bernoulli(2 * j) / factorial(2 * j) * Fraction(factorial(m - 1) * h ** m,
-                                                              factorial(e - 1))
-        _add_scaled(out, _binom_powers(m, delta, W), coef)
+    for w in range(1, W + 1):
+        dot = sum((-1) ** (w - m) * comb(w - 1, w - m) * shifted[w - m] * c
+                  for m, c in ints if m <= w)
+        coef = Fraction(dot, L * d ** w)
+        if e == 1:
+            coef += scale * Fraction((-1) ** w * shifted[w], w * d ** w)
+        if coef:
+            out[w] = coef
     return out
 
 
@@ -287,6 +278,19 @@ def _tail_zeta(sigma: int, s: int, x: Fraction, wp: int) -> mpf:
     return hurwitz_zeta(s, x, wp)
 
 
+def _cancellation_guard(pf: Sequence[tuple[Fraction, int, Fraction]]) -> int:
+    """Guard bits beyond 48: near-coincident poles give large partial fractions
+    of both signs, whose sum at the first n loses log2(sum |terms| / |R(n)|)
+    bits; the 48 guard bits absorb 40 of them."""
+    loss = 0
+    for n in (1, 8):
+        terms = [c / (n + t) ** e for t, e, c in pf]
+        if sum(terms):
+            ratio = sum(map(abs, terms)) / abs(sum(terms))
+            loss = max(loss, ratio.numerator.bit_length() - ratio.denominator.bit_length())
+    return max(0, loss - 40)
+
+
 def accel_linear_sum(p: Optional[int], offset: int, sigma: int,
                      pf: Sequence[tuple[Fraction, int, Fraction]],
                      prec: int) -> SeriesResult:
@@ -301,7 +305,7 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int,
     if sigma == 1 and order1 != 0:
         raise DivergentSumError("sum of order-1 coefficients must vanish for sigma=+1")
 
-    wp = prec + 48
+    wp = prec + 48 + _cancellation_guard(pf)
     emax = max(e for _, e, _ in pf)
     dmax = float(max([abs(t + offset + Fraction(1, 2)) for t, _, _ in pf] + [Fraction(1)]))
     N = max(128, math.ceil(0.55 * wp), math.ceil(8 * (1 + dmax)))
@@ -345,44 +349,27 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int,
 
         piece1 = hprev * rational_tail(N + 1)
 
-        # asymptotic expansion of G(k) = sum_{n>=k+offset} sigma^n R(n)
+        # asymptotic expansion of G(k) = sum_{n>=k+offset} sigma^n R(n); at
+        # sigma = +1, e = 1 the ln u parts cancel across the order-1 group
+        # (its coefficients sum to zero)
         expansion: PowerTail = {}
         for t, e, c in pf:
             delta = t + offset + Fraction(1, 2)
             key = (sigma, e, delta, W, J)
             comp = _expansion_cache.get(key)
             if comp is None:
-                # sigma = +1: zeta(e; u + delta), and at e = 1 the ln(u) parts
-                # cancel across the order-1 group (its coefficients sum to zero).
-                # sigma = -1: the even/odd pairing 2^(-e)(zeta(e; (u + delta)/2)
-                # - zeta(e; (u + delta + 1)/2)), whose ln(u/2) parts cancel.
-                if sigma == 1:
-                    comp = _zeta_powers(e, delta, 1, W, J)
-                else:
-                    comp, half = {}, Fraction(1, 2 ** e)
-                    _add_scaled(comp, _zeta_powers(e, delta, 2, W, J), half)
-                    _add_scaled(comp, _zeta_powers(e, delta + 1, 2, W, J), -half)
-                _expansion_cache[key] = comp
-            _add_scaled(expansion, comp, c)
+                comp = _expansion_cache[key] = _tail_powers(sigma, e, delta, W, J)
+            for w, cw in comp.items():
+                expansion[w] = expansion.get(w, 0) + c * cw
 
-        piece2 = mpf(0)
-        trunc_est = mpf(0)
-        zlim = mpf(N) ** -1
-        for w in sorted(expansion):
-            coef = expansion[w]
-            if coef == 0:
-                continue
-            ww = w + p
-            if sigma == 1 and ww < 2:
-                raise DivergentSumError("internal: divergent tail power")
-            zval = _tail_zeta(sigma, ww, Fraction(2 * N + 1, 2), wp)
-            contrib = to_mpf(coef, wp) * zval
-            if sigma == -1:
-                if (offset + N + 1) % 2 == 1:
-                    contrib = -contrib
-            piece2 += contrib
-            trunc_est = abs(contrib)
-        trunc_est *= zlim  # continuation estimate beyond the last kept power
+        powers = [w for w in sorted(expansion) if expansion[w]]
+        zvals = tail_zeta_batch(sigma, [w + p for w in powers], Fraction(2 * N + 1, 2), wp)
+        contribs = [to_mpf(expansion[w], wp) * z for w, z in zip(powers, zvals)]
+        piece2 = sum(contribs, mpf(0))
+        if sigma == -1 and (offset + N + 1) % 2 == 1:
+            piece2 = -piece2
+        # continuation estimate beyond the last kept power
+        trunc_est = abs(contribs[-1]) * mpf(N) ** -1 if contribs else mpf(0)
 
         value = head + piece1 + piece2
         tb = trunc_est + (abs_head + abs(piece1) + abs(piece2) + 1) * mpf(2) ** (-wp + 10) \

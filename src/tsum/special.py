@@ -6,6 +6,10 @@ function, and Taylor recurrences for the trigonometric kernels.  Shift
 identities extend the a > 0 domain of the zeta/digamma engines to every
 admissible real argument the identity checks need.
 
+``tail_zeta_batch`` serves the many exponents the series engine needs at
+one point: Euler-Maclaurin (Hurwitz) or Boole summation (alternating) in
+fixed-point integers, after a shared direct head if the point is too small.
+
 Conventions for the divergent boundary symbols: ``ttilde(1)`` is 0, and
 zeta(1; a) -> psi(1/2) - psi(a) lives in ``ZetaConvention``, applied only
 where explicitly requested; ``riemann_zeta(1)`` is an error.  The symbolic
@@ -14,6 +18,7 @@ zeta(1) -> -2 log 2 rule lives with the reductions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -204,6 +209,92 @@ def alt_hurwitz_zeta(s: int, a: RealLike, prec: int) -> mpf:
         value = round_to(value, prec)
     _zeta_cache[key] = value
     return value
+
+
+# ---------------------------------------------------------------------------
+# Batched tail values: one fixed-point pass for many exponents at one point
+# ---------------------------------------------------------------------------
+
+def _scaled_tail(sigma: int, s: int, Y: int, D: int, F: int, coeffs: list) -> int:
+    """2^F y^(s-1) sum_{n>=0} sigma^n (n + y)^(-s) at y = Y/D, in fixed point.
+
+    Euler-Maclaurin gives 1/(s-1) + 1/(2y) + sum_k c_k (s)_(2k-1) y^(-2k),
+    c_k = B_2k/(2k)!; Boole summation the same without 1/(s-1) and with
+    (4^k - 1) c_k, cached in ``coeffs`` to F + 8 bits.  For these completely
+    monotone summands the remainder is at most the first omitted term, so the
+    loop stops at the first term below one unit; past the smallest term, at
+    s + 2k > c pi y, it raises ArithmeticError.
+    """
+    v = (D << F) // (2 * Y) + ((1 << F) // (s - 1) if sigma == 1 else 0)
+    Y2, D2 = Y * Y, D * D
+    kmax = ((2 if sigma == 1 else 1) * math.pi * Y / D - s) / 2 + 1
+    rise = (s * D2 << F) // Y2  # 2^F (s)_(2k-1) y^(-2k), floored
+    for k in itertools.count(1):
+        if k > kmax:
+            raise ArithmeticError(f"tail series of exponent {s} at {Fraction(Y, D)} "
+                                  f"cannot reach 2^-{F}")
+        if k > len(coeffs):
+            c = abs(bernoulli(2 * k)) / factorial(2 * k) * (1 if sigma == 1 else 4 ** k - 1)
+            e = F + 8 - c.numerator.bit_length() + c.denominator.bit_length()
+            coeffs.append(((c.numerator << e) // c.denominator, e))
+        m, e = coeffs[k - 1]
+        term = (rise * m) >> e
+        if not term:
+            return v
+        v += term if k % 2 else -term
+        rise = rise * (s + 2 * k - 1) * (s + 2 * k) * D2 // Y2
+
+
+def _head_length(sigma: int, s: int, x: Fraction, bits: int) -> int:
+    """Unit shifts n after which the tail series of exponent s reaches
+    2^-(bits + 8): its smallest term is about exp(-(z - s ln(z/s) - s)),
+    z = c pi (x + n), with c = 2 for sigma = +1 and 1 for sigma = -1."""
+    for n in itertools.count():
+        z = (2 if sigma == 1 else 1) * math.pi * float(x + n)
+        if z > s and z - s * math.log(z / s) - s >= (bits + 8) * math.log(2):
+            return n
+
+
+def _zeta_batch(sigma: int, ss: list[int], x: Fraction, prec: int) -> list[mpf]:
+    """Uncached ``tail_zeta_batch`` for sorted distinct ss.
+
+    With y = x + n, n set by the largest s, and V_s(y) = y^(s-1) zeta(s; y)
+    from ``_scaled_tail``, V_s(x) = sum_{j<n} sigma^j (x/(x+j))^(s-1)/(x+j)
+    + sigma^n (x/y)^(s-1) V_s(y), all in one fixed point of F bits.  The
+    ratio powers are floored one factor at a time, so each depends only on
+    its exponent.
+    """
+    num, den = x.numerator, x.denominator
+    F = prec + 64 + (2 * num // den + 1).bit_length() + ss[-1].bit_length()
+    n = _head_length(sigma, ss[-1], x, F)
+    ratio, power, coeffs, out = [1 << F] * (n + 1), 0, [], []  # 2^F (x/(x+j))^power
+    for s in ss:
+        for _ in range(power, s - 1):
+            ratio = [r * num // (num + j * den) for j, r in enumerate(ratio)]
+        power = s - 1
+        v = sigma ** n * ratio[n] * _scaled_tail(sigma, s, num + n * den, den, F, coeffs) >> F
+        v += sum(sigma ** j * r * den // (num + j * den) for j, r in enumerate(ratio[:n]))
+        # zeta = v 2^-F x^(1-s): at least prec + 32 bits of the quotient, then round
+        a, b = v * den ** (s - 1), num ** (s - 1)
+        shift = max(0, prec + 32 - a.bit_length() + b.bit_length())
+        with mp.workprec(prec):
+            out.append(mpf(((a << shift) // b, -F - shift)))
+    return out
+
+
+def tail_zeta_batch(sigma: int, ss, x: Union[int, Fraction], prec: int) -> list[mpf]:
+    """sum_{n>=0} sigma^n (n + x)^(-s) for every integer s >= 2 in ``ss`` at one
+    rational x > 0 (Hurwitz or alternating Hurwitz zeta), rounded at ``prec``;
+    one fixed-point pass serves every exponent not yet cached."""
+    x = Fraction(x)
+    keys = {s: ("tz", sigma, s, _akey(x), prec) for s in ss}
+    if sigma not in (1, -1) or not x > 0 or any(s < 2 for s in keys):
+        raise DomainError("tail_zeta_batch requires sigma = +-1, x > 0 and s >= 2")
+    todo = sorted(s for s, key in keys.items() if key not in _zeta_cache)
+    if todo:
+        for s, value in zip(todo, _zeta_batch(sigma, todo, x, prec)):
+            _zeta_cache[keys[s]] = value
+    return [_zeta_cache[keys[s]] for s in ss]
 
 
 def alt_zeta(s: int, prec: int) -> mpf:

@@ -3,6 +3,7 @@ import json
 import pytest
 from mpmath import mp, mpf
 
+import tsum.reductions
 import tsum.suite
 from tsum.cli import main
 
@@ -49,6 +50,26 @@ def test_reduce_high_weight_value_matches_oracle(capsys):
     with mp.workprec(256):
         value, oracle = mpf(rep["lhs"]), mpf(rep["rhs"])
         assert abs(value - oracle) <= abs(oracle) * mpf(2) ** -188
+
+
+def test_reduce_weight_801_sums_twice(monkeypatch, capsys):
+    # the 401 terms of t(800, 1) cancel about 1,270 bits: a first pass at
+    # 80 bits keeps none, and the second takes its guard from the weight
+    precisions = set()
+    sym_value = tsum.reductions._sym_value
+
+    def spy(s, prec):
+        precisions.add(prec)
+        return sym_value(s, prec)
+
+    monkeypatch.setattr(tsum.reductions, "_sym_value", spy)
+    assert main(["reduce", "--family", "t_even_odd", "--j", "400", "--m", "0",
+                 "--precision-bits", "64", "--format", "json"]) == 0
+    assert len(precisions) <= 2
+    rep = json.loads(capsys.readouterr().out)
+    with mp.workprec(128):
+        value, oracle = mpf(rep["lhs"]), mpf(rep["rhs"])
+        assert abs(value - oracle) <= abs(oracle) * mpf(2) ** -60
 
 
 def test_arithmetic_error_exits_1(monkeypatch, capsys):

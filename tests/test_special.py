@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+import tsum.special as special
 from tsum.numeric import real_const
+from tsum.series import _pick_truncation
 from tsum.special import (
     DomainError,
     KernelKind,
@@ -24,6 +27,7 @@ from tsum.special import (
     single_t,
     single_t_bar,
     single_T,
+    tail_zeta_batch,
     ttilde,
     ttilde_bar,
 )
@@ -48,6 +52,71 @@ def _gap(a, b, wp=256):
 def _close(a, digits, tol=mpf(10) ** -45):
     with mp.workprec(256):
         return abs(mpf(a) - mpf(digits)) < tol
+
+
+def _accel_point(prec):
+    """x = N + 1/2, the working precision and the truncation W that
+    accel_linear_sum picks at ``prec`` for poles within 1 of the origin."""
+    wp = prec + 48
+    N = max(128, math.ceil(0.55 * wp))
+    return Fraction(2 * N + 1, 2), wp, _pick_truncation(wp, N, 1.0, 1)
+
+
+class TestTailZetaBatch:
+    """Batched tail values against the per-value engines at 160 more bits."""
+
+    @staticmethod
+    def _check(sigma, ss, x, wp):
+        batch = tail_zeta_batch(sigma, ss, x, wp)
+        one = hurwitz_zeta if sigma == 1 else alt_hurwitz_zeta
+        for s, value in zip(ss, batch):
+            ref = one(s, x, wp + 160)
+            ulp = mpf(2) ** (value.man.bit_length() + value.exp - wp)
+            with mp.workprec(wp + 200):
+                assert abs(value - ref) <= ulp, (sigma, s, x, wp)
+        return batch
+
+    @pytest.mark.parametrize("sigma", [1, -1])
+    @pytest.mark.parametrize("prec, step", [(64, 1), (192, 1), (1024, 9)])
+    def test_accelerated_points(self, sigma, prec, step):
+        x, wp, W = _accel_point(prec)
+        self._check(sigma, list(range(2, W + 6, step)), x, wp)
+
+    @pytest.mark.parametrize("sigma", [1, -1])
+    def test_high_exponents_far_out(self, sigma, monkeypatch):
+        # a coefficient table scaled only by 2^-wp silently truncated here
+        monkeypatch.setattr(special, "_zeta_cache", {})
+        ss = list(range(318, 330))
+        batch = self._check(sigma, ss, Fraction(1207, 2), 1096)
+        monkeypatch.setattr(special, "_zeta_cache", {})
+        assert [tail_zeta_batch(sigma, [s], Fraction(1207, 2), 1096)[0] for s in ss] == batch
+
+    @pytest.mark.parametrize("x", [Fraction(265, 2), Fraction(269, 2)])
+    def test_shared_head(self, x, monkeypatch):
+        heads = []
+        head_length = special._head_length
+
+        def spy(*args):
+            heads.append(head_length(*args))
+            return heads[-1]
+
+        monkeypatch.setattr(special, "_zeta_cache", {})
+        monkeypatch.setattr(special, "_head_length", spy)
+        ss = list(range(2, 101))
+        batch = self._check(-1, ss, x, 240)
+        assert heads[0] > 0
+        monkeypatch.setattr(special, "_zeta_cache", {})
+        assert [tail_zeta_batch(-1, [s], x, 240)[0] for s in ss[::7]] == batch[::7]
+
+    def test_series_past_its_smallest_term_raises(self):
+        # at y = 1 no term of the series for s = 2 falls below 2^-200
+        with pytest.raises(ArithmeticError):
+            special._scaled_tail(1, 2, 1, 1, 200, [])
+
+    def test_domain(self):
+        for args in ((1, [1], 3), (-1, [2], 0), (0, [2], 3)):
+            with pytest.raises(DomainError):
+                tail_zeta_batch(*args, 64)
 
 
 class TestRiemannZeta:
