@@ -12,8 +12,9 @@ Evaluation strategy for the linear case (at most one harmonic factor):
 
 * R is partial-fractioned exactly over Q; the working precision grows by
   the bits near-coincident poles cancel beyond 40.
-* The first N terms are summed directly with an incrementally updated
-  harmonic value.
+* The first N terms are summed in Python ints (``_direct``), at a scale
+  2^-F set by the first non-zero term, so the error stays under
+  abs_total 2^-wp for terms of any size.
 * The tail is rearranged exactly: with h the harmonic prefix sums,
   h(n) = h(N) + sum_{k=N+1..n} (k-1/2)^(-p), so the tail splits into
   h(N) * sum_{n>N} sigma^n R(n)  (a closed form in Hurwitz zeta / digamma /
@@ -27,7 +28,7 @@ Evaluation strategy for the linear case (at most one harmonic factor):
   (alternating) Hurwitz zeta values at N + 1/2, one ``tail_zeta_batch``.
 
 Products of two or more harmonic factors fall back to budgeted direct
-summation; no closed form in this package covers them.
+summation, in the same fixed point; no closed form here covers them.
 """
 
 from __future__ import annotations
@@ -295,7 +296,10 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int,
                      pf: Sequence[tuple[Fraction, int, Fraction]],
                      prec: int) -> SeriesResult:
     """Accelerated sum_{n>=1} sigma^n h-factor(n) R(n) with R given in
-    partial fractions [(t, e, c)]; p None means no harmonic factor."""
+    partial fractions [(t, e, c)]; p None means no harmonic factor.  The
+    ``_direct`` head errs by under abs_head 2^-wp and each later mpf step
+    rounds at wp bits: well under (abs_head + |piece1| + |piece2| + 1) 2^(-wp+10).
+    """
     for t, e, _ in pf:
         if t.denominator == 1 and t <= -1:
             raise SingularSumError(f"pole at positive integer n = {-t}")
@@ -312,27 +316,10 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int,
     W = _pick_truncation(wp, N, dmax, emax)
     J = _em_depth(emax, (N + 0.5) / 2.0, wp)
 
+    total, abs_total, _, F, hs, H = _direct(sigma, offset, () if p is None else (p,),
+                                            [(c, [(t, e)]) for t, e, c in pf], N, wp)
     with mp.workprec(wp):
-        # direct head
-        head = mpf(0)
-        abs_head = mpf(0)
-        hprev = mpf(0)
-        tvals = [(to_mpf(t, wp), e, to_mpf(c, wp)) for t, e, c in pf]
-        for n in range(1, N + 1):
-            rn = mpf(0)
-            for tm, e, cm in tvals:
-                rn += cm * (n + tm) ** (-e)
-            if p is None:
-                w_factor = mpf(1)
-            else:
-                un_p = (n - mpf(0.5)) ** (-p)
-                w_factor = hprev if offset == 1 else hprev + un_p
-                hprev += un_p
-            term = w_factor * rn
-            if sigma == -1 and n % 2 == 1:
-                term = -term
-            head += term
-            abs_head += abs(term)
+        head, abs_head = mpf((total, -F)), mpf((abs_total, -F))
 
         # closed-form rational tail sum_{n>N} sigma^n R(n)
         def rational_tail(m0: int) -> mpf:
@@ -347,7 +334,7 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int,
                 + abs(value) * mpf(2) ** (-prec + 1)
             return SeriesResult(round_to(value, prec), +tb, N, prec)
 
-        piece1 = hprev * rational_tail(N + 1)
+        piece1 = mpf((hs[0], -H)) * rational_tail(N + 1)
 
         # asymptotic expansion of G(k) = sum_{n>=k+offset} sigma^n R(n); at
         # sigma = +1, e = 1 the ln u parts cancel across the order-1 group
@@ -378,58 +365,97 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int,
 
 
 # ---------------------------------------------------------------------------
-# Direct (naive) evaluation with elementary tail bounds
+# Direct summation in fixed point, with elementary tail bounds
 # ---------------------------------------------------------------------------
 
-def naive_sum(spec: SumSpec, prec: int, max_terms: int = NAIVE_START_TERMS) -> SeriesResult:
-    """Direct summation of ``spec`` to ``max_terms`` terms.
+def _direct(sigma: int, offset: int, ps: Sequence[int],
+            pieces: Sequence[tuple[Fraction, Sequence[tuple[Fraction, int]]]], N: int, wp: int):
+    """sum_{n<=N} sigma^n W(n) R(n) in Python ints, W(n) = prod_i h_{n-offset}^(p_i)
+    and R(n) = sum_j k_j prod (n + t)^(-e) over pieces (k_j, [(t, e)]).  Returns
+    the sum, the sum of |terms| and the N-th term in units of 2^-F, F, and
+    h_N^(p_i) in units of 2^-H, H.
 
-    The reported tail bound is elementary: a scaled last term for sigma=+1,
-    the first omitted pair for sigma=-1.
+    With t = a/b, (n + t)^(-e) = b^e/(bn + a)^e: a piece is one floor division of
+    floor(k prod b^e 2^F) per term, erring by under 2 units (that floor over
+    |bn + a|^e >= 1, and the division); W(n) <= prod 2^(p_i-1) (ln(4N) + 1) <= V =
+    2^(sum p - r) (bitlen N + 3)^r multiplies that, and W(n) R(n) is floored once:
+    under U = N (2mV + 1) units for m pieces.  Each h gains floor(2^(p+H)/(2n-1)^p),
+    H = wp + 32 + bitlen N, drifting by under n units against h >= 2: the r
+    products add a relative r 2^-(wp+33).  F = wp + 1 + bitlen U - lg, lg <= log2
+    |T_k| for the first non-zero term T_k (exact), keeps the error under abs_total 2^-wp.
+    """
+    r = len(ps)
+    scaled = [(k * math.prod(Fraction(t.denominator) ** e for t, e in fs),
+               [(t.denominator, t.numerator, e) for t, e in fs]) for k, fs in pieces]
+
+    def exact(n: int) -> Fraction:
+        return math.prod(odd_harmonic(n - offset, p) for p in ps) * sum(
+            k / math.prod(Fraction(b * n + a) ** e for b, a, e in dens) for k, dens in scaled)
+
+    first = next((x for x in map(exact, range(1, N + 1)) if x), Fraction(1))
+    lg = abs(first.numerator).bit_length() - first.denominator.bit_length() - 1
+    V = 2 ** (sum(ps) - r) * (N.bit_length() + 3) ** r
+    F = max(0, wp + 1 + (N * (2 * len(pieces) * V + 1)).bit_length() - lg)
+    H = wp + 32 + N.bit_length()
+    kf = [((k.numerator << F) // k.denominator, dens) for k, dens in scaled]
+    steps = [(p, 1 << (p + H)) for p in sorted(set(ps))]
+    h = dict.fromkeys(ps, 0)
+    total = abs_total = term = 0
+    for n in range(1, N + 1):
+        grown = {p: h[p] + step // (2 * n - 1) ** p for p, step in steps}
+        if offset == 0:
+            h = grown
+        rn = 0
+        for c, dens in kf:
+            den = 1
+            for b, a, e in dens:
+                den *= (b * n + a) ** e
+            rn += c // den
+        for p in ps:
+            rn *= h[p]
+        term, h = rn >> r * H, grown
+        if sigma == -1 and n & 1:
+            term = -term
+        total += term
+        abs_total += abs(term)
+    return total, abs_total, term, F, [h[p] for p in ps], H
+
+
+def naive_sum(spec: SumSpec, prec: int, max_terms: int = NAIVE_START_TERMS) -> SeriesResult:
+    """Direct summation of ``spec`` to ``max_terms`` = N terms by ``_direct``,
+    one floor division per term; its error, under abs_total 2^-wp, sits well
+    inside the rounding term abs_total 2^(-wp+8).
+
+    The tail bound for sigma=-1 is 1.25 times the first omitted term.  For
+    sigma=+1 and n > N > -t for every factor: R(n) <= rho (N/n)^d with rho =
+    prod (N + min(t, 0))^(-e); h_n^(1) <= L + ln(n/N), L = ln(4N) + 1; and
+    h_n^(p) <= h_N^(p) + (N - 1/2)^(1-p)/(p-1) for p >= 2.  With s factors of
+    order 1 and L raised to s/d the bound decreases in n, so the tail is under
+    rho N int_1^oo y^(-d) (L + ln y)^s dy = rho N sum_j C(s, j) L^(s-j)
+    j!/(d-1)^(j+1) times the p >= 2 bounds; with N <= -t it is +inf.
     """
     wp = prec + guard_bits(max_terms)
     factors = spec.factors()
     d = sum(e for _, e in factors)
+    N, alt = max_terms, spec.sigma == -1
+    # sigma = -1 runs one term further for its bound
+    total, abs_total, last, F, hs, H = _direct(spec.sigma, spec.offset, spec.p,
+                                               [(Fraction(1), factors)], N + 1 if alt else N, wp)
     with mp.workprec(wp):
-        tf = [(to_mpf(t, wp), e) for t, e in factors]
-        hs = [mpf(0)] * len(spec.p)
-        total = mpf(0)
-        abs_total = mpf(0)
-        last = mpf(0)
-
-        def term_at(n: int, harmonics: list[mpf]) -> mpf:
-            rn = mpf(1)
-            for tm, e in tf:
-                rn *= (n + tm) ** (-e)
-            w_factor = mpf(1)
-            for h in harmonics:
-                w_factor *= h
-            return w_factor * rn
-
-        for n in range(1, max_terms + 1):
-            un = n - mpf(0.5)
-            if spec.offset == 0:
-                for i, pi in enumerate(spec.p):
-                    hs[i] += un ** (-pi)
-            term = term_at(n, hs)
-            if spec.offset == 1:
-                for i, pi in enumerate(spec.p):
-                    hs[i] += un ** (-pi)
-            if spec.sigma == -1 and n % 2 == 1:
-                term = -term
-            total += term
-            abs_total += abs(term)
-            last = term
-
-        if spec.sigma == 1:
-            bound = 2 * abs(last) * max_terms / max(1, d - 1)
+        if alt:
+            total, abs_total = total - last, abs_total - abs(last)
+            bound = mpf(1.25) * abs(mpf((last, -F)))
+        elif any(N + t <= 0 for t, _ in factors):
+            bound = mp.inf
         else:
-            n = max_terms + 1
-            if spec.offset == 0:
-                for i, pi in enumerate(spec.p):
-                    hs[i] += (n - mpf(0.5)) ** (-pi)
-            nxt = term_at(n, hs)
-            bound = mpf(1.25) * abs(nxt)
+            s = spec.p.count(1)
+            L = max(mp.log(4 * N) + 1, mpf(s) / d)
+            rho = N * math.prod(Fraction(N + min(t, 0)) ** -e for t, e in factors) * math.prod(
+                Fraction(h, 1 << H) + Fraction(2 * N - 1, 2) ** (1 - p) / (p - 1)
+                for p, h in zip(spec.p, hs) if p >= 2)
+            bound = to_mpf(rho, wp) * sum(comb(s, j) * L ** (s - j) * factorial(j)
+                                          / mpf(d - 1) ** (j + 1) for j in range(s + 1))
+        total, abs_total = mpf((total, -F)), mpf((abs_total, -F))
         bound += abs_total * mpf(2) ** (-wp + 8) + abs(total) * mpf(2) ** (-prec + 1)
         return SeriesResult(round_to(total, prec), +bound, max_terms, prec)
 
@@ -462,13 +488,17 @@ def euler_t_sum(spec: SumSpec, prec: int, method: str = "auto",
         raise SpecError("accelerated evaluation covers at most one harmonic factor")
     # budgeted naive fallback for r >= 2
     target = mpf(2) ** (-prec + 16)
+    decay = sum(spec.q) - (spec.sigma == 1)
     while True:
         res = naive_sum(spec, prec, n)
         if res.tail_bound <= target:
             return res
-        if n >= NAIVE_TERM_CAP:
+        # the bound falls like n^-decay, log factors aside: this can only flatter
+        reach = res.tail_bound * (mpf(NAIVE_TERM_CAP) / n) ** -decay
+        if n >= NAIVE_TERM_CAP or mp.isfinite(reach) and reach > target * 2 ** 8:
             raise BudgetExceededError(
-                f"tail bound {mp.nstr(res.tail_bound, 5)} above target after {n} terms")
+                f"tail bound {mp.nstr(res.tail_bound, 5)} above target after {n} terms, "
+                f"about {mp.nstr(reach, 5)} at the cap of {NAIVE_TERM_CAP}")
         n *= 2
 
 

@@ -4,6 +4,7 @@ import pytest
 from mpmath import mp, mpf
 
 import tsum.reductions
+import tsum.series
 import tsum.suite
 from tsum.cli import main
 
@@ -78,6 +79,22 @@ def test_arithmetic_error_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(tsum.suite, "eval_symbolic", cancels)
     assert main(["reduce", "--family", "T_even_odd", "--j", "1", "--m", "0"]) == 1
     assert capsys.readouterr().err == "error: symbolic sum cancels every bit\n"
+
+
+def test_unreachable_product_budget_exits_1_after_one_round(monkeypatch, capsys):
+    # r = 2 with q = 3: the first 16384-term bound, extrapolated to the term
+    # cap, still misses 2^(16 - prec) by far, so eval stops without doubling
+    rounds = []
+    naive_sum = tsum.series.naive_sum
+
+    def counted(spec, prec, max_terms):
+        rounds.append(max_terms)
+        return naive_sum(spec, prec, max_terms)
+
+    monkeypatch.setattr(tsum.series, "naive_sum", counted)
+    assert main(["eval", "--p", "1,1", "--q", "3", "--a", "1/2"]) == 1
+    assert "above target after 16384 terms" in capsys.readouterr().err
+    assert rounds == [tsum.series.NAIVE_START_TERMS]
 
 
 def test_reduce_out_of_domain(capsys):

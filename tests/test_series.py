@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from mpmath import mp, mpf
 from tsum.numeric import real_const
 from tsum.series import (
     BudgetExceededError,
+    _direct,
     DivergentSumError,
     SingularSumError,
     SumSpec,
@@ -228,3 +230,92 @@ def test_accelerated_method_rejects_multiple_factors():
     spec = SumSpec(p=(1, 2), q=(3,), a=(F(0),))
     with pytest.raises(ValueError):
         euler_t_sum(spec, 64, method="accelerated")
+
+
+# The fixed-point direct loop against exact partial sums: sigma = +-1, r = 0..3,
+# both offsets, far shifts, poles 10^-6 apart (whose partial fractions cancel
+# about 40 bits) and terms near 2^-800 and 2^+800.
+GRID_SHIFTS = (F(101, 3), F(-47, 3), F(1, 10 ** 6), F(0), F(1, 2), F(1, 4), F(-1, 3))
+
+
+def _exact_partial(sigma, offset, ps, factors, N):
+    total = absum = F(0)
+    hs = [F(0)] * len(ps)
+    for n in range(1, N + 1):
+        inc = [F(2, 2 * n - 1) ** p for p in ps]
+        if offset == 0:
+            hs = [h + i for h, i in zip(hs, inc)]
+        term = F(sigma) ** n
+        for h in hs:
+            term *= h
+        for t, e in factors:
+            term /= (n + t) ** e
+        if offset == 1:
+            hs = [h + i for h, i in zip(hs, inc)]
+        total += term
+        absum += abs(term)
+    return total, absum, hs
+
+
+def _direct_grid(seed: int = 6):
+    rng = random.Random(seed)
+    cases = [(1, 1, (1,), [(F(-1, 2), 800)], 30),  # double_t(800, 1): terms near 2^-1268
+             (-1, 0, (2, 3), [(F(-999, 1000), 80)], 40),  # first term near 2^+797
+             (-1, 0, (1,), [(F(10 ** -6) - F(1, 2), 1), (F(-1, 2), 2)], 150)]
+    while len(cases) < 40:
+        k = rng.randint(1, 3)
+        shifts = rng.sample(GRID_SHIFTS, k)
+        if len(cases) % 4 == 0:  # 10^-6 next to 0
+            shifts[:2] = [GRID_SHIFTS[2], GRID_SHIFTS[3]]
+        factors = sorted({a - F(1, 2): rng.randint(1, 3) for a in shifts}.items())
+        ps = tuple(rng.randint(1, 3) for _ in range(len(cases) % 4))
+        cases.append((rng.choice((1, -1)), rng.choice((0, 1)), ps, factors, rng.randint(1, 200)))
+    return cases
+
+
+def test_fixed_point_loop_matches_exact_partial_sums():
+    grid = _direct_grid()
+    assert {len(c[2]) for c in grid} == {0, 1, 2, 3} and {c[0] for c in grid} == {1, -1}
+    assert {c[1] for c in grid} == {0, 1}
+    for sigma, offset, ps, factors, N in grid:
+        exact, absum, hs_exact = _exact_partial(sigma, offset, ps, factors, N)
+        product = [(F(1), factors)]
+        pf = [(c, [(t, e)]) for t, e, c in partial_fractions(factors)]
+        for pieces, wp in itertools.product((product, pf), (80, 200)):
+            total, abs_total, _, scale, hs, hscale = _direct(sigma, offset, ps, pieces, N, wp)
+            case = (sigma, offset, ps, factors, N, len(pieces), wp)
+            # the error contract of the fixed point: abs_total 2^-wp
+            assert abs(F(total, 1 << scale) - exact) <= absum / 2 ** wp, case
+            assert abs(F(abs_total, 1 << scale) - absum) <= absum / 2 ** wp, case
+            assert all(abs(F(h, 1 << hscale) - x) <= F(N, 1 << hscale)
+                       for h, x in zip(hs, hs_exact)), case
+
+
+NAIVE_REF_TERMS = 1 << 17
+
+
+@pytest.mark.parametrize("p", [(1,), (1, 1), (1, 1, 1), (1, 2)])
+@pytest.mark.parametrize("q", [(2,), (3,)])
+def test_naive_positive_tail_bound_with_order_one_factors(p, q):
+    # the terms are positive, so every partial sum plus its bound must reach
+    # any later partial sum; with p_i = 1 the terms fall only like log^r n / n^d
+    spec = SumSpec(p=p, q=q, a=(F(1, 2),))
+    ref = naive_sum(spec, 64, NAIVE_REF_TERMS).value
+    acc = euler_t_sum(spec, 64).value if len(p) == 1 else None
+    for n in (2, 4, 8, 16, 32, 1024):
+        res = naive_sum(spec, 64, n)
+        with mp.workprec(128):
+            assert res.value + res.tail_bound >= ref, (n, res)
+            if acc is not None:
+                assert abs(acc - res.value) <= res.tail_bound, (n, res)
+
+
+def test_naive_positive_tail_bound_around_negative_shifts():
+    # n + t < 0 up to n = 5: a tail that still holds those terms has no bound
+    spec = SumSpec(p=(1,), q=(2,), a=(F(-5),))
+    assert naive_sum(spec, 64, 3).tail_bound == mp.inf
+    acc = euler_t_sum(spec, 64)
+    for n in (8, 64):
+        res = naive_sum(spec, 64, n)
+        with mp.workprec(128):
+            assert abs(acc.value - res.value) <= res.tail_bound, n
