@@ -1,14 +1,19 @@
 """Single-variable special functions and their jets.
 
-Everything here reduces to three engines: Euler-Maclaurin summation for the
-Hurwitz zeta family, a shifted asymptotic expansion for the digamma
-function, and Taylor recurrences for the trigonometric kernels.  Shift
-identities extend the a > 0 domain of the zeta/digamma engines to every
-admissible real argument the identity checks need.
+One fixed-point kernel computes every Hurwitz zeta, alternating Hurwitz
+zeta and digamma value: sum_{n>=0} sigma^n (n + x)^(-s) at a rational
+x > 0, in integers scaled by 2^F.  For each exponent it sums the series
+directly when its terms fall below 2^-F within the head that the
+asymptotic series would need; otherwise it adds that head to
+Euler-Maclaurin (sigma = +1) or Boole summation (sigma = -1) at x + n.
+Digamma is the sigma = +1, s = 1 case plus a logarithm.  Taylor
+recurrences give the trigonometric kernels, and exact unit shifts extend
+the x > 0 domain to every admissible rational argument the identity checks
+need.  The zeta family takes rational arguments only.
 
 ``tail_zeta_batch`` serves the many exponents the series engine needs at
-one point: Euler-Maclaurin (Hurwitz) or Boole summation (alternating) in
-fixed-point integers, after a shared direct head if the point is too small.
+one point in one pass; the per-value functions are batches of one, cached
+under the same keys.
 
 Conventions for the divergent boundary symbols: ``ttilde(1)`` is 0, and
 zeta(1; a) -> psi(1/2) - psi(a) lives in ``ZetaConvention``, applied only
@@ -18,18 +23,19 @@ zeta(1) -> -2 log 2 rule lives with the reductions.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
-from typing import Union
 
 from mpmath import mp, mpf
 
 from .jets import JetSeries, jet_from_coeffs, jet_mul, jet_recip
 from .numeric import (
+    Rational,
     RealLike,
     bernoulli,
     real_const,
@@ -53,179 +59,37 @@ class KernelKind(Enum):
 
 
 _zeta_cache: dict = {}
+# sigma -> [G, c_k as (m, e)]: m = floor(c_k 2^e) has G + 8 bits, for the
+# largest F asked so far rounded up to a power of two; a call at F uses m >> (G - F)
+_coeff_tables: dict = {1: [0, []], -1: [0, []]}
 
 
-def _akey(a: RealLike):
-    if isinstance(a, Fraction):
-        return (a.numerator, a.denominator)
-    if isinstance(a, int):
-        return (a, 1)
-    return a
-
-
-def _as_exact(a: RealLike) -> Union[Fraction, mpf]:
-    if isinstance(a, int):
-        return Fraction(a)
-    return a
+def _rational(x: Rational, name: str) -> Fraction:
+    if not isinstance(x, (int, Fraction)):
+        raise DomainError(f"{name} takes rational arguments, not {x!r}")
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin engines
+# The fixed-point kernel: many exponents at one point
 # ---------------------------------------------------------------------------
 
-def _hurwitz_em(s: int, a, wp: int) -> mpf:
-    """zeta(s; a) for integer s >= 2 and a >= 1, working precision wp."""
-    N = max(64, math.ceil(0.35 * wp))
-    M = max(4, math.ceil(wp / 8))
-    with mp.workprec(wp):
-        am = to_mpf(a, wp)
-        head = mpf(0)
-        for n in range(N):
-            head += (n + am) ** (-s)
-        x = N + am
-        res = head + x ** (1 - s) / (s - 1) + x ** (-s) / 2
-        eps = abs(res) * mpf(2) ** (-wp - 4)
-        pw = x ** (-s - 1)
-        inv_x2 = 1 / (x * x)
-        rise = 1  # rising factorial s(s+1)...(s+2k-2)
-        prev = None
-        for k in range(1, 4 * M + 1):
-            if k == 1:
-                rise = s
-            else:
-                rise *= (s + 2 * k - 3) * (s + 2 * k - 2)
-            b = bernoulli(2 * k)
-            term = mpf(b.numerator) / b.denominator / factorial(2 * k) * rise * pw
-            res += term
-            at = abs(term)
-            if at < eps:
-                break
-            if prev is not None and at > prev:
-                break  # asymptotic divergence onset; N was large enough anyway
-            prev = at
-            pw *= inv_x2
-        return +res
-
-
-def hurwitz_zeta(s: int, a: RealLike, prec: int) -> mpf:
-    """Hurwitz zeta zeta(s; a) = sum_{n>=0} (n+a)^(-s) for integer s >= 2, a > 0."""
-    if s < 2:
-        raise DomainError("hurwitz_zeta requires s >= 2 (zeta(1; a) is convention-only)")
-    a = _as_exact(a)
-    if not a > 0:
-        raise DomainError("hurwitz_zeta requires a > 0")
-    key = ("hz", s, _akey(a), prec)
-    cached = _zeta_cache.get(key)
-    if cached is not None:
-        return cached
-    wp = working_prec(prec, max(64, math.ceil(0.35 * prec)) + prec // 8)
-    shift = mpf(0)
-    with mp.workprec(wp):
-        while a < 1:
-            shift += to_mpf(a, wp) ** (-s)
-            a = a + 1
-        value = round_to(shift + _hurwitz_em(s, a, wp), prec)
-    _zeta_cache[key] = value
-    return value
-
-
-def riemann_zeta(s: int, prec: int) -> mpf:
-    """zeta(s) for integer s >= 2, by Euler-Maclaurin on the defining series."""
-    if s < 2:
-        raise DomainError("riemann_zeta requires s >= 2; zeta(1) exists only as a convention")
-    return hurwitz_zeta(s, 1, prec)
-
-
-def digamma(a: RealLike, prec: int) -> mpf:
-    """psi(a) for a > 0 via argument shift plus the asymptotic expansion."""
-    a = _as_exact(a)
-    if not a > 0:
-        raise DomainError("digamma requires a > 0")
-    key = ("psi", _akey(a), prec)
-    cached = _zeta_cache.get(key)
-    if cached is not None:
-        return cached
-    wp = working_prec(prec, max(64, math.ceil(0.35 * prec)))
-    X0 = max(20, math.ceil(0.35 * wp))
-    with mp.workprec(wp):
-        am = to_mpf(a, wp)
-        K = max(0, int(math.ceil(X0 - am)))
-        x = am + K
-        res = mp.ln(x) - 1 / (2 * x)
-        eps = mpf(2) ** (-wp - 4)
-        x2 = x * x
-        pw = x2
-        prev = None
-        for k in range(1, wp // 2 + 2):
-            b = bernoulli(2 * k)
-            term = mpf(b.numerator) / (b.denominator * 2 * k) / pw
-            res -= term
-            at = abs(term)
-            if at < eps:
-                break
-            if prev is not None and at > prev:
-                break
-            prev = at
-            pw *= x2
-        for j in range(K):
-            res -= 1 / (am + j)
-        value = round_to(res, prec)
-    _zeta_cache[key] = value
-    return value
-
-
-def hurwitz_zeta1(a: RealLike, prec: int) -> mpf:
-    """The zeta(1; a) convention value psi(1/2) - psi(a), for a > 0."""
-    a = _as_exact(a)
-    if not a > 0:
-        raise DomainError("hurwitz_zeta1 requires a > 0")
-    wp = prec + 8
-    with mp.workprec(wp):
-        return round_to(digamma(Fraction(1, 2), wp) - digamma(a, wp), prec)
-
-
-def alt_hurwitz_zeta(s: int, a: RealLike, prec: int) -> mpf:
-    """Alternating Hurwitz zeta sum_{n>=0} (-1)^n (n+a)^(-s), s >= 1, a > 0.
-
-    Even/odd pairing gives 2^(-s) (zeta(s; a/2) - zeta(s; (a+1)/2)) for
-    s >= 2; for s = 1 the paired series telescopes to digamma values.
-    """
-    if s < 1:
-        raise DomainError("alt_hurwitz_zeta requires s >= 1")
-    a = _as_exact(a)
-    if not a > 0:
-        raise DomainError("alt_hurwitz_zeta requires a > 0")
-    key = ("ahz", s, _akey(a), prec)
-    cached = _zeta_cache.get(key)
-    if cached is not None:
-        return cached
-    wp = prec + 16
-    half, half1 = a / 2, (a + 1) / 2
-    with mp.workprec(wp):
-        if s == 1:
-            value = (digamma(half1, wp) - digamma(half, wp)) / 2
-        else:
-            value = (hurwitz_zeta(s, half, wp) - hurwitz_zeta(s, half1, wp)) / mpf(2) ** s
-        value = round_to(value, prec)
-    _zeta_cache[key] = value
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Batched tail values: one fixed-point pass for many exponents at one point
-# ---------------------------------------------------------------------------
-
-def _scaled_tail(sigma: int, s: int, Y: int, D: int, F: int, coeffs: list) -> int:
-    """2^F y^(s-1) sum_{n>=0} sigma^n (n + y)^(-s) at y = Y/D, in fixed point.
+def _scaled_tail(sigma: int, s: int, Y: int, D: int, F: int) -> int:
+    """2^F y^(s-1) sum_{n>=0} sigma^n (n + y)^(-s) at y = Y/D, in fixed point;
+    at sigma = +1, s = 1 the divergent 1/(s-1) is left out.
 
     Euler-Maclaurin gives 1/(s-1) + 1/(2y) + sum_k c_k (s)_(2k-1) y^(-2k),
     c_k = B_2k/(2k)!; Boole summation the same without 1/(s-1) and with
-    (4^k - 1) c_k, cached in ``coeffs`` to F + 8 bits.  For these completely
-    monotone summands the remainder is at most the first omitted term, so the
-    loop stops at the first term below one unit; past the smallest term, at
+    (4^k - 1) c_k, each held to F + 8 bits.  For these completely monotone
+    summands the remainder is at most the first omitted term, so the loop
+    stops at the first term below one unit; past the smallest term, at
     s + 2k > c pi y, it raises ArithmeticError.
     """
-    v = (D << F) // (2 * Y) + ((1 << F) // (s - 1) if sigma == 1 else 0)
+    table = _coeff_tables[sigma]
+    if table[0] < F:
+        table[:] = [1 << (F - 1).bit_length(), []]
+    G, coeffs = table
+    v = (D << F) // (2 * Y) + ((1 << F) // (s - 1) if sigma == 1 and s > 1 else 0)
     Y2, D2 = Y * Y, D * D
     kmax = ((2 if sigma == 1 else 1) * math.pi * Y / D - s) / 2 + 1
     rise = (s * D2 << F) // Y2  # 2^F (s)_(2k-1) y^(-2k), floored
@@ -235,10 +99,10 @@ def _scaled_tail(sigma: int, s: int, Y: int, D: int, F: int, coeffs: list) -> in
                                   f"cannot reach 2^-{F}")
         if k > len(coeffs):
             c = abs(bernoulli(2 * k)) / factorial(2 * k) * (1 if sigma == 1 else 4 ** k - 1)
-            e = F + 8 - c.numerator.bit_length() + c.denominator.bit_length()
+            e = G + 8 - c.numerator.bit_length() + c.denominator.bit_length()
             coeffs.append(((c.numerator << e) // c.denominator, e))
         m, e = coeffs[k - 1]
-        term = (rise * m) >> e
+        term = (rise * (m >> (G - F))) >> (e - G + F)
         if not term:
             return v
         v += term if k % 2 else -term
@@ -248,32 +112,80 @@ def _scaled_tail(sigma: int, s: int, Y: int, D: int, F: int, coeffs: list) -> in
 def _head_length(sigma: int, s: int, x: Fraction, bits: int) -> int:
     """Unit shifts n after which the tail series of exponent s reaches
     2^-(bits + 8): its smallest term is about exp(-(z - s ln(z/s) - s)),
-    z = c pi (x + n), with c = 2 for sigma = +1 and 1 for sigma = -1."""
-    for n in itertools.count():
-        z = (2 if sigma == 1 else 1) * math.pi * float(x + n)
-        if z > s and z - s * math.log(z / s) - s >= (bits + 8) * math.log(2):
-            return n
+    z = c pi (x + n), with c = 2 for sigma = +1 and 1 for sigma = -1.  Past
+    z = s that exponent grows with z, and it exceeds b = (bits + 8) ln 2 by
+    z = 3 (s + b)."""
+    c = (2 if sigma == 1 else 1) * math.pi
+
+    def reached(n: int) -> bool:
+        z = c * float(x + n)
+        return z > s and z - s * math.log(z / s) - s >= (bits + 8) * math.log(2)
+
+    return bisect.bisect_left(range(math.ceil(3 * (s + bits + 8) / c) + 1), True, key=reached)
 
 
-def _zeta_batch(sigma: int, ss: list[int], x: Fraction, prec: int) -> list[mpf]:
-    """Uncached ``tail_zeta_batch`` for sorted distinct ss.
+def _direct_length(sigma: int, s: int, x: Fraction, F: int, n: int) -> int:
+    """Fewest terms M <= n after which x^(s-1) |sum_{j>=M} sigma^j (x+j)^(-s)|
+    < 2^-F, else n + 1.  The rest is at most (x+M)^(-s), times
+    1 + (x+M)/(s-1) for sigma = +1 (whose s = 1 series diverges)."""
+    if sigma == 1 and s == 1:
+        return n + 1
 
-    With y = x + n, n set by the largest s, and V_s(y) = y^(s-1) zeta(s; y)
-    from ``_scaled_tail``, V_s(x) = sum_{j<n} sigma^j (x/(x+j))^(s-1)/(x+j)
-    + sigma^n (x/y)^(s-1) V_s(y), all in one fixed point of F bits.  The
-    ratio powers are floored one factor at a time, so each depends only on
-    its exponent.
+    def small(M: int) -> bool:
+        y = float(x + M)
+        rest = (s - 1) * math.log(x) - s * math.log(y)
+        return rest + (math.log1p(y / (s - 1)) if sigma == 1 else 0) < -F * math.log(2)
+
+    return bisect.bisect_left(range(n + 1), True, key=small)
+
+
+def _fixed_sums(sigma: int, ss: list[int], x: Fraction, F: int) -> tuple[int, list[int]]:
+    """2^F x^(s-1) sum_{j>=0} sigma^j (x + j)^(-s) for sorted distinct ss, each
+    within a few units per term, and the head n of the asymptotic path.
+
+    That head reaches twice the bits, so that the series stops far short of
+    its smallest term and of the Bernoulli numbers that term needs.  An
+    exponent whose terms fall below 2^-F within its own such head is summed
+    directly, one floor division per term.  As the terms fall faster and the
+    head grows with s, these are the largest exponents, so the search runs
+    down from the top; the rest share the head n of the largest of them.
+    With y = x + n and V_s(y) from ``_scaled_tail``,
+    V_s(x) = sum_{j<n} sigma^j (x/(x+j))^(s-1)/(x+j) + sigma^n (x/y)^(s-1) V_s(y).
+    The ratio powers start from one floor division at the first such
+    exponent and take one floored factor per later unit of s.
     """
     num, den = x.numerator, x.denominator
-    F = prec + 64 + (2 * num // den + 1).bit_length() + ss[-1].bit_length()
-    n = _head_length(sigma, ss[-1], x, F)
-    ratio, power, coeffs, out = [1 << F] * (n + 1), 0, [], []  # 2^F (x/(x+j))^power
+    direct, n = {}, 0
+    for s in reversed(ss):
+        n = _head_length(sigma, s, x, 2 * F)
+        m = _direct_length(sigma, s, x, F, n)
+        if m > n:
+            break
+        direct[s] = m
+    ratio, power, out = None, 0, []  # 2^F (x/(x+j))^power
     for s in ss:
+        if s in direct:
+            top = den * num ** (s - 1) << F
+            out.append(sum(sigma ** j * (top // (num + j * den) ** s) for j in range(direct[s])))
+            continue
+        if ratio is None:
+            ratio, power = [(num ** (s - 1) << F) // (num + j * den) ** (s - 1)
+                            for j in range(n + 1)], s - 1
         for _ in range(power, s - 1):
             ratio = [r * num // (num + j * den) for j, r in enumerate(ratio)]
         power = s - 1
-        v = sigma ** n * ratio[n] * _scaled_tail(sigma, s, num + n * den, den, F, coeffs) >> F
-        v += sum(sigma ** j * r * den // (num + j * den) for j, r in enumerate(ratio[:n]))
+        v = sigma ** n * ratio[n] * _scaled_tail(sigma, s, num + n * den, den, F) >> F
+        out.append(v + sum(sigma ** j * r * den // (num + j * den)
+                           for j, r in enumerate(ratio[:n])))
+    return n, out
+
+
+def _zeta_batch(sigma: int, ss: list[int], x: Fraction, prec: int) -> list[mpf]:
+    """Uncached ``tail_zeta_batch`` for sorted distinct ss."""
+    num, den = x.numerator, x.denominator
+    F = prec + 64 + (2 * num // den + 1).bit_length() + ss[-1].bit_length()
+    out = []
+    for s, v in zip(ss, _fixed_sums(sigma, ss, x, F)[1]):
         # zeta = v 2^-F x^(1-s): at least prec + 32 bits of the quotient, then round
         a, b = v * den ** (s - 1), num ** (s - 1)
         shift = max(0, prec + 32 - a.bit_length() + b.bit_length())
@@ -282,19 +194,46 @@ def _zeta_batch(sigma: int, ss: list[int], x: Fraction, prec: int) -> list[mpf]:
     return out
 
 
-def tail_zeta_batch(sigma: int, ss, x: Union[int, Fraction], prec: int) -> list[mpf]:
-    """sum_{n>=0} sigma^n (n + x)^(-s) for every integer s >= 2 in ``ss`` at one
-    rational x > 0 (Hurwitz or alternating Hurwitz zeta), rounded at ``prec``;
-    one fixed-point pass serves every exponent not yet cached."""
-    x = Fraction(x)
-    keys = {s: ("tz", sigma, s, _akey(x), prec) for s in ss}
-    if sigma not in (1, -1) or not x > 0 or any(s < 2 for s in keys):
-        raise DomainError("tail_zeta_batch requires sigma = +-1, x > 0 and s >= 2")
-    todo = sorted(s for s, key in keys.items() if key not in _zeta_cache)
-    if todo:
+def tail_zeta_batch(sigma: int, ss, x: Rational, prec: int) -> list[mpf]:
+    """sum_{n>=0} sigma^n (n + x)^(-s) at one rational x > 0 for every integer
+    s in ``ss``, s >= 2 at sigma = +1 (Hurwitz zeta) and s >= 1 at sigma = -1
+    (alternating Hurwitz zeta), rounded at ``prec``; one fixed-point pass
+    serves every exponent not yet cached.  Digamma is the kernel's
+    sigma = +1, s = 1 case (``digamma``)."""
+    x = _rational(x, "the zeta family")
+    point = (sigma, x.numerator, x.denominator, prec)
+    values = [_zeta_cache.get((s, point)) for s in ss]
+    if any(v is None for v in values):
+        if sigma not in (1, -1) or not x > 0 or any(s < (2 if sigma == 1 else 1) for s in ss):
+            raise DomainError(f"sigma = {sigma}, x = {x}, s in {sorted(ss)}: the zeta family needs "
+                              "sigma = +-1, x > 0, s >= 2 (zeta(1; x) is convention-only), s >= 1 "
+                              "at sigma = -1")
+        todo = sorted({s for s, v in zip(ss, values) if v is None})
         for s, value in zip(todo, _zeta_batch(sigma, todo, x, prec)):
-            _zeta_cache[keys[s]] = value
-    return [_zeta_cache[keys[s]] for s in ss]
+            _zeta_cache[s, point] = value
+        values = [_zeta_cache[s, point] for s in ss]
+    return values
+
+
+# ---------------------------------------------------------------------------
+# Single values from the kernel
+# ---------------------------------------------------------------------------
+
+def hurwitz_zeta(s: int, a: Rational, prec: int) -> mpf:
+    """Hurwitz zeta zeta(s; a) = sum_{n>=0} (n+a)^(-s), integer s >= 2, rational a > 0."""
+    return tail_zeta_batch(1, [s], a, prec)[0]
+
+
+def riemann_zeta(s: int, prec: int) -> mpf:
+    """zeta(s) for integer s >= 2, the Hurwitz value at a = 1."""
+    if s < 2:
+        raise DomainError("riemann_zeta requires s >= 2; zeta(1) exists only as a convention")
+    return hurwitz_zeta(s, 1, prec)
+
+
+def alt_hurwitz_zeta(s: int, a: Rational, prec: int) -> mpf:
+    """Alternating Hurwitz zeta sum_{n>=0} (-1)^n (n+a)^(-s), s >= 1, rational a > 0."""
+    return tail_zeta_batch(-1, [s], a, prec)[0]
 
 
 def alt_zeta(s: int, prec: int) -> mpf:
@@ -306,7 +245,41 @@ def alt_zeta(s: int, prec: int) -> mpf:
     return alt_hurwitz_zeta(s, 1, prec)
 
 
-def param_digamma_deriv(p: int, a: RealLike, prec: int) -> mpf:
+def digamma(a: Rational, prec: int) -> mpf:
+    """psi(a) for rational a > 0: ln y minus the kernel's s = 1 sum
+    sum_{j<n} 1/(a+j) + 1/(2y) + sum_k B_2k/(2k) y^(-2k) at y = a + n, with
+    F raised until the difference keeps prec + 48 bits."""
+    a = _rational(a, "digamma")
+    if not a > 0:
+        raise DomainError("digamma requires a > 0")
+    key = ("psi", a.numerator, a.denominator, prec)
+    cached = _zeta_cache.get(key)
+    if cached is not None:
+        return cached
+    num, den = a.numerator, a.denominator
+    F = prec + 64 + (2 * num // den + 1).bit_length()
+    while True:
+        n, (v,) = _fixed_sums(1, [1], a, F)
+        with mp.workprec(F):
+            ln_y = mp.ln(mpf(num + n * den) / den)
+            value = ln_y - mpf((v, -F))
+        lost = max(mp.mag(ln_y), v.bit_length() - F) - mp.mag(value) if value else F
+        if F - lost >= prec + 48:
+            break
+        F = prec + lost + 64
+    value = round_to(value, prec)
+    _zeta_cache[key] = value
+    return value
+
+
+def hurwitz_zeta1(a: Rational, prec: int) -> mpf:
+    """The zeta(1; a) convention value psi(1/2) - psi(a), for a > 0."""
+    wp = prec + 8
+    with mp.workprec(wp):
+        return round_to(digamma(Fraction(1, 2), wp) - digamma(a, wp), prec)
+
+
+def param_digamma_deriv(p: int, a: Rational, prec: int) -> mpf:
     """Value of the shifted digamma derivative Psi^(p-1)(1/2 + a), a > 0.
 
     Equals (-1)^p (p-1)! zeta(p; a) for p >= 2 and -(psi(1/2) - psi(a))
@@ -314,9 +287,6 @@ def param_digamma_deriv(p: int, a: RealLike, prec: int) -> mpf:
     """
     if p < 1:
         raise DomainError("param_digamma_deriv requires p >= 1")
-    a = _as_exact(a)
-    if not a > 0:
-        raise DomainError("param_digamma_deriv requires a > 0")
     if p == 1:
         with mp.workprec(prec + 8):
             return round_to(-hurwitz_zeta1(a, prec + 8), prec)
@@ -326,16 +296,12 @@ def param_digamma_deriv(p: int, a: RealLike, prec: int) -> mpf:
 
 
 # ---------------------------------------------------------------------------
-# Shift helpers extending the a > 0 domain to all admissible real arguments
+# Shift helpers extending the a > 0 domain to all admissible rational arguments
 # ---------------------------------------------------------------------------
 
-def _unit_shift(x: Union[Fraction, mpf], s: int, alternating: bool) -> tuple[int, Fraction]:
+def _unit_shift(x: Fraction, s: int, alternating: bool) -> tuple[int, Fraction]:
     """Unit shifts K taking x to x + K > 0, and the exact finite part
     sum_{j<K} (+-1)^j (x + j)^(-s) that they move out of the series."""
-    if not isinstance(x, Fraction):
-        if not x > 0:
-            raise DomainError("non-rational arguments require x > 0")
-        return 0, Fraction(0)
     if x.denominator == 1 and x <= 0:
         raise DomainError(f"undefined at the non-positive integer {x}")
     K = 0 if x > 0 else int(math.floor(-x)) + 1
@@ -344,18 +310,18 @@ def _unit_shift(x: Union[Fraction, mpf], s: int, alternating: bool) -> tuple[int
     return K, finite
 
 
-def hurwitz_any(s: int, x: RealLike, prec: int) -> mpf:
+def hurwitz_any(s: int, x: Rational, prec: int) -> mpf:
     """zeta(s; x) for any rational x not a non-positive integer, via unit shifts."""
-    x = _as_exact(x)
+    x = _rational(x, "hurwitz_any")
     K, finite = _unit_shift(x, s, False)
     wp = prec + 16
     with mp.workprec(wp):
         return round_to(to_mpf(finite, wp) + hurwitz_zeta(s, x + K, wp), prec)
 
 
-def alt_hurwitz_any(s: int, x: RealLike, prec: int) -> mpf:
+def alt_hurwitz_any(s: int, x: Rational, prec: int) -> mpf:
     """Alternating Hurwitz zeta at any rational non-(non-positive-integer) x."""
-    x = _as_exact(x)
+    x = _rational(x, "alt_hurwitz_any")
     K, finite = _unit_shift(x, s, True)
     wp = prec + 16
     with mp.workprec(wp):
@@ -365,16 +331,16 @@ def alt_hurwitz_any(s: int, x: RealLike, prec: int) -> mpf:
         return round_to(to_mpf(finite, wp) + tail, prec)
 
 
-def digamma_any(x: RealLike, prec: int) -> mpf:
+def digamma_any(x: Rational, prec: int) -> mpf:
     """psi(x) for any rational x not a non-positive integer."""
-    x = _as_exact(x)
+    x = _rational(x, "digamma_any")
     K, finite = _unit_shift(x, 1, False)
     wp = prec + 16
     with mp.workprec(wp):
         return round_to(digamma(x + K, wp) - to_mpf(finite, wp), prec)
 
 
-def hurwitz_zeta1_any(x: RealLike, prec: int) -> mpf:
+def hurwitz_zeta1_any(x: Rational, prec: int) -> mpf:
     """The zeta(1; x) convention psi(1/2) - psi(x) at any admissible rational x."""
     wp = prec + 8
     with mp.workprec(wp):
@@ -413,16 +379,10 @@ def single_t(s: int, prec: int) -> mpf:
 
 
 def dirichlet_beta(s: int, prec: int) -> mpf:
-    """beta(s) = sum_{n>=0} (-1)^n (2n+1)^(-s), s >= 1, via Hurwitz differences."""
+    """beta(s) = sum_{n>=0} (-1)^n (2n+1)^(-s) = 2^-s alt_hurwitz_zeta(s, 1/2), s >= 1."""
     if s < 1:
         raise DomainError("dirichlet_beta requires s >= 1")
-    wp = prec + 16
-    with mp.workprec(wp):
-        if s == 1:
-            diff = digamma(Fraction(3, 4), wp) - digamma(Fraction(1, 4), wp)
-        else:
-            diff = hurwitz_zeta(s, Fraction(1, 4), wp) - hurwitz_zeta(s, Fraction(3, 4), wp)
-        return round_to(diff / mpf(4) ** s, prec)
+    return mp.ldexp(alt_hurwitz_zeta(s, Fraction(1, 2), prec), -s)
 
 
 def single_t_bar(s: int, prec: int) -> mpf:
@@ -564,7 +524,7 @@ def kernel_jet(kind: KernelKind, base: RealLike, order: int, prec: int) -> JetSe
     return jet_from_coeffs(base, [round_to(v, prec) for v in coeffs[: order + 1]], prec)
 
 
-def psi_jet(p: int, base: RealLike, order: int, prec: int) -> JetSeries:
+def psi_jet(p: int, base: Rational, order: int, prec: int) -> JetSeries:
     """Jet of the shifted digamma derivative Psi^(p-1)(1/2 - z) at ``base``.
 
     At non-negative integer bases the function has a pole of order p and the
@@ -578,8 +538,8 @@ def psi_jet(p: int, base: RealLike, order: int, prec: int) -> JetSeries:
     if order < 0:
         raise DomainError("order must be >= 0")
     wp = working_prec(prec, order + 4)
-    base = _as_exact(base)
-    is_pole = isinstance(base, Fraction) and base.denominator == 1 and base >= 0
+    base = _rational(base, "psi_jet")
+    is_pole = base.denominator == 1 and base >= 0
     sign = 1 if p % 2 == 0 else -1
     fac = factorial(p - 1)
     coeffs: list[mpf] = []

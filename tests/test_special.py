@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from tsum.special import (
     DomainError,
     KernelKind,
     PoleProximityError,
+    alt_hurwitz_any,
     alt_hurwitz_zeta,
     alt_zeta,
     digamma,
@@ -111,7 +113,7 @@ class TestTailZetaBatch:
     def test_series_past_its_smallest_term_raises(self):
         # at y = 1 no term of the series for s = 2 falls below 2^-200
         with pytest.raises(ArithmeticError):
-            special._scaled_tail(1, 2, 1, 1, 200, [])
+            special._scaled_tail(1, 2, 1, 1, 200)
 
     def test_domain(self):
         for args in ((1, [1], 3), (-1, [2], 0), (0, [2], 3)):
@@ -382,3 +384,77 @@ class TestPsiJet:
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             psi_jet(0, Fraction(1, 3), 2, P)
+
+
+GRID_XS = tuple(map(Fraction, ("1/1000000", "1/4", "1/2", "1", "7/3", "101/3", "3000001/3")))
+GRID_SS = (1, 2, 3, 7, 30, 164, 165, 400, 801)
+GRID_PRECS = (64, 192, 1376)
+# the full grid takes about two minutes, almost all of it in mpmath
+GRID = [(fn, s, x, prec) for prec in GRID_PRECS for s in GRID_SS
+        for fn, x in [("dirichlet_beta", None)]
+        + [("digamma" if s == 1 else "hurwitz_zeta", x) for x in GRID_XS]
+        + [("alt_hurwitz_zeta", x) for x in GRID_XS]]
+
+
+def _mpmath_reference(fn, s, x, wp):
+    """mpmath's value at wp bits; the alternating ones pair even and odd
+    terms, 2^-s (zeta(s; a/2) - zeta(s; (a+1)/2)), or halve a digamma
+    difference at s = 1."""
+    with mp.workprec(wp):
+        if fn == "dirichlet_beta":
+            return mp.ldexp(_mpmath_reference("alt_hurwitz_zeta", s, Fraction(1, 2), wp), -s)
+        a = mpf(x.numerator) / x.denominator
+        if fn == "digamma":
+            return mp.digamma(a)
+        if fn == "hurwitz_zeta":
+            return mp.zeta(s, a)
+        if s == 1:
+            return (mp.digamma((a + 1) / 2) - mp.digamma(a / 2)) / 2
+        return (mp.zeta(s, a / 2) - mp.zeta(s, (a + 1) / 2)) / mpf(2) ** s
+
+
+def _assert_within_one_ulp(fn, s, x, prec):
+    """The kernel value against mpmath at prec + 160 bits, plus the bits that
+    |v| lies below 1, since mpmath's error is absolute; those bits also cover
+    the cancellation of the pairing."""
+    args = (x,) if fn == "digamma" else (s,) if fn == "dirichlet_beta" else (s, x)
+    value = getattr(special, fn)(*args, prec)
+    wp = prec + 160 + max(0, 1 - mp.mag(value))
+    ref = _mpmath_reference(fn, s, x, wp)
+    ulp = mpf(2) ** (value.man.bit_length() + value.exp - prec)
+    with mp.workprec(wp + 8):
+        assert abs(value - ref) <= ulp, (fn, s, x, prec, abs(value - ref) / ulp)
+
+
+class TestReferenceGrid:
+    """Kernel values within 1 ulp of mpmath, on both sides of the choice
+    between direct sums and head plus asymptotic series."""
+
+    @pytest.mark.parametrize("fn, s, x, prec", random.Random(2022).sample(GRID, 24))
+    def test_seeded_grid_sample(self, fn, s, x, prec):
+        _assert_within_one_ulp(fn, s, x, prec)
+
+    @pytest.mark.parametrize("s, prec", [(2, 64), (2, 192), (2, 1376), (3, 64), (3, 192),
+                                         (1, 64), (1, 192)])
+    def test_alternating_at_a_large_shift(self, s, prec):
+        # 2^-s (zeta(s; a/2) - zeta(s; (a+1)/2)) cancels about log2 a bits
+        # here, more than 16 guard bits cover
+        _assert_within_one_ulp("alt_hurwitz_zeta", s, Fraction(3000001, 3), prec)
+
+    @pytest.mark.parametrize("prec", [64, 192])
+    def test_digamma_near_its_zero(self, prec):
+        # psi(x) ~ -4e-17 here: ln y and the kernel sum cancel about 56 bits
+        _assert_within_one_ulp("digamma", 1, Fraction(14616321449683623, 10 ** 16), prec)
+
+    @pytest.mark.parametrize("call", [
+        lambda x: hurwitz_zeta(2, x, 64), lambda x: alt_hurwitz_zeta(2, x, 64),
+        lambda x: alt_hurwitz_zeta(1, x, 64), lambda x: digamma(x, 64),
+        lambda x: tail_zeta_batch(-1, [2, 3], x, 64), lambda x: hurwitz_any(2, -x, 64),
+        lambda x: alt_hurwitz_any(2, -x, 64), lambda x: digamma_any(-x, 64),
+        lambda x: psi_jet(2, -x, 1, 64),
+    ])
+    def test_non_rational_argument_is_a_domain_error(self, call):
+        with mp.workprec(64):
+            x = mpf(1) / 3
+        with pytest.raises(DomainError):
+            call(x)
