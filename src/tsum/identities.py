@@ -93,13 +93,11 @@ def _zx(s: int, x: Frac, conv: ZetaConvention, prec: int) -> mpf:
     return hurwitz_any(s, x, prec)
 
 
-def _pair_pf(a: Frac, b: Frac, negate: bool) -> list[tuple[Frac, int, Frac]]:
-    """Partial fractions of 1/((n + a - 1/2)(n + b - 1/2)), optionally with
+def _pair_pieces(a: Frac, b: Frac, negate: bool) -> list[tuple[Frac, list[tuple[Frac, int]]]]:
+    """1/((n + a - 1/2)(n + b - 1/2)) as one product piece, optionally with
     both shifts negated."""
-    ta = (-a if negate else a) - Frac(1, 2)
-    tb = (-b if negate else b) - Frac(1, 2)
-    c = 1 / (tb - ta)
-    return [(ta, 1, c), (tb, 1, -c)]
+    sign = -1 if negate else 1
+    return [(Frac(1), [(sign * a - Frac(1, 2), 1), (sign * b - Frac(1, 2), 1)])]
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +152,8 @@ def _verify_pair(kern: _Kernel, family: str, p: int, a: Frac, b: Frac, prec: int
     wp = prec + 24
     with mp.workprec(wp):
         tol = tolerance_mpf(tolerance, wp)
-        s1 = accel_linear_sum(p, 0, kern.sigma, _pair_pf(a, b, False), wp)
-        s2 = accel_linear_sum(p, 1, kern.sigma, _pair_pf(a, b, True), wp)
+        s1 = accel_linear_sum(p, 0, kern.sigma, _pair_pieces(a, b, False), wp)
+        s2 = accel_linear_sum(p, 1, kern.sigma, _pair_pieces(a, b, True), wp)
         sgn = 1 if p % 2 == 0 else -1
         lhs = s1.value - kern.sigma * sgn * s2.value
         inv_ba = 1 / to_mpf(b - a, wp)
@@ -219,7 +217,7 @@ def _verify_single(kern: _Kernel, family: str, m: int, a: Frac, prec: int, toler
     p = 2 * m if even else 2 * m + 1
     with mp.workprec(wp):
         tol = tolerance_mpf(tolerance, wp)
-        s1 = accel_linear_sum(p, 0, kern.sigma, _pair_pf(a, b, False), wp)
+        s1 = accel_linear_sum(p, 0, kern.sigma, _pair_pieces(a, b, False), wp)
         lhs = s1.value
         terms = s1.terms_used
         if reflect:
@@ -320,15 +318,12 @@ class PartialFractionRational:
         return cls(tuple(terms))
 
 
-def _half_shift_pf(r: PartialFractionRational, reflect: bool) -> list[tuple[Frac, int, Frac]]:
-    """Partial fractions of r(n - 1/2) (or r(1/2 - n) when reflect)."""
-    out = []
-    for beta, m, c in r.terms:
-        if reflect:
-            out.append((beta - Frac(1, 2), m, c * (-1) ** m))
-        else:
-            out.append((-beta - Frac(1, 2), m, c))
-    return out
+def _half_shift_pieces(r: PartialFractionRational,
+                       reflect: bool) -> list[tuple[Frac, list[tuple[Frac, int]]]]:
+    """r(n - 1/2) (or r(1/2 - n) when reflect), one piece per partial fraction."""
+    if reflect:
+        return [(c * (-1) ** m, [(beta - Frac(1, 2), m)]) for beta, m, c in r.terms]
+    return [(c, [(-beta - Frac(1, 2), m)]) for beta, m, c in r.terms]
 
 
 def _derivative_sum(r: PartialFractionRational, d: int, wp: int, alternating: bool) -> mpf:
@@ -385,8 +380,8 @@ def _verify_residue(kern: _Kernel, family: str, p: int, r: PartialFractionRation
     wp = prec + 24
     with mp.workprec(wp):
         tol = tolerance_mpf(tolerance, wp)
-        pf1 = _half_shift_pf(r, False)
-        pf2 = _half_shift_pf(r, True)
+        pf1 = _half_shift_pieces(r, False)
+        pf2 = _half_shift_pieces(r, True)
         sgn = 1 if p % 2 == 0 else -1
         tp = ttilde(p, wp)
         sum1 = accel_linear_sum(p, 0, kern.sigma, pf1, wp)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb
 from typing import Union
 
 from mpmath import mp, mpf
@@ -26,7 +25,7 @@ RealLike = Union[int, Fraction, mpf]
 MIN_PRECISION = 16
 
 _const_cache: dict[tuple[str, int], mpf] = {}
-_bernoulli_even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
+_bernoulli_cache: dict[int, Fraction] = {}
 
 
 class PrecisionError(ValueError):
@@ -96,28 +95,14 @@ def real_const(name: str, prec: int) -> mpf:
 
 
 def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (convention B_1 = -1/2), memoized.
-
-    Odd indices >= 3 are zero; even indices come from the defining
-    recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 restricted to even j plus
-    the explicit B_1 term.
-    """
+    """Exact Bernoulli number B_n (convention B_1 = -1/2), memoized; the
+    fraction is mpmath's ``bernfrac``."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2 == 1:
-        return Fraction(0)
-    k = n // 2
-    while len(_bernoulli_even) <= k:
-        m = len(_bernoulli_even)
-        nn = 2 * m
-        s = Fraction(0)
-        for j in range(m):
-            s += comb(nn + 1, 2 * j) * _bernoulli_even[j]
-        s += Fraction(-(nn + 1), 2)  # B_1 contribution, C(n+1,1) * (-1/2)
-        _bernoulli_even.append(-s / (nn + 1))
-    return _bernoulli_even[k]
+    value = _bernoulli_cache.get(n)
+    if value is None:
+        value = _bernoulli_cache[n] = Fraction(*mp.bernfrac(n))
+    return value
 
 
 def real_to_str(x: mpf, prec: int) -> str:

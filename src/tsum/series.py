@@ -10,22 +10,21 @@ R(n) = prod_i (n + a_i - 1/2)^(-q_i).
 
 Evaluation strategy for the linear case (at most one harmonic factor):
 
-* R is partial-fractioned exactly over Q; the working precision grows by
-  the bits near-coincident poles cancel beyond 40.
+* R enters as pieces k prod (n + t)^(-e): one product piece for a spec, or
+  one piece per partial fraction for the residue checks.
 * The first N terms are summed in Python ints (``_direct``), at a scale
   2^-F set by the first non-zero term, so the error stays under
   abs_total 2^-wp for terms of any size.
 * The tail is rearranged exactly: with h the harmonic prefix sums,
   h(n) = h(N) + sum_{k=N+1..n} (k-1/2)^(-p), so the tail splits into
-  h(N) * sum_{n>N} sigma^n R(n)  (a closed form in Hurwitz zeta / digamma /
-  alternating Hurwitz zeta values) plus sum_{k>N} (k-1/2)^(-p) G(k) where
-  G(k) = sum_{n>=k+off} sigma^n R(n) is again such a closed form.  G is then
-  expanded in powers of 1/u, u = k - 1/2, with exact rational coefficients by
-  one builder: the Euler-Maclaurin series of zeta(e; (u + delta)/h),
-  recomposed binomially.  sigma = +1 takes h = 1; sigma = -1 takes the h = 2
-  even/odd pairing 2^(-e)(zeta(e; (u+delta)/2) - zeta(e; (u+delta+1)/2)).
-  Each coefficient is one integer dot product.  The k-sum then collapses to
-  (alternating) Hurwitz zeta values at N + 1/2, one ``tail_zeta_batch``.
+  h(N) G(N + 1 - off) plus sum_{k>N} (k-1/2)^(-p) G(k), where
+  G(k) = sum_{n>=k+off} sigma^n R(n).  R is expanded once in exact powers of
+  1/v, v = n - 1/2, and Euler-Maclaurin (sigma = +1) or Boole summation
+  (sigma = -1) of each power gives G(k) = sigma^k sum_w g_w u^(-w) with
+  exact g_w, u = k - 1/2.  The first part is that series at one point; the
+  k-sum collapses to (alternating) Hurwitz zeta values at N + 1/2, one
+  ``tail_zeta_batch``.  Neither needs partial fractions, so near-coincident
+  poles cancel nothing.
 
 Products of two or more harmonic factors fall back to budgeted direct
 summation, in the same fixed point; no closed form here covers them.
@@ -34,6 +33,7 @@ summation, in the same fixed point; no closed form here covers them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -42,7 +42,9 @@ from typing import Optional, Sequence
 from mpmath import mp, mpf
 
 from .numeric import bernoulli, check_precision, guard_bits, round_to, to_mpf
-from .special import alt_hurwitz_zeta, digamma, hurwitz_zeta, tail_zeta_batch
+from .special import tail_zeta_batch
+# not called here: perfbench's span tracer checks that it rebinds this name
+from .special import hurwitz_zeta  # noqa: F401
 
 
 class SpecError(ValueError):
@@ -145,81 +147,22 @@ class SeriesResult:
 
 
 # ---------------------------------------------------------------------------
-# Exact partial fractions over Q
+# Accelerated linear evaluation: the exact 1/v series of R and its tail sums
 # ---------------------------------------------------------------------------
 
-def _series_mul(a: list[Fraction], b: list[Fraction], K: int) -> list[Fraction]:
-    out = [Fraction(0)] * (K + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > K:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > K:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
-def partial_fractions(factors: Sequence[tuple[Fraction, int]]) -> list[tuple[Fraction, int, Fraction]]:
-    """Exact decomposition prod (n+t)^(-e) = sum c/(n+t)^l over Q.
-
-    Returns (t, l, c) triples.  Expansion of the complementary product
-    around each pole supplies the coefficients.
-    """
-    factors = [(Fraction(t), int(e)) for t, e in factors if e > 0]
-    out: list[tuple[Fraction, int, Fraction]] = []
-    for t, e in factors:
-        K = e - 1
-        series = [Fraction(1)] + [Fraction(0)] * K
-        for t2, e2 in factors:
-            if t2 == t:
-                continue
-            delta = t2 - t
-            # (eps + delta)^(-e2) expanded in eps
-            fac = [Fraction((-1) ** r * comb(e2 + r - 1, r), 1) / delta ** (e2 + r)
-                   for r in range(K + 1)]
-            series = _series_mul(series, fac, K)
-        for l in range(1, e + 1):
-            c = series[e - l]
-            if c != 0:
-                out.append((t, l, c))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Asymptotic expansions in powers of 1/u with exact rational coefficients
-# ---------------------------------------------------------------------------
-#
-# A PowerTail maps w -> coefficient of u^(-w).  All expansions are truncated
-# at power W and are valid (first-omitted-term accurate) for u >= xmin.
-
-PowerTail = dict[int, Fraction]
+Pieces = Sequence[tuple[Fraction, Sequence[tuple[Fraction, int]]]]
 
 _expansion_cache: dict = {}
-
-
-def _em_depth(e: int, xmin: float, target_bits: int) -> int:
-    """Number of Bernoulli correction terms for accuracy 2^-target_bits at x >= xmin."""
-    lx = math.log2(xmin)
-    for j in range(1, 400):
-        # |B_2j|/(2j)! ~ 2/(2 pi)^(2j); rising factorial (e)_{2j-1}
-        lg = 1 - 2 * j * math.log2(2 * math.pi)
-        lg += (math.lgamma(e + 2 * j - 1) - math.lgamma(e)) / math.log(2)
-        lg -= (e + 2 * j - 1) * lx
-        if lg < -(target_bits + 16):
-            return j
-    raise ArithmeticError("Euler-Maclaurin expansion cannot reach the target accuracy; "
-                          "increase the explicit term count")
 
 
 def _pick_truncation(wp: int, N: int, dmax: float, emax: int) -> int:
     """Truncation power W so that dropped u^-w contributions stay below
     2^-(wp+24) for u >= N + 1/2.
 
-    Two effects bound kept-coefficient decay: the binomial recomposition
-    ratio (1+dmax)/u and the Euler-Maclaurin coefficient growth, worst in
-    the halved-argument (alternating) expansions where the term at power m
-    is of size ~ (m-1)! / (pi (N+1/2))^m.
+    Two effects bound kept-coefficient decay: the 1/v series of R, whose
+    coefficients grow like (1 + dmax)^m, and the Euler-Maclaurin or Boole
+    coefficient growth, worst for sigma = -1, where the term at power m is
+    of size ~ (m-1)! / (pi (N+1/2))^m.
     """
     target = wp + 24
     rho_bits = math.log2((N + 0.5) / (1 + dmax))
@@ -232,129 +175,117 @@ def _pick_truncation(wp: int, N: int, dmax: float, emax: int) -> int:
     return W + emax + 4
 
 
-def _tail_powers(sigma: int, e: int, delta: Fraction, W: int, J: int) -> PowerTail:
-    """Exact power tail in 1/u of sum_{n>=0} sigma^n (u + delta + n)^(-e), e >= 1
-    (at sigma = +1, e = 1: ln u - psi(u + delta)).
+def _tail_expansion(sigma: int, offset: int, pieces: Pieces, W: int,
+                    wp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """g_1, ..., g_W at wp bits with G(k) = sum_{n>=k+offset} sigma^n R(n) ~
+    sigma^k sum_w g_w u^(-w), u = k - 1/2, for R = sum_j k_j prod (n + t)^(-e);
+    cached as mantissas and exponents, which take 0.4 of the memory of mpfs.
 
-    sigma = +1 is zeta(e; y), y = u + delta; sigma = -1 is 2^(-e)(zeta(e; y/2)
-    - zeta(e; (y+1)/2)).  Euler-Maclaurin gives zeta(e; y/h) = sum beta h^m
-    y^(-m) over (m, beta) = (e-1, 1/(e-1)), (e, 1/2), (e+2j-1, B_2j/(2j)!
-    (m-1)!/(e-1)!), plus -ln(1 + delta/u) at e = 1.  With delta = n/d, the
-    u^(-w) coefficient of y^(-m) is (-1)^r C(w-1, r) n^r/d^r, r = w - m: one
-    integer dot product over L d^w per power; the second half adds -(n + d)^r.
+    With v = n - 1/2 and c = t + 1/2 = A/D, each factor (1 + c/v)^(-1) maps the
+    numerators over D^r of a 1/v series by x_r -> x_r - A x_(r-1), so R(n) =
+    sum_m r_m v^(-m) with r_m = rho_m / (K D^m) in integers.  Euler-Maclaurin
+    (sigma = +1) and Boole summation (sigma = -1) give sum_{j>=0} sigma^j
+    (u + j)^(-m) ~ u^(1-m)/(m-1) (sigma = +1 only) + u^(-m)/2 + sum_k beta_k
+    C(w-1, 2k-1) u^(-w), w = m + 2k - 1, beta_k = B_2k/(2k) times 1 (sigma = +1)
+    or 4^k - 1 (sigma = -1).  Offset 1 drops the n = k term r_w u^(-w).
     """
-    n, d = delta.numerator, delta.denominator
-    h, scale = (1, Fraction(1)) if sigma == 1 else (2, Fraction(1, 2 ** e))
-    betas = [(e - 1, Fraction(1, e - 1))] if e > 1 else []
-    betas.append((e, Fraction(1, 2)))
-    betas += [(m, bernoulli(m - e + 1) / factorial(m - e + 1)
-               * Fraction(factorial(m - 1), factorial(e - 1)))
-              for m in range(e + 1, min(e + 2 * J - 1, W) + 1, 2)]
-    betas = [(m, scale * h ** m * beta) for m, beta in betas]
-    L = math.lcm(*(beta.denominator for _, beta in betas))
-    ints = [(m, (beta * L).numerator * d ** m) for m, beta in betas]
-    shifted = [n ** r if sigma == 1 else n ** r - (n + d) ** r for r in range(W + 1)]
-    out: PowerTail = {}
+    key = (sigma, offset, pieces, W, wp)
+    g = _expansion_cache.get(key)
+    if g is not None:
+        return g
+    half = Fraction(1, 2)
+    D = math.lcm(*((t + half).denominator for _, fs in pieces for t, _ in fs))
+    K = math.lcm(*(k.denominator for k, _ in pieces))
+    rho = [0] * (W + 2)
+    for k, fs in pieces:
+        E = sum(e for _, e in fs)
+        if E > W + 1:
+            continue
+        x = [1] + [0] * (W + 1 - E)
+        for t, e in fs:
+            A = int((t + half) * D)
+            for _ in range(e):
+                for r in range(1, len(x)):
+                    x[r] -= A * x[r - 1]
+        scale = (k * K).numerator * D ** E
+        for r, xr in enumerate(x):
+            rho[E + r] += scale * xr
+    # r_m = 0 below m0, so beta_k meets r_m only for 2k <= W + 1 - m0
+    m0 = min(sum(e for _, e in fs) for _, fs in pieces)
+    betas = [bernoulli(2 * k) / (2 * k) * (1 if sigma == 1 else 4 ** k - 1)
+             for k in range(1, (W + 1 - m0) // 2 + 1)]
+    L = math.lcm(*(b.denominator for b in betas))
+    gammas = [(b * L).numerator * D ** (2 * k - 1) for k, b in enumerate(betas, 1)]
+    g, row = [], [1]  # row: C(w - 1, j) for j < w
     for w in range(1, W + 1):
-        dot = sum((-1) ** (w - m) * comb(w - 1, w - m) * shifted[w - m] * c
-                  for m, c in ints if m <= w)
-        coef = Fraction(dot, L * d ** w)
-        if e == 1:
-            coef += scale * Fraction((-1) ** w * shifted[w], w * d ** w)
-        if coef:
-            out[w] = coef
-    return out
+        bern = sum(gammas[k - 1] * row[2 * k - 1] * rho[w - 2 * k + 1]
+                   for k in range(1, (w + 1 - m0) // 2 + 1))
+        row = [1, *map(operator.add, row, row[1:]), 1]
+        num = 2 * w * D * bern + (1 - 2 * offset) * w * L * D * rho[w]
+        if sigma == 1:
+            num += 2 * L * rho[w + 1]
+        g.append(to_mpf(Fraction(num, 2 * w * L * K * D ** (w + 1)), wp))
+    raw = [x._mpf_ for x in g]  # (sign, mantissa, exponent, bit count)
+    g = _expansion_cache[key] = (tuple(-m if s else m for s, m, _, _ in raw),
+                                 tuple(e for _, _, e, _ in raw))
+    return g
 
 
-# ---------------------------------------------------------------------------
-# Accelerated linear evaluation
-# ---------------------------------------------------------------------------
-
-def _tail_zeta(sigma: int, s: int, x: Fraction, wp: int) -> mpf:
-    """sum_{n>=0} sigma^n (n + x)^(-s); -psi(x) stands in for sigma = +1, s = 1."""
-    if sigma == -1:
-        return alt_hurwitz_zeta(s, x, wp)
-    if s == 1:
-        return -digamma(x, wp)
-    return hurwitz_zeta(s, x, wp)
-
-
-def _cancellation_guard(pf: Sequence[tuple[Fraction, int, Fraction]]) -> int:
-    """Guard bits beyond 48: near-coincident poles give large partial fractions
-    of both signs, whose sum at the first n loses log2(sum |terms| / |R(n)|)
-    bits; the 48 guard bits absorb 40 of them."""
-    loss = 0
-    for n in (1, 8):
-        terms = [c / (n + t) ** e for t, e, c in pf]
-        if sum(terms):
-            ratio = sum(map(abs, terms)) / abs(sum(terms))
-            loss = max(loss, ratio.numerator.bit_length() - ratio.denominator.bit_length())
-    return max(0, loss - 40)
-
-
-def accel_linear_sum(p: Optional[int], offset: int, sigma: int,
-                     pf: Sequence[tuple[Fraction, int, Fraction]],
+def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
                      prec: int) -> SeriesResult:
-    """Accelerated sum_{n>=1} sigma^n h-factor(n) R(n) with R given in
-    partial fractions [(t, e, c)]; p None means no harmonic factor.  The
-    ``_direct`` head errs by under abs_head 2^-wp and each later mpf step
-    rounds at wp bits: well under (abs_head + |piece1| + |piece2| + 1) 2^(-wp+10).
+    """Accelerated sum_{n>=1} sigma^n h_{n-offset}^(p) R(n), R(n) = sum_j k_j
+    prod (n + t)^(-e) over pieces (k_j, [(t, e)]); p None means no harmonic
+    factor.
+
+    The first N terms come from ``_direct``.  With h_n = h_N + sum_{k=N+1..n}
+    (k - 1/2)^(-p), the tail is h_N G(N + 1 - offset) plus sum_{k>N} (k -
+    1/2)^(-p) G(k), G from ``_tail_expansion``: the first is its series at
+    one point, the second one ``tail_zeta_batch`` at N + 1/2.  The head errs
+    by under abs_head 2^-wp and each later mpf step rounds at wp bits: well
+    under (abs_head + |piece1| + |piece2| + 1) 2^(-wp+10).  Pieces that cancel
+    (the partial fractions of near-coincident poles) need no guard bits: the
+    head floors each piece in absolute units and the g_w are exact.
     """
-    for t, e, _ in pf:
-        if t.denominator == 1 and t <= -1:
-            raise SingularSumError(f"pole at positive integer n = {-t}")
-        if e < 1:
-            raise SpecError("partial fraction exponents must be >= 1")
-    order1 = sum(c for t, e, c in pf if e == 1)
-    if sigma == 1 and order1 != 0:
+    pieces = tuple((k, tuple(fs)) for k, fs in pieces)  # hashable: the expansion cache key
+    for _, fs in pieces:
+        for t, e in fs:
+            if t.denominator == 1 and t <= -1:
+                raise SingularSumError(f"pole at positive integer n = {-t}")
+            if e < 1:
+                raise SpecError("denominator exponents must be >= 1")
+    if sigma == 1 and sum(k for k, fs in pieces if sum(e for _, e in fs) == 1) != 0:
         raise DivergentSumError("sum of order-1 coefficients must vanish for sigma=+1")
 
-    wp = prec + 48 + _cancellation_guard(pf)
-    emax = max(e for _, e, _ in pf)
-    dmax = float(max([abs(t + offset + Fraction(1, 2)) for t, _, _ in pf] + [Fraction(1)]))
+    wp = prec + 48
+    emax = max(e for _, fs in pieces for _, e in fs)
+    dmax = float(max([abs(t + offset + Fraction(1, 2)) for _, fs in pieces for t, _ in fs]
+                     + [Fraction(1)]))
     N = max(128, math.ceil(0.55 * wp), math.ceil(8 * (1 + dmax)))
     W = _pick_truncation(wp, N, dmax, emax)
-    J = _em_depth(emax, (N + 0.5) / 2.0, wp)
 
     total, abs_total, _, F, hs, H = _direct(sigma, offset, () if p is None else (p,),
-                                            [(c, [(t, e)]) for t, e, c in pf], N, wp)
+                                            pieces, N, wp)
+    mans, exps = _tail_expansion(sigma, offset, pieces, W, wp)
     with mp.workprec(wp):
+        g = [mpf(me) for me in zip(mans, exps)]
         head, abs_head = mpf((total, -F)), mpf((abs_total, -F))
-
-        # closed-form rational tail sum_{n>N} sigma^n R(n)
-        def rational_tail(m0: int) -> mpf:
-            total = mpf(0)
-            for t, e, c in pf:
-                total += to_mpf(c, wp) * _tail_zeta(sigma, e, Fraction(m0) + t, wp)
-            return -total if sigma == -1 and m0 % 2 == 1 else total
-
+        # sum_{n>N} sigma^n R(n) = G(N + 1 - offset), at u = N + 1/2 - offset
+        x = mpf(2) / (2 * N + 1 - 2 * offset)
+        rational_tail = mpf(0)
+        for gw in reversed(g):
+            rational_tail = (rational_tail + gw) * x
+        rational_tail *= sigma ** (N + 1 - offset)
         if p is None:
-            value = head + rational_tail(N + 1)
+            value = head + rational_tail
             tb = (abs_head + abs(value) + 1) * mpf(2) ** (-wp + 10) \
                 + abs(value) * mpf(2) ** (-prec + 1)
             return SeriesResult(round_to(value, prec), +tb, N, prec)
 
-        piece1 = mpf((hs[0], -H)) * rational_tail(N + 1)
-
-        # asymptotic expansion of G(k) = sum_{n>=k+offset} sigma^n R(n); at
-        # sigma = +1, e = 1 the ln u parts cancel across the order-1 group
-        # (its coefficients sum to zero)
-        expansion: PowerTail = {}
-        for t, e, c in pf:
-            delta = t + offset + Fraction(1, 2)
-            key = (sigma, e, delta, W, J)
-            comp = _expansion_cache.get(key)
-            if comp is None:
-                comp = _expansion_cache[key] = _tail_powers(sigma, e, delta, W, J)
-            for w, cw in comp.items():
-                expansion[w] = expansion.get(w, 0) + c * cw
-
-        powers = [w for w in sorted(expansion) if expansion[w]]
+        piece1 = mpf((hs[0], -H)) * rational_tail
+        powers = [w for w, gw in enumerate(g, 1) if gw]
         zvals = tail_zeta_batch(sigma, [w + p for w in powers], Fraction(2 * N + 1, 2), wp)
-        contribs = [to_mpf(expansion[w], wp) * z for w, z in zip(powers, zvals)]
-        piece2 = sum(contribs, mpf(0))
-        if sigma == -1 and (offset + N + 1) % 2 == 1:
-            piece2 = -piece2
+        contribs = [g[w - 1] * z for w, z in zip(powers, zvals)]
+        piece2 = sigma ** (N + 1) * sum(contribs, mpf(0))
         # continuation estimate beyond the last kept power
         trunc_est = abs(contribs[-1]) * mpf(N) ** -1 if contribs else mpf(0)
 
@@ -368,8 +299,7 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int,
 # Direct summation in fixed point, with elementary tail bounds
 # ---------------------------------------------------------------------------
 
-def _direct(sigma: int, offset: int, ps: Sequence[int],
-            pieces: Sequence[tuple[Fraction, Sequence[tuple[Fraction, int]]]], N: int, wp: int):
+def _direct(sigma: int, offset: int, ps: Sequence[int], pieces: Pieces, N: int, wp: int):
     """sum_{n<=N} sigma^n W(n) R(n) in Python ints, W(n) = prod_i h_{n-offset}^(p_i)
     and R(n) = sum_j k_j prod (n + t)^(-e) over pieces (k_j, [(t, e)]).  Returns
     the sum, the sum of |terms| and the N-th term in units of 2^-F, F, and
@@ -482,8 +412,8 @@ def euler_t_sum(spec: SumSpec, prec: int, method: str = "auto",
         return naive_sum(spec, prec, n)
     if len(spec.p) <= 1:
         p = spec.p[0] if spec.p else None
-        pf = partial_fractions(spec.factors())
-        return accel_linear_sum(p, spec.offset, spec.sigma, pf, prec)
+        return accel_linear_sum(p, spec.offset, spec.sigma, [(Fraction(1), spec.factors())],
+                                prec)
     if method == "accelerated":
         raise SpecError("accelerated evaluation covers at most one harmonic factor")
     # budgeted naive fallback for r >= 2

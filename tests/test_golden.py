@@ -7,14 +7,17 @@ The files under ``tests/golden`` hold the CSV output of
     tsum table --weight-max 13 --precision-bits 96 --tolerance 1e-20 --format csv
     tsum verify --families thm3_1,thm3_4 --precision-bits 1024 --tolerance 1e-290
         --samples=1/4,1/3 --format csv
+    tsum verify --families thm3_6,thm3_7 --precision-bits 1024 --tolerance 1e-290
+        --format csv
 
-in ``verify-96.csv``, ``table-96.csv`` and ``pair-1024.csv`` (the 1024-bit
-path: tail values at N + 1/2 far out, and a deep expansion); in
+in ``verify-96.csv``, ``table-96.csv``, ``pair-1024.csv`` (the 1024-bit
+path: tail values at N + 1/2 far out, and a deep expansion) and
+``residue-1024.csv`` (the same depth with R given in partial fractions); in
 ``eval-192.txt``, the text output of ``tsum eval ... --precision-bits 192``
 for each spec in ``EVAL_SPECS``, each block headed by its argv; and in
 ``reductions-21.txt``, one line ``name[j=..,m=..] <expression>`` for every
 reduction pair up to weight 21.  None of them carries a timestamp, so every byte is deterministic.
-A change that alters printed digits on purpose regenerates all five files
+A change that alters printed digits on purpose regenerates all six files
 with ``python tests/test_golden.py`` and says so in CHANGES.md; any other
 difference is a regression.
 """
@@ -35,6 +38,8 @@ REPORTS = {
     "table-96.csv": ["table", "--weight-max", "13", *COMMON],
     "pair-1024.csv": ["verify", "--families", "thm3_1,thm3_4", "--precision-bits", "1024",
                       "--tolerance", "1e-290", "--samples=1/4,1/3", "--format", "csv"],
+    "residue-1024.csv": ["verify", "--families", "thm3_6,thm3_7", "--precision-bits", "1024",
+                         "--tolerance", "1e-290", "--format", "csv"],
 }
 REDUCTION_WEIGHT_MAX = 21
 

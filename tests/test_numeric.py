@@ -59,8 +59,8 @@ def test_bernoulli_values():
     assert all(bernoulli(n) == 0 for n in range(3, 30, 2))
 
 
-def test_bernoulli_defining_recurrence_holds_through_64():
-    for m in range(1, 65):
+def test_bernoulli_defining_recurrence_holds_through_200():
+    for m in range(1, 201):
         assert sum(comb(m + 1, j) * bernoulli(j) for j in range(m + 1)) == 0
 
 

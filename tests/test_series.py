@@ -1,14 +1,24 @@
+import contextlib
+import io
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from mpmath import mp, mpf
 
+import tsum.identities as identities
+import tsum.series as series
+import tsum.special as special
+from test_golden import EVAL_SPECS
+from tsum.cli import main
+from tsum.identities import PartialFractionRational, verify_thm3_6, verify_thm3_7
 from tsum.numeric import real_const
 from tsum.series import (
     BudgetExceededError,
     _direct,
+    accel_linear_sum,
     DivergentSumError,
     SingularSumError,
     SumSpec,
@@ -18,7 +28,6 @@ from tsum.series import (
     harmonic,
     naive_sum,
     odd_harmonic,
-    partial_fractions,
 )
 from tsum.special import hurwitz_zeta, riemann_zeta, ttilde
 
@@ -52,6 +61,23 @@ def test_spec_validation():
     assert spec.q == (2,) and spec.a == (F(0),)
     # offset aliases
     assert SumSpec(p=(), q=(2,), a=(F(0),), harmonic_offset="n-1").harmonic_offset == "prev"
+
+
+def partial_fractions(factors):
+    """Exact decomposition prod (n+t)^(-e) = sum c/(n+t)^l over Q, as (t, l, c)
+    triples: the reference for the partial-fraction input of the engines.
+    Expanding the complementary product around each pole gives c."""
+    out = []
+    for t, e in factors:
+        expansion = [F(1)] + [F(0)] * (e - 1)
+        for t2, e2 in factors:
+            if t2 != t:
+                # (eps + t2 - t)^(-e2) expanded in eps, times the series so far
+                fac = [F((-1) ** r * comb(e2 + r - 1, r)) / (t2 - t) ** (e2 + r)
+                       for r in range(e)]
+                expansion = [sum(expansion[i] * fac[j - i] for i in range(j + 1)) for j in range(e)]
+        out += [(t, l, expansion[e - l]) for l in range(1, e + 1) if expansion[e - l]]
+    return out
 
 
 def test_partial_fractions_exact():
@@ -100,6 +126,16 @@ def test_equal_shift_parameters_are_merged():
     nai = naive_sum(spec, 64, 20000)
     with mp.workprec(128):
         assert abs(acc.value - nai.value) <= nai.tail_bound
+
+
+def test_product_of_degree_beyond_the_truncation():
+    # R(n) ~ v^-100 lies past the truncation power W (79 at 64 bits), so the
+    # rational tail is zero to every kept power
+    spec = SumSpec(p=(1,), q=(50, 50), a=(F(0), F(1, 4)), sigma=-1)
+    acc = euler_t_sum(spec, 64)
+    nai = naive_sum(spec, 64, 1000)
+    with mp.workprec(128):
+        assert abs(acc.value - nai.value) <= acc.tail_bound + nai.tail_bound
 
 
 def test_tail_bound_reported():
@@ -224,6 +260,64 @@ def test_multi_harmonic_budgeted_fallback(monkeypatch):
     monkeypatch.setattr("tsum.series.NAIVE_TERM_CAP", 1 << 15)
     with pytest.raises(BudgetExceededError):
         euler_t_sum(SumSpec(p=(1, 1), q=(2,), a=(F(1, 2),)), 192, max_terms=1 << 14)
+
+
+@pytest.mark.parametrize("p, offset", [(2, 0), (None, 0), (1, 1)])
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_near_coincident_poles_need_no_guard(p, offset, sigma):
+    # poles 10^-6 apart: the partial fractions are near 10^31 and cancel about
+    # 100 bits, yet the exact 1/v series sees only R, so either input form
+    # lands within its tail bound at the plain working precision
+    spec = SumSpec(p=() if p is None else (p,), q=(3, 3), a=(F(0), F(1, 10 ** 6)),
+                   sigma=sigma, harmonic_offset=("cur", "prev")[offset])
+    factors = spec.factors()
+    pf = [(c, [(t, e)]) for t, e, c in partial_fractions(factors)]
+    assert max(abs(c) for c, _ in pf) > 10 ** 30
+    for prec in (64, 192):
+        ref = euler_t_sum(spec, prec + 160)
+        for pieces in ([(F(1), factors)], pf):
+            res = accel_linear_sum(p, offset, sigma, pieces, prec)
+            with mp.workprec(prec + 200):
+                assert abs(res.value - ref.value) <= res.tail_bound, (prec, len(pieces))
+
+
+def test_each_accelerated_call_makes_at_most_one_batch(monkeypatch):
+    # the tail needs one batch at N + 1/2 (none without a harmonic factor)
+    # and no per-value zeta or digamma call from the series engine
+    calls = []  # [p, batches, per-value calls] per accel_linear_sum call
+    inside = []
+
+    def spy_accel(p, *args):
+        calls.append([p, 0, 0])
+        inside.append(calls[-1])
+        try:
+            return accel(p, *args)
+        finally:
+            inside.pop()
+
+    def counting(fn, slot):
+        def spy(*args):
+            if inside:
+                inside[-1][slot] += 1
+            return fn(*args)
+        return spy
+
+    accel = series.accel_linear_sum
+    monkeypatch.setattr(series, "accel_linear_sum", spy_accel)
+    monkeypatch.setattr(identities, "accel_linear_sum", spy_accel)
+    monkeypatch.setattr(series, "tail_zeta_batch", counting(series.tail_zeta_batch, 1))
+    for name in ("hurwitz_zeta", "alt_hurwitz_zeta", "digamma"):
+        spy = counting(getattr(special, name), 2)
+        monkeypatch.setattr(special, name, spy)
+        monkeypatch.setattr(series, name, spy, raising=False)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for spec in EVAL_SPECS:
+            assert main(["eval", *spec, "--precision-bits", "192"]) == 0
+    verify_thm3_6(1, PartialFractionRational.parse("(-1/4,1,12);(-1/3,1,-12)"), 96, "1e-20")
+    verify_thm3_7(2, PartialFractionRational.parse("(1/5,2,1);(-1/4,3,1)"), 96, "1e-20")
+    assert {p is None for p, _, _ in calls} == {True, False}
+    for p, batches, per_value in calls:
+        assert batches <= (0 if p is None else 1) and per_value == 0, (p, batches, per_value)
 
 
 def test_accelerated_method_rejects_multiple_factors():
