@@ -25,10 +25,10 @@ from .special import (
     DomainError,
     KernelKind,
     ZetaConvention,
-    alt_hurwitz_any,
+    alt_hurwitz_zeta,
     alt_zeta,
-    digamma_any,
-    hurwitz_any,
+    digamma,
+    hurwitz_zeta,
     kernel_jet,
     kernel_value,
     psi_jet,
@@ -90,7 +90,7 @@ def _zx(s: int, x: Frac, conv: ZetaConvention, prec: int) -> mpf:
     """Hurwitz zeta with the s = 1 convention routed through ``conv``."""
     if s == 1:
         return conv.hurwitz1(x, prec)
-    return hurwitz_any(s, x, prec)
+    return hurwitz_zeta(s, x, prec)
 
 
 def _pair_pieces(a: Frac, b: Frac, negate: bool) -> list[tuple[Frac, list[tuple[Frac, int]]]]:
@@ -119,7 +119,7 @@ class _Kernel:
         return ttilde(j, wp) if self.sigma > 0 else ttilde_bar(j, wp)
 
     def zeta(self, s: int, x: Frac, conv: ZetaConvention, wp: int) -> mpf:
-        return _zx(s, x, conv, wp) if self.sigma > 0 else alt_hurwitz_any(s, x, wp)
+        return _zx(s, x, conv, wp) if self.sigma > 0 else alt_hurwitz_zeta(s, x, wp)
 
 
 _TAN = _Kernel(KernelKind.PI_TAN, 1, 2)
@@ -335,13 +335,13 @@ def _derivative_sum(r: PartialFractionRational, d: int, wp: int, alternating: bo
         q = m + d
         rising = factorial(m + d - 1) // factorial(m - 1)
         if alternating:
-            sigma = alt_hurwitz_any(q, -beta, wp)
+            sigma = alt_hurwitz_zeta(q, -beta, wp)
         elif q == 1:
             # grouped below through digamma (coefficients sum to zero)
-            psi_part -= to_mpf(c, wp) * digamma_any(-beta, wp)
+            psi_part -= to_mpf(c, wp) * digamma(-beta, wp)
             continue
         else:
-            sigma = hurwitz_any(q, -beta, wp)
+            sigma = hurwitz_zeta(q, -beta, wp)
         total += to_mpf(c, wp) * sgn * rising * sigma
     return total + psi_part
 
@@ -388,7 +388,9 @@ def _verify_residue(kern: _Kernel, family: str, p: int, r: PartialFractionRation
         rat1 = accel_linear_sum(None, 0, kern.sigma, pf1, wp)
         term1 = -kern.sigma * (sgn * tp * rat1.value + sum1.value)
         sum2 = accel_linear_sum(p, 1, kern.sigma, pf2, wp)
-        rat2 = accel_linear_sum(None, 0, kern.sigma, pf2, wp)
+        # a sum with no harmonic factor does not depend on the offset; offset 1
+        # shares sum2's expansion key, so that expansion is built once
+        rat2 = accel_linear_sum(None, 1, kern.sigma, pf2, wp)
         term2 = -sgn * (tp * rat2.value - sum2.value)
         term3 = mpf(0)
         for j in range(kern.first_j, p + 1, 2):

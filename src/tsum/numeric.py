@@ -2,9 +2,12 @@
 
 All real arithmetic rides on mpmath ``mpf`` values (binary mantissa/exponent,
 deterministic round-to-nearest at the active precision).  Every public
-operation in this package takes a target precision ``prec`` in bits, works
-internally at ``prec`` plus guard bits, and rounds the result back to
-``prec``.  Exact rational bookkeeping uses ``fractions.Fraction``.
+operation in this package takes a target precision ``prec`` in bits.  A
+special value (zeta, digamma, a depth-1 constant) is rounded once to
+``prec`` from the exact integers of the fixed-point kernel; only composite
+computations work at ``prec`` plus guard bits and round the result back to
+``prec``.  Exact rational bookkeeping uses ``fractions.Fraction``, and a
+fraction becomes an mpf by one correct rounding.
 
 Parallelism is process-only: ``mp.workprec`` mutates mpmath's
 process-global context, so no computation here may run on two threads of
@@ -18,6 +21,7 @@ from fractions import Fraction
 from typing import Union
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 Rational = Union[int, Fraction]
 RealLike = Union[int, Fraction, mpf]
@@ -61,10 +65,10 @@ def tolerance_mpf(tol, wp: int) -> mpf:
 
 
 def to_mpf(x: RealLike, prec: int) -> mpf:
-    """Convert ``x`` to an mpf rounded at ``prec`` bits."""
+    """Convert ``x`` to an mpf correctly rounded at ``prec`` bits."""
+    if isinstance(x, Fraction):
+        return mp.make_mpf(from_rational(x.numerator, x.denominator, prec, round_nearest))
     with mp.workprec(prec):
-        if isinstance(x, Fraction):
-            return mpf(x.numerator) / x.denominator
         return +mpf(x)
 
 

@@ -1,15 +1,16 @@
 """Single-variable special functions and their jets.
 
 One fixed-point kernel computes every Hurwitz zeta, alternating Hurwitz
-zeta and digamma value: sum_{n>=0} sigma^n (n + x)^(-s) at a rational
-x > 0, in integers scaled by 2^F.  For each exponent it sums the series
-directly when its terms fall below 2^-F within the head that the
-asymptotic series would need; otherwise it adds that head to
-Euler-Maclaurin (sigma = +1) or Boole summation (sigma = -1) at x + n.
-Digamma is the sigma = +1, s = 1 case plus a logarithm.  Taylor
-recurrences give the trigonometric kernels, and exact unit shifts extend
-the x > 0 domain to every admissible rational argument the identity checks
-need.  The zeta family takes rational arguments only.
+zeta and digamma value: sum_{n>=0} sigma^n (n + x)^(-s) at a rational x
+that is not a non-positive integer, in integers scaled by 2^F.  For each
+exponent it sums the series directly when its terms fall below 2^-F within
+the head that the asymptotic series would need; otherwise it adds that
+head to Euler-Maclaurin (sigma = +1) or Boole summation (sigma = -1) at
+x + n.  Digamma is minus the sigma = +1, s = 1 case, whose divergent
+1/(s-1) gives way to a logarithm.  F rises until each value keeps
+prec + 56 bits, and each value is rounded once; the depth-1 constants are
+such values times +-2^k.  Taylor recurrences give the trigonometric
+kernels.  The zeta family takes rational arguments only.
 
 ``tail_zeta_batch`` serves the many exponents the series engine needs at
 one point in one pass; the per-value functions are batches of one, cached
@@ -32,6 +33,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
 from .jets import JetSeries, jet_from_coeffs, jet_mul, jet_recip
 from .numeric import (
@@ -43,6 +45,8 @@ from .numeric import (
     to_mpf,
     working_prec,
 )
+
+_HALF = Fraction(1, 2)
 
 
 class DomainError(ValueError):
@@ -70,26 +74,40 @@ def _rational(x: Rational, name: str) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _admissible(x: Rational, name: str) -> Fraction:
+    """x as a Fraction, if rational and not a non-positive integer."""
+    x = _rational(x, name)
+    if x.denominator == 1 and x <= 0:
+        raise DomainError(f"{name} is undefined at the non-positive integer {x}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # The fixed-point kernel: many exponents at one point
 # ---------------------------------------------------------------------------
 
 def _scaled_tail(sigma: int, s: int, Y: int, D: int, F: int) -> int:
     """2^F y^(s-1) sum_{n>=0} sigma^n (n + y)^(-s) at y = Y/D, in fixed point;
-    at sigma = +1, s = 1 the divergent 1/(s-1) is left out.
+    at sigma = +1, s = 1 the constant term of the Laurent series at s = 1,
+    -psi(y), where y^(1-s)/(s-1) leaves -ln y.
 
     Euler-Maclaurin gives 1/(s-1) + 1/(2y) + sum_k c_k (s)_(2k-1) y^(-2k),
     c_k = B_2k/(2k)!; Boole summation the same without 1/(s-1) and with
-    (4^k - 1) c_k, each held to F + 8 bits.  For these completely monotone
-    summands the remainder is at most the first omitted term, so the loop
-    stops at the first term below one unit; past the smallest term, at
-    s + 2k > c pi y, it raises ArithmeticError.
+    (4^k - 1) c_k, each held to F + 8 bits (ln y to F + 16).  For these
+    completely monotone summands the remainder is at most the first omitted
+    term, so the loop stops at the first term below one unit; past the
+    smallest term, at s + 2k > c pi y, it raises ArithmeticError.
     """
     table = _coeff_tables[sigma]
     if table[0] < F:
         table[:] = [1 << (F - 1).bit_length(), []]
     G, coeffs = table
-    v = (D << F) // (2 * Y) + ((1 << F) // (s - 1) if sigma == 1 and s > 1 else 0)
+    v = (D << F) // (2 * Y)
+    if sigma == 1 and s > 1:
+        v += (1 << F) // (s - 1)
+    elif sigma == 1:
+        with mp.workprec(F + 16):
+            v -= int(mp.ldexp(mp.ln(mpf(Y) / D), F))
     Y2, D2 = Y * Y, D * D
     kmax = ((2 if sigma == 1 else 1) * math.pi * Y / D - s) / 2 + 1
     rise = (s * D2 << F) // Y2  # 2^F (s)_(2k-1) y^(-2k), floored
@@ -114,42 +132,45 @@ def _head_length(sigma: int, s: int, x: Fraction, bits: int) -> int:
     2^-(bits + 8): its smallest term is about exp(-(z - s ln(z/s) - s)),
     z = c pi (x + n), with c = 2 for sigma = +1 and 1 for sigma = -1.  Past
     z = s that exponent grows with z, and it exceeds b = (bits + 8) ln 2 by
-    z = 3 (s + b)."""
+    z = 3 (s + b); at x < 0 the search starts -x further out."""
     c = (2 if sigma == 1 else 1) * math.pi
 
     def reached(n: int) -> bool:
         z = c * float(x + n)
         return z > s and z - s * math.log(z / s) - s >= (bits + 8) * math.log(2)
 
-    return bisect.bisect_left(range(math.ceil(3 * (s + bits + 8) / c) + 1), True, key=reached)
+    top = math.ceil(3 * (s + bits + 8) / c + max(0, -x))
+    return bisect.bisect_left(range(top + 1), True, key=reached)
 
 
 def _direct_length(sigma: int, s: int, x: Fraction, F: int, n: int) -> int:
-    """Fewest terms M <= n after which x^(s-1) |sum_{j>=M} sigma^j (x+j)^(-s)|
-    < 2^-F, else n + 1.  The rest is at most (x+M)^(-s), times
+    """Fewest terms M <= n after which |x^(s-1) sum_{j>=M} sigma^j (x+j)^(-s)|
+    < 2^-F, else n + 1.  Past x + M > 0 the rest is at most (x+M)^(-s), times
     1 + (x+M)/(s-1) for sigma = +1 (whose s = 1 series diverges)."""
     if sigma == 1 and s == 1:
         return n + 1
 
     def small(M: int) -> bool:
+        if x + M <= 0:
+            return False
         y = float(x + M)
-        rest = (s - 1) * math.log(x) - s * math.log(y)
+        rest = (s - 1) * math.log(abs(x)) - s * math.log(y)
         return rest + (math.log1p(y / (s - 1)) if sigma == 1 else 0) < -F * math.log(2)
 
     return bisect.bisect_left(range(n + 1), True, key=small)
 
 
-def _fixed_sums(sigma: int, ss: list[int], x: Fraction, F: int) -> tuple[int, list[int]]:
+def _fixed_sums(sigma: int, ss: list[int], x: Fraction, F: int) -> list[int]:
     """2^F x^(s-1) sum_{j>=0} sigma^j (x + j)^(-s) for sorted distinct ss, each
-    within a few units per term, and the head n of the asymptotic path.
+    within a few units per term; at sigma = +1, s = 1, 2^F (-psi(x)).
 
-    That head reaches twice the bits, so that the series stops far short of
-    its smallest term and of the Bernoulli numbers that term needs.  An
-    exponent whose terms fall below 2^-F within its own such head is summed
-    directly, one floor division per term.  As the terms fall faster and the
-    head grows with s, these are the largest exponents, so the search runs
-    down from the top; the rest share the head n of the largest of them.
-    With y = x + n and V_s(y) from ``_scaled_tail``,
+    The head n of the asymptotic path reaches twice the bits, so that the
+    series stops far short of its smallest term and of the Bernoulli numbers
+    that term needs.  An exponent whose terms fall below 2^-F within its own
+    such head is summed directly, one floor division per term.  As the terms
+    fall faster and the head grows with s, these are the largest exponents,
+    so the search runs down from the top; the rest share the head n of the
+    largest of them.  With y = x + n > 0 and V_s(y) from ``_scaled_tail``,
     V_s(x) = sum_{j<n} sigma^j (x/(x+j))^(s-1)/(x+j) + sigma^n (x/y)^(s-1) V_s(y).
     The ratio powers start from one floor division at the first such
     exponent and take one floored factor per later unit of s.
@@ -177,42 +198,47 @@ def _fixed_sums(sigma: int, ss: list[int], x: Fraction, F: int) -> tuple[int, li
         v = sigma ** n * ratio[n] * _scaled_tail(sigma, s, num + n * den, den, F) >> F
         out.append(v + sum(sigma ** j * r * den // (num + j * den)
                            for j, r in enumerate(ratio[:n])))
-    return n, out
-
-
-def _zeta_batch(sigma: int, ss: list[int], x: Fraction, prec: int) -> list[mpf]:
-    """Uncached ``tail_zeta_batch`` for sorted distinct ss."""
-    num, den = x.numerator, x.denominator
-    F = prec + 64 + (2 * num // den + 1).bit_length() + ss[-1].bit_length()
-    out = []
-    for s, v in zip(ss, _fixed_sums(sigma, ss, x, F)[1]):
-        # zeta = v 2^-F x^(1-s): at least prec + 32 bits of the quotient, then round
-        a, b = v * den ** (s - 1), num ** (s - 1)
-        shift = max(0, prec + 32 - a.bit_length() + b.bit_length())
-        with mp.workprec(prec):
-            out.append(mpf(((a << shift) // b, -F - shift)))
     return out
 
 
+def _zeta_batch(sigma: int, ss, x: Fraction, prec: int) -> list[mpf]:
+    """Kernel values for the exponents ss at x, each rounded once at ``prec``
+    and cached under (s, point).
+
+    The one precision rule: a fixed-point sum v of ``_fixed_sums`` errs by a
+    few units per term, so it must keep prec + 56 bits; an exponent that
+    falls short (its value cancels, next to a zero at x < 0 or of digamma)
+    is summed again with F raised by the shortfall."""
+    num, den = x.numerator, x.denominator
+    point = (sigma, num, den, prec)
+    todo = sorted({s for s in ss if (s, point) not in _zeta_cache})
+    F = prec + 64 + (2 * num // den + 1).bit_length() + max(todo, default=0).bit_length()
+    while todo:
+        short = {}
+        for s, v in zip(todo, _fixed_sums(sigma, todo, x, F)):
+            lack = prec + 56 - abs(v).bit_length()
+            if lack > 0:
+                short[s] = lack
+            else:  # zeta = v 2^-F x^(1-s)
+                _zeta_cache[s, point] = mp.make_mpf(from_rational(
+                    v * den ** (s - 1), num ** (s - 1) << F, prec, round_nearest))
+        todo = sorted(short)
+        F += max(short.values(), default=0)
+    return [_zeta_cache[s, point] for s in ss]
+
+
 def tail_zeta_batch(sigma: int, ss, x: Rational, prec: int) -> list[mpf]:
-    """sum_{n>=0} sigma^n (n + x)^(-s) at one rational x > 0 for every integer
-    s in ``ss``, s >= 2 at sigma = +1 (Hurwitz zeta) and s >= 1 at sigma = -1
-    (alternating Hurwitz zeta), rounded at ``prec``; one fixed-point pass
-    serves every exponent not yet cached.  Digamma is the kernel's
-    sigma = +1, s = 1 case (``digamma``)."""
-    x = _rational(x, "the zeta family")
-    point = (sigma, x.numerator, x.denominator, prec)
-    values = [_zeta_cache.get((s, point)) for s in ss]
-    if any(v is None for v in values):
-        if sigma not in (1, -1) or not x > 0 or any(s < (2 if sigma == 1 else 1) for s in ss):
-            raise DomainError(f"sigma = {sigma}, x = {x}, s in {sorted(ss)}: the zeta family needs "
-                              "sigma = +-1, x > 0, s >= 2 (zeta(1; x) is convention-only), s >= 1 "
-                              "at sigma = -1")
-        todo = sorted({s for s, v in zip(ss, values) if v is None})
-        for s, value in zip(todo, _zeta_batch(sigma, todo, x, prec)):
-            _zeta_cache[s, point] = value
-        values = [_zeta_cache[s, point] for s in ss]
-    return values
+    """sum_{n>=0} sigma^n (n + x)^(-s) at one rational x, not a non-positive
+    integer, for every integer s in ``ss``, s >= 2 at sigma = +1 (Hurwitz
+    zeta) and s >= 1 at sigma = -1 (alternating Hurwitz zeta), each rounded
+    once at ``prec``; one fixed-point pass serves every exponent not yet
+    cached.  Digamma is minus the kernel's sigma = +1, s = 1 value (``digamma``)."""
+    x = _admissible(x, "the zeta family")
+    if sigma not in (1, -1) or any(s < (2 if sigma == 1 else 1) for s in ss):
+        raise DomainError(f"sigma = {sigma}, s in {sorted(ss)}: the zeta family needs "
+                          "sigma = +-1, s >= 2 (zeta(1; x) is convention-only), s >= 1 "
+                          "at sigma = -1")
+    return _zeta_batch(sigma, ss, x, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +246,8 @@ def tail_zeta_batch(sigma: int, ss, x: Rational, prec: int) -> list[mpf]:
 # ---------------------------------------------------------------------------
 
 def hurwitz_zeta(s: int, a: Rational, prec: int) -> mpf:
-    """Hurwitz zeta zeta(s; a) = sum_{n>=0} (n+a)^(-s), integer s >= 2, rational a > 0."""
+    """Hurwitz zeta zeta(s; a) = sum_{n>=0} (n+a)^(-s), integer s >= 2, rational a
+    not a non-positive integer."""
     return tail_zeta_batch(1, [s], a, prec)[0]
 
 
@@ -232,7 +259,8 @@ def riemann_zeta(s: int, prec: int) -> mpf:
 
 
 def alt_hurwitz_zeta(s: int, a: Rational, prec: int) -> mpf:
-    """Alternating Hurwitz zeta sum_{n>=0} (-1)^n (n+a)^(-s), s >= 1, rational a > 0."""
+    """Alternating Hurwitz zeta sum_{n>=0} (-1)^n (n+a)^(-s), s >= 1, rational a
+    not a non-positive integer."""
     return tail_zeta_batch(-1, [s], a, prec)[0]
 
 
@@ -246,37 +274,18 @@ def alt_zeta(s: int, prec: int) -> mpf:
 
 
 def digamma(a: Rational, prec: int) -> mpf:
-    """psi(a) for rational a > 0: ln y minus the kernel's s = 1 sum
-    sum_{j<n} 1/(a+j) + 1/(2y) + sum_k B_2k/(2k) y^(-2k) at y = a + n, with
-    F raised until the difference keeps prec + 48 bits."""
-    a = _rational(a, "digamma")
-    if not a > 0:
-        raise DomainError("digamma requires a > 0")
-    key = ("psi", a.numerator, a.denominator, prec)
-    cached = _zeta_cache.get(key)
-    if cached is not None:
-        return cached
-    num, den = a.numerator, a.denominator
-    F = prec + 64 + (2 * num // den + 1).bit_length()
-    while True:
-        n, (v,) = _fixed_sums(1, [1], a, F)
-        with mp.workprec(F):
-            ln_y = mp.ln(mpf(num + n * den) / den)
-            value = ln_y - mpf((v, -F))
-        lost = max(mp.mag(ln_y), v.bit_length() - F) - mp.mag(value) if value else F
-        if F - lost >= prec + 48:
-            break
-        F = prec + lost + 64
-    value = round_to(value, prec)
-    _zeta_cache[key] = value
-    return value
+    """psi(a) for rational a, not a non-positive integer: minus the kernel's
+    sigma = +1, s = 1 value, sum_{j<n} 1/(a+j) - ln y + 1/(2y) + sum_k
+    B_2k/(2k) y^(-2k) at y = a + n."""
+    return mp.fneg(_zeta_batch(1, [1], _admissible(a, "digamma"), prec)[0], exact=True)
 
 
 def hurwitz_zeta1(a: Rational, prec: int) -> mpf:
-    """The zeta(1; a) convention value psi(1/2) - psi(a), for a > 0."""
+    """The zeta(1; a) convention value psi(1/2) - psi(a), for rational a not a
+    non-positive integer."""
     wp = prec + 8
     with mp.workprec(wp):
-        return round_to(digamma(Fraction(1, 2), wp) - digamma(a, wp), prec)
+        return round_to(digamma(_HALF, wp) - digamma(a, wp), prec)
 
 
 def param_digamma_deriv(p: int, a: Rational, prec: int) -> mpf:
@@ -296,58 +305,6 @@ def param_digamma_deriv(p: int, a: Rational, prec: int) -> mpf:
 
 
 # ---------------------------------------------------------------------------
-# Shift helpers extending the a > 0 domain to all admissible rational arguments
-# ---------------------------------------------------------------------------
-
-def _unit_shift(x: Fraction, s: int, alternating: bool) -> tuple[int, Fraction]:
-    """Unit shifts K taking x to x + K > 0, and the exact finite part
-    sum_{j<K} (+-1)^j (x + j)^(-s) that they move out of the series."""
-    if x.denominator == 1 and x <= 0:
-        raise DomainError(f"undefined at the non-positive integer {x}")
-    K = 0 if x > 0 else int(math.floor(-x)) + 1
-    finite = sum((Fraction(-1 if alternating and j % 2 else 1) / (x + j) ** s
-                  for j in range(K)), Fraction(0))
-    return K, finite
-
-
-def hurwitz_any(s: int, x: Rational, prec: int) -> mpf:
-    """zeta(s; x) for any rational x not a non-positive integer, via unit shifts."""
-    x = _rational(x, "hurwitz_any")
-    K, finite = _unit_shift(x, s, False)
-    wp = prec + 16
-    with mp.workprec(wp):
-        return round_to(to_mpf(finite, wp) + hurwitz_zeta(s, x + K, wp), prec)
-
-
-def alt_hurwitz_any(s: int, x: Rational, prec: int) -> mpf:
-    """Alternating Hurwitz zeta at any rational non-(non-positive-integer) x."""
-    x = _rational(x, "alt_hurwitz_any")
-    K, finite = _unit_shift(x, s, True)
-    wp = prec + 16
-    with mp.workprec(wp):
-        tail = alt_hurwitz_zeta(s, x + K, wp)
-        if K % 2 == 1:
-            tail = -tail
-        return round_to(to_mpf(finite, wp) + tail, prec)
-
-
-def digamma_any(x: Rational, prec: int) -> mpf:
-    """psi(x) for any rational x not a non-positive integer."""
-    x = _rational(x, "digamma_any")
-    K, finite = _unit_shift(x, 1, False)
-    wp = prec + 16
-    with mp.workprec(wp):
-        return round_to(digamma(x + K, wp) - to_mpf(finite, wp), prec)
-
-
-def hurwitz_zeta1_any(x: Rational, prec: int) -> mpf:
-    """The zeta(1; x) convention psi(1/2) - psi(x) at any admissible rational x."""
-    wp = prec + 8
-    with mp.workprec(wp):
-        return round_to(digamma(Fraction(1, 2), wp) - digamma_any(x, wp), prec)
-
-
-# ---------------------------------------------------------------------------
 # Conventions for the divergent boundary symbols
 # ---------------------------------------------------------------------------
 
@@ -357,73 +314,68 @@ class ZetaConvention:
 
     enabled: bool = True
 
-    def hurwitz1(self, a: RealLike, prec: int) -> mpf:
+    def hurwitz1(self, a: Rational, prec: int) -> mpf:
         if not self.enabled:
             return mpf(0)
-        return hurwitz_zeta1_any(a, prec)
+        return hurwitz_zeta1(a, prec)
 
 
 DEFAULT_CONVENTION = ZetaConvention()
 
 
 # ---------------------------------------------------------------------------
-# Depth-1 t / T values
+# Depth-1 t / T values: one kernel value at 1/2 times +-2^k, exactly
 # ---------------------------------------------------------------------------
 
 def single_t(s: int, prec: int) -> mpf:
-    """t(s) = (1 - 2^-s) zeta(s), s >= 2."""
+    """t(s) = sum_{n>=1} (2n-1)^(-s) = 2^-s zeta(s; 1/2), s >= 2."""
     if s < 2:
         raise DomainError("single_t requires s >= 2 (t(1) diverges)")
-    with mp.workprec(prec + 8):
-        return round_to((1 - mpf(2) ** (-s)) * riemann_zeta(s, prec + 8), prec)
+    return mp.ldexp(hurwitz_zeta(s, _HALF, prec), -s)
 
 
 def dirichlet_beta(s: int, prec: int) -> mpf:
     """beta(s) = sum_{n>=0} (-1)^n (2n+1)^(-s) = 2^-s alt_hurwitz_zeta(s, 1/2), s >= 1."""
     if s < 1:
         raise DomainError("dirichlet_beta requires s >= 1")
-    return mp.ldexp(alt_hurwitz_zeta(s, Fraction(1, 2), prec), -s)
+    return mp.ldexp(alt_hurwitz_zeta(s, _HALF, prec), -s)
 
 
 def single_t_bar(s: int, prec: int) -> mpf:
     """t(s with alternating sign) = sum_{n>=1} (-1)^n (2n-1)^(-s) = -beta(s)."""
     if s < 1:
         raise DomainError("single_t_bar requires s >= 1")
-    return round_to(-dirichlet_beta(s, prec + 4), prec)
+    return mp.fneg(dirichlet_beta(s, prec), exact=True)
 
 
 def ttilde(s: int, prec: int) -> mpf:
-    """ttilde(s) = 2^s t(s) = sum (n-1/2)^(-s); ttilde(1) is 0 by convention."""
+    """ttilde(s) = 2^s t(s) = zeta(s; 1/2); ttilde(1) is 0 by convention."""
     if s < 1:
         raise DomainError("ttilde requires s >= 1")
     if s == 1:
         return mpf(0)
-    with mp.workprec(prec + 8):
-        return round_to(mpf(2) ** s * single_t(s, prec + 8), prec)
+    return hurwitz_zeta(s, _HALF, prec)
 
 
 def ttilde_bar(s: int, prec: int) -> mpf:
-    """Alternating ttilde(s) = 2^s t_bar(s)."""
+    """Alternating ttilde(s) = 2^s t_bar(s) = -alt_hurwitz_zeta(s, 1/2)."""
     if s < 1:
         raise DomainError("ttilde_bar requires s >= 1")
-    with mp.workprec(prec + 8):
-        return round_to(mpf(2) ** s * single_t_bar(s, prec + 8), prec)
+    return mp.fneg(alt_hurwitz_zeta(s, _HALF, prec), exact=True)
 
 
 def single_T(s: int, prec: int) -> mpf:
-    """Depth-1 T value, T(s) = 2 t(s), s >= 2."""
+    """Depth-1 T value, T(s) = 2 t(s) = 2^(1-s) zeta(s; 1/2), s >= 2."""
     if s < 2:
         raise DomainError("single_T requires s >= 2")
-    with mp.workprec(prec + 8):
-        return round_to(2 * single_t(s, prec + 8), prec)
+    return mp.ldexp(hurwitz_zeta(s, _HALF, prec), 1 - s)
 
 
 def single_T_bar(s: int, prec: int) -> mpf:
-    """Depth-1 alternating T value, 2 t_bar(s), s >= 1."""
+    """Depth-1 alternating T value, 2 t_bar(s) = -2^(1-s) alt_hurwitz_zeta(s, 1/2), s >= 1."""
     if s < 1:
         raise DomainError("single_T_bar requires s >= 1")
-    with mp.workprec(prec + 8):
-        return round_to(2 * single_t_bar(s, prec + 8), prec)
+    return mp.fneg(mp.ldexp(alt_hurwitz_zeta(s, _HALF, prec), 1 - s), exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +481,7 @@ def psi_jet(p: int, base: Rational, order: int, prec: int) -> JetSeries:
 
     At non-negative integer bases the function has a pole of order p and the
     jet carries pole_order = p; elsewhere it is analytic.  Coefficients come
-    from shifted power sums (Hurwitz zeta via finite shifts), except the
+    from Hurwitz zeta values at -base (finite sums at the poles), except the
     lone logarithmically divergent p = 1 constant term, which is the exact
     digamma difference psi(-base) - psi(1/2).
     """
@@ -569,9 +521,9 @@ def psi_jet(p: int, base: Rational, order: int, prec: int) -> JetSeries:
             for j in range(order + 1):
                 q = p + j
                 if q == 1:
-                    coeffs.append(+(digamma_any(-base, wp) - digamma(Fraction(1, 2), wp)))
+                    coeffs.append(+(digamma(-base, wp) - digamma(_HALF, wp)))
                 else:
-                    sigma = hurwitz_any(q, -base, wp)
+                    sigma = hurwitz_zeta(q, -base, wp)
                     coeffs.append(+(sign * fac * comb(p - 1 + j, j) * sigma))
             pole_order = 0
     return jet_from_coeffs(base, [round_to(v, prec) for v in coeffs], prec, pole_order=pole_order)

@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 from mpmath import mp, mpf
 
+import tsum.series as series
 from tsum.identities import (
     HypothesisError,
     PartialFractionRational,
@@ -99,6 +100,16 @@ class TestResidueTheorems:
             r = PartialFractionRational.parse(rtext)
             assert verify_thm3_6(p, r, P, "1e-35").passed, (p, rtext)
             assert verify_thm3_7(p, r, P, "1e-35").passed, (p, rtext)
+
+    def test_each_expansion_is_built_once(self, monkeypatch):
+        # the sum with no harmonic factor shares the offset-1 expansion key:
+        # two builds per case, one per half-shifted form of r
+        monkeypatch.setattr(series, "_expansion_cache", {})
+        for p, rtext in RESIDUE_CASE_CATALOG:
+            r = PartialFractionRational.parse(rtext)
+            verify_thm3_6(p, r, P, "1e-35")
+            verify_thm3_7(p, r, P, "1e-35")
+        assert len(series._expansion_cache) == 2 * 2 * len(RESIDUE_CASE_CATALOG)
 
     def test_pair_specialization_matches_pair_theorems(self):
         # r(z) = 1/((z+a)(z+b)) in partial fractions reproduces the two-pole checks

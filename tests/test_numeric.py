@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_rational, round_nearest
 
-from tsum.numeric import PrecisionError, bernoulli, real_const, real_to_str
+from tsum.numeric import PrecisionError, bernoulli, real_const, real_to_str, to_mpf
 from tsum.special import digamma, hurwitz_zeta, riemann_zeta, ttilde
 
 PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097"
@@ -32,6 +34,15 @@ def test_euler_gamma_against_digamma_oracle():
     # gamma = -psi(1), with psi computed by the shifted asymptotic engine
     with mp.workprec(256):
         assert abs(real_const("euler_gamma", 192) + digamma(1, 200)) < mpf(2) ** -186
+
+
+def test_fraction_conversion_is_correctly_rounded():
+    # mpf(p) / q rounds twice and misses about one conversion in four here
+    rng = random.Random(9)
+    for _ in range(20000):
+        p = rng.getrandbits(200) - (1 << 199)
+        q = rng.getrandbits(120) | 1
+        assert to_mpf(Fraction(p, q), 64)._mpf_ == from_rational(p, q, 64, round_nearest)
 
 
 def test_unknown_constant_rejected():

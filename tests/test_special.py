@@ -12,13 +12,10 @@ from tsum.special import (
     DomainError,
     KernelKind,
     PoleProximityError,
-    alt_hurwitz_any,
     alt_hurwitz_zeta,
     alt_zeta,
     digamma,
-    digamma_any,
     dirichlet_beta,
-    hurwitz_any,
     hurwitz_zeta,
     hurwitz_zeta1,
     kernel_jet,
@@ -29,6 +26,7 @@ from tsum.special import (
     single_t,
     single_t_bar,
     single_T,
+    single_T_bar,
     tail_zeta_batch,
     ttilde,
     ttilde_bar,
@@ -173,15 +171,15 @@ class TestHurwitz:
         with pytest.raises(DomainError):
             hurwitz_zeta(1, Fraction(1, 2), P)
         with pytest.raises(DomainError):
-            hurwitz_zeta(2, Fraction(-1, 2), P)
+            hurwitz_zeta(2, Fraction(-3), P)
 
     def test_negative_shift_reading(self):
-        # zeta(s; x) at negative rational x via finite shifts; (-1/5)^(-2) = 25
+        # zeta(s; x) at negative rational x; (-1/5)^(-2) = 25
         with mp.workprec(P + 16):
             want = mpf(25) + hurwitz_zeta(2, Fraction(4, 5), P + 16)
-            assert _gap(hurwitz_any(2, Fraction(-1, 5), P), want) < TIGHT
+            assert _gap(hurwitz_zeta(2, Fraction(-1, 5), P), want) < TIGHT
         with pytest.raises(DomainError):
-            hurwitz_any(2, Fraction(-3), P)
+            hurwitz_zeta(2, Fraction(-3), P)
 
 
 class TestDigamma:
@@ -206,7 +204,7 @@ class TestDigamma:
     def test_negative_argument_recurrence(self):
         with mp.workprec(P + 16):
             want = digamma(Fraction(4, 5), P + 16) + mpf(5)
-            assert _gap(digamma_any(Fraction(-1, 5), P), want) < TIGHT
+            assert _gap(digamma(Fraction(-1, 5), P), want) < TIGHT
 
     def test_hurwitz_zeta1_convention(self):
         assert _gap(hurwitz_zeta1(Fraction(1, 2), P), 0) == 0
@@ -292,9 +290,18 @@ class TestSingleValues:
                 assert abs(single_T(s, P) - 2 * single_t(s, P)) < TIGHT
 
     def test_ttilde_is_hurwitz_at_half(self):
-        tol = mpf(2) ** (12 - P)
-        for s in (2, 3, 4):
-            assert _gap(ttilde(s, P), hurwitz_zeta(s, Fraction(1, 2), P)) < tol
+        # ttilde and the alternating ttilde, t and T are one kernel value at
+        # 1/2 times +-2^k, bit for bit
+        half = Fraction(1, 2)
+        for s in (1, 2, 3, 4, 7):
+            eta = mp.fneg(alt_hurwitz_zeta(s, half, P), exact=True)
+            assert ttilde_bar(s, P) == eta
+            assert single_t_bar(s, P) == mp.ldexp(eta, -s)
+            assert single_T_bar(s, P) == mp.ldexp(eta, 1 - s)
+            if s > 1:
+                zeta = hurwitz_zeta(s, half, P)
+                assert ttilde(s, P) == zeta
+                assert single_T(s, P) == mp.ldexp(zeta, 1 - s)
         assert ttilde(1, P) == 0
 
 
@@ -396,6 +403,13 @@ GRID = [(fn, s, x, prec) for prec in GRID_PRECS for s in GRID_SS
         + [("alt_hurwitz_zeta", x) for x in GRID_XS]]
 
 
+NEGATIVE_XS = tuple(map(Fraction, ("-1/5", "-2/7", "-3/7", "-999/1000", "-1/1000000", "-47/3",
+                                    "-1500001/1000000")))
+NEAR_ZEROS = [("hurwitz_zeta", 3, Fraction(-495715676913038394103902059399, 10 ** 30)),
+              ("alt_hurwitz_zeta", 2, Fraction(-510662050514297988828484780952, 10 ** 30)),
+              ("digamma", 1, Fraction(-504083008264455409258269304533, 10 ** 30))]
+
+
 def _mpmath_reference(fn, s, x, wp):
     """mpmath's value at wp bits; the alternating ones pair even and odd
     terms, 2^-s (zeta(s; a/2) - zeta(s; (a+1)/2)), or halve a digamma
@@ -446,11 +460,24 @@ class TestReferenceGrid:
         # psi(x) ~ -4e-17 here: ln y and the kernel sum cancel about 56 bits
         _assert_within_one_ulp("digamma", 1, Fraction(14616321449683623, 10 ** 16), prec)
 
+    @pytest.mark.parametrize("prec", [64, 192])
+    @pytest.mark.parametrize("x", NEGATIVE_XS)
+    def test_negative_arguments(self, x, prec):
+        for fn, s in (("hurwitz_zeta", 2), ("hurwitz_zeta", 7), ("alt_hurwitz_zeta", 1),
+                      ("alt_hurwitz_zeta", 2), ("digamma", 1)):
+            _assert_within_one_ulp(fn, s, x, prec)
+
+    @pytest.mark.parametrize("prec", [64, 192])
+    @pytest.mark.parametrize("fn, s, x", NEAR_ZEROS)
+    def test_next_to_a_zero_at_negative_x(self, fn, s, x, prec):
+        # the value cancels about 100 bits: the kernel raises F by the shortfall
+        _assert_within_one_ulp(fn, s, x, prec)
+
     @pytest.mark.parametrize("call", [
         lambda x: hurwitz_zeta(2, x, 64), lambda x: alt_hurwitz_zeta(2, x, 64),
         lambda x: alt_hurwitz_zeta(1, x, 64), lambda x: digamma(x, 64),
-        lambda x: tail_zeta_batch(-1, [2, 3], x, 64), lambda x: hurwitz_any(2, -x, 64),
-        lambda x: alt_hurwitz_any(2, -x, 64), lambda x: digamma_any(-x, 64),
+        lambda x: tail_zeta_batch(-1, [2, 3], x, 64), lambda x: hurwitz_zeta(2, -x, 64),
+        lambda x: alt_hurwitz_zeta(2, -x, 64), lambda x: digamma(-x, 64),
         lambda x: psi_jet(2, -x, 1, 64),
     ])
     def test_non_rational_argument_is_a_domain_error(self, call):
