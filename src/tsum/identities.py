@@ -19,7 +19,8 @@ from mpmath import mp, mpf
 
 from .jets import jet_from_coeffs, jet_mul, jet_residue, jet_scale
 from .numeric import real_const, round_to, to_mpf, tolerance_mpf
-from .series import SeriesResult, accel_linear_sum
+from .series import (SeriesResult, SumSpec, accel_linear_sum, euler_t_sum, harmonic,
+                     odd_harmonic)
 from .special import (
     DEFAULT_CONVENTION,
     DomainError,
@@ -195,7 +196,6 @@ def _check_single_a(a: Frac, reflect: bool) -> None:
 
 
 def _pure_series(q: Sequence[int], a_params: Sequence[Frac], sigma: int, wp: int) -> SeriesResult:
-    from .series import SumSpec, euler_t_sum
     spec = SumSpec(p=(), q=tuple(q), a=tuple(a_params), sigma=sigma)
     return euler_t_sum(spec, wp)
 
@@ -444,7 +444,6 @@ class _Worst:
 
 def _lemma_psi_checks(order: int, prec: int, note) -> None:
     """Compare psi jets against the closed expansion coefficients."""
-    from .series import harmonic, odd_harmonic
     wp = prec + 16
     with mp.workprec(wp):
         for p in (1, 2, 3):

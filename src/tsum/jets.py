@@ -54,22 +54,6 @@ def _check_compatible(a: JetSeries, b: JetSeries) -> None:
         raise JetError("jet base points differ")
 
 
-def jet_add(a: JetSeries, b: JetSeries) -> JetSeries:
-    """Add two jets; the window of the deeper-pole operand wins."""
-    _check_compatible(a, b)
-    if a.pole_order < b.pole_order:
-        a, b = b, a
-    shift = a.pole_order - b.pole_order
-    prec = max(a.prec, b.prec)
-    with mp.workprec(prec):
-        cs = list(a.coeffs)
-        for i, c in enumerate(b.coeffs):
-            j = i + shift
-            if j <= a.order:
-                cs[j] = +(cs[j] + c)
-    return JetSeries(a.base_point, a.order, tuple(cs), a.pole_order, prec)
-
-
 def jet_mul(a: JetSeries, b: JetSeries) -> JetSeries:
     _check_compatible(a, b)
     prec = max(a.prec, b.prec)
@@ -84,24 +68,6 @@ def jet_mul(a: JetSeries, b: JetSeries) -> JetSeries:
                 if cb != 0:
                     cs[i + j] = +(cs[i + j] + ca * cb)
     return JetSeries(a.base_point, K, tuple(cs), a.pole_order + b.pole_order, prec)
-
-
-def jet_recip(a: JetSeries) -> JetSeries:
-    """Reciprocal of a jet with nonzero constant term and no pole."""
-    if a.pole_order != 0:
-        raise JetError("jet_recip requires pole_order == 0")
-    if a.coeffs[0] == 0:
-        raise JetError("jet_recip requires a nonzero constant term")
-    K = a.order
-    with mp.workprec(a.prec):
-        inv0 = 1 / a.coeffs[0]
-        cs = [inv0] + [mpf(0)] * K
-        for i in range(1, K + 1):
-            acc = mpf(0)
-            for j in range(1, i + 1):
-                acc += a.coeffs[j] * cs[i - j]
-            cs[i] = +(-inv0 * acc)
-    return JetSeries(a.base_point, K, tuple(cs), 0, a.prec)
 
 
 def jet_scale(a: JetSeries, factor: RealLike) -> JetSeries:

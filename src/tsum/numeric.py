@@ -4,10 +4,14 @@ All real arithmetic rides on mpmath ``mpf`` values (binary mantissa/exponent,
 deterministic round-to-nearest at the active precision).  Every public
 operation in this package takes a target precision ``prec`` in bits.  A
 special value (zeta, digamma, a depth-1 constant) is rounded once to
-``prec`` from the exact integers of the fixed-point kernel; only composite
-computations work at ``prec`` plus guard bits and round the result back to
-``prec``.  Exact rational bookkeeping uses ``fractions.Fraction``, and a
-fraction becomes an mpf by one correct rounding.
+``prec`` from the exact integers of the fixed-point kernel.  A value that is
+a sum of such values (pi tan, pi sec and their jets, the Psi jets, zeta(1;
+a)) is added exactly from kernel values with as many guard bits as its
+measured cancellation needs, and is rounded once too.  Only composite
+computations (the series engine, the identity checks) work at ``prec`` plus
+guard bits and round the result back to ``prec``.  Exact rational
+bookkeeping uses ``fractions.Fraction``, and a fraction becomes an mpf by
+one correct rounding.
 
 Parallelism is process-only: ``mp.workprec`` mutates mpmath's
 process-global context, so no computation here may run on two threads of
@@ -44,11 +48,6 @@ def guard_bits(term_count: int) -> int:
 def check_precision(prec: int) -> None:
     if prec < MIN_PRECISION:
         raise PrecisionError(f"precision must be >= {MIN_PRECISION} bits, got {prec}")
-
-
-def working_prec(prec: int, term_count: int = 1) -> int:
-    check_precision(prec)
-    return prec + guard_bits(term_count)
 
 
 def tolerance_mpf(tol, wp: int) -> mpf:

@@ -9,8 +9,15 @@ head to Euler-Maclaurin (sigma = +1) or Boole summation (sigma = -1) at
 x + n.  Digamma is minus the sigma = +1, s = 1 case, whose divergent
 1/(s-1) gives way to a logarithm.  F rises until each value keeps
 prec + 56 bits, and each value is rounded once; the depth-1 constants are
-such values times +-2^k.  Taylor recurrences give the trigonometric
-kernels.  The zeta family takes rational arguments only.
+such values times +-2^k.
+
+Everything else is a sum of such values K_sigma(s; x), added exactly and
+rounded once (``_kernel_sums``): pi tan and pi sec come from pi cot(pi x)
+and pi csc(pi x), the sums of sigma^n/(x + n) over all integers n, so each
+Taylor coefficient at a rational base is a difference of two kernel values
+(at a pole, after the 1/z term, a multiple of one); the Psi jets and
+zeta(1; a) are kernel values plus rationals.  Every function here takes
+rational arguments only.
 
 ``tail_zeta_batch`` serves the many exponents the series engine needs at
 one point in one pass; the per-value functions are batches of one, cached
@@ -35,16 +42,8 @@ from math import comb, factorial
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest
 
-from .jets import JetSeries, jet_from_coeffs, jet_mul, jet_recip
-from .numeric import (
-    Rational,
-    RealLike,
-    bernoulli,
-    real_const,
-    round_to,
-    to_mpf,
-    working_prec,
-)
+from .jets import JetSeries, jet_from_coeffs
+from .numeric import Rational, bernoulli, real_const
 
 _HALF = Fraction(1, 2)
 
@@ -54,7 +53,7 @@ class DomainError(ValueError):
 
 
 class PoleProximityError(DomainError):
-    """Evaluation point exactly at or numerically too close to a pole."""
+    """Evaluation point exactly at a pole."""
 
 
 class KernelKind(Enum):
@@ -109,7 +108,7 @@ def _scaled_tail(sigma: int, s: int, Y: int, D: int, F: int) -> int:
         with mp.workprec(F + 16):
             v -= int(mp.ldexp(mp.ln(mpf(Y) / D), F))
     Y2, D2 = Y * Y, D * D
-    kmax = ((2 if sigma == 1 else 1) * math.pi * Y / D - s) / 2 + 1
+    kmax = ((2 if sigma == 1 else 1) * 355 * Y // (113 * D) - s) // 2 + 1  # pi < 355/113
     rise = (s * D2 << F) // Y2  # 2^F (s)_(2k-1) y^(-2k), floored
     for k in itertools.count(1):
         if k > kmax:
@@ -131,31 +130,39 @@ def _head_length(sigma: int, s: int, x: Fraction, bits: int) -> int:
     """Unit shifts n after which the tail series of exponent s reaches
     2^-(bits + 8): its smallest term is about exp(-(z - s ln(z/s) - s)),
     z = c pi (x + n), with c = 2 for sigma = +1 and 1 for sigma = -1.  Past
-    z = s that exponent grows with z, and it exceeds b = (bits + 8) ln 2 by
-    z = 3 (s + b); at x < 0 the search starts -x further out."""
-    c = (2 if sigma == 1 else 1) * math.pi
-
-    def reached(n: int) -> bool:
-        z = c * float(x + n)
-        return z > s and z - s * math.log(z / s) - s >= (bits + 8) * math.log(2)
-
-    top = math.ceil(3 * (s + bits + 8) / c + max(0, -x))
-    return bisect.bisect_left(range(top + 1), True, key=reached)
+    z = s that exponent grows with z, convexly, and it exceeds
+    b = (bits + 8) ln 2 by z = 3 (s + b).  Newton's method from there finds
+    the least such z from s and b alone; n >= z/(c pi) - x then follows in
+    exact rationals, so x may be of any size."""
+    b = (bits + 8) * math.log(2)
+    z = 3.0 * (s + b)
+    while True:
+        step = (z - s * math.log(z / s) - s - b) / (1 - s / z)
+        z -= step
+        if step <= 1e-12 * z:
+            break
+    return max(0, math.ceil(Fraction(z / ((2 if sigma == 1 else 1) * math.pi)) - x))
 
 
 def _direct_length(sigma: int, s: int, x: Fraction, F: int, n: int) -> int:
     """Fewest terms M <= n after which |x^(s-1) sum_{j>=M} sigma^j (x+j)^(-s)|
-    < 2^-F, else n + 1.  Past x + M > 0 the rest is at most (x+M)^(-s), times
-    1 + (x+M)/(s-1) for sigma = +1 (whose s = 1 series diverges)."""
+    < 2^-F, else n + 1.  Past x + M > 0 the rest is at most
+    |x|^(s-1) (x+M)^(-s), times 1 + (x+M)/(s-1) for sigma = +1 (whose s = 1
+    series diverges); with x = a/d and x + M = Y/d the test is exact in
+    integers, |a|^(s-1) 2^F d < Y^s, or |a|^(s-1) 2^F ((s-1) d + Y) <
+    (s-1) Y^s for sigma = +1."""
     if sigma == 1 and s == 1:
         return n + 1
+    a, d = x.numerator, x.denominator
+    bound = abs(a) ** (s - 1) << F
 
     def small(M: int) -> bool:
-        if x + M <= 0:
+        Y = a + M * d
+        if Y <= 0:
             return False
-        y = float(x + M)
-        rest = (s - 1) * math.log(abs(x)) - s * math.log(y)
-        return rest + (math.log1p(y / (s - 1)) if sigma == 1 else 0) < -F * math.log(2)
+        if sigma == 1:
+            return bound * ((s - 1) * d + Y) < (s - 1) * Y ** s
+        return bound * d < Y ** s
 
     return bisect.bisect_left(range(n + 1), True, key=small)
 
@@ -280,12 +287,17 @@ def digamma(a: Rational, prec: int) -> mpf:
     return mp.fneg(_zeta_batch(1, [1], _admissible(a, "digamma"), prec)[0], exact=True)
 
 
+def _zeta_terms(c: Rational, s: int, a: Fraction) -> list:
+    """c zeta(s; a) as kernel terms (c, sigma, s, x); zeta(1; a) is the
+    convention psi(1/2) - psi(a) = K(1; a) - K(1; 1/2)."""
+    terms = [(c, 1, s, a)]
+    return terms + [(-c, 1, 1, _HALF)] if s == 1 else terms
+
+
 def hurwitz_zeta1(a: Rational, prec: int) -> mpf:
     """The zeta(1; a) convention value psi(1/2) - psi(a), for rational a not a
     non-positive integer."""
-    wp = prec + 8
-    with mp.workprec(wp):
-        return round_to(digamma(_HALF, wp) - digamma(a, wp), prec)
+    return _kernel_sums([(0, _zeta_terms(1, 1, _admissible(a, "hurwitz_zeta1")))], prec)[0]
 
 
 def param_digamma_deriv(p: int, a: Rational, prec: int) -> mpf:
@@ -296,12 +308,9 @@ def param_digamma_deriv(p: int, a: Rational, prec: int) -> mpf:
     """
     if p < 1:
         raise DomainError("param_digamma_deriv requires p >= 1")
-    if p == 1:
-        with mp.workprec(prec + 8):
-            return round_to(-hurwitz_zeta1(a, prec + 8), prec)
-    sign = 1 if p % 2 == 0 else -1
-    with mp.workprec(prec + 8):
-        return round_to(sign * factorial(p - 1) * hurwitz_zeta(p, a, prec + 8), prec)
+    c = (-1) ** p * factorial(p - 1)
+    return _kernel_sums([(0, _zeta_terms(c, p, _admissible(a, "param_digamma_deriv")))],
+                        prec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -379,151 +388,134 @@ def single_T_bar(s: int, prec: int) -> mpf:
 
 
 # ---------------------------------------------------------------------------
-# Trigonometric kernels and jets
+# Sums of kernel values: the trigonometric kernels and the Psi jets
 # ---------------------------------------------------------------------------
 
-def _reduce_mod_one(a: RealLike, wp: int):
-    """Split a = k + r with integer k and r in [-1/2, 1/2)."""
-    if isinstance(a, (int, Fraction)):
-        a = Fraction(a)
-        k = int(math.floor(a + Fraction(1, 2)))
-        return k, a - k
-    with mp.workprec(wp):
-        k = int(mp.floor(a + 0.5))
-        return k, a - k
+def _kernel_sums(sums, prec: int) -> list[mpf]:
+    """Each sum (const, [(c, sigma, s, x), ...]) = const + sum c K_sigma(s; x),
+    with rational const and c and K the value of ``_zeta_batch``, rounded
+    once at ``prec``.
+
+    Equal keys are merged first, so terms that cancel exactly give an exact
+    0.  The values come from one ``_zeta_batch`` per (sigma, x) at prec + g
+    bits, each within 2^-(prec+g) of its size, and are added exactly in
+    integers with the mantissas aligned to the smallest exponent.  A sum
+    whose terms add up to 2^loss times its size must have g >= loss + 8, so
+    that it keeps prec + 8 bits; g rises to that, and doubles for a sum of
+    rounded values that comes out exactly 0.  Past 2048 guard bits the sum
+    raises ArithmeticError.
+    """
+    merged = []
+    for const, terms in sums:
+        acc: dict = {}
+        for c, sigma, s, x in terms:
+            key = (sigma, s, Fraction(x))
+            acc[key] = acc.get(key, 0) + c
+        merged.append((Fraction(const), [(Fraction(c), key) for key, c in acc.items() if c]))
+    out: list = [None] * len(merged)
+    todo, g = range(len(merged)), 16
+    while todo:
+        if g > 2048:
+            raise ArithmeticError("a sum of kernel values cancels past 2048 guard bits")
+        points: dict = {}
+        for i in todo:
+            for _, (sigma, s, x) in merged[i][1]:
+                points.setdefault((sigma, x), set()).add(s)
+        values = {}
+        for (sigma, x), ss in points.items():
+            ss = sorted(ss)
+            values.update(((sigma, s, x), v._mpf_)
+                          for s, v in zip(ss, _zeta_batch(sigma, ss, x, prec + g)))
+        short, need = [], g
+        for i in todo:
+            const, terms = merged[i]
+            den = math.lcm(const.denominator, *(c.denominator for c, _ in terms))
+            e0 = min([0] + [values[key][2] for _, key in terms])
+            total = const.numerator * (den // const.denominator) << -e0
+            size = abs(total)
+            for c, key in terms:
+                sign, man, exp, _ = values[key]
+                t = c.numerator * (den // c.denominator) * (-man if sign else man) << exp - e0
+                total, size = total + t, size + abs(t)
+            # g >= loss + 8, loss = log2(size / |total|); an exact 0 doubles g
+            want = 0 if not terms else 2 * g if not total else (
+                size.bit_length() - abs(total).bit_length() + 9)
+            if want > g:
+                short.append(i)
+                need = max(need, want)
+            else:
+                out[i] = mp.make_mpf(from_rational(total, den << -e0, prec, round_nearest))
+        todo, g = short, need
+    return out
 
 
-def kernel_value(kind: KernelKind, a: RealLike, prec: int) -> mpf:
-    """pi*tan(pi a) or pi/cos(pi a); both have their poles at the half-integers."""
-    wp = prec + 16
-    k, r = _reduce_mod_one(a, wp)  # r in [-1/2, 1/2)
-    dist = Fraction(1, 2) - abs(r) if isinstance(r, Fraction) else mpf(0.5) - abs(r)
-    if dist == 0:
+def _trig_sums(kind: KernelKind, base: Rational, order: int):
+    """The kernel at base + z as kernel sums: whether base is a pole, and
+    the Laurent coefficients from z^-1 (at a pole) or z^0 up to z^order.
+
+    With base = k + r, r in [-1/2, 1/2), and x = r + 1/2, and f_sigma(x) =
+    sum over all integers n of sigma^n/(x + n) (pi cot and pi csc of pi x),
+    pi tan(pi(base + z)) = -f_+1(x + z) and pi/cos(pi(base + z)) =
+    (-1)^k f_-1(x + z).  The z^j coefficient of f_sigma(x + z) is
+    (-1)^j K(j+1; x) - sigma K(j+1; 1 - x); at the pole x = 0 it is
+    ((-1)^j - 1) sigma K(j+1; 1) after the 1/z term.
+    """
+    base = _rational(base, kind.value)
+    k = math.floor(base + _HALF)
+    x = base - k + _HALF
+    sigma = 1 if kind is KernelKind.PI_TAN else -1
+    sign = -1 if sigma == 1 or k % 2 else 1
+    if x == 0:
+        return True, [(sign, [])] + [(0, [(sign * ((-1) ** j - 1) * sigma, sigma, j + 1, 1)])
+                                     for j in range(order)]
+    return False, [(0, [(sign * (-1) ** j, sigma, j + 1, x), (-sign * sigma, sigma, j + 1, 1 - x)])
+                   for j in range(order + 1)]
+
+
+def kernel_value(kind: KernelKind, a: Rational, prec: int) -> mpf:
+    """pi*tan(pi a) or pi/cos(pi a) at rational a; both have their poles at
+    the half-integers."""
+    pole, sums = _trig_sums(kind, a, 0)
+    if pole:
         raise PoleProximityError(f"{kind.value} has a pole at {a}")
-    with mp.workprec(wp):
-        if to_mpf(dist, wp) < mpf(2) ** (-prec // 2):
-            raise PoleProximityError(f"{kind.value} argument within 2^(-P/2) of a pole")
-        x = mp.pi * to_mpf(r, wp)
-        if kind is KernelKind.PI_TAN:
-            value = mp.pi * mp.tan(x)
-        else:
-            value = mp.pi / mp.cos(x)
-            if k % 2 == 1:
-                value = -value
-        return round_to(value, prec)
+    return _kernel_sums(sums, prec)[0]
 
 
-def _is_kernel_pole(base: RealLike) -> bool:
-    return isinstance(base, (int, Fraction)) and Fraction(base).denominator == 2
-
-
-def _sin_cos_jets(base: RealLike, order: int, wp: int):
-    """Taylor coefficients of sin(pi(base+x)) and cos(pi(base+x)) at a
-    half-integer base k - 1/2, seeded exactly: sin = -(-1)^k, cos = 0.
-    """
-    k, _ = _reduce_mod_one(base, wp)
-    with mp.workprec(wp):
-        pi = +mp.pi
-        s0, c0 = mpf(1 if k % 2 else -1), mpf(0)
-        s = [s0]
-        c = [c0]
-        for j in range(order):
-            s.append(+(pi * c[j] / (j + 1)))
-            c.append(+(-pi * s[j] / (j + 1)))
-    return s, c
-
-
-def kernel_jet(kind: KernelKind, base: RealLike, order: int, prec: int) -> JetSeries:
-    """Jet of the requested kernel at ``base``.
-
-    Analytic bases use the tan'/sec' derivative recurrences.  At a pole of the
-    kernel (a half-integer base) the jet is the exact-seeded sin/cos ratio
-    with the simple zero of cos divided out, producing a pole_order-1 Laurent
-    jet.
-    """
+def kernel_jet(kind: KernelKind, base: Rational, order: int, prec: int) -> JetSeries:
+    """Jet of the requested kernel at rational ``base``, each coefficient a
+    sum of kernel values rounded once; at a pole (a half-integer base) a
+    pole_order-1 Laurent jet."""
     if order < 0:
         raise DomainError("order must be >= 0")
-    wp = working_prec(prec, order + 4)
-    if _is_kernel_pole(base):
-        s, c = _sin_cos_jets(base, order + 1, wp)
-        with mp.workprec(wp):
-            pi = +mp.pi
-            inv = jet_recip(jet_from_coeffs(base, c[1:], wp))  # cos has an exact simple zero
-            if kind is KernelKind.PI_TAN:
-                num = [pi * v for v in s[: order + 1]]
-                coeffs = jet_mul(jet_from_coeffs(base, num, wp), inv).coeffs
-            else:
-                coeffs = [+(pi * v) for v in inv.coeffs]
-        return jet_from_coeffs(base, [round_to(v, prec) for v in coeffs[: order + 1]], prec,
-                               pole_order=1)
-
-    with mp.workprec(wp):
-        pi = +mp.pi
-        pi2 = pi * pi
-
-        def conv(u, v, j):
-            return sum(u[i] * v[j - i] for i in range(j + 1))
-
-        t = [kernel_value(KernelKind.PI_TAN, base, wp)]
-        for j in range(order):
-            t.append(+(((pi2 if j == 0 else 0) + conv(t, t, j)) / (j + 1)))
-        coeffs = t
-        if kind is KernelKind.PI_OVER_COS:
-            g = [kernel_value(KernelKind.PI_OVER_COS, base, wp)]
-            for j in range(order):
-                g.append(+(conv(g, t, j) / (j + 1)))
-            coeffs = g
-    return jet_from_coeffs(base, [round_to(v, prec) for v in coeffs[: order + 1]], prec)
+    pole, sums = _trig_sums(kind, base, order)
+    return jet_from_coeffs(base, _kernel_sums(sums, prec), prec, pole_order=int(pole))
 
 
 def psi_jet(p: int, base: Rational, order: int, prec: int) -> JetSeries:
     """Jet of the shifted digamma derivative Psi^(p-1)(1/2 - z) at ``base``.
 
-    At non-negative integer bases the function has a pole of order p and the
-    jet carries pole_order = p; elsewhere it is analytic.  Coefficients come
-    from Hurwitz zeta values at -base (finite sums at the poles), except the
-    lone logarithmically divergent p = 1 constant term, which is the exact
-    digamma difference psi(-base) - psi(1/2).
+    The z^j coefficient is (-1)^p (p-1)! C(p-1+j, j) zeta(p+j; -base), with
+    the zeta(1; a) convention of ``hurwitz_zeta1``.  At a non-negative
+    integer base n the function has a pole of order p, (p-1)!/(z-n)^p, and
+    the jet carries pole_order = p; the Hurwitz value at -n is then the
+    finite sum over its first n terms plus zeta(q; 1), so that at
+    p = 1 the constant term is H_n + psi(1) - psi(1/2) = H_n + 2 ln 2.
     """
     if p < 1:
         raise DomainError("psi_jet requires p >= 1")
     if order < 0:
         raise DomainError("order must be >= 0")
-    wp = working_prec(prec, order + 4)
     base = _rational(base, "psi_jet")
-    is_pole = base.denominator == 1 and base >= 0
-    sign = 1 if p % 2 == 0 else -1
     fac = factorial(p - 1)
-    coeffs: list[mpf] = []
-    with mp.workprec(wp):
-        if is_pole:
-            n = int(base)
-            # Singular block: (p-1)!/(z-n)^p and nothing between it and the
-            # constant term.
-            coeffs.append(mpf(fac))
-            coeffs.extend(mpf(0) for _ in range(p - 1))
-            for j in range(p, order + 1):
-                jj = j - p
-                q = p + jj  # == j
-                if q == 1:
-                    # Regularized value at the p = 1 pole: H_n + 2 log 2.
-                    harmonic = sum(Fraction(1, m) for m in range(1, n + 1))
-                    coeffs.append(+(to_mpf(harmonic, wp) + 2 * real_const("log2", wp)))
-                else:
-                    finite = Fraction(0)
-                    for k in range(n):
-                        finite += Fraction(1) / (k - n) ** q
-                    sigma = to_mpf(finite, wp) + hurwitz_zeta(q, 1, wp)
-                    coeffs.append(+(sign * fac * comb(p - 1 + jj, jj) * sigma))
-            coeffs = coeffs[: order + 1]
-            pole_order = p
-        else:
-            for j in range(order + 1):
-                q = p + j
-                if q == 1:
-                    coeffs.append(+(digamma(-base, wp) - digamma(_HALF, wp)))
-                else:
-                    sigma = hurwitz_zeta(q, -base, wp)
-                    coeffs.append(+(sign * fac * comb(p - 1 + j, j) * sigma))
-            pole_order = 0
-    return jet_from_coeffs(base, [round_to(v, prec) for v in coeffs], prec, pole_order=pole_order)
+    c = (-1) ** p * fac
+    if base.denominator == 1 and base >= 0:
+        # zeta(q; -n) = sum_{m=1..n} (-m)^(-q) + zeta(q; 1) past the pole
+        n = int(base)
+        sums = [(fac, [])] + [(0, [])] * (p - 1)
+        for q in range(p, order + 1):
+            b = c * comb(q - 1, q - p)
+            sums.append((b * sum(Fraction(1, (-m) ** q) for m in range(1, n + 1)),
+                         _zeta_terms(b, q, Fraction(1))))
+        return jet_from_coeffs(base, _kernel_sums(sums[: order + 1], prec), prec, pole_order=p)
+    sums = [(0, _zeta_terms(c * comb(p - 1 + j, j), p + j, -base)) for j in range(order + 1)]
+    return jet_from_coeffs(base, _kernel_sums(sums, prec), prec)

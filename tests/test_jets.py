@@ -2,27 +2,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
-from mpmath import mpf
 
-from tsum.jets import (
-    JetError,
-    jet_add,
-    jet_from_coeffs,
-    jet_mul,
-    jet_recip,
-    jet_residue,
-)
+from tsum.jets import JetError, jet_from_coeffs, jet_mul, jet_residue
 
 
 def test_mul_matches_hand_product():
     a = jet_from_coeffs(0, [1, 1, 0], 64)
     b = jet_from_coeffs(0, [1, -1, 0], 64)
     assert [int(c) for c in jet_mul(a, b).coeffs] == [1, 0, -1]
-
-
-def test_recip_is_geometric_series():
-    a = jet_from_coeffs(0, [1, 1, 0, 0], 64)
-    assert [int(c) for c in jet_recip(a).coeffs] == [1, -1, 1, -1]
 
 
 def test_residue_reads_the_minus_one_power():
@@ -54,26 +41,6 @@ def test_mul_equals_exact_convolution(xs, ys):
         assert got[k] == want  # integer products are exact in mpf at this size
 
 
-@given(coeff_lists)
-def test_recip_is_two_sided_inverse(xs):
-    if xs[0] == 0:
-        xs[0] = 1
-    K = len(xs) - 1
-    a = jet_from_coeffs(0, xs, 128)
-    prod = jet_mul(a, jet_recip(a)).coeffs
-    assert abs(prod[0] - 1) < mpf(2) ** -100
-    for c in prod[1:]:
-        assert abs(c) < mpf(2) ** -90 * (1 + max(abs(v) for v in xs)) ** K
-
-
-def test_add_aligns_pole_windows():
-    sing = jet_from_coeffs(0, [2, 3, 4], 64, pole_order=2)
-    reg = jet_from_coeffs(0, [10, 20, 30], 64)
-    out = jet_add(sing, reg)
-    assert out.pole_order == 2
-    assert [int(c) for c in out.coeffs] == [2, 3, 14]  # constant terms line up
-
-
 def test_mul_adds_pole_orders():
     a = jet_from_coeffs(0, [1, 0, 0], 64, pole_order=1)
     b = jet_from_coeffs(0, [1, 1, 1], 64, pole_order=2)
@@ -85,14 +52,7 @@ def test_mismatched_operands_rejected():
     with pytest.raises(JetError):
         jet_mul(a, jet_from_coeffs(0, [1, 2, 3], 64))
     with pytest.raises(JetError):
-        jet_add(a, jet_from_coeffs(1, [1, 2], 64))
-
-
-def test_recip_requires_unit_and_no_pole():
-    with pytest.raises(JetError):
-        jet_recip(jet_from_coeffs(0, [0, 1], 64))
-    with pytest.raises(JetError):
-        jet_recip(jet_from_coeffs(0, [1, 1], 64, pole_order=1))
+        jet_mul(a, jet_from_coeffs(1, [1, 2], 64))
 
 
 def test_residue_requires_pole_and_sufficient_order():

@@ -54,6 +54,18 @@ def _close(a, digits, tol=mpf(10) ** -45):
         return abs(mpf(a) - mpf(digits)) < tol
 
 
+def _assert_ulps(values, refs, prec):
+    """Each value within 1 ulp at ``prec`` of its reference; a value of
+    exactly 0 needs a reference below 2^-(prec + 100)."""
+    for i, (value, ref) in enumerate(zip(values, refs)):
+        with mp.workprec(4000):
+            if value == 0:
+                assert abs(ref) < mpf(2) ** -(prec + 100), (i, ref)
+                continue
+            ulp = mpf(2) ** (value.man.bit_length() + value.exp - prec)
+            assert abs(value - ref) <= ulp, (i, value, abs(value - ref) / ulp)
+
+
 def _accel_point(prec):
     """x = N + 1/2, the working precision and the truncation W that
     accel_linear_sum picks at ``prec`` for poles within 1 of the origin."""
@@ -206,6 +218,13 @@ class TestDigamma:
             want = digamma(Fraction(4, 5), P + 16) + mpf(5)
             assert _gap(digamma(Fraction(-1, 5), P), want) < TIGHT
 
+    def test_hurwitz_zeta1_next_to_its_zero(self):
+        # psi(1/2) - psi(1/2 + 1e-30) cancels about 100 bits
+        a = Fraction(1, 2) + Fraction(1, 10 ** 30)
+        with mp.workprec(400):
+            want = mp.digamma(0.5) - mp.digamma(mpf(a.numerator) / a.denominator)
+        _assert_ulps([hurwitz_zeta1(a, 64)], [want], 64)
+
     def test_hurwitz_zeta1_convention(self):
         assert _gap(hurwitz_zeta1(Fraction(1, 2), P), 0) == 0
         with mp.workprec(P + 16):
@@ -305,6 +324,22 @@ class TestSingleValues:
         assert ttilde(1, P) == 0
 
 
+def _taylor_reference(kind, base, order, wp):
+    """mpmath's Taylor coefficients of the kernel at ``base``, from its own
+    tan and cos at ``wp`` bits."""
+    with mp.workprec(wp):
+        b = mpf(base.numerator) / base.denominator
+        if kind is KernelKind.PI_TAN:
+            return mp.taylor(lambda z: mp.pi * mp.tan(mp.pi * z), b, order)
+        return mp.taylor(lambda z: mp.pi / mp.cos(mp.pi * z), b, order)
+
+
+EPS = {n: Fraction(1, 10 ** n) for n in (9, 12, 20, 25, 30, 40)}
+NEAR_POLE_BASES = (Fraction(1, 2) - EPS[25], Fraction(-1, 2) + EPS[9], Fraction(3, 2) + EPS[12],
+                   Fraction(-5, 2) - EPS[40])
+NEAR_ZERO_BASES = (EPS[30], Fraction(-3) + EPS[20], Fraction(0), Fraction(-3))
+
+
 class TestKernels:
     def test_values(self):
         with mp.workprec(P + 16):
@@ -315,18 +350,8 @@ class TestKernels:
     def test_pole_rejection(self):
         with pytest.raises(PoleProximityError):
             kernel_value(KernelKind.PI_TAN, Fraction(3, 2), P)
-        with mp.workprec(300):
-            near = mpf(3) / 2 + mpf(2) ** -150
-            with pytest.raises(PoleProximityError):
-                kernel_value(KernelKind.PI_OVER_COS, near, P)
-
-    def test_non_rational_argument(self):
-        with mp.workprec(P + 16):
-            x = mpf(1) / 5
-            got = kernel_value(KernelKind.PI_TAN, x, P)
-            want = kernel_value(KernelKind.PI_TAN, Fraction(1, 5), P)
-            # mpf(1)/5 is not exactly 1/5; agreement only to the derivative scale
-            assert abs(got - want) < mpf(2) ** -180
+        with pytest.raises(PoleProximityError):
+            kernel_value(KernelKind.PI_OVER_COS, Fraction(-5, 2), P)
 
     def test_tan_jet_at_origin(self):
         jet = kernel_jet(KernelKind.PI_TAN, 0, 3, P)
@@ -354,6 +379,21 @@ class TestKernels:
                   - kernel_value(kind, base - h, P + 64)) / (2 * mpf(2) ** -(P // 3))
             rel = abs(jet.coeffs[1] - fd) / abs(fd)
             assert rel < mpf(2) ** (-(P // 3) + 8)
+
+    def test_jets_within_one_ulp_on_a_seeded_grid(self):
+        # some bases lie closer to a pole than 2^-prec: only the exact
+        # distance to it, kept in the kernel values, reaches 1 ulp there
+        rng = random.Random(10)
+        bases = NEAR_POLE_BASES + NEAR_ZERO_BASES + tuple(
+            Fraction(rng.randint(-400, 400), rng.randint(1, 60)) for _ in range(4))
+        for base in bases:
+            if base.denominator == 2:
+                continue
+            for kind in KernelKind:
+                for prec in (64, 192):
+                    ref = _taylor_reference(kind, base, 4, prec + 1200)
+                    _assert_ulps(kernel_jet(kind, base, 4, prec).coeffs, ref, prec)
+                    _assert_ulps([kernel_value(kind, base, prec)], ref, prec)
 
     def test_pole_jets_have_simple_poles(self):
         jet = kernel_jet(KernelKind.PI_TAN, Fraction(1, 2), 4, P)
@@ -391,6 +431,15 @@ class TestPsiJet:
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             psi_jet(0, Fraction(1, 3), 2, P)
+
+    def test_jet_next_to_a_zero_of_its_constant_term(self):
+        # psi(-z) - psi(1/2) at z = -a: the constant term psi(a) - psi(1/2)
+        # is about -4.93e-30, and the z^j coefficient is -zeta(j+1; a)
+        a = Fraction(1, 2) - Fraction(1, 10 ** 30)
+        with mp.workprec(400):
+            am = mpf(a.numerator) / a.denominator
+            want = [mp.digamma(am) - mp.digamma(0.5), -mp.zeta(2, am), -mp.zeta(3, am)]
+        _assert_ulps(psi_jet(1, -a, 2, 64).coeffs, want, 64)
 
 
 GRID_XS = tuple(map(Fraction, ("1/1000000", "1/4", "1/2", "1", "7/3", "101/3", "3000001/3")))
@@ -434,10 +483,7 @@ def _assert_within_one_ulp(fn, s, x, prec):
     args = (x,) if fn == "digamma" else (s,) if fn == "dirichlet_beta" else (s, x)
     value = getattr(special, fn)(*args, prec)
     wp = prec + 160 + max(0, 1 - mp.mag(value))
-    ref = _mpmath_reference(fn, s, x, wp)
-    ulp = mpf(2) ** (value.man.bit_length() + value.exp - prec)
-    with mp.workprec(wp + 8):
-        assert abs(value - ref) <= ulp, (fn, s, x, prec, abs(value - ref) / ulp)
+    _assert_ulps([value], [_mpmath_reference(fn, s, x, wp)], prec)
 
 
 class TestReferenceGrid:
@@ -473,12 +519,31 @@ class TestReferenceGrid:
         # the value cancels about 100 bits: the kernel raises F by the shortfall
         _assert_within_one_ulp(fn, s, x, prec)
 
+    @pytest.mark.parametrize("x, fn, s", [
+        (Fraction(1, 10 ** 400), "hurwitz_zeta", 2),
+        (1 + Fraction(1, 10 ** 400), "hurwitz_zeta", 2),
+        (Fraction(10 ** 400 + 1, 3), "hurwitz_zeta", 2),
+        (Fraction(1, 10 ** 400), "alt_hurwitz_zeta", 3),
+    ])
+    def test_extreme_arguments(self, x, fn, s):
+        # the head and direct-sum lengths compare x in exact rationals, so no
+        # argument is too small or too large for a float
+        _assert_within_one_ulp(fn, s, x, 64)
+
+    def test_tan_next_to_a_pole_at_an_extreme_distance(self):
+        base = Fraction(-1, 2) + Fraction(1, 10 ** 400)
+        value = kernel_value(KernelKind.PI_TAN, base, 64)
+        with mp.workprec(3000):
+            want = mp.pi * mp.tan(mp.pi * (mpf(base.numerator) / base.denominator))
+        _assert_ulps([value], [want], 64)
+
     @pytest.mark.parametrize("call", [
         lambda x: hurwitz_zeta(2, x, 64), lambda x: alt_hurwitz_zeta(2, x, 64),
         lambda x: alt_hurwitz_zeta(1, x, 64), lambda x: digamma(x, 64),
         lambda x: tail_zeta_batch(-1, [2, 3], x, 64), lambda x: hurwitz_zeta(2, -x, 64),
         lambda x: alt_hurwitz_zeta(2, -x, 64), lambda x: digamma(-x, 64),
-        lambda x: psi_jet(2, -x, 1, 64),
+        lambda x: psi_jet(2, -x, 1, 64), lambda x: kernel_value(KernelKind.PI_TAN, x, 64),
+        lambda x: kernel_jet(KernelKind.PI_OVER_COS, x, 2, 64),
     ])
     def test_non_rational_argument_is_a_domain_error(self, call):
         with mp.workprec(64):
