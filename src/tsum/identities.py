@@ -26,6 +26,7 @@ from .special import (
     DomainError,
     KernelKind,
     ZetaConvention,
+    _kernel_sums,
     alt_hurwitz_zeta,
     alt_zeta,
     digamma,
@@ -94,6 +95,22 @@ def _zx(s: int, x: Frac, conv: ZetaConvention, prec: int) -> mpf:
     return hurwitz_zeta(s, x, prec)
 
 
+def _zeta_minus_ttilde(p: int, x: Frac, conv: ZetaConvention, prec: int) -> mpf:
+    """zeta(p; x) - ttilde(p) at ``prec``; at p = 1, where ttilde(1) = 0, the
+    zeta(1; x) convention of ``conv``.  A difference of the two values that
+    cancels more than 8 bits (x next to 1/2) is taken again as one kernel
+    sum K(p; x) - K(p; 1/2), which keeps its bits; the others reuse the
+    values the remaining checks share at ``prec``."""
+    if p == 1:
+        return conv.hurwitz1(x, prec)
+    with mp.workprec(prec):
+        z = hurwitz_zeta(p, x, prec)
+        d = z - ttilde(p, prec)
+        if mp.mag(z) - mp.mag(d) <= 8:
+            return d
+    return _kernel_sums([(0, [(1, 1, p, x), (-1, 1, p, Frac(1, 2))])], prec)[0]
+
+
 def _pair_pieces(a: Frac, b: Frac, negate: bool) -> list[tuple[Frac, list[tuple[Frac, int]]]]:
     """1/((n + a - 1/2)(n + b - 1/2)) as one product piece, optionally with
     both shifts negated."""
@@ -160,10 +177,9 @@ def _verify_pair(kern: _Kernel, family: str, p: int, a: Frac, b: Frac, prec: int
         inv_ba = 1 / to_mpf(b - a, wp)
         ksum = _zeta_sum(kern, p, a, b, mpf(0), 1, kern.sigma, convention, wp)
         rhs = 2 * sgn * inv_ba * ksum
-        tp = ttilde(p, wp)
         rhs += sgn * inv_ba * (
-            kernel_value(kern.kind, b, wp) * (_zx(p, b, convention, wp) - tp)
-            - kernel_value(kern.kind, a, wp) * (_zx(p, a, convention, wp) - tp))
+            kernel_value(kern.kind, b, wp) * _zeta_minus_ttilde(p, b, convention, wp)
+            - kernel_value(kern.kind, a, wp) * _zeta_minus_ttilde(p, a, convention, wp))
         lhs, rhs = round_to(lhs, prec), round_to(rhs, prec)
     params = {"p": p, "a": _fmt(a), "b": _fmt(b)}
     case_id = f"{family}[p={p},a={_fmt(a)},b={_fmt(b)}]"

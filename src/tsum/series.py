@@ -25,6 +25,10 @@ Evaluation strategy for the linear case (at most one harmonic factor):
   k-sum collapses to (alternating) Hurwitz zeta values at N + 1/2, one
   ``tail_zeta_batch``.  Neither needs partial fractions, so near-coincident
   poles cancel nothing.
+* The tail is assembled in Python ints too, at 2^-T with T = F + 16 guard
+  bits: the g_w, h(N) and the batch mantissas are shifted to that scale,
+  one floor each, and head plus tail is rounded once, to the target
+  precision.
 
 Products of two or more harmonic factors fall back to budgeted direct
 summation, in the same fixed point; no closed form here covers them.
@@ -40,6 +44,7 @@ from math import comb, factorial
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .numeric import bernoulli, check_precision, guard_bits, round_to, to_mpf
 from .special import tail_zeta_batch
@@ -153,6 +158,7 @@ class SeriesResult:
 Pieces = Sequence[tuple[Fraction, Sequence[tuple[Fraction, int]]]]
 
 _expansion_cache: dict = {}
+_TAIL_GUARD = 16  # bits of the tail's fixed point 2^-T past the head's 2^-F
 
 
 def _pick_truncation(wp: int, N: int, dmax: float, emax: int) -> int:
@@ -177,9 +183,13 @@ def _pick_truncation(wp: int, N: int, dmax: float, emax: int) -> int:
 
 def _tail_expansion(sigma: int, offset: int, pieces: Pieces, W: int,
                     wp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """g_1, ..., g_W at wp bits with G(k) = sum_{n>=k+offset} sigma^n R(n) ~
-    sigma^k sum_w g_w u^(-w), u = k - 1/2, for R = sum_j k_j prod (n + t)^(-e);
-    cached as mantissas and exponents, which take 0.4 of the memory of mpfs.
+    """g_1, ..., g_W with G(k) = sum_{n>=k+offset} sigma^n R(n) ~ sigma^k sum_w
+    g_w u^(-w), u = k - 1/2, for R = sum_j k_j prod (n + t)^(-e).  Each g_w is
+    floored to wp or wp + 1 bits straight from its exact numerator and
+    denominator, so within 2^-(wp-1) of |g_w|, and kept as a pair (m, e),
+    m 2^e, with m odd or 0, so that a dyadic g_w takes a one-word int.
+    Cached under (sigma, offset, pieces, W, wp) alone: ``accel_linear_sum``
+    shifts the pairs to the scale of each sum.
 
     With v = n - 1/2 and c = t + 1/2 = A/D, each factor (1 + c/v)^(-1) maps the
     numerators over D^r of a 1/v series by x_r -> x_r - A x_(r-1), so R(n) =
@@ -216,7 +226,8 @@ def _tail_expansion(sigma: int, offset: int, pieces: Pieces, W: int,
              for k in range(1, (W + 1 - m0) // 2 + 1)]
     L = math.lcm(*(b.denominator for b in betas))
     gammas = [(b * L).numerator * D ** (2 * k - 1) for k, b in enumerate(betas, 1)]
-    g, row = [], [1]  # row: C(w - 1, j) for j < w
+    mans, exps = [], []
+    row, den = [1], 2 * L * K * D  # row: C(w - 1, j) for j < w; den: 2 L K D^(w+1) / D
     for w in range(1, W + 1):
         bern = sum(gammas[k - 1] * row[2 * k - 1] * rho[w - 2 * k + 1]
                    for k in range(1, (w + 1 - m0) // 2 + 1))
@@ -224,11 +235,19 @@ def _tail_expansion(sigma: int, offset: int, pieces: Pieces, W: int,
         num = 2 * w * D * bern + (1 - 2 * offset) * w * L * D * rho[w]
         if sigma == 1:
             num += 2 * L * rho[w + 1]
-        g.append(to_mpf(Fraction(num, 2 * w * L * K * D ** (w + 1)), wp))
-    raw = [x._mpf_ for x in g]  # (sign, mantissa, exponent, bit count)
-    g = _expansion_cache[key] = (tuple(-m if s else m for s, m, _, _ in raw),
-                                 tuple(e for _, _, e, _ in raw))
+        den *= D
+        e = abs(num).bit_length() - (w * den).bit_length() - wp if num else 0
+        m = (num << max(-e, 0)) // (w * den << max(e, 0))
+        tz = (m & -m).bit_length() - 1 if m else 0
+        mans.append(m >> tz)
+        exps.append(e + tz)
+    g = _expansion_cache[key] = (tuple(mans), tuple(exps))
     return g
+
+
+def _at_scale(m: int, e: int) -> int:
+    """floor(m 2^e), exact for e >= 0."""
+    return m << e if e >= 0 else m >> -e
 
 
 def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
@@ -240,11 +259,38 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     The first N terms come from ``_direct``.  With h_n = h_N + sum_{k=N+1..n}
     (k - 1/2)^(-p), the tail is h_N G(N + 1 - offset) plus sum_{k>N} (k -
     1/2)^(-p) G(k), G from ``_tail_expansion``: the first is its series at
-    one point, the second one ``tail_zeta_batch`` at N + 1/2.  The head errs
-    by under abs_head 2^-wp and each later mpf step rounds at wp bits: well
-    under (abs_head + |piece1| + |piece2| + 1) 2^(-wp+10).  Pieces that cancel
-    (the partial fractions of near-coincident poles) need no guard bits: the
-    head floors each piece in absolute units and the g_w are exact.
+    one point, the second one ``tail_zeta_batch`` at N + 1/2.  Both are
+    assembled in integers at 2^-T, T = F + ``_TAIL_GUARD``, past the head's
+    2^-F: the rational tail by Horner's rule in 1/u, one floor division per
+    power, piece1 as h_N (at 2^-H) times it, piece2 from the products of the
+    g_w and the batch mantissas.  The total is rounded once, to ``prec``.
+
+    The error budget, against the (abs_head + |piece1| + |piece2| + 1)
+    2^(-wp+10) term of the bound:
+
+    * The head errs by under abs_head 2^-wp.
+    * Each floor errs by under one unit of 2^-T.  A Horner step floors g_w
+      and the division by u, and divides the error it inherits by u > 127,
+      so the rational tail errs by under (1 + 1/u)/(1 - 1/u) < 2 units,
+      piece1 by under 2 h_N + 1 and piece2 by under W: the total by under
+      2 h_N + W + 1 units (2 without a harmonic factor).  ``_direct`` makes
+      2^-F <= |T_1| 2^-(wp+1) / U for the first non-zero head term T_1 (1
+      if there is none), with U >= N (2 h_N + 1), so while W + 1 < 2^16 N
+      those units stay under (abs_head + 1) 2^-wp.
+    * The inputs carry the relative errors the mpf assembly had: under
+      2^-(wp-1) for each g_w and 2^-wp for each batch value zeta_w.  With
+      the majorants A = sum |g_w| u^(-w) of the rational tail and B = sum
+      |g_w zeta_w| of piece2 they add under 2^-(wp-1) max(1, h_N) A +
+      2^-(wp-2) B, which with the two items above is inside the term while
+      max(1, h_N) A <= 2^6 (abs_head + 1) and B <= 2^6 (abs_head + |piece2|
+      + 1).  Past the leading power the majorants' terms fall like ((1 +
+      dmax)/u)^w, u >= 8 (1 + dmax), so only R's leading 1/v powers
+      cancelling each other could break that; ``test_tail_assembly_error_budget``
+      checks both on its grid.
+
+    Pieces that cancel (the partial fractions of near-coincident poles) need
+    no guard bits: the head floors each piece in absolute units and the g_w
+    come from the exact series of R.
     """
     pieces = tuple((k, tuple(fs)) for k, fs in pieces)  # hashable: the expansion cache key
     for _, fs in pieces:
@@ -266,33 +312,42 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     total, abs_total, _, F, hs, H = _direct(sigma, offset, () if p is None else (p,),
                                             pieces, N, wp)
     mans, exps = _tail_expansion(sigma, offset, pieces, W, wp)
-    with mp.workprec(wp):
-        g = [mpf(me) for me in zip(mans, exps)]
-        head, abs_head = mpf((total, -F)), mpf((abs_total, -F))
-        # sum_{n>N} sigma^n R(n) = G(N + 1 - offset), at u = N + 1/2 - offset
-        x = mpf(2) / (2 * N + 1 - 2 * offset)
-        rational_tail = mpf(0)
-        for gw in reversed(g):
-            rational_tail = (rational_tail + gw) * x
-        rational_tail *= sigma ** (N + 1 - offset)
-        if p is None:
-            value = head + rational_tail
-            tb = (abs_head + abs(value) + 1) * mpf(2) ** (-wp + 10) \
-                + abs(value) * mpf(2) ** (-prec + 1)
-            return SeriesResult(round_to(value, prec), +tb, N, prec)
-
-        piece1 = mpf((hs[0], -H)) * rational_tail
-        powers = [w for w, gw in enumerate(g, 1) if gw]
+    T = F + _TAIL_GUARD
+    # sum_{n>N} sigma^n R(n) = G(N + 1 - offset), at u = N + 1/2 - offset
+    u2 = 2 * N + 1 - 2 * offset
+    rational_tail = 0
+    for m, e in zip(reversed(mans), reversed(exps)):
+        rational_tail = 2 * (rational_tail + _at_scale(m, e + T)) // u2
+    if sigma == -1 and (N + 1 - offset) % 2:
+        rational_tail = -rational_tail
+    value = total << _TAIL_GUARD
+    trunc_est = piece1 = piece2 = 0
+    if p is None:
+        value += rational_tail
+    else:
+        piece1 = hs[0] * rational_tail >> H
+        powers = [w for w, m in enumerate(mans, 1) if m]
         zvals = tail_zeta_batch(sigma, [w + p for w in powers], Fraction(2 * N + 1, 2), wp)
-        contribs = [g[w - 1] * z for w, z in zip(powers, zvals)]
-        piece2 = sigma ** (N + 1) * sum(contribs, mpf(0))
-        # continuation estimate beyond the last kept power
-        trunc_est = abs(contribs[-1]) * mpf(N) ** -1 if contribs else mpf(0)
-
-        value = head + piece1 + piece2
-        tb = trunc_est + (abs_head + abs(piece1) + abs(piece2) + 1) * mpf(2) ** (-wp + 10) \
-            + abs(value) * mpf(2) ** (-prec + 1)
-        return SeriesResult(round_to(value, prec), +tb, N, prec)
+        for w, z in zip(powers, zvals):
+            sign, man, exp, _ = z._mpf_
+            piece2 += _at_scale(mans[w - 1] * (-man if sign else man), exps[w - 1] + exp + T)
+        if sigma == -1 and (N + 1) % 2:
+            piece2 = -piece2
+        value += piece1 + piece2
+    with mp.workprec(wp):
+        abs_head, fixed = mpf((abs_total, -F)), mpf((value, -T))
+        if p is None:
+            tb = (abs_head + abs(fixed) + 1) * mpf(2) ** (-wp + 10)
+        else:
+            # continuation estimate beyond the last kept power
+            if powers:
+                last = powers[-1] - 1
+                trunc_est = abs(mpf((mans[last], exps[last])) * zvals[-1]) * mpf(N) ** -1
+            tb = trunc_est + (abs_head + abs(mpf((piece1, -T))) + abs(mpf((piece2, -T))) + 1) \
+                * mpf(2) ** (-wp + 10)
+        tb += abs(fixed) * mpf(2) ** (-prec + 1)
+    value = mp.make_mpf(from_man_exp(value, -T, prec, round_nearest))
+    return SeriesResult(value, tb, N, prec)
 
 
 # ---------------------------------------------------------------------------

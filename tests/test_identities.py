@@ -65,6 +65,15 @@ class TestPairTheorems:
         assert verify_thm3_1(3, F(5, 7), F(-6, 7), P, TOL).passed
         assert verify_thm3_4(4, F(5, 7), F(-6, 7), P, TOL).passed
 
+    @pytest.mark.parametrize("verify", [verify_thm3_1, verify_thm3_4])
+    def test_shift_next_to_one_half(self, verify):
+        # pi tan and pi sec of pi a are near 3e24 and multiply zeta(p; a) - ttilde(p),
+        # which cancels about 83 bits; p = 1 takes the zeta(1; a) convention
+        a = F(4999999999999999999999999, 10 ** 25)
+        for p in range(1, 6):
+            rep = verify(p, a, F(1, 3), P, TOL)
+            assert rep.passed, (p, rep.absolute_gap)
+
     def test_negative_control_detects_missing_convention(self):
         rep = verify_thm3_1(2, F(1, 4), F(1, 3), P, TOL,
                             convention=ZetaConvention(enabled=False))

@@ -29,7 +29,7 @@ from tsum.series import (
     naive_sum,
     odd_harmonic,
 )
-from tsum.special import hurwitz_zeta, riemann_zeta, ttilde
+from tsum.special import hurwitz_zeta, riemann_zeta, tail_zeta_batch, ttilde
 
 P = 192
 F = Fraction
@@ -318,6 +318,85 @@ def test_each_accelerated_call_makes_at_most_one_batch(monkeypatch):
     assert {p is None for p, _, _ in calls} == {True, False}
     for p, batches, per_value in calls:
         assert batches <= (0 if p is None else 1) and per_value == 0, (p, batches, per_value)
+
+
+def _exact(x):
+    man, exp = x.man_exp
+    return F(man) * F(2) ** exp
+
+
+def _spy_rounding(monkeypatch):
+    """Records the fixed-point total and scale that accel_linear_sum rounds."""
+    seen = []
+    from_man_exp = series.from_man_exp
+
+    def spy(man, exp, *args):
+        seen.append((man, exp))
+        return from_man_exp(man, exp, *args)
+
+    monkeypatch.setattr(series, "from_man_exp", spy)
+    return seen
+
+
+@pytest.mark.parametrize("prec", [64, 192, 1024])
+def test_tail_assembly_error_budget(prec, monkeypatch):
+    # the fixed-point tail against the same assembly in exact Fractions, from the
+    # same cached g_w and batch values: its floors may cost 2 h_N + W + 1 units
+    # of 2^-T (2 without h_N), and the majorants of the input errors stay within 2^6
+    monkeypatch.setattr(series, "_expansion_cache", {})
+    seen = _spy_rounding(monkeypatch)
+    pieces = ((F(1), ((F(1, 3), 1), (F(-1, 4), 2))), (F(-2, 7), ((F(5, 2), 3),)))
+    wp = prec + 48
+    for sigma, offset, p in itertools.product((1, -1), (0, 1), (None, 1, 2, 3, 4)):
+        res = accel_linear_sum(p, offset, sigma, pieces, prec)
+        (man, exp), N = seen.pop(), res.terms_used
+        [(W, (mans, exps))] = [(k[3], v) for k, v in series._expansion_cache.items()
+                               if k[:2] == (sigma, offset) and k[4] == wp]
+        total, abs_total, _, scale, hs, hscale = _direct(sigma, offset, () if p is None else (p,),
+                                                         pieces, N, wp)
+        T = -exp
+        assert T == scale + series._TAIL_GUARD
+        g = [F(m) * F(2) ** e for m, e in zip(mans, exps)]
+        u = F(2 * N + 1 - 2 * offset, 2)
+        rational_tail = sigma ** (N + 1 - offset) * sum(gw / u ** w for w, gw in enumerate(g, 1))
+        majorant = sum(abs(gw) / u ** w for w, gw in enumerate(g, 1))
+        head, abs_head = F(total, 1 << scale), F(abs_total, 1 << scale)
+        if p is None:
+            exact, units = head + rational_tail, 2
+        else:
+            h = F(hs[0], 1 << hscale)
+            powers = [w for w, gw in enumerate(g, 1) if gw]
+            terms = [g[w - 1] * _exact(z) for w, z in zip(
+                powers, tail_zeta_batch(sigma, [w + p for w in powers], F(2 * N + 1, 2), wp))]
+            piece2 = sigma ** (N + 1) * sum(terms)
+            exact, units = head + h * rational_tail + piece2, 2 * h + W + 1
+            assert sum(map(abs, terms)) <= 2 ** 6 * (abs_head + abs(piece2) + 1)
+            majorant *= max(1, h)
+        case = (sigma, offset, p)
+        assert abs(F(man, 1 << T) - exact) <= F(units, 1 << T), case
+        assert majorant <= 2 ** 6 * (abs_head + 1), case
+
+
+@pytest.mark.parametrize("p", [None, 1])
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_head_scale_zero(p, sigma, monkeypatch):
+    # a = -1/2 + 10^-30 puts a pole 10^-30 below n = 1: the first term is near
+    # 10^60, past 2^wp at 64 bits, so the head sums in units (F = 0) and the
+    # tail, near 1/N, has only _TAIL_GUARD bits of its own
+    spec = SumSpec(p=() if p is None else (p,), q=(2,), a=(F(-1, 2) + F(1, 10 ** 30),),
+                   sigma=sigma)
+    seen = _spy_rounding(monkeypatch)
+    for prec in (64, 192):
+        ref = euler_t_sum(spec, prec + 160)
+        monkeypatch.setattr(series, "_expansion_cache", {})
+        monkeypatch.setattr(special, "_zeta_cache", {})
+        cold = euler_t_sum(spec, prec)
+        if prec == 64:
+            assert seen[-1][1] == -series._TAIL_GUARD
+        warm = euler_t_sum(spec, prec)
+        assert (cold.value, cold.tail_bound) == (warm.value, warm.tail_bound), prec
+        with mp.workprec(prec + 200):
+            assert abs(cold.value - ref.value) <= cold.tail_bound, prec
 
 
 def test_accelerated_method_rejects_multiple_factors():
