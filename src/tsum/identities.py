@@ -96,18 +96,11 @@ def _zx(s: int, x: Frac, conv: ZetaConvention, prec: int) -> mpf:
 
 
 def _zeta_minus_ttilde(p: int, x: Frac, conv: ZetaConvention, prec: int) -> mpf:
-    """zeta(p; x) - ttilde(p) at ``prec``; at p = 1, where ttilde(1) = 0, the
-    zeta(1; x) convention of ``conv``.  A difference of the two values that
-    cancels more than 8 bits (x next to 1/2) is taken again as one kernel
-    sum K(p; x) - K(p; 1/2), which keeps its bits; the others reuse the
-    values the remaining checks share at ``prec``."""
+    """zeta(p; x) - ttilde(p) at ``prec``: at p = 1, where ttilde(1) = 0, the
+    zeta(1; x) convention of ``conv``; at p >= 2 one kernel sum
+    K(p; x) - K(p; 1/2), rounded once, so x next to 1/2 keeps its bits."""
     if p == 1:
         return conv.hurwitz1(x, prec)
-    with mp.workprec(prec):
-        z = hurwitz_zeta(p, x, prec)
-        d = z - ttilde(p, prec)
-        if mp.mag(z) - mp.mag(d) <= 8:
-            return d
     return _kernel_sums([(0, [(1, 1, p, x), (-1, 1, p, Frac(1, 2))])], prec)[0]
 
 
