@@ -138,17 +138,24 @@ _SEC = _Kernel(KernelKind.PI_OVER_COS, -1, 1)
 
 
 def _zeta_sum(kern: _Kernel, p: int, a: Frac, b: Frac, start: mpf, scale, sign: int,
-              conv: ZetaConvention, wp: int) -> mpf:
+              conv: ZetaConvention, wp: int, exact: bool = False) -> mpf:
     """start + sum_j scale * tt(j) * sign * (zeta(p+1-j; a) - zeta(p+1-j; b)).
 
     ``sign`` = -1 stands for the stated order zeta(b) - zeta(a); a factor
-    of +-1 is exact in mpf, so either order gives the same bits.
+    of +-1 is exact in mpf, so either order gives the same bits.  With
+    ``exact`` each difference is one kernel sum K(s; a) - K(s; b), rounded
+    once, so b next to a keeps its bits; the zeta(1; .) convention's K(1; 1/2)
+    cancels there, and a disabled one leaves 0.
     """
+    ss = range(p + 1 - kern.first_j, 0, -2)
+    if exact:
+        diffs = _kernel_sums([(0, [] if s == 1 and kern.sigma == 1 and not conv.enabled else
+                               [(1, kern.sigma, s, a), (-1, kern.sigma, s, b)]) for s in ss], wp)
+    else:
+        diffs = [kern.zeta(s, a, conv, wp) - kern.zeta(s, b, conv, wp) for s in ss]
     total = start
-    for j in range(kern.first_j, p + 1, 2):
-        s = p + 1 - j
-        total += scale * kern.tt(j, wp) * (
-            sign * (kern.zeta(s, a, conv, wp) - kern.zeta(s, b, conv, wp)))
+    for s, diff in zip(ss, diffs):
+        total += scale * kern.tt(p + 1 - s, wp) * (sign * diff)
     return total
 
 
@@ -231,9 +238,12 @@ def _verify_single(kern: _Kernel, family: str, m: int, a: Frac, prec: int, toler
         terms = s1.terms_used
         if reflect:
             inv = 1 / to_mpf(2 * a - 1, wp)
-            rhs = _zeta_sum(kern, p, a, b, mpf(0), inv, kern.sigma, convention, wp)
-            rhs += kernel_value(kern.kind, a, wp) * inv / 2 * (
-                2 * ttilde(p, wp) - _zx(p, a, convention, wp) - _zx(p, b, convention, wp))
+            rhs = _zeta_sum(kern, p, a, b, mpf(0), inv, kern.sigma, convention, wp, exact=True)
+            # 2 ttilde(p) - zeta(p; a) - zeta(p; b) as one kernel sum; at p = 1,
+            # where ttilde(1) = 0, it is the zeta(1; .) convention
+            ksum = [] if p == 1 and not convention.enabled else [
+                (2, 1, p, Frac(1, 2)), (-1, 1, p, a), (-1, 1, p, b)]
+            rhs += kernel_value(kern.kind, a, wp) * inv / 2 * _kernel_sums([(0, ksum)], wp)[0]
         else:
             s0 = _pure_series((p, 1, 1), (Frac(0), a, b), kern.sigma, wp)
             terms += s0.terms_used

@@ -11,7 +11,8 @@ measured cancellation needs, and is rounded once too.  Only composite
 computations (the series engine, the identity checks) work at ``prec`` plus
 guard bits and round the result back to ``prec``.  Exact rational
 bookkeeping uses ``fractions.Fraction``, and a fraction becomes an mpf by
-one correct rounding.
+one correct rounding.  The Bernoulli numbers are exact fractions from one
+integer pass over the tangent numbers, with no zeta evaluation.
 
 Parallelism is process-only: ``mp.workprec`` mutates mpmath's
 process-global context, so no computation here may run on two threads of
@@ -33,7 +34,7 @@ RealLike = Union[int, Fraction, mpf]
 MIN_PRECISION = 16
 
 _const_cache: dict[tuple[str, int], mpf] = {}
-_bernoulli_cache: dict[int, Fraction] = {}
+_bernoulli_even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
 
 
 class PrecisionError(ValueError):
@@ -98,14 +99,32 @@ def real_const(name: str, prec: int) -> mpf:
 
 
 def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (convention B_1 = -1/2), memoized; the
-    fraction is mpmath's ``bernfrac``."""
+    """Exact Bernoulli number B_n (convention B_1 = -1/2), from a table of the
+    even ones.
+
+    The table comes from one integer pass over the tangent numbers T_k, tan z
+    = sum_k T_k z^(2k-1)/(2k-1)! (Brent and Harvey): starting from
+    T_k = (k-1)!, stage j = 2, 3, ... sets T_k <- (k-j) T_(k-1) + (k-j+2) T_k
+    for k >= j in turn, and then B_2k = (-1)^(k-1) 2k T_k/(4^k (4^k - 1)).
+    The pass is not incremental, so a table too short for n is refilled to
+    at least twice its length; all B_m, m <= n, cost O(n^2) products of an
+    integer by a small one."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
-    value = _bernoulli_cache.get(n)
-    if value is None:
-        value = _bernoulli_cache[n] = Fraction(*mp.bernfrac(n))
-    return value
+    if n % 2:
+        return Fraction(-1, 2) if n == 1 else Fraction(0)
+    k, have = n // 2, len(_bernoulli_even)
+    if k >= have:
+        size = max(k, 2 * (have - 1))
+        T = [1] * (size + 1)  # T[j] = T_j; T[0] unused
+        for j in range(2, size + 1):
+            T[j] = (j - 1) * T[j - 1]
+        for j in range(2, size + 1):
+            for i in range(j, size + 1):
+                T[i] = (i - j) * T[i - 1] + (i - j + 2) * T[i]
+        _bernoulli_even.extend(Fraction((-1) ** (i - 1) * 2 * i * T[i], 4 ** i * (4 ** i - 1))
+                               for i in range(have, size + 1))
+    return _bernoulli_even[k]
 
 
 def real_to_str(x: mpf, prec: int) -> str:

@@ -6,7 +6,10 @@ that is not a non-positive integer, in integers scaled by 2^F.  For each
 exponent it sums the series directly when its terms fall below 2^-F within
 the head that the asymptotic series would need; otherwise it adds that
 head to Euler-Maclaurin (sigma = +1) or Boole summation (sigma = -1) at
-x + n.  Digamma is minus the sigma = +1, s = 1 case, whose divergent
+x + n.  The exponents summed that way share that head and one term table:
+the series of the largest runs once, and each lower exponent's terms follow
+from the one above it by a small multiplication and division per term, a
+walk down in s.  Digamma is minus the sigma = +1, s = 1 case, whose divergent
 1/(s-1) gives way to a logarithm.  F rises until each value keeps
 prec + 56 bits, and each value is rounded once; the depth-1 constants are
 such values times +-2^k.
@@ -85,34 +88,49 @@ def _admissible(x: Rational, name: str) -> Fraction:
 # The fixed-point kernel: many exponents at one point
 # ---------------------------------------------------------------------------
 
-def _scaled_tail(sigma: int, s: int, Y: int, D: int, F: int) -> int:
-    """2^F y^(s-1) sum_{n>=0} sigma^n (n + y)^(-s) at y = Y/D, in fixed point;
-    at sigma = +1, s = 1 the constant term of the Laurent series at s = 1,
-    -psi(y), where y^(1-s)/(s-1) leaves -ln y.
+def _scaled_tails(sigma: int, ss: list[int], Y: int, D: int, F: int) -> list[int]:
+    """2^F y^(s-1) sum_{n>=0} sigma^n (n + y)^(-s) at y = Y/D, in fixed point,
+    for each s of the sorted ss; at sigma = +1, s = 1 the constant term of the
+    Laurent series at s = 1, -psi(y), where y^(1-s)/(s-1) leaves -ln y.
 
-    Euler-Maclaurin gives 1/(s-1) + 1/(2y) + sum_k c_k (s)_(2k-1) y^(-2k),
-    c_k = B_2k/(2k)!; Boole summation the same without 1/(s-1) and with
-    (4^k - 1) c_k, each held to F + 8 bits (ln y to F + 16).  For these
-    completely monotone summands the remainder is at most the first omitted
-    term, so the loop stops at the first term below one unit; past the
-    smallest term, at s + 2k > c pi y, it raises ArithmeticError.
+    Euler-Maclaurin gives 1/(s-1) + 1/(2y) + sum_k (-1)^(k-1) E_k(s), E_k(s) =
+    c_k (s)_(2k-1) y^(-2k), c_k = |B_2k|/(2k)!; Boole summation the same
+    without 1/(s-1) and with (4^k - 1) c_k, each c_k held to F + 8 bits (ln y
+    to F + 16).  For these completely monotone summands the remainder is at
+    most the first omitted term.  So the terms of the top exponent t = max(ss)
+    run to the first below one unit; past the smallest term, at t + 2k >
+    c pi y, that raises ArithmeticError.  This one term table serves every
+    exponent: each lower one walks down from the one above,
+    E_k(s - 1) = E_k(s) (s - 1)/(s + 2k - 2), one small multiplication and
+    one floor per term, and zeros are dropped from the end.  E_k(s) <= E_k(t),
+    so the first omitted term of s is below one unit too.
+
+    The error, in units 2^-F: a top term errs by under 2 units.  The floor of
+    the rise at step j reaches term k scaled by E_k c_j/E_j <= c_j while the
+    terms fall, so these add up to under sum_j (4^j - 1) c_j < 0.3 units, and
+    the product takes one more floor.  A walked term inherits the error of the
+    term above it times (s - 1)/(s + 2k - 2) < 1, plus one floor, so E_k(s)
+    errs by under t - s + 2 units, and the K terms of the table by under
+    K(t - s + 2); 1/(2y), 1/(s-1) or ln y and the omitted term add a unit each.
+    K stays below the index (c pi y - t)/2 of the smallest term at the head's
+    y, which ``_head_length`` keeps under 3(t + 1.4 F + 6)/(c pi) + 1 (a larger
+    y only shortens the table), so K < t + 2.1 F + 12.  For t and F below 2^24
+    the count is below 2^50 units, far inside the 2^54 that ``_zeta_batch``'s
+    prec + 56 rule leaves a value (its relative error then stays under
+    2^-(prec+1)), so F needs no more bits.
     """
     table = _coeff_tables[sigma]
     if table[0] < F:
         table[:] = [1 << (F - 1).bit_length(), []]
     G, coeffs = table
-    v = (D << F) // (2 * Y)
-    if sigma == 1 and s > 1:
-        v += (1 << F) // (s - 1)
-    elif sigma == 1:
-        with mp.workprec(F + 16):
-            v -= int(mp.ldexp(mp.ln(mpf(Y) / D), F))
     Y2, D2 = Y * Y, D * D
-    kmax = ((2 if sigma == 1 else 1) * 355 * Y // (113 * D) - s) // 2 + 1  # pi < 355/113
-    rise = (s * D2 << F) // Y2  # 2^F (s)_(2k-1) y^(-2k), floored
+    t = ss[-1]
+    kmax = ((2 if sigma == 1 else 1) * 355 * Y // (113 * D) - t) // 2 + 1  # pi < 355/113
+    rise = (t * D2 << F) // Y2  # 2^F (t)_(2k-1) y^(-2k), floored
+    terms = []  # E_k(t), k = 1..K, in units
     for k in itertools.count(1):
         if k > kmax:
-            raise ArithmeticError(f"tail series of exponent {s} at {Fraction(Y, D)} "
+            raise ArithmeticError(f"tail series of exponent {t} at {Fraction(Y, D)} "
                                   f"cannot reach 2^-{F}")
         if k > len(coeffs):
             c = abs(bernoulli(2 * k)) / factorial(2 * k) * (1 if sigma == 1 else 4 ** k - 1)
@@ -121,9 +139,25 @@ def _scaled_tail(sigma: int, s: int, Y: int, D: int, F: int) -> int:
         m, e = coeffs[k - 1]
         term = (rise * (m >> (G - F))) >> (e - G + F)
         if not term:
-            return v
-        v += term if k % 2 else -term
-        rise = rise * (s + 2 * k - 1) * (s + 2 * k) * D2 // Y2
+            break
+        terms.append(term)
+        rise = rise * (t + 2 * k - 1) * (t + 2 * k) * D2 // Y2
+    half = (D << F) // (2 * Y)
+    out, at = [], t  # terms holds E_k(at)
+    for s in reversed(ss):
+        for u in range(at, s, -1):  # E_k(u - 1) = E_k(u) (u - 1)/(u + 2k - 2)
+            terms = [E * (u - 1) // d for E, d in zip(terms, range(u, u + 2 * len(terms), 2))]
+            while terms and not terms[-1]:
+                terms.pop()
+        at = s
+        v = half + sum(terms[::2]) - sum(terms[1::2])
+        if sigma == 1 and s > 1:
+            v += (1 << F) // (s - 1)
+        elif sigma == 1:
+            with mp.workprec(F + 16):
+                v -= int(mp.ldexp(mp.ln(mpf(Y) / D), F))
+        out.append(v)
+    return out[::-1]
 
 
 def _head_length(sigma: int, s: int, x: Fraction, bits: int) -> int:
@@ -177,7 +211,9 @@ def _fixed_sums(sigma: int, ss: list[int], x: Fraction, F: int) -> list[int]:
     such head is summed directly, one floor division per term.  As the terms
     fall faster and the head grows with s, these are the largest exponents,
     so the search runs down from the top; the rest share the head n of the
-    largest of them.  With y = x + n > 0 and V_s(y) from ``_scaled_tail``,
+    largest of them, and one term table at y = x + n > 0: ``_scaled_tails``
+    runs the asymptotic series of the largest and walks its terms down in s
+    to every other.  With V_s(y) from there,
     V_s(x) = sum_{j<n} sigma^j (x/(x+j))^(s-1)/(x+j) + sigma^n (x/y)^(s-1) V_s(y).
     The ratio powers start from one floor division at the first such
     exponent and take one floored factor per later unit of s.
@@ -190,6 +226,9 @@ def _fixed_sums(sigma: int, ss: list[int], x: Fraction, F: int) -> list[int]:
         if m > n:
             break
         direct[s] = m
+    rest = [s for s in ss if s not in direct]
+    tails = dict(zip(rest, _scaled_tails(sigma, rest, num + n * den, den, F) if rest else ()))
+    qs = [num + j * den for j in range(n + 1)]  # x + j = q/den
     ratio, power, out = None, 0, []  # 2^F (x/(x+j))^power
     for s in ss:
         if s in direct:
@@ -197,14 +236,13 @@ def _fixed_sums(sigma: int, ss: list[int], x: Fraction, F: int) -> list[int]:
             out.append(sum(sigma ** j * (top // (num + j * den) ** s) for j in range(direct[s])))
             continue
         if ratio is None:
-            ratio, power = [(num ** (s - 1) << F) // (num + j * den) ** (s - 1)
-                            for j in range(n + 1)], s - 1
+            ratio, power = [(num ** (s - 1) << F) // q ** (s - 1) for q in qs], s - 1
         for _ in range(power, s - 1):
-            ratio = [r * num // (num + j * den) for j, r in enumerate(ratio)]
+            ratio = [r * num // q for r, q in zip(ratio, qs)]
         power = s - 1
-        v = sigma ** n * ratio[n] * _scaled_tail(sigma, s, num + n * den, den, F) >> F
-        out.append(v + sum(sigma ** j * r * den // (num + j * den)
-                           for j, r in enumerate(ratio[:n])))
+        head = [r * den // q for r, q in zip(ratio[:n], qs)]
+        v = sigma ** n * ratio[n] * tails[s] >> F
+        out.append(v + (sum(head) if sigma == 1 else sum(head[::2]) - sum(head[1::2])))
     return out
 
 

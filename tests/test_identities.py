@@ -92,6 +92,24 @@ class TestCorollaries:
         assert verify_cor3_6(0, F(1, 3), P, TOL).passed
         assert verify_cor3_6(2, F(1, 5), P, TOL).passed
 
+    @pytest.mark.parametrize("verify", [verify_cor3_3, verify_cor3_6])
+    def test_reflection_next_to_one_half(self, verify):
+        # at b = 1 - a, pi tan and pi sec of pi a (~3e24) and 1/(2a - 1) (~-5e24)
+        # multiply 2 ttilde(p) - zeta(p; a) - zeta(p; b), of order (1/2 - a)^2,
+        # and the j-sum takes zeta(s; a) - zeta(s; b), of order 1/2 - a
+        a = F(4999999999999999999999999, 10 ** 25)
+        for m in range(3):
+            rep = verify(m, a, P, TOL)
+            assert rep.passed, (m, rep.absolute_gap)
+
+    def test_reflection_without_the_convention_drops_zeta1(self):
+        # p = 1 needs the zeta(1; a) convention, as in the negative control
+        rep = verify_cor3_3(0, F(1, 3), P, TOL, convention=ZetaConvention(enabled=False))
+        assert not rep.passed
+        assert rep.rhs == 0
+        with mp.workprec(64):
+            assert rep.absolute_gap > mpf("1")
+
     def test_hypothesis_boxes(self):
         with pytest.raises(HypothesisError):
             verify_cor3_2(0, F(2, 3), P, TOL)  # outside 0 < |a| < 1/2

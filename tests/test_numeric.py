@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest
 
+import tsum.numeric as numeric
 from tsum.numeric import PrecisionError, bernoulli, real_const, real_to_str, to_mpf
 from tsum.special import digamma, hurwitz_zeta, riemann_zeta, ttilde
 
@@ -73,6 +74,25 @@ def test_bernoulli_values():
 def test_bernoulli_defining_recurrence_holds_through_200():
     for m in range(1, 201):
         assert sum(comb(m + 1, j) * bernoulli(j) for j in range(m + 1)) == 0
+
+
+def test_bernoulli_matches_mpmath_through_1200(monkeypatch):
+    # mpmath's bernfrac (a zeta evaluation) is the independent oracle
+    monkeypatch.setattr(numeric, "_bernoulli_even", [Fraction(1)])
+    bernoulli(1200)
+    assert len(numeric._bernoulli_even) == 601
+    for n in range(1201):
+        assert bernoulli(n) == Fraction(*mp.bernfrac(n)), n
+
+
+def test_bernoulli_table_does_not_depend_on_the_order_of_requests(monkeypatch):
+    monkeypatch.setattr(numeric, "_bernoulli_even", [Fraction(1)])
+    out_of_order = [bernoulli(600), bernoulli(10)]
+    jumped = [bernoulli(n) for n in range(601)]
+    monkeypatch.setattr(numeric, "_bernoulli_even", [Fraction(1)])
+    in_order = [bernoulli(n) for n in range(601)]
+    assert in_order == jumped
+    assert out_of_order == [in_order[600], in_order[10]]
 
 
 def test_bernoulli_negative_index_rejected():

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp, mpf
 
 import tsum.special as special
-from tsum.numeric import real_const
+from tsum.numeric import bernoulli, real_const
 from tsum.series import _pick_truncation
 from tsum.special import (
     DomainError,
@@ -120,10 +120,79 @@ class TestTailZetaBatch:
         monkeypatch.setattr(special, "_zeta_cache", {})
         assert [tail_zeta_batch(-1, [s], x, 240)[0] for s in ss[::7]] == batch[::7]
 
+    @staticmethod
+    def _one_at_a_time(sigma, ss, x, wp, monkeypatch):
+        """The batch and the values one exponent at a time, each from an
+        empty cache; the second list runs every exponent as its own top."""
+        monkeypatch.setattr(special, "_zeta_cache", {})
+        batch = tail_zeta_batch(sigma, ss, x, wp)
+        monkeypatch.setattr(special, "_zeta_cache", {})
+        return batch, [tail_zeta_batch(sigma, [s], x, wp)[0] for s in ss]
+
+    @pytest.mark.parametrize("sigma", [1, -1])
+    @pytest.mark.parametrize("prec", [192, 1024])
+    def test_walk_matches_one_exponent_at_a_time(self, sigma, prec, monkeypatch):
+        x, wp, W = _accel_point(prec)
+        batch, single = self._one_at_a_time(sigma, list(range(2, W + 6)), x, wp, monkeypatch)
+        assert batch == single
+
+    def test_walk_under_a_shared_head(self, monkeypatch):
+        heads = []
+        head_length = special._head_length
+        monkeypatch.setattr(special, "_head_length",
+                            lambda *args: heads.append(head_length(*args)) or heads[-1])
+        batch, single = self._one_at_a_time(-1, list(range(1, 101)), Fraction(265, 2), 240,
+                                            monkeypatch)
+        assert heads[0] > 0
+        assert batch == single
+
+    @pytest.mark.parametrize("sigma, s, x", [
+        (1, 3, Fraction(-495715676913038394103902059399, 10 ** 30)),
+        (-1, 2, Fraction(-510662050514297988828484780952, 10 ** 30)),
+    ])
+    def test_walk_through_a_second_pass(self, sigma, s, x, monkeypatch):
+        # next to a zero at negative x the value of s falls short of prec + 56
+        # bits, and _zeta_batch sums it again with F raised
+        calls = []
+        fixed_sums = special._fixed_sums
+
+        def spy(sigma, ss, *rest):
+            calls.append(ss)
+            return fixed_sums(sigma, ss, *rest)
+
+        monkeypatch.setattr(special, "_fixed_sums", spy)
+        ss = list(range(2 if sigma == 1 else 1, 13))
+        batch, single = self._one_at_a_time(sigma, ss, x, 192, monkeypatch)
+        assert calls[1] == [s]
+        assert batch == single
+
+    @pytest.mark.parametrize("sigma, Y, D, F, ss", [
+        (1, 265, 2, 330, [2, 3, 4, 9, 40]),
+        (-1, 265, 2, 330, [1, 2, 3, 17, 41]),
+        (1, 1207, 2, 1180, [2, 3, 100, 263, 264, 265]),
+        (-1, 1207, 2, 1180, [1, 2, 150, 264, 265]),
+        (-1, 2001, 7, 200, [5, 6, 30]),
+    ])
+    def test_walk_error_budget(self, sigma, Y, D, F, ss, monkeypatch):
+        # each value within K (t - s + 2) + 2 units of the exact truncated
+        # series, K the length of the top exponent's table: a fresh
+        # coefficient table holds one entry past it
+        monkeypatch.setattr(special, "_coeff_tables", {sigma: [0, []]})
+        values = special._scaled_tails(sigma, ss, Y, D, F)
+        K, t, y = len(special._coeff_tables[sigma][1]) - 1, ss[-1], Fraction(Y, D)
+        for s, v in zip(ss, values):
+            exact = 1 / (2 * y) + (Fraction(1, s - 1) if sigma == 1 else 0)
+            rise = Fraction(s) / y ** 2  # (s)_(2k-1) y^(-2k)
+            for k in range(1, K + 1):
+                c = abs(bernoulli(2 * k)) / math.factorial(2 * k)
+                exact += (-1) ** (k - 1) * c * (1 if sigma == 1 else 4 ** k - 1) * rise
+                rise *= Fraction((s + 2 * k - 1) * (s + 2 * k)) / y ** 2
+            assert abs(v - exact * 2 ** F) <= K * (t - s + 2) + 2, (s, v - exact * 2 ** F)
+
     def test_series_past_its_smallest_term_raises(self):
         # at y = 1 no term of the series for s = 2 falls below 2^-200
         with pytest.raises(ArithmeticError):
-            special._scaled_tail(1, 2, 1, 1, 200)
+            special._scaled_tails(1, [2], 1, 1, 200)
 
     def test_domain(self):
         for args in ((1, [1], 3), (-1, [2], 0), (0, [2], 3)):
