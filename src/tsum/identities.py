@@ -40,6 +40,7 @@ from .special import (
 )
 
 Frac = Fraction
+_HALF = Frac(1, 2)
 
 
 class HypothesisError(DomainError):
@@ -88,20 +89,12 @@ def _check_ab(a: Frac, b: Optional[Frac]) -> None:
             raise HypothesisError("this artifact restricts shift parameters to |a| < 1")
 
 
-def _zx(s: int, x: Frac, conv: ZetaConvention, prec: int) -> mpf:
-    """Hurwitz zeta with the s = 1 convention routed through ``conv``."""
-    if s == 1:
-        return conv.hurwitz1(x, prec)
-    return hurwitz_zeta(s, x, prec)
-
-
-def _zeta_minus_ttilde(p: int, x: Frac, conv: ZetaConvention, prec: int) -> mpf:
-    """zeta(p; x) - ttilde(p) at ``prec``: at p = 1, where ttilde(1) = 0, the
-    zeta(1; x) convention of ``conv``; at p >= 2 one kernel sum
-    K(p; x) - K(p; 1/2), rounded once, so x next to 1/2 keeps its bits."""
-    if p == 1:
-        return conv.hurwitz1(x, prec)
-    return _kernel_sums([(0, [(1, 1, p, x), (-1, 1, p, Frac(1, 2))])], prec)[0]
+def _zetas(conv: ZetaConvention, prec: int, *terms: tuple) -> mpf:
+    """sum c zeta(s; x) over the (c, s, x) of ``terms`` as one kernel sum,
+    rounded once, with zeta(1; .) as ``conv`` has it, so values that cancel
+    keep their bits.  ttilde(s) enters as zeta(s; 1/2), which at s = 1 is
+    K(1; 1/2) - K(1; 1/2) = 0 = ttilde(1)."""
+    return _kernel_sums([(0, [t for c, s, x in terms for t in conv.terms(c, s, x)])], prec)[0]
 
 
 def _pair_pieces(a: Frac, b: Frac, negate: bool) -> list[tuple[Frac, list[tuple[Frac, int]]]]:
@@ -129,8 +122,8 @@ class _Kernel:
     def tt(self, j: int, wp: int) -> mpf:
         return ttilde(j, wp) if self.sigma > 0 else ttilde_bar(j, wp)
 
-    def zeta(self, s: int, x: Frac, conv: ZetaConvention, wp: int) -> mpf:
-        return _zx(s, x, conv, wp) if self.sigma > 0 else alt_hurwitz_zeta(s, x, wp)
+    def terms(self, c: int, s: int, x: Frac, conv: ZetaConvention) -> list:
+        return conv.terms(c, s, x) if self.sigma > 0 else [(c, -1, s, x)]
 
 
 _TAN = _Kernel(KernelKind.PI_TAN, 1, 2)
@@ -138,24 +131,18 @@ _SEC = _Kernel(KernelKind.PI_OVER_COS, -1, 1)
 
 
 def _zeta_sum(kern: _Kernel, p: int, a: Frac, b: Frac, start: mpf, scale, sign: int,
-              conv: ZetaConvention, wp: int, exact: bool = False) -> mpf:
+              conv: ZetaConvention, wp: int) -> mpf:
     """start + sum_j scale * tt(j) * sign * (zeta(p+1-j; a) - zeta(p+1-j; b)).
 
-    ``sign`` = -1 stands for the stated order zeta(b) - zeta(a); a factor
-    of +-1 is exact in mpf, so either order gives the same bits.  With
-    ``exact`` each difference is one kernel sum K(s; a) - K(s; b), rounded
-    once, so b next to a keeps its bits; the zeta(1; .) convention's K(1; 1/2)
-    cancels there, and a disabled one leaves 0.
-    """
+    ``sign`` = -1 stands for the stated order zeta(b) - zeta(a).  Each signed
+    difference is one kernel sum, rounded once, so b next to a (or to -a)
+    keeps its bits."""
     ss = range(p + 1 - kern.first_j, 0, -2)
-    if exact:
-        diffs = _kernel_sums([(0, [] if s == 1 and kern.sigma == 1 and not conv.enabled else
-                               [(1, kern.sigma, s, a), (-1, kern.sigma, s, b)]) for s in ss], wp)
-    else:
-        diffs = [kern.zeta(s, a, conv, wp) - kern.zeta(s, b, conv, wp) for s in ss]
+    diffs = _kernel_sums([(0, kern.terms(sign, s, a, conv) + kern.terms(-sign, s, b, conv))
+                          for s in ss], wp)
     total = start
     for s, diff in zip(ss, diffs):
-        total += scale * kern.tt(p + 1 - s, wp) * (sign * diff)
+        total += scale * kern.tt(p + 1 - s, wp) * diff
     return total
 
 
@@ -178,8 +165,8 @@ def _verify_pair(kern: _Kernel, family: str, p: int, a: Frac, b: Frac, prec: int
         ksum = _zeta_sum(kern, p, a, b, mpf(0), 1, kern.sigma, convention, wp)
         rhs = 2 * sgn * inv_ba * ksum
         rhs += sgn * inv_ba * (
-            kernel_value(kern.kind, b, wp) * _zeta_minus_ttilde(p, b, convention, wp)
-            - kernel_value(kern.kind, a, wp) * _zeta_minus_ttilde(p, a, convention, wp))
+            kernel_value(kern.kind, b, wp) * _zetas(convention, wp, (1, p, b), (-1, p, _HALF))
+            - kernel_value(kern.kind, a, wp) * _zetas(convention, wp, (1, p, a), (-1, p, _HALF)))
         lhs, rhs = round_to(lhs, prec), round_to(rhs, prec)
     params = {"p": p, "a": _fmt(a), "b": _fmt(b)}
     case_id = f"{family}[p={p},a={_fmt(a)},b={_fmt(b)}]"
@@ -238,20 +225,17 @@ def _verify_single(kern: _Kernel, family: str, m: int, a: Frac, prec: int, toler
         terms = s1.terms_used
         if reflect:
             inv = 1 / to_mpf(2 * a - 1, wp)
-            rhs = _zeta_sum(kern, p, a, b, mpf(0), inv, kern.sigma, convention, wp, exact=True)
-            # 2 ttilde(p) - zeta(p; a) - zeta(p; b) as one kernel sum; at p = 1,
-            # where ttilde(1) = 0, it is the zeta(1; .) convention
-            ksum = [] if p == 1 and not convention.enabled else [
-                (2, 1, p, Frac(1, 2)), (-1, 1, p, a), (-1, 1, p, b)]
-            rhs += kernel_value(kern.kind, a, wp) * inv / 2 * _kernel_sums([(0, ksum)], wp)[0]
+            rhs = _zeta_sum(kern, p, a, b, mpf(0), inv, kern.sigma, convention, wp)
+            rhs += kernel_value(kern.kind, a, wp) * inv / 2 * _zetas(
+                convention, wp, (2, p, _HALF), (-1, p, a), (-1, p, b))
         else:
             s0 = _pure_series((p, 1, 1), (Frac(0), a, b), kern.sigma, wp)
             terms += s0.terms_used
             inv2a = 1 / (2 * to_mpf(a, wp))
             rhs = _zeta_sum(kern, p, a, b, s0.value / 2, inv2a, 1, convention, wp)
-            za, zb = _zx(p, a, convention, wp), _zx(p, b, convention, wp)
             rhs += kernel_value(kern.kind, a, wp) / (4 * to_mpf(a, wp)) * (
-                za - zb if even else 2 * ttilde(p, wp) - za - zb)
+                _zetas(convention, wp, (1, p, a), (-1, p, b)) if even else
+                _zetas(convention, wp, (2, p, _HALF), (-1, p, a), (-1, p, b)))
         lhs, rhs = round_to(lhs, prec), round_to(rhs, prec)
     params = {"m": m, "a": _fmt(a)}
     return _report(f"{family}[m={m},a={_fmt(a)}]", family, params, lhs, rhs, tol,

@@ -100,15 +100,12 @@ def real_const(name: str, prec: int) -> mpf:
 
 def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number B_n (convention B_1 = -1/2), from a table of the
-    even ones.
-
-    The table comes from one integer pass over the tangent numbers T_k, tan z
-    = sum_k T_k z^(2k-1)/(2k-1)! (Brent and Harvey): starting from
-    T_k = (k-1)!, stage j = 2, 3, ... sets T_k <- (k-j) T_(k-1) + (k-j+2) T_k
-    for k >= j in turn, and then B_2k = (-1)^(k-1) 2k T_k/(4^k (4^k - 1)).
-    The pass is not incremental, so a table too short for n is refilled to
-    at least twice its length; all B_m, m <= n, cost O(n^2) products of an
-    integer by a small one."""
+    even ones filled by one integer pass over the tangent numbers T_k, tan z =
+    sum_k T_k z^(2k-1)/(2k-1)! (Brent and Harvey): from T_k = (k-1)!, stage
+    j = 2, 3, ... sets T_k <- (k-j) T_(k-1) + (k-j+2) T_k for k >= j in turn,
+    and B_2k = (-1)^(k-1) 2k T_k/(4^k (4^k - 1)).  The pass is not
+    incremental, so a table too short for n is refilled to at least twice its
+    length; all B_m, m <= n, cost O(n^2) products of an integer by a small one."""
     if n < 0:
         raise ValueError("Bernoulli index must be >= 0")
     if n % 2:
@@ -116,9 +113,7 @@ def bernoulli(n: int) -> Fraction:
     k, have = n // 2, len(_bernoulli_even)
     if k >= have:
         size = max(k, 2 * (have - 1))
-        T = [1] * (size + 1)  # T[j] = T_j; T[0] unused
-        for j in range(2, size + 1):
-            T[j] = (j - 1) * T[j - 1]
+        T = [0] + [math.factorial(j - 1) for j in range(1, size + 1)]  # T[j] = T_j
         for j in range(2, size + 1):
             for i in range(j, size + 1):
                 T[i] = (i - j) * T[i - 1] + (i - j + 2) * T[i]

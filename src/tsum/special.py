@@ -250,10 +250,11 @@ def _zeta_batch(sigma: int, ss, x: Fraction, prec: int) -> list[mpf]:
     """Kernel values for the exponents ss at x, each rounded once at ``prec``
     and cached under (s, point).
 
-    The one precision rule: a fixed-point sum v of ``_fixed_sums`` errs by a
-    few units per term, so it must keep prec + 56 bits; an exponent that
-    falls short (its value cancels, next to a zero at x < 0 or of digamma)
-    is summed again with F raised by the shortfall."""
+    The one precision rule: a fixed-point sum v of ``_fixed_sums`` errs by
+    under 2^50 units in its tail (the count in ``_scaled_tails``) and a few
+    per head term, so it must keep prec + 56 bits, which leave it 2^54
+    units; an exponent that falls short (its value cancels, next to a zero
+    at x < 0 or of digamma) is summed again with F raised by the shortfall."""
     num, den = x.numerator, x.denominator
     point = (sigma, num, den, prec)
     todo = sorted({s for s in ss if (s, point) not in _zeta_cache})
@@ -361,10 +362,10 @@ class ZetaConvention:
 
     enabled: bool = True
 
-    def hurwitz1(self, a: Rational, prec: int) -> mpf:
-        if not self.enabled:
-            return mpf(0)
-        return hurwitz_zeta1(a, prec)
+    def terms(self, c: Rational, s: int, a: Rational) -> list:
+        """c zeta(s; a) as kernel terms for ``_kernel_sums``; at s = 1 the
+        convention K(1; a) - K(1; 1/2), or no term when disabled."""
+        return [] if s == 1 and not self.enabled else _zeta_terms(c, s, Fraction(a))
 
 
 DEFAULT_CONVENTION = ZetaConvention()

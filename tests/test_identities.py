@@ -92,13 +92,19 @@ class TestCorollaries:
         assert verify_cor3_6(0, F(1, 3), P, TOL).passed
         assert verify_cor3_6(2, F(1, 5), P, TOL).passed
 
-    @pytest.mark.parametrize("verify", [verify_cor3_3, verify_cor3_6])
-    def test_reflection_next_to_one_half(self, verify):
+    @pytest.mark.parametrize("verify, a, ms", [
+        (verify_cor3_3, F(4999999999999999999999999, 10 ** 25), (0, 1, 2)),
+        (verify_cor3_6, F(4999999999999999999999999, 10 ** 25), (0, 1, 2)),
+        (verify_cor3_2, F(1, 10 ** 25), (0, 1, 2)),
+        (verify_cor3_5, F(1, 10 ** 25), (1, 2)),
+    ])
+    def test_cancelling_zeta_differences(self, verify, a, ms):
         # at b = 1 - a, pi tan and pi sec of pi a (~3e24) and 1/(2a - 1) (~-5e24)
         # multiply 2 ttilde(p) - zeta(p; a) - zeta(p; b), of order (1/2 - a)^2,
-        # and the j-sum takes zeta(s; a) - zeta(s; b), of order 1/2 - a
-        a = F(4999999999999999999999999, 10 ** 25)
-        for m in range(3):
+        # and the j-sum takes zeta(s; a) - zeta(s; b), of order 1/2 - a; at
+        # b = -a, 1/(2a) and pi tan(pi a)/(4a) multiply zeta(s; a) - zeta(s; -a),
+        # whose a^-s parts (~1e25s) cancel at even s
+        for m in ms:
             rep = verify(m, a, P, TOL)
             assert rep.passed, (m, rep.absolute_gap)
 
