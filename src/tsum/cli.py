@@ -117,9 +117,7 @@ def cmd_verify(args) -> int:
     else:
         text = _record_to_text(record)
     rc = _write_output(text, args.out)
-    if rc:
-        return rc
-    return 0 if record["summary"]["failed"] == 0 else 1
+    return rc if rc else (0 if record["summary"]["failed"] == 0 else 1)
 
 
 def cmd_reduce(args) -> int:
@@ -258,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--sigma", type=int, choices=(1, -1), default=1)
     pe.add_argument("--offset", choices=("cur", "prev", "n", "n-1"), default="cur")
     pe.add_argument("--method", choices=("auto", "accelerated", "naive"), default="auto")
-    pe.add_argument("--max-terms", type=int, default=None)
+    pe.add_argument("--max-terms", type=int, help="direct-summation terms: exact with --method "
+                    "naive, the first doubling round for 2+ harmonic factors, else ignored")
     pe.set_defaults(func=cmd_eval)
 
     pt = sub.add_parser("table", help="emit all reductions of a family up to a weight bound")

@@ -12,9 +12,9 @@ Evaluation strategy for the linear case (at most one harmonic factor):
 
 * R enters as pieces k prod (n + t)^(-e): one product piece for a spec, or
   one piece per partial fraction for the residue checks.
-* The first N terms are summed in Python ints (``_direct``), at a scale
-  2^-F set by the first non-zero term, so the error stays under
-  abs_total 2^-wp for terms of any size.
+* The first N terms are summed in Python ints (``_direct``), 256 at a time
+  by lazy pipelines of builtins, at a scale 2^-F set by the first non-zero
+  term, so the error stays under abs_total 2^-wp for terms of any size.
 * The tail is rearranged exactly: with h the harmonic prefix sums,
   h(n) = h(N) + sum_{k=N+1..n} (k-1/2)^(-p), so the tail splits into
   h(N) G(N + 1 - off) plus sum_{k>N} (k-1/2)^(-p) G(k), where
@@ -37,10 +37,11 @@ summation, in the same fixed point; no closed form here covers them.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb, factorial
+from operator import add, floordiv, mul, rshift
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf
@@ -70,6 +71,7 @@ class BudgetExceededError(RuntimeError):
 
 NAIVE_START_TERMS = 1 << 14
 NAIVE_TERM_CAP = 1 << 22
+_BLOCK = 256  # terms per step of _direct; even, so that each block starts at an odd n
 
 
 def harmonic(n: int, p: int = 1) -> Fraction:
@@ -231,7 +233,7 @@ def _tail_expansion(sigma: int, offset: int, pieces: Pieces, W: int,
     for w in range(1, W + 1):
         bern = sum(gammas[k - 1] * row[2 * k - 1] * rho[w - 2 * k + 1]
                    for k in range(1, (w + 1 - m0) // 2 + 1))
-        row = [1, *map(operator.add, row, row[1:]), 1]
+        row = [1, *map(add, row, row[1:]), 1]
         num = 2 * w * D * bern + (1 - 2 * offset) * w * L * D * rho[w]
         if sigma == 1:
             num += 2 * L * rho[w + 1]
@@ -318,8 +320,7 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     rational_tail = 0
     for m, e in zip(reversed(mans), reversed(exps)):
         rational_tail = 2 * (rational_tail + _at_scale(m, e + T)) // u2
-    if sigma == -1 and (N + 1 - offset) % 2:
-        rational_tail = -rational_tail
+    rational_tail *= sigma ** (N + 1 - offset)
     value = total << _TAIL_GUARD
     trunc_est = piece1 = piece2 = 0
     if p is None:
@@ -331,8 +332,7 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
         for w, z in zip(powers, zvals):
             sign, man, exp, _ = z._mpf_
             piece2 += _at_scale(mans[w - 1] * (-man if sign else man), exps[w - 1] + exp + T)
-        if sigma == -1 and (N + 1) % 2:
-            piece2 = -piece2
+        piece2 *= sigma ** (N + 1)
         value += piece1 + piece2
     with mp.workprec(wp):
         abs_head, fixed = mpf((abs_total, -F)), mpf((value, -T))
@@ -358,7 +358,8 @@ def _direct(sigma: int, offset: int, ps: Sequence[int], pieces: Pieces, N: int, 
     """sum_{n<=N} sigma^n W(n) R(n) in Python ints, W(n) = prod_i h_{n-offset}^(p_i)
     and R(n) = sum_j k_j prod (n + t)^(-e) over pieces (k_j, [(t, e)]).  Returns
     the sum, the sum of |terms| and the N-th term in units of 2^-F, F, and
-    h_N^(p_i) in units of 2^-H, H.
+    h_N^(p_i) in units of 2^-H, H.  Each block of ``_BLOCK`` n is one lazy
+    pipeline of builtins; only its h prefix sums and its terms become lists.
 
     With t = a/b, (n + t)^(-e) = b^e/(bn + a)^e: a piece is one floor division of
     floor(k prod b^e 2^F) per term, erring by under 2 units (that floor over
@@ -372,44 +373,43 @@ def _direct(sigma: int, offset: int, ps: Sequence[int], pieces: Pieces, N: int, 
     r = len(ps)
     scaled = [(k * math.prod(Fraction(t.denominator) ** e for t, e in fs),
                [(t.denominator, t.numerator, e) for t, e in fs]) for k, fs in pieces]
-
-    def exact(n: int) -> Fraction:
-        return math.prod(odd_harmonic(n - offset, p) for p in ps) * sum(
-            k / math.prod(Fraction(b * n + a) ** e for b, a, e in dens) for k, dens in scaled)
-
-    first = next((x for x in map(exact, range(1, N + 1)) if x), Fraction(1))
+    first = next(filter(None, (math.prod(odd_harmonic(n - offset, p) for p in ps) * sum(
+        k / math.prod(Fraction(b * n + a) ** e for b, a, e in dens) for k, dens in scaled)
+        for n in range(1, N + 1))), Fraction(1))  # the first non-zero term, exactly
     lg = abs(first.numerator).bit_length() - first.denominator.bit_length() - 1
     V = 2 ** (sum(ps) - r) * (N.bit_length() + 3) ** r
     F = max(0, wp + 1 + (N * (2 * len(pieces) * V + 1)).bit_length() - lg)
     H = wp + 32 + N.bit_length()
     kf = [((k.numerator << F) // k.denominator, dens) for k, dens in scaled]
-    steps = [(p, 1 << (p + H)) for p in sorted(set(ps))]
-    h = dict.fromkeys(ps, 0)
-    total = abs_total = term = 0
-    for n in range(1, N + 1):
-        grown = {p: h[p] + step // (2 * n - 1) ** p for p, step in steps}
-        if offset == 0:
-            h = grown
-        rn = 0
+    h = {p: [0] for p in ps}  # per distinct p: h_(n0-1), ..., h_(n1-1) at 2^-H
+    total, abs_total, terms = 0, 0, [0]
+    for n0 in range(1, N + 1, _BLOCK):
+        n1 = min(n0 + _BLOCK, N + 1)
+        rn = None
         for c, dens in kf:
-            den = 1
+            den = None
             for b, a, e in dens:
-                den *= (b * n + a) ** e
-            rn += c // den
+                col = range(b * n0 + a, b * n1 + a, b)
+                col = col if e == 1 else map(pow, col, repeat(e))
+                den = col if den is None else map(mul, den, col)
+            col = map(floordiv, repeat(c), den)
+            rn = col if rn is None else map(add, rn, col)
+        for p in h:
+            odd = range(2 * n0 - 1, 2 * n1 - 1, 2)
+            odd = odd if p == 1 else map(pow, odd, repeat(p))
+            h[p] = list(accumulate(map(floordiv, repeat(1 << (p + H)), odd), initial=h[p][-1]))
         for p in ps:
-            rn *= h[p]
-        term, h = rn >> r * H, grown
-        if sigma == -1 and n & 1:
-            term = -term
-        total += term
-        abs_total += abs(term)
-    return total, abs_total, term, F, [h[p] for p in ps], H
+            rn = map(mul, rn, h[p][1 - offset:])
+        terms = list(map(rshift, rn, repeat(r * H)) if r else rn)
+        total += sum(terms) if sigma == 1 else sum(terms[1::2]) - sum(terms[::2])
+        abs_total += sum(map(abs, terms))
+    return total, abs_total, sigma ** N * terms[-1], F, [h[p][-1] for p in ps], H
 
 
 def naive_sum(spec: SumSpec, prec: int, max_terms: int = NAIVE_START_TERMS) -> SeriesResult:
-    """Direct summation of ``spec`` to ``max_terms`` = N terms by ``_direct``,
-    one floor division per term; its error, under abs_total 2^-wp, sits well
-    inside the rounding term abs_total 2^(-wp+8).
+    """Direct summation of ``spec`` to ``max_terms`` = N terms by ``_direct``'s
+    block pipelines, one floor division per piece and term; its error, under
+    abs_total 2^-wp, sits well inside the rounding term abs_total 2^(-wp+8).
 
     The tail bound for sigma=-1 is 1.25 times the first omitted term.  For
     sigma=+1 and n > N > -t for every factor: R(n) <= rho (N/n)^d with rho =

@@ -221,3 +221,28 @@ def test_verify_with_workers_matches_serial(capsys):
 def test_out_of_domain_budgets_and_tolerances_exit_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_max_terms_seeds_the_doubling_and_the_accelerated_path_ignores_it(monkeypatch, capsys):
+    # r = 2: --max-terms 1 starts the doubling at one term, which runs on to
+    # the 16384 terms the bound needs; r <= 1 without --method naive takes
+    # the accelerated path, whose head length does not depend on it
+    rounds = []
+    naive_sum = tsum.series.naive_sum
+
+    def counted(spec, prec, max_terms):
+        rounds.append(max_terms)
+        return naive_sum(spec, prec, max_terms)
+
+    monkeypatch.setattr(tsum.series, "naive_sum", counted)
+
+    def terms_used(*argv):
+        assert main(["eval", *argv, "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)["terms_used"]
+
+    assert terms_used("--p", "1,1", "--q", "4", "--a", "1/3", "--sigma", "-1",
+                      "--precision-bits", "64", "--max-terms", "1") == 16384
+    assert rounds == [1 << k for k in range(15)]
+    assert terms_used("--q", "2", "--a=-3", "--max-terms", "3") == 132
+    assert terms_used("--q", "2", "--a=-3") == 132
+    assert terms_used("--q", "2", "--a=-3", "--max-terms", "3", "--method", "naive") == 3

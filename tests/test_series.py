@@ -1,7 +1,9 @@
 import contextlib
 import io
 import itertools
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -446,6 +448,46 @@ def _direct_grid(seed: int = 6):
     return cases
 
 
+def _direct_reference(sigma, offset, ps, pieces, N, wp):
+    """The term-by-term loop that ``_direct``'s block pipelines replace: the
+    same floors in the same order, one n at a time."""
+    r = len(ps)
+    scaled = [(k * math.prod(F(t.denominator) ** e for t, e in fs),
+               [(t.denominator, t.numerator, e) for t, e in fs]) for k, fs in pieces]
+
+    def exact(n):
+        return math.prod(odd_harmonic(n - offset, p) for p in ps) * sum(
+            k / math.prod(F(b * n + a) ** e for b, a, e in dens) for k, dens in scaled)
+
+    first = next((x for x in map(exact, range(1, N + 1)) if x), F(1))
+    lg = abs(first.numerator).bit_length() - first.denominator.bit_length() - 1
+    V = 2 ** (sum(ps) - r) * (N.bit_length() + 3) ** r
+    scale = max(0, wp + 1 + (N * (2 * len(pieces) * V + 1)).bit_length() - lg)
+    H = wp + 32 + N.bit_length()
+    kf = [((k.numerator << scale) // k.denominator, dens) for k, dens in scaled]
+    steps = [(p, 1 << (p + H)) for p in sorted(set(ps))]
+    h = dict.fromkeys(ps, 0)
+    total = abs_total = term = 0
+    for n in range(1, N + 1):
+        grown = {p: h[p] + step // (2 * n - 1) ** p for p, step in steps}
+        if offset == 0:
+            h = grown
+        rn = 0
+        for c, dens in kf:
+            den = 1
+            for b, a, e in dens:
+                den *= (b * n + a) ** e
+            rn += c // den
+        for p in ps:
+            rn *= h[p]
+        term, h = rn >> r * H, grown
+        if sigma == -1 and n & 1:
+            term = -term
+        total += term
+        abs_total += abs(term)
+    return total, abs_total, term, scale, [h[p] for p in ps], H
+
+
 def test_fixed_point_loop_matches_exact_partial_sums():
     grid = _direct_grid()
     assert {len(c[2]) for c in grid} == {0, 1, 2, 3} and {c[0] for c in grid} == {1, -1}
@@ -455,13 +497,62 @@ def test_fixed_point_loop_matches_exact_partial_sums():
         product = [(F(1), factors)]
         pf = [(c, [(t, e)]) for t, e, c in partial_fractions(factors)]
         for pieces, wp in itertools.product((product, pf), (80, 200)):
-            total, abs_total, _, scale, hs, hscale = _direct(sigma, offset, ps, pieces, N, wp)
+            got = _direct(sigma, offset, ps, pieces, N, wp)
+            total, abs_total, _, scale, hs, hscale = got
             case = (sigma, offset, ps, factors, N, len(pieces), wp)
+            assert got == _direct_reference(sigma, offset, ps, pieces, N, wp), case
             # the error contract of the fixed point: abs_total 2^-wp
             assert abs(F(total, 1 << scale) - exact) <= absum / 2 ** wp, case
             assert abs(F(abs_total, 1 << scale) - absum) <= absum / 2 ** wp, case
             assert all(abs(F(h, 1 << hscale) - x) <= F(N, 1 << hscale)
                        for h, x in zip(hs, hs_exact)), case
+
+
+# e = 1 and e > 1, one factor and several; t = -95/6 makes bn + a < 0 for n <= 15
+BLOCK_FACTORS = ([(F(-1, 6), 1)], [(F(-1, 6), 1), (F(1, 3), 1)], [(F(-95, 6), 2), (F(0), 3)])
+BLOCK_PS = ((), (2,), (1, 1), (1, 2, 3))
+
+
+def _block_lengths():
+    B = series._BLOCK
+    return (1, B - 1, B, B + 1, 2 * B + 1, 2 * B + 2)
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize("ps", BLOCK_PS, ids=["r0", "r1", "r2", "r3"])
+def test_blocks_match_the_term_loop(sigma, offset, ps):
+    for factors in BLOCK_FACTORS:
+        pf = [(c, [(t, e)]) for t, e, c in partial_fractions(factors)]
+        for pieces in ([(F(1), factors)], pf):
+            for N in _block_lengths():
+                got = _direct(sigma, offset, ps, pieces, N, 80)
+                assert got == _direct_reference(sigma, offset, ps, pieces, N, 80), (
+                    factors, len(pieces), N)
+
+
+@pytest.mark.parametrize("offset", ["cur", "prev"])
+def test_naive_alternating_last_term_across_blocks(offset, monkeypatch):
+    # sigma = -1 sums N + 1 terms and subtracts the signed last one for its bound;
+    # the N + 1 sit at the block boundaries
+    spec = SumSpec(p=(1, 2), q=(3,), a=(F(-1, 3),), sigma=-1, harmonic_offset=offset)
+    lengths = [N - 1 for N in _block_lengths() if N > 1] + [1]
+    got = [naive_sum(spec, 64, N) for N in lengths]
+    monkeypatch.setattr(series, "_direct", _direct_reference)
+    assert got == [naive_sum(spec, 64, N) for N in lengths]
+
+
+def test_direct_memory_does_not_grow_with_the_terms():
+    # the blocks keep a few block-length lists alive, never all N terms
+    peaks = {}
+    for N in (1 << 12, 1 << 15):
+        tracemalloc.start()
+        try:
+            _direct(-1, 0, (1, 1), [(F(1), [(F(-1, 6), 4)])], N, 111)
+            peaks[N] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1 << 15] < 2 * peaks[1 << 12], peaks
 
 
 NAIVE_REF_TERMS = 1 << 17
