@@ -21,10 +21,12 @@ Evaluation strategy for the linear case (at most one harmonic factor):
   G(k) = sum_{n>=k+off} sigma^n R(n).  R is expanded once in exact powers of
   1/v, v = n - 1/2, and Euler-Maclaurin (sigma = +1) or Boole summation
   (sigma = -1) of each power gives G(k) = sigma^k sum_w g_w u^(-w) with
-  exact g_w, u = k - 1/2.  The first part is that series at one point; the
-  k-sum collapses to (alternating) Hurwitz zeta values at N + 1/2, one
-  ``tail_zeta_batch``.  Neither needs partial fractions, so near-coincident
-  poles cancel nothing.
+  exact g_w, u = k - 1/2: one integer convolution of the 1/v series with
+  Bernoulli weights kept per sigma, shared by R and its reflection, every
+  t + 1/2 negated, which differs from it only in signs.  The first part is
+  that series at one point; the k-sum collapses to (alternating) Hurwitz
+  zeta values at N + 1/2, one ``tail_zeta_batch``.  Neither needs partial
+  fractions, so near-coincident poles cancel nothing.
 * The tail is assembled in Python ints too, at 2^-T with T = F + 16 guard
   bits: the g_w, h(N) and the batch mantissas are shifted to that scale,
   one floor each, and head plus tail is rounded once, to the target
@@ -36,6 +38,7 @@ summation, in the same fixed point; no closed form here covers them.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -160,6 +163,8 @@ class SeriesResult:
 Pieces = Sequence[tuple[Fraction, Sequence[tuple[Fraction, int]]]]
 
 _expansion_cache: dict = {}
+_weights: dict = {}  # (sigma, n) -> (L, beta_k L for k = 1..n)
+_bern_cache: dict = {}  # (sigma, D, L, rho up to sign and alternation) -> bern_1..bern_W
 _TAIL_GUARD = 16  # bits of the tail's fixed point 2^-T past the head's 2^-F
 
 
@@ -170,41 +175,28 @@ def _pick_truncation(wp: int, N: int, dmax: float, emax: int) -> int:
     Two effects bound kept-coefficient decay: the 1/v series of R, whose
     coefficients grow like (1 + dmax)^m, and the Euler-Maclaurin or Boole
     coefficient growth, worst for sigma = -1, where the term at power m is
-    of size ~ (m-1)! / (pi (N+1/2))^m.
+    of size ~ (m-1)! / (pi (N+1/2))^m.  Its log2, f(m), falls while m <
+    pi (N + 1/2), so the first m >= 8 with f(m) < -(wp+24), if any, lies on
+    that branch and is found by bisection.
     """
     target = wp + 24
     rho_bits = math.log2((N + 0.5) / (1 + dmax))
     W = math.ceil(target / rho_bits)
     lbase = math.log2(math.pi * (N + 0.5))
-    for m in range(8, 4000):
-        if math.lgamma(m) / math.log(2) + 1 - m * lbase < -target:
-            W = max(W, m)
-            break
+    ms = range(8, min(math.floor(math.pi * (N + 0.5)) + 1, 3999) + 1)
+    i = bisect.bisect_left(ms, True, key=lambda m: math.lgamma(m) / math.log(2) + 1 - m * lbase
+                           < -target)
+    if i < len(ms):
+        W = max(W, ms[i])
     return W + emax + 4
 
 
-def _tail_expansion(sigma: int, offset: int, pieces: Pieces, W: int,
-                    wp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """g_1, ..., g_W with G(k) = sum_{n>=k+offset} sigma^n R(n) ~ sigma^k sum_w
-    g_w u^(-w), u = k - 1/2, for R = sum_j k_j prod (n + t)^(-e).  Each g_w is
-    floored to wp or wp + 1 bits straight from its exact numerator and
-    denominator, so within 2^-(wp-1) of |g_w|, and kept as a pair (m, e),
-    m 2^e, with m odd or 0, so that a dyadic g_w takes a one-word int.
-    Cached under (sigma, offset, pieces, W, wp) alone: ``accel_linear_sum``
-    shifts the pairs to the scale of each sum.
+def _rho(pieces: Pieces, W: int) -> tuple[int, int, int, list[int]]:
+    """R -> rho: D, K, m0 and rho_0..rho_(W+1) with R(n) = sum_m rho_m / (K D^m)
+    v^(-m), v = n - 1/2, and rho_m = 0 below m0.
 
-    With v = n - 1/2 and c = t + 1/2 = A/D, each factor (1 + c/v)^(-1) maps the
-    numerators over D^r of a 1/v series by x_r -> x_r - A x_(r-1), so R(n) =
-    sum_m r_m v^(-m) with r_m = rho_m / (K D^m) in integers.  Euler-Maclaurin
-    (sigma = +1) and Boole summation (sigma = -1) give sum_{j>=0} sigma^j
-    (u + j)^(-m) ~ u^(1-m)/(m-1) (sigma = +1 only) + u^(-m)/2 + sum_k beta_k
-    C(w-1, 2k-1) u^(-w), w = m + 2k - 1, beta_k = B_2k/(2k) times 1 (sigma = +1)
-    or 4^k - 1 (sigma = -1).  Offset 1 drops the n = k term r_w u^(-w).
-    """
-    key = (sigma, offset, pieces, W, wp)
-    g = _expansion_cache.get(key)
-    if g is not None:
-        return g
+    With c = t + 1/2 = A/D, each factor (1 + c/v)^(-1) maps the numerators
+    over D^r of a 1/v series by x_r -> x_r - A x_(r-1)."""
     half = Fraction(1, 2)
     D = math.lcm(*((t + half).denominator for _, fs in pieces for t, _ in fs))
     K = math.lcm(*(k.denominator for k, _ in pieces))
@@ -222,19 +214,84 @@ def _tail_expansion(sigma: int, offset: int, pieces: Pieces, W: int,
         scale = (k * K).numerator * D ** E
         for r, xr in enumerate(x):
             rho[E + r] += scale * xr
-    # r_m = 0 below m0, so beta_k meets r_m only for 2k <= W + 1 - m0
-    m0 = min(sum(e for _, e in fs) for _, fs in pieces)
-    betas = [bernoulli(2 * k) / (2 * k) * (1 if sigma == 1 else 4 ** k - 1)
-             for k in range(1, (W + 1 - m0) // 2 + 1)]
-    L = math.lcm(*(b.denominator for b in betas))
-    gammas = [(b * L).numerator * D ** (2 * k - 1) for k, b in enumerate(betas, 1)]
+    return D, K, min(sum(e for _, e in fs) for _, fs in pieces), rho
+
+
+def _bern(sigma: int, D: int, m0: int, rho: list[int]) -> tuple[int, list[int]]:
+    """rho -> L and bern_w = sum_k gamma_k C(w-1, 2k-1) rho_(w-2k+1), w = 1..W,
+    gamma_k = beta_k L D^(2k-1), each w one pipeline of builtins.  As rho_m =
+    0 below m0, only k <= n = (W + 1 - m0) // 2 meet a non-zero rho_m, so L
+    is the common denominator of beta_1..beta_n (``_beta_weights``) and bern
+    depends on m0 only through L.  One convolution serves each class of rho
+    up to sign and alternation (``_tail_expansion``): ``_bern_cache`` keeps
+    the bern of the largest of rho, -rho and their alternations, and a
+    member with rho_m = eps (-1)^(a m) rep_m takes eps (-1)^(a (w+1)) times
+    the representative's bern_w.
+    """
+    alt = [-x if m & 1 else x for m, x in enumerate(rho)]
+    rep, eps, a = max((rho, 1, 0), ([-x for x in rho], -1, 0), (alt, 1, 1),
+                      ([-x for x in alt], -1, 1))
+    n = (len(rho) - 1 - m0) // 2
+    L, betas = _beta_weights(sigma, n)
+    key = (sigma, D, L, tuple(rep))
+    bern = _bern_cache.get(key)
+    if bern is None:
+        gammas = list(map(mul, betas, accumulate(repeat(D * D, n - 1), mul, initial=D)))
+        bern, row = [], [1]  # row: C(w - 1, j) for j < w
+        for w in range(1, len(rho) - 1):  # bern_w = 0 for w <= m0
+            bern.append(sum(map(mul, map(mul, gammas[:(w + 1 - m0) // 2], row[1::2]),
+                                rep[w - 1::-2])) if w > m0 else 0)
+            row = [1, *map(add, row, row[1:]), 1]
+        bern = _bern_cache[key] = tuple(bern)
+    return L, [eps * (-1) ** (a * (w + 1)) * b for w, b in enumerate(bern, 1)]
+
+
+def _beta_weights(sigma: int, n: int) -> tuple[int, list[int]]:
+    """L and the beta_k L, k = 1..n, kept in ``_weights``: beta_k = B_2k/(2k)
+    times 1 (sigma = +1) or 4^k - 1 (sigma = -1), L their common denominator."""
+    weights = _weights.get((sigma, n))
+    if weights is None:
+        betas = [bernoulli(2 * k) / (2 * k) * (1 if sigma == 1 else 4 ** k - 1)
+                 for k in range(1, n + 1)]
+        L = math.lcm(*(b.denominator for b in betas))
+        weights = _weights[sigma, n] = (L, [(b * L).numerator for b in betas])
+    return weights
+
+
+def _tail_expansion(sigma: int, offset: int, pieces: Pieces, W: int,
+                    wp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """g_1, ..., g_W with G(k) = sum_{n>=k+offset} sigma^n R(n) ~ sigma^k sum_w
+    g_w u^(-w), u = k - 1/2, for R = sum_j k_j prod (n + t)^(-e).  Each g_w is
+    floored to wp or wp + 1 bits straight from its exact numerator and
+    denominator, so within 2^-(wp-1) of |g_w|, and kept as a pair (m, e),
+    m 2^e, with m odd or 0, so that a dyadic g_w takes a one-word int.
+    Cached under (sigma, offset, pieces, W, wp) alone: ``accel_linear_sum``
+    shifts the pairs to the scale of each sum.
+
+    Three steps.  ``_rho``: R(n) = sum_m r_m v^(-m), v = n - 1/2, with r_m =
+    rho_m / (K D^m) in integers.  ``_bern``: Euler-Maclaurin (sigma = +1) and
+    Boole summation (sigma = -1) give sum_{j>=0} sigma^j (u + j)^(-m) ~
+    u^(1-m)/(m-1) (sigma = +1 only) + u^(-m)/2 + sum_k beta_k C(w-1, 2k-1)
+    u^(-w), w = m + 2k - 1, beta_k = B_2k/(2k) times 1 (sigma = +1) or 4^k -
+    1 (sigma = -1); summed over m, the last part is bern_w / (L K D^w).
+    Per key: offset 1 drops the n = k term r_w u^(-w), u^(-w)/2 and u^(1-m)
+    come from rho, and g_w takes its one floor.
+
+    Reflection: negating every t + 1/2 maps A to -A, so x_r to (-1)^r x_r and
+    rho_m to eps (-1)^m rho_m (eps = (-1)^E if every piece has order E); each
+    rho_(w-2k+1) then gains eps (-1)^(w+1), so bern_w does too.  The pair
+    theorems weigh (a, b) against (-a, -b): both keys share one convolution.
+    """
+    key = (sigma, offset, pieces, W, wp)
+    g = _expansion_cache.get(key)
+    if g is not None:
+        return g
+    D, K, m0, rho = _rho(pieces, W)
+    L, bern = _bern(sigma, D, m0, rho)
     mans, exps = [], []
-    row, den = [1], 2 * L * K * D  # row: C(w - 1, j) for j < w; den: 2 L K D^(w+1) / D
-    for w in range(1, W + 1):
-        bern = sum(gammas[k - 1] * row[2 * k - 1] * rho[w - 2 * k + 1]
-                   for k in range(1, (w + 1 - m0) // 2 + 1))
-        row = [1, *map(add, row, row[1:]), 1]
-        num = 2 * w * D * bern + (1 - 2 * offset) * w * L * D * rho[w]
+    den = 2 * L * K * D  # den: 2 L K D^(w+1) / D
+    for w, b in enumerate(bern, 1):
+        num = 2 * w * D * b + (1 - 2 * offset) * w * L * D * rho[w]
         if sigma == 1:
             num += 2 * L * rho[w + 1]
         den *= D

@@ -202,8 +202,8 @@ def _direct_length(sigma: int, s: int, x: Fraction, F: int, n: int) -> int:
 
 
 def _fixed_sums(sigma: int, ss: list[int], x: Fraction, F: int) -> list[int]:
-    """2^F x^(s-1) sum_{j>=0} sigma^j (x + j)^(-s) for sorted distinct ss, each
-    within a few units per term; at sigma = +1, s = 1, 2^F (-psi(x)).
+    """2^F x^(s-1) sum_{j>=0} sigma^j (x + j)^(-s) for sorted distinct ss; at
+    sigma = +1, s = 1, 2^F (-psi(x)).
 
     The head n of the asymptotic path reaches twice the bits, so that the
     series stops far short of its smallest term and of the Bernoulli numbers
@@ -215,8 +215,12 @@ def _fixed_sums(sigma: int, ss: list[int], x: Fraction, F: int) -> list[int]:
     runs the asymptotic series of the largest and walks its terms down in s
     to every other.  With V_s(y) from there,
     V_s(x) = sum_{j<n} sigma^j (x/(x+j))^(s-1)/(x+j) + sigma^n (x/y)^(s-1) V_s(y).
-    The ratio powers start from one floor division at the first such
-    exponent and take one floored factor per later unit of s.
+    Each head term is walked in s itself, head_j(s+1) = head_j(s) x/(x+j),
+    and so is the ratio (x/y)^(s-1): one floor division at the first such
+    exponent s0, then one multiplication and one floor per term and later
+    unit of s.  A step multiplies the error a term inherits by |x/(x+j)|, so
+    where |x+j| >= |x|, at every j for x > 0, a head term errs by under
+    s - s0 + 1 units, and the ratio too.
     """
     num, den = x.numerator, x.denominator
     direct, n = {}, 0
@@ -226,22 +230,23 @@ def _fixed_sums(sigma: int, ss: list[int], x: Fraction, F: int) -> list[int]:
         if m > n:
             break
         direct[s] = m
-    rest = [s for s in ss if s not in direct]
-    tails = dict(zip(rest, _scaled_tails(sigma, rest, num + n * den, den, F) if rest else ()))
-    qs = [num + j * den for j in range(n + 1)]  # x + j = q/den
-    ratio, power, out = None, 0, []  # 2^F (x/(x+j))^power
+    rest, y = [s for s in ss if s not in direct], num + n * den  # y/den = x + n
+    tails = dict(zip(rest, _scaled_tails(sigma, rest, y, den, F) if rest else ()))
+    qs = [num + j * den for j in range(n)]  # x + j = q/den
+    head, out = None, []
     for s in ss:
         if s in direct:
             top = den * num ** (s - 1) << F
             out.append(sum(sigma ** j * (top // (num + j * den) ** s) for j in range(direct[s])))
             continue
-        if ratio is None:
-            ratio, power = [(num ** (s - 1) << F) // q ** (s - 1) for q in qs], s - 1
-        for _ in range(power, s - 1):
-            ratio = [r * num // q for r, q in zip(ratio, qs)]
-        power = s - 1
-        head = [r * den // q for r, q in zip(ratio[:n], qs)]
-        v = sigma ** n * ratio[n] * tails[s] >> F
+        if head is None:  # ratio = 2^F (x/y)^(s-1), head_j = 2^F (x/(x+j))^(s-1)/(x+j)
+            top, at = num ** (s - 1) << F, s
+            ratio, head = top // y ** (s - 1), [top * den // q ** s for q in qs]
+        for _ in range(at, s):
+            ratio = ratio * num // y
+            head = [h * num // q for h, q in zip(head, qs)]
+        at = s
+        v = sigma ** n * ratio * tails[s] >> F
         out.append(v + (sum(head) if sigma == 1 else sum(head[::2]) - sum(head[1::2])))
     return out
 
@@ -251,10 +256,11 @@ def _zeta_batch(sigma: int, ss, x: Fraction, prec: int) -> list[mpf]:
     and cached under (s, point).
 
     The one precision rule: a fixed-point sum v of ``_fixed_sums`` errs by
-    under 2^50 units in its tail (the count in ``_scaled_tails``) and a few
-    per head term, so it must keep prec + 56 bits, which leave it 2^54
-    units; an exponent that falls short (its value cancels, next to a zero
-    at x < 0 or of digamma) is summed again with F raised by the shortfall."""
+    under 2^50 units in its tail (the count in ``_scaled_tails``) and, for
+    x > 0, under s per head term (the count in ``_fixed_sums``), so it must
+    keep prec + 56 bits, which leave it 2^54 units; an exponent that falls
+    short (its value cancels, next to a zero at x < 0 or of digamma) is
+    summed again with F raised by the shortfall."""
     num, den = x.numerator, x.denominator
     point = (sigma, num, den, prec)
     todo = sorted({s for s in ss if (s, point) not in _zeta_cache})

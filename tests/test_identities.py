@@ -138,6 +138,7 @@ class TestResidueTheorems:
         # the sum with no harmonic factor shares the offset-1 expansion key:
         # two builds per case, one per half-shifted form of r
         monkeypatch.setattr(series, "_expansion_cache", {})
+        monkeypatch.setattr(series, "_bern_cache", {})
         for p, rtext in RESIDUE_CASE_CATALOG:
             r = PartialFractionRational.parse(rtext)
             verify_thm3_6(p, r, P, "1e-35")

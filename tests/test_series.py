@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import itertools
 import math
@@ -346,6 +347,7 @@ def test_tail_assembly_error_budget(prec, monkeypatch):
     # same cached g_w and batch values: its floors may cost 2 h_N + W + 1 units
     # of 2^-T (2 without h_N), and the majorants of the input errors stay within 2^6
     monkeypatch.setattr(series, "_expansion_cache", {})
+    monkeypatch.setattr(series, "_bern_cache", {})
     seen = _spy_rounding(monkeypatch)
     pieces = ((F(1), ((F(1, 3), 1), (F(-1, 4), 2))), (F(-2, 7), ((F(5, 2), 3),)))
     wp = prec + 48
@@ -391,6 +393,7 @@ def test_head_scale_zero(p, sigma, monkeypatch):
     for prec in (64, 192):
         ref = euler_t_sum(spec, prec + 160)
         monkeypatch.setattr(series, "_expansion_cache", {})
+        monkeypatch.setattr(series, "_bern_cache", {})
         monkeypatch.setattr(special, "_zeta_cache", {})
         cold = euler_t_sum(spec, prec)
         if prec == 64:
@@ -399,6 +402,158 @@ def test_head_scale_zero(p, sigma, monkeypatch):
         assert (cold.value, cold.tail_bound) == (warm.value, warm.tail_bound), prec
         with mp.workprec(prec + 200):
             assert abs(cold.value - ref.value) <= cold.tail_bound, prec
+
+
+def _truncation_scan(wp, N, dmax, emax):
+    """The linear scan over m = 8, 9, ... that _pick_truncation replaced: the
+    reference for its bisection."""
+    target = wp + 24
+    W = math.ceil(target / math.log2((N + 0.5) / (1 + dmax)))
+    lbase = math.log2(math.pi * (N + 0.5))
+    for m in range(8, 4000):
+        if math.lgamma(m) / math.log(2) + 1 - m * lbase < -target:
+            W = max(W, m)
+            break
+    return W + emax + 4
+
+
+def test_truncation_bisection_matches_the_scan():
+    grid = itertools.product((8, 40, 112, 240, 1072, 2072, 9000),
+                             (1, 2, 3, 10, 128, 133, 590, 1273, 5000, 10 ** 5),
+                             (0.0, 1.0, 2.5, 17.25), (1, 2, 5))
+    for wp, N, dmax, emax in grid:
+        if (N + 0.5) / (1 + dmax) > 1:
+            assert series._pick_truncation(wp, N, dmax, emax) == _truncation_scan(
+                wp, N, dmax, emax), (wp, N, dmax, emax)
+
+
+@functools.cache
+def _beta(sigma, k):
+    """B_2k/(2k) times 1 (sigma = +1) or 4^k - 1 (sigma = -1), B_2k from mpmath."""
+    p, q = mp.bernfrac(2 * k)
+    return F(int(p), int(q) * 2 * k) * (1 if sigma == 1 else 4 ** k - 1)
+
+
+def _expansion_oracle(sigma, offset, pieces, W):
+    """Exact g_1..g_W, power by power: r_m of R(n) = sum_m r_m v^(-m), v = n -
+    1/2, from the binomial series of each (v + c)^(-e) = v^(-e) (1 + c/v)^(-e),
+    c = t + 1/2 = A/D, multiplied out as integers over D^j; then each r_m
+    v^(-m) summed by Euler-Maclaurin (sigma = +1) or Boole (sigma = -1) on its
+    own, in Fractions, with mpmath's Bernoulli numbers."""
+    D = math.lcm(*((t + F(1, 2)).denominator for _, fs in pieces for t, _ in fs))
+    r = [F(0)] * (W + 2)
+    for k, fs in pieces:
+        x = [1] + [0] * (W + 1)  # the piece over k, as sum_j x_j D^-j v^-j
+        for t, e in fs:
+            A = int((t + F(1, 2)) * D)
+            binom = [(-A) ** j * comb(e + j - 1, j) for j in range(W + 2)]
+            x = [0] * e + [D ** e * sum(x[i] * binom[j - i] for i in range(j + 1))
+                           for j in range(W + 2 - e)]
+        r = [rm + k * F(xm, D ** m) for m, (rm, xm) in enumerate(zip(r, x))]
+    g = [F(0)] * (W + 2)
+    for m, rm in enumerate(r):
+        if not rm:
+            continue
+        if sigma == 1 and m >= 2:
+            g[m - 1] += rm / (m - 1)  # u^(1-m)/(m-1)
+        g[m] += rm * (F(1, 2) - offset)  # u^(-m)/2, less the n = k term at offset 1
+        for k in range(1, (W + 1 - m) // 2 + 1):
+            g[m + 2 * k - 1] += rm * _beta(sigma, k) * comb(m + 2 * k - 2, 2 * k - 1)
+    return g[1:W + 1]
+
+
+def _assert_documented_floor(g, m, e, wp, case):
+    """m 2^e is g floored at a scale that puts |g| in [2^(wp-1), 2^(wp+1)),
+    with m odd, or (0, 0) for g = 0."""
+    if g == 0:
+        assert (m, e) == (0, 0), case
+        return
+    assert m % 2 == 1, case
+    lg = abs(g.numerator).bit_length() - g.denominator.bit_length()
+    scales = [s for s in range(lg - wp - 2, lg - wp + 3)
+              if 2 ** (wp - 1) <= abs(g) / F(2) ** s < 2 ** (wp + 1)]
+    assert any(math.floor(g / F(2) ** s) * F(2) ** s == m * F(2) ** e for s in scales), case
+
+
+def _accel_truncation(offset, pieces, prec):
+    """wp and W as accel_linear_sum picks them."""
+    wp = prec + 48
+    dmax = float(max([abs(t + offset + F(1, 2)) for _, fs in pieces for t, _ in fs] + [F(1)]))
+    N = max(128, math.ceil(0.55 * wp), math.ceil(8 * (1 + dmax)))
+    return wp, series._pick_truncation(wp, N, dmax, max(e for _, fs in pieces for _, e in fs))
+
+
+A, B = F(1, 4), F(1, 3)
+PAIR_PIECE = ((F(1), ((A - F(1, 2), 1), (B - F(1, 2), 1))),)
+EXPANSION_PIECES = {
+    "pair": PAIR_PIECE,
+    "reflected-pair": ((F(1), ((-A - F(1, 2), 1), (-B - F(1, 2), 1))),),
+    "double-pole": ((F(1), ((F(-3, 4), 2),)),),
+    # orders 1 and 2 (so no reflection twin); the order-1 coefficients cancel
+    "mixed-orders": ((F(12), ((F(-3, 4), 1),)), (F(-12), ((F(-5, 6), 1),)),
+                     (F(-2, 7), ((F(5, 2), 2),))),
+    "poles-1e-6-apart": ((F(10 ** 6), ((F(-1, 6), 1),)),
+                         (F(-10 ** 6), ((F(-1, 6) + F(1, 10 ** 6), 1),))),
+}
+
+
+@pytest.mark.parametrize("prec", [64, 192, 1024])
+@pytest.mark.parametrize("name", list(EXPANSION_PIECES))
+def test_expansion_is_the_documented_floor_of_an_exact_oracle(name, prec, monkeypatch):
+    pieces = EXPANSION_PIECES[name]
+    for sigma, offset in itertools.product((1, -1), (0, 1)):
+        if prec == 1024 and (sigma, offset) not in ((1, 0), (-1, 1)):
+            continue  # the oracle takes 0.3-1 s per key at 1024 bits
+        monkeypatch.setattr(series, "_expansion_cache", {})
+        monkeypatch.setattr(series, "_bern_cache", {})
+        wp, W = _accel_truncation(offset, pieces, prec)
+        mans, exps = series._tail_expansion(sigma, offset, pieces, W, wp)
+        assert len(mans) == W
+        for w, (g, m, e) in enumerate(zip(_expansion_oracle(sigma, offset, pieces, W),
+                                          mans, exps), 1):
+            _assert_documented_floor(g, m, e, wp, (sigma, offset, w))
+
+
+TWINS = {
+    # order 2: rho_m -> (-1)^m rho_m
+    "pair": (PAIR_PIECE, EXPANSION_PIECES["reflected-pair"]),
+    # order 3: rho_m -> -(-1)^m rho_m
+    "triple-pole": (((F(2, 3), ((F(1, 5), 3),)),), ((F(2, 3), ((F(-6, 5), 3),)),)),
+}
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+@pytest.mark.parametrize("name", list(TWINS))
+def test_reflection_twins_share_one_convolution(name, sigma, monkeypatch):
+    # a piece with offset 0 and its reflection with offset 1, as the pair
+    # theorems ask for them: in either order one convolution serves both,
+    # and each entry equals the one built alone
+    wp, W = _accel_truncation(0, PAIR_PIECE, 192)
+    keys = [(sigma, 0, TWINS[name][0], W, wp), (sigma, 1, TWINS[name][1], W, wp)]
+    alone = []
+    for key in keys:
+        monkeypatch.setattr(series, "_expansion_cache", {})
+        monkeypatch.setattr(series, "_bern_cache", {})
+        alone.append(series._tail_expansion(*key))
+    for order in (keys, keys[::-1]):
+        monkeypatch.setattr(series, "_expansion_cache", {})
+        monkeypatch.setattr(series, "_bern_cache", {})
+        cold = [series._tail_expansion(*key) for key in order]
+        assert len(series._bern_cache) == 1
+        series._expansion_cache.clear()
+        warm = [series._tail_expansion(*key) for key in order]
+        assert len(series._bern_cache) == 1
+        assert cold == warm == (alone if order is keys else alone[::-1])
+
+
+def test_mixed_orders_have_no_twin(monkeypatch):
+    monkeypatch.setattr(series, "_bern_cache", {})
+    pieces = EXPANSION_PIECES["mixed-orders"]
+    reflected = tuple((k, tuple((-t - 1, e) for t, e in fs)) for k, fs in pieces)
+    wp, W = _accel_truncation(0, pieces, 64)
+    for p in (pieces, reflected):
+        series._tail_expansion(-1, 0, p, W, wp)
+    assert len(series._bern_cache) == 2
 
 
 def test_accelerated_method_rejects_multiple_factors():

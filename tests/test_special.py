@@ -189,6 +189,31 @@ class TestTailZetaBatch:
                 rise *= Fraction((s + 2 * k - 1) * (s + 2 * k)) / y ** 2
             assert abs(v - exact * 2 ** F) <= K * (t - s + 2) + 2, (s, v - exact * 2 ** F)
 
+    @pytest.mark.parametrize("x, F, ss", [(Fraction(7, 3), 200, range(1, 41)),
+                                          (Fraction(1207, 2), 1180, range(3, 267))])
+    def test_walked_head_error_budget(self, x, F, ss, monkeypatch):
+        # a sigma = -1 batch sharing one head, with the tail table replaced by
+        # 0 and then by 2^F: the first returns the walked head alone, the
+        # difference the walked ratio (x/y)^(s-1); each head term and the ratio
+        # may err by under s - s0 + 1 units, s0 the first exponent of the head
+        seen, tail = [], [0]
+        monkeypatch.setattr(special, "_scaled_tails", lambda sigma, ss, Y, D, F: seen.append(
+            (ss, Y)) or [tail[0]] * len(ss))
+        ss = list(ss)
+        heads = special._fixed_sums(-1, ss, x, F)
+        tail[0] = 1 << F
+        ratios = [b - a for a, b in zip(heads, special._fixed_sums(-1, ss, x, F))]
+        (rest, Y), num, den = seen[0], x.numerator, x.denominator
+        n, s0 = (Y - num) // den, rest[0]
+        assert n > 0 and len(rest) > 30
+        for s in rest[::len(rest) // 20] + rest[-1:]:
+            # the exact head to within n 2^-64 units: each term floored 64 bits finer
+            top = den * num ** (s - 1) << F + 64
+            exact = sum((-1) ** j * (top // (num + j * den) ** s) for j in range(n))
+            i = ss.index(s)
+            assert abs((heads[i] << 64) - exact) + n < n * (s - s0 + 1) << 64, s
+            assert abs((-1) ** n * ratios[i] - Fraction(num, Y) ** (s - 1) * 2 ** F) < s - s0 + 1, s
+
     def test_series_past_its_smallest_term_raises(self):
         # at y = 1 no term of the series for s = 2 falls below 2^-200
         with pytest.raises(ArithmeticError):
