@@ -3,8 +3,11 @@
 Each verifier evaluates both sides of one identity (or the four structural
 terms of a residue-sum-zero statement) by independent routes: the series
 side through the summation engine, the closed-form side through the special
-function evaluators, and residue terms through jet arithmetic.  A
-``VerificationReport`` records the gap against the requested tolerance.
+function evaluators, and residue terms through jet arithmetic.  The closed
+form of a pair theorem or corollary, a polynomial in kernel values with
+rational factors, is one ``special._kernel_sums`` sum, which covers its
+measured cancellation.  A ``VerificationReport`` records the gap against
+the requested tolerance.
 """
 
 from __future__ import annotations
@@ -13,26 +16,26 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Optional, Sequence
+from typing import Optional
 
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 from .jets import jet_from_coeffs, jet_mul, jet_residue, jet_scale
 from .numeric import real_const, round_to, to_mpf, tolerance_mpf
-from .series import (SeriesResult, SumSpec, accel_linear_sum, euler_t_sum, harmonic,
-                     odd_harmonic)
+from .series import SumSpec, accel_linear_sum, euler_t_sum, harmonic, odd_harmonic
 from .special import (
     DEFAULT_CONVENTION,
     DomainError,
     KernelKind,
     ZetaConvention,
     _kernel_sums,
+    _trig_sums,
     alt_hurwitz_zeta,
     alt_zeta,
     digamma,
     hurwitz_zeta,
     kernel_jet,
-    kernel_value,
     psi_jet,
     riemann_zeta,
     ttilde,
@@ -89,12 +92,13 @@ def _check_ab(a: Frac, b: Optional[Frac]) -> None:
             raise HypothesisError("this artifact restricts shift parameters to |a| < 1")
 
 
-def _zetas(conv: ZetaConvention, prec: int, *terms: tuple) -> mpf:
-    """sum c zeta(s; x) over the (c, s, x) of ``terms`` as one kernel sum,
-    rounded once, with zeta(1; .) as ``conv`` has it, so values that cancel
-    keep their bits.  ttilde(s) enters as zeta(s; 1/2), which at s = 1 is
-    K(1; 1/2) - K(1; 1/2) = 0 = ttilde(1)."""
-    return _kernel_sums([(0, [t for c, s, x in terms for t in conv.terms(c, s, x)])], prec)[0]
+def _times(*factors) -> list:
+    """The product of rationals and lists of kernel terms as kernel terms."""
+    out = [(1, ())]
+    for f in factors:
+        f = f if isinstance(f, list) else [(f, ())]
+        out = [(c * d, k + l) for c, k in out for d, l in f]
+    return out
 
 
 def _pair_pieces(a: Frac, b: Frac, negate: bool) -> list[tuple[Frac, list[tuple[Frac, int]]]]:
@@ -122,28 +126,22 @@ class _Kernel:
     def tt(self, j: int, wp: int) -> mpf:
         return ttilde(j, wp) if self.sigma > 0 else ttilde_bar(j, wp)
 
-    def terms(self, c: int, s: int, x: Frac, conv: ZetaConvention) -> list:
-        return conv.terms(c, s, x) if self.sigma > 0 else [(c, -1, s, x)]
-
 
 _TAN = _Kernel(KernelKind.PI_TAN, 1, 2)
 _SEC = _Kernel(KernelKind.PI_OVER_COS, -1, 1)
 
 
-def _zeta_sum(kern: _Kernel, p: int, a: Frac, b: Frac, start: mpf, scale, sign: int,
-              conv: ZetaConvention, wp: int) -> mpf:
-    """start + sum_j scale * tt(j) * sign * (zeta(p+1-j; a) - zeta(p+1-j; b)).
-
-    ``sign`` = -1 stands for the stated order zeta(b) - zeta(a).  Each signed
-    difference is one kernel sum, rounded once, so b next to a (or to -a)
-    keeps its bits."""
-    ss = range(p + 1 - kern.first_j, 0, -2)
-    diffs = _kernel_sums([(0, kern.terms(sign, s, a, conv) + kern.terms(-sign, s, b, conv))
-                          for s in ss], wp)
-    total = start
-    for s, diff in zip(ss, diffs):
-        total += scale * kern.tt(p + 1 - s, wp) * diff
-    return total
+def _j_sum(kern: _Kernel, p: int, a: Frac, b: Frac, conv: ZetaConvention) -> list:
+    """sum_j tt(j) (zeta(p+1-j; a) - zeta(p+1-j; b)), j = first_j, first_j + 2,
+    ..., p, as kernel terms: tt(j) = sigma K_sigma(j; 1/2), and the zeta
+    values are K_-1 for the secant."""
+    out = []
+    for j in range(kern.first_j, p + 1, 2):
+        s = p + 1 - j
+        diff = (conv.terms(1, s, a) + conv.terms(-1, s, b) if kern.sigma > 0
+                else [(1, ((-1, s, a),)), (-1, ((-1, s, b),))])
+        out += _times([(kern.sigma, ((kern.sigma, j, _HALF),))], diff)
+    return out
 
 
 def _verify_pair(kern: _Kernel, family: str, p: int, a: Frac, b: Frac, prec: int,
@@ -161,12 +159,12 @@ def _verify_pair(kern: _Kernel, family: str, p: int, a: Frac, b: Frac, prec: int
         s2 = accel_linear_sum(p, 1, kern.sigma, _pair_pieces(a, b, True), wp)
         sgn = 1 if p % 2 == 0 else -1
         lhs = s1.value - kern.sigma * sgn * s2.value
-        inv_ba = 1 / to_mpf(b - a, wp)
-        ksum = _zeta_sum(kern, p, a, b, mpf(0), 1, kern.sigma, convention, wp)
-        rhs = 2 * sgn * inv_ba * ksum
-        rhs += sgn * inv_ba * (
-            kernel_value(kern.kind, b, wp) * _zetas(convention, wp, (1, p, b), (-1, p, _HALF))
-            - kernel_value(kern.kind, a, wp) * _zetas(convention, wp, (1, p, a), (-1, p, _HALF)))
+        c, neg_tt = Frac(sgn) / (b - a), convention.terms(-1, p, _HALF)
+        terms = _times(2 * c * kern.sigma, _j_sum(kern, p, a, b, convention))
+        # pi tan or pi sec of pi x times zeta(p; x) - ttilde(p), at x = b and a
+        for e, x in ((c, b), (-c, a)):
+            terms += _times(e, _trig_sums(kern.kind, x, 0)[1][0], convention.terms(1, p, x) + neg_tt)
+        rhs = _kernel_sums([terms], wp)[0]
         lhs, rhs = round_to(lhs, prec), round_to(rhs, prec)
     params = {"p": p, "a": _fmt(a), "b": _fmt(b)}
     case_id = f"{family}[p={p},a={_fmt(a)},b={_fmt(b)}]"
@@ -198,11 +196,6 @@ def _check_single_a(a: Frac, reflect: bool) -> None:
         raise HypothesisError("this artifact restricts shift parameters to |a| < 1")
 
 
-def _pure_series(q: Sequence[int], a_params: Sequence[Frac], sigma: int, wp: int) -> SeriesResult:
-    spec = SumSpec(p=(), q=tuple(q), a=tuple(a_params), sigma=sigma)
-    return euler_t_sum(spec, wp)
-
-
 def _verify_single(kern: _Kernel, family: str, m: int, a: Frac, prec: int, tolerance,
                    convention: ZetaConvention, reflect: bool) -> VerificationReport:
     """The b = -a specializations (Corollaries 3.2 and 3.5) of the pair
@@ -218,24 +211,22 @@ def _verify_single(kern: _Kernel, family: str, m: int, a: Frac, prec: int, toler
     b = 1 - a if reflect else -a
     wp = prec + 24
     p = 2 * m if even else 2 * m + 1
+    # zeta(p; a) - zeta(p; b), or 2 ttilde(p) - zeta(p; a) - zeta(p; b)
+    zetas = (convention.terms(1, p, a) if even else convention.terms(2, p, _HALF)
+             + convention.terms(-1, p, a)) + convention.terms(-1, p, b)
     with mp.workprec(wp):
         tol = tolerance_mpf(tolerance, wp)
         s1 = accel_linear_sum(p, 0, kern.sigma, _pair_pieces(a, b, False), wp)
         lhs = s1.value
         terms = s1.terms_used
         if reflect:
-            inv = 1 / to_mpf(2 * a - 1, wp)
-            rhs = _zeta_sum(kern, p, a, b, mpf(0), inv, kern.sigma, convention, wp)
-            rhs += kernel_value(kern.kind, a, wp) * inv / 2 * _zetas(
-                convention, wp, (2, p, _HALF), (-1, p, a), (-1, p, b))
+            c, sign, head = 1 / (2 * a - 1), kern.sigma, []
         else:
-            s0 = _pure_series((p, 1, 1), (Frac(0), a, b), kern.sigma, wp)
+            s0 = euler_t_sum(SumSpec(p=(), q=(p, 1, 1), a=(Frac(0), a, b), sigma=kern.sigma), wp)
             terms += s0.terms_used
-            inv2a = 1 / (2 * to_mpf(a, wp))
-            rhs = _zeta_sum(kern, p, a, b, s0.value / 2, inv2a, 1, convention, wp)
-            rhs += kernel_value(kern.kind, a, wp) / (4 * to_mpf(a, wp)) * (
-                _zetas(convention, wp, (1, p, a), (-1, p, b)) if even else
-                _zetas(convention, wp, (2, p, _HALF), (-1, p, a), (-1, p, b)))
+            c, sign, head = 1 / (2 * a), 1, [(Frac(*to_rational(s0.value._mpf_)) / 2, ())]
+        rhs = _kernel_sums([head + _times(sign * c, _j_sum(kern, p, a, b, convention))
+                            + _times(c / 2, _trig_sums(kern.kind, a, 0)[1][0], zetas)], wp)[0]
         lhs, rhs = round_to(lhs, prec), round_to(rhs, prec)
     params = {"m": m, "a": _fmt(a)}
     return _report(f"{family}[m={m},a={_fmt(a)}]", family, params, lhs, rhs, tol,

@@ -14,13 +14,14 @@ walk down in s.  Digamma is minus the sigma = +1, s = 1 case, whose divergent
 prec + 56 bits, and each value is rounded once; the depth-1 constants are
 such values times +-2^k.
 
-Everything else is a sum of such values K_sigma(s; x), added exactly and
-rounded once (``_kernel_sums``): pi tan and pi sec come from pi cot(pi x)
-and pi csc(pi x), the sums of sigma^n/(x + n) over all integers n, so each
-Taylor coefficient at a rational base is a difference of two kernel values
-(at a pole, after the 1/z term, a multiple of one); the Psi jets and
-zeta(1; a) are kernel values plus rationals.  Every function here takes
-rational arguments only.
+Everything else is a sum of rationals times products of such values
+K_sigma(s; x), added exactly and rounded once (``_kernel_sums``): pi tan
+and pi sec come from pi cot(pi x) and pi csc(pi x), the sums of
+sigma^n/(x + n) over all integers n, so each Taylor coefficient at a
+rational base is a difference of two kernel values (at a pole, after the
+1/z term, a multiple of one); the Psi jets and zeta(1; a) are kernel values
+plus rationals; the closed forms of the identity checks multiply these.
+Every function here takes rational arguments only.
 
 ``tail_zeta_batch`` serves the many exponents the series engine needs at
 one point in one pass; the per-value functions are batches of one, cached
@@ -333,16 +334,16 @@ def digamma(a: Rational, prec: int) -> mpf:
 
 
 def _zeta_terms(c: Rational, s: int, a: Fraction) -> list:
-    """c zeta(s; a) as kernel terms (c, sigma, s, x); zeta(1; a) is the
-    convention psi(1/2) - psi(a) = K(1; a) - K(1; 1/2)."""
-    terms = [(c, 1, s, a)]
-    return terms + [(-c, 1, 1, _HALF)] if s == 1 else terms
+    """c zeta(s; a) as terms (c, ((sigma, s, x),)) of ``_kernel_sums``;
+    zeta(1; a) is the convention psi(1/2) - psi(a) = K(1; a) - K(1; 1/2)."""
+    terms = [(c, ((1, s, a),))]
+    return terms + [(-c, ((1, 1, _HALF),))] if s == 1 else terms
 
 
 def hurwitz_zeta1(a: Rational, prec: int) -> mpf:
     """The zeta(1; a) convention value psi(1/2) - psi(a), for rational a not a
     non-positive integer."""
-    return _kernel_sums([(0, _zeta_terms(1, 1, _admissible(a, "hurwitz_zeta1")))], prec)[0]
+    return _kernel_sums([_zeta_terms(1, 1, _admissible(a, "hurwitz_zeta1"))], prec)[0]
 
 
 def param_digamma_deriv(p: int, a: Rational, prec: int) -> mpf:
@@ -354,8 +355,7 @@ def param_digamma_deriv(p: int, a: Rational, prec: int) -> mpf:
     if p < 1:
         raise DomainError("param_digamma_deriv requires p >= 1")
     c = (-1) ** p * factorial(p - 1)
-    return _kernel_sums([(0, _zeta_terms(c, p, _admissible(a, "param_digamma_deriv")))],
-                        prec)[0]
+    return _kernel_sums([_zeta_terms(c, p, _admissible(a, "param_digamma_deriv"))], prec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,39 +433,44 @@ def single_T_bar(s: int, prec: int) -> mpf:
 
 
 # ---------------------------------------------------------------------------
-# Sums of kernel values: the trigonometric kernels and the Psi jets
+# Sums of products of kernel values: the trigonometric kernels and the Psi jets
 # ---------------------------------------------------------------------------
 
 def _kernel_sums(sums, prec: int) -> list[mpf]:
-    """Each sum (const, [(c, sigma, s, x), ...]) = const + sum c K_sigma(s; x),
-    with rational const and c and K the value of ``_zeta_batch``, rounded
-    once at ``prec``.
+    """Each sum [(c, keys), ...] = sum c prod K_sigma(s; x) over the (sigma,
+    s, x) of keys, with rational c and K the value of ``_zeta_batch``, rounded
+    once at ``prec``; a term with no keys is c itself.
 
-    Equal keys are merged first, so terms that cancel exactly give an exact
-    0.  The values come from one ``_zeta_batch`` per (sigma, x) at prec + g
-    bits, each within 2^-(prec+g) of its size, and are added exactly in
-    integers with the mantissas aligned to the smallest exponent.  A sum
-    whose terms add up to 2^loss times its size must have g >= loss + 8, so
-    that it keeps prec + 8 bits; g rises to that, and doubles for a sum of
-    rounded values that comes out exactly 0.  Past 2048 guard bits the sum
-    raises ArithmeticError.
+    Terms with the same keys, in any order, are merged first, so terms that
+    cancel exactly give an exact 0.  The values come from one ``_zeta_batch``
+    per (sigma, x) at prec + g bits, each within 2^-(prec+g) of its size, and
+    each term c prod m_i 2^e_i is added exactly in integers, shifted by
+    sum e_i less the least such sum.  A product of k values errs by k
+    2^-(prec+g) of its size, to first order, so it counts k times in the size
+    of the sum: a product of two values costs one bit more, a rational none.
+    A sum whose size is 2^loss times its value must have g >= loss + 8 to
+    keep prec + 8 bits; g rises to that, doubles for a sum of rounded values
+    that comes out exactly 0, and past 2048 bits raises ArithmeticError.  It
+    starts at 32, a constant: the closed forms of the identity checks lose up
+    to about 14 bits, and each rise costs a cold ``_zeta_batch`` per point.
     """
     merged = []
-    for const, terms in sums:
+    for terms in sums:
         acc: dict = {}
-        for c, sigma, s, x in terms:
-            key = (sigma, s, Fraction(x))
+        for c, keys in terms:
+            key = tuple(sorted((sigma, s, Fraction(x)) for sigma, s, x in keys))
             acc[key] = acc.get(key, 0) + c
-        merged.append((Fraction(const), [(Fraction(c), key) for key, c in acc.items() if c]))
+        merged.append([(Fraction(c), keys) for keys, c in acc.items() if c])
     out: list = [None] * len(merged)
-    todo, g = range(len(merged)), 16
+    todo, g = range(len(merged)), 32
     while todo:
         if g > 2048:
             raise ArithmeticError("a sum of kernel values cancels past 2048 guard bits")
         points: dict = {}
         for i in todo:
-            for _, (sigma, s, x) in merged[i][1]:
-                points.setdefault((sigma, x), set()).add(s)
+            for _, keys in merged[i]:
+                for sigma, s, x in keys:
+                    points.setdefault((sigma, x), set()).add(s)
         values = {}
         for (sigma, x), ss in points.items():
             ss = sorted(ss)
@@ -473,17 +478,19 @@ def _kernel_sums(sums, prec: int) -> list[mpf]:
                           for s, v in zip(ss, _zeta_batch(sigma, ss, x, prec + g)))
         short, need = [], g
         for i in todo:
-            const, terms = merged[i]
-            den = math.lcm(const.denominator, *(c.denominator for c, _ in terms))
-            e0 = min([0] + [values[key][2] for _, key in terms])
-            total = const.numerator * (den // const.denominator) << -e0
-            size = abs(total)
-            for c, key in terms:
-                sign, man, exp, _ = values[key]
-                t = c.numerator * (den // c.denominator) * (-man if sign else man) << exp - e0
-                total, size = total + t, size + abs(t)
+            terms = merged[i]
+            den = math.lcm(*(c.denominator for c, _ in terms))
+            exps = [sum(values[key][2] for key in keys) for _, keys in terms]
+            e0 = min([0] + exps)
+            total = size = 0
+            for (c, keys), e in zip(terms, exps):
+                t = c.numerator * (den // c.denominator) << e - e0
+                for key in keys:
+                    sign, man, _, _ = values[key]
+                    t *= -man if sign else man
+                total, size = total + t, size + len(keys) * abs(t)
             # g >= loss + 8, loss = log2(size / |total|); an exact 0 doubles g
-            want = 0 if not terms else 2 * g if not total else (
+            want = 0 if not size else 2 * g if not total else (
                 size.bit_length() - abs(total).bit_length() + 9)
             if want > g:
                 short.append(i)
@@ -511,10 +518,10 @@ def _trig_sums(kind: KernelKind, base: Rational, order: int):
     sigma = 1 if kind is KernelKind.PI_TAN else -1
     sign = -1 if sigma == 1 or k % 2 else 1
     if x == 0:
-        return True, [(sign, [])] + [(0, [(sign * ((-1) ** j - 1) * sigma, sigma, j + 1, 1)])
-                                     for j in range(order)]
-    return False, [(0, [(sign * (-1) ** j, sigma, j + 1, x), (-sign * sigma, sigma, j + 1, 1 - x)])
-                   for j in range(order + 1)]
+        return True, [[(sign, ())]] + [[(sign * ((-1) ** j - 1) * sigma, ((sigma, j + 1, 1),))]
+                                       for j in range(order)]
+    return False, [[(sign * (-1) ** j, ((sigma, j + 1, x),)),
+                    (-sign * sigma, ((sigma, j + 1, 1 - x),))] for j in range(order + 1)]
 
 
 def kernel_value(kind: KernelKind, a: Rational, prec: int) -> mpf:
@@ -556,11 +563,11 @@ def psi_jet(p: int, base: Rational, order: int, prec: int) -> JetSeries:
     if base.denominator == 1 and base >= 0:
         # zeta(q; -n) = sum_{m=1..n} (-m)^(-q) + zeta(q; 1) past the pole
         n = int(base)
-        sums = [(fac, [])] + [(0, [])] * (p - 1)
+        sums = [[(fac, ())]] + [[]] * (p - 1)
         for q in range(p, order + 1):
             b = c * comb(q - 1, q - p)
-            sums.append((b * sum(Fraction(1, (-m) ** q) for m in range(1, n + 1)),
-                         _zeta_terms(b, q, Fraction(1))))
+            sums.append([(b * sum(Fraction(1, (-m) ** q) for m in range(1, n + 1)), ())]
+                        + _zeta_terms(b, q, Fraction(1)))
         return jet_from_coeffs(base, _kernel_sums(sums[: order + 1], prec), prec, pole_order=p)
-    sums = [(0, _zeta_terms(c * comb(p - 1 + j, j), p + j, -base)) for j in range(order + 1)]
+    sums = [_zeta_terms(c * comb(p - 1 + j, j), p + j, -base) for j in range(order + 1)]
     return jet_from_coeffs(base, _kernel_sums(sums, prec), prec)

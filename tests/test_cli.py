@@ -130,6 +130,16 @@ def test_verify_rejects_equal_pair_sample(capsys):
     assert "rejected" in capsys.readouterr().err
 
 
+def test_verify_stops_on_a_closed_form_that_cancels_past_its_guard(capsys):
+    # at a = 10^-200, zeta(s; a) ~ a^-s cancels against its products with the
+    # kernels far beyond 2048 guard bits at p = 4 and 5: no report, exit 1
+    rc = main(["verify", "--families", "thm3_1,thm3_4", f"--samples=1/{10 ** 200},1/3"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "error: a sum of kernel values cancels past 2048 guard bits\n"
+
+
 def test_verify_unknown_family(capsys):
     assert main(["verify", "--families", "thm9_9"]) == 2
 

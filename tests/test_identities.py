@@ -4,7 +4,9 @@ from math import factorial
 import pytest
 from mpmath import mp, mpf
 
+import tsum.identities as identities
 import tsum.series as series
+import tsum.special as special
 from tsum.identities import (
     HypothesisError,
     PartialFractionRational,
@@ -65,14 +67,39 @@ class TestPairTheorems:
         assert verify_thm3_1(3, F(5, 7), F(-6, 7), P, TOL).passed
         assert verify_thm3_4(4, F(5, 7), F(-6, 7), P, TOL).passed
 
-    @pytest.mark.parametrize("verify", [verify_thm3_1, verify_thm3_4])
-    def test_shift_next_to_one_half(self, verify):
-        # pi tan and pi sec of pi a are near 3e24 and multiply zeta(p; a) - ttilde(p),
-        # which cancels about 83 bits; p = 1 takes the zeta(1; a) convention
-        a = F(4999999999999999999999999, 10 ** 25)
+    @pytest.mark.parametrize("verify, a, b", [
+        pytest.param(verify, a, b, id=verify.__name__ + tag)
+        for a, b, tag in [(F(4999999999999999999999999, 10 ** 25), F(1, 3), ""),
+                          (F(1, 10 ** 60), F(1, 3), "-a=1e-60"),
+                          (F(1, 3), F(1, 3) + F(1, 3 * 10 ** 42), "-b-a=1e-42/3")]
+        for verify in (verify_thm3_1, verify_thm3_4)])
+    def test_shift_next_to_one_half(self, verify, a, b):
+        # next to a = 1/2, pi tan and pi sec of pi a are near 3e24 and multiply
+        # zeta(p; a) - ttilde(p), which cancels about 83 bits; p = 1 takes the
+        # zeta(1; a) convention.  At a = 1e-60, zeta(p; a) ~ 1e60p cancels
+        # against its product with pi tan(pi a) ~ pi^2 a; at b - a = 1e-42/3,
+        # 1/(b - a) multiplies differences of order b - a
         for p in range(1, 6):
-            rep = verify(p, a, F(1, 3), P, TOL)
+            rep = verify(p, a, b, P, TOL)
             assert rep.passed, (p, rep.absolute_gap)
+
+    def test_each_closed_form_is_one_kernel_sum(self, monkeypatch):
+        calls = []
+        kernel_sums = identities._kernel_sums
+
+        def counted(sums, prec):
+            calls.append(len(sums))
+            return kernel_sums(sums, prec)
+
+        monkeypatch.setattr(identities, "_kernel_sums", counted)
+        monkeypatch.setattr(special, "_kernel_sums", counted)
+        for verify, args in [(verify_thm3_1, (3, F(1, 4), F(1, 3))),
+                             (verify_thm3_4, (2, F(1, 5), F(-2, 5))),
+                             (verify_cor3_2, (1, F(1, 3))), (verify_cor3_3, (1, F(2, 5))),
+                             (verify_cor3_5, (1, F(1, 4))), (verify_cor3_6, (2, F(1, 5)))]:
+            calls.clear()
+            assert verify(*args, P, TOL).passed
+            assert calls == [1], verify.__name__
 
     def test_negative_control_detects_missing_convention(self):
         rep = verify_thm3_1(2, F(1, 4), F(1, 3), P, TOL,
@@ -97,13 +124,19 @@ class TestCorollaries:
         (verify_cor3_6, F(4999999999999999999999999, 10 ** 25), (0, 1, 2)),
         (verify_cor3_2, F(1, 10 ** 25), (0, 1, 2)),
         (verify_cor3_5, F(1, 10 ** 25), (1, 2)),
+        (verify_cor3_3, F(1, 10 ** 60), (0, 1, 2)),
+        (verify_cor3_6, F(1, 10 ** 60), (0, 1, 2)),
+        (verify_cor3_3, 1 - F(1, 10 ** 30), (0, 1, 2)),
+        (verify_cor3_6, 1 - F(1, 10 ** 30), (0, 1, 2)),
     ])
     def test_cancelling_zeta_differences(self, verify, a, ms):
         # at b = 1 - a, pi tan and pi sec of pi a (~3e24) and 1/(2a - 1) (~-5e24)
         # multiply 2 ttilde(p) - zeta(p; a) - zeta(p; b), of order (1/2 - a)^2,
         # and the j-sum takes zeta(s; a) - zeta(s; b), of order 1/2 - a; at
         # b = -a, 1/(2a) and pi tan(pi a)/(4a) multiply zeta(s; a) - zeta(s; -a),
-        # whose a^-s parts (~1e25s) cancel at even s
+        # whose a^-s parts (~1e25s) cancel at even s; at b = 1 - a with a next
+        # to 0 or 1, zeta(p; a) or zeta(p; b) ~ 1e30p cancels against its
+        # products with pi tan or pi sec of pi a
         for m in ms:
             rep = verify(m, a, P, TOL)
             assert rep.passed, (m, rep.absolute_gap)

@@ -536,6 +536,61 @@ class TestPsiJet:
         _assert_ulps(psi_jet(1, -a, 2, 64).coeffs, want, 64)
 
 
+def _kernel_reference(key, wp):
+    """K_sigma(s; x) from mpmath at wp bits; at sigma = +1, s = 1, -psi(x)."""
+    sigma, s, x = key
+    if sigma == 1 and s == 1:
+        return -_mpmath_reference("digamma", 1, x, wp)
+    return _mpmath_reference("hurwitz_zeta" if sigma == 1 else "alt_hurwitz_zeta", s, x, wp)
+
+
+def _kernel_sum_reference(terms, wp):
+    with mp.workprec(wp):
+        return mp.fsum(mpf(c.numerator) / c.denominator
+                       * mp.fprod(_kernel_reference(key, wp) for key in keys)
+                       for c, keys in terms)
+
+
+class TestKernelSums:
+    KEYS = [(1, 1, Fraction(1, 3)), (1, 2, Fraction(-2, 7)), (1, 5, Fraction(7, 3)),
+            (-1, 1, Fraction(1, 4)), (-1, 2, Fraction(-1, 5)), (-1, 3, Fraction(-3, 7))]
+
+    def test_products_of_two_values_within_one_ulp(self):
+        rng = random.Random(15)
+        sums = [[(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)),
+                  tuple(rng.choices(self.KEYS, k=2))) for _ in range(3)]
+                + [(Fraction(1, 3), ()), (2, (rng.choice(self.KEYS),))] for _ in range(8)]
+        for prec in (64, 192):
+            refs = [_kernel_sum_reference(terms, prec + 160) for terms in sums]
+            _assert_ulps(special._kernel_sums(sums, prec), refs, prec)
+
+    def test_a_product_and_its_reverse_cancel_exactly(self):
+        ka, kb = self.KEYS[1], self.KEYS[5]
+        sums = [[(1, (ka, kb)), (-1, (kb, ka))],
+                [(Fraction(2, 3), (ka, kb)), (5, ()), (Fraction(-2, 3), (kb, ka))]]
+        assert special._kernel_sums(sums, P) == [0, 5]
+
+    @pytest.mark.parametrize("sigma", [1, -1])
+    def test_a_product_sum_that_cancels_about_100_bits(self, sigma, monkeypatch):
+        # K(2; x) K(3; 1/3) - K(2; x') K(3; 1/3) with x' - x = 1e-30
+        precs = set()
+        zeta_batch = special._zeta_batch
+
+        def spy(sigma, ss, x, prec):
+            precs.add(prec)
+            return zeta_batch(sigma, ss, x, prec)
+
+        monkeypatch.setattr(special, "_zeta_batch", spy)
+        x, y = Fraction(1, 4), Fraction(1, 3)
+        terms = [(1, ((sigma, 2, x), (sigma, 3, y))),
+                 (-1, ((sigma, 2, x + Fraction(1, 10 ** 30)), (sigma, 3, y)))]
+        for prec in (64, 192):
+            precs.clear()
+            _assert_ulps(special._kernel_sums([terms], prec),
+                         [_kernel_sum_reference(terms, prec + 160)], prec)
+            assert max(precs) > prec + 100
+
+
 GRID_XS = tuple(map(Fraction, ("1/1000000", "1/4", "1/2", "1", "7/3", "101/3", "3000001/3")))
 GRID_SS = (1, 2, 3, 7, 30, 164, 165, 400, 801)
 GRID_PRECS = (64, 192, 1376)
