@@ -1,13 +1,15 @@
 """Two-sided numeric verification of the closed-form identities.
 
-Each verifier evaluates both sides of one identity (or the four structural
-terms of a residue-sum-zero statement) by independent routes: the series
-side through the summation engine, the closed-form side through the special
-function evaluators, and residue terms through jet arithmetic.  The closed
-form of a pair theorem or corollary, a polynomial in kernel values with
-rational factors, is one ``special._kernel_sums`` sum, which covers its
-measured cancellation.  A ``VerificationReport`` records the gap against
-the requested tolerance.
+Each verifier evaluates both sides of one identity by independent routes:
+the series side through the summation engine, the closed-form side through
+the special function evaluators.  The closed form of a pair theorem or
+corollary, a polynomial in kernel values with rational factors, is one
+``special._kernel_sums`` sum, which covers its measured cancellation.  A
+residue-sum-zero statement (Theorems 3.6 and 3.7) is checked as two sides
+of the four terms of its proof: the two series, and the derivative sums
+plus the residues, the latter read from products of exact jets and added
+in the same one kernel sum.  A ``VerificationReport`` records the gap
+against the requested tolerance.
 """
 
 from __future__ import annotations
@@ -21,20 +23,18 @@ from typing import Optional
 from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
-from .jets import jet_from_coeffs, jet_mul, jet_residue, jet_scale
+from .jets import JetSeries, jet_mul, jet_residue
 from .numeric import real_const, round_to, to_mpf, tolerance_mpf
 from .series import SumSpec, accel_linear_sum, euler_t_sum, harmonic, odd_harmonic
 from .special import (
     DEFAULT_CONVENTION,
     DomainError,
     KernelKind,
+    Terms,
     ZetaConvention,
     _kernel_sums,
     _trig_sums,
-    alt_hurwitz_zeta,
     alt_zeta,
-    digamma,
-    hurwitz_zeta,
     kernel_jet,
     psi_jet,
     riemann_zeta,
@@ -92,15 +92,6 @@ def _check_ab(a: Frac, b: Optional[Frac]) -> None:
             raise HypothesisError("this artifact restricts shift parameters to |a| < 1")
 
 
-def _times(*factors) -> list:
-    """The product of rationals and lists of kernel terms as kernel terms."""
-    out = [(1, ())]
-    for f in factors:
-        f = f if isinstance(f, list) else [(f, ())]
-        out = [(c * d, k + l) for c, k in out for d, l in f]
-    return out
-
-
 def _pair_pieces(a: Frac, b: Frac, negate: bool) -> list[tuple[Frac, list[tuple[Frac, int]]]]:
     """1/((n + a - 1/2)(n + b - 1/2)) as one product piece, optionally with
     both shifts negated."""
@@ -123,24 +114,21 @@ class _Kernel:
     sigma: int
     first_j: int
 
-    def tt(self, j: int, wp: int) -> mpf:
-        return ttilde(j, wp) if self.sigma > 0 else ttilde_bar(j, wp)
-
 
 _TAN = _Kernel(KernelKind.PI_TAN, 1, 2)
 _SEC = _Kernel(KernelKind.PI_OVER_COS, -1, 1)
 
 
-def _j_sum(kern: _Kernel, p: int, a: Frac, b: Frac, conv: ZetaConvention) -> list:
+def _j_sum(kern: _Kernel, p: int, a: Frac, b: Frac, conv: ZetaConvention) -> Terms:
     """sum_j tt(j) (zeta(p+1-j; a) - zeta(p+1-j; b)), j = first_j, first_j + 2,
-    ..., p, as kernel terms: tt(j) = sigma K_sigma(j; 1/2), and the zeta
-    values are K_-1 for the secant."""
-    out = []
+    ..., p, as kernel terms: tt(j) = sigma K_sigma(j; 1/2), ttilde or
+    ttilde_bar, and the zeta values are K_-1 for the secant."""
+    out = Terms()
     for j in range(kern.first_j, p + 1, 2):
         s = p + 1 - j
         diff = (conv.terms(1, s, a) + conv.terms(-1, s, b) if kern.sigma > 0
                 else [(1, ((-1, s, a),)), (-1, ((-1, s, b),))])
-        out += _times([(kern.sigma, ((kern.sigma, j, _HALF),))], diff)
+        out += Terms([(kern.sigma, ((kern.sigma, j, _HALF),))]) * diff
     return out
 
 
@@ -160,10 +148,10 @@ def _verify_pair(kern: _Kernel, family: str, p: int, a: Frac, b: Frac, prec: int
         sgn = 1 if p % 2 == 0 else -1
         lhs = s1.value - kern.sigma * sgn * s2.value
         c, neg_tt = Frac(sgn) / (b - a), convention.terms(-1, p, _HALF)
-        terms = _times(2 * c * kern.sigma, _j_sum(kern, p, a, b, convention))
+        terms = _j_sum(kern, p, a, b, convention) * (2 * c * kern.sigma)
         # pi tan or pi sec of pi x times zeta(p; x) - ttilde(p), at x = b and a
         for e, x in ((c, b), (-c, a)):
-            terms += _times(e, _trig_sums(kern.kind, x, 0)[1][0], convention.terms(1, p, x) + neg_tt)
+            terms += _trig_sums(kern.kind, x, 0)[1][0] * e * (convention.terms(1, p, x) + neg_tt)
         rhs = _kernel_sums([terms], wp)[0]
         lhs, rhs = round_to(lhs, prec), round_to(rhs, prec)
     params = {"p": p, "a": _fmt(a), "b": _fmt(b)}
@@ -220,13 +208,13 @@ def _verify_single(kern: _Kernel, family: str, m: int, a: Frac, prec: int, toler
         lhs = s1.value
         terms = s1.terms_used
         if reflect:
-            c, sign, head = 1 / (2 * a - 1), kern.sigma, []
+            c, sign, head = 1 / (2 * a - 1), kern.sigma, Terms()
         else:
             s0 = euler_t_sum(SumSpec(p=(), q=(p, 1, 1), a=(Frac(0), a, b), sigma=kern.sigma), wp)
             terms += s0.terms_used
-            c, sign, head = 1 / (2 * a), 1, [(Frac(*to_rational(s0.value._mpf_)) / 2, ())]
-        rhs = _kernel_sums([head + _times(sign * c, _j_sum(kern, p, a, b, convention))
-                            + _times(c / 2, _trig_sums(kern.kind, a, 0)[1][0], zetas)], wp)[0]
+            c, sign, head = 1 / (2 * a), 1, Terms([(Frac(*to_rational(s0.value._mpf_)) / 2, ())])
+        rhs = _kernel_sums([head + _j_sum(kern, p, a, b, convention) * (sign * c)
+                            + _trig_sums(kern.kind, a, 0)[1][0] * (c / 2) * zetas], wp)[0]
         lhs, rhs = round_to(lhs, prec), round_to(rhs, prec)
     params = {"m": m, "a": _fmt(a)}
     return _report(f"{family}[m={m},a={_fmt(a)}]", family, params, lhs, rhs, tol,
@@ -267,9 +255,9 @@ class PartialFractionRational:
 
     Poles must avoid 0, the positive integers and all half-odd integers;
     only these exact rational inequalities are enforced.  Poles that merely
-    come close to the excluded set are accepted, but the residue evaluation
-    is increasingly ill-conditioned there and the working-precision guard
-    absorbs only a bounded amount of that loss.
+    come close to the excluded set are accepted: the closed side of a
+    residue check, one kernel sum, measures the cancellation they cause and
+    takes guard bits to match, and stops with ArithmeticError past 2048.
     """
 
     terms: tuple[tuple[Fraction, int, Fraction], ...]
@@ -320,62 +308,51 @@ def _half_shift_pieces(r: PartialFractionRational,
     return [(c, [(-beta - Frac(1, 2), m)]) for beta, m, c in r.terms]
 
 
-def _derivative_sum(r: PartialFractionRational, d: int, wp: int, alternating: bool) -> mpf:
-    """sum_{n>=0} (+-1)^n r^(d)(n) evaluated per partial-fraction term."""
-    total = mpf(0)
-    sgn = -1 if d % 2 == 1 else 1
-    psi_part = mpf(0)
-    for beta, m, c in r.terms:
-        q = m + d
-        rising = factorial(m + d - 1) // factorial(m - 1)
-        if alternating:
-            sigma = alt_hurwitz_zeta(q, -beta, wp)
-        elif q == 1:
-            # grouped below through digamma (coefficients sum to zero)
-            psi_part -= to_mpf(c, wp) * digamma(-beta, wp)
-            continue
-        else:
-            sigma = hurwitz_zeta(q, -beta, wp)
-        total += to_mpf(c, wp) * sgn * rising * sigma
-    return total + psi_part
+def _derivative_terms(kern: _Kernel, p: int, r: PartialFractionRational) -> Terms:
+    """Term 3, sum_j 2/(p-j)! K_sigma(j; 1/2) sum_{n>=0} sigma^n r^(p-j)(n),
+    j = first_j, first_j + 2, ..., p, as kernel terms: summed over n, the
+    d-th derivative of c/(z - beta)^m is c (-1)^d (m)_d K_sigma(m + d; -beta).
+    At sigma = +1, d = 0 the order-1 terms take K_+1(1; -beta) = -psi(-beta)
+    for their divergent sums; their coefficients add up to 0."""
+    out = Terms()
+    for j in range(kern.first_j, p + 1, 2):
+        d = p - j
+        derivs = [(c * (-1) ** d * (factorial(m + d - 1) // factorial(m - 1)),
+                   ((kern.sigma, m + d, -beta),)) for beta, m, c in r.terms]
+        out += Terms([(Frac(2, factorial(d)), ((kern.sigma, j, _HALF),))]) * derivs
+    return out
 
 
-def _residue_total(kind: KernelKind, p: int, r: PartialFractionRational, wp: int) -> mpf:
-    """sum over poles of r of Res(kernel * Psi-jet/(p-1)! * r, beta)."""
-    total = mpf(0)
-    by_pole: dict[Fraction, list[tuple[int, Fraction]]] = {}
-    for beta, m, c in r.terms:
-        by_pole.setdefault(beta, []).append((m, c))
-    for beta, parts in by_pole.items():
+def _residue_terms(kind: KernelKind, p: int, r: PartialFractionRational) -> Terms:
+    """Term 4, the sum over the poles beta of r of the residues of
+    kernel(z) Psi^(p-1)(1/2 - z) r(z)/(p-1)!, each read from the product of
+    three exact jets at beta.  The kernel and Psi are analytic at every
+    admissible pole, so a residue at a pole of order M takes only r's
+    principal part there, and jets of order M - 1."""
+    out = Terms()
+    for beta in r.poles():
+        parts = [(m, c / factorial(p - 1)) for b, m, c in r.terms if b == beta]
         M = max(m for m, _ in parts)
-        K = M + 2
-        kj = kernel_jet(kind, beta, K, wp)
-        pj = jet_scale(psi_jet(p, beta, K, wp), Fraction(1, factorial(p - 1)))
-        coeffs = [Fraction(0)] * (K + 1)
-        for m, c in parts:
-            coeffs[M - m] += c
-        for beta2, m2, c2 in r.terms:
-            if beta2 == beta:
-                continue
-            delta = beta - beta2
-            for jj in range(K - M + 1):
-                coeffs[M + jj] += c2 * (-1) ** jj * comb(m2 + jj - 1, jj) / delta ** (m2 + jj)
-        rj = jet_from_coeffs(beta, coeffs, wp, pole_order=M)
-        total += jet_residue(jet_mul(jet_mul(kj, pj), rj))
-    return total
+        principal = tuple(sum(c for m, c in parts if m == M - i) for i in range(M))
+        kp = jet_mul(kernel_jet(kind, beta, M - 1, None), psi_jet(p, beta, M - 1, None))
+        out += jet_residue(jet_mul(kp, JetSeries(beta, M - 1, principal, M, None)))
+    return out
 
 
 def _verify_residue(kern: _Kernel, family: str, p: int, r: PartialFractionRational,
                     prec: int, tolerance) -> VerificationReport:
-    """Residue-sum-zero check: Theorems 3.6 (tangent) and 3.7 (secant)."""
+    """Theorems 3.6 (tangent) and 3.7 (secant): the residues of
+    kernel(z) Psi^(p-1)(1/2 - z) r(z) sum to zero, checked as two sides of
+    the four terms of the proof.  lhs, terms 1 and 2, is the series side
+    from the summation engine at prec + 24 bits; rhs, -(term 3 + term 4),
+    is one exact kernel sum, rounded once at prec."""
     t0 = time.perf_counter()
     if p < 1:
         raise HypothesisError("requires p >= 1")
     wp = prec + 24
     with mp.workprec(wp):
         tol = tolerance_mpf(tolerance, wp)
-        pf1 = _half_shift_pieces(r, False)
-        pf2 = _half_shift_pieces(r, True)
+        pf1, pf2 = _half_shift_pieces(r, False), _half_shift_pieces(r, True)
         sgn = 1 if p % 2 == 0 else -1
         tp = ttilde(p, wp)
         sum1 = accel_linear_sum(p, 0, kern.sigma, pf1, wp)
@@ -386,15 +363,11 @@ def _verify_residue(kern: _Kernel, family: str, p: int, r: PartialFractionRation
         # shares sum2's expansion key, so that expansion is built once
         rat2 = accel_linear_sum(None, 1, kern.sigma, pf2, wp)
         term2 = -sgn * (tp * rat2.value - sum2.value)
-        term3 = mpf(0)
-        for j in range(kern.first_j, p + 1, 2):
-            d = p - j
-            term3 += kern.sigma * (2 * kern.tt(j, wp) / factorial(d)
-                                   * _derivative_sum(r, d, wp, kern.sigma < 0))
-        term4 = _residue_total(kern.kind, p, r, wp)
-        total = round_to(term1 + term2 + term3 + term4, prec)
+        lhs = round_to(term1 + term2, prec)
+    closed = _derivative_terms(kern, p, r) + _residue_terms(kern.kind, p, r)
+    rhs = _kernel_sums([closed * -1], prec)[0]
     params = {"p": p, "r": r.text()}
-    return _report(f"{family}[p={p},r={r.text()}]", family, params, total, mpf(0),
+    return _report(f"{family}[p={p},r={r.text()}]", family, params, lhs, rhs,
                    tol, prec, sum1.terms_used + sum2.terms_used, t0)
 
 
@@ -450,10 +423,9 @@ def _lemma_psi_checks(order: int, prec: int, note) -> None:
                 for i in range(1, min(p, order + 1)):
                     note(jet.coeffs[i], mpf(0))
                 for j in range(p, order + 1):
-                    i = j
-                    zi = -2 * real_const("log2", wp) if i == 1 else riemann_zeta(i, wp)
-                    closed = sgn * comb(i - 1, p - 1) * (
-                        (-1) ** i * to_mpf(harmonic(n, i), wp) + zi)
+                    zj = -2 * real_const("log2", wp) if j == 1 else riemann_zeta(j, wp)
+                    closed = sgn * comb(j - 1, p - 1) * (
+                        (-1) ** j * to_mpf(harmonic(n, j), wp) + zj)
                     note(jet.coeffs[j] / fac, closed)
                 # expansion at n - 1/2 (analytic)
                 jet = psi_jet(p, Fraction(2 * n - 1, 2), order, wp)

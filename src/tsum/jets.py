@@ -8,15 +8,19 @@ stores K+1 coefficients ``c_0 .. c_K`` representing
 so ``c_0`` multiplies the most singular power and the residue (coefficient
 of the (-1)-power) sits at index ``m - 1``.  Arithmetic is the exact
 truncation of formal Laurent-series arithmetic at K+1 stored coefficients.
+``jet_mul`` takes rounded jets and exact ones (rational base, no precision)
+alike, with the coefficients' own + and *.
 """
 
 from __future__ import annotations
 
+import operator
+from contextlib import nullcontext
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from functools import reduce
+from typing import Any, Sequence
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .numeric import RealLike, to_mpf
 
@@ -27,11 +31,14 @@ class JetError(ValueError):
 
 @dataclass(frozen=True)
 class JetSeries:
-    base_point: mpf
+    """Rounded: mpf base and coefficients at ``prec`` bits.  Exact: rational
+    base, ``prec`` None, and rational or ``special.Terms`` coefficients."""
+
+    base_point: Any
     order: int
-    coeffs: tuple[mpf, ...]
+    coeffs: tuple
     pole_order: int
-    prec: int
+    prec: int | None
 
     def __post_init__(self):
         if self.order < 0 or self.pole_order < 0:
@@ -40,11 +47,14 @@ class JetSeries:
             raise JetError("coeffs length must equal order + 1")
 
 
-def jet_from_coeffs(base: RealLike, coeffs: Sequence[RealLike], prec: int,
+def jet_from_coeffs(base: RealLike, coeffs: Sequence[RealLike], prec: int | None,
                     pole_order: int = 0) -> JetSeries:
-    b = to_mpf(base, prec)
+    """A jet of base and coefficients rounded at ``prec`` bits, or kept as
+    they are when ``prec`` is None."""
+    if prec is None:
+        return JetSeries(base, len(coeffs) - 1, tuple(coeffs), pole_order, None)
     cs = tuple(to_mpf(c, prec) for c in coeffs)
-    return JetSeries(b, len(cs) - 1, cs, pole_order, prec)
+    return JetSeries(to_mpf(base, prec), len(cs) - 1, cs, pole_order, prec)
 
 
 def _check_compatible(a: JetSeries, b: JetSeries) -> None:
@@ -52,32 +62,24 @@ def _check_compatible(a: JetSeries, b: JetSeries) -> None:
         raise JetError(f"jet orders differ: {a.order} vs {b.order}")
     if a.base_point != b.base_point:
         raise JetError("jet base points differ")
+    if (a.prec is None) != (b.prec is None):
+        raise JetError("a rounded jet and an exact jet do not multiply")
 
 
 def jet_mul(a: JetSeries, b: JetSeries) -> JetSeries:
+    """The product jet: coefficient k is sum_i a_i b_(k-i) in order of i,
+    each product and partial sum of rounded jets rounded at the larger
+    precision, those of exact jets exact."""
     _check_compatible(a, b)
-    prec = max(a.prec, b.prec)
+    prec = max(a.prec, b.prec) if a.prec else None
     K = a.order
-    with mp.workprec(prec):
-        cs = [mpf(0)] * (K + 1)
-        for i, ca in enumerate(a.coeffs):
-            if ca == 0:
-                continue
-            for j in range(0, K + 1 - i):
-                cb = b.coeffs[j]
-                if cb != 0:
-                    cs[i + j] = +(cs[i + j] + ca * cb)
-    return JetSeries(a.base_point, K, tuple(cs), a.pole_order + b.pole_order, prec)
+    with mp.workprec(prec) if prec else nullcontext():
+        cs = tuple(reduce(operator.add, [a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)])
+                   for k in range(K + 1))
+    return JetSeries(a.base_point, K, cs, a.pole_order + b.pole_order, prec)
 
 
-def jet_scale(a: JetSeries, factor: RealLike) -> JetSeries:
-    with mp.workprec(a.prec):
-        f = to_mpf(factor, a.prec) if isinstance(factor, (int, Fraction)) else factor
-        cs = tuple(+(c * f) for c in a.coeffs)
-    return JetSeries(a.base_point, a.order, cs, a.pole_order, a.prec)
-
-
-def jet_residue(f: JetSeries) -> mpf:
+def jet_residue(f: JetSeries):
     """Coefficient of the (-1)-power term of a jet with a genuine pole."""
     if f.pole_order < 1:
         raise JetError("jet_residue requires pole_order >= 1")

@@ -21,7 +21,10 @@ sigma^n/(x + n) over all integers n, so each Taylor coefficient at a
 rational base is a difference of two kernel values (at a pole, after the
 1/z term, a multiple of one); the Psi jets and zeta(1; a) are kernel values
 plus rationals; the closed forms of the identity checks multiply these.
-Every function here takes rational arguments only.
+Such a sum stays unrounded as ``Terms`` until one ``_kernel_sums`` rounds
+it: ``kernel_jet`` and ``psi_jet`` at ``prec`` None return exact jets of
+``Terms``, which the residue checks multiply out.  Every function here
+takes rational arguments only.
 
 ``tail_zeta_batch`` serves the many exponents the series engine needs at
 one point in one pass; the per-value functions are batches of one, cached
@@ -333,10 +336,25 @@ def digamma(a: Rational, prec: int) -> mpf:
     return mp.fneg(_zeta_batch(1, [1], _admissible(a, "digamma"), prec)[0], exact=True)
 
 
-def _zeta_terms(c: Rational, s: int, a: Fraction) -> list:
+class Terms(list):
+    """An unrounded sum of kernel terms (c, keys) for ``_kernel_sums``: + joins
+    two sums, and * multiplies them out, or scales each c by a rational."""
+
+    def __add__(self, other: list) -> "Terms":
+        return Terms(list.__add__(self, other))
+
+    def __mul__(self, other) -> "Terms":
+        if isinstance(other, list):
+            return Terms((c * d, k + l) for c, k in self for d, l in other)
+        return Terms((c * other, k) for c, k in self)
+
+    __rmul__ = __mul__
+
+
+def _zeta_terms(c: Rational, s: int, a: Fraction) -> Terms:
     """c zeta(s; a) as terms (c, ((sigma, s, x),)) of ``_kernel_sums``;
     zeta(1; a) is the convention psi(1/2) - psi(a) = K(1; a) - K(1; 1/2)."""
-    terms = [(c, ((1, s, a),))]
+    terms = Terms([(c, ((1, s, a),))])
     return terms + [(-c, ((1, 1, _HALF),))] if s == 1 else terms
 
 
@@ -368,10 +386,10 @@ class ZetaConvention:
 
     enabled: bool = True
 
-    def terms(self, c: Rational, s: int, a: Rational) -> list:
+    def terms(self, c: Rational, s: int, a: Rational) -> Terms:
         """c zeta(s; a) as kernel terms for ``_kernel_sums``; at s = 1 the
         convention K(1; a) - K(1; 1/2), or no term when disabled."""
-        return [] if s == 1 and not self.enabled else _zeta_terms(c, s, Fraction(a))
+        return Terms() if s == 1 and not self.enabled else _zeta_terms(c, s, Fraction(a))
 
 
 DEFAULT_CONVENTION = ZetaConvention()
@@ -437,9 +455,10 @@ def single_T_bar(s: int, prec: int) -> mpf:
 # ---------------------------------------------------------------------------
 
 def _kernel_sums(sums, prec: int) -> list[mpf]:
-    """Each sum [(c, keys), ...] = sum c prod K_sigma(s; x) over the (sigma,
-    s, x) of keys, with rational c and K the value of ``_zeta_batch``, rounded
-    once at ``prec``; a term with no keys is c itself.
+    """Each sum [(c, keys), ...] (a list or ``Terms``) = sum c prod
+    K_sigma(s; x) over the (sigma, s, x) of keys, with rational c and K the
+    value of ``_zeta_batch``, rounded once at ``prec``; a term with no keys
+    is c itself.
 
     Terms with the same keys, in any order, are merged first, so terms that
     cancel exactly give an exact 0.  The values come from one ``_zeta_batch``
@@ -518,10 +537,10 @@ def _trig_sums(kind: KernelKind, base: Rational, order: int):
     sigma = 1 if kind is KernelKind.PI_TAN else -1
     sign = -1 if sigma == 1 or k % 2 else 1
     if x == 0:
-        return True, [[(sign, ())]] + [[(sign * ((-1) ** j - 1) * sigma, ((sigma, j + 1, 1),))]
-                                       for j in range(order)]
-    return False, [[(sign * (-1) ** j, ((sigma, j + 1, x),)),
-                    (-sign * sigma, ((sigma, j + 1, 1 - x),))] for j in range(order + 1)]
+        return True, [Terms([(sign, ())])] + [
+            Terms([(sign * ((-1) ** j - 1) * sigma, ((sigma, j + 1, 1),))]) for j in range(order)]
+    return False, [Terms([(sign * (-1) ** j, ((sigma, j + 1, x),)),
+                          (-sign * sigma, ((sigma, j + 1, 1 - x),))]) for j in range(order + 1)]
 
 
 def kernel_value(kind: KernelKind, a: Rational, prec: int) -> mpf:
@@ -533,18 +552,21 @@ def kernel_value(kind: KernelKind, a: Rational, prec: int) -> mpf:
     return _kernel_sums(sums, prec)[0]
 
 
-def kernel_jet(kind: KernelKind, base: Rational, order: int, prec: int) -> JetSeries:
+def kernel_jet(kind: KernelKind, base: Rational, order: int, prec: int | None) -> JetSeries:
     """Jet of the requested kernel at rational ``base``, each coefficient a
-    sum of kernel values rounded once; at a pole (a half-integer base) a
-    pole_order-1 Laurent jet."""
+    sum of kernel values rounded once, or at ``prec`` None kept unrounded as
+    ``Terms``; at a pole (a half-integer base) a pole_order-1 Laurent jet."""
     if order < 0:
         raise DomainError("order must be >= 0")
     pole, sums = _trig_sums(kind, base, order)
-    return jet_from_coeffs(base, _kernel_sums(sums, prec), prec, pole_order=int(pole))
+    return jet_from_coeffs(_rational(base, kind.value), sums if prec is None
+                           else _kernel_sums(sums, prec), prec, pole_order=int(pole))
 
 
-def psi_jet(p: int, base: Rational, order: int, prec: int) -> JetSeries:
-    """Jet of the shifted digamma derivative Psi^(p-1)(1/2 - z) at ``base``.
+def psi_jet(p: int, base: Rational, order: int, prec: int | None) -> JetSeries:
+    """Jet of the shifted digamma derivative Psi^(p-1)(1/2 - z) at ``base``,
+    each coefficient a sum of kernel values rounded once, or at ``prec`` None
+    kept unrounded as ``Terms``.
 
     The z^j coefficient is (-1)^p (p-1)! C(p-1+j, j) zeta(p+j; -base), with
     the zeta(1; a) convention of ``hurwitz_zeta1``.  At a non-negative
@@ -560,14 +582,16 @@ def psi_jet(p: int, base: Rational, order: int, prec: int) -> JetSeries:
     base = _rational(base, "psi_jet")
     fac = factorial(p - 1)
     c = (-1) ** p * fac
-    if base.denominator == 1 and base >= 0:
+    pole = base.denominator == 1 and base >= 0
+    if pole:
         # zeta(q; -n) = sum_{m=1..n} (-m)^(-q) + zeta(q; 1) past the pole
         n = int(base)
-        sums = [[(fac, ())]] + [[]] * (p - 1)
+        sums = [Terms([(fac, ())])] + [Terms()] * min(p - 1, order)
         for q in range(p, order + 1):
             b = c * comb(q - 1, q - p)
-            sums.append([(b * sum(Fraction(1, (-m) ** q) for m in range(1, n + 1)), ())]
+            sums.append(Terms([(b * sum(Fraction(1, (-m) ** q) for m in range(1, n + 1)), ())])
                         + _zeta_terms(b, q, Fraction(1)))
-        return jet_from_coeffs(base, _kernel_sums(sums[: order + 1], prec), prec, pole_order=p)
-    sums = [_zeta_terms(c * comb(p - 1 + j, j), p + j, -base) for j in range(order + 1)]
-    return jet_from_coeffs(base, _kernel_sums(sums, prec), prec)
+    else:
+        sums = [_zeta_terms(c * comb(p - 1 + j, j), p + j, -base) for j in range(order + 1)]
+    return jet_from_coeffs(base, sums if prec is None else _kernel_sums(sums, prec), prec,
+                           pole_order=p if pole else 0)

@@ -21,7 +21,7 @@ from tsum.identities import (
     verify_thm3_6,
     verify_thm3_7,
 )
-from tsum.special import KernelKind, ZetaConvention, kernel_jet, psi_jet, ttilde, ttilde_bar
+from tsum.special import KernelKind, Terms, ZetaConvention, kernel_jet, psi_jet, ttilde, ttilde_bar
 
 P = 192
 TOL = "1e-40"
@@ -93,13 +93,15 @@ class TestPairTheorems:
 
         monkeypatch.setattr(identities, "_kernel_sums", counted)
         monkeypatch.setattr(special, "_kernel_sums", counted)
+        residues = [(verify, (p, PartialFractionRational.parse(rtext)))
+                    for p, rtext in RESIDUE_CASE_CATALOG for verify in (verify_thm3_6, verify_thm3_7)]
         for verify, args in [(verify_thm3_1, (3, F(1, 4), F(1, 3))),
                              (verify_thm3_4, (2, F(1, 5), F(-2, 5))),
                              (verify_cor3_2, (1, F(1, 3))), (verify_cor3_3, (1, F(2, 5))),
-                             (verify_cor3_5, (1, F(1, 4))), (verify_cor3_6, (2, F(1, 5)))]:
+                             (verify_cor3_5, (1, F(1, 4))), (verify_cor3_6, (2, F(1, 5)))] + residues:
             calls.clear()
             assert verify(*args, P, TOL).passed
-            assert calls == [1], verify.__name__
+            assert calls == [1], (verify.__name__, args)
 
     def test_negative_control_detects_missing_convention(self):
         rep = verify_thm3_1(2, F(1, 4), F(1, 3), P, TOL,
@@ -188,6 +190,54 @@ class TestResidueTheorems:
             assert verify_thm3_1(p, a, b, P, TOL).passed
             assert verify_thm3_7(p, r, P, TOL).passed
             assert verify_thm3_4(p, a, b, P, TOL).passed
+
+    @pytest.mark.parametrize("verify", [verify_thm3_6, verify_thm3_7])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [F(1, 10 ** 20), F(1, 10 ** 30), F(1, 2) - F(1, 10 ** 30)],
+                             ids=["1e-20", "1e-30", "half-1e-30"])
+    def test_pole_next_to_the_excluded_set(self, beta, p, verify):
+        # r = 1/(z + 1/4) - 1/(z - beta): next to 0, K(q; -beta) ~ beta^-q
+        # cancels against the kernel and Psi jets at beta; next to 1/2 the
+        # kernel jet at beta holds K(j; 1/2 - beta) ~ 1e30j
+        r = PartialFractionRational(((F(-1, 4), 1, F(1)), (beta, 1, F(-1))))
+        rep = verify(p, r, P, TOL)
+        assert rep.passed, rep.absolute_gap
+
+    @pytest.mark.parametrize("prec", [96, 192])
+    def test_each_side_within_its_precision(self, prec):
+        # each side against the same side 160 bits finer, relative to its size
+        for p, rtext in RESIDUE_CASE_CATALOG:
+            r = PartialFractionRational.parse(rtext)
+            for verify in (verify_thm3_6, verify_thm3_7):
+                rep, ref = verify(p, r, prec, "1e-20"), verify(p, r, prec + 160, "1e-20")
+                with mp.workprec(prec + 200):
+                    for side, want in ((rep.lhs, ref.lhs), (rep.rhs, ref.rhs)):
+                        assert abs(side - want) <= abs(want) * mpf(2) ** -prec, (
+                            verify.__name__, p, rtext, side, want)
+
+    @pytest.mark.parametrize("verify", [verify_thm3_6, verify_thm3_7])
+    def test_negative_control_sign_slip_in_the_derivative_terms(self, verify, monkeypatch):
+        derivative_terms = identities._derivative_terms
+        monkeypatch.setattr(identities, "_derivative_terms", lambda *args: derivative_terms(*args) * -1)
+        rep = verify(2, PartialFractionRational.parse("(1/5,2,1);(-1/4,3,1)"), P, TOL)
+        assert not rep.passed
+        with mp.workprec(64):
+            assert rep.absolute_gap > mpf("1e-6")
+
+    @pytest.mark.parametrize("verify", [verify_thm3_6, verify_thm3_7])
+    def test_negative_control_dropped_pole_residue(self, verify, monkeypatch):
+        jet_residue, seen = identities.jet_residue, []
+
+        def drop_first(jet):
+            seen.append(jet.base_point)
+            return Terms() if len(seen) == 1 else jet_residue(jet)
+
+        monkeypatch.setattr(identities, "jet_residue", drop_first)
+        rep = verify(2, PartialFractionRational.parse("(1/5,2,1);(-1/4,3,1)"), P, TOL)
+        assert seen == [F(-1, 4), F(1, 5)]
+        assert not rep.passed
+        with mp.workprec(64):
+            assert rep.absolute_gap > mpf("1e-6")
 
     def test_double_pole_case(self):
         r = PartialFractionRational(((F(-1, 4), 2, F(1)),))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tsum.jets import JetError, jet_from_coeffs, jet_mul, jet_residue
+from tsum.special import Terms
 
 
 def test_mul_matches_hand_product():
@@ -60,3 +61,22 @@ def test_residue_requires_pole_and_sufficient_order():
         jet_residue(jet_from_coeffs(0, [1, 2], 64))
     with pytest.raises(JetError):
         jet_residue(jet_from_coeffs(0, [1], 64, pole_order=3))
+
+
+def test_mul_of_exact_jets_multiplies_terms_out():
+    # kernel terms (c, keys) times terms or rationals, in order of i, unrounded
+    x, y, base = (1, 2, Fraction(1, 3)), (-1, 1, Fraction(1, 2)), Fraction(1, 3)
+    a = jet_from_coeffs(base, [Terms([(1, (x,))]), Terms([(2, ()), (Fraction(1, 2), (y,))])],
+                        None, pole_order=1)
+    r = jet_from_coeffs(base, [Fraction(3), Fraction(-1)], None, pole_order=2)
+    ar, aa = jet_mul(a, r), jet_mul(a, a)
+    assert (ar.pole_order, ar.prec, ar.base_point) == (3, None, base)
+    assert ar.coeffs == ([(3, (x,))], [(-1, (x,)), (6, ()), (Fraction(3, 2), (y,))])
+    assert aa.pole_order == 2
+    assert aa.coeffs[1] == [(2, (x,)), (Fraction(1, 2), (x, y)), (2, (x,)), (Fraction(1, 2), (y, x))]
+    assert all(isinstance(c, Terms) for c in ar.coeffs + aa.coeffs)
+
+
+def test_rounded_and_exact_jets_do_not_multiply():
+    with pytest.raises(JetError):
+        jet_mul(jet_from_coeffs(0, [1, 2], 64), jet_from_coeffs(0, [Fraction(1), Fraction(2)], None))

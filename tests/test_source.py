@@ -1,0 +1,54 @@
+"""Static checks of the package source: no unused import, and no private
+top-level function that nothing in the package references.
+
+``__init__.py`` is skipped for imports, since its imports are the public
+API.  An import marked ``# noqa: F401`` is kept on purpose; the only one is
+named here, so that another shows up as a change to this file.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tsum"
+# the benchmark's tracer wraps series.hurwitz_zeta to count the calls made there
+KEPT_IMPORTS = {("series.py", "hurwitz_zeta")}
+
+
+def _modules() -> dict:
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+
+
+def _names(tree: ast.AST) -> set:
+    """Every name read or bound in ``tree``, and every attribute taken."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_no_unused_imports():
+    unused, kept = [], set()
+    for name, text in _modules().items():
+        if name == "__init__.py":
+            continue
+        tree, lines = ast.parse(text), text.splitlines()
+        used = _names(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if "# noqa: F401" in lines[node.lineno - 1]:
+                    kept.add((name, bound))
+                elif bound not in used:
+                    unused.append(f"{name}: {bound}")
+    assert unused == []
+    assert kept == KEPT_IMPORTS
+
+
+def test_every_private_function_is_referenced():
+    trees = {name: ast.parse(text) for name, text in _modules().items()}
+    used = set().union(*map(_names, trees.values()))
+    dead = [f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.startswith("__") and node.name not in used]
+    assert dead == []

@@ -536,6 +536,25 @@ class TestPsiJet:
         _assert_ulps(psi_jet(1, -a, 2, 64).coeffs, want, 64)
 
 
+class TestExactJets:
+    """At prec None the jets keep each coefficient as unrounded kernel terms,
+    and one ``_kernel_sums`` of such a coefficient is the rounded jet's."""
+
+    @pytest.mark.parametrize("prec", [64, 192])
+    @pytest.mark.parametrize("jet, args", [
+        (kernel_jet, (KernelKind.PI_TAN, Fraction(1, 3))), (kernel_jet, (KernelKind.PI_TAN, Fraction(1, 2))),
+        (kernel_jet, (KernelKind.PI_TAN, Fraction(-7, 2))), (kernel_jet, (KernelKind.PI_OVER_COS, 0)),
+        (kernel_jet, (KernelKind.PI_OVER_COS, Fraction(-2, 7))),
+        (kernel_jet, (KernelKind.PI_OVER_COS, Fraction(5, 2)))] + [
+        (psi_jet, (p, base)) for p in (1, 2, 3)
+        for base in (Fraction(1, 3), Fraction(-2, 7), Fraction(-3, 2), 0, 2)])
+    def test_one_kernel_sum_per_coefficient_is_the_rounded_jet(self, jet, args, prec):
+        exact, rounded = jet(*args, 5, None), jet(*args, 5, prec)
+        assert (exact.prec, exact.base_point, exact.pole_order) == (None, args[1], rounded.pole_order)
+        assert [special._kernel_sums([c], prec)[0]._mpf_ for c in exact.coeffs] == [
+            c._mpf_ for c in rounded.coeffs]
+
+
 def _kernel_reference(key, wp):
     """K_sigma(s; x) from mpmath at wp bits; at sigma = +1, s = 1, -psi(x)."""
     sigma, s, x = key
