@@ -17,14 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, log2, prod
 from typing import Iterable, Optional
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
-from .numeric import real_const, round_to, to_mpf
 from .series import SeriesResult, double_t, double_T
 from .special import (
+    Terms,
+    _kernel_sums,
     alt_zeta,
     riemann_zeta,
     single_t,
@@ -138,61 +139,42 @@ class SymbolicExpr:
         }
 
 
-def _sym_value(s: Symbol, prec: int) -> mpf:
+def _sym_value(s: Symbol) -> Terms:
+    """The constant of ``s`` as one kernel term."""
     if s.kind == "zeta":
-        return riemann_zeta(s.arg, prec)
+        return riemann_zeta(s.arg, None)
     if s.kind == "zetabar":
-        return alt_zeta(s.arg, prec)
+        return alt_zeta(s.arg, None)
     if s.kind == "t":
-        return single_t(s.arg, prec)
+        return single_t(s.arg, None)
     if s.kind == "tbar":
-        return single_t_bar(s.arg, prec)
+        return single_t_bar(s.arg, None)
     if s.kind == "T":
-        return single_T(s.arg, prec)
+        return single_T(s.arg, None)
     if s.kind == "Tbar":
-        return single_T_bar(s.arg, prec)
+        return single_T_bar(s.arg, None)
     if s.kind == "log2":
-        return real_const("log2", prec)
-    return real_const("pi", prec)
-
-
-_GUARD, _SLACK, _GUARD_STEP, _GUARD_MAX = 16, 8, 32, 2048  # bits, see eval_symbolic
+        return alt_zeta(1, None)
+    return -4 * single_t_bar(1, None)
 
 
 def eval_symbolic(expr: SymbolicExpr, prec: int) -> mpf:
-    """Numeric value of ``expr`` with every symbol replaced by its constant.
+    """Numeric value of ``expr`` with every symbol replaced by its constant:
+    one sum of products of kernel values (``special._kernel_sums``), rounded
+    once at ``prec``.
 
-    The terms of a reduction cancel, by about 1.6 bits per unit of weight.
-    The loss is log2(sum |terms| / |total|), and every bit when non-zero
-    terms sum to 0.  A sum with _GUARD guard bits that loses more than
-    _GUARD - _SLACK of them is summed again with a guard that covers the
-    loss (log2(3) bits per unit of weight if no bit is left to measure it
-    by), rounded up to a multiple of _GUARD_STEP so that the rows of a
-    table share their constant caches.  One that would need more than
-    _GUARD_MAX guard bits, such as an expression whose value is 0, raises
-    ArithmeticError.
+    Symbols that share a kernel value merge exactly, so T(3) - 2 t(3) is 0.
+    The terms of a reduction cancel, by about 1.6 bits per unit of weight,
+    so the guard starts at 16 + log2(3) bits per unit of weight, and rises
+    from there only by the loss measured.  An expression whose value is 0
+    but whose terms do not merge, such as zeta(2) - pi^2/6, raises
+    ArithmeticError past 2048 guard bits.
     """
-    guard = _GUARD
-    while True:
-        wp = prec + guard
-        with mp.workprec(wp):
-            total = size = mpf(0)
-            for mono, coeff in expr:
-                v = to_mpf(coeff, wp)
-                for s in mono:
-                    v *= _sym_value(s, wp)
-                total += v
-                size += abs(v)
-            loss = mp.log(size / abs(total), 2) if total else (wp if size else 0)
-        if loss <= guard - _SLACK:
-            return round_to(total, prec)
-        bound = loss if loss < wp - _SLACK else mp.log(3, 2) * max(expr.weights())
-        need = int(mp.ceil(bound)) + _GUARD
-        guard = max(2 * guard, -(-need // _GUARD_STEP) * _GUARD_STEP)
-        if guard > _GUARD_MAX:
-            raise ArithmeticError(
-                f"symbolic sum cancels {int(loss)} of {wp} bits; "
-                f"more than {_GUARD_MAX} guard bits would be needed")
+    terms = Terms()
+    for mono, coeff in expr:
+        terms += prod(map(_sym_value, mono), start=Terms([(coeff, ())]))
+    weight = max(expr.weights(), default=0)
+    return _kernel_sums([terms], prec, 16 + int(log2(3) * weight))[0]
 
 
 def normalize_to_zeta(expr: SymbolicExpr) -> SymbolicExpr:

@@ -11,8 +11,7 @@ the series of the largest runs once, and each lower exponent's terms follow
 from the one above it by a small multiplication and division per term, a
 walk down in s.  Digamma is minus the sigma = +1, s = 1 case, whose divergent
 1/(s-1) gives way to a logarithm.  F rises until each value keeps
-prec + 56 bits, and each value is rounded once; the depth-1 constants are
-such values times +-2^k.
+prec + 56 bits, and each value is rounded once.
 
 Everything else is a sum of rationals times products of such values
 K_sigma(s; x), added exactly and rounded once (``_kernel_sums``): pi tan
@@ -20,9 +19,12 @@ and pi sec come from pi cot(pi x) and pi csc(pi x), the sums of
 sigma^n/(x + n) over all integers n, so each Taylor coefficient at a
 rational base is a difference of two kernel values (at a pole, after the
 1/z term, a multiple of one); the Psi jets and zeta(1; a) are kernel values
-plus rationals; the closed forms of the identity checks multiply these.
-Such a sum stays unrounded as ``Terms`` until one ``_kernel_sums`` rounds
-it: ``kernel_jet`` and ``psi_jet`` at ``prec`` None return exact jets of
+plus rationals; each depth-1 constant (zeta, the alternating zeta, t, T
+and their alternating forms) is one kernel term, a rational times a value
+at 1 or 1/2; the closed forms of the identity checks and the symbolic
+reductions multiply these.  Such a sum stays unrounded as ``Terms`` until
+one ``_kernel_sums`` rounds it: at ``prec`` None the depth-1 constants
+return their term, and ``kernel_jet`` and ``psi_jet`` exact jets of
 ``Terms``, which the residue checks multiply out.  Every function here
 takes rational arguments only.
 
@@ -50,7 +52,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest
 
 from .jets import JetSeries, jet_from_coeffs
-from .numeric import Rational, bernoulli, real_const
+from .numeric import Rational, bernoulli
 
 _HALF = Fraction(1, 2)
 
@@ -307,11 +309,11 @@ def hurwitz_zeta(s: int, a: Rational, prec: int) -> mpf:
     return tail_zeta_batch(1, [s], a, prec)[0]
 
 
-def riemann_zeta(s: int, prec: int) -> mpf:
-    """zeta(s) for integer s >= 2, the Hurwitz value at a = 1."""
+def riemann_zeta(s: int, prec: int | None) -> mpf | Terms:
+    """zeta(s) = K_+1(s; 1) for integer s >= 2."""
     if s < 2:
         raise DomainError("riemann_zeta requires s >= 2; zeta(1) exists only as a convention")
-    return hurwitz_zeta(s, 1, prec)
+    return _kernel_term(1, 1, s, 1, prec)
 
 
 def alt_hurwitz_zeta(s: int, a: Rational, prec: int) -> mpf:
@@ -320,13 +322,12 @@ def alt_hurwitz_zeta(s: int, a: Rational, prec: int) -> mpf:
     return tail_zeta_batch(-1, [s], a, prec)[0]
 
 
-def alt_zeta(s: int, prec: int) -> mpf:
-    """Alternating Riemann zeta sum_{n>=1} (-1)^(n-1) n^(-s), s >= 1."""
+def alt_zeta(s: int, prec: int | None) -> mpf | Terms:
+    """Alternating Riemann zeta sum_{n>=1} (-1)^(n-1) n^(-s) = K_-1(s; 1), s >= 1;
+    alt_zeta(1) is log 2."""
     if s < 1:
         raise DomainError("alt_zeta requires s >= 1")
-    if s == 1:
-        return real_const("log2", prec)
-    return alt_hurwitz_zeta(s, 1, prec)
+    return _kernel_term(1, -1, s, 1, prec)
 
 
 def digamma(a: Rational, prec: int) -> mpf:
@@ -396,14 +397,21 @@ DEFAULT_CONVENTION = ZetaConvention()
 
 
 # ---------------------------------------------------------------------------
-# Depth-1 t / T values: one kernel value at 1/2 times +-2^k, exactly
+# Depth-1 constants: each one kernel term at 1 or 1/2 (pi = 2 K_-1(1; 1/2))
 # ---------------------------------------------------------------------------
 
-def single_t(s: int, prec: int) -> mpf:
-    """t(s) = sum_{n>=1} (2n-1)^(-s) = 2^-s zeta(s; 1/2), s >= 2."""
+def _kernel_term(c: Rational, sigma: int, s: int, x: Rational, prec: int | None) -> mpf | Terms:
+    """c K_sigma(s; x), kept unrounded as ``Terms`` at ``prec`` None, else
+    rounded once."""
+    terms = Terms([(c, ((sigma, s, x),))])
+    return terms if prec is None else _kernel_sums([terms], prec)[0]
+
+
+def single_t(s: int, prec: int | None) -> mpf | Terms:
+    """t(s) = sum_{n>=1} (2n-1)^(-s) = 2^-s K_+1(s; 1/2), s >= 2."""
     if s < 2:
         raise DomainError("single_t requires s >= 2 (t(1) diverges)")
-    return mp.ldexp(hurwitz_zeta(s, _HALF, prec), -s)
+    return _kernel_term(Fraction(1, 2 ** s), 1, s, _HALF, prec)
 
 
 def dirichlet_beta(s: int, prec: int) -> mpf:
@@ -413,11 +421,12 @@ def dirichlet_beta(s: int, prec: int) -> mpf:
     return mp.ldexp(alt_hurwitz_zeta(s, _HALF, prec), -s)
 
 
-def single_t_bar(s: int, prec: int) -> mpf:
-    """t(s with alternating sign) = sum_{n>=1} (-1)^n (2n-1)^(-s) = -beta(s)."""
+def single_t_bar(s: int, prec: int | None) -> mpf | Terms:
+    """t(s with alternating sign) = sum_{n>=1} (-1)^n (2n-1)^(-s) = -beta(s)
+    = -2^-s K_-1(s; 1/2), s >= 1."""
     if s < 1:
         raise DomainError("single_t_bar requires s >= 1")
-    return mp.fneg(dirichlet_beta(s, prec), exact=True)
+    return _kernel_term(Fraction(-1, 2 ** s), -1, s, _HALF, prec)
 
 
 def ttilde(s: int, prec: int) -> mpf:
@@ -436,25 +445,25 @@ def ttilde_bar(s: int, prec: int) -> mpf:
     return mp.fneg(alt_hurwitz_zeta(s, _HALF, prec), exact=True)
 
 
-def single_T(s: int, prec: int) -> mpf:
-    """Depth-1 T value, T(s) = 2 t(s) = 2^(1-s) zeta(s; 1/2), s >= 2."""
+def single_T(s: int, prec: int | None) -> mpf | Terms:
+    """Depth-1 T value, T(s) = 2 t(s) = 2^(1-s) K_+1(s; 1/2), s >= 2."""
     if s < 2:
         raise DomainError("single_T requires s >= 2")
-    return mp.ldexp(hurwitz_zeta(s, _HALF, prec), 1 - s)
+    return _kernel_term(Fraction(2, 2 ** s), 1, s, _HALF, prec)
 
 
-def single_T_bar(s: int, prec: int) -> mpf:
-    """Depth-1 alternating T value, 2 t_bar(s) = -2^(1-s) alt_hurwitz_zeta(s, 1/2), s >= 1."""
+def single_T_bar(s: int, prec: int | None) -> mpf | Terms:
+    """Depth-1 alternating T value, 2 t_bar(s) = -2^(1-s) K_-1(s; 1/2), s >= 1."""
     if s < 1:
         raise DomainError("single_T_bar requires s >= 1")
-    return mp.fneg(mp.ldexp(alt_hurwitz_zeta(s, _HALF, prec), 1 - s), exact=True)
+    return _kernel_term(Fraction(-2, 2 ** s), -1, s, _HALF, prec)
 
 
 # ---------------------------------------------------------------------------
 # Sums of products of kernel values: the trigonometric kernels and the Psi jets
 # ---------------------------------------------------------------------------
 
-def _kernel_sums(sums, prec: int) -> list[mpf]:
+def _kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
     """Each sum [(c, keys), ...] (a list or ``Terms``) = sum c prod
     K_sigma(s; x) over the (sigma, s, x) of keys, with rational c and K the
     value of ``_zeta_batch``, rounded once at ``prec``; a term with no keys
@@ -470,8 +479,11 @@ def _kernel_sums(sums, prec: int) -> list[mpf]:
     A sum whose size is 2^loss times its value must have g >= loss + 8 to
     keep prec + 8 bits; g rises to that, doubles for a sum of rounded values
     that comes out exactly 0, and past 2048 bits raises ArithmeticError.  It
-    starts at 32, a constant: the closed forms of the identity checks lose up
-    to about 14 bits, and each rise costs a cold ``_zeta_batch`` per point.
+    starts at ``guard``, which the caller takes from what it sums, as each rise
+    costs a cold ``_zeta_batch`` per point; a measured loss of every bit raises
+    g by only about prec + g, so a sum that cancels far needs its guard up
+    front.  The default 32 covers the closed forms of the identity checks,
+    which lose up to about 14 bits; ``eval_symbolic`` starts from the weight.
     """
     merged = []
     for terms in sums:
@@ -481,7 +493,7 @@ def _kernel_sums(sums, prec: int) -> list[mpf]:
             acc[key] = acc.get(key, 0) + c
         merged.append([(Fraction(c), keys) for keys, c in acc.items() if c])
     out: list = [None] * len(merged)
-    todo, g = range(len(merged)), 32
+    todo, g = range(len(merged)), guard
     while todo:
         if g > 2048:
             raise ArithmeticError("a sum of kernel values cancels past 2048 guard bits")

@@ -5,6 +5,7 @@ from mpmath import mp, mpf
 
 import tsum.reductions
 import tsum.series
+import tsum.special
 import tsum.suite
 from tsum.cli import main
 
@@ -53,20 +54,26 @@ def test_reduce_high_weight_value_matches_oracle(capsys):
         assert abs(value - oracle) <= abs(oracle) * mpf(2) ** -188
 
 
-def test_reduce_weight_801_sums_twice(monkeypatch, capsys):
-    # the 401 terms of t(800, 1) cancel about 1,270 bits: a first pass at
-    # 80 bits keeps none, and the second takes its guard from the weight
+def test_reduce_weight_801_sums_once(monkeypatch, capsys):
+    # the 401 terms of t(800, 1) cancel about 1,270 bits; the guard taken
+    # from the weight covers that, so every kernel value of the reduction
+    # comes from one precision
     precisions = set()
-    sym_value = tsum.reductions._sym_value
+    zeta_batch, eval_symbolic = tsum.special._zeta_batch, tsum.suite.eval_symbolic
 
-    def spy(s, prec):
+    def spy(sigma, ss, x, prec):
         precisions.add(prec)
-        return sym_value(s, prec)
+        return zeta_batch(sigma, ss, x, prec)
 
-    monkeypatch.setattr(tsum.reductions, "_sym_value", spy)
+    def spied(expr, prec):
+        with monkeypatch.context() as m:
+            m.setattr(tsum.special, "_zeta_batch", spy)
+            return eval_symbolic(expr, prec)
+
+    monkeypatch.setattr(tsum.suite, "eval_symbolic", spied)
     assert main(["reduce", "--family", "t_even_odd", "--j", "400", "--m", "0",
                  "--precision-bits", "64", "--format", "json"]) == 0
-    assert len(precisions) <= 2
+    assert len(precisions) == 1
     rep = json.loads(capsys.readouterr().out)
     with mp.workprec(128):
         value, oracle = mpf(rep["lhs"]), mpf(rep["rhs"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
+import tsum.reductions
 from tsum.numeric import real_const
 from tsum.series import double_t
 from tsum.reductions import (
@@ -95,6 +96,30 @@ def test_eval_symbolic_of_zero_raises_promptly():
     with pytest.raises(ArithmeticError):
         eval_symbolic(e, P)
     assert time.perf_counter() - t0 < 5
+
+
+def test_symbols_of_one_kernel_value_cancel_exactly():
+    # T(3) = 2 t(3) and pi = -4 tbar(1) are each one kernel value
+    for e in (SymbolicExpr().add(1, [Symbol("T", 3)]).add(-2, [Symbol("t", 3)]),
+              SymbolicExpr().add(1, [Symbol("pi")]).add(4, [Symbol("tbar", 1)])):
+        assert len(e.terms) == 2
+        assert eval_symbolic(e, P) == 0
+
+
+def test_eval_symbolic_is_one_kernel_sum(monkeypatch):
+    calls = []
+    kernel_sums = tsum.reductions._kernel_sums
+
+    def spy(sums, *args):
+        calls.append(len(sums))
+        return kernel_sums(sums, *args)
+
+    monkeypatch.setattr(tsum.reductions, "_kernel_sums", spy)
+    for fam in FAMILIES.values():
+        for j, m in fam.pairs_up_to_weight(9):
+            calls.clear()
+            eval_symbolic(fam.reduce(j, m), P)
+            assert calls == [1], (fam.name, j, m)
 
 
 def test_normalize_to_zeta():

@@ -1,5 +1,6 @@
-"""Static checks of the package source: no unused import, and no private
-top-level function that nothing in the package references.
+"""Static checks of the package source: no unused import, no private
+top-level function that nothing in the package references, and no private
+top-level name that nothing in the package reads.
 
 ``__init__.py`` is skipped for imports, since its imports are the public
 API.  An import marked ``# noqa: F401`` is kept on purpose; the only one is
@@ -51,4 +52,24 @@ def test_every_private_function_is_referenced():
     dead = [f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
             and not node.name.startswith("__") and node.name not in used]
+    assert dead == []
+
+
+def _bound_names(node: ast.stmt) -> list:
+    """The names a top-level assignment or class binds."""
+    if isinstance(node, ast.ClassDef):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_every_private_name_is_read():
+    trees = {name: ast.parse(text) for name, text in _modules().items()}
+    read = {n.id for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | {
+        n.attr for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    dead = [f"{name}: {bound}" for name, tree in trees.items() for node in tree.body
+            for bound in _bound_names(node)
+            if bound.startswith("_") and not bound.startswith("__") and bound not in read]
     assert dead == []

@@ -329,7 +329,9 @@ class TestDigamma:
 
 class TestAlternating:
     def test_alt_zeta_one_is_log2(self):
-        assert _gap(alt_zeta(1, P), real_const("log2", P)) == 0
+        # K_-1(1; 1) is mpmath's log 2, bit for bit
+        for prec in (P, 64, 96, 1024):
+            assert alt_zeta(1, prec) == real_const("log2", prec), prec
 
     def test_alt_zeta_reference(self):
         assert _close(alt_zeta(3, P), ALTZETA3)
@@ -401,6 +403,26 @@ class TestSingleValues:
         with mp.workprec(P + 16):
             for s in (2, 3, 4):
                 assert abs(single_T(s, P) - 2 * single_t(s, P)) < TIGHT
+
+    # each constant, its least s, and the composition of kernel values it was
+    # before it became one kernel term
+    COMPOSED = [
+        (riemann_zeta, 2, lambda s, p: hurwitz_zeta(s, 1, p)),
+        (alt_zeta, 1, lambda s, p: alt_hurwitz_zeta(s, 1, p)),
+        (single_t, 2, lambda s, p: mp.ldexp(hurwitz_zeta(s, Fraction(1, 2), p), -s)),
+        (single_t_bar, 1, lambda s, p: mp.fneg(dirichlet_beta(s, p), exact=True)),
+        (single_T, 2, lambda s, p: mp.ldexp(hurwitz_zeta(s, Fraction(1, 2), p), 1 - s)),
+        (single_T_bar, 1, lambda s, p: mp.fneg(
+            mp.ldexp(alt_hurwitz_zeta(s, Fraction(1, 2), p), 1 - s), exact=True)),
+    ]
+
+    @pytest.mark.parametrize("prec", [16, 64, 96, 192, 1024])
+    def test_constants_keep_their_bits(self, prec):
+        for f, least, composed in self.COMPOSED:
+            for s in range(least, 41):
+                value = f(s, prec)
+                assert value == composed(s, prec), (f.__name__, s)
+                assert special._kernel_sums([f(s, None)], prec) == [value], (f.__name__, s)
 
     def test_ttilde_is_hurwitz_at_half(self):
         # ttilde and the alternating ttilde, t and T are one kernel value at
