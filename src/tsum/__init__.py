@@ -6,7 +6,7 @@ reductions of double t/T values, and certifies every identity numerically
 to a configurable tolerance.
 """
 
-from .jets import JetSeries, jet_from_coeffs, jet_mul, jet_residue
+from .jets import JetSeries, jet_mul, jet_residue
 from .numeric import bernoulli, real_const, real_to_str
 from .reductions import (
     FAMILIES,

@@ -2,14 +2,16 @@
 
 All real arithmetic rides on mpmath ``mpf`` values (binary mantissa/exponent,
 deterministic round-to-nearest at the active precision).  Every public
-operation in this package takes a target precision ``prec`` in bits.  A
-kernel value (Hurwitz zeta, its alternating form, digamma) is rounded once
-to ``prec`` from the exact integers of the fixed-point kernel.  A value that
+operation in this package that returns a number takes a target precision
+``prec`` in bits; the jets are exact and take none.  A kernel value
+(Hurwitz zeta, its alternating form, digamma) is rounded once to ``prec``
+from the exact integers of the fixed-point kernel.  A value that
 is a sum of rationals times products of such values (a depth-1 constant,
-pi tan, pi sec and their jets, the Psi jets, zeta(1; a), the closed side of
-every identity check, residue checks included, and the symbolic
-reductions) is added exactly from kernel values with as many guard bits as
-its measured cancellation needs, and is rounded once too.
+pi tan, pi sec and the coefficients of their jets, those of the Psi jets,
+zeta(1; a), the closed side of every identity check, residue checks
+included, and the symbolic reductions) is added exactly from kernel values
+with as many guard bits as its measured cancellation needs, and is rounded
+once too.
 Only composite computations (the series engine and the series sides) work
 at ``prec`` plus guard bits and round the result back to ``prec``.  Exact rational
 bookkeeping uses ``fractions.Fraction``, and a fraction becomes an mpf by

@@ -544,35 +544,32 @@ def euler_t_sum(spec: SumSpec, prec: int, method: str = "auto",
         n *= 2
 
 
-def double_t(s1: int, s2: int, bar1: bool, prec: int) -> SeriesResult:
-    """Depth-2 t value t(s1, s2) (alternating in the leading slot if bar1)
-    from its defining double series, via the equivalent single series."""
+def _double(name: str, big: bool, s1: int, s2: int, bar1: bool, prec: int) -> SeriesResult:
+    """Depth-2 t value (``big`` False) or T value (``big`` True) from its
+    single series in the odd harmonic numbers h: the shift 0 sum of
+    h_(n-1)^(s2)/(n - 1/2)^(s1) times 2^(-s1-s2), or the shift 1/2 sum of
+    h_n^(s2)/n^(s1) times 2^(2-s1-s2), weighted by (-1)^n if bar1.  The
+    barred T form weights by (-1)^(n-1), so its scale is negated."""
     if s2 < 1:
-        raise DivergentSumError("double_t requires s2 >= 1")
+        raise DivergentSumError(f"{name} requires s2 >= 1")
     if (not bar1 and s1 < 2) or (bar1 and s1 < 1):
-        raise DivergentSumError("divergent double_t parameters")
-    spec = SumSpec(p=(s2,), q=(s1,), a=(Fraction(0),), sigma=-1 if bar1 else 1,
-                   harmonic_offset="prev")
+        raise DivergentSumError(f"divergent {name} parameters")
+    spec = SumSpec(p=(s2,), q=(s1,), a=(Fraction(big, 2),), sigma=-1 if bar1 else 1,
+                   harmonic_offset="cur" if big else "prev")
     res = euler_t_sum(spec, prec + 8)
     with mp.workprec(prec + 8):
-        scale = mpf(2) ** (-(s1 + s2))
+        scale = mpf(2) ** (2 * big - s1 - s2)
+        if big and bar1:
+            scale = -scale
         return SeriesResult(round_to(res.value * scale, prec),
-                            +(res.tail_bound * scale), res.terms_used, prec)
+                            +abs(res.tail_bound * scale), res.terms_used, prec)
+
+
+def double_t(s1: int, s2: int, bar1: bool, prec: int) -> SeriesResult:
+    """Depth-2 t value t(s1, s2), alternating in the leading slot if bar1."""
+    return _double("double_t", False, s1, s2, bar1, prec)
 
 
 def double_T(s1: int, s2: int, bar1: bool, prec: int) -> SeriesResult:
-    """Depth-2 T value T(s1, s2) (alternating leading slot if bar1) via the
-    single-series forms 2^(2-s1-s2) sum (+-1)^(n-1)-weighted h_n^(s2)/n^(s1)."""
-    if s2 < 1:
-        raise DivergentSumError("double_T requires s2 >= 1")
-    if (not bar1 and s1 < 2) or (bar1 and s1 < 1):
-        raise DivergentSumError("divergent double_T parameters")
-    spec = SumSpec(p=(s2,), q=(s1,), a=(Fraction(1, 2),), sigma=-1 if bar1 else 1,
-                   harmonic_offset="cur")
-    res = euler_t_sum(spec, prec + 8)
-    with mp.workprec(prec + 8):
-        scale = mpf(2) ** (2 - s1 - s2)
-        if bar1:
-            scale = -scale  # engine weights by (-1)^n, the T form by (-1)^(n-1)
-        return SeriesResult(round_to(res.value * scale, prec),
-                            +abs(res.tail_bound * scale), res.terms_used, prec)
+    """Depth-2 T value T(s1, s2), alternating in the leading slot if bar1."""
+    return _double("double_T", True, s1, s2, bar1, prec)

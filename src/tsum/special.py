@@ -24,9 +24,9 @@ and their alternating forms) is one kernel term, a rational times a value
 at 1 or 1/2; the closed forms of the identity checks and the symbolic
 reductions multiply these.  Such a sum stays unrounded as ``Terms`` until
 one ``_kernel_sums`` rounds it: at ``prec`` None the depth-1 constants
-return their term, and ``kernel_jet`` and ``psi_jet`` exact jets of
-``Terms``, which the residue checks multiply out.  Every function here
-takes rational arguments only.
+return their term, and ``kernel_jet`` and ``psi_jet`` always return exact
+jets of ``Terms``, which the residue checks multiply out and the lemma
+checks round.  Every function here takes rational arguments only.
 
 ``tail_zeta_batch`` serves the many exponents the series engine needs at
 one point in one pass; the per-value functions are batches of one, cached
@@ -51,7 +51,7 @@ from math import comb, factorial
 from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest
 
-from .jets import JetSeries, jet_from_coeffs
+from .jets import JetSeries
 from .numeric import Rational, bernoulli
 
 _HALF = Fraction(1, 2)
@@ -532,9 +532,10 @@ def _kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
     return out
 
 
-def _trig_sums(kind: KernelKind, base: Rational, order: int):
-    """The kernel at base + z as kernel sums: whether base is a pole, and
-    the Laurent coefficients from z^-1 (at a pole) or z^0 up to z^order.
+def kernel_jet(kind: KernelKind, base: Rational, order: int) -> JetSeries:
+    """Exact jet of the kernel at rational ``base``, each coefficient a sum
+    of kernel values kept unrounded as ``Terms``, from z^0 up to z^order; at
+    a pole (a half-integer base) a pole_order-1 Laurent jet from z^-1.
 
     With base = k + r, r in [-1/2, 1/2), and x = r + 1/2, and f_sigma(x) =
     sum over all integers n of sigma^n/(x + n) (pi cot and pi csc of pi x),
@@ -543,42 +544,35 @@ def _trig_sums(kind: KernelKind, base: Rational, order: int):
     (-1)^j K(j+1; x) - sigma K(j+1; 1 - x); at the pole x = 0 it is
     ((-1)^j - 1) sigma K(j+1; 1) after the 1/z term.
     """
+    if order < 0:
+        raise DomainError("order must be >= 0")
     base = _rational(base, kind.value)
     k = math.floor(base + _HALF)
     x = base - k + _HALF
     sigma = 1 if kind is KernelKind.PI_TAN else -1
     sign = -1 if sigma == 1 or k % 2 else 1
     if x == 0:
-        return True, [Terms([(sign, ())])] + [
-            Terms([(sign * ((-1) ** j - 1) * sigma, ((sigma, j + 1, 1),))]) for j in range(order)]
-    return False, [Terms([(sign * (-1) ** j, ((sigma, j + 1, x),)),
-                          (-sign * sigma, ((sigma, j + 1, 1 - x),))]) for j in range(order + 1)]
+        return JetSeries(base, (Terms([(sign, ())]),) + tuple(
+            Terms([(sign * ((-1) ** j - 1) * sigma, ((sigma, j + 1, 1),))])
+            for j in range(order)), 1)
+    return JetSeries(base, tuple(Terms([(sign * (-1) ** j, ((sigma, j + 1, x),)),
+                                        (-sign * sigma, ((sigma, j + 1, 1 - x),))])
+                                 for j in range(order + 1)))
 
 
 def kernel_value(kind: KernelKind, a: Rational, prec: int) -> mpf:
     """pi*tan(pi a) or pi/cos(pi a) at rational a; both have their poles at
     the half-integers."""
-    pole, sums = _trig_sums(kind, a, 0)
-    if pole:
+    jet = kernel_jet(kind, a, 0)
+    if jet.pole_order:
         raise PoleProximityError(f"{kind.value} has a pole at {a}")
-    return _kernel_sums(sums, prec)[0]
+    return _kernel_sums(jet.coeffs, prec)[0]
 
 
-def kernel_jet(kind: KernelKind, base: Rational, order: int, prec: int | None) -> JetSeries:
-    """Jet of the requested kernel at rational ``base``, each coefficient a
-    sum of kernel values rounded once, or at ``prec`` None kept unrounded as
-    ``Terms``; at a pole (a half-integer base) a pole_order-1 Laurent jet."""
-    if order < 0:
-        raise DomainError("order must be >= 0")
-    pole, sums = _trig_sums(kind, base, order)
-    return jet_from_coeffs(_rational(base, kind.value), sums if prec is None
-                           else _kernel_sums(sums, prec), prec, pole_order=int(pole))
-
-
-def psi_jet(p: int, base: Rational, order: int, prec: int | None) -> JetSeries:
-    """Jet of the shifted digamma derivative Psi^(p-1)(1/2 - z) at ``base``,
-    each coefficient a sum of kernel values rounded once, or at ``prec`` None
-    kept unrounded as ``Terms``.
+def psi_jet(p: int, base: Rational, order: int) -> JetSeries:
+    """Exact jet of the shifted digamma derivative Psi^(p-1)(1/2 - z) at
+    ``base``, each coefficient a sum of kernel values kept unrounded as
+    ``Terms``.
 
     The z^j coefficient is (-1)^p (p-1)! C(p-1+j, j) zeta(p+j; -base), with
     the zeta(1; a) convention of ``hurwitz_zeta1``.  At a non-negative
@@ -605,5 +599,4 @@ def psi_jet(p: int, base: Rational, order: int, prec: int | None) -> JetSeries:
                         + _zeta_terms(b, q, Fraction(1)))
     else:
         sums = [_zeta_terms(c * comb(p - 1 + j, j), p + j, -base) for j in range(order + 1)]
-    return jet_from_coeffs(base, sums if prec is None else _kernel_sums(sums, prec), prec,
-                           pole_order=p if pole else 0)
+    return JetSeries(base, tuple(sums), p if pole else 0)

@@ -8,6 +8,7 @@ never changes the output.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -233,10 +234,12 @@ def run_suite(config: SuiteConfig) -> dict:
     t0 = time.perf_counter()
     cases = build_cases(config)
     jobs = [(c, config.timings) for c in cases]
-    if config.workers == 1:
+    # a forked pool starts all its workers at once: no more than cases and CPUs
+    workers = min(config.workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         results = [_pool_entry(j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_pool_entry, jobs))
     results.sort(key=lambda d: d["case_id"])
     passed = sum(1 for r in results if r["passed"])

@@ -219,6 +219,32 @@ def test_verify_with_workers_matches_serial(capsys):
     assert serial["cases"] == parallel["cases"]
 
 
+def test_verify_pool_starts_no_more_workers_than_cases(capsys, monkeypatch):
+    # a fake pool records its size and maps serially, so no process starts
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(tsum.suite, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(tsum.suite.os, "cpu_count", lambda: 8)
+    argv = ["verify", "--families", "lemma2_3,lemma2_4", "--order", "1", "--precision-bits", "64",
+            "--tolerance", "1e-10", "--format", "json"]
+    assert main(argv + ["--workers", "100000"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert sizes == [2] and record["workers"] == 100000 and len(record["cases"]) == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--p", "1", "--q", "2", "--a", "1/2", "--precision-bits", "0"],
     ["eval", "--p", "1", "--q", "2", "--a", "1/2", "--precision-bits", "-5"],

@@ -1,6 +1,7 @@
 """Static checks of the package source: no unused import, no private
-top-level function that nothing in the package references, and no private
-top-level name that nothing in the package reads.
+top-level function that nothing in the package references, no private
+top-level name that nothing in the package reads, and no rounding in the
+jets (``jets.py`` imports nothing from mpmath or ``numeric``).
 
 ``__init__.py`` is skipped for imports, since its imports are the public
 API.  An import marked ``# noqa: F401`` is kept on purpose; the only one is
@@ -73,3 +74,13 @@ def test_every_private_name_is_read():
             for bound in _bound_names(node)
             if bound.startswith("_") and not bound.startswith("__") and bound not in read]
     assert dead == []
+
+
+def test_jets_are_exact_only():
+    # jets hold rationals or unrounded kernel terms; nothing there rounds
+    tree = ast.parse((SRC / "jets.py").read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names} | {
+        "." * node.level + (node.module or "") for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)}
+    assert not {m for m in modules if m.split(".")[0] == "mpmath" or m.endswith("numeric")}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -456,6 +457,11 @@ NEAR_POLE_BASES = (Fraction(1, 2) - EPS[25], Fraction(-1, 2) + EPS[9], Fraction(
 NEAR_ZERO_BASES = (EPS[30], Fraction(-3) + EPS[20], Fraction(0), Fraction(-3))
 
 
+def _rounded(jet, prec):
+    """The exact jet with each coefficient rounded once at ``prec``."""
+    return dataclasses.replace(jet, coeffs=tuple(special._kernel_sums(jet.coeffs, prec)))
+
+
 class TestKernels:
     def test_values(self):
         with mp.workprec(P + 16):
@@ -470,14 +476,14 @@ class TestKernels:
             kernel_value(KernelKind.PI_OVER_COS, Fraction(-5, 2), P)
 
     def test_tan_jet_at_origin(self):
-        jet = kernel_jet(KernelKind.PI_TAN, 0, 3, P)
+        jet = _rounded(kernel_jet(KernelKind.PI_TAN, 0, 3), P)
         assert jet.coeffs[0] == 0 and jet.coeffs[2] == 0
         with mp.workprec(P + 16):
             assert abs(jet.coeffs[1] - 2 * ttilde(2, P + 16)) < TIGHT
             assert abs(jet.coeffs[3] - 2 * ttilde(4, P + 16)) < TIGHT
 
     def test_sec_jet_at_origin(self):
-        jet = kernel_jet(KernelKind.PI_OVER_COS, 0, 2, P)
+        jet = _rounded(kernel_jet(KernelKind.PI_OVER_COS, 0, 2), P)
         assert jet.coeffs[1] == 0
         with mp.workprec(P + 16):
             assert abs(jet.coeffs[0] + 2 * ttilde_bar(1, P + 16)) < TIGHT
@@ -488,7 +494,7 @@ class TestKernels:
         (KernelKind.PI_OVER_COS, Fraction(-2, 7)),
     ])
     def test_first_coefficient_matches_finite_difference(self, kind, base):
-        jet = kernel_jet(kind, base, 2, P)
+        jet = _rounded(kernel_jet(kind, base, 2), P)
         h = Fraction(1, 2 ** (P // 3))
         with mp.workprec(P + 64):
             fd = (kernel_value(kind, base + h, P + 64)
@@ -508,21 +514,29 @@ class TestKernels:
             for kind in KernelKind:
                 for prec in (64, 192):
                     ref = _taylor_reference(kind, base, 4, prec + 1200)
-                    _assert_ulps(kernel_jet(kind, base, 4, prec).coeffs, ref, prec)
+                    _assert_ulps(_rounded(kernel_jet(kind, base, 4), prec).coeffs, ref, prec)
                     _assert_ulps([kernel_value(kind, base, prec)], ref, prec)
 
+    def test_jets_are_exact(self):
+        jets = (kernel_jet(KernelKind.PI_TAN, Fraction(1, 2), 3),
+                kernel_jet(KernelKind.PI_OVER_COS, Fraction(-2, 7), 3),
+                psi_jet(2, 0, 3), psi_jet(2, Fraction(1, 3), 3))
+        assert [(j.base_point, j.order, j.pole_order) for j in jets] == [
+            (Fraction(1, 2), 3, 1), (Fraction(-2, 7), 3, 0), (0, 3, 2), (Fraction(1, 3), 3, 0)]
+        assert all(isinstance(c, special.Terms) for j in jets for c in j.coeffs)
+
     def test_pole_jets_have_simple_poles(self):
-        jet = kernel_jet(KernelKind.PI_TAN, Fraction(1, 2), 4, P)
+        jet = _rounded(kernel_jet(KernelKind.PI_TAN, Fraction(1, 2), 4), P)
         assert jet.pole_order == 1
         assert _gap(jet.coeffs[0], -1) == 0
-        jet = kernel_jet(KernelKind.PI_OVER_COS, Fraction(5, 2), 2, P)
+        jet = _rounded(kernel_jet(KernelKind.PI_OVER_COS, Fraction(5, 2), 2), P)
         assert jet.pole_order == 1
         assert _gap(jet.coeffs[0], -1) == 0  # (-1)^n at n = 3, base n - 1/2
 
 
 class TestPsiJet:
     def test_pole_jet_at_origin(self):
-        jet = psi_jet(1, 0, 2, P)
+        jet = _rounded(psi_jet(1, 0, 2), P)
         assert jet.pole_order == 1
         assert _gap(jet.coeffs[0], 1) == 0
         with mp.workprec(P + 16):
@@ -532,12 +546,12 @@ class TestPsiJet:
     def test_constant_term_matches_value_function(self):
         # Psi^(p-1)(1/2 - z) at z = b equals the direct value at shift -b
         for p, b in ((1, Fraction(-1, 4)), (2, Fraction(-1, 3)), (3, Fraction(-2, 5))):
-            jet = psi_jet(p, b, 1, P)
+            jet = _rounded(psi_jet(p, b, 1), P)
             assert _gap(jet.coeffs[0], param_digamma_deriv(p, -b, P)) < TIGHT
 
     def test_first_coefficient_matches_finite_difference(self):
         p, b = 2, Fraction(-1, 4)
-        jet = psi_jet(p, b, 2, P)
+        jet = _rounded(psi_jet(p, b, 2), P)
         h = Fraction(1, 2 ** (P // 3))
         with mp.workprec(P + 64):
             fd = (param_digamma_deriv(p, -(b + h), P + 64)
@@ -546,7 +560,7 @@ class TestPsiJet:
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
-            psi_jet(0, Fraction(1, 3), 2, P)
+            psi_jet(0, Fraction(1, 3), 2)
 
     def test_jet_next_to_a_zero_of_its_constant_term(self):
         # psi(-z) - psi(1/2) at z = -a: the constant term psi(a) - psi(1/2)
@@ -555,26 +569,7 @@ class TestPsiJet:
         with mp.workprec(400):
             am = mpf(a.numerator) / a.denominator
             want = [mp.digamma(am) - mp.digamma(0.5), -mp.zeta(2, am), -mp.zeta(3, am)]
-        _assert_ulps(psi_jet(1, -a, 2, 64).coeffs, want, 64)
-
-
-class TestExactJets:
-    """At prec None the jets keep each coefficient as unrounded kernel terms,
-    and one ``_kernel_sums`` of such a coefficient is the rounded jet's."""
-
-    @pytest.mark.parametrize("prec", [64, 192])
-    @pytest.mark.parametrize("jet, args", [
-        (kernel_jet, (KernelKind.PI_TAN, Fraction(1, 3))), (kernel_jet, (KernelKind.PI_TAN, Fraction(1, 2))),
-        (kernel_jet, (KernelKind.PI_TAN, Fraction(-7, 2))), (kernel_jet, (KernelKind.PI_OVER_COS, 0)),
-        (kernel_jet, (KernelKind.PI_OVER_COS, Fraction(-2, 7))),
-        (kernel_jet, (KernelKind.PI_OVER_COS, Fraction(5, 2)))] + [
-        (psi_jet, (p, base)) for p in (1, 2, 3)
-        for base in (Fraction(1, 3), Fraction(-2, 7), Fraction(-3, 2), 0, 2)])
-    def test_one_kernel_sum_per_coefficient_is_the_rounded_jet(self, jet, args, prec):
-        exact, rounded = jet(*args, 5, None), jet(*args, 5, prec)
-        assert (exact.prec, exact.base_point, exact.pole_order) == (None, args[1], rounded.pole_order)
-        assert [special._kernel_sums([c], prec)[0]._mpf_ for c in exact.coeffs] == [
-            c._mpf_ for c in rounded.coeffs]
+        _assert_ulps(_rounded(psi_jet(1, -a, 2), 64).coeffs, want, 64)
 
 
 def _kernel_reference(key, wp):
@@ -732,8 +727,8 @@ class TestReferenceGrid:
         lambda x: alt_hurwitz_zeta(1, x, 64), lambda x: digamma(x, 64),
         lambda x: tail_zeta_batch(-1, [2, 3], x, 64), lambda x: hurwitz_zeta(2, -x, 64),
         lambda x: alt_hurwitz_zeta(2, -x, 64), lambda x: digamma(-x, 64),
-        lambda x: psi_jet(2, -x, 1, 64), lambda x: kernel_value(KernelKind.PI_TAN, x, 64),
-        lambda x: kernel_jet(KernelKind.PI_OVER_COS, x, 2, 64),
+        lambda x: psi_jet(2, -x, 1), lambda x: kernel_value(KernelKind.PI_TAN, x, 64),
+        lambda x: kernel_jet(KernelKind.PI_OVER_COS, x, 2),
     ])
     def test_non_rational_argument_is_a_domain_error(self, call):
         with mp.workprec(64):
