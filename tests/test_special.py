@@ -572,6 +572,57 @@ class TestPsiJet:
         _assert_ulps(_rounded(psi_jet(1, -a, 2), 64).coeffs, want, 64)
 
 
+def _jet_reference(jet, args, order, wp):
+    """mpmath's Laurent coefficients of the function of ``jet`` at ``base``,
+    at ``wp`` bits, as the Taylor coefficients in h of h^pole_order f(base + h).
+    The kernel comes from mpmath's own tan and cos, and at a pole
+    n + 1/2 from pi tan = -cos(pi h)/(h sinc(pi h)) and
+    pi/cos = -(-1)^n/(h sinc(pi h)).  Psi^(p-1)(1/2 - z) is psi^(p-1)(-z),
+    less psi(1/2) at p = 1, and at a pole n >= 0 it is psi^(p-1)(1 - h)
+    + sum_{j=0..n} (p-1)!/(j + h)^p, less psi(1/2) at p = 1."""
+    with mp.workprec(wp):
+        b = mpf(args[1].numerator) / args[1].denominator
+        if jet is kernel_jet:
+            kind, base = args
+            if base.denominator == 2:
+                sign = -1 if kind is KernelKind.PI_TAN else -(-1) ** int(base - Fraction(1, 2))
+                trig = mp.cos if kind is KernelKind.PI_TAN else (lambda t: 1)
+                return mp.taylor(lambda h: sign * trig(mp.pi * h) / mp.sinc(mp.pi * h), 0, order)
+            trig = mp.tan if kind is KernelKind.PI_TAN else (lambda t: 1 / mp.cos(t))
+            return mp.taylor(lambda z: mp.pi * trig(mp.pi * z), b, order)
+        p, base = args
+        half = mp.psi(0, mpf(1) / 2) if p == 1 else 0
+        fac = mp.factorial(p - 1)
+        if base.denominator == 1 and base >= 0:
+            return mp.taylor(lambda h: fac + h ** p * (
+                mp.psi(p - 1, 1 - h) + sum(fac / (j + h) ** p for j in range(1, int(base) + 1)) - half),
+                0, order)
+        return mp.taylor(lambda z: mp.psi(p - 1, -z) - half, b, order)
+
+
+class TestExactJets:
+    """The jets keep each coefficient as unrounded kernel terms, and one
+    ``_kernel_sums`` of such a coefficient is mpmath's Laurent coefficient
+    within 1 ulp, at poles and away from them."""
+
+    @pytest.mark.parametrize("prec", [64, 192])
+    @pytest.mark.parametrize("jet, args", [
+        (kernel_jet, (KernelKind.PI_TAN, Fraction(1, 3))), (kernel_jet, (KernelKind.PI_TAN, Fraction(1, 2))),
+        (kernel_jet, (KernelKind.PI_TAN, Fraction(-7, 2))), (kernel_jet, (KernelKind.PI_OVER_COS, Fraction(0))),
+        (kernel_jet, (KernelKind.PI_OVER_COS, Fraction(-2, 7))),
+        (kernel_jet, (KernelKind.PI_OVER_COS, Fraction(5, 2)))] + [
+        (psi_jet, (p, base)) for p in (1, 2, 3)
+        for base in (Fraction(1, 3), Fraction(-2, 7), Fraction(-3, 2), Fraction(0), Fraction(2))])
+    def test_one_kernel_sum_per_coefficient_is_the_mpmath_coefficient(self, jet, args, prec):
+        exact = jet(*args, 5)
+        pole = args[1].denominator == 2 if jet is kernel_jet else args[1].denominator == 1 and args[1] >= 0
+        assert (exact.base_point, exact.order) == (args[1], 5)
+        assert exact.pole_order == ((args[0] if jet is psi_jet else 1) if pole else 0)
+        assert all(isinstance(c, special.Terms) for c in exact.coeffs)
+        _assert_ulps(special._kernel_sums(exact.coeffs, prec), _jet_reference(jet, args, 5, prec + 160),
+                     prec)
+
+
 def _kernel_reference(key, wp):
     """K_sigma(s; x) from mpmath at wp bits; at sigma = +1, s = 1, -psi(x)."""
     sigma, s, x = key
