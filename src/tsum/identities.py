@@ -24,7 +24,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
 from .jets import JetSeries, jet_mul, jet_residue
-from .numeric import real_const, round_to, to_mpf, tolerance_mpf
+from .numeric import check_precision, check_rational, real_const, round_to, to_mpf, tolerance_mpf
 from .series import SumSpec, accel_linear_sum, euler_t_sum, harmonic, odd_harmonic
 from .special import (
     DEFAULT_CONVENTION,
@@ -135,9 +135,10 @@ def _verify_pair(kern: _Kernel, family: str, p: int, a: Frac, b: Frac, prec: int
                  tolerance, convention: ZetaConvention) -> VerificationReport:
     """Theorems 3.1 (tangent) and 3.4 (secant)."""
     t0 = time.perf_counter()
+    check_precision(prec)
     if p < 1:
         raise HypothesisError("requires p >= 1")
-    a, b = Fraction(a), Fraction(b)
+    a, b = check_rational(a, family), check_rational(b, family)
     _check_ab(a, b)
     wp = prec + 24
     with mp.workprec(wp):
@@ -187,11 +188,12 @@ def _verify_single(kern: _Kernel, family: str, m: int, a: Frac, prec: int, toler
     theorems, or the b = 1 - a ones (3.3 and 3.6) when ``reflect``.  The
     harmonic order is p = 2m + 1, except p = 2m for the secant at b = -a."""
     t0 = time.perf_counter()
+    check_precision(prec)
     even = kern.sigma < 0 and not reflect
     m_min = 1 if even else 0
     if m < m_min:
         raise HypothesisError(f"requires m >= {m_min}")
-    a = Fraction(a)
+    a = check_rational(a, family)
     _check_single_a(a, reflect)
     b = 1 - a if reflect else -a
     wp = prec + 24
@@ -260,7 +262,8 @@ class PartialFractionRational:
     terms: tuple[tuple[Fraction, int, Fraction], ...]
 
     def __post_init__(self):
-        terms = tuple((Fraction(b), int(m), Fraction(c)) for b, m, c in self.terms)
+        terms = tuple((check_rational(b, "PartialFractionRational"), int(m),
+                       check_rational(c, "PartialFractionRational")) for b, m, c in self.terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise HypothesisError("rational function must have at least one pole term")
@@ -344,6 +347,7 @@ def _verify_residue(kern: _Kernel, family: str, p: int, r: PartialFractionRation
     from the summation engine at prec + 24 bits; rhs, -(term 3 + term 4),
     is one exact kernel sum, rounded once at prec."""
     t0 = time.perf_counter()
+    check_precision(prec)
     if p < 1:
         raise HypothesisError("requires p >= 1")
     wp = prec + 24
@@ -481,6 +485,7 @@ def verify_kernel_expansions(order: int, prec: int, tolerance,
                              parts: tuple[str, ...] = ("lemma2_3", "lemma2_4")) -> VerificationReport:
     """Check jet coefficients against the closed expansion formulas."""
     t0 = time.perf_counter()
+    check_precision(prec)
     if order > 8:
         raise HypothesisError("expansion checks support order <= 8")
     tol = tolerance_mpf(tolerance, prec + 16)

@@ -45,6 +45,10 @@ class PrecisionError(ValueError):
     """Requested precision below the supported minimum."""
 
 
+class DomainError(ValueError):
+    """Argument outside the supported domain."""
+
+
 def guard_bits(term_count: int) -> int:
     """Guard bits for an operation touching roughly ``term_count`` terms."""
     return 32 + max(0, math.ceil(math.log2(term_count + 2)))
@@ -53,6 +57,14 @@ def guard_bits(term_count: int) -> int:
 def check_precision(prec: int) -> None:
     if prec < MIN_PRECISION:
         raise PrecisionError(f"precision must be >= {MIN_PRECISION} bits, got {prec}")
+
+
+def check_rational(x: Rational, name: str) -> Fraction:
+    """``x`` as a Fraction; anything but an int or a Fraction (a float, an
+    mpf, a string) is a DomainError of ``name``."""
+    if not isinstance(x, (int, Fraction)):
+        raise DomainError(f"{name} takes rational arguments, not {x!r}")
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def tolerance_mpf(tol, wp: int) -> mpf:

@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .numeric import bernoulli, check_precision, guard_bits, round_to, to_mpf
+from .numeric import bernoulli, check_precision, check_rational, guard_bits, round_to, to_mpf
 from .special import tail_zeta_batch
 # not called here: perfbench's span tracer checks that it rebinds this name
 from .special import hurwitz_zeta  # noqa: F401
@@ -120,7 +120,7 @@ class SumSpec:
         if any(qi < 0 for qi in self.q):
             raise SpecError("denominator exponents must be >= 0")
         object.__setattr__(self, "p", tuple(sorted(self.p)))
-        object.__setattr__(self, "a", tuple(Fraction(ai) for ai in self.a))
+        object.__setattr__(self, "a", tuple(check_rational(ai, "SumSpec") for ai in self.a))
         # drop q_i = 0 factors (they contribute 1)
         kept = [(qi, ai) for qi, ai in zip(self.q, self.a) if qi > 0]
         object.__setattr__(self, "q", tuple(qi for qi, _ in kept))
@@ -351,6 +351,7 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     no guard bits: the head floors each piece in absolute units and the g_w
     come from the exact series of R.
     """
+    check_precision(prec)
     pieces = tuple((k, tuple(fs)) for k, fs in pieces)  # hashable: the expansion cache key
     for _, fs in pieces:
         for t, e in fs:
@@ -476,6 +477,7 @@ def naive_sum(spec: SumSpec, prec: int, max_terms: int = NAIVE_START_TERMS) -> S
     rho N int_1^oo y^(-d) (L + ln y)^s dy = rho N sum_j C(s, j) L^(s-j)
     j!/(d-1)^(j+1) times the p >= 2 bounds; with N <= -t it is +inf.
     """
+    check_precision(prec)
     wp = prec + guard_bits(max_terms)
     factors = spec.factors()
     d = sum(e for _, e in factors)
@@ -516,7 +518,6 @@ def euler_t_sum(spec: SumSpec, prec: int, method: str = "auto",
     """
     if method not in ("auto", "accelerated", "naive"):
         raise SpecError(f"unknown method {method!r}")
-    check_precision(prec)
     n = NAIVE_START_TERMS if max_terms is None else max_terms
     if n < 1:
         raise SpecError(f"max_terms must be >= 1, got {n}")
@@ -550,6 +551,7 @@ def _double(name: str, big: bool, s1: int, s2: int, bar1: bool, prec: int) -> Se
     h_(n-1)^(s2)/(n - 1/2)^(s1) times 2^(-s1-s2), or the shift 1/2 sum of
     h_n^(s2)/n^(s1) times 2^(2-s1-s2), weighted by (-1)^n if bar1.  The
     barred T form weights by (-1)^(n-1), so its scale is negated."""
+    check_precision(prec)
     if s2 < 1:
         raise DivergentSumError(f"{name} requires s2 >= 1")
     if (not bar1 and s1 < 2) or (bar1 and s1 < 1):

@@ -52,13 +52,9 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest
 
 from .jets import JetSeries
-from .numeric import Rational, bernoulli
+from .numeric import DomainError, Rational, bernoulli, check_precision, check_rational
 
 _HALF = Fraction(1, 2)
-
-
-class DomainError(ValueError):
-    """Argument outside the supported domain."""
 
 
 class PoleProximityError(DomainError):
@@ -76,15 +72,9 @@ _zeta_cache: dict = {}
 _coeff_tables: dict = {1: [0, []], -1: [0, []]}
 
 
-def _rational(x: Rational, name: str) -> Fraction:
-    if not isinstance(x, (int, Fraction)):
-        raise DomainError(f"{name} takes rational arguments, not {x!r}")
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _admissible(x: Rational, name: str) -> Fraction:
     """x as a Fraction, if rational and not a non-positive integer."""
-    x = _rational(x, name)
+    x = check_rational(x, name)
     if x.denominator == 1 and x <= 0:
         raise DomainError(f"{name} is undefined at the non-positive integer {x}")
     return x
@@ -267,6 +257,7 @@ def _zeta_batch(sigma: int, ss, x: Fraction, prec: int) -> list[mpf]:
     keep prec + 56 bits, which leave it 2^54 units; an exponent that falls
     short (its value cancels, next to a zero at x < 0 or of digamma) is
     summed again with F raised by the shortfall."""
+    check_precision(prec)
     num, den = x.numerator, x.denominator
     point = (sigma, num, den, prec)
     todo = sorted({s for s in ss if (s, point) not in _zeta_cache})
@@ -485,6 +476,7 @@ def _kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
     front.  The default 32 covers the closed forms of the identity checks,
     which lose up to about 14 bits; ``eval_symbolic`` starts from the weight.
     """
+    check_precision(prec)
     merged = []
     for terms in sums:
         acc: dict = {}
@@ -546,7 +538,7 @@ def kernel_jet(kind: KernelKind, base: Rational, order: int) -> JetSeries:
     """
     if order < 0:
         raise DomainError("order must be >= 0")
-    base = _rational(base, kind.value)
+    base = check_rational(base, kind.value)
     k = math.floor(base + _HALF)
     x = base - k + _HALF
     sigma = 1 if kind is KernelKind.PI_TAN else -1
@@ -585,7 +577,7 @@ def psi_jet(p: int, base: Rational, order: int) -> JetSeries:
         raise DomainError("psi_jet requires p >= 1")
     if order < 0:
         raise DomainError("order must be >= 0")
-    base = _rational(base, "psi_jet")
+    base = check_rational(base, "psi_jet")
     fac = factorial(p - 1)
     c = (-1) ** p * fac
     pole = base.denominator == 1 and base >= 0

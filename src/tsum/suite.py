@@ -208,8 +208,7 @@ class SuiteConfig:
     timings: bool = False
 
     def __post_init__(self):
-        if self.precision_bits < 64:
-            raise ConfigError("precision_bits must be >= 64")
+        check_precision(self.precision_bits)
         try:
             tolerance_mpf(self.tolerance, 64)
         except ValueError as exc:

@@ -151,12 +151,14 @@ def test_verify_unknown_family(capsys):
     assert main(["verify", "--families", "thm9_9"]) == 2
 
 
-def test_verify_lemma_family_with_order(capsys):
-    rc = main(["verify", "--families", "lemma2_4", "--order", "6",
-               "--precision-bits", "128", "--tolerance", "1e-25",
+@pytest.mark.parametrize("order, prec, tol", [("6", "128", "1e-25"), ("1", "32", "1e-5")])
+def test_verify_lemma_family_with_order(order, prec, tol, capsys):
+    # verify shares the 16-bit floor of the other subcommands
+    rc = main(["verify", "--families", "lemma2_4", "--order", order,
+               "--precision-bits", prec, "--tolerance", tol,
                "--format", "text"])
     assert rc == 0
-    assert "lemma2_4[order=6]" in capsys.readouterr().out
+    assert f"lemma2_4[order={order}]" in capsys.readouterr().out
 
 
 def test_table_csv_rows(capsys):
@@ -260,10 +262,30 @@ def test_verify_pool_starts_no_more_workers_than_cases(capsys, monkeypatch):
     ["verify", "--families", "t_bar_odd", "--weight-max", "1"],
     ["reduce", "--family", "T_even_odd", "--j", "1", "--m", "0", "--precision-bits", "8"],
     ["table", "--family", "t_bar_odd", "--weight-max", "2", "--precision-bits", "8"],
+    ["eval", "--p", "1", "--q", "2", "--a", "1/2", "--precision-bits", "15"],
+    ["reduce", "--family", "T_even_odd", "--j", "1", "--m", "0", "--precision-bits", "15"],
+    ["table", "--family", "t_bar_odd", "--weight-max", "2", "--precision-bits", "15"],
+    ["verify", "--families", "lemma2_4", "--precision-bits", "15"],
+    ["table", "--family", "thm3_1"],
 ])
 def test_out_of_domain_budgets_and_tolerances_exit_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--q", "2", "--a", "1/2", "--tolerance", "1e-3"], "unrecognized arguments"),
+    (["eval", "--q", "2", "--a", "1/2", "--timings"], "unrecognized arguments"),
+    (["eval", "--q", "2", "--a", "1/2", "--format", "csv"], "invalid choice: 'csv'"),
+    (["reduce", "--family", "T_even_odd", "--j", "1", "--m", "0", "--format", "csv"],
+     "invalid choice: 'csv'"),
+])
+def test_options_a_subcommand_does_not_read_are_usage_errors(argv, message, capsys):
+    # argparse stops at the command line, before any subcommand runs
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_max_terms_seeds_the_doubling_and_the_accelerated_path_ignores_it(monkeypatch, capsys):

@@ -21,7 +21,16 @@ from tsum.identities import (
     verify_thm3_6,
     verify_thm3_7,
 )
-from tsum.special import KernelKind, Terms, ZetaConvention, kernel_jet, psi_jet, ttilde, ttilde_bar
+from tsum.special import (
+    DomainError,
+    KernelKind,
+    Terms,
+    ZetaConvention,
+    kernel_jet,
+    psi_jet,
+    ttilde,
+    ttilde_bar,
+)
 
 P = 192
 TOL = "1e-40"
@@ -58,6 +67,8 @@ class TestPairTheorems:
             verify_thm3_4(1, F(3, 2), F(1, 3), P, TOL)
         with pytest.raises(HypothesisError):
             verify_thm3_1(0, F(1, 4), F(1, 3), P, TOL)
+        with pytest.raises(DomainError, match="rational"):
+            verify_thm3_1(1, 0.1, F(1, 3), P, TOL)
 
     def test_higher_precision_scaling(self):
         rep = verify_thm3_1(3, F(1, 4), F(1, 3), 320, "1e-80")
@@ -161,6 +172,8 @@ class TestCorollaries:
             verify_cor3_5(0, F(1, 4), P, TOL)  # m >= 1
         with pytest.raises(HypothesisError):
             verify_cor3_3(0, F(3, 2), P, TOL)
+        with pytest.raises(DomainError, match="rational"):
+            verify_cor3_2(1, 0.1, P, TOL)
 
 
 class TestResidueTheorems:
@@ -253,6 +266,8 @@ class TestResidueTheorems:
             PartialFractionRational(((F(1, 2), 2, F(1)),))  # half-odd pole
         with pytest.raises(HypothesisError):
             PartialFractionRational(((F(1, 5), 1, F(1)),))  # O(z^-1) at infinity
+        with pytest.raises(DomainError, match="rational"):
+            PartialFractionRational(((-0.25, 2, F(1)),))  # a float pole
 
     def test_parse_and_text_roundtrip(self):
         r = PartialFractionRational.parse("(-1/4,1,12);(-1/3,1,-12)")

@@ -7,8 +7,30 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest
 
 import tsum.numeric as numeric
+import tsum.series as series
+import tsum.special as special
+from tsum.identities import (
+    PartialFractionRational,
+    verify_cor3_2,
+    verify_kernel_expansions,
+    verify_thm3_1,
+    verify_thm3_6,
+)
 from tsum.numeric import PrecisionError, bernoulli, real_const, real_to_str, to_mpf
-from tsum.special import digamma, hurwitz_zeta, riemann_zeta, ttilde
+from tsum.reductions import FAMILIES, eval_symbolic
+from tsum.series import SumSpec, accel_linear_sum, double_t, euler_t_sum, naive_sum
+from tsum.special import (
+    KernelKind,
+    digamma,
+    hurwitz_zeta,
+    kernel_value,
+    riemann_zeta,
+    tail_zeta_batch,
+    ttilde,
+)
+from tsum.suite import run_reduction_case
+
+F = Fraction
 
 PI_DIGITS = "3.14159265358979323846264338327950288419716939937510582097"
 LOG2_DIGITS = "0.693147180559945309417232121458176568075500134360255254121"
@@ -54,6 +76,40 @@ def test_unknown_constant_rejected():
 def test_minimum_precision_enforced():
     with pytest.raises(PrecisionError):
         real_const("pi", 8)
+
+
+ENTRY_POINTS = {
+    "hurwitz_zeta": lambda prec: hurwitz_zeta(2, F(1, 3), prec),
+    "tail_zeta_batch": lambda prec: tail_zeta_batch(1, [2, 3], F(1, 3), prec),
+    "riemann_zeta": lambda prec: riemann_zeta(3, prec),
+    "digamma": lambda prec: digamma(F(1, 3), prec),
+    "ttilde": lambda prec: ttilde(2, prec),
+    "kernel_value": lambda prec: kernel_value(KernelKind.PI_TAN, F(1, 3), prec),
+    "accel_linear_sum": lambda prec: accel_linear_sum(1, 0, 1, [(F(1), [(F(-1, 6), 2)])], prec),
+    "naive_sum": lambda prec: naive_sum(SumSpec(p=(1,), q=(2,), a=(F(1, 3),)), prec),
+    "euler_t_sum": lambda prec: euler_t_sum(SumSpec(p=(1,), q=(2,), a=(F(1, 3),)), prec),
+    "double_t": lambda prec: double_t(2, 1, False, prec),
+    "eval_symbolic": lambda prec: eval_symbolic(FAMILIES["t_even_odd"].reduce(1, 0), prec),
+    "verify_thm3_1": lambda prec: verify_thm3_1(1, F(1, 4), F(1, 3), prec, "1e-3"),
+    "verify_cor3_2": lambda prec: verify_cor3_2(1, F(1, 4), prec, "1e-3"),
+    "verify_thm3_6": lambda prec: verify_thm3_6(
+        1, PartialFractionRational.parse("(-1/4,1,12);(-1/3,1,-12)"), prec, "1e-3"),
+    "verify_kernel_expansions": lambda prec: verify_kernel_expansions(2, prec, "1e-3"),
+    "run_reduction_case": lambda prec: run_reduction_case("t_even_odd", 1, 0, prec, "1e-3"),
+}
+
+
+@pytest.mark.parametrize("prec", [-3, 0, 15])
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_every_entry_point_rejects_a_low_precision_before_summing(name, prec, monkeypatch):
+    # mpmath's from_rational never returns at a negative precision, so the
+    # check must come before the first sum: the kernel's or the head's
+    def summed(*args):
+        raise AssertionError("summed before the precision check")
+    monkeypatch.setattr(special, "_fixed_sums", summed)
+    monkeypatch.setattr(series, "_direct", summed)
+    with pytest.raises(PrecisionError):
+        ENTRY_POINTS[name](prec)
 
 
 def test_constants_are_memoized_and_deterministic():

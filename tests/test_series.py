@@ -32,7 +32,7 @@ from tsum.series import (
     naive_sum,
     odd_harmonic,
 )
-from tsum.special import hurwitz_zeta, riemann_zeta, tail_zeta_batch, ttilde
+from tsum.special import DomainError, hurwitz_zeta, riemann_zeta, tail_zeta_batch, ttilde
 
 P = 192
 F = Fraction
@@ -59,6 +59,8 @@ def test_spec_validation():
         SumSpec(p=(1,), q=(2,), a=(F(-1, 2),), sigma=1)
     with pytest.raises(ValueError):
         SumSpec(p=(1,), q=(2,), a=(F(0),), sigma=0)
+    with pytest.raises(DomainError, match="rational"):
+        SumSpec(p=(1,), q=(2,), a=(0.1,))  # not silently 3602879701896397/2^55
     # q = 0 factors are dropped at normalization
     spec = SumSpec(p=(1,), q=(2, 0), a=(F(0), F(1, 4)), sigma=1)
     assert spec.q == (2,) and spec.a == (F(0),)
