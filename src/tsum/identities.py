@@ -24,7 +24,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
 from .jets import JetSeries, jet_mul, jet_residue
-from .numeric import check_precision, check_rational, real_const, round_to, to_mpf, tolerance_mpf
+from .numeric import (check_integer, check_precision, check_rational, real_const, round_to,
+                      to_mpf, tolerance_mpf)
 from .series import SumSpec, accel_linear_sum, euler_t_sum, harmonic, odd_harmonic
 from .special import (
     DEFAULT_CONVENTION,
@@ -262,8 +263,9 @@ class PartialFractionRational:
     terms: tuple[tuple[Fraction, int, Fraction], ...]
 
     def __post_init__(self):
-        terms = tuple((check_rational(b, "PartialFractionRational"), int(m),
-                       check_rational(c, "PartialFractionRational")) for b, m, c in self.terms)
+        name = "PartialFractionRational"
+        terms = tuple((check_rational(b, name), check_integer(m, name, HypothesisError),
+                       check_rational(c, name)) for b, m, c in self.terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise HypothesisError("rational function must have at least one pole term")

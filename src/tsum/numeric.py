@@ -26,6 +26,7 @@ one process at once.  The module caches are plain dicts for that reason.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -65,6 +66,15 @@ def check_rational(x: Rational, name: str) -> Fraction:
     if not isinstance(x, (int, Fraction)):
         raise DomainError(f"{name} takes rational arguments, not {x!r}")
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def check_integer(x, name: str, error: type[ValueError] = DomainError) -> int:
+    """``x`` as an int; anything without an exact integer value (a float, a
+    Fraction, an mpf) is an ``error`` of ``name``."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise error(f"{name} takes integer exponents, not {x!r}") from None
 
 
 def tolerance_mpf(tol, wp: int) -> mpf:

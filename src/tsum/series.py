@@ -14,7 +14,9 @@ Evaluation strategy for the linear case (at most one harmonic factor):
   one piece per partial fraction for the residue checks.
 * The first N terms are summed in Python ints (``_direct``), 256 at a time
   by lazy pipelines of builtins, at a scale 2^-F set by the first non-zero
-  term, so the error stays under abs_total 2^-wp for terms of any size.
+  term, so the error stays under abs_total 2^-wp for terms of any size.  A
+  term with a harmonic factor is the harmonic weight divided by each piece's
+  integer denominator, with no product of two wide numbers.
 * The tail is rearranged exactly: with h the harmonic prefix sums,
   h(n) = h(N) + sum_{k=N+1..n} (k-1/2)^(-p), so the tail splits into
   h(N) G(N + 1 - off) plus sum_{k>N} (k-1/2)^(-p) G(k), where
@@ -50,7 +52,8 @@ from typing import Optional, Sequence
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .numeric import bernoulli, check_precision, check_rational, guard_bits, round_to, to_mpf
+from .numeric import (bernoulli, check_integer, check_precision, check_rational, guard_bits,
+                      round_to, to_mpf)
 from .special import tail_zeta_batch
 # not called here: perfbench's span tracer checks that it rebinds this name
 from .special import hurwitz_zeta  # noqa: F401
@@ -115,6 +118,10 @@ class SumSpec:
             raise SpecError("harmonic_offset must be 'cur' (h_n) or 'prev' (h_{n-1})")
         if len(self.q) != len(self.a):
             raise SpecError("q and a must have equal length")
+        object.__setattr__(self, "p", tuple(check_integer(pi, "SumSpec", SpecError)
+                                            for pi in self.p))
+        object.__setattr__(self, "q", tuple(check_integer(qi, "SumSpec", SpecError)
+                                            for qi in self.q))
         if any(pi < 1 for pi in self.p):
             raise SpecError("harmonic exponents must be >= 1")
         if any(qi < 0 for qi in self.q):
@@ -355,6 +362,7 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     pieces = tuple((k, tuple(fs)) for k, fs in pieces)  # hashable: the expansion cache key
     for _, fs in pieces:
         for t, e in fs:
+            check_integer(e, "accel_linear_sum", SpecError)
             if t.denominator == 1 and t <= -1:
                 raise SingularSumError(f"pole at positive integer n = {-t}")
             if e < 1:
@@ -417,16 +425,29 @@ def _direct(sigma: int, offset: int, ps: Sequence[int], pieces: Pieces, N: int, 
     and R(n) = sum_j k_j prod (n + t)^(-e) over pieces (k_j, [(t, e)]).  Returns
     the sum, the sum of |terms| and the N-th term in units of 2^-F, F, and
     h_N^(p_i) in units of 2^-H, H.  Each block of ``_BLOCK`` n is one lazy
-    pipeline of builtins; only its h prefix sums and its terms become lists.
+    pipeline of builtins; only its h prefix sums, its weights and its terms
+    become lists.
 
-    With t = a/b, (n + t)^(-e) = b^e/(bn + a)^e: a piece is one floor division of
-    floor(k prod b^e 2^F) per term, erring by under 2 units (that floor over
-    |bn + a|^e >= 1, and the division); W(n) <= prod 2^(p_i-1) (ln(4N) + 1) <= V =
-    2^(sum p - r) (bitlen N + 3)^r multiplies that, and W(n) R(n) is floored once:
-    under U = N (2mV + 1) units for m pieces.  Each h gains floor(2^(p+H)/(2n-1)^p),
-    H = wp + 32 + bitlen N, drifting by under n units against h >= 2: the r
-    products add a relative r 2^-(wp+33).  F = wp + 1 + bitlen U - lg, lg <= log2
-    |T_k| for the first non-zero term T_k (exact), keeps the error under abs_total 2^-wp.
+    With t = a/b, (n + t)^(-e) = b^e/(bn + a)^e: piece j is K_j/den_j(n), K_j =
+    k_j prod b^e and den_j(n) = prod (bn + a)^e an integer.  Without a harmonic
+    factor (r = 0) a term is sum_j floor(floor(K_j 2^F)/den_j(n)) at 2^-F, under
+    2 units per piece.  Otherwise the weight W~(n), h~_{n-offset} at 2^-H (for
+    r >= 2 the product of the r h~, floored once to 2^-H), is divided by each
+    piece's denominator: the term is sum_j floor(A_j W~(n)/(L den_j(n))) at
+    2^-H, L the common denominator of the K_j and A_j = K_j L, so no term
+    multiplies two wide numbers.  With H = max(F, wp) + 32 + bitlen N, each h~
+    gains floor(2^(p+H)/(2n-1)^p) and drifts by under n units against h >= 2,
+    so W~ errs by a relative r 2^-(wp+33), the product's floor included; on top
+    a term errs by one unit of 2^-H per piece, and the N terms by under m
+    2^-32 units of 2^-F for m pieces.  The sums and the last term are shifted
+    to 2^-F once, one floor each.
+
+    F = wp + 1 + bitlen U - lg, lg <= log2 |T_k| for the first non-zero term
+    T_k (exact), keeps U units of 2^-F under |T_k| 2^-(wp+1) <= abs_total
+    2^-(wp+1).  U = N (2mV + 1), V = 2^(sum p - r) (bitlen N + 3)^r >= W(n),
+    over-covers both counts above: 2mN units at r = 0, and 1 + m 2^-32 units
+    beside the relative r 2^-(wp+33) at r >= 1.  So the error stays under
+    abs_total 2^-wp.
     """
     r = len(ps)
     scaled = [(k * math.prod(Fraction(t.denominator) ** e for t, e in fs),
@@ -437,12 +458,25 @@ def _direct(sigma: int, offset: int, ps: Sequence[int], pieces: Pieces, N: int, 
     lg = abs(first.numerator).bit_length() - first.denominator.bit_length() - 1
     V = 2 ** (sum(ps) - r) * (N.bit_length() + 3) ** r
     F = max(0, wp + 1 + (N * (2 * len(pieces) * V + 1)).bit_length() - lg)
-    H = wp + 32 + N.bit_length()
-    kf = [((k.numerator << F) // k.denominator, dens) for k, dens in scaled]
+    H = max(F, wp) + 32 + N.bit_length()
+    L = math.lcm(*(k.denominator for k, _ in scaled)) if r else 1
+    # r >= 1: the A_j; r = 0: floor(K_j 2^F)
+    kf = [((k * L).numerator if r else (k.numerator << F) // k.denominator, dens)
+          for k, dens in scaled]
     h = {p: [0] for p in ps}  # per distinct p: h_(n0-1), ..., h_(n1-1) at 2^-H
     total, abs_total, terms = 0, 0, [0]
     for n0 in range(1, N + 1, _BLOCK):
         n1 = min(n0 + _BLOCK, N + 1)
+        for p in h:
+            odd = range(2 * n0 - 1, 2 * n1 - 1, 2)
+            odd = odd if p == 1 else map(pow, odd, repeat(p))
+            h[p] = list(accumulate(map(floordiv, repeat(1 << (p + H)), odd), initial=h[p][-1]))
+        if r:
+            wt = h[ps[0]][1 - offset:]
+            if r > 1:
+                for p in ps[1:]:
+                    wt = map(mul, wt, h[p][1 - offset:])
+                wt = list(map(rshift, wt, repeat((r - 1) * H)))
         rn = None
         for c, dens in kf:
             den = None
@@ -450,18 +484,19 @@ def _direct(sigma: int, offset: int, ps: Sequence[int], pieces: Pieces, N: int, 
                 col = range(b * n0 + a, b * n1 + a, b)
                 col = col if e == 1 else map(pow, col, repeat(e))
                 den = col if den is None else map(mul, den, col)
-            col = map(floordiv, repeat(c), den)
+            if r:
+                col = map(floordiv, wt if c == 1 else map(mul, wt, repeat(c)),
+                          den if L == 1 else map(mul, den, repeat(L)))
+            else:
+                col = map(floordiv, repeat(c), den)
             rn = col if rn is None else map(add, rn, col)
-        for p in h:
-            odd = range(2 * n0 - 1, 2 * n1 - 1, 2)
-            odd = odd if p == 1 else map(pow, odd, repeat(p))
-            h[p] = list(accumulate(map(floordiv, repeat(1 << (p + H)), odd), initial=h[p][-1]))
-        for p in ps:
-            rn = map(mul, rn, h[p][1 - offset:])
-        terms = list(map(rshift, rn, repeat(r * H)) if r else rn)
+        terms = list(rn)
         total += sum(terms) if sigma == 1 else sum(terms[1::2]) - sum(terms[::2])
         abs_total += sum(map(abs, terms))
-    return total, abs_total, sigma ** N * terms[-1], F, [h[p][-1] for p in ps], H
+    last = sigma ** N * terms[-1]
+    if r:
+        total, abs_total, last = total >> H - F, abs_total >> H - F, last >> H - F
+    return total, abs_total, last, F, [h[p][-1] for p in ps], H
 
 
 def naive_sum(spec: SumSpec, prec: int, max_terms: int = NAIVE_START_TERMS) -> SeriesResult:

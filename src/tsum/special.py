@@ -49,10 +49,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
 from .jets import JetSeries
-from .numeric import DomainError, Rational, bernoulli, check_precision, check_rational
+from .numeric import (DomainError, Rational, bernoulli, check_integer, check_precision,
+                      check_rational)
 
 _HALF = Fraction(1, 2)
 
@@ -268,9 +269,11 @@ def _zeta_batch(sigma: int, ss, x: Fraction, prec: int) -> list[mpf]:
             lack = prec + 56 - abs(v).bit_length()
             if lack > 0:
                 short[s] = lack
-            else:  # zeta = v 2^-F x^(1-s)
-                _zeta_cache[s, point] = mp.make_mpf(from_rational(
-                    v * den ** (s - 1), num ** (s - 1) << F, prec, round_nearest))
+            else:  # zeta = v 2^-F x^(1-s); a divisor shifted by F would cost
+                # mpmath's normalization F/8 wide shifts to strip its zero bits
+                _zeta_cache[s, point] = mp.make_mpf(mpf_div(
+                    from_man_exp(v * den ** (s - 1), -F), from_int(num ** (s - 1)), prec,
+                    round_nearest))
         todo = sorted(short)
         F += max(short.values(), default=0)
     return [_zeta_cache[s, point] for s in ss]
@@ -283,6 +286,7 @@ def tail_zeta_batch(sigma: int, ss, x: Rational, prec: int) -> list[mpf]:
     once at ``prec``; one fixed-point pass serves every exponent not yet
     cached.  Digamma is minus the kernel's sigma = +1, s = 1 value (``digamma``)."""
     x = _admissible(x, "the zeta family")
+    ss = [check_integer(s, "the zeta family") for s in ss]
     if sigma not in (1, -1) or any(s < (2 if sigma == 1 else 1) for s in ss):
         raise DomainError(f"sigma = {sigma}, s in {sorted(ss)}: the zeta family needs "
                           "sigma = +-1, s >= 2 (zeta(1; x) is convention-only), s >= 1 "
@@ -519,7 +523,8 @@ def _kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
                 short.append(i)
                 need = max(need, want)
             else:
-                out[i] = mp.make_mpf(from_rational(total, den << -e0, prec, round_nearest))
+                out[i] = mp.make_mpf(mpf_div(from_man_exp(total, e0), from_int(den), prec,
+                                             round_nearest))
         todo, g = short, need
     return out
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -238,6 +237,8 @@ def run_suite(config: SuiteConfig) -> dict:
     if workers <= 1:
         results = [_pool_entry(j) for j in jobs]
     else:
+        # imported here: concurrent.futures loads multiprocessing, socket and logging
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_pool_entry, jobs))
     results.sort(key=lambda d: d["case_id"])

@@ -1,4 +1,8 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from mpmath import mp, mpf
@@ -238,13 +242,23 @@ def test_verify_pool_starts_no_more_workers_than_cases(capsys, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(tsum.suite, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(tsum.suite.os, "cpu_count", lambda: 8)
     argv = ["verify", "--families", "lemma2_3,lemma2_4", "--order", "1", "--precision-bits", "64",
             "--tolerance", "1e-10", "--format", "json"]
     assert main(argv + ["--workers", "100000"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert sizes == [2] and record["workers"] == 100000 and len(record["cases"]) == 2
+
+
+def test_import_loads_no_process_pool():
+    # only verify --workers > 1 needs concurrent.futures (and multiprocessing)
+    src = os.path.dirname(os.path.dirname(tsum.suite.__file__))
+    out = subprocess.run([sys.executable, "-c", "import sys, tsum.cli; "
+                          "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", [

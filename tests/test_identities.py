@@ -268,6 +268,8 @@ class TestResidueTheorems:
             PartialFractionRational(((F(1, 5), 1, F(1)),))  # O(z^-1) at infinity
         with pytest.raises(DomainError, match="rational"):
             PartialFractionRational(((-0.25, 2, F(1)),))  # a float pole
+        with pytest.raises(HypothesisError, match="integer"):
+            PartialFractionRational(((F(-1, 4), 2.7, F(1)),))  # not truncated to order 2
 
     def test_parse_and_text_roundtrip(self):
         r = PartialFractionRational.parse("(-1/4,1,12);(-1/3,1,-12)")

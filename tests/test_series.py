@@ -24,6 +24,7 @@ from tsum.series import (
     accel_linear_sum,
     DivergentSumError,
     SingularSumError,
+    SpecError,
     SumSpec,
     double_t,
     double_T,
@@ -61,6 +62,11 @@ def test_spec_validation():
         SumSpec(p=(1,), q=(2,), a=(F(0),), sigma=0)
     with pytest.raises(DomainError, match="rational"):
         SumSpec(p=(1,), q=(2,), a=(0.1,))  # not silently 3602879701896397/2^55
+    for p, q in (((1.5,), (2,)), ((1,), (2.5,)), ((2.0,), (2,))):
+        with pytest.raises(SpecError, match="integer"):
+            SumSpec(p=p, q=q, a=(F(1, 3),))
+    with pytest.raises(SpecError, match="integer"):
+        accel_linear_sum(1, 0, 1, [(F(1), [(F(-1, 6), 2.0)])], 64)
     # q = 0 factors are dropped at normalization
     spec = SumSpec(p=(1,), q=(2, 0), a=(F(0), F(1, 4)), sigma=1)
     assert spec.q == (2,) and spec.a == (F(0),)
@@ -566,7 +572,7 @@ def test_accelerated_method_rejects_multiple_factors():
 
 # The fixed-point direct loop against exact partial sums: sigma = +-1, r = 0..3,
 # both offsets, far shifts, poles 10^-6 apart (whose partial fractions cancel
-# about 40 bits) and terms near 2^-800 and 2^+800.
+# about 40 bits), terms near 2^-800 and 2^+800, and the head of pair-1024.
 GRID_SHIFTS = (F(101, 3), F(-47, 3), F(1, 10 ** 6), F(0), F(1, 2), F(1, 4), F(-1, 3))
 
 
@@ -591,9 +597,10 @@ def _exact_partial(sigma, offset, ps, factors, N):
 
 def _direct_grid(seed: int = 6):
     rng = random.Random(seed)
-    cases = [(1, 1, (1,), [(F(-1, 2), 800)], 30),  # double_t(800, 1): terms near 2^-1268
-             (-1, 0, (2, 3), [(F(-999, 1000), 80)], 40),  # first term near 2^+797
-             (-1, 0, (1,), [(F(10 ** -6) - F(1, 2), 1), (F(-1, 2), 2)], 150)]
+    wps = (80, 200)
+    cases = [(1, 1, (1,), [(F(-1, 2), 800)], 30, wps),  # double_t(800, 1): terms near 2^-1268
+             (-1, 0, (2, 3), [(F(-999, 1000), 80)], 40, wps),  # first term near 2^+797
+             (-1, 0, (1,), [(F(10 ** -6) - F(1, 2), 1), (F(-1, 2), 2)], 150, wps)]
     while len(cases) < 40:
         k = rng.randint(1, 3)
         shifts = rng.sample(GRID_SHIFTS, k)
@@ -601,7 +608,12 @@ def _direct_grid(seed: int = 6):
             shifts[:2] = [GRID_SHIFTS[2], GRID_SHIFTS[3]]
         factors = sorted({a - F(1, 2): rng.randint(1, 3) for a in shifts}.items())
         ps = tuple(rng.randint(1, 3) for _ in range(len(cases) % 4))
-        cases.append((rng.choice((1, -1)), rng.choice((0, 1)), ps, factors, rng.randint(1, 200)))
+        cases.append((rng.choice((1, -1)), rng.choice((0, 1)), ps, factors, rng.randint(1, 200),
+                      wps))
+    # thm3_1/thm3_4 at 1024 bits: a, b = 1/4, 1/3 or both negated, 603 head terms
+    for sign, p, offset in itertools.product((1, -1), (1, 5), (0, 1)):
+        factors = sorted((sign * a - F(1, 2), 1) for a in (F(1, 4), F(1, 3)))
+        cases.append((1 if (p == 1) == (offset == 0) else -1, offset, (p,), factors, 603, (1072,)))
     return cases
 
 
@@ -620,8 +632,8 @@ def _direct_reference(sigma, offset, ps, pieces, N, wp):
     lg = abs(first.numerator).bit_length() - first.denominator.bit_length() - 1
     V = 2 ** (sum(ps) - r) * (N.bit_length() + 3) ** r
     scale = max(0, wp + 1 + (N * (2 * len(pieces) * V + 1)).bit_length() - lg)
-    H = wp + 32 + N.bit_length()
-    kf = [((k.numerator << scale) // k.denominator, dens) for k, dens in scaled]
+    H = max(scale, wp) + 32 + N.bit_length()
+    L = math.lcm(*(k.denominator for k, _ in scaled))
     steps = [(p, 1 << (p + H)) for p in sorted(set(ps))]
     h = dict.fromkeys(ps, 0)
     total = abs_total = term = 0
@@ -629,19 +641,21 @@ def _direct_reference(sigma, offset, ps, pieces, N, wp):
         grown = {p: h[p] + step // (2 * n - 1) ** p for p, step in steps}
         if offset == 0:
             h = grown
-        rn = 0
-        for c, dens in kf:
-            den = 1
-            for b, a, e in dens:
-                den *= (b * n + a) ** e
-            rn += c // den
-        for p in ps:
-            rn *= h[p]
-        term, h = rn >> r * H, grown
+        weight = math.prod(h[p] for p in ps) >> (r - 1) * H if r else None
+        term = 0
+        for k, dens in scaled:
+            den = math.prod((b * n + a) ** e for b, a, e in dens)
+            if r:  # the weight at 2^-H over the piece's integer denominator
+                term += (k * L).numerator * weight // (L * den)
+            else:  # floor(k 2^scale) over it
+                term += (k.numerator << scale) // k.denominator // den
+        h = grown
         if sigma == -1 and n & 1:
             term = -term
         total += term
         abs_total += abs(term)
+    if r:  # from 2^-H to 2^-scale, once
+        total, abs_total, term = total >> H - scale, abs_total >> H - scale, term >> H - scale
     return total, abs_total, term, scale, [h[p] for p in ps], H
 
 
@@ -649,11 +663,11 @@ def test_fixed_point_loop_matches_exact_partial_sums():
     grid = _direct_grid()
     assert {len(c[2]) for c in grid} == {0, 1, 2, 3} and {c[0] for c in grid} == {1, -1}
     assert {c[1] for c in grid} == {0, 1}
-    for sigma, offset, ps, factors, N in grid:
+    for sigma, offset, ps, factors, N, wps in grid:
         exact, absum, hs_exact = _exact_partial(sigma, offset, ps, factors, N)
         product = [(F(1), factors)]
         pf = [(c, [(t, e)]) for t, e, c in partial_fractions(factors)]
-        for pieces, wp in itertools.product((product, pf), (80, 200)):
+        for pieces, wp in itertools.product((product, pf), wps):
             got = _direct(sigma, offset, ps, pieces, N, wp)
             total, abs_total, _, scale, hs, hscale = got
             case = (sigma, offset, ps, factors, N, len(pieces), wp)
@@ -663,6 +677,21 @@ def test_fixed_point_loop_matches_exact_partial_sums():
             assert abs(F(abs_total, 1 << scale) - absum) <= absum / 2 ** wp, case
             assert all(abs(F(h, 1 << hscale) - x) <= F(N, 1 << hscale)
                        for h, x in zip(hs, hs_exact)), case
+
+
+def test_weights_keep_their_precision_when_the_head_scale_is_clamped():
+    # terms near 2^400 clamp F to 0, and the weights must still keep wp + 32
+    # bits: h_1 is exact, so only the terms past the first one show a loss
+    k, factors, N = F(2 ** 400, 3), [(F(-1, 6), 2)], 60
+    for sigma, offset, ps in ((1, 0, (1,)), (-1, 1, (2,)), (1, 0, (1, 3))):
+        exact, absum, _ = _exact_partial(sigma, offset, ps, factors, N)
+        for wp in (80, 200):
+            got = _direct(sigma, offset, ps, [(k, factors)], N, wp)
+            assert got == _direct_reference(sigma, offset, ps, [(k, factors)], N, wp)
+            total, abs_total, _, scale, _, _ = got
+            assert scale == 0
+            assert abs(F(total, 1 << scale) - k * exact) <= k * absum / 2 ** wp, (ps, wp)
+            assert abs(F(abs_total, 1 << scale) - k * absum) <= k * absum / 2 ** wp, (ps, wp)
 
 
 # e = 1 and e > 1, one factor and several; t = -95/6 makes bn + a < 0 for n <= 15

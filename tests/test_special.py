@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_div, round_nearest
 
 import tsum.special as special
 from tsum.numeric import bernoulli, real_const
@@ -88,6 +89,29 @@ class TestTailZetaBatch:
             with mp.workprec(wp + 200):
                 assert abs(value - ref) <= ulp, (sigma, s, x, wp)
         return batch
+
+    def test_values_round_as_the_rational_they_are(self, monkeypatch):
+        # a value is v 2^-F den^(s-1) / num^(s-1), divided with 2^-F as the
+        # exponent of an mpf: the mpf from_rational gives with q 2^F as the divisor
+        rng = random.Random(2031)
+        points = [(sigma, Fraction(1207, 2), 1120, list(range(3 - sigma, 271)))
+                  for sigma in (1, -1)]  # the tail batches of pair-1024
+        while len(points) < 14:
+            x = Fraction(rng.randint(-400, 400), rng.randint(2, 9))
+            if x > 0 or x.denominator > 1:
+                points.append((rng.choice((1, -1)), x, rng.choice((64, 192, 1120)),
+                               sorted(rng.sample(range(2, 60), 6))))
+        for sigma, x, prec, ss in points:
+            monkeypatch.setattr(special, "_zeta_cache", {})
+            got = tail_zeta_batch(sigma, ss, x, prec)
+            num, den = x.numerator, x.denominator
+            F = prec + 64 + (2 * num // den + 1).bit_length() + max(ss).bit_length()
+            for s, v, z in zip(ss, special._fixed_sums(sigma, ss, x, F), got):
+                p, q = v * den ** (s - 1), num ** (s - 1)
+                want = from_rational(p, q << F, prec, round_nearest)
+                assert mpf_div(from_man_exp(p, -F), from_int(q), prec, round_nearest) == want
+                if abs(v).bit_length() >= prec + 56:  # kept at the first F
+                    assert z._mpf_ == want, (sigma, s, x, prec)
 
     @pytest.mark.parametrize("sigma", [1, -1])
     @pytest.mark.parametrize("prec, step", [(64, 1), (192, 1), (1024, 9)])
@@ -221,9 +245,13 @@ class TestTailZetaBatch:
             special._scaled_tails(1, [2], 1, 1, 200)
 
     def test_domain(self):
-        for args in ((1, [1], 3), (-1, [2], 0), (0, [2], 3)):
+        for args in ((1, [1], 3), (-1, [2], 0), (0, [2], 3), (1, [2.5], Fraction(1, 3)),
+                     (-1, [1.0], Fraction(1, 3))):
             with pytest.raises(DomainError):
                 tail_zeta_batch(*args, 64)
+        for call in (hurwitz_zeta, alt_hurwitz_zeta):
+            with pytest.raises(DomainError, match="integer"):
+                call(2.5, Fraction(1, 3), 64)
 
 
 class TestRiemannZeta:
