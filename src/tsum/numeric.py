@@ -15,8 +15,9 @@ once too.
 Only composite computations (the series engine and the series sides) work
 at ``prec`` plus guard bits and round the result back to ``prec``.  Exact rational
 bookkeeping uses ``fractions.Fraction``, and a fraction becomes an mpf by
-one correct rounding.  The Bernoulli numbers are exact fractions from one
-integer pass over the tangent numbers, with no zeta evaluation.
+one correct rounding.  The Bernoulli numbers are exact fractions from an
+integer pass over the tangent numbers that is extended as far as asked,
+never redone, with no zeta evaluation.
 
 Parallelism is process-only: ``mp.workprec`` mutates mpmath's
 process-global context, so no computation here may run on two threads of
@@ -40,6 +41,8 @@ MIN_PRECISION = 16
 
 _const_cache: dict[tuple[str, int], mpf] = {}
 _bernoulli_even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
+# stages 1..k of T_k, k = len(_bernoulli_even) - 1: the state of the tangent pass
+_tangent_column: list[int] = []
 
 
 class PrecisionError(ValueError):
@@ -74,7 +77,7 @@ def check_integer(x, name: str, error: type[ValueError] = DomainError) -> int:
     try:
         return operator.index(x)
     except TypeError:
-        raise error(f"{name} takes integer exponents, not {x!r}") from None
+        raise error(f"{name} takes integer arguments, not {x!r}") from None
 
 
 def tolerance_mpf(tol, wp: int) -> mpf:
@@ -126,26 +129,29 @@ def real_const(name: str, prec: int) -> mpf:
 
 def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number B_n (convention B_1 = -1/2), from a table of the
-    even ones filled by one integer pass over the tangent numbers T_k, tan z =
-    sum_k T_k z^(2k-1)/(2k-1)! (Brent and Harvey): from T_k = (k-1)!, stage
-    j = 2, 3, ... sets T_k <- (k-j) T_(k-1) + (k-j+2) T_k for k >= j in turn,
-    and B_2k = (-1)^(k-1) 2k T_k/(4^k (4^k - 1)).  The pass is not
-    incremental, so a table too short for n is refilled to at least twice its
-    length; all B_m, m <= n, cost O(n^2) products of an integer by a small one."""
+    even ones grown by the tangent numbers T_k, tan z = sum_k T_k
+    z^(2k-1)/(2k-1)!, and B_2k = (-1)^(k-1) 2k T_k/(4^k (4^k - 1)).
+
+    Brent and Harvey's pass starts from T_k = (k-1)! and sets T_k <- (k-j)
+    T_(k-1) + (k-j+2) T_k at stage j = 2, 3, ... for every k >= j.  Taken one
+    column k at a time, stages 1..k of T_k follow from those of T_(k-1), so the
+    table is extended, never refilled: it holds B_2k up to the largest index
+    asked for, and all B_m, m <= n, cost O(n^2) products of an integer by a
+    small one, whatever the order of the requests."""
+    n = check_integer(n, "bernoulli")
     if n < 0:
-        raise ValueError("Bernoulli index must be >= 0")
+        raise DomainError("Bernoulli index must be >= 0")
     if n % 2:
         return Fraction(-1, 2) if n == 1 else Fraction(0)
-    k, have = n // 2, len(_bernoulli_even)
-    if k >= have:
-        size = max(k, 2 * (have - 1))
-        T = [0] + [math.factorial(j - 1) for j in range(1, size + 1)]  # T[j] = T_j
-        for j in range(2, size + 1):
-            for i in range(j, size + 1):
-                T[i] = (i - j) * T[i - 1] + (i - j + 2) * T[i]
-        _bernoulli_even.extend(Fraction((-1) ** (i - 1) * 2 * i * T[i], 4 ** i * (4 ** i - 1))
-                               for i in range(have, size + 1))
-    return _bernoulli_even[k]
+    table, column = _bernoulli_even, _tangent_column
+    for k in range(len(table), n // 2 + 1):
+        column.append(0)  # T_(k-1) has no stage k, where its factor k - j is 0
+        cur = [(k - 1) * column[0] if k > 1 else 1]
+        for j in range(2, k + 1):
+            cur.append((k - j) * column[j - 1] + (k - j + 2) * cur[-1])
+        column[:] = cur
+        table.append(Fraction((-1) ** (k - 1) * 2 * k * cur[-1], 4 ** k * (4 ** k - 1)))
+    return table[n // 2]
 
 
 def real_to_str(x: mpf, prec: int) -> str:

@@ -173,6 +173,7 @@ _expansion_cache: dict = {}
 _weights: dict = {}  # (sigma, n) -> (L, beta_k L for k = 1..n)
 _bern_cache: dict = {}  # (sigma, D, L, rho up to sign and alternation) -> bern_1..bern_W
 _TAIL_GUARD = 16  # bits of the tail's fixed point 2^-T past the head's 2^-F
+_BATCH_ORDERS = 5  # the pair theorems sum p = 1..5 at one N + 1/2 and one W
 
 
 def _pick_truncation(wp: int, N: int, dmax: float, emax: int) -> int:
@@ -394,9 +395,12 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     else:
         piece1 = hs[0] * rational_tail >> H
         powers = [w for w, m in enumerate(mans, 1) if m]
-        zvals = tail_zeta_batch(sigma, [w + p for w in powers], Fraction(2 * N + 1, 2), wp)
-        for w, z in zip(powers, zvals):
-            sign, man, exp, _ = z._mpf_
+        # every exponent up to W + _BATCH_ORDERS, so that one batch per point
+        # serves the sums of orders p = 1.._BATCH_ORDERS of one R
+        ss = range(powers[0] + p, W + max(p, _BATCH_ORDERS) + 1) if powers else ()
+        zvals = tail_zeta_batch(sigma, ss, Fraction(2 * N + 1, 2), wp)
+        for w in powers:
+            sign, man, exp, _ = zvals[w - powers[0]]._mpf_
             piece2 += _at_scale(mans[w - 1] * (-man if sign else man), exps[w - 1] + exp + T)
         piece2 *= sigma ** (N + 1)
         value += piece1 + piece2
@@ -408,7 +412,8 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
             # continuation estimate beyond the last kept power
             if powers:
                 last = powers[-1] - 1
-                trunc_est = abs(mpf((mans[last], exps[last])) * zvals[-1]) * mpf(N) ** -1
+                trunc_est = abs(mpf((mans[last], exps[last])) * zvals[last + 1 - powers[0]]) \
+                    * mpf(N) ** -1
             tb = trunc_est + (abs_head + abs(mpf((piece1, -T))) + abs(mpf((piece2, -T))) + 1) \
                 * mpf(2) ** (-wp + 10)
         tb += abs(fixed) * mpf(2) ** (-prec + 1)

@@ -9,7 +9,9 @@ head to Euler-Maclaurin (sigma = +1) or Boole summation (sigma = -1) at
 x + n.  The exponents summed that way share that head and one term table:
 the series of the largest runs once, and each lower exponent's terms follow
 from the one above it by a small multiplication and division per term, a
-walk down in s.  Digamma is minus the sigma = +1, s = 1 case, whose divergent
+walk down in s.  The series' coefficients |B_2k|/(2k)! are exact up to a
+crossover that grows with F and come from zeta(2k), a sum of a few powers,
+past it.  Digamma is minus the sigma = +1, s = 1 case, whose divergent
 1/(s-1) gives way to a logarithm.  F rises until each value keeps
 prec + 56 bits, and each value is rounded once.
 
@@ -67,9 +69,10 @@ class KernelKind(Enum):
     PI_OVER_COS = "pi_over_cos"
 
 
-_zeta_cache: dict = {}
-# sigma -> [G, c_k as (m, e)]: m = floor(c_k 2^e) has G + 8 bits, for the
-# largest F asked so far rounded up to a power of two; a call at F uses m >> (G - F)
+_zeta_cache: dict = {}  # (sigma, x as num, den, prec) -> {s: kernel value}
+# sigma -> [G, c_k as (m, e), the source of further entries]: m 2^-e is c_k to
+# G + 8 bits, G the largest F asked so far rounded up to a multiple of 256; a
+# call at F uses m >> (G - F)
 _coeff_tables: dict = {1: [0, []], -1: [0, []]}
 
 
@@ -85,6 +88,54 @@ def _admissible(x: Rational, name: str) -> Fraction:
 # The fixed-point kernel: many exponents at one point
 # ---------------------------------------------------------------------------
 
+def _coefficients(sigma: int, G: int):
+    """c_k = |B_2k|/(2k)!, times 4^k - 1 at sigma = -1, as pairs (m, e) with
+    m 2^-e near c_k and m of G + 8 or G + 9 bits, for k = 1, 2, ... in turn.
+
+    Up to the crossover k0 = (G + 8)/8, m = floor(c_k 2^e) from the exact
+    B_2k of ``bernoulli``.  Past k0, c_k = 2 zeta(2k) (2 pi)^(-2k) and
+    (4^k - 1) c_k = 2 lambda(2k) pi^(-2k), lambda(2k) the sum of n^(-2k) over
+    odd n (Fillebrown), worked at P = G + 48 bits.  Each n^(-2k) is floored
+    to 2^-P and carried to k + 1 by one floor division by n^2, and the sum
+    stops at the first n with n^(-2k) < 2^-P: at most 21 terms, as 2k >
+    (G + 8)/4, and fewer later.  Each kept term errs by under 4/3 units of
+    2^-P and the dropped ones add up to under 2, so zeta(2k) or lambda(2k)
+    errs by under 30.  The power of pi, kept to P + 16 bits with one product
+    per k, errs relatively by under k + 2 units of 2^-P.  While k < 2^38
+    these stay below a unit of m, so m is the exact floor or one off it.
+    """
+    k0 = (G + 8) // 8
+    fac = 1  # (2k)!
+    for k in range(1, k0 + 1):
+        fac *= (2 * k - 1) * 2 * k
+        b = bernoulli(2 * k)
+        num, den = abs(b.numerator) * (1 if sigma == 1 else 4 ** k - 1), b.denominator * fac
+        e = G + 8 - num.bit_length() + den.bit_length()
+        yield (num << e) // den, e
+    P, k, step = G + 48, k0 + 1, 1 if sigma == 1 else 2
+    powers, squares = [], []  # floor(2^P n^(-2k)) and n^2 for n = 1 + step, 1 + 2 step, ...
+    for n in itertools.count(1 + step, step):
+        t = (1 << P) // n ** (2 * k)
+        if not t:
+            break
+        powers.append(t)
+        squares.append(n * n)
+    with mp.workprec(P + 16):
+        base = mp.pi ** 2 * (4 if sigma == 1 else 1)
+        _, pw, pe, _ = (base ** -k)._mpf_  # pw 2^pe = base^-k
+        _, r, re, _ = (1 / base)._mpf_
+    while True:
+        prod = ((1 << P) + sum(powers)) * pw  # 2^(P - 1 - pe) c_k
+        shift = prod.bit_length() - G - 8
+        yield prod >> shift, P - 1 - pe - shift
+        powers = [t // q for t, q in zip(powers, squares)]
+        while powers and not powers[-1]:
+            powers.pop()
+        pw *= r
+        shift = pw.bit_length() - P - 16
+        pw, pe = pw >> shift, pe + re + shift
+
+
 def _scaled_tails(sigma: int, ss: list[int], Y: int, D: int, F: int) -> list[int]:
     """2^F y^(s-1) sum_{n>=0} sigma^n (n + y)^(-s) at y = Y/D, in fixed point,
     for each s of the sorted ss; at sigma = +1, s = 1 the constant term of the
@@ -93,10 +144,11 @@ def _scaled_tails(sigma: int, ss: list[int], Y: int, D: int, F: int) -> list[int
     Euler-Maclaurin gives 1/(s-1) + 1/(2y) + sum_k (-1)^(k-1) E_k(s), E_k(s) =
     c_k (s)_(2k-1) y^(-2k), c_k = |B_2k|/(2k)!; Boole summation the same
     without 1/(s-1) and with (4^k - 1) c_k, each c_k held to F + 8 bits (ln y
-    to F + 16).  For these completely monotone summands the remainder is at
-    most the first omitted term.  So the terms of the top exponent t = max(ss)
-    run to the first below one unit; past the smallest term, at t + 2k >
-    c pi y, that raises ArithmeticError.  This one term table serves every
+    to F + 16) by the table of ``_coefficients`` at a width G >= F, read as
+    m >> (G - F).  For these completely monotone summands the remainder is
+    at most the first omitted term.  So the terms of the top exponent
+    t = max(ss) run to the first below one unit; past the smallest term, at
+    t + 2k > c pi y, that raises ArithmeticError.  This one term table serves every
     exponent: each lower one walks down from the one above,
     E_k(s - 1) = E_k(s) (s - 1)/(s + 2k - 2), one small multiplication and
     one floor per term, and zeros are dropped from the end.  E_k(s) <= E_k(t),
@@ -104,22 +156,29 @@ def _scaled_tails(sigma: int, ss: list[int], Y: int, D: int, F: int) -> list[int
 
     The error, in units 2^-F: a top term errs by under 2 units.  The floor of
     the rise at step j reaches term k scaled by E_k c_j/E_j <= c_j while the
-    terms fall, so these add up to under sum_j (4^j - 1) c_j < 0.3 units, and
-    the product takes one more floor.  A walked term inherits the error of the
-    term above it times (s - 1)/(s + 2k - 2) < 1, plus one floor, so E_k(s)
-    errs by under t - s + 2 units, and the K terms of the table by under
-    K(t - s + 2); 1/(2y), 1/(s-1) or ln y and the omitted term add a unit each.
-    K stays below the index (c pi y - t)/2 of the smallest term at the head's
-    y, which ``_head_length`` keeps under 3(t + 1.4 F + 6)/(c pi) + 1 (a larger
-    y only shortens the table), so K < t + 2.1 F + 12.  For t and F below 2^24
-    the count is below 2^50 units, far inside the 2^54 that ``_zeta_batch``'s
-    prec + 56 rule leaves a value (its relative error then stays under
-    2^-(prec+1)), so F needs no more bits.
+    terms fall, so these add up to under sum_j (4^j - 1) c_j < 0.3 units.  The
+    coefficient read, of F + 7 bits or more, errs by under one unit of its own
+    up to k0 (an exact floor, floored again) and under two past k0 (one off
+    the exact floor at G + 8 bits), so it adds under E_k 2^-(F+6) units, below
+    0.1 as the head keeps c pi y > t and so E_k <= E_1 < 4; the product takes
+    one more floor.  Entries past k0 depend on G, so a value may too, within
+    this count.  A walked term inherits the error of the term above it times
+    (s - 1)/(s + 2k - 2) < 1, plus one floor, so E_k(s) errs by under
+    t - s + 2 units, and the K terms of the table by under K(t - s + 2);
+    1/(2y), 1/(s-1) or ln y and the omitted term add a unit each.  K stays
+    below the index (c pi y - t)/2 of the smallest term at the head's y, which
+    ``_head_length`` keeps under 3(t + 0.7 B + 6)/(c pi) + 1 for a head to B
+    bits (a larger y only shortens the table), so K < t + 1.05 B + 13 <=
+    t + 2.1 F + 13, as ``_fixed_sums`` takes B = F or 2F.  For t and F below
+    2^24 the count is below 2^50 units, far inside the 2^54 that
+    ``_zeta_batch``'s prec + 56 rule leaves a value (its relative error then
+    stays under 2^-(prec+1)), so F needs no more bits.
     """
     table = _coeff_tables[sigma]
     if table[0] < F:
-        table[:] = [1 << (F - 1).bit_length(), []]
-    G, coeffs = table
+        G = -(-F // 256) * 256
+        table[:] = [G, [], _coefficients(sigma, G)]
+    G, coeffs, source = table
     Y2, D2 = Y * Y, D * D
     t = ss[-1]
     kmax = ((2 if sigma == 1 else 1) * 355 * Y // (113 * D) - t) // 2 + 1  # pi < 355/113
@@ -130,9 +189,7 @@ def _scaled_tails(sigma: int, ss: list[int], Y: int, D: int, F: int) -> list[int
             raise ArithmeticError(f"tail series of exponent {t} at {Fraction(Y, D)} "
                                   f"cannot reach 2^-{F}")
         if k > len(coeffs):
-            c = abs(bernoulli(2 * k)) / factorial(2 * k) * (1 if sigma == 1 else 4 ** k - 1)
-            e = G + 8 - c.numerator.bit_length() + c.denominator.bit_length()
-            coeffs.append(((c.numerator << e) // c.denominator, e))
+            coeffs.append(next(source))
         m, e = coeffs[k - 1]
         term = (rise * (m >> (G - F))) >> (e - G + F)
         if not term:
@@ -202,11 +259,15 @@ def _fixed_sums(sigma: int, ss: list[int], x: Fraction, F: int) -> list[int]:
     """2^F x^(s-1) sum_{j>=0} sigma^j (x + j)^(-s) for sorted distinct ss; at
     sigma = +1, s = 1, 2^F (-psi(x)).
 
-    The head n of the asymptotic path reaches twice the bits, so that the
-    series stops far short of its smallest term and of the Bernoulli numbers
-    that term needs.  An exponent whose terms fall below 2^-F within its own
-    such head is summed directly, one floor division per term.  As the terms
-    fall faster and the head grows with s, these are the largest exponents,
+    The head n of the asymptotic path puts the smallest term of the series
+    below 2^-(B+8), B = F for a batch of several exponents and 2F for a batch
+    of one.  With ``_coefficients`` cheap past its crossover, a table term
+    costs about what a head term does, and every exponent of a batch walks
+    both, so a batch's head stops where the series can first reach 2^-F; a
+    batch of one walks nothing, and there a head term, one division, is the
+    cheaper.  An exponent whose terms fall below 2^-F within its own such
+    head is summed directly, one floor division per term.  As the terms fall
+    faster and the head grows with s, these are the largest exponents,
     so the search runs down from the top; the rest share the head n of the
     largest of them, and one term table at y = x + n > 0: ``_scaled_tails``
     runs the asymptotic series of the largest and walks its terms down in s
@@ -222,7 +283,7 @@ def _fixed_sums(sigma: int, ss: list[int], x: Fraction, F: int) -> list[int]:
     num, den = x.numerator, x.denominator
     direct, n = {}, 0
     for s in reversed(ss):
-        n = _head_length(sigma, s, x, 2 * F)
+        n = _head_length(sigma, s, x, F if len(ss) > 1 else 2 * F)
         m = _direct_length(sigma, s, x, F, n)
         if m > n:
             break
@@ -250,7 +311,7 @@ def _fixed_sums(sigma: int, ss: list[int], x: Fraction, F: int) -> list[int]:
 
 def _zeta_batch(sigma: int, ss, x: Fraction, prec: int) -> list[mpf]:
     """Kernel values for the exponents ss at x, each rounded once at ``prec``
-    and cached under (s, point).
+    and cached per point and exponent.
 
     The one precision rule: a fixed-point sum v of ``_fixed_sums`` errs by
     under 2^50 units in its tail (the count in ``_scaled_tails``) and, for
@@ -260,8 +321,8 @@ def _zeta_batch(sigma: int, ss, x: Fraction, prec: int) -> list[mpf]:
     summed again with F raised by the shortfall."""
     check_precision(prec)
     num, den = x.numerator, x.denominator
-    point = (sigma, num, den, prec)
-    todo = sorted({s for s in ss if (s, point) not in _zeta_cache})
+    cache = _zeta_cache.setdefault((sigma, num, den, prec), {})
+    todo = sorted({s for s in ss if s not in cache})
     F = prec + 64 + (2 * num // den + 1).bit_length() + max(todo, default=0).bit_length()
     while todo:
         short = {}
@@ -271,12 +332,12 @@ def _zeta_batch(sigma: int, ss, x: Fraction, prec: int) -> list[mpf]:
                 short[s] = lack
             else:  # zeta = v 2^-F x^(1-s); a divisor shifted by F would cost
                 # mpmath's normalization F/8 wide shifts to strip its zero bits
-                _zeta_cache[s, point] = mp.make_mpf(mpf_div(
+                cache[s] = mp.make_mpf(mpf_div(
                     from_man_exp(v * den ** (s - 1), -F), from_int(num ** (s - 1)), prec,
                     round_nearest))
         todo = sorted(short)
         F += max(short.values(), default=0)
-    return [_zeta_cache[s, point] for s in ss]
+    return [cache[s] for s in ss]
 
 
 def tail_zeta_batch(sigma: int, ss, x: Rational, prec: int) -> list[mpf]:
@@ -306,7 +367,7 @@ def hurwitz_zeta(s: int, a: Rational, prec: int) -> mpf:
 
 def riemann_zeta(s: int, prec: int | None) -> mpf | Terms:
     """zeta(s) = K_+1(s; 1) for integer s >= 2."""
-    if s < 2:
+    if check_integer(s, "riemann_zeta") < 2:
         raise DomainError("riemann_zeta requires s >= 2; zeta(1) exists only as a convention")
     return _kernel_term(1, 1, s, 1, prec)
 
@@ -320,7 +381,7 @@ def alt_hurwitz_zeta(s: int, a: Rational, prec: int) -> mpf:
 def alt_zeta(s: int, prec: int | None) -> mpf | Terms:
     """Alternating Riemann zeta sum_{n>=1} (-1)^(n-1) n^(-s) = K_-1(s; 1), s >= 1;
     alt_zeta(1) is log 2."""
-    if s < 1:
+    if check_integer(s, "alt_zeta") < 1:
         raise DomainError("alt_zeta requires s >= 1")
     return _kernel_term(1, -1, s, 1, prec)
 
@@ -366,7 +427,7 @@ def param_digamma_deriv(p: int, a: Rational, prec: int) -> mpf:
     Equals (-1)^p (p-1)! zeta(p; a) for p >= 2 and -(psi(1/2) - psi(a))
     for p = 1.
     """
-    if p < 1:
+    if check_integer(p, "param_digamma_deriv") < 1:
         raise DomainError("param_digamma_deriv requires p >= 1")
     c = (-1) ** p * factorial(p - 1)
     return _kernel_sums([_zeta_terms(c, p, _admissible(a, "param_digamma_deriv"))], prec)[0]
@@ -404,7 +465,7 @@ def _kernel_term(c: Rational, sigma: int, s: int, x: Rational, prec: int | None)
 
 def single_t(s: int, prec: int | None) -> mpf | Terms:
     """t(s) = sum_{n>=1} (2n-1)^(-s) = 2^-s K_+1(s; 1/2), s >= 2."""
-    if s < 2:
+    if check_integer(s, "single_t") < 2:
         raise DomainError("single_t requires s >= 2 (t(1) diverges)")
     return _kernel_term(Fraction(1, 2 ** s), 1, s, _HALF, prec)
 
@@ -419,7 +480,7 @@ def dirichlet_beta(s: int, prec: int) -> mpf:
 def single_t_bar(s: int, prec: int | None) -> mpf | Terms:
     """t(s with alternating sign) = sum_{n>=1} (-1)^n (2n-1)^(-s) = -beta(s)
     = -2^-s K_-1(s; 1/2), s >= 1."""
-    if s < 1:
+    if check_integer(s, "single_t_bar") < 1:
         raise DomainError("single_t_bar requires s >= 1")
     return _kernel_term(Fraction(-1, 2 ** s), -1, s, _HALF, prec)
 
@@ -442,14 +503,14 @@ def ttilde_bar(s: int, prec: int) -> mpf:
 
 def single_T(s: int, prec: int | None) -> mpf | Terms:
     """Depth-1 T value, T(s) = 2 t(s) = 2^(1-s) K_+1(s; 1/2), s >= 2."""
-    if s < 2:
+    if check_integer(s, "single_T") < 2:
         raise DomainError("single_T requires s >= 2")
     return _kernel_term(Fraction(2, 2 ** s), 1, s, _HALF, prec)
 
 
 def single_T_bar(s: int, prec: int | None) -> mpf | Terms:
     """Depth-1 alternating T value, 2 t_bar(s) = -2^(1-s) K_-1(s; 1/2), s >= 1."""
-    if s < 1:
+    if check_integer(s, "single_T_bar") < 1:
         raise DomainError("single_T_bar requires s >= 1")
     return _kernel_term(Fraction(-2, 2 ** s), -1, s, _HALF, prec)
 
@@ -541,7 +602,7 @@ def kernel_jet(kind: KernelKind, base: Rational, order: int) -> JetSeries:
     (-1)^j K(j+1; x) - sigma K(j+1; 1 - x); at the pole x = 0 it is
     ((-1)^j - 1) sigma K(j+1; 1) after the 1/z term.
     """
-    if order < 0:
+    if check_integer(order, kind.value) < 0:
         raise DomainError("order must be >= 0")
     base = check_rational(base, kind.value)
     k = math.floor(base + _HALF)
@@ -578,9 +639,9 @@ def psi_jet(p: int, base: Rational, order: int) -> JetSeries:
     finite sum over its first n terms plus zeta(q; 1), so that at
     p = 1 the constant term is H_n + psi(1) - psi(1/2) = H_n + 2 ln 2.
     """
-    if p < 1:
+    if check_integer(p, "psi_jet") < 1:
         raise DomainError("psi_jet requires p >= 1")
-    if order < 0:
+    if check_integer(order, "psi_jet") < 0:
         raise DomainError("order must be >= 0")
     base = check_rational(base, "psi_jet")
     fac = factorial(p - 1)

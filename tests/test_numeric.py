@@ -132,9 +132,14 @@ def test_bernoulli_defining_recurrence_holds_through_200():
         assert sum(comb(m + 1, j) * bernoulli(j) for j in range(m + 1)) == 0
 
 
+def _empty_bernoulli_table(monkeypatch):
+    monkeypatch.setattr(numeric, "_bernoulli_even", [Fraction(1)])
+    monkeypatch.setattr(numeric, "_tangent_column", [])
+
+
 def test_bernoulli_matches_mpmath_through_1200(monkeypatch):
     # mpmath's bernfrac (a zeta evaluation) is the independent oracle
-    monkeypatch.setattr(numeric, "_bernoulli_even", [Fraction(1)])
+    _empty_bernoulli_table(monkeypatch)
     bernoulli(1200)
     assert len(numeric._bernoulli_even) == 601
     for n in range(1201):
@@ -142,10 +147,10 @@ def test_bernoulli_matches_mpmath_through_1200(monkeypatch):
 
 
 def test_bernoulli_table_does_not_depend_on_the_order_of_requests(monkeypatch):
-    monkeypatch.setattr(numeric, "_bernoulli_even", [Fraction(1)])
+    _empty_bernoulli_table(monkeypatch)
     out_of_order = [bernoulli(600), bernoulli(10)]
     jumped = [bernoulli(n) for n in range(601)]
-    monkeypatch.setattr(numeric, "_bernoulli_even", [Fraction(1)])
+    _empty_bernoulli_table(monkeypatch)
     in_order = [bernoulli(n) for n in range(601)]
     assert in_order == jumped
     assert out_of_order == [in_order[600], in_order[10]]

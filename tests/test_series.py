@@ -331,6 +331,25 @@ def test_each_accelerated_call_makes_at_most_one_batch(monkeypatch):
         assert batches <= (0 if p is None else 1) and per_value == 0, (p, batches, per_value)
 
 
+@pytest.mark.parametrize("samples", ["1/4,1/3", "1/7,-1/7"])
+def test_one_tail_batch_per_point_serves_every_pair_order(samples, monkeypatch):
+    # a cold 1024-bit pair pass sums p = 1..5 at one N + 1/2 = 1207/2 and
+    # one W per sigma: one fixed-point pass there serves them all
+    calls = []
+    fixed_sums = special._fixed_sums
+
+    def spy(sigma, ss, x, F):
+        calls.append((sigma, x))
+        return fixed_sums(sigma, ss, x, F)
+
+    monkeypatch.setattr(special, "_zeta_cache", {})
+    monkeypatch.setattr(special, "_fixed_sums", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--families", "thm3_1,thm3_4", "--precision-bits", "1024",
+                     "--tolerance", "1e-290", "--samples=" + samples]) == 0
+    assert sorted(c for c in calls if c[1] > 1) == [(-1, F(1207, 2)), (1, F(1207, 2))]
+
+
 def _exact(x):
     man, exp = x.man_exp
     return F(man) * F(2) ** exp

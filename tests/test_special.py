@@ -214,8 +214,24 @@ class TestTailZetaBatch:
                 rise *= Fraction((s + 2 * k - 1) * (s + 2 * k)) / y ** 2
             assert abs(v - exact * 2 ** F) <= K * (t - s + 2) + 2, (s, v - exact * 2 ** F)
 
+    @pytest.mark.parametrize("sigma", [1, -1])
+    @pytest.mark.parametrize("G", [512, 1280, 4352])
+    def test_coefficients_across_the_crossover(self, sigma, G):
+        # exact floors of c_k 2^e up to k0, then the zeta(2k) route within one
+        # unit of the exact floor
+        k0 = (G + 8) // 8
+        source = special._coefficients(sigma, G)
+        for k in range(1, k0 + 41):
+            m, e = next(source)
+            if k < k0 - 8:
+                continue
+            c = abs(bernoulli(2 * k)) / math.factorial(2 * k) * (1 if sigma == 1 else 4 ** k - 1)
+            exact = (c.numerator << e) // c.denominator
+            assert m.bit_length() in (G + 8, G + 9), k
+            assert m == exact if k <= k0 else abs(m - exact) <= 1, (k, m - exact)
+
     @pytest.mark.parametrize("x, F, ss", [(Fraction(7, 3), 200, range(1, 41)),
-                                          (Fraction(1207, 2), 1180, range(3, 267))])
+                                          (Fraction(801, 2), 1180, range(3, 267))])
     def test_walked_head_error_budget(self, x, F, ss, monkeypatch):
         # a sigma = -1 batch sharing one head, with the tail table replaced by
         # 0 and then by 2^F: the first returns the walked head alone, the
@@ -467,6 +483,30 @@ class TestSingleValues:
                 assert ttilde(s, P) == zeta
                 assert single_T(s, P) == mp.ldexp(zeta, 1 - s)
         assert ttilde(1, P) == 0
+
+
+INTEGER_ARGUMENTS = {
+    "riemann_zeta": lambda v: riemann_zeta(v, 64),
+    "alt_zeta": lambda v: alt_zeta(v, 64),
+    "single_t": lambda v: single_t(v, 64),
+    "single_t_bar": lambda v: single_t_bar(v, None),
+    "single_T": lambda v: single_T(v, 64),
+    "single_T_bar": lambda v: single_T_bar(v, None),
+    "param_digamma_deriv": lambda v: param_digamma_deriv(v, Fraction(1, 3), 64),
+    "psi_jet-p": lambda v: psi_jet(v, Fraction(1, 3), 1),
+    "psi_jet-order": lambda v: psi_jet(1, Fraction(1, 3), v),
+    "kernel_jet-order": lambda v: kernel_jet(KernelKind.PI_TAN, Fraction(1, 3), v),
+    "bernoulli": bernoulli,
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 4.0, Fraction(7, 2)])
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_arguments_reject_anything_else(name, value):
+    # a float or a Fraction raised AttributeError or TypeError, or (bernoulli)
+    # gave 0 for an odd-looking index
+    with pytest.raises(DomainError, match="integer"):
+        INTEGER_ARGUMENTS[name](value)
 
 
 def _taylor_reference(kind, base, order, wp):
