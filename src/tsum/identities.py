@@ -137,7 +137,7 @@ def _verify_pair(kern: _Kernel, family: str, p: int, a: Frac, b: Frac, prec: int
     """Theorems 3.1 (tangent) and 3.4 (secant)."""
     t0 = time.perf_counter()
     check_precision(prec)
-    if p < 1:
+    if check_integer(p, family, HypothesisError) < 1:
         raise HypothesisError("requires p >= 1")
     a, b = check_rational(a, family), check_rational(b, family)
     _check_ab(a, b)
@@ -192,7 +192,7 @@ def _verify_single(kern: _Kernel, family: str, m: int, a: Frac, prec: int, toler
     check_precision(prec)
     even = kern.sigma < 0 and not reflect
     m_min = 1 if even else 0
-    if m < m_min:
+    if check_integer(m, family, HypothesisError) < m_min:
         raise HypothesisError(f"requires m >= {m_min}")
     a = check_rational(a, family)
     _check_single_a(a, reflect)
@@ -350,7 +350,7 @@ def _verify_residue(kern: _Kernel, family: str, p: int, r: PartialFractionRation
     is one exact kernel sum, rounded once at prec."""
     t0 = time.perf_counter()
     check_precision(prec)
-    if p < 1:
+    if check_integer(p, family, HypothesisError) < 1:
         raise HypothesisError("requires p >= 1")
     wp = prec + 24
     with mp.workprec(wp):
@@ -488,7 +488,7 @@ def verify_kernel_expansions(order: int, prec: int, tolerance,
     """Check jet coefficients against the closed expansion formulas."""
     t0 = time.perf_counter()
     check_precision(prec)
-    if order > 8:
+    if check_integer(order, "verify_kernel_expansions", HypothesisError) > 8:
         raise HypothesisError("expansion checks support order <= 8")
     tol = tolerance_mpf(tolerance, prec + 16)
     worst = _Worst()

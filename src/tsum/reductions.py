@@ -22,6 +22,7 @@ from typing import Iterable, Optional
 
 from mpmath import mpf
 
+from .numeric import check_integer
 from .series import SeriesResult, double_t, double_T
 from .special import (
     Terms,
@@ -240,6 +241,8 @@ def _T_form(s1: int, s2: int, bar: bool) -> SymbolicExpr:
 
 def _reduce(name: str, j: int, m: int) -> SymbolicExpr:
     fam = FAMILIES[name]
+    j, m = (check_integer(j, name, ReductionDomainError),
+            check_integer(m, name, ReductionDomainError))
     if j < fam.jmin or m < fam.mmin:
         raise ReductionDomainError(f"{name} requires j >= {fam.jmin}, m >= {fam.mmin}")
     return (_T_form if fam.big else _t_form)(*fam._slots(j, m), fam.bar1)

@@ -27,7 +27,10 @@ Evaluation strategy for the linear case (at most one harmonic factor):
   Bernoulli weights kept per sigma, shared by R and its reflection, every
   t + 1/2 negated, which differs from it only in signs.  The first part is
   that series at one point; the k-sum collapses to (alternating) Hurwitz
-  zeta values at N + 1/2, one ``tail_zeta_batch``.  Neither needs partial
+  zeta values at N + 1/2, one ``tail_zeta_batch`` per precision tier: as
+  the terms g_w zeta_w fall with w, each exponent is asked at the
+  precision its term needs (``_tail_plan``), and a check per call asks
+  again at full precision any that would fall short.  Neither needs partial
   fractions, so near-coincident poles cancel nothing.
 * The tail is assembled in Python ints too, at 2^-T with T = F + 16 guard
   bits: the g_w, h(N) and the batch mantissas are shifted to that scale,
@@ -82,6 +85,7 @@ _BLOCK = 256  # terms per step of _direct; even, so that each block starts at an
 
 def harmonic(n: int, p: int = 1) -> Fraction:
     """Exact generalized harmonic number H_n^(p)."""
+    n, p = check_integer(n, "harmonic", SpecError), check_integer(p, "harmonic", SpecError)
     if n < 0:
         raise SpecError("harmonic index must be >= 0")
     if p < 1:
@@ -91,6 +95,8 @@ def harmonic(n: int, p: int = 1) -> Fraction:
 
 def odd_harmonic(n: int, p: int = 1) -> Fraction:
     """Exact odd harmonic number h_n^(p) = sum_{k<=n} (k - 1/2)^(-p)."""
+    n, p = (check_integer(n, "odd_harmonic", SpecError),
+            check_integer(p, "odd_harmonic", SpecError))
     if n < 0:
         raise SpecError("odd harmonic index must be >= 0")
     if p < 1:
@@ -172,31 +178,69 @@ Pieces = Sequence[tuple[Fraction, Sequence[tuple[Fraction, int]]]]
 _expansion_cache: dict = {}
 _weights: dict = {}  # (sigma, n) -> (L, beta_k L for k = 1..n)
 _bern_cache: dict = {}  # (sigma, D, L, rho up to sign and alternation) -> bern_1..bern_W
+_tail_plans: dict = {}  # (sigma, N, wp, W, dbits) -> precision tiers of the batch at N + 1/2
 _TAIL_GUARD = 16  # bits of the tail's fixed point 2^-T past the head's 2^-F
 _BATCH_ORDERS = 5  # the pair theorems sum p = 1..5 at one N + 1/2 and one W
+_PLAN_GUARD = 32  # bits a tier keeps past the size model of _tail_plan
+_PLAN_FLOOR = 64  # least precision of a tier
 
 
-def _pick_truncation(wp: int, N: int, dmax: float, emax: int) -> int:
+def _pick_truncation(sigma: int, wp: int, N: int, dmax: float, emax: int) -> int:
     """Truncation power W so that dropped u^-w contributions stay below
     2^-(wp+24) for u >= N + 1/2.
 
     Two effects bound kept-coefficient decay: the 1/v series of R, whose
-    coefficients grow like (1 + dmax)^m, and the Euler-Maclaurin or Boole
-    coefficient growth, worst for sigma = -1, where the term at power m is
-    of size ~ (m-1)! / (pi (N+1/2))^m.  Its log2, f(m), falls while m <
-    pi (N + 1/2), so the first m >= 8 with f(m) < -(wp+24), if any, lies on
-    that branch and is found by bisection.
+    coefficients grow like (1 + dmax)^m, and the Euler-Maclaurin (sigma =
+    +1) or Boole (sigma = -1) coefficient growth, where the term at power m
+    is of size ~ (m-1)! / (c pi (N+1/2))^m, c = 2 for sigma = +1 (B_2k/(2k)!
+    ~ 2 (2 pi)^-2k) and 1 for sigma = -1 ((4^k - 1) times that), the c of
+    ``special._head_length``.  Its log2, f(m), falls while m < c pi (N +
+    1/2), so the first m >= 8 with f(m) < -(wp+24), if any, lies on that
+    branch and is found by bisection.
     """
     target = wp + 24
     rho_bits = math.log2((N + 0.5) / (1 + dmax))
     W = math.ceil(target / rho_bits)
-    lbase = math.log2(math.pi * (N + 0.5))
-    ms = range(8, min(math.floor(math.pi * (N + 0.5)) + 1, 3999) + 1)
+    z = (2 if sigma == 1 else 1) * math.pi * (N + 0.5)
+    lbase = math.log2(z)
+    ms = range(8, min(math.floor(z) + 1, 3999) + 1)
     i = bisect.bisect_left(ms, True, key=lambda m: math.lgamma(m) / math.log(2) + 1 - m * lbase
                            < -target)
     if i < len(ms):
         W = max(W, ms[i])
     return W + emax + 4
+
+
+def _tail_plan(sigma: int, N: int, wp: int, W: int, dbits: int) -> tuple[tuple[int, int], ...]:
+    """Precision tiers of the batch at N + 1/2: pairs (w, bits), ascending in
+    w, with every power up to w (past the previous pair's) asked at bits.
+    Cached per key, so all the sums at one point share one plan.
+
+    The size model is ``_pick_truncation``'s: the term g_w zeta(w + p; u),
+    u = N + 1/2, lies about min((w - 1)(lg u - dbits), lg (c pi u)^(w-1) /
+    (w-1)!) bits below the first, 1 + dmax < 2^dbits, so power w needs wp
+    less that plus ``_PLAN_GUARD`` bits.  Each power takes the least of the
+    tiers wp, 3wp/4, 9wp/16, ... (at least ``_PLAN_FLOOR``) that covers
+    that, and a tier's powers run on to the next tier's.  Below 512 bits
+    there is one tier, wp.
+    """
+    key = (sigma, N, wp, W, dbits)
+    plan = _tail_plans.get(key)
+    if plan is None:
+        tiers, plan = [wp], []
+        while wp >= 512 and 3 * tiers[-1] // 4 >= _PLAN_FLOOR:
+            tiers.append(3 * tiers[-1] // 4)
+        lu = math.log2(N + 0.5)
+        lz = math.log2((2 if sigma == 1 else 1) * math.pi * (N + 0.5))
+        for w in range(1, W + 1):
+            below = min((w - 1) * (lu - dbits), (w - 1) * lz - math.lgamma(w) / math.log(2))
+            bits = next(b for b in reversed(tiers) if b >= wp - below + _PLAN_GUARD or b == wp)
+            if plan and plan[-1][1] <= bits:  # a lower power never asks less
+                plan[-1] = (w, plan[-1][1])
+            else:
+                plan.append((w, bits))
+        plan = _tail_plans[key] = tuple(plan)
+    return plan
 
 
 def _rho(pieces: Pieces, W: int) -> tuple[int, int, int, list[int]]:
@@ -317,6 +361,47 @@ def _at_scale(m: int, e: int) -> int:
     return m << e if e >= 0 else m >> -e
 
 
+def _tail_batch(sigma: int, N: int, wp: int, W: int, dbits: int, p: int, mans: Sequence[int],
+                exps: Sequence[int], powers: list[int]) -> list[mpf]:
+    """zeta_s = sum_{j>=0} sigma^j (N + 1/2 + j)^(-s) for s from powers[0] + p
+    up to W + max(p, ``_BATCH_ORDERS``): every exponent the sums of orders p
+    = 1.._BATCH_ORDERS of one R ask at this point, so one call per tier
+    serves them all.  Exponent s is asked at the bits of its tier in
+    ``_tail_plan`` at w = s - max(p, _BATCH_ORDERS) <= s - p, one
+    ``tail_zeta_batch`` per tier.
+
+    The check: the bit lengths of the mantissas give U_w with 2^(U_w - 3) <
+    |g_w zeta_w| < 2^(U_w + 1) (the floor of g_w and the rounding of zeta_w
+    cost under a bit each way), so B = sum |g_w zeta_w| > 2^(max U - 3), and
+    a value asked at b bits puts an error under 2^(U_w + 1 - b) into g_w
+    zeta_w.  Each of the n values asked below wp must keep that under
+    2^(max U - 3 - (wp + 1) - lg n), so that together they err by under
+    2^-(wp+1) B; any that would not is asked again at wp.
+    """
+    x, shift = Fraction(2 * N + 1, 2), max(p, _BATCH_ORDERS)
+    s0 = lo = powers[0] + p
+    zvals, bits = [], []
+    for w, b in _tail_plan(sigma, N, wp, W, dbits):
+        if w + shift >= lo:
+            part = range(lo, w + shift + 1)
+            zvals += tail_zeta_batch(sigma, part, x, b)
+            bits += [b] * len(part)
+            lo = w + shift + 1
+    if bits[-1] == wp:  # one tier
+        return zvals
+    sizes = []  # (index of s = w + p, U_w)
+    for w in powers:
+        _, _, exp, bc = zvals[w + p - s0]._mpf_
+        sizes.append((w + p - s0, mans[w - 1].bit_length() + exps[w - 1] + exp + bc))
+    low = [(i, u) for i, u in sizes if bits[i] < wp]
+    top = max(u for _, u in sizes) - 3 - (wp + 1) - (len(low) - 1).bit_length()
+    redo = [s0 + i for i, u in low if u + 1 - bits[i] > top]
+    if redo:
+        for s, v in zip(redo, tail_zeta_batch(sigma, redo, x, wp)):
+            zvals[s - s0] = v
+    return zvals
+
+
 def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
                      prec: int) -> SeriesResult:
     """Accelerated sum_{n>=1} sigma^n h_{n-offset}^(p) R(n), R(n) = sum_j k_j
@@ -326,7 +411,7 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     The first N terms come from ``_direct``.  With h_n = h_N + sum_{k=N+1..n}
     (k - 1/2)^(-p), the tail is h_N G(N + 1 - offset) plus sum_{k>N} (k -
     1/2)^(-p) G(k), G from ``_tail_expansion``: the first is its series at
-    one point, the second one ``tail_zeta_batch`` at N + 1/2.  Both are
+    one point, the second from the batch at N + 1/2 (``_tail_batch``).  Both are
     assembled in integers at 2^-T, T = F + ``_TAIL_GUARD``, past the head's
     2^-F: the rational tail by Horner's rule in 1/u, one floor division per
     power, piece1 as h_N (at 2^-H) times it, piece2 from the products of the
@@ -344,11 +429,14 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
       2^-F <= |T_1| 2^-(wp+1) / U for the first non-zero head term T_1 (1
       if there is none), with U >= N (2 h_N + 1), so while W + 1 < 2^16 N
       those units stay under (abs_head + 1) 2^-wp.
-    * The inputs carry the relative errors the mpf assembly had: under
-      2^-(wp-1) for each g_w and 2^-wp for each batch value zeta_w.  With
-      the majorants A = sum |g_w| u^(-w) of the rational tail and B = sum
-      |g_w zeta_w| of piece2 they add under 2^-(wp-1) max(1, h_N) A +
-      2^-(wp-2) B, which with the two items above is inside the term while
+    * The inputs carry relative errors: under 2^-(wp-1) for each g_w, and
+      under 2^-b_s for each batch value zeta_w, asked at the b_s bits of its
+      tier.  With the majorants A = sum |g_w| u^(-w) of the rational tail
+      and B = sum |g_w zeta_w| of piece2, ``_tail_batch`` checks per call
+      that sum |g_w zeta_w| 2^-b_s over the values asked below wp stays
+      under 2^-(wp+1) B, so the batch values add under 1.5 2^-wp B, and the
+      inputs under 2^-(wp-1) max(1, h_N) A + 2^-(wp-2) B, which with the
+      two items above is inside the term while
       max(1, h_N) A <= 2^6 (abs_head + 1) and B <= 2^6 (abs_head + |piece2|
       + 1).  Past the leading power the majorants' terms fall like ((1 +
       dmax)/u)^w, u >= 8 (1 + dmax), so only R's leading 1/v powers
@@ -376,7 +464,7 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     dmax = float(max([abs(t + offset + Fraction(1, 2)) for _, fs in pieces for t, _ in fs]
                      + [Fraction(1)]))
     N = max(128, math.ceil(0.55 * wp), math.ceil(8 * (1 + dmax)))
-    W = _pick_truncation(wp, N, dmax, emax)
+    W = _pick_truncation(sigma, wp, N, dmax, emax)
 
     total, abs_total, _, F, hs, H = _direct(sigma, offset, () if p is None else (p,),
                                             pieces, N, wp)
@@ -395,10 +483,8 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     else:
         piece1 = hs[0] * rational_tail >> H
         powers = [w for w, m in enumerate(mans, 1) if m]
-        # every exponent up to W + _BATCH_ORDERS, so that one batch per point
-        # serves the sums of orders p = 1.._BATCH_ORDERS of one R
-        ss = range(powers[0] + p, W + max(p, _BATCH_ORDERS) + 1) if powers else ()
-        zvals = tail_zeta_batch(sigma, ss, Fraction(2 * N + 1, 2), wp)
+        zvals = _tail_batch(sigma, N, wp, W, math.ceil(1 + dmax).bit_length(), p, mans, exps,
+                            powers) if powers else []
         for w in powers:
             sign, man, exp, _ = zvals[w - powers[0]]._mpf_
             piece2 += _at_scale(mans[w - 1] * (-man if sign else man), exps[w - 1] + exp + T)
@@ -558,7 +644,8 @@ def euler_t_sum(spec: SumSpec, prec: int, method: str = "auto",
     """
     if method not in ("auto", "accelerated", "naive"):
         raise SpecError(f"unknown method {method!r}")
-    n = NAIVE_START_TERMS if max_terms is None else max_terms
+    n = NAIVE_START_TERMS if max_terms is None else check_integer(max_terms, "euler_t_sum",
+                                                                  SpecError)
     if n < 1:
         raise SpecError(f"max_terms must be >= 1, got {n}")
     if method == "naive":
@@ -592,6 +679,7 @@ def _double(name: str, big: bool, s1: int, s2: int, bar1: bool, prec: int) -> Se
     h_n^(s2)/n^(s1) times 2^(2-s1-s2), weighted by (-1)^n if bar1.  The
     barred T form weights by (-1)^(n-1), so its scale is negated."""
     check_precision(prec)
+    s1, s2 = check_integer(s1, name, SpecError), check_integer(s2, name, SpecError)
     if s2 < 1:
         raise DivergentSumError(f"{name} requires s2 >= 1")
     if (not bar1 and s1 < 2) or (bar1 and s1 < 1):

@@ -472,7 +472,7 @@ def single_t(s: int, prec: int | None) -> mpf | Terms:
 
 def dirichlet_beta(s: int, prec: int) -> mpf:
     """beta(s) = sum_{n>=0} (-1)^n (2n+1)^(-s) = 2^-s alt_hurwitz_zeta(s, 1/2), s >= 1."""
-    if s < 1:
+    if check_integer(s, "dirichlet_beta") < 1:
         raise DomainError("dirichlet_beta requires s >= 1")
     return mp.ldexp(alt_hurwitz_zeta(s, _HALF, prec), -s)
 
@@ -487,7 +487,7 @@ def single_t_bar(s: int, prec: int | None) -> mpf | Terms:
 
 def ttilde(s: int, prec: int) -> mpf:
     """ttilde(s) = 2^s t(s) = zeta(s; 1/2); ttilde(1) is 0 by convention."""
-    if s < 1:
+    if check_integer(s, "ttilde") < 1:
         raise DomainError("ttilde requires s >= 1")
     if s == 1:
         return mpf(0)
@@ -496,7 +496,7 @@ def ttilde(s: int, prec: int) -> mpf:
 
 def ttilde_bar(s: int, prec: int) -> mpf:
     """Alternating ttilde(s) = 2^s t_bar(s) = -alt_hurwitz_zeta(s, 1/2)."""
-    if s < 1:
+    if check_integer(s, "ttilde_bar") < 1:
         raise DomainError("ttilde_bar requires s >= 1")
     return mp.fneg(alt_hurwitz_zeta(s, _HALF, prec), exact=True)
 

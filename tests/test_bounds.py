@@ -6,7 +6,8 @@ the value at P bits must lie within its ``tail_bound`` of the value at
 P + 160 bits.  The grid holds the poles of 0 and 10^-6 together, whose
 partial fractions cancel about 100 bits; and some specs at 192 bits have
 tail values at N + 1/2 that the asymptotic series alone cannot reach, so
-their batch runs a direct head.
+their batch runs a direct head.  At 1024 bits the batches at N + 1/2 ask
+their higher exponents at the lower precisions of their tiers.
 """
 
 import random
@@ -15,6 +16,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+import tsum.series as series
 import tsum.special as special
 from tsum.series import SpecError, SumSpec, euler_t_sum
 
@@ -47,18 +49,23 @@ def _ratio(spec: SumSpec, prec: int):
         return abs(res.value - ref.value) / res.tail_bound
 
 
-@pytest.mark.parametrize("prec", [64, 192])
+@pytest.mark.parametrize("prec", [64, 192, 1024])
 def test_tail_bound_holds_on_seeded_grid(prec, monkeypatch):
-    heads = []
-    head_length = special._head_length
+    heads, tiers = [], set()
+    head_length, batch = special._head_length, series.tail_zeta_batch
 
     def spy(sigma, s, x, bits):
         heads.append(head_length(sigma, s, x, bits))
         return heads[-1]
 
+    def batch_spy(sigma, ss, x, bits):
+        tiers.add(bits)
+        return batch(sigma, ss, x, bits)
+
     # fresh tail values, so every batch of this test runs
     monkeypatch.setattr(special, "_zeta_cache", {})
     monkeypatch.setattr(special, "_head_length", spy)
+    monkeypatch.setattr(series, "tail_zeta_batch", batch_spy)
     specs = _grid()
     assert {s.sigma for s in specs} == {1, -1} and {len(s.q) for s in specs} == {1, 2, 3}
     assert set(SHIFTS[:4]) <= {a for s in specs for a in s.a}
@@ -67,3 +74,6 @@ def test_tail_bound_holds_on_seeded_grid(prec, monkeypatch):
     assert worst <= 1
     if prec == 192:
         assert any(heads)
+    # below 512 bits a batch has one tier, the working precision; at 1024
+    # bits the batches at N + 1/2 run in tiers below it too
+    assert (min(tiers) < prec) == (prec == 1024)

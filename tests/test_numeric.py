@@ -9,24 +9,33 @@ from mpmath.libmp import from_rational, round_nearest
 import tsum.numeric as numeric
 import tsum.series as series
 import tsum.special as special
+import tsum.reductions as reductions
 from tsum.identities import (
     PartialFractionRational,
     verify_cor3_2,
+    verify_cor3_3,
+    verify_cor3_5,
+    verify_cor3_6,
     verify_kernel_expansions,
     verify_thm3_1,
+    verify_thm3_4,
     verify_thm3_6,
+    verify_thm3_7,
 )
 from tsum.numeric import PrecisionError, bernoulli, real_const, real_to_str, to_mpf
 from tsum.reductions import FAMILIES, eval_symbolic
-from tsum.series import SumSpec, accel_linear_sum, double_t, euler_t_sum, naive_sum
+from tsum.series import (SumSpec, accel_linear_sum, double_t, double_T, euler_t_sum, harmonic,
+                         naive_sum, odd_harmonic)
 from tsum.special import (
     KernelKind,
     digamma,
+    dirichlet_beta,
     hurwitz_zeta,
     kernel_value,
     riemann_zeta,
     tail_zeta_batch,
     ttilde,
+    ttilde_bar,
 )
 from tsum.suite import run_reduction_case
 
@@ -110,6 +119,54 @@ def test_every_entry_point_rejects_a_low_precision_before_summing(name, prec, mo
     monkeypatch.setattr(series, "_direct", summed)
     with pytest.raises(PrecisionError):
         ENTRY_POINTS[name](prec)
+
+
+RESIDUE_R = PartialFractionRational.parse("(-1/4,1,12);(-1/3,1,-12)")
+QUARTER, THIRD = F(1, 4), F(1, 3)
+INTEGER_ARGUMENTS = {
+    "harmonic-n": lambda v: harmonic(v, 1),
+    "harmonic-p": lambda v: harmonic(3, v),
+    "odd_harmonic-n": lambda v: odd_harmonic(v, 1),
+    "odd_harmonic-p": lambda v: odd_harmonic(3, v),
+    **{f"{name}-{slot}": (lambda fn, slot: lambda v: fn(v, 1) if slot == "j" else fn(1, v))(
+        getattr(reductions, name), slot)
+       for name in ("reduce_t_even_odd", "reduce_t_odd_even", "reduce_t_bar_even",
+                    "reduce_t_bar_odd", "reduce_T_even_odd", "reduce_T_odd_even",
+                    "reduce_T_bar_even", "reduce_T_bar_odd") for slot in "jm"},
+    "verify_thm3_1": lambda v: verify_thm3_1(v, QUARTER, THIRD, 64, "1e-3"),
+    "verify_thm3_4": lambda v: verify_thm3_4(v, QUARTER, THIRD, 64, "1e-3"),
+    "verify_cor3_2": lambda v: verify_cor3_2(v, QUARTER, 64, "1e-3"),
+    "verify_cor3_3": lambda v: verify_cor3_3(v, QUARTER, 64, "1e-3"),
+    "verify_cor3_5": lambda v: verify_cor3_5(v, QUARTER, 64, "1e-3"),
+    "verify_cor3_6": lambda v: verify_cor3_6(v, QUARTER, 64, "1e-3"),
+    "verify_thm3_6": lambda v: verify_thm3_6(v, RESIDUE_R, 64, "1e-3"),
+    "verify_thm3_7": lambda v: verify_thm3_7(v, RESIDUE_R, 64, "1e-3"),
+    "verify_kernel_expansions": lambda v: verify_kernel_expansions(v, 64, "1e-3"),
+    "dirichlet_beta": lambda v: dirichlet_beta(v, 64),
+    "ttilde": lambda v: ttilde(v, 64),
+    "ttilde_bar": lambda v: ttilde_bar(v, 64),
+    "double_t-s1": lambda v: double_t(v, 1, False, 64),
+    "double_t-s2": lambda v: double_t(3, v, False, 64),
+    "double_T-s1": lambda v: double_T(v, 1, False, 64),
+    "double_T-s2": lambda v: double_T(3, v, False, 64),
+    "euler_t_sum-max_terms": lambda v: euler_t_sum(SumSpec(p=(1,), q=(2,), a=(F(0),)), 64,
+                                                   "naive", v),
+}
+# at 2.5 these already raised a ValueError deeper in (a non-integer exponent
+# of the kernel, a spec with a float order), so only "2" was a bare error
+ONLY_A_STRING = {"verify_thm3_6", "verify_thm3_7", "verify_kernel_expansions", "dirichlet_beta",
+                 "ttilde", "ttilde_bar", "double_t-s1", "double_t-s2", "double_T-s1",
+                 "double_T-s2"}
+
+
+@pytest.mark.parametrize("name, value", [(name, value) for name in INTEGER_ARGUMENTS
+                                         for value in (2.5, "2")
+                                         if value == "2" or name not in ONLY_A_STRING])
+def test_integer_arguments_are_checked_at_the_public_boundary(name, value):
+    # each raised TypeError or AttributeError, or (odd_harmonic's order)
+    # returned a float from a function documented as exact
+    with pytest.raises(ValueError, match="integer arguments"):
+        INTEGER_ARGUMENTS[name](value)
 
 
 def test_constants_are_memoized_and_deterministic():

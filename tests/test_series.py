@@ -331,23 +331,33 @@ def test_each_accelerated_call_makes_at_most_one_batch(monkeypatch):
         assert batches <= (0 if p is None else 1) and per_value == 0, (p, batches, per_value)
 
 
-@pytest.mark.parametrize("samples", ["1/4,1/3", "1/7,-1/7"])
-def test_one_tail_batch_per_point_serves_every_pair_order(samples, monkeypatch):
+def test_one_tail_batch_per_tier_serves_every_pair_order(monkeypatch):
     # a cold 1024-bit pair pass sums p = 1..5 at one N + 1/2 = 1207/2 and
-    # one W per sigma: one fixed-point pass there serves them all
-    calls = []
-    fixed_sums = special._fixed_sums
+    # one W per sigma, from one plan per sigma that both samples share: one
+    # fixed-point pass per precision tier there serves them all
+    fixed_sums, plans = special._fixed_sums, []
+    for samples in ("1/4,1/3", "1/7,-1/7"):
+        calls = []
 
-    def spy(sigma, ss, x, F):
-        calls.append((sigma, x))
-        return fixed_sums(sigma, ss, x, F)
+        def spy(sigma, ss, x, F):
+            if x > 1:  # the tier's precision, from _zeta_batch's rule for F
+                calls.append((sigma, F - 64 - (2 * x.numerator // x.denominator + 1).bit_length()
+                              - max(ss).bit_length()))
+            return fixed_sums(sigma, ss, x, F)
 
-    monkeypatch.setattr(special, "_zeta_cache", {})
-    monkeypatch.setattr(special, "_fixed_sums", spy)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["verify", "--families", "thm3_1,thm3_4", "--precision-bits", "1024",
-                     "--tolerance", "1e-290", "--samples=" + samples]) == 0
-    assert sorted(c for c in calls if c[1] > 1) == [(-1, F(1207, 2)), (1, F(1207, 2))]
+        monkeypatch.setattr(special, "_zeta_cache", {})
+        monkeypatch.setattr(series, "_tail_plans", {})
+        monkeypatch.setattr(special, "_fixed_sums", spy)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--families", "thm3_1,thm3_4", "--precision-bits", "1024",
+                         "--tolerance", "1e-290", "--samples=" + samples]) == 0
+        plan = {key: tiers for key, tiers in series._tail_plans.items() if key[1] == 603}
+        assert {key[0] for key in plan} == {1, -1} and len(plan) == 2
+        assert sorted(calls) == sorted((key[0], bits) for key, tiers in plan.items()
+                                       for _, bits in tiers), samples
+        plans.append(plan)
+    assert plans[0] == plans[1]
+    assert all(len(tiers) > 1 for tiers in plans[0].values())
 
 
 def _exact(x):
@@ -368,23 +378,48 @@ def _spy_rounding(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("prec", [64, 192, 1024])
+def _spy_batches(monkeypatch):
+    """Records every tail_zeta_batch call of the series engine as (ss, prec,
+    values)."""
+    asked = []
+    batch = series.tail_zeta_batch
+
+    def spy(sigma, ss, x, prec):
+        values = batch(sigma, ss, x, prec)
+        asked.append((list(ss), prec, values))
+        return values
+
+    monkeypatch.setattr(series, "tail_zeta_batch", spy)
+    return asked
+
+
+TAIL_PIECES = ((F(1), ((F(1, 3), 1), (F(-1, 4), 2))), (F(-2, 7), ((F(5, 2), 3),)))
+
+
+@pytest.mark.parametrize("prec", [64, 192, 1024, 4096])
 def test_tail_assembly_error_budget(prec, monkeypatch):
     # the fixed-point tail against the same assembly in exact Fractions, from the
-    # same cached g_w and batch values: its floors may cost 2 h_N + W + 1 units
-    # of 2^-T (2 without h_N), and the majorants of the input errors stay within 2^6
+    # same cached g_w and the batch values as accel_linear_sum asked them: its
+    # floors may cost 2 h_N + W + 1 units of 2^-T (2 without h_N), the majorants
+    # of the input errors stay within 2^6, and the values asked below wp err by
+    # under 2^-(wp+1) sum |g_w zeta_w| in all
     monkeypatch.setattr(series, "_expansion_cache", {})
     monkeypatch.setattr(series, "_bern_cache", {})
     seen = _spy_rounding(monkeypatch)
-    pieces = ((F(1), ((F(1, 3), 1), (F(-1, 4), 2))), (F(-2, 7), ((F(5, 2), 3),)))
+    asked = _spy_batches(monkeypatch)
     wp = prec + 48
-    for sigma, offset, p in itertools.product((1, -1), (0, 1), (None, 1, 2, 3, 4)):
-        res = accel_linear_sum(p, offset, sigma, pieces, prec)
+    cases = itertools.product((1, -1), (0, 1), (None, 1, 2, 3, 4))
+    if prec == 4096:  # about 1 s per case
+        cases = [(1, 0, 1), (-1, 1, 3), (1, 1, None)]
+    tiered = False
+    for sigma, offset, p in cases:
+        asked.clear()
+        res = accel_linear_sum(p, offset, sigma, TAIL_PIECES, prec)
         (man, exp), N = seen.pop(), res.terms_used
         [(W, (mans, exps))] = [(k[3], v) for k, v in series._expansion_cache.items()
                                if k[:2] == (sigma, offset) and k[4] == wp]
         total, abs_total, _, scale, hs, hscale = _direct(sigma, offset, () if p is None else (p,),
-                                                         pieces, N, wp)
+                                                         TAIL_PIECES, N, wp)
         T = -exp
         assert T == scale + series._TAIL_GUARD
         g = [F(m) * F(2) ** e for m, e in zip(mans, exps)]
@@ -392,20 +427,48 @@ def test_tail_assembly_error_budget(prec, monkeypatch):
         rational_tail = sigma ** (N + 1 - offset) * sum(gw / u ** w for w, gw in enumerate(g, 1))
         majorant = sum(abs(gw) / u ** w for w, gw in enumerate(g, 1))
         head, abs_head = F(total, 1 << scale), F(abs_total, 1 << scale)
+        case = (sigma, offset, p)
         if p is None:
+            assert not asked
             exact, units = head + rational_tail, 2
         else:
             h = F(hs[0], 1 << hscale)
+            zeta = {}  # s -> (value, bits), a value asked again replacing the first
+            for ss, bits, values in asked:
+                zeta.update((s, (z, bits)) for s, z in zip(ss, values))
             powers = [w for w, gw in enumerate(g, 1) if gw]
-            terms = [g[w - 1] * _exact(z) for w, z in zip(
-                powers, tail_zeta_batch(sigma, [w + p for w in powers], F(2 * N + 1, 2), wp))]
-            piece2 = sigma ** (N + 1) * sum(terms)
+            terms = [(g[w - 1] * _exact(zeta[w + p][0]), zeta[w + p][1]) for w in powers]
+            piece2 = sigma ** (N + 1) * sum(t for t, _ in terms)
             exact, units = head + h * rational_tail + piece2, 2 * h + W + 1
-            assert sum(map(abs, terms)) <= 2 ** 6 * (abs_head + abs(piece2) + 1)
+            B = sum(abs(t) for t, _ in terms)
+            assert B <= 2 ** 6 * (abs_head + abs(piece2) + 1), case
+            assert sum(abs(t) / F(2) ** bits for t, bits in terms if bits < wp) <= B / 2 ** (wp + 1)
+            assert {bits for _, bits in terms} == {wp} or prec >= 1024, case  # one tier below 512
+            tiered |= min(bits for _, bits in terms) < wp
             majorant *= max(1, h)
-        case = (sigma, offset, p)
         assert abs(F(man, 1 << T) - exact) <= F(units, 1 << T), case
         assert majorant <= 2 ** 6 * (abs_head + 1), case
+    assert tiered == (prec >= 1024)
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_an_aggressive_plan_is_asked_again_at_wp(sigma, monkeypatch):
+    # a plan 256 bits short of the size model: the check of _tail_batch asks
+    # the powers it would leave short again at wp, and the value stays the same
+    prec, wp = 1024, 1024 + 48
+    monkeypatch.setattr(series, "_tail_plans", {})
+    monkeypatch.setattr(special, "_zeta_cache", {})
+    asked = _spy_batches(monkeypatch)
+    want = accel_linear_sum(2, 0, sigma, TAIL_PIECES, prec)
+    assert [bits for _, bits, _ in asked].count(wp) == 1
+    monkeypatch.setattr(series, "_PLAN_GUARD", series._PLAN_GUARD - 256)
+    monkeypatch.setattr(series, "_tail_plans", {})
+    monkeypatch.setattr(special, "_zeta_cache", {})
+    asked.clear()
+    got = accel_linear_sum(2, 0, sigma, TAIL_PIECES, prec)
+    [(first, _, _), (again, _, _)] = [call for call in asked if call[1] == wp]
+    assert again and min(again) > max(first)
+    assert (got.value, got.terms_used) == (want.value, want.terms_used)
 
 
 @pytest.mark.parametrize("p", [None, 1])
@@ -431,12 +494,13 @@ def test_head_scale_zero(p, sigma, monkeypatch):
             assert abs(cold.value - ref.value) <= cold.tail_bound, prec
 
 
-def _truncation_scan(wp, N, dmax, emax):
+def _truncation_scan(sigma, wp, N, dmax, emax):
     """The linear scan over m = 8, 9, ... that _pick_truncation replaced: the
-    reference for its bisection."""
+    reference for its bisection, with the Euler-Maclaurin (sigma = +1) or
+    Boole (sigma = -1) growth (m-1)!/(c pi (N + 1/2))^m, c = 2 or 1."""
     target = wp + 24
     W = math.ceil(target / math.log2((N + 0.5) / (1 + dmax)))
-    lbase = math.log2(math.pi * (N + 0.5))
+    lbase = math.log2((2 if sigma == 1 else 1) * math.pi * (N + 0.5))
     for m in range(8, 4000):
         if math.lgamma(m) / math.log(2) + 1 - m * lbase < -target:
             W = max(W, m)
@@ -445,13 +509,20 @@ def _truncation_scan(wp, N, dmax, emax):
 
 
 def test_truncation_bisection_matches_the_scan():
-    grid = itertools.product((8, 40, 112, 240, 1072, 2072, 9000),
+    grid = itertools.product((1, -1), (8, 40, 112, 240, 1072, 2072, 9000),
                              (1, 2, 3, 10, 128, 133, 590, 1273, 5000, 10 ** 5),
                              (0.0, 1.0, 2.5, 17.25), (1, 2, 5))
-    for wp, N, dmax, emax in grid:
+    for sigma, wp, N, dmax, emax in grid:
         if (N + 0.5) / (1 + dmax) > 1:
-            assert series._pick_truncation(wp, N, dmax, emax) == _truncation_scan(
-                wp, N, dmax, emax), (wp, N, dmax, emax)
+            assert series._pick_truncation(sigma, wp, N, dmax, emax) == _truncation_scan(
+                sigma, wp, N, dmax, emax), (sigma, wp, N, dmax, emax)
+
+
+def test_sigma_plus_one_keeps_fewer_powers():
+    # the Euler-Maclaurin coefficients grow like (m-1)!/(2 pi u)^m, Boole's
+    # like (m-1)!/(pi u)^m: at pair-1024 (wp 1096, N 603) and at 192 bits
+    assert [series._pick_truncation(s, 1096, 603, 1.0, 1) for s in (1, -1)] == [201, 265]
+    assert [series._pick_truncation(s, 240, 132, 1.0, 1) for s in (1, -1)] == [53, 69]
 
 
 @functools.cache
@@ -502,12 +573,13 @@ def _assert_documented_floor(g, m, e, wp, case):
     assert any(math.floor(g / F(2) ** s) * F(2) ** s == m * F(2) ** e for s in scales), case
 
 
-def _accel_truncation(offset, pieces, prec):
+def _accel_truncation(sigma, offset, pieces, prec):
     """wp and W as accel_linear_sum picks them."""
     wp = prec + 48
     dmax = float(max([abs(t + offset + F(1, 2)) for _, fs in pieces for t, _ in fs] + [F(1)]))
     N = max(128, math.ceil(0.55 * wp), math.ceil(8 * (1 + dmax)))
-    return wp, series._pick_truncation(wp, N, dmax, max(e for _, fs in pieces for _, e in fs))
+    return wp, series._pick_truncation(sigma, wp, N, dmax,
+                                       max(e for _, fs in pieces for _, e in fs))
 
 
 A, B = F(1, 4), F(1, 3)
@@ -533,7 +605,7 @@ def test_expansion_is_the_documented_floor_of_an_exact_oracle(name, prec, monkey
             continue  # the oracle takes 0.3-1 s per key at 1024 bits
         monkeypatch.setattr(series, "_expansion_cache", {})
         monkeypatch.setattr(series, "_bern_cache", {})
-        wp, W = _accel_truncation(offset, pieces, prec)
+        wp, W = _accel_truncation(sigma, offset, pieces, prec)
         mans, exps = series._tail_expansion(sigma, offset, pieces, W, wp)
         assert len(mans) == W
         for w, (g, m, e) in enumerate(zip(_expansion_oracle(sigma, offset, pieces, W),
@@ -555,7 +627,7 @@ def test_reflection_twins_share_one_convolution(name, sigma, monkeypatch):
     # a piece with offset 0 and its reflection with offset 1, as the pair
     # theorems ask for them: in either order one convolution serves both,
     # and each entry equals the one built alone
-    wp, W = _accel_truncation(0, PAIR_PIECE, 192)
+    wp, W = _accel_truncation(sigma, 0, PAIR_PIECE, 192)
     keys = [(sigma, 0, TWINS[name][0], W, wp), (sigma, 1, TWINS[name][1], W, wp)]
     alone = []
     for key in keys:
@@ -577,7 +649,7 @@ def test_mixed_orders_have_no_twin(monkeypatch):
     monkeypatch.setattr(series, "_bern_cache", {})
     pieces = EXPANSION_PIECES["mixed-orders"]
     reflected = tuple((k, tuple((-t - 1, e) for t, e in fs)) for k, fs in pieces)
-    wp, W = _accel_truncation(0, pieces, 64)
+    wp, W = _accel_truncation(-1, 0, pieces, 64)
     for p in (pieces, reflected):
         series._tail_expansion(-1, 0, p, W, wp)
     assert len(series._bern_cache) == 2

@@ -68,12 +68,13 @@ def _assert_ulps(values, refs, prec):
             assert abs(value - ref) <= ulp, (i, value, abs(value - ref) / ulp)
 
 
-def _accel_point(prec):
+def _accel_point(prec, sigma):
     """x = N + 1/2, the working precision and the truncation W that
-    accel_linear_sum picks at ``prec`` for poles within 1 of the origin."""
+    accel_linear_sum picks at ``prec`` and ``sigma`` for poles within 1 of
+    the origin."""
     wp = prec + 48
     N = max(128, math.ceil(0.55 * wp))
-    return Fraction(2 * N + 1, 2), wp, _pick_truncation(wp, N, 1.0, 1)
+    return Fraction(2 * N + 1, 2), wp, _pick_truncation(sigma, wp, N, 1.0, 1)
 
 
 class TestTailZetaBatch:
@@ -116,7 +117,7 @@ class TestTailZetaBatch:
     @pytest.mark.parametrize("sigma", [1, -1])
     @pytest.mark.parametrize("prec, step", [(64, 1), (192, 1), (1024, 9)])
     def test_accelerated_points(self, sigma, prec, step):
-        x, wp, W = _accel_point(prec)
+        x, wp, W = _accel_point(prec, sigma)
         self._check(sigma, list(range(2, W + 6, step)), x, wp)
 
     @pytest.mark.parametrize("sigma", [1, -1])
@@ -157,7 +158,7 @@ class TestTailZetaBatch:
     @pytest.mark.parametrize("sigma", [1, -1])
     @pytest.mark.parametrize("prec", [192, 1024])
     def test_walk_matches_one_exponent_at_a_time(self, sigma, prec, monkeypatch):
-        x, wp, W = _accel_point(prec)
+        x, wp, W = _accel_point(prec, sigma)
         batch, single = self._one_at_a_time(sigma, list(range(2, W + 6)), x, wp, monkeypatch)
         assert batch == single
 
