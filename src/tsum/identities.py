@@ -64,6 +64,10 @@ class VerificationReport:
     terms_used: int
     elapsed_ms: float
 
+    def __post_init__(self):
+        check_integer(self.precision_bits, "VerificationReport")
+        check_integer(self.terms_used, "VerificationReport")
+
 
 def _report(case_id: str, family: str, params: dict, lhs: mpf, rhs: mpf,
             tol: mpf, prec: int, terms: int, t0: float) -> VerificationReport:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 
 
@@ -32,7 +33,13 @@ class JetSeries:
     pole_order: int = 0
 
     def __post_init__(self):
-        if not self.coeffs or self.pole_order < 0:
+        if not isinstance(self.base_point, (int, Fraction)):
+            raise JetError(f"a jet takes a rational base point, not {self.base_point!r}")
+        try:
+            pole_order = operator.index(self.pole_order)
+        except TypeError:
+            raise JetError(f"pole_order takes integer arguments, not {self.pole_order!r}") from None
+        if not self.coeffs or pole_order < 0:
             raise JetError("a jet needs a coefficient and a non-negative pole_order")
 
     @property

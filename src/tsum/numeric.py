@@ -40,6 +40,7 @@ RealLike = Union[int, Fraction, mpf]
 MIN_PRECISION = 16
 
 _const_cache: dict[tuple[str, int], mpf] = {}
+_tolerance_cache: dict[tuple[str, int], mpf] = {}
 _bernoulli_even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
 # stages 1..k of T_k, k = len(_bernoulli_even) - 1: the state of the tangent pass
 _tangent_column: list[int] = []
@@ -59,7 +60,8 @@ def guard_bits(term_count: int) -> int:
 
 
 def check_precision(prec: int) -> None:
-    if prec < MIN_PRECISION:
+    """``prec`` must be an int of at least ``MIN_PRECISION`` bits."""
+    if check_integer(prec, "precision", PrecisionError) < MIN_PRECISION:
         raise PrecisionError(f"precision must be >= {MIN_PRECISION} bits, got {prec}")
 
 
@@ -82,14 +84,19 @@ def check_integer(x, name: str, error: type[ValueError] = DomainError) -> int:
 
 def tolerance_mpf(tol, wp: int) -> mpf:
     """The acceptance tolerance ``tol`` (a decimal string) as an mpf at
-    ``wp`` bits; NaN, infinities and values <= 0 are rejected."""
-    with mp.workprec(wp):
-        try:
-            value = +mpf(str(tol))
-        except ValueError:
-            value = mp.nan
-    if not (mp.isfinite(value) and value > 0):
-        raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
+    ``wp`` bits; NaN, infinities and values <= 0 are rejected.  Kept per
+    (str(tol), wp), which is all the value depends on: an mpf is immutable."""
+    key = (str(tol), wp)
+    value = _tolerance_cache.get(key)
+    if value is None:
+        with mp.workprec(wp):
+            try:
+                value = +mpf(key[0])
+            except ValueError:
+                value = mp.nan
+        if not (mp.isfinite(value) and value > 0):
+            raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
+        _tolerance_cache[key] = value
     return value
 
 
@@ -156,6 +163,7 @@ def bernoulli(n: int) -> Fraction:
 
 def real_to_str(x: mpf, prec: int) -> str:
     """Deterministic decimal-string form carrying the full precision."""
+    check_precision(prec)
     dps = max(3, int(prec * 0.30103) + 2)
     with mp.workprec(prec + 8):
         return mp.nstr(mpf(x), dps, strip_zeros=False)

@@ -44,6 +44,7 @@ summation, in the same fixed point; no closed form here covers them.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +54,7 @@ from operator import add, floordiv, mul, rshift
 from typing import Optional, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_ceiling, round_nearest
 
 from .numeric import (bernoulli, check_integer, check_precision, check_rational, guard_bits,
                       round_to, to_mpf)
@@ -116,7 +117,7 @@ class SumSpec:
     harmonic_offset: str = "cur"  # "cur" -> h_n, "prev" -> h_{n-1}
 
     def __post_init__(self):
-        if self.sigma not in (1, -1):
+        if check_integer(self.sigma, "SumSpec", SpecError) not in (1, -1):
             raise SpecError("sigma must be +1 or -1")
         offset = {"n": "cur", "n-1": "prev"}.get(self.harmonic_offset, self.harmonic_offset)
         object.__setattr__(self, "harmonic_offset", offset)
@@ -168,6 +169,10 @@ class SeriesResult:
     terms_used: int
     precision_bits: int
 
+    def __post_init__(self):
+        check_integer(self.terms_used, "SeriesResult")
+        check_integer(self.precision_bits, "SeriesResult")
+
 
 # ---------------------------------------------------------------------------
 # Accelerated linear evaluation: the exact 1/v series of R and its tail sums
@@ -185,6 +190,7 @@ _PLAN_GUARD = 32  # bits a tier keeps past the size model of _tail_plan
 _PLAN_FLOOR = 64  # least precision of a tier
 
 
+@functools.cache
 def _pick_truncation(sigma: int, wp: int, N: int, dmax: float, emax: int) -> int:
     """Truncation power W so that dropped u^-w contributions stay below
     2^-(wp+24) for u >= N + 1/2.
@@ -417,6 +423,14 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     power, piece1 as h_N (at 2^-H) times it, piece2 from the products of the
     g_w and the batch mantissas.  The total is rounded once, to ``prec``.
 
+    The bound ``tail_bound`` is (abs_head + |piece1| + |piece2| + 1)
+    2^(-wp+10) (the total for both pieces without a harmonic factor), plus
+    |total| 2^(-prec+1) for the final rounding, plus, with a harmonic factor,
+    the continuation estimate |g_w zeta_w| / N of the last kept power.  It is
+    summed exactly, from the integers above (abs_head at 2^-F, the total and
+    the pieces at 2^-T, the last g_w mantissa times the last batch mantissa),
+    and rounded up once, at wp.
+
     The error budget, against the (abs_head + |piece1| + |piece2| + 1)
     2^(-wp+10) term of the bound:
 
@@ -461,8 +475,10 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
 
     wp = prec + 48
     emax = max(e for _, fs in pieces for _, e in fs)
-    dmax = float(max([abs(t + offset + Fraction(1, 2)) for _, fs in pieces for t, _ in fs]
-                     + [Fraction(1)]))
+    # |t + offset + 1/2| = |2a + (2 offset + 1) b| / 2b for t = a/b; a true division
+    # rounds correctly, so the largest is the float of the largest Fraction
+    dmax = max([abs(2 * t.numerator + (2 * offset + 1) * t.denominator) / (2 * t.denominator)
+                for _, fs in pieces for t, _ in fs] + [1.0])
     N = max(128, math.ceil(0.55 * wp), math.ceil(8 * (1 + dmax)))
     W = _pick_truncation(sigma, wp, N, dmax, emax)
 
@@ -477,11 +493,12 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
         rational_tail = 2 * (rational_tail + _at_scale(m, e + T)) // u2
     rational_tail *= sigma ** (N + 1 - offset)
     value = total << _TAIL_GUARD
-    trunc_est = piece1 = piece2 = 0
     if p is None:
         value += rational_tail
+        pieces_abs = abs(value)
     else:
         piece1 = hs[0] * rational_tail >> H
+        piece2 = 0
         powers = [w for w, m in enumerate(mans, 1) if m]
         zvals = _tail_batch(sigma, N, wp, W, math.ceil(1 + dmax).bit_length(), p, mans, exps,
                             powers) if powers else []
@@ -490,19 +507,18 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
             piece2 += _at_scale(mans[w - 1] * (-man if sign else man), exps[w - 1] + exp + T)
         piece2 *= sigma ** (N + 1)
         value += piece1 + piece2
-    with mp.workprec(wp):
-        abs_head, fixed = mpf((abs_total, -F)), mpf((value, -T))
-        if p is None:
-            tb = (abs_head + abs(fixed) + 1) * mpf(2) ** (-wp + 10)
-        else:
-            # continuation estimate beyond the last kept power
-            if powers:
-                last = powers[-1] - 1
-                trunc_est = abs(mpf((mans[last], exps[last])) * zvals[last + 1 - powers[0]]) \
-                    * mpf(N) ** -1
-            tb = trunc_est + (abs_head + abs(mpf((piece1, -T))) + abs(mpf((piece2, -T))) + 1) \
-                * mpf(2) ** (-wp + 10)
-        tb += abs(fixed) * mpf(2) ** (-prec + 1)
+        pieces_abs = abs(piece1) + abs(piece2)
+    # the bound of the docstring as the integer bound / den at 2^e
+    e, den = -(T + wp - 10), 1
+    bound = (abs_total << _TAIL_GUARD) + pieces_abs + (1 << T) + (abs(value) << wp - prec - 9)
+    if p is not None and powers:
+        w = powers[-1]
+        _, man, exp, _ = zvals[w - powers[0]]._mpf_
+        et = exps[w - 1] + exp
+        low = min(e, et)
+        bound = (N * bound << e - low) + (abs(mans[w - 1]) * man << et - low)
+        e, den = low, N
+    tb = mp.make_mpf(mpf_div(from_man_exp(bound, e), from_int(den), wp, round_ceiling))
     value = mp.make_mpf(from_man_exp(value, -T, prec, round_nearest))
     return SeriesResult(value, tb, N, prec)
 

@@ -526,29 +526,33 @@ def _kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
     is c itself.
 
     Terms with the same keys, in any order, are merged first, so terms that
-    cancel exactly give an exact 0.  The values come from one ``_zeta_batch``
-    per (sigma, x) at prec + g bits, each within 2^-(prec+g) of its size, and
-    each term c prod m_i 2^e_i is added exactly in integers, shifted by
-    sum e_i less the least such sum.  A product of k values errs by k
-    2^-(prec+g) of its size, to first order, so it counts k times in the size
-    of the sum: a product of two values costs one bit more, a rational none.
-    A sum whose size is 2^loss times its value must have g >= loss + 8 to
-    keep prec + 8 bits; g rises to that, doubles for a sum of rounded values
-    that comes out exactly 0, and past 2048 bits raises ArithmeticError.  It
-    starts at ``guard``, which the caller takes from what it sums, as each rise
-    costs a cold ``_zeta_batch`` per point; a measured loss of every bit raises
-    g by only about prec + g, so a sum that cancels far needs its guard up
-    front.  The default 32 covers the closed forms of the identity checks,
-    which lose up to about 14 bits; ``eval_symbolic`` starts from the weight.
+    cancel exactly give an exact 0.  A key is merged as the integers (sigma,
+    s, numerator of x, denominator of x), so an int point and the equal
+    Fraction are one key, and no Fraction is hashed or built per key.  The
+    values are read straight from ``_zeta_cache`` at prec + g bits, each
+    within 2^-(prec+g) of its size; one ``_zeta_batch`` per (sigma, x)
+    computes the exponents not cached there, so a warm call makes none.  Each
+    term c prod m_i 2^e_i is added exactly in integers, shifted by sum e_i
+    less the least such sum.  A product of k values errs by k 2^-(prec+g) of
+    its size, to first order, so it counts k times in the size of the sum: a
+    product of two values costs one bit more, a rational none.  A sum whose
+    size is 2^loss times its value must have g >= loss + 8 to keep prec + 8
+    bits; g rises to that, doubles for a sum of rounded values that comes out
+    exactly 0, and past 2048 bits raises ArithmeticError.  It starts at
+    ``guard``, which the caller takes from what it sums, as each rise costs a
+    cold ``_zeta_batch`` per point; a measured loss of every bit raises g by
+    only about prec + g, so a sum that cancels far needs its guard up front.
+    The default 32 covers the closed forms of the identity checks, which lose
+    up to about 14 bits; ``eval_symbolic`` starts from the weight.
     """
     check_precision(prec)
     merged = []
     for terms in sums:
         acc: dict = {}
         for c, keys in terms:
-            key = tuple(sorted((sigma, s, Fraction(x)) for sigma, s, x in keys))
+            key = tuple(sorted([(sigma, s, x.numerator, x.denominator) for sigma, s, x in keys]))
             acc[key] = acc.get(key, 0) + c
-        merged.append([(Fraction(c), keys) for keys, c in acc.items() if c])
+        merged.append([(c, keys) for keys, c in acc.items() if c])
     out: list = [None] * len(merged)
     todo, g = range(len(merged)), guard
     while todo:
@@ -557,13 +561,16 @@ def _kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
         points: dict = {}
         for i in todo:
             for _, keys in merged[i]:
-                for sigma, s, x in keys:
-                    points.setdefault((sigma, x), set()).add(s)
+                for sigma, s, num, den in keys:
+                    points.setdefault((sigma, num, den), set()).add(s)
         values = {}
-        for (sigma, x), ss in points.items():
-            ss = sorted(ss)
-            values.update(((sigma, s, x), v._mpf_)
-                          for s, v in zip(ss, _zeta_batch(sigma, ss, x, prec + g)))
+        for (sigma, num, den), ss in points.items():
+            cache = _zeta_cache.get((sigma, num, den, prec + g), {})
+            missing = sorted(s for s in ss if s not in cache)
+            if missing:
+                _zeta_batch(sigma, missing, Fraction(num, den), prec + g)
+                cache = _zeta_cache[sigma, num, den, prec + g]
+            values.update(((sigma, s, num, den), cache[s]._mpf_) for s in ss)
         short, need = [], g
         for i in todo:
             terms = merged[i]

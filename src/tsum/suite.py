@@ -33,7 +33,7 @@ from .identities import (
     verify_thm3_6,
     verify_thm3_7,
 )
-from .numeric import check_precision, real_to_str, tolerance_mpf
+from .numeric import check_integer, check_precision, check_rational, real_to_str, tolerance_mpf
 from .reductions import FAMILIES, eval_symbolic
 
 DEFAULT_SAMPLES = ((Fraction(1, 4), Fraction(1, 3)),
@@ -208,6 +208,11 @@ class SuiteConfig:
 
     def __post_init__(self):
         check_precision(self.precision_bits)
+        for name in ("weight_max", "order", "workers"):
+            check_integer(getattr(self, name), name, ConfigError)
+        for sample in self.samples:
+            for v in sample if isinstance(sample, tuple) else (sample,):
+                check_rational(v, "samples")
         try:
             tolerance_mpf(self.tolerance, 64)
         except ValueError as exc:

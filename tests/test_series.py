@@ -396,6 +396,13 @@ def _spy_batches(monkeypatch):
 TAIL_PIECES = ((F(1), ((F(1, 3), 1), (F(-1, 4), 2))), (F(-2, 7), ((F(5, 2), 3),)))
 
 
+def _tail_grid(prec):
+    """(sigma, offset, p) of the tail assembly tests at ``prec``."""
+    if prec == 4096:  # about 1 s per case
+        return [(1, 0, 1), (-1, 1, 3), (1, 1, None)]
+    return list(itertools.product((1, -1), (0, 1), (None, 1, 2, 3, 4)))
+
+
 @pytest.mark.parametrize("prec", [64, 192, 1024, 4096])
 def test_tail_assembly_error_budget(prec, monkeypatch):
     # the fixed-point tail against the same assembly in exact Fractions, from the
@@ -408,11 +415,8 @@ def test_tail_assembly_error_budget(prec, monkeypatch):
     seen = _spy_rounding(monkeypatch)
     asked = _spy_batches(monkeypatch)
     wp = prec + 48
-    cases = itertools.product((1, -1), (0, 1), (None, 1, 2, 3, 4))
-    if prec == 4096:  # about 1 s per case
-        cases = [(1, 0, 1), (-1, 1, 3), (1, 1, None)]
     tiered = False
-    for sigma, offset, p in cases:
+    for sigma, offset, p in _tail_grid(prec):
         asked.clear()
         res = accel_linear_sum(p, offset, sigma, TAIL_PIECES, prec)
         (man, exp), N = seen.pop(), res.terms_used
@@ -449,6 +453,61 @@ def test_tail_assembly_error_budget(prec, monkeypatch):
         assert abs(F(man, 1 << T) - exact) <= F(units, 1 << T), case
         assert majorant <= 2 ** 6 * (abs_head + 1), case
     assert tiered == (prec >= 1024)
+
+
+def _floor_log2(x: F) -> int:
+    k = x.numerator.bit_length() - x.denominator.bit_length()
+    return k if x >= F(2) ** k else k - 1
+
+
+@pytest.mark.parametrize("prec", [64, 192, 1024, 4096])
+def test_tail_bound_is_its_formula_rounded_up_once(prec, monkeypatch):
+    # the bound in Fractions from the integers the assembly holds: (abs_head +
+    # |piece1| + |piece2| + 1) 2^(-wp+10) (the total for both pieces without
+    # h_N) + |total| 2^(-prec+1), and with h_N |g_w zeta_w| / N of the last
+    # kept power; tail_bound is that rounded up once at wp, so at least it and
+    # less than one ulp at wp above it
+    monkeypatch.setattr(series, "_expansion_cache", {})
+    seen = _spy_rounding(monkeypatch)
+    asked = _spy_batches(monkeypatch)
+    wp = prec + 48
+    for sigma, offset, p in _tail_grid(prec):
+        asked.clear()
+        res = accel_linear_sum(p, offset, sigma, TAIL_PIECES, prec)
+        (man, exp), N = seen[-1], res.terms_used
+        [(mans, exps)] = [v for k, v in series._expansion_cache.items()
+                          if k[:2] == (sigma, offset) and k[4] == wp]
+        total, abs_total, _, scale, hs, hscale = _direct(sigma, offset, () if p is None else (p,),
+                                                         TAIL_PIECES, N, wp)
+        T = -exp
+        tail = 0  # the rational tail by Horner's rule, one floor per step
+        for m, e in zip(reversed(mans), reversed(exps)):
+            tail = 2 * (tail + series._at_scale(m, e + T)) // (2 * N + 1 - 2 * offset)
+        tail *= sigma ** (N + 1 - offset)
+        value, trunc = total << series._TAIL_GUARD, F(0)
+        if p is None:
+            value += tail
+            parts = abs(value)
+        else:
+            zeta = {}  # s -> value, a value asked again replacing the first
+            for ss, _, values in asked:
+                zeta.update(zip(ss, values))
+            powers = [w for w, m in enumerate(mans, 1) if m]
+            piece1 = hs[0] * tail >> hscale
+            piece2 = sigma ** (N + 1) * sum(
+                series._at_scale(mans[w - 1] * zeta[w + p].man_exp[0],
+                                 exps[w - 1] + zeta[w + p].man_exp[1] + T) for w in powers)
+            value += piece1 + piece2
+            parts = abs(piece1) + abs(piece2)
+            w = powers[-1]
+            trunc = abs(F(mans[w - 1]) * F(2) ** exps[w - 1] * _exact(zeta[w + p])) / N
+        case = (sigma, offset, p)
+        assert value == man, case  # the integers the assembly rounded
+        exact = ((F(abs_total, 1 << scale) + F(parts + (1 << T), 1 << T)) / F(2) ** (wp - 10)
+                 + F(abs(value), 1 << T) / F(2) ** (prec - 1) + trunc)
+        bound = _exact(res.tail_bound)
+        assert exact <= bound < exact + F(2) ** (_floor_log2(exact) - wp + 1), case
+        assert res.tail_bound.man.bit_length() <= wp, case
 
 
 @pytest.mark.parametrize("sigma", [1, -1])

@@ -726,6 +726,29 @@ class TestKernelSums:
                 [(Fraction(2, 3), (ka, kb)), (5, ()), (Fraction(-2, 3), (kb, ka))]]
         assert special._kernel_sums(sums, P) == [0, 5]
 
+    def test_a_warm_call_asks_no_batch_and_int_points_merge(self, monkeypatch):
+        # keys are merged as integers, so the point 1 and Fraction(1) are one
+        # key: its terms cancel to an exact 0 with no kernel value asked; a
+        # warm call reads every value from the cache and asks no batch
+        asked = []
+        zeta_batch = special._zeta_batch
+
+        def spy(sigma, ss, x, prec):
+            asked.append((sigma, list(ss), x, prec))
+            return zeta_batch(sigma, ss, x, prec)
+
+        monkeypatch.setattr(special, "_zeta_batch", spy)
+        monkeypatch.setattr(special, "_zeta_cache", {})
+        cancels = [(1, ((1, 3, 1),)), (-1, ((1, 3, Fraction(1)),))]
+        assert special._kernel_sums([cancels], P) == [0]
+        assert not asked
+        sums = [[(2, ((1, 3, 1), (-1, 2, Fraction(2, 9)))), (Fraction(-1, 3), ((1, 2, 5),))]]
+        cold = special._kernel_sums(sums, P)
+        assert asked
+        asked.clear()
+        assert special._kernel_sums(sums, P) == cold
+        assert not asked
+
     @pytest.mark.parametrize("sigma", [1, -1])
     def test_a_product_sum_that_cancels_about_100_bits(self, sigma, monkeypatch):
         # K(2; x) K(3; 1/3) - K(2; x') K(3; 1/3) with x' - x = 1e-30
