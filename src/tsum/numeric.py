@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_rational, mpf_pos, round_nearest, to_str
 
 Rational = Union[int, Fraction]
 RealLike = Union[int, Fraction, mpf]
@@ -165,6 +165,5 @@ def real_to_str(x: mpf, prec: int) -> str:
     """Deterministic decimal-string form carrying the full precision."""
     check_precision(prec)
     dps = max(3, int(prec * 0.30103) + 2)
-    with mp.workprec(prec + 8):
-        return mp.nstr(mpf(x), dps, strip_zeros=False)
+    return to_str(mpf_pos(x._mpf_, prec + 8, round_nearest), dps, strip_zeros=False)
 

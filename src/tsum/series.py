@@ -11,12 +11,16 @@ R(n) = prod_i (n + a_i - 1/2)^(-q_i).
 Evaluation strategy for the linear case (at most one harmonic factor):
 
 * R enters as pieces k prod (n + t)^(-e): one product piece for a spec, or
-  one piece per partial fraction for the residue checks.
+  one piece per partial fraction for the residue checks.  The entry points
+  turn them into integers once (``_int_pieces``), k = n/d as (n, d) and each
+  factor, t = a/b, as (b, a, e); from there on the engine, its checks and
+  its cache keys included, does no Fraction arithmetic.
 * The first N terms are summed in Python ints (``_direct``), 256 at a time
   by lazy pipelines of builtins, at a scale 2^-F set by the first non-zero
-  term, so the error stays under abs_total 2^-wp for terms of any size.  A
-  term with a harmonic factor is the harmonic weight divided by each piece's
-  integer denominator, with no product of two wide numbers.
+  term, found exactly in integers, so the error stays under abs_total 2^-wp
+  for terms of any size.  A term with a harmonic factor is the harmonic
+  weight divided by each piece's integer denominator, with no product of
+  two wide numbers.
 * The tail is rearranged exactly: with h the harmonic prefix sums,
   h(n) = h(N) + sum_{k=N+1..n} (k-1/2)^(-p), so the tail splits into
   h(N) G(N + 1 - off) plus sum_{k>N} (k-1/2)^(-p) G(k), where
@@ -91,7 +95,7 @@ def harmonic(n: int, p: int = 1) -> Fraction:
         raise SpecError("harmonic index must be >= 0")
     if p < 1:
         raise SpecError("harmonic order must be >= 1")
-    return sum((Fraction(1, k ** p) for k in range(1, n + 1)), Fraction(0))
+    return Fraction(*_power_sum(range(1, n + 1), p))
 
 
 def odd_harmonic(n: int, p: int = 1) -> Fraction:
@@ -102,8 +106,20 @@ def odd_harmonic(n: int, p: int = 1) -> Fraction:
         raise SpecError("odd harmonic index must be >= 0")
     if p < 1:
         raise SpecError("odd harmonic order must be >= 1")
-    return sum((Fraction(1) / Fraction(2 * k - 1, 2) ** p for k in range(1, n + 1)),
-               Fraction(0))
+    num, den = _power_sum(range(1, 2 * n, 2), p)
+    return Fraction(num << p, den)
+
+
+def _power_sum(ks: range, p: int) -> tuple[int, int]:
+    """sum_{k in ks} k^(-p) = num/den in integers: one numerator over a
+    running common denominator, den the lcm of the k^p, so that it grows
+    like lcm(ks)^p and not like the product of the k^p."""
+    num, den = 0, 1
+    for k in ks:
+        q = k ** p
+        lcm = math.lcm(den, q)
+        num, den = num * (lcm // den) + lcm // q, lcm
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -179,6 +195,17 @@ class SeriesResult:
 # ---------------------------------------------------------------------------
 
 Pieces = Sequence[tuple[Fraction, Sequence[tuple[Fraction, int]]]]
+# pieces in integers: k = n/d as (n, d) and each factor (t, e), t = a/b, as (b, a, e)
+IntPieces = tuple[tuple[tuple[int, int], tuple[tuple[int, int, int], ...]], ...]
+
+
+def _int_pieces(pieces: Pieces) -> IntPieces:
+    """``pieces`` (k, [(t, e)]) with rational k and t in integers, once at
+    the entry: ((n, d), ((b, a, e), ...)) with k = n/d and t = a/b in lowest
+    terms, d, b > 0, which is all the engine reads of them."""
+    return tuple(((k.numerator, k.denominator), tuple((t.denominator, t.numerator, e)
+                                                      for t, e in fs)) for k, fs in pieces)
+
 
 _expansion_cache: dict = {}
 _weights: dict = {}  # (sigma, n) -> (L, beta_k L for k = 1..n)
@@ -249,30 +276,29 @@ def _tail_plan(sigma: int, N: int, wp: int, W: int, dbits: int) -> tuple[tuple[i
     return plan
 
 
-def _rho(pieces: Pieces, W: int) -> tuple[int, int, int, list[int]]:
+def _rho(pieces: IntPieces, W: int) -> tuple[int, int, int, list[int]]:
     """R -> rho: D, K, m0 and rho_0..rho_(W+1) with R(n) = sum_m rho_m / (K D^m)
     v^(-m), v = n - 1/2, and rho_m = 0 below m0.
 
-    With c = t + 1/2 = A/D, each factor (1 + c/v)^(-1) maps the numerators
-    over D^r of a 1/v series by x_r -> x_r - A x_(r-1)."""
-    half = Fraction(1, 2)
-    D = math.lcm(*((t + half).denominator for _, fs in pieces for t, _ in fs))
-    K = math.lcm(*(k.denominator for k, _ in pieces))
+    With c = t + 1/2 = (2a + b)/2b = A/D, each factor (1 + c/v)^(-1) maps the
+    numerators over D^r of a 1/v series by x_r -> x_r - A x_(r-1)."""
+    D = math.lcm(*(2 * b // math.gcd(2 * a + b, 2 * b) for _, fs in pieces for b, a, _ in fs))
+    K = math.lcm(*(d for (_, d), _ in pieces))
     rho = [0] * (W + 2)
-    for k, fs in pieces:
-        E = sum(e for _, e in fs)
+    for (n, d), fs in pieces:
+        E = sum(e for _, _, e in fs)
         if E > W + 1:
             continue
         x = [1] + [0] * (W + 1 - E)
-        for t, e in fs:
-            A = int((t + half) * D)
+        for b, a, e in fs:
+            A = (2 * a + b) * D // (2 * b)  # exact: 2b / gcd divides D
             for _ in range(e):
                 for r in range(1, len(x)):
                     x[r] -= A * x[r - 1]
-        scale = (k * K).numerator * D ** E
+        scale = n * (K // d) * D ** E
         for r, xr in enumerate(x):
             rho[E + r] += scale * xr
-    return D, K, min(sum(e for _, e in fs) for _, fs in pieces), rho
+    return D, K, min(sum(e for _, _, e in fs) for _, fs in pieces), rho
 
 
 def _bern(sigma: int, D: int, m0: int, rho: list[int]) -> tuple[int, list[int]]:
@@ -316,15 +342,16 @@ def _beta_weights(sigma: int, n: int) -> tuple[int, list[int]]:
     return weights
 
 
-def _tail_expansion(sigma: int, offset: int, pieces: Pieces, W: int,
+def _tail_expansion(sigma: int, offset: int, pieces: IntPieces, W: int,
                     wp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """g_1, ..., g_W with G(k) = sum_{n>=k+offset} sigma^n R(n) ~ sigma^k sum_w
     g_w u^(-w), u = k - 1/2, for R = sum_j k_j prod (n + t)^(-e).  Each g_w is
     floored to wp or wp + 1 bits straight from its exact numerator and
     denominator, so within 2^-(wp-1) of |g_w|, and kept as a pair (m, e),
     m 2^e, with m odd or 0, so that a dyadic g_w takes a one-word int.
-    Cached under (sigma, offset, pieces, W, wp) alone: ``accel_linear_sum``
-    shifts the pairs to the scale of each sum.
+    Cached under (sigma, offset, pieces, W, wp) alone, the pieces in the
+    integers of ``_int_pieces``: ``accel_linear_sum`` shifts the pairs to
+    the scale of each sum.
 
     Three steps.  ``_rho``: R(n) = sum_m r_m v^(-m), v = n - 1/2, with r_m =
     rho_m / (K D^m) in integers.  ``_bern``: Euler-Maclaurin (sigma = +1) and
@@ -367,6 +394,12 @@ def _at_scale(m: int, e: int) -> int:
     return m << e if e >= 0 else m >> -e
 
 
+@functools.cache
+def _midpoint(N: int) -> Fraction:
+    """The point N + 1/2 of the tail's batches, built once per N."""
+    return Fraction(2 * N + 1, 2)
+
+
 def _tail_batch(sigma: int, N: int, wp: int, W: int, dbits: int, p: int, mans: Sequence[int],
                 exps: Sequence[int], powers: list[int]) -> list[mpf]:
     """zeta_s = sum_{j>=0} sigma^j (N + 1/2 + j)^(-s) for s from powers[0] + p
@@ -384,7 +417,7 @@ def _tail_batch(sigma: int, N: int, wp: int, W: int, dbits: int, p: int, mans: S
     2^(max U - 3 - (wp + 1) - lg n), so that together they err by under
     2^-(wp+1) B; any that would not is asked again at wp.
     """
-    x, shift = Fraction(2 * N + 1, 2), max(p, _BATCH_ORDERS)
+    x, shift = _midpoint(N), max(p, _BATCH_ORDERS)
     s0 = lo = powers[0] + p
     zvals, bits = [], []
     for w, b in _tail_plan(sigma, N, wp, W, dbits):
@@ -462,23 +495,26 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     come from the exact series of R.
     """
     check_precision(prec)
-    pieces = tuple((k, tuple(fs)) for k, fs in pieces)  # hashable: the expansion cache key
+    pieces = _int_pieces(pieces)  # hashable too: the expansion cache key
     for _, fs in pieces:
-        for t, e in fs:
+        for b, a, e in fs:
             check_integer(e, "accel_linear_sum", SpecError)
-            if t.denominator == 1 and t <= -1:
-                raise SingularSumError(f"pole at positive integer n = {-t}")
+            if b == 1 and a <= -1:
+                raise SingularSumError(f"pole at positive integer n = {-a}")
             if e < 1:
                 raise SpecError("denominator exponents must be >= 1")
-    if sigma == 1 and sum(k for k, fs in pieces if sum(e for _, e in fs) == 1) != 0:
-        raise DivergentSumError("sum of order-1 coefficients must vanish for sigma=+1")
+    if sigma == 1:
+        ones = [k for k, fs in pieces if sum(e for _, _, e in fs) == 1]
+        den = math.lcm(*(d for _, d in ones))
+        if sum(n * (den // d) for n, d in ones):
+            raise DivergentSumError("sum of order-1 coefficients must vanish for sigma=+1")
 
     wp = prec + 48
-    emax = max(e for _, fs in pieces for _, e in fs)
+    emax = max(e for _, fs in pieces for _, _, e in fs)
     # |t + offset + 1/2| = |2a + (2 offset + 1) b| / 2b for t = a/b; a true division
     # rounds correctly, so the largest is the float of the largest Fraction
-    dmax = max([abs(2 * t.numerator + (2 * offset + 1) * t.denominator) / (2 * t.denominator)
-                for _, fs in pieces for t, _ in fs] + [1.0])
+    dmax = max([abs(2 * a + (2 * offset + 1) * b) / (2 * b)
+                for _, fs in pieces for b, a, _ in fs] + [1.0])
     N = max(128, math.ceil(0.55 * wp), math.ceil(8 * (1 + dmax)))
     W = _pick_truncation(sigma, wp, N, dmax, emax)
 
@@ -527,13 +563,13 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
 # Direct summation in fixed point, with elementary tail bounds
 # ---------------------------------------------------------------------------
 
-def _direct(sigma: int, offset: int, ps: Sequence[int], pieces: Pieces, N: int, wp: int):
+def _direct(sigma: int, offset: int, ps: Sequence[int], pieces: IntPieces, N: int, wp: int):
     """sum_{n<=N} sigma^n W(n) R(n) in Python ints, W(n) = prod_i h_{n-offset}^(p_i)
-    and R(n) = sum_j k_j prod (n + t)^(-e) over pieces (k_j, [(t, e)]).  Returns
-    the sum, the sum of |terms| and the N-th term in units of 2^-F, F, and
-    h_N^(p_i) in units of 2^-H, H.  Each block of ``_BLOCK`` n is one lazy
-    pipeline of builtins; only its h prefix sums, its weights and its terms
-    become lists.
+    and R(n) = sum_j k_j prod (n + t)^(-e) over pieces (k_j, [(t, e)]), given in
+    the integers of ``_int_pieces``.  Returns the sum, the sum of |terms| and
+    the N-th term in units of 2^-F, F, and h_N^(p_i) in units of 2^-H, H.  Each
+    block of ``_BLOCK`` n is one lazy pipeline of builtins; only its h prefix
+    sums, its weights and its terms become lists.  No step builds a Fraction.
 
     With t = a/b, (n + t)^(-e) = b^e/(bn + a)^e: piece j is K_j/den_j(n), K_j =
     k_j prod b^e and den_j(n) = prod (bn + a)^e an integer.  Without a harmonic
@@ -550,26 +586,28 @@ def _direct(sigma: int, offset: int, ps: Sequence[int], pieces: Pieces, N: int, 
     to 2^-F once, one floor each.
 
     F = wp + 1 + bitlen U - lg, lg <= log2 |T_k| for the first non-zero term
-    T_k (exact), keeps U units of 2^-F under |T_k| 2^-(wp+1) <= abs_total
-    2^-(wp+1).  U = N (2mV + 1), V = 2^(sum p - r) (bitlen N + 3)^r >= W(n),
-    over-covers both counts above: 2mN units at r = 0, and 1 + m 2^-32 units
-    beside the relative r 2^-(wp+33) at r >= 1.  So the error stays under
-    abs_total 2^-wp.
+    T_k, keeps U units of 2^-F under |T_k| 2^-(wp+1) <= abs_total 2^-(wp+1).
+    ``_first_term`` finds T_k exactly, as an integer numerator and
+    denominator reduced once by their gcd, and lg = bitlen num - bitlen den
+    - 1 reads that pair.  U = N (2mV + 1), V = 2^(sum p - r) (bitlen N +
+    3)^r >= W(n), over-covers both counts above: 2mN units at r = 0, and 1 +
+    m 2^-32 units beside the relative r 2^-(wp+33) at r >= 1.  So the error
+    stays under abs_total 2^-wp.
     """
     r = len(ps)
-    scaled = [(k * math.prod(Fraction(t.denominator) ** e for t, e in fs),
-               [(t.denominator, t.numerator, e) for t, e in fs]) for k, fs in pieces]
-    first = next(filter(None, (math.prod(odd_harmonic(n - offset, p) for p in ps) * sum(
-        k / math.prod(Fraction(b * n + a) ** e for b, a, e in dens) for k, dens in scaled)
-        for n in range(1, N + 1))), Fraction(1))  # the first non-zero term, exactly
-    lg = abs(first.numerator).bit_length() - first.denominator.bit_length() - 1
+    scaled = []  # K_j = c/d in lowest terms, and the factors (b, a, e)
+    for (n, d), fs in pieces:
+        c = n * math.prod(b ** e for b, _, e in fs)
+        g = math.gcd(c, d)
+        scaled.append((c // g, d // g, fs))
+    num, den = _first_term(offset, ps, scaled, N)
+    lg = num.bit_length() - den.bit_length() - 1
     V = 2 ** (sum(ps) - r) * (N.bit_length() + 3) ** r
     F = max(0, wp + 1 + (N * (2 * len(pieces) * V + 1)).bit_length() - lg)
     H = max(F, wp) + 32 + N.bit_length()
-    L = math.lcm(*(k.denominator for k, _ in scaled)) if r else 1
+    L = math.lcm(*(d for _, d, _ in scaled)) if r else 1
     # r >= 1: the A_j; r = 0: floor(K_j 2^F)
-    kf = [((k * L).numerator if r else (k.numerator << F) // k.denominator, dens)
-          for k, dens in scaled]
+    kf = [(c * (L // d) if r else (c << F) // d, dens) for c, d, dens in scaled]
     h = {p: [0] for p in ps}  # per distinct p: h_(n0-1), ..., h_(n1-1) at 2^-H
     total, abs_total, terms = 0, 0, [0]
     for n0 in range(1, N + 1, _BLOCK):
@@ -606,6 +644,26 @@ def _direct(sigma: int, offset: int, ps: Sequence[int], pieces: Pieces, N: int, 
     return total, abs_total, last, F, [h[p][-1] for p in ps], H
 
 
+def _first_term(offset: int, ps: Sequence[int], scaled: list, N: int) -> tuple[int, int]:
+    """|T_k| = num/den in lowest terms for the first non-zero term T_k, k <= N,
+    of ``_direct``'s sum over the pieces K_j = c/d of ``scaled`` (1/1 if
+    there is none), found in integers.  Each h_m^(p) is positive for m >= 1,
+    so T_k is the first R(k) != 0, R over the lcm of the d den_j(k), past
+    k = offset if there is a harmonic factor; its weight comes from
+    ``_power_sum`` and the pair is reduced once, by its gcd."""
+    for n in range(1 + offset if ps else 1, N + 1):
+        dens = [d * math.prod((b * n + a) ** e for b, a, e in fs) for _, d, fs in scaled]
+        den = math.lcm(*dens)
+        num = sum(c * (den // dn) for (c, _, _), dn in zip(scaled, dens))
+        if num:
+            for p in ps:  # h_(n-offset)^(p) = 2^p x/y
+                x, y = _power_sum(range(1, 2 * (n - offset), 2), p)
+                num, den = num * x << p, den * y
+            g = math.gcd(num, den)
+            return abs(num) // g, den // g
+    return 1, 1
+
+
 def naive_sum(spec: SumSpec, prec: int, max_terms: int = NAIVE_START_TERMS) -> SeriesResult:
     """Direct summation of ``spec`` to ``max_terms`` = N terms by ``_direct``'s
     block pipelines, one floor division per piece and term; its error, under
@@ -626,7 +684,8 @@ def naive_sum(spec: SumSpec, prec: int, max_terms: int = NAIVE_START_TERMS) -> S
     N, alt = max_terms, spec.sigma == -1
     # sigma = -1 runs one term further for its bound
     total, abs_total, last, F, hs, H = _direct(spec.sigma, spec.offset, spec.p,
-                                               [(Fraction(1), factors)], N + 1 if alt else N, wp)
+                                               _int_pieces([(1, factors)]), N + 1 if alt else N,
+                                               wp)
     with mp.workprec(wp):
         if alt:
             total, abs_total = total - last, abs_total - abs(last)

@@ -345,10 +345,18 @@ def tail_zeta_batch(sigma: int, ss, x: Rational, prec: int) -> list[mpf]:
     integer, for every integer s in ``ss``, s >= 2 at sigma = +1 (Hurwitz
     zeta) and s >= 1 at sigma = -1 (alternating Hurwitz zeta), each rounded
     once at ``prec``; one fixed-point pass serves every exponent not yet
-    cached.  Digamma is minus the kernel's sigma = +1, s = 1 value (``digamma``)."""
+    cached.  Digamma is minus the kernel's sigma = +1, s = 1 value (``digamma``).
+
+    A ``range`` of exponents, as the series engine passes, is checked once:
+    its items are ints by construction, and the domain test reads its least
+    item.  Any other iterable is checked item by item."""
     x = _admissible(x, "the zeta family")
-    ss = [check_integer(s, "the zeta family") for s in ss]
-    if sigma not in (1, -1) or any(s < (2 if sigma == 1 else 1) for s in ss):
+    if isinstance(ss, range):
+        least = min(ss[0], ss[-1]) if ss else None
+    else:
+        ss = [check_integer(s, "the zeta family") for s in ss]
+        least = min(ss, default=None)
+    if sigma not in (1, -1) or least is not None and least < (2 if sigma == 1 else 1):
         raise DomainError(f"sigma = {sigma}, s in {sorted(ss)}: the zeta family needs "
                           "sigma = +-1, s >= 2 (zeta(1; x) is convention-only), s >= 1 "
                           "at sigma = -1")
@@ -551,7 +559,10 @@ def _kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
         acc: dict = {}
         for c, keys in terms:
             key = tuple(sorted([(sigma, s, x.numerator, x.denominator) for sigma, s, x in keys]))
-            acc[key] = acc.get(key, 0) + c
+            if key in acc:
+                acc[key] += c
+            else:
+                acc[key] = c
         merged.append([(c, keys) for keys, c in acc.items() if c])
     out: list = [None] * len(merged)
     todo, g = range(len(merged)), guard

@@ -176,6 +176,25 @@ def test_constants_are_memoized_and_deterministic():
     assert real_to_str(a, 128) == real_to_str(b, 128)
 
 
+def test_real_to_str_matches_the_workprec_formula():
+    # formatting straight from the mpf tuple, rounded once to prec + 8 bits,
+    # against nstr of a copy of x made at workprec(prec + 8)
+    def workprec_formula(x, prec):
+        with mp.workprec(prec + 8):
+            return mp.nstr(mpf(x), max(3, int(prec * 0.30103) + 2), strip_zeros=False)
+
+    rng = random.Random(11)
+    for prec in (16, 53, 64, 128, 192, 1024):
+        values = [mpf(0), mpf(1), mpf(-1), mp.inf, -mp.inf]
+        for _ in range(100):
+            bits = rng.choice((1, prec, prec + 8, prec + 9, 2 * prec + 40))  # some carry more
+            man = rng.getrandbits(bits) | 1
+            values.append(mp.make_mpf((rng.randint(0, 1), man, rng.randint(-3 * prec, 3 * prec),
+                                       man.bit_length())))
+        for x in values:
+            assert real_to_str(x, prec) == workprec_formula(x, prec), (prec, x._mpf_)
+
+
 def test_bernoulli_values():
     assert bernoulli(0) == 1
     assert bernoulli(1) == Fraction(-1, 2)

@@ -21,6 +21,7 @@ from tsum.numeric import real_const
 from tsum.series import (
     BudgetExceededError,
     _direct,
+    _int_pieces,
     accel_linear_sum,
     DivergentSumError,
     SingularSumError,
@@ -51,6 +52,17 @@ def test_harmonic_values():
     assert harmonic(0, 5) == 0
     assert odd_harmonic(0, 3) == 0
     assert odd_harmonic(2, 1) == F(8, 3)
+
+
+def test_harmonic_numbers_equal_their_term_by_term_sums():
+    # one integer numerator over a running lcm, one Fraction at the end
+    for p in range(1, 10):
+        h = odd = F(0)
+        for n in range(41):
+            if n:
+                h += F(1, n ** p)
+                odd += F(2, 2 * n - 1) ** p
+            assert (harmonic(n, p), odd_harmonic(n, p)) == (h, odd), (n, p)
 
 
 def test_spec_validation():
@@ -423,7 +435,7 @@ def test_tail_assembly_error_budget(prec, monkeypatch):
         [(W, (mans, exps))] = [(k[3], v) for k, v in series._expansion_cache.items()
                                if k[:2] == (sigma, offset) and k[4] == wp]
         total, abs_total, _, scale, hs, hscale = _direct(sigma, offset, () if p is None else (p,),
-                                                         TAIL_PIECES, N, wp)
+                                                         _int_pieces(TAIL_PIECES), N, wp)
         T = -exp
         assert T == scale + series._TAIL_GUARD
         g = [F(m) * F(2) ** e for m, e in zip(mans, exps)]
@@ -478,7 +490,7 @@ def test_tail_bound_is_its_formula_rounded_up_once(prec, monkeypatch):
         [(mans, exps)] = [v for k, v in series._expansion_cache.items()
                           if k[:2] == (sigma, offset) and k[4] == wp]
         total, abs_total, _, scale, hs, hscale = _direct(sigma, offset, () if p is None else (p,),
-                                                         TAIL_PIECES, N, wp)
+                                                         _int_pieces(TAIL_PIECES), N, wp)
         T = -exp
         tail = 0  # the rational tail by Horner's rule, one floor per step
         for m, e in zip(reversed(mans), reversed(exps)):
@@ -665,7 +677,7 @@ def test_expansion_is_the_documented_floor_of_an_exact_oracle(name, prec, monkey
         monkeypatch.setattr(series, "_expansion_cache", {})
         monkeypatch.setattr(series, "_bern_cache", {})
         wp, W = _accel_truncation(sigma, offset, pieces, prec)
-        mans, exps = series._tail_expansion(sigma, offset, pieces, W, wp)
+        mans, exps = series._tail_expansion(sigma, offset, _int_pieces(pieces), W, wp)
         assert len(mans) == W
         for w, (g, m, e) in enumerate(zip(_expansion_oracle(sigma, offset, pieces, W),
                                           mans, exps), 1):
@@ -687,7 +699,7 @@ def test_reflection_twins_share_one_convolution(name, sigma, monkeypatch):
     # theorems ask for them: in either order one convolution serves both,
     # and each entry equals the one built alone
     wp, W = _accel_truncation(sigma, 0, PAIR_PIECE, 192)
-    keys = [(sigma, 0, TWINS[name][0], W, wp), (sigma, 1, TWINS[name][1], W, wp)]
+    keys = [(sigma, offset, _int_pieces(TWINS[name][offset]), W, wp) for offset in (0, 1)]
     alone = []
     for key in keys:
         monkeypatch.setattr(series, "_expansion_cache", {})
@@ -710,8 +722,25 @@ def test_mixed_orders_have_no_twin(monkeypatch):
     reflected = tuple((k, tuple((-t - 1, e) for t, e in fs)) for k, fs in pieces)
     wp, W = _accel_truncation(-1, 0, pieces, 64)
     for p in (pieces, reflected):
-        series._tail_expansion(-1, 0, p, W, wp)
+        series._tail_expansion(-1, 0, _int_pieces(p), W, wp)
     assert len(series._bern_cache) == 2
+
+
+@pytest.mark.parametrize("name", ["pair", "mixed-orders", "tail"])
+def test_a_warm_accelerated_call_builds_no_fraction(name, monkeypatch):
+    # pieces are integers from the entry on, the first head term is found in
+    # integers and the point N + 1/2 is built once per N: a warm call, with
+    # or without a harmonic factor, builds no Fraction
+    pieces = TAIL_PIECES if name == "tail" else EXPANSION_PIECES[name]
+    calls = list(itertools.product((None, 1, 3), (0, 1), (1, -1)))
+    cold = [accel_linear_sum(p, offset, sigma, pieces, P) for p, offset, sigma in calls]
+    built = []
+    new = F.__new__
+    monkeypatch.setattr(F, "__new__", staticmethod(
+        lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs)))
+    warm = [accel_linear_sum(p, offset, sigma, pieces, P) for p, offset, sigma in calls]
+    assert built == []
+    assert warm == cold
 
 
 def test_accelerated_method_rejects_multiple_factors():
@@ -767,18 +796,26 @@ def _direct_grid(seed: int = 6):
     return cases
 
 
+def _exact_term(offset, ps, pieces, n):
+    """The n-th term of ``_direct``'s sum up to its sign sigma^n, exactly, in
+    Fractions, from the integer pieces of ``_int_pieces``: the odd harmonic
+    numbers summed term by term, R(n) piece by piece."""
+    h = [sum((F(2, 2 * i - 1) ** p for i in range(1, n - offset + 1)), F(0)) for p in ps]
+    return math.prod(h) * sum(F(c, d) / math.prod(F(n + F(a, b)) ** e for b, a, e in dens)
+                              for (c, d), dens in pieces)
+
+
 def _direct_reference(sigma, offset, ps, pieces, N, wp):
     """The term-by-term loop that ``_direct``'s block pipelines replace: the
-    same floors in the same order, one n at a time."""
+    same floors in the same order, one n at a time, from the integer pieces
+    of ``_int_pieces``.  The first non-zero term comes from ``_exact_term``,
+    exactly in Fractions, term by term: the reference for the integer search
+    of ``_direct``."""
     r = len(ps)
-    scaled = [(k * math.prod(F(t.denominator) ** e for t, e in fs),
-               [(t.denominator, t.numerator, e) for t, e in fs]) for k, fs in pieces]
-
-    def exact(n):
-        return math.prod(odd_harmonic(n - offset, p) for p in ps) * sum(
-            k / math.prod(F(b * n + a) ** e for b, a, e in dens) for k, dens in scaled)
-
-    first = next((x for x in map(exact, range(1, N + 1)) if x), F(1))
+    scaled = [(F(n, d) * math.prod(F(b) ** e for b, _, e in dens), dens)
+              for (n, d), dens in pieces]
+    first = next((x for x in (_exact_term(offset, ps, pieces, n) for n in range(1, N + 1)) if x),
+                 F(1))
     lg = abs(first.numerator).bit_length() - first.denominator.bit_length() - 1
     V = 2 ** (sum(ps) - r) * (N.bit_length() + 3) ** r
     scale = max(0, wp + 1 + (N * (2 * len(pieces) * V + 1)).bit_length() - lg)
@@ -817,7 +854,7 @@ def test_fixed_point_loop_matches_exact_partial_sums():
         exact, absum, hs_exact = _exact_partial(sigma, offset, ps, factors, N)
         product = [(F(1), factors)]
         pf = [(c, [(t, e)]) for t, e, c in partial_fractions(factors)]
-        for pieces, wp in itertools.product((product, pf), wps):
+        for pieces, wp in itertools.product(map(_int_pieces, (product, pf)), wps):
             got = _direct(sigma, offset, ps, pieces, N, wp)
             total, abs_total, _, scale, hs, hscale = got
             case = (sigma, offset, ps, factors, N, len(pieces), wp)
@@ -836,12 +873,60 @@ def test_weights_keep_their_precision_when_the_head_scale_is_clamped():
     for sigma, offset, ps in ((1, 0, (1,)), (-1, 1, (2,)), (1, 0, (1, 3))):
         exact, absum, _ = _exact_partial(sigma, offset, ps, factors, N)
         for wp in (80, 200):
-            got = _direct(sigma, offset, ps, [(k, factors)], N, wp)
-            assert got == _direct_reference(sigma, offset, ps, [(k, factors)], N, wp)
+            pieces = _int_pieces([(k, factors)])
+            got = _direct(sigma, offset, ps, pieces, N, wp)
+            assert got == _direct_reference(sigma, offset, ps, pieces, N, wp)
             total, abs_total, _, scale, _, _ = got
             assert scale == 0
             assert abs(F(total, 1 << scale) - k * exact) <= k * absum / 2 ** wp, (ps, wp)
             assert abs(F(abs_total, 1 << scale) - k * absum) <= k * absum / 2 ** wp, (ps, wp)
+
+
+def _first_term_grid(seed: int = 24):
+    """(offset, ps, pieces, N, wp) for r = 0, 1 and 2, both offsets and wp at
+    64, 192 and 1024 bits plus 48: random pieces; pieces whose sum vanishes
+    at n = 1, or at n = 1 and 2 (single poles, their coefficients a null
+    vector of the values there); and pieces that cancel at every n."""
+    rng = random.Random(seed)
+    shifts = [a - F(1, 2) for a in GRID_SHIFTS]
+    cases = []
+    for prec, r, offset, kind in itertools.product((64, 192, 1024), (0, 1, 2), (0, 1),
+                                                   ("random", 1, 2, "zero")):
+        ps = tuple(sorted(rng.randint(1, 3) for _ in range(r)))
+        if kind == "random":
+            pieces = [(F(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 12)),
+                       sorted({t: rng.randint(1, 3) for t in rng.sample(shifts, rng.randint(1, 2))
+                               }.items())) for _ in range(rng.randint(1, 3))]
+        elif kind == "zero":
+            t = rng.choice(shifts)
+            pieces = [(F(3, 5), [(t, 2)]), (F(-3, 5), [(t, 2)])]
+        else:  # zero at n = 1..kind, from kind + 1 distinct single poles
+            while True:
+                fs = [(t, rng.randint(1, 2)) for t in rng.sample(shifts, kind + 1)]
+                M = [[(n + t) ** -e for t, e in fs] for n in (1, 2)]
+                c = ([M[0][1], -M[0][0]] if kind == 1 else
+                     [M[0][1] * M[1][2] - M[0][2] * M[1][1], M[0][2] * M[1][0] - M[0][0] * M[1][2],
+                      M[0][0] * M[1][1] - M[0][1] * M[1][0]])
+                if all(c):
+                    break
+            pieces = [(cj, [f]) for cj, f in zip(c, fs)]
+        cases.append((offset, ps, _int_pieces(pieces), rng.randint(1, 300), prec + 48))
+    return cases
+
+
+def test_first_term_in_integers_matches_the_exact_fraction_rule():
+    # F, H and every integer of the head as with the first non-zero term
+    # found exactly in Fractions; the first such term falls at n = 1, 2 and 3
+    # (offset 1 skips n = 1, a piece sum that vanishes at n = 1, 2 skips
+    # those), or nowhere
+    firsts = set()
+    for offset, ps, pieces, N, wp in _first_term_grid():
+        first = next((n for n in range(1, N + 1) if _exact_term(offset, ps, pieces, n)), None)
+        firsts.add(first)
+        for sigma in (1, -1):
+            case = (sigma, offset, ps, pieces, N, wp)
+            assert _direct(*case) == _direct_reference(*case), case
+    assert {1, 2, 3, None} <= firsts
 
 
 # e = 1 and e > 1, one factor and several; t = -95/6 makes bn + a < 0 for n <= 15
@@ -860,7 +945,7 @@ def _block_lengths():
 def test_blocks_match_the_term_loop(sigma, offset, ps):
     for factors in BLOCK_FACTORS:
         pf = [(c, [(t, e)]) for t, e, c in partial_fractions(factors)]
-        for pieces in ([(F(1), factors)], pf):
+        for pieces in map(_int_pieces, ([(F(1), factors)], pf)):
             for N in _block_lengths():
                 got = _direct(sigma, offset, ps, pieces, N, 80)
                 assert got == _direct_reference(sigma, offset, ps, pieces, N, 80), (
@@ -884,7 +969,7 @@ def test_direct_memory_does_not_grow_with_the_terms():
     for N in (1 << 12, 1 << 15):
         tracemalloc.start()
         try:
-            _direct(-1, 0, (1, 1), [(F(1), [(F(-1, 6), 4)])], N, 111)
+            _direct(-1, 0, (1, 1), _int_pieces([(F(1), [(F(-1, 6), 4)])]), N, 111)
             peaks[N] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

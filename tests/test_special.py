@@ -270,6 +270,22 @@ class TestTailZetaBatch:
             with pytest.raises(DomainError, match="integer"):
                 call(2.5, Fraction(1, 3), 64)
 
+    def test_a_range_is_checked_once_at_its_least_item(self):
+        # a range is ints by construction: its least item decides the domain,
+        # in either direction; any other iterable is still checked per item
+        x = Fraction(7, 2)
+        for sigma, ss in ((1, range(1, 9)), (1, range(9, 0, -1)), (-1, range(0, 4)),
+                          (-1, range(5, -2, -3)), (2, range(2, 5))):
+            with pytest.raises(DomainError):
+                tail_zeta_batch(sigma, ss, x, 64)
+        for sigma, ss in ((1, range(2, 9)), (1, range(9, 1, -2)), (1, range(2, 9, 3)),
+                          (-1, range(1, 6))):
+            assert tail_zeta_batch(sigma, ss, x, 64) == tail_zeta_batch(sigma, list(ss), x, 64)
+        assert tail_zeta_batch(1, range(3, 3), x, 64) == []
+        for ss in ([2, 2.5, 3], [3, "2"], (s for s in (2, 2.5)), [2, mpf(3)]):
+            with pytest.raises(DomainError, match="integer"):
+                tail_zeta_batch(1, ss, x, 64)
+
 
 class TestRiemannZeta:
     def test_classical_even_values(self):
@@ -748,6 +764,22 @@ class TestKernelSums:
         asked.clear()
         assert special._kernel_sums(sums, P) == cold
         assert not asked
+
+    def test_a_warm_call_builds_no_fraction(self, monkeypatch):
+        # a coefficient is stored as it is on first sight and added only to
+        # one already there, so a warm call of distinct keys builds no
+        # Fraction; one repeated key adds once
+        sums = [[(Fraction(2, 3), ((1, 3, 1), (-1, 2, Fraction(2, 9)))),
+                 (Fraction(-1, 3), ((1, 2, 5),)), (5, ()), (Fraction(1, 7), ((-1, 1, 1),))]]
+        cold = special._kernel_sums(sums, P)
+        built = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(
+            lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs)))
+        assert special._kernel_sums(sums, P) == cold
+        assert built == []
+        special._kernel_sums([sums[0] + sums[0][:1]], P)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("sigma", [1, -1])
     def test_a_product_sum_that_cancels_about_100_bits(self, sigma, monkeypatch):
