@@ -20,7 +20,9 @@ Evaluation strategy for the linear case (at most one harmonic factor):
   term, found exactly in integers, so the error stays under abs_total 2^-wp
   for terms of any size.  A term with a harmonic factor is the harmonic
   weight divided by each piece's integer denominator, with no product of
-  two wide numbers.
+  two wide numbers.  One walk gives the sum for sigma = +1 and -1, and the
+  accelerated path keeps it per key, so the tangent and secant forms of one
+  sum share it and a warm call walks no head.
 * The tail is rearranged exactly: with h the harmonic prefix sums,
   h(n) = h(N) + sum_{k=N+1..n} (k-1/2)^(-p), so the tail splits into
   h(N) G(N + 1 - off) plus sum_{k>N} (k-1/2)^(-p) G(k), where
@@ -50,6 +52,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -207,9 +210,13 @@ def _int_pieces(pieces: Pieces) -> IntPieces:
                                                       for t, e in fs)) for k, fs in pieces)
 
 
-_expansion_cache: dict = {}
+# the accelerated path's caches; naive_sum, the oracle, reads none of them
+_expansion_cache: dict = {}  # (sigma, offset, pieces, W, wp) -> the g_w of _tail_expansion
+_head_cache: dict = {}  # (offset, p, pieces, N, wp) -> the sign-free head of _direct
 _weights: dict = {}  # (sigma, n) -> (L, beta_k L for k = 1..n)
-_bern_cache: dict = {}  # (sigma, D, L, rho up to sign and alternation) -> bern_1..bern_W
+# (sigma, D, L, rho up to sign and alternation) -> bern_1..bern_W, of the
+# last build only: a reflection twin asks right after its mate
+_bern_cache: dict = {}
 _tail_plans: dict = {}  # (sigma, N, wp, W, dbits) -> precision tiers of the batch at N + 1/2
 _TAIL_GUARD = 16  # bits of the tail's fixed point 2^-T past the head's 2^-F
 _BATCH_ORDERS = 5  # the pair theorems sum p = 1..5 at one N + 1/2 and one W
@@ -310,7 +317,9 @@ def _bern(sigma: int, D: int, m0: int, rho: list[int]) -> tuple[int, list[int]]:
     up to sign and alternation (``_tail_expansion``): ``_bern_cache`` keeps
     the bern of the largest of rho, -rho and their alternations, and a
     member with rho_m = eps (-1)^(a m) rep_m takes eps (-1)^(a (w+1)) times
-    the representative's bern_w.
+    the representative's bern_w.  Only the last build is kept: the twins
+    are asked one right after the other, and a warm call reads
+    ``_expansion_cache`` before it gets here.
     """
     alt = [-x if m & 1 else x for m, x in enumerate(rho)]
     rep, eps, a = max((rho, 1, 0), ([-x for x in rho], -1, 0), (alt, 1, 1),
@@ -326,6 +335,7 @@ def _bern(sigma: int, D: int, m0: int, rho: list[int]) -> tuple[int, list[int]]:
             bern.append(sum(map(mul, map(mul, gammas[:(w + 1 - m0) // 2], row[1::2]),
                                 rep[w - 1::-2])) if w > m0 else 0)
             row = [1, *map(add, row, row[1:]), 1]
+        _bern_cache.clear()
         bern = _bern_cache[key] = tuple(bern)
     return L, [eps * (-1) ** (a * (w + 1)) * b for w, b in enumerate(bern, 1)]
 
@@ -348,10 +358,11 @@ def _tail_expansion(sigma: int, offset: int, pieces: IntPieces, W: int,
     g_w u^(-w), u = k - 1/2, for R = sum_j k_j prod (n + t)^(-e).  Each g_w is
     floored to wp or wp + 1 bits straight from its exact numerator and
     denominator, so within 2^-(wp-1) of |g_w|, and kept as a pair (m, e),
-    m 2^e, with m odd or 0, so that a dyadic g_w takes a one-word int.
-    Cached under (sigma, offset, pieces, W, wp) alone, the pieces in the
-    integers of ``_int_pieces``: ``accel_linear_sum`` shifts the pairs to
-    the scale of each sum.
+    m 2^e, with m odd or 0, so that a dyadic g_w takes a one-word int; the
+    e, all far from 0, in an array of machine ints, 8 bytes each where an
+    int object and its slot take 36.  Cached under (sigma, offset, pieces,
+    W, wp) alone, the pieces in the integers of ``_int_pieces``:
+    ``accel_linear_sum`` shifts the pairs to the scale of each sum.
 
     Three steps.  ``_rho``: R(n) = sum_m r_m v^(-m), v = n - 1/2, with r_m =
     rho_m / (K D^m) in integers.  ``_bern``: Euler-Maclaurin (sigma = +1) and
@@ -385,7 +396,7 @@ def _tail_expansion(sigma: int, offset: int, pieces: IntPieces, W: int,
         tz = (m & -m).bit_length() - 1 if m else 0
         mans.append(m >> tz)
         exps.append(e + tz)
-    g = _expansion_cache[key] = (tuple(mans), tuple(exps))
+    g = _expansion_cache[key] = (tuple(mans), array("q", exps))
     return g
 
 
@@ -444,17 +455,23 @@ def _tail_batch(sigma: int, N: int, wp: int, W: int, dbits: int, p: int, mans: S
 def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
                      prec: int) -> SeriesResult:
     """Accelerated sum_{n>=1} sigma^n h_{n-offset}^(p) R(n), R(n) = sum_j k_j
-    prod (n + t)^(-e) over pieces (k_j, [(t, e)]); p None means no harmonic
-    factor.
+    prod (n + t)^(-e) over pieces (k_j, [(t, e)]); p is None (no harmonic
+    factor) or an int >= 1, offset 0 or 1 and sigma +1 or -1, all three
+    checked before any other work.
 
-    The first N terms come from ``_direct``.  With h_n = h_N + sum_{k=N+1..n}
-    (k - 1/2)^(-p), the tail is h_N G(N + 1 - offset) plus sum_{k>N} (k -
-    1/2)^(-p) G(k), G from ``_tail_expansion``: the first is its series at
-    one point, the second from the batch at N + 1/2 (``_tail_batch``).  Both are
-    assembled in integers at 2^-T, T = F + ``_TAIL_GUARD``, past the head's
-    2^-F: the rational tail by Horner's rule in 1/u, one floor division per
-    power, piece1 as h_N (at 2^-H) times it, piece2 from the products of the
-    g_w and the batch mantissas.  The total is rounded once, to ``prec``.
+    The first N terms come from ``_direct``, whose one walk gives the head
+    for both signs: ``_head_cache`` keeps it under (offset, p, pieces, N,
+    wp), so the sigma = -1 sum of the secant theorems reads the head of its
+    sigma = +1 tangent twin, and a warm call walks no head.
+
+    With h_n = h_N + sum_{k=N+1..n} (k - 1/2)^(-p), the tail is h_N G(N + 1
+    - offset) plus sum_{k>N} (k - 1/2)^(-p) G(k), G from
+    ``_tail_expansion``: the first is its series at one point, the second
+    from the batch at N + 1/2 (``_tail_batch``).  Both are assembled in
+    integers at 2^-T, T = F + ``_TAIL_GUARD``, past the head's 2^-F: the
+    rational tail by Horner's rule in 1/u, one floor division per power,
+    piece1 as h_N (at 2^-H) times it, piece2 from the products of the g_w
+    and the batch mantissas.  The total is rounded once, to ``prec``.
 
     The bound ``tail_bound`` is (abs_head + |piece1| + |piece2| + 1)
     2^(-wp+10) (the total for both pieces without a harmonic factor), plus
@@ -494,11 +511,18 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     no guard bits: the head floors each piece in absolute units and the g_w
     come from the exact series of R.
     """
+    name = "accel_linear_sum"
+    if p is not None and check_integer(p, name, SpecError) < 1:
+        raise SpecError("harmonic order must be >= 1")
+    if check_integer(offset, name, SpecError) not in (0, 1):
+        raise SpecError("offset must be 0 (h_n) or 1 (h_{n-1})")
+    if check_integer(sigma, name, SpecError) not in (1, -1):
+        raise SpecError("sigma must be +1 or -1")
     check_precision(prec)
-    pieces = _int_pieces(pieces)  # hashable too: the expansion cache key
+    pieces = _int_pieces(pieces)  # hashable too: the cache keys
     for _, fs in pieces:
         for b, a, e in fs:
-            check_integer(e, "accel_linear_sum", SpecError)
+            check_integer(e, name, SpecError)
             if b == 1 and a <= -1:
                 raise SingularSumError(f"pole at positive integer n = {-a}")
             if e < 1:
@@ -518,8 +542,13 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     N = max(128, math.ceil(0.55 * wp), math.ceil(8 * (1 + dmax)))
     W = _pick_truncation(sigma, wp, N, dmax, emax)
 
-    total, abs_total, _, F, hs, H = _direct(sigma, offset, () if p is None else (p,),
-                                            pieces, N, wp)
+    key = (offset, p, pieces, N, wp)
+    head = _head_cache.get(key)
+    if head is None:
+        totals, abs_total, _, F, hs, H = _direct(offset, () if p is None else (p,), pieces, N, wp)
+        head = _head_cache[key] = (totals, abs_total, F, hs, H)
+    totals, abs_total, F, hs, H = head
+    total = totals[sigma < 0]
     mans, exps = _tail_expansion(sigma, offset, pieces, W, wp)
     T = F + _TAIL_GUARD
     # sum_{n>N} sigma^n R(n) = G(N + 1 - offset), at u = N + 1/2 - offset
@@ -563,13 +592,19 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
 # Direct summation in fixed point, with elementary tail bounds
 # ---------------------------------------------------------------------------
 
-def _direct(sigma: int, offset: int, ps: Sequence[int], pieces: IntPieces, N: int, wp: int):
-    """sum_{n<=N} sigma^n W(n) R(n) in Python ints, W(n) = prod_i h_{n-offset}^(p_i)
-    and R(n) = sum_j k_j prod (n + t)^(-e) over pieces (k_j, [(t, e)]), given in
-    the integers of ``_int_pieces``.  Returns the sum, the sum of |terms| and
-    the N-th term in units of 2^-F, F, and h_N^(p_i) in units of 2^-H, H.  Each
-    block of ``_BLOCK`` n is one lazy pipeline of builtins; only its h prefix
-    sums, its weights and its terms become lists.  No step builds a Fraction.
+def _direct(offset: int, ps: Sequence[int], pieces: IntPieces, N: int, wp: int):
+    """sum_{n<=N} sigma^n W(n) R(n) for sigma = +1 and -1 at once, in Python
+    ints, W(n) = prod_i h_{n-offset}^(p_i) and R(n) = sum_j k_j prod (n +
+    t)^(-e) over pieces (k_j, [(t, e)]), given in the integers of
+    ``_int_pieces``.  Returns the pair of sums (sigma = +1, sigma = -1), the
+    sum of |terms|, the pair of signed N-th terms sigma^N T_N, all in units
+    of 2^-F, F, and h_N^(p_i) in units of 2^-H, H: index a pair by ``sigma <
+    0``.  The terms are walked once, without their sign: the sums over odd
+    and over even n give both totals, and each total and last term takes
+    its floor to 2^-F after its sign, so every integer is the one a walk
+    for that sigma alone would give.  Each block of ``_BLOCK`` n is one lazy
+    pipeline of builtins; only its h prefix sums, its weights and its terms
+    become lists.  No step builds a Fraction.
 
     With t = a/b, (n + t)^(-e) = b^e/(bn + a)^e: piece j is K_j/den_j(n), K_j =
     k_j prod b^e and den_j(n) = prod (bn + a)^e an integer.  Without a harmonic
@@ -582,8 +617,8 @@ def _direct(sigma: int, offset: int, ps: Sequence[int], pieces: IntPieces, N: in
     gains floor(2^(p+H)/(2n-1)^p) and drifts by under n units against h >= 2,
     so W~ errs by a relative r 2^-(wp+33), the product's floor included; on top
     a term errs by one unit of 2^-H per piece, and the N terms by under m
-    2^-32 units of 2^-F for m pieces.  The sums and the last term are shifted
-    to 2^-F once, one floor each.
+    2^-32 units of 2^-F for m pieces, either sign.  The sums and the last
+    terms are shifted to 2^-F once, one floor each.
 
     F = wp + 1 + bitlen U - lg, lg <= log2 |T_k| for the first non-zero term
     T_k, keeps U units of 2^-F under |T_k| 2^-(wp+1) <= abs_total 2^-(wp+1).
@@ -609,7 +644,7 @@ def _direct(sigma: int, offset: int, ps: Sequence[int], pieces: IntPieces, N: in
     # r >= 1: the A_j; r = 0: floor(K_j 2^F)
     kf = [(c * (L // d) if r else (c << F) // d, dens) for c, d, dens in scaled]
     h = {p: [0] for p in ps}  # per distinct p: h_(n0-1), ..., h_(n1-1) at 2^-H
-    total, abs_total, terms = 0, 0, [0]
+    odds, evens, abs_total, terms = 0, 0, 0, [0]
     for n0 in range(1, N + 1, _BLOCK):
         n1 = min(n0 + _BLOCK, N + 1)
         for p in h:
@@ -635,13 +670,16 @@ def _direct(sigma: int, offset: int, ps: Sequence[int], pieces: IntPieces, N: in
             else:
                 col = map(floordiv, repeat(c), den)
             rn = col if rn is None else map(add, rn, col)
-        terms = list(rn)
-        total += sum(terms) if sigma == 1 else sum(terms[1::2]) - sum(terms[::2])
+        terms = list(rn)  # n0 is odd: terms[::2] are the odd n
+        odds += sum(terms[::2])
+        evens += sum(terms[1::2])
         abs_total += sum(map(abs, terms))
-    last = sigma ** N * terms[-1]
+    totals, lasts = (odds + evens, evens - odds), (terms[-1], -terms[-1] if N & 1 else terms[-1])
     if r:
-        total, abs_total, last = total >> H - F, abs_total >> H - F, last >> H - F
-    return total, abs_total, last, F, [h[p][-1] for p in ps], H
+        s = H - F
+        totals, lasts = (totals[0] >> s, totals[1] >> s), (lasts[0] >> s, lasts[1] >> s)
+        abs_total >>= s
+    return totals, abs_total, lasts, F, [h[p][-1] for p in ps], H
 
 
 def _first_term(offset: int, ps: Sequence[int], scaled: list, N: int) -> tuple[int, int]:
@@ -682,10 +720,10 @@ def naive_sum(spec: SumSpec, prec: int, max_terms: int = NAIVE_START_TERMS) -> S
     factors = spec.factors()
     d = sum(e for _, e in factors)
     N, alt = max_terms, spec.sigma == -1
-    # sigma = -1 runs one term further for its bound
-    total, abs_total, last, F, hs, H = _direct(spec.sigma, spec.offset, spec.p,
-                                               _int_pieces([(1, factors)]), N + 1 if alt else N,
-                                               wp)
+    # sigma = -1 runs one term further for its bound; no head is cached here
+    totals, abs_total, lasts, F, hs, H = _direct(spec.offset, spec.p, _int_pieces([(1, factors)]),
+                                                 N + 1 if alt else N, wp)
+    total, last = totals[alt], lasts[alt]
     with mp.workprec(wp):
         if alt:
             total, abs_total = total - last, abs_total - abs(last)

@@ -117,6 +117,7 @@ def test_every_entry_point_rejects_a_low_precision_before_summing(name, prec, mo
         raise AssertionError("summed before the precision check")
     monkeypatch.setattr(special, "_fixed_sums", summed)
     monkeypatch.setattr(series, "_direct", summed)
+    monkeypatch.setattr(series, "_head_cache", {})  # a kept head would skip _direct
     with pytest.raises(PrecisionError):
         ENTRY_POINTS[name](prec)
 

@@ -16,7 +16,8 @@ import tsum.series as series
 import tsum.special as special
 from test_golden import EVAL_SPECS
 from tsum.cli import main
-from tsum.identities import PartialFractionRational, verify_thm3_6, verify_thm3_7
+from tsum.identities import (PartialFractionRational, verify_thm3_1, verify_thm3_4, verify_thm3_6,
+                             verify_thm3_7)
 from tsum.numeric import real_const
 from tsum.series import (
     BudgetExceededError,
@@ -434,8 +435,8 @@ def test_tail_assembly_error_budget(prec, monkeypatch):
         (man, exp), N = seen.pop(), res.terms_used
         [(W, (mans, exps))] = [(k[3], v) for k, v in series._expansion_cache.items()
                                if k[:2] == (sigma, offset) and k[4] == wp]
-        total, abs_total, _, scale, hs, hscale = _direct(sigma, offset, () if p is None else (p,),
-                                                         _int_pieces(TAIL_PIECES), N, wp)
+        total, abs_total, _, scale, hs, hscale = _signed(
+            _direct(offset, () if p is None else (p,), _int_pieces(TAIL_PIECES), N, wp), sigma)
         T = -exp
         assert T == scale + series._TAIL_GUARD
         g = [F(m) * F(2) ** e for m, e in zip(mans, exps)]
@@ -489,8 +490,8 @@ def test_tail_bound_is_its_formula_rounded_up_once(prec, monkeypatch):
         (man, exp), N = seen[-1], res.terms_used
         [(mans, exps)] = [v for k, v in series._expansion_cache.items()
                           if k[:2] == (sigma, offset) and k[4] == wp]
-        total, abs_total, _, scale, hs, hscale = _direct(sigma, offset, () if p is None else (p,),
-                                                         _int_pieces(TAIL_PIECES), N, wp)
+        total, abs_total, _, scale, hs, hscale = _signed(
+            _direct(offset, () if p is None else (p,), _int_pieces(TAIL_PIECES), N, wp), sigma)
         T = -exp
         tail = 0  # the rational tail by Horner's rule, one floor per step
         for m, e in zip(reversed(mans), reversed(exps)):
@@ -692,6 +693,16 @@ TWINS = {
 }
 
 
+class _Builds(dict):
+    """A ``_bern_cache`` that counts the convolutions stored in it."""
+
+    built = 0
+
+    def __setitem__(self, key, value):
+        self.built += 1
+        super().__setitem__(key, value)
+
+
 @pytest.mark.parametrize("sigma", [1, -1])
 @pytest.mark.parametrize("name", list(TWINS))
 def test_reflection_twins_share_one_convolution(name, sigma, monkeypatch):
@@ -707,23 +718,37 @@ def test_reflection_twins_share_one_convolution(name, sigma, monkeypatch):
         alone.append(series._tail_expansion(*key))
     for order in (keys, keys[::-1]):
         monkeypatch.setattr(series, "_expansion_cache", {})
-        monkeypatch.setattr(series, "_bern_cache", {})
+        monkeypatch.setattr(series, "_bern_cache", _Builds())
         cold = [series._tail_expansion(*key) for key in order]
-        assert len(series._bern_cache) == 1
+        assert series._bern_cache.built == 1
         series._expansion_cache.clear()
         warm = [series._tail_expansion(*key) for key in order]
-        assert len(series._bern_cache) == 1
+        assert series._bern_cache.built == 1
         assert cold == warm == (alone if order is keys else alone[::-1])
 
 
 def test_mixed_orders_have_no_twin(monkeypatch):
-    monkeypatch.setattr(series, "_bern_cache", {})
+    monkeypatch.setattr(series, "_bern_cache", _Builds())
     pieces = EXPANSION_PIECES["mixed-orders"]
     reflected = tuple((k, tuple((-t - 1, e) for t, e in fs)) for k, fs in pieces)
     wp, W = _accel_truncation(-1, 0, pieces, 64)
     for p in (pieces, reflected):
         series._tail_expansion(-1, 0, _int_pieces(p), W, wp)
-    assert len(series._bern_cache) == 2
+    assert series._bern_cache.built == 2
+
+
+def test_only_the_last_convolution_is_kept(monkeypatch):
+    # the twin asks right after its mate, so one entry serves it: a third
+    # class replaces the first, whose twin then builds it again
+    monkeypatch.setattr(series, "_expansion_cache", {})
+    monkeypatch.setattr(series, "_bern_cache", _Builds())
+    wp, W = _accel_truncation(1, 0, PAIR_PIECE, 192)
+    first, second = (_int_pieces(TWINS[name][0]) for name in list(TWINS)[:2])
+    for pieces, built in ((first, 1), (second, 2), (first, 2)):
+        series._tail_expansion(1, 0, pieces, W, wp)
+        assert (series._bern_cache.built, len(series._bern_cache)) == (built, 1)
+    series._tail_expansion(1, 1, _int_pieces(TWINS[list(TWINS)[0]][1]), W, wp)
+    assert series._bern_cache.built == 3
 
 
 @pytest.mark.parametrize("name", ["pair", "mixed-orders", "tail"])
@@ -741,6 +766,119 @@ def test_a_warm_accelerated_call_builds_no_fraction(name, monkeypatch):
     warm = [accel_linear_sum(p, offset, sigma, pieces, P) for p, offset, sigma in calls]
     assert built == []
     assert warm == cold
+
+
+def _count_walks(monkeypatch):
+    """Empties ``_head_cache`` and counts the calls of ``_direct``."""
+    walks = []
+    direct = series._direct
+
+    def spy(*args):
+        walks.append(args)
+        return direct(*args)
+
+    monkeypatch.setattr(series, "_head_cache", {})
+    monkeypatch.setattr(series, "_direct", spy)
+    return walks
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_tangent_and_secant_share_their_heads(p, monkeypatch):
+    # Theorems 3.1 and 3.4 sum the same heads at sigma = +1 and -1: the pair
+    # walks 2 heads, not 4, and a second run of both walks none
+    walks = _count_walks(monkeypatch)
+    a, b = F(1, 4), F(1, 3)
+    cold = [verify(p, a, b, P, "1e-40") for verify in (verify_thm3_1, verify_thm3_4)]
+    assert len(walks) == 2
+    warm = [verify(p, a, b, P, "1e-40") for verify in (verify_thm3_1, verify_thm3_4)]
+    assert len(walks) == 2
+    assert all(report.passed for report in cold + warm)
+    assert [(r.lhs, r.rhs) for r in cold] == [(r.lhs, r.rhs) for r in warm]
+
+
+def test_default_verify_walks_one_head_per_key(monkeypatch):
+    # a cold default verify asks 224 sums of 145 heads, so walks 145 heads;
+    # a warm one walks none
+    walks = _count_walks(monkeypatch)
+    calls = []
+    accel = series.accel_linear_sum
+
+    def spy_accel(*args):
+        calls.append(args)
+        return accel(*args)
+
+    monkeypatch.setattr(series, "accel_linear_sum", spy_accel)
+    monkeypatch.setattr(identities, "accel_linear_sum", spy_accel)
+    for _ in range(2):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify"]) == 0
+    assert len(calls) == 2 * 224
+    keys = {(offset, p, _int_pieces(pieces), prec) for p, offset, _, pieces, prec in calls}
+    assert len(walks) == len(keys) == 145
+
+
+class _Untouchable(dict):
+    """A ``_head_cache`` that fails a test on any read or write."""
+
+    def __getitem__(self, key):
+        raise AssertionError("head cache read")
+
+    get = __contains__ = setdefault = __getitem__
+
+    def __setitem__(self, key, value):
+        raise AssertionError("head cache filled")
+
+
+def test_accel_linear_sum_checks_its_arguments_first(monkeypatch):
+    # an offset of 2 once summed h_(n-2) from a wrong slice of the prefix
+    # sums (-10.90 for a true -0.148, with a tail bound near 1e-18), and
+    # p = 0 or -1 failed inside the head: each is now a SpecError, raised
+    # before any sum and before the head cache is read
+    def summed(*args):
+        raise AssertionError("summed before the argument checks")
+
+    monkeypatch.setattr(series, "_direct", summed)
+    monkeypatch.setattr(series, "_head_cache", _Untouchable())
+    pieces = [(F(1), [(F(-1, 4), 1), (F(-1, 6), 1)])]
+    for p, offset, sigma in ((1, 2, -1), (1, -1, 1), (0, 0, -1), (-1, 0, -1), (F(3, 2), 0, 1),
+                             (1.0, 0, 1), (1, 0, 0), (1, 0, 2), (None, F(1), 1)):
+        with pytest.raises(SpecError):
+            accel_linear_sum(p, offset, sigma, pieces, 64)
+    with pytest.raises(AssertionError, match="read"):
+        accel_linear_sum(1, 0, -1, pieces, 64)
+
+
+@pytest.mark.parametrize("prec", [64, 192, 1024])
+def test_either_sign_first_cold_or_warm_gives_the_same_sums(prec, monkeypatch):
+    # the sigma = -1 sum that reads the head of its sigma = +1 twin equals the
+    # one that walked it, and so on the other way round and warm
+    walks = _count_walks(monkeypatch)
+    for offset, p in sorted({(offset, p) for _, offset, p in _tail_grid(prec)}, key=str):
+        seen = []
+        for order in ((1, -1), (-1, 1), (1, -1)):
+            if len(seen) < 2:  # cold
+                for name in ("_head_cache", "_expansion_cache", "_bern_cache"):
+                    monkeypatch.setattr(series, name, {})
+            walks.clear()
+            res = {sigma: accel_linear_sum(p, offset, sigma, TAIL_PIECES, prec) for sigma in order}
+            assert len(walks) == (1 if len(seen) < 2 else 0), (offset, p, order)
+            seen.append({sigma: (r.value._mpf_, r.tail_bound._mpf_, r.terms_used)
+                         for sigma, r in res.items()})
+        assert seen[0] == seen[1] == seen[2], (offset, p)
+
+
+def test_naive_sum_neither_reads_nor_fills_the_head_cache(monkeypatch):
+    # the oracle, --method naive and r >= 2 walk every head afresh
+    monkeypatch.setattr(series, "_head_cache", _Untouchable())
+    for p, sigma in itertools.product(((), (2,), (1, 2)), (1, -1)):
+        spec = SumSpec(p=p, q=(6,), a=(F(1, 3),), sigma=sigma)
+        naive_sum(spec, 64, 300)
+        euler_t_sum(spec, 64, method="naive", max_terms=300)
+        if len(p) > 1:
+            euler_t_sum(spec, 64)
+    assert len(series._head_cache) == 0
+    with pytest.raises(AssertionError, match="read"):  # the accelerated path does read it
+        euler_t_sum(SumSpec(p=(2,), q=(3,), a=(F(1, 3),)), 64)
 
 
 def test_accelerated_method_rejects_multiple_factors():
@@ -805,12 +943,26 @@ def _exact_term(offset, ps, pieces, n):
                               for (c, d), dens in pieces)
 
 
-def _direct_reference(sigma, offset, ps, pieces, N, wp):
-    """The term-by-term loop that ``_direct``'s block pipelines replace: the
-    same floors in the same order, one n at a time, from the integer pieces
-    of ``_int_pieces``.  The first non-zero term comes from ``_exact_term``,
-    exactly in Fractions, term by term: the reference for the integer search
-    of ``_direct``."""
+def _signed(head, sigma):
+    """The sum, the sum of |terms|, the last term, F, the h_N and H for one
+    sigma, picked from ``_direct``'s sign-free head."""
+    totals, abs_total, lasts, scale, hs, H = head
+    return totals[sigma < 0], abs_total, lasts[sigma < 0], scale, hs, H
+
+
+def _direct_reference(offset, ps, pieces, N, wp):
+    """``_direct``'s sign-free head from two term loops, one per sigma."""
+    plus, minus = (_term_loop(sigma, offset, ps, pieces, N, wp) for sigma in (1, -1))
+    assert plus[1] == minus[1] and plus[3:] == minus[3:]
+    return (plus[0], minus[0]), plus[1], (plus[2], minus[2]), *plus[3:]
+
+
+def _term_loop(sigma, offset, ps, pieces, N, wp):
+    """The term-by-term loop for one sigma that ``_direct``'s block pipelines
+    replace: the same floors in the same order, one n at a time, from the
+    integer pieces of ``_int_pieces``.  The first non-zero term comes from
+    ``_exact_term``, exactly in Fractions, term by term: the reference for
+    the integer search of ``_direct``."""
     r = len(ps)
     scaled = [(F(n, d) * math.prod(F(b) ** e for b, _, e in dens), dens)
               for (n, d), dens in pieces]
@@ -855,10 +1007,10 @@ def test_fixed_point_loop_matches_exact_partial_sums():
         product = [(F(1), factors)]
         pf = [(c, [(t, e)]) for t, e, c in partial_fractions(factors)]
         for pieces, wp in itertools.product(map(_int_pieces, (product, pf)), wps):
-            got = _direct(sigma, offset, ps, pieces, N, wp)
-            total, abs_total, _, scale, hs, hscale = got
+            got = _direct(offset, ps, pieces, N, wp)
+            total, abs_total, _, scale, hs, hscale = _signed(got, sigma)
             case = (sigma, offset, ps, factors, N, len(pieces), wp)
-            assert got == _direct_reference(sigma, offset, ps, pieces, N, wp), case
+            assert got == _direct_reference(offset, ps, pieces, N, wp), case
             # the error contract of the fixed point: abs_total 2^-wp
             assert abs(F(total, 1 << scale) - exact) <= absum / 2 ** wp, case
             assert abs(F(abs_total, 1 << scale) - absum) <= absum / 2 ** wp, case
@@ -874,9 +1026,9 @@ def test_weights_keep_their_precision_when_the_head_scale_is_clamped():
         exact, absum, _ = _exact_partial(sigma, offset, ps, factors, N)
         for wp in (80, 200):
             pieces = _int_pieces([(k, factors)])
-            got = _direct(sigma, offset, ps, pieces, N, wp)
-            assert got == _direct_reference(sigma, offset, ps, pieces, N, wp)
-            total, abs_total, _, scale, _, _ = got
+            got = _direct(offset, ps, pieces, N, wp)
+            assert got == _direct_reference(offset, ps, pieces, N, wp)
+            total, abs_total, _, scale, _, _ = _signed(got, sigma)
             assert scale == 0
             assert abs(F(total, 1 << scale) - k * exact) <= k * absum / 2 ** wp, (ps, wp)
             assert abs(F(abs_total, 1 << scale) - k * absum) <= k * absum / 2 ** wp, (ps, wp)
@@ -923,9 +1075,8 @@ def test_first_term_in_integers_matches_the_exact_fraction_rule():
     for offset, ps, pieces, N, wp in _first_term_grid():
         first = next((n for n in range(1, N + 1) if _exact_term(offset, ps, pieces, n)), None)
         firsts.add(first)
-        for sigma in (1, -1):
-            case = (sigma, offset, ps, pieces, N, wp)
-            assert _direct(*case) == _direct_reference(*case), case
+        case = (offset, ps, pieces, N, wp)
+        assert _direct(*case) == _direct_reference(*case), case
     assert {1, 2, 3, None} <= firsts
 
 
@@ -943,12 +1094,14 @@ def _block_lengths():
 @pytest.mark.parametrize("offset", [0, 1])
 @pytest.mark.parametrize("ps", BLOCK_PS, ids=["r0", "r1", "r2", "r3"])
 def test_blocks_match_the_term_loop(sigma, offset, ps):
+    # the sum, the sum of |terms| and the last term for sigma, picked from
+    # the one sign-free walk, against the term loop for that sigma alone
     for factors in BLOCK_FACTORS:
         pf = [(c, [(t, e)]) for t, e, c in partial_fractions(factors)]
         for pieces in map(_int_pieces, ([(F(1), factors)], pf)):
             for N in _block_lengths():
-                got = _direct(sigma, offset, ps, pieces, N, 80)
-                assert got == _direct_reference(sigma, offset, ps, pieces, N, 80), (
+                got = _signed(_direct(offset, ps, pieces, N, 80), sigma)
+                assert got == _term_loop(sigma, offset, ps, pieces, N, 80), (
                     factors, len(pieces), N)
 
 
@@ -969,7 +1122,7 @@ def test_direct_memory_does_not_grow_with_the_terms():
     for N in (1 << 12, 1 << 15):
         tracemalloc.start()
         try:
-            _direct(-1, 0, (1, 1), _int_pieces([(F(1), [(F(-1, 6), 4)])]), N, 111)
+            _direct(0, (1, 1), _int_pieces([(F(1), [(F(-1, 6), 4)])]), N, 111)
             peaks[N] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
