@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--offset", choices=("cur", "prev", "n", "n-1"), default="cur")
     pe.add_argument("--method", choices=("auto", "accelerated", "naive"), default="auto")
     pe.add_argument("--max-terms", type=int, help="direct-summation terms: exact with --method "
-                    "naive, the first doubling round for 2+ harmonic factors, else ignored")
+                    "naive, the first doubling round for 3+ harmonic factors, else ignored")
     pe.set_defaults(func=cmd_eval)
 
     pt = sub.add_parser("table", help="emit all reductions of a family up to a weight bound")

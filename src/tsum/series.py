@@ -8,7 +8,7 @@ with W(n) a product of odd harmonic numbers h_n^(p) or h_{n-1}^(p) (possibly
 empty) and R(n) a rational function with half-integer-shifted poles,
 R(n) = prod_i (n + a_i - 1/2)^(-q_i).
 
-Evaluation strategy for the linear case (at most one harmonic factor):
+Evaluation strategy for at most two harmonic factors (r <= 2):
 
 * R enters as pieces k prod (n + t)^(-e): one product piece for a spec, or
   one piece per partial fraction for the residue checks.  The entry points
@@ -24,17 +24,20 @@ Evaluation strategy for the linear case (at most one harmonic factor):
   accelerated path keeps it per key, so the tangent and secant forms of one
   sum share it and a warm call walks no head.
 * The tail is rearranged exactly: with h the harmonic prefix sums,
-  h(n) = h(N) + sum_{k=N+1..n} (k-1/2)^(-p), so the tail splits into
-  h(N) G(N + 1 - off) plus sum_{k>N} (k-1/2)^(-p) G(k), where
-  G(k) = sum_{n>=k+off} sigma^n R(n).  R is expanded once in exact powers of
-  1/v, v = n - 1/2, and Euler-Maclaurin (sigma = +1) or Boole summation
-  (sigma = -1) of each power gives G(k) = sigma^k sum_w g_w u^(-w) with
-  exact g_w, u = k - 1/2: one integer convolution of the 1/v series with
-  Bernoulli weights kept per sigma, shared by R and its reflection, every
-  t + 1/2 negated, which differs from it only in signs.  The first part is
-  that series at one point; the k-sum collapses to (alternating) Hurwitz
-  zeta values at N + 1/2, one ``tail_zeta_batch`` per precision tier: as
-  the terms g_w zeta_w fall with w, each exponent is asked at the
+  h(n) = h(N) + sum_{k=N+1..n} (k-1/2)^(-p), so one factor splits the tail
+  into h(N) G(N + 1 - off) plus sum_{k>N} (k-1/2)^(-p) G(k), where
+  G(k) = sum_{n>=k+off} sigma^n R(n); two factors split it, by the stuffle
+  product, into six such sums, one of them nested a level deeper
+  (``_accel_sum``).  R is expanded once in exact powers of 1/v, v = n - 1/2,
+  and one exact summation step (``_sum_step``: Euler-Maclaurin at sigma =
+  +1, Boole summation at sigma = -1) gives G(k) = sigma^k sum_w g_w u^(-w)
+  with exact g_w, u = k - 1/2: one integer convolution of the 1/v series
+  with Bernoulli weights kept per sigma, shared by R and its reflection,
+  every t + 1/2 negated, which differs from it only in signs.  A nested
+  level is one more step on the exact series of G times u^(-s).  The first
+  part is a series at one point; each k-sum collapses to (alternating)
+  Hurwitz zeta values at N + 1/2, one ``tail_zeta_batch`` per precision
+  tier: as the terms g_w zeta_w fall with w, each exponent is asked at the
   precision its term needs (``_tail_plan``), and a check per call asks
   again at full precision any that would fall short.  Neither needs partial
   fractions, so near-coincident poles cancel nothing.
@@ -43,8 +46,8 @@ Evaluation strategy for the linear case (at most one harmonic factor):
   one floor each, and head plus tail is rounded once, to the target
   precision.
 
-Products of two or more harmonic factors fall back to budgeted direct
-summation, in the same fixed point; no closed form here covers them.
+Products of three or more harmonic factors fall back to budgeted direct
+summation, in the same fixed point.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial
 from operator import add, floordiv, mul, rshift
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_int, from_man_exp, mpf_div, round_ceiling, round_nearest
@@ -211,8 +214,8 @@ def _int_pieces(pieces: Pieces) -> IntPieces:
 
 
 # the accelerated path's caches; naive_sum, the oracle, reads none of them
-_expansion_cache: dict = {}  # (sigma, offset, pieces, W, wp) -> the g_w of _tail_expansion
-_head_cache: dict = {}  # (offset, p, pieces, N, wp) -> the sign-free head of _direct
+_expansion_cache: dict = {}  # (sigma, offset, pieces, W, wp[, s]) -> the floors of _tail_expansion
+_head_cache: dict = {}  # (offset, p or the pair, pieces, N, wp) -> the sign-free head of _direct
 _weights: dict = {}  # (sigma, n) -> (L, beta_k L for k = 1..n)
 # (sigma, D, L, rho up to sign and alternation) -> bern_1..bern_W, of the
 # last build only: a reflection twin asks right after its mate
@@ -283,9 +286,23 @@ def _tail_plan(sigma: int, N: int, wp: int, W: int, dbits: int) -> tuple[tuple[i
     return plan
 
 
-def _rho(pieces: IntPieces, W: int) -> tuple[int, int, int, list[int]]:
-    """R -> rho: D, K, m0 and rho_0..rho_(W+1) with R(n) = sum_m rho_m / (K D^m)
-    v^(-m), v = n - 1/2, and rho_m = 0 below m0.
+class _Series(NamedTuple):
+    """An exact 1/u series in integers: sum_m nums[m] / (den D^m divs[m])
+    u^(-m), m = 0..len(nums) - 1, with nums[m] = 0 below the least power m0
+    and divs None where every divisor is 1.  The powers of D keep the
+    numerators of R's series narrow (``_rho``); divs keeps per power the 1/w
+    of a summation step (``_sum_step``)."""
+
+    D: int
+    den: int
+    m0: int
+    nums: list
+    divs: Optional[tuple] = None
+
+
+def _rho(pieces: IntPieces, W: int) -> _Series:
+    """R -> its series in v = n - 1/2: R(n) = sum_m rho_m / (K D^m) v^(-m),
+    m <= W + 1, as the series (D, K, m0, rho), rho_m = 0 below m0.
 
     With c = t + 1/2 = (2a + b)/2b = A/D, each factor (1 + c/v)^(-1) maps the
     numerators over D^r of a 1/v series by x_r -> x_r - A x_(r-1)."""
@@ -305,10 +322,64 @@ def _rho(pieces: IntPieces, W: int) -> tuple[int, int, int, list[int]]:
         scale = n * (K // d) * D ** E
         for r, xr in enumerate(x):
             rho[E + r] += scale * xr
-    return D, K, min(sum(e for _, _, e in fs) for _, fs in pieces), rho
+    return _Series(D, K, min(sum(e for _, _, e in fs) for _, fs in pieces), rho)
 
 
-def _bern(sigma: int, D: int, m0: int, rho: list[int]) -> tuple[int, list[int]]:
+def _sum_step(sigma: int, offset: int, series: _Series, keep: bool = True) -> _Series:
+    """One exact summation step: from f(j) = sum_m c_m v^(-m), v = j - 1/2,
+    given as ``series`` with powers m <= M, the series of sum_{j>=k+offset}
+    sigma^j f(j) ~ sigma^k sum_w g_w u^(-w), u = k - 1/2, for w = 1..M - 1.
+
+    Euler-Maclaurin (sigma = +1) and Boole summation (sigma = -1) give
+    sum_{j>=0} sigma^j (u + j)^(-m) ~ u^(1-m)/(m-1) (sigma = +1 only) +
+    u^(-m)/2 + sum_k beta_k C(w-1, 2k-1) u^(-w), w = m + 2k - 1, beta_k =
+    B_2k/(2k) times 1 (sigma = +1) or 4^k - 1 (sigma = -1); offset 1 drops
+    the j = k term c_w u^(-w).  With c_m = x_m / (K D^m), the last part summed
+    over m is bern_w / (L K D^w) (``_bern``), so g_w = num_w / (w 2 L K
+    D^(w+1)) with num_w = 2 w D bern_w + (1 - 2 offset) w L D x_w + [sigma =
+    1] 2 L x_(w+1): the output has den 2 L K D and divs w.  So the 1/(m - 1)
+    of sigma = +1 stays with its power, and no numerator carries lcm(1..M).
+    An input with divs is put over one denominator first: x_m / divs_m is
+    reduced by its gcd, and what is left over the lcm of the divisors.  That
+    lcm is 1 at sigma = -1, where w divides every num_w, and at sigma = +1
+    it is 1 or small, as L, the common denominator of the beta_k, is a
+    multiple of (nearly) every w <= M.  At sigma = +1, x_1 must be 0: the
+    power v^-1 has no sum.  ``keep`` False leaves ``_bern_cache`` as it was.
+    """
+    D, K, m0, x, divs = series
+    if divs is not None:
+        M = math.lcm(*(q // math.gcd(xm, q) for xm, q in zip(x, divs)))
+        x, K = [xm * M // q for xm, q in zip(x, divs)], K * M
+    L, bern = _bern(sigma, D, m0, x, keep)
+    nums = [0]
+    for w, b in enumerate(bern, 1):
+        num = 2 * w * D * b + (1 - 2 * offset) * w * L * D * x[w]
+        if sigma == 1:
+            num += 2 * L * x[w + 1]
+        nums.append(num)
+    return _Series(D, 2 * L * K * D, max(m0 - (sigma == 1), 1), nums, (1, *range(1, len(nums))))
+
+
+def _floors(series: _Series, wp: int) -> tuple[tuple[int, ...], array]:
+    """Each g_w, w >= 1, of a series from ``_sum_step`` floored to wp or wp +
+    1 bits straight from its numerator and denominator, so within 2^-(wp-1)
+    of |g_w|, as a pair (m, e), m 2^e, with m odd or 0: the mantissas in a
+    tuple, the exponents in an array of machine ints."""
+    D, den, _, nums, divs = series
+    mans, exps = [], []
+    for w in range(1, len(nums)):
+        num, den = nums[w], den * D
+        div = divs[w] * den
+        e = abs(num).bit_length() - div.bit_length() - wp if num else 0
+        m = (num << max(-e, 0)) // (div << max(e, 0))
+        tz = (m & -m).bit_length() - 1 if m else 0
+        mans.append(m >> tz)
+        exps.append(e + tz)
+    return tuple(mans), array("q", exps)
+
+
+def _bern(sigma: int, D: int, m0: int, rho: list[int],
+          keep: bool = True) -> tuple[int, list[int]]:
     """rho -> L and bern_w = sum_k gamma_k C(w-1, 2k-1) rho_(w-2k+1), w = 1..W,
     gamma_k = beta_k L D^(2k-1), each w one pipeline of builtins.  As rho_m =
     0 below m0, only k <= n = (W + 1 - m0) // 2 meet a non-zero rho_m, so L
@@ -317,9 +388,9 @@ def _bern(sigma: int, D: int, m0: int, rho: list[int]) -> tuple[int, list[int]]:
     up to sign and alternation (``_tail_expansion``): ``_bern_cache`` keeps
     the bern of the largest of rho, -rho and their alternations, and a
     member with rho_m = eps (-1)^(a m) rep_m takes eps (-1)^(a (w+1)) times
-    the representative's bern_w.  Only the last build is kept: the twins
-    are asked one right after the other, and a warm call reads
-    ``_expansion_cache`` before it gets here.
+    the representative's bern_w.  Only the last build is kept, and none
+    with ``keep`` False: the twins are asked one right after the other, and
+    a warm call reads ``_expansion_cache`` before it gets here.
     """
     alt = [-x if m & 1 else x for m, x in enumerate(rho)]
     rep, eps, a = max((rho, 1, 0), ([-x for x in rho], -1, 0), (alt, 1, 1),
@@ -335,8 +406,10 @@ def _bern(sigma: int, D: int, m0: int, rho: list[int]) -> tuple[int, list[int]]:
             bern.append(sum(map(mul, map(mul, gammas[:(w + 1 - m0) // 2], row[1::2]),
                                 rep[w - 1::-2])) if w > m0 else 0)
             row = [1, *map(add, row, row[1:]), 1]
-        _bern_cache.clear()
-        bern = _bern_cache[key] = tuple(bern)
+        bern = tuple(bern)
+        if keep:
+            _bern_cache.clear()
+            _bern_cache[key] = bern
     return L, [eps * (-1) ** (a * (w + 1)) * b for w, b in enumerate(bern, 1)]
 
 
@@ -352,51 +425,40 @@ def _beta_weights(sigma: int, n: int) -> tuple[int, list[int]]:
     return weights
 
 
-def _tail_expansion(sigma: int, offset: int, pieces: IntPieces, W: int,
-                    wp: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _tail_expansion(sigma: int, offset: int, pieces: IntPieces, W: int, wp: int,
+                    s: Optional[int] = None) -> tuple[tuple[int, ...], array]:
     """g_1, ..., g_W with G(k) = sum_{n>=k+offset} sigma^n R(n) ~ sigma^k sum_w
-    g_w u^(-w), u = k - 1/2, for R = sum_j k_j prod (n + t)^(-e).  Each g_w is
-    floored to wp or wp + 1 bits straight from its exact numerator and
-    denominator, so within 2^-(wp-1) of |g_w|, and kept as a pair (m, e),
-    m 2^e, with m odd or 0, so that a dyadic g_w takes a one-word int; the
-    e, all far from 0, in an array of machine ints, 8 bytes each where an
-    int object and its slot take 36.  Cached under (sigma, offset, pieces,
-    W, wp) alone, the pieces in the integers of ``_int_pieces``:
-    ``accel_linear_sum`` shifts the pairs to the scale of each sum.
+    g_w u^(-w), u = k - 1/2, for R = sum_j k_j prod (n + t)^(-e); or, given
+    s, the h_1, ..., h_W of the next level, H_s(k) = sum_{j>k} u_j^(-s) G(j)
+    ~ sigma^k sum_w h_w u^(-w).  Each is floored once (``_floors``) straight
+    from its exact numerator and denominator, so that a dyadic one takes a
+    one-word int, and the exponents, all far from 0, sit in an array of
+    machine ints, 8 bytes each where an int object and its slot take 36.
+    Cached under (sigma, offset, pieces, W, wp) alone, and s for H_s, the
+    pieces in the integers of ``_int_pieces``: ``_accel_sum`` shifts the
+    pairs to the scale of each sum.
 
-    Three steps.  ``_rho``: R(n) = sum_m r_m v^(-m), v = n - 1/2, with r_m =
-    rho_m / (K D^m) in integers.  ``_bern``: Euler-Maclaurin (sigma = +1) and
-    Boole summation (sigma = -1) give sum_{j>=0} sigma^j (u + j)^(-m) ~
-    u^(1-m)/(m-1) (sigma = +1 only) + u^(-m)/2 + sum_k beta_k C(w-1, 2k-1)
-    u^(-w), w = m + 2k - 1, beta_k = B_2k/(2k) times 1 (sigma = +1) or 4^k -
-    1 (sigma = -1); summed over m, the last part is bern_w / (L K D^w).
-    Per key: offset 1 drops the n = k term r_w u^(-w), u^(-w)/2 and u^(1-m)
-    come from rho, and g_w takes its one floor.
+    G is ``_rho`` and one ``_sum_step``.  H_s is one more step, offset 1, on
+    the exact series of G times u^(-s), up to the same power W; its
+    convolution is not kept, so G's stays in ``_bern_cache`` for the next s.
 
     Reflection: negating every t + 1/2 maps A to -A, so x_r to (-1)^r x_r and
     rho_m to eps (-1)^m rho_m (eps = (-1)^E if every piece has order E); each
     rho_(w-2k+1) then gains eps (-1)^(w+1), so bern_w does too.  The pair
-    theorems weigh (a, b) against (-a, -b): both keys share one convolution.
+    theorems weigh (a, b) against (-a, -b): both keys share one convolution
+    (``_bern``).
     """
-    key = (sigma, offset, pieces, W, wp)
+    key = (sigma, offset, pieces, W, wp) if s is None else (sigma, offset, pieces, W, wp, s)
     g = _expansion_cache.get(key)
-    if g is not None:
-        return g
-    D, K, m0, rho = _rho(pieces, W)
-    L, bern = _bern(sigma, D, m0, rho)
-    mans, exps = [], []
-    den = 2 * L * K * D  # den: 2 L K D^(w+1) / D
-    for w, b in enumerate(bern, 1):
-        num = 2 * w * D * b + (1 - 2 * offset) * w * L * D * rho[w]
-        if sigma == 1:
-            num += 2 * L * rho[w + 1]
-        den *= D
-        e = abs(num).bit_length() - (w * den).bit_length() - wp if num else 0
-        m = (num << max(-e, 0)) // (w * den << max(e, 0))
-        tz = (m & -m).bit_length() - 1 if m else 0
-        mans.append(m >> tz)
-        exps.append(e + tz)
-    g = _expansion_cache[key] = (tuple(mans), array("q", exps))
+    if g is None:
+        series = _sum_step(sigma, offset, _rho(pieces, W))
+        if s is not None:  # times u^(-s), powers up to W + 1: none past W + 1 - s
+            D, den, m0, nums, divs = series
+            top = max(W + 2 - s, 0)
+            nums = [0] * (W + 2 - top) + [x * D ** s for x in nums[:top]]
+            series = _sum_step(sigma, 1, _Series(D, den, m0 + s, nums,
+                                                 (1,) * (W + 2 - top) + divs[:top]), keep=False)
+        g = _expansion_cache[key] = _floors(series, wp)
     return g
 
 
@@ -411,14 +473,21 @@ def _midpoint(N: int) -> Fraction:
     return Fraction(2 * N + 1, 2)
 
 
-def _tail_batch(sigma: int, N: int, wp: int, W: int, dbits: int, p: int, mans: Sequence[int],
-                exps: Sequence[int], powers: list[int]) -> list[mpf]:
-    """zeta_s = sum_{j>=0} sigma^j (N + 1/2 + j)^(-s) for s from powers[0] + p
-    up to W + max(p, ``_BATCH_ORDERS``): every exponent the sums of orders p
-    = 1.._BATCH_ORDERS of one R ask at this point, so one call per tier
-    serves them all.  Exponent s is asked at the bits of its tier in
-    ``_tail_plan`` at w = s - max(p, _BATCH_ORDERS) <= s - p, one
-    ``tail_zeta_batch`` per tier.
+def _tail_batch(sigma: int, N: int, wp: int, W: int, dbits: int, shift: int, p: int,
+                mans: Sequence[int], exps: Sequence[int], T: int) -> tuple[int, list]:
+    """sum_w g_w zeta_(w+p) at 2^-T, one floor per power, for the floored
+    coefficients (mans, exps) of G or of a nested level (``_tail_expansion``),
+    zeta_s = sum_{j>=0} sigma^j (N + 1/2 + j)^(-s); and the last kept power's
+    |g_w zeta_(w+p)| as [(c, e)], c 2^e, for the bound ([] if every g_w is 0).
+
+    The batch asks s from the first kept power plus p up to W + ``shift``:
+    with shift = max(p, ``_BATCH_ORDERS``) that is every exponent the sums of
+    orders p = 1.._BATCH_ORDERS of one R ask at this point, and with shift =
+    max(p1 + p2, _BATCH_ORDERS) every exponent of the five batches of a
+    product of two factors, so one call per tier serves them all and the
+    others read the cache.  Exponent s is asked at the bits of its tier in
+    ``_tail_plan`` at w = s - shift <= s - p, one ``tail_zeta_batch`` per
+    tier.
 
     The check: the bit lengths of the mantissas give U_w with 2^(U_w - 3) <
     |g_w zeta_w| < 2^(U_w + 1) (the floor of g_w and the rounding of zeta_w
@@ -428,7 +497,10 @@ def _tail_batch(sigma: int, N: int, wp: int, W: int, dbits: int, p: int, mans: S
     2^(max U - 3 - (wp + 1) - lg n), so that together they err by under
     2^-(wp+1) B; any that would not is asked again at wp.
     """
-    x, shift = _midpoint(N), max(p, _BATCH_ORDERS)
+    powers = [w for w, m in enumerate(mans, 1) if m]
+    if not powers:
+        return 0, []
+    x = _midpoint(N)
     s0 = lo = powers[0] + p
     zvals, bits = [], []
     for w, b in _tail_plan(sigma, N, wp, W, dbits):
@@ -437,19 +509,24 @@ def _tail_batch(sigma: int, N: int, wp: int, W: int, dbits: int, p: int, mans: S
             zvals += tail_zeta_batch(sigma, part, x, b)
             bits += [b] * len(part)
             lo = w + shift + 1
-    if bits[-1] == wp:  # one tier
-        return zvals
-    sizes = []  # (index of s = w + p, U_w)
+    if bits[-1] != wp:  # more than one tier
+        sizes = []  # (index of s = w + p, U_w)
+        for w in powers:
+            _, _, exp, bc = zvals[w + p - s0]._mpf_
+            sizes.append((w + p - s0, mans[w - 1].bit_length() + exps[w - 1] + exp + bc))
+        low = [(i, u) for i, u in sizes if bits[i] < wp]
+        top = max(u for _, u in sizes) - 3 - (wp + 1) - (len(low) - 1).bit_length()
+        redo = [s0 + i for i, u in low if u + 1 - bits[i] > top]
+        if redo:
+            for s, v in zip(redo, tail_zeta_batch(sigma, redo, x, wp)):
+                zvals[s - s0] = v
+    piece = 0
     for w in powers:
-        _, _, exp, bc = zvals[w + p - s0]._mpf_
-        sizes.append((w + p - s0, mans[w - 1].bit_length() + exps[w - 1] + exp + bc))
-    low = [(i, u) for i, u in sizes if bits[i] < wp]
-    top = max(u for _, u in sizes) - 3 - (wp + 1) - (len(low) - 1).bit_length()
-    redo = [s0 + i for i, u in low if u + 1 - bits[i] > top]
-    if redo:
-        for s, v in zip(redo, tail_zeta_batch(sigma, redo, x, wp)):
-            zvals[s - s0] = v
-    return zvals
+        sign, man, exp, _ = zvals[w - powers[0]]._mpf_
+        piece += _at_scale(mans[w - 1] * (-man if sign else man), exps[w - 1] + exp + T)
+    w = powers[-1]
+    _, man, exp, _ = zvals[w - powers[0]]._mpf_
+    return piece, [(abs(mans[w - 1]) * man, exps[w - 1] + exp)]
 
 
 def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
@@ -457,59 +534,8 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     """Accelerated sum_{n>=1} sigma^n h_{n-offset}^(p) R(n), R(n) = sum_j k_j
     prod (n + t)^(-e) over pieces (k_j, [(t, e)]); p is None (no harmonic
     factor) or an int >= 1, offset 0 or 1 and sigma +1 or -1, all three
-    checked before any other work.
-
-    The first N terms come from ``_direct``, whose one walk gives the head
-    for both signs: ``_head_cache`` keeps it under (offset, p, pieces, N,
-    wp), so the sigma = -1 sum of the secant theorems reads the head of its
-    sigma = +1 tangent twin, and a warm call walks no head.
-
-    With h_n = h_N + sum_{k=N+1..n} (k - 1/2)^(-p), the tail is h_N G(N + 1
-    - offset) plus sum_{k>N} (k - 1/2)^(-p) G(k), G from
-    ``_tail_expansion``: the first is its series at one point, the second
-    from the batch at N + 1/2 (``_tail_batch``).  Both are assembled in
-    integers at 2^-T, T = F + ``_TAIL_GUARD``, past the head's 2^-F: the
-    rational tail by Horner's rule in 1/u, one floor division per power,
-    piece1 as h_N (at 2^-H) times it, piece2 from the products of the g_w
-    and the batch mantissas.  The total is rounded once, to ``prec``.
-
-    The bound ``tail_bound`` is (abs_head + |piece1| + |piece2| + 1)
-    2^(-wp+10) (the total for both pieces without a harmonic factor), plus
-    |total| 2^(-prec+1) for the final rounding, plus, with a harmonic factor,
-    the continuation estimate |g_w zeta_w| / N of the last kept power.  It is
-    summed exactly, from the integers above (abs_head at 2^-F, the total and
-    the pieces at 2^-T, the last g_w mantissa times the last batch mantissa),
-    and rounded up once, at wp.
-
-    The error budget, against the (abs_head + |piece1| + |piece2| + 1)
-    2^(-wp+10) term of the bound:
-
-    * The head errs by under abs_head 2^-wp.
-    * Each floor errs by under one unit of 2^-T.  A Horner step floors g_w
-      and the division by u, and divides the error it inherits by u > 127,
-      so the rational tail errs by under (1 + 1/u)/(1 - 1/u) < 2 units,
-      piece1 by under 2 h_N + 1 and piece2 by under W: the total by under
-      2 h_N + W + 1 units (2 without a harmonic factor).  ``_direct`` makes
-      2^-F <= |T_1| 2^-(wp+1) / U for the first non-zero head term T_1 (1
-      if there is none), with U >= N (2 h_N + 1), so while W + 1 < 2^16 N
-      those units stay under (abs_head + 1) 2^-wp.
-    * The inputs carry relative errors: under 2^-(wp-1) for each g_w, and
-      under 2^-b_s for each batch value zeta_w, asked at the b_s bits of its
-      tier.  With the majorants A = sum |g_w| u^(-w) of the rational tail
-      and B = sum |g_w zeta_w| of piece2, ``_tail_batch`` checks per call
-      that sum |g_w zeta_w| 2^-b_s over the values asked below wp stays
-      under 2^-(wp+1) B, so the batch values add under 1.5 2^-wp B, and the
-      inputs under 2^-(wp-1) max(1, h_N) A + 2^-(wp-2) B, which with the
-      two items above is inside the term while
-      max(1, h_N) A <= 2^6 (abs_head + 1) and B <= 2^6 (abs_head + |piece2|
-      + 1).  Past the leading power the majorants' terms fall like ((1 +
-      dmax)/u)^w, u >= 8 (1 + dmax), so only R's leading 1/v powers
-      cancelling each other could break that; ``test_tail_assembly_error_budget``
-      checks both on its grid.
-
-    Pieces that cancel (the partial fractions of near-coincident poles) need
-    no guard bits: the head floors each piece in absolute units and the g_w
-    come from the exact series of R.
+    checked before any other work, and then the pieces.  ``_accel_sum`` sums
+    it.
     """
     name = "accel_linear_sum"
     if p is not None and check_integer(p, name, SpecError) < 1:
@@ -532,7 +558,84 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
         den = math.lcm(*(d for _, d in ones))
         if sum(n * (den // d) for n, d in ones):
             raise DivergentSumError("sum of order-1 coefficients must vanish for sigma=+1")
+    return _accel_sum(() if p is None else (p,), offset, sigma, pieces, prec)
 
+
+def _accel_sum(ps: tuple[int, ...], offset: int, sigma: int, pieces: IntPieces,
+               prec: int) -> SeriesResult:
+    """Accelerated sum_{n>=1} sigma^n prod_i h_{n-offset}^(p_i) R(n) for r =
+    len(ps) <= 2 harmonic factors, ps sorted, the arguments checked and the
+    pieces in the integers of ``_int_pieces``.
+
+    The first N terms come from ``_direct``, whose one walk gives the head
+    for both signs: ``_head_cache`` keeps it under (offset, p, pieces, N, wp),
+    p None, the one order or the pair ps, so the sigma = -1 sum of the secant
+    theorems reads the head of its sigma = +1 tangent twin, and a warm call
+    walks no head.
+
+    The tail: for n > N, h_{n-offset}^(p) = h_N^(p) + sum_{N<k<=n-offset}
+    u_k^(-p), u_k = k - 1/2.  Multiplied out, and with the double sum of two
+    factors split at k1 < k2, k1 > k2 and k1 = k2 (the stuffle product), the
+    tail is T() without a harmonic factor, h_N T() + T(p) with one, and
+    h_N^(p1) h_N^(p2) T() + h_N^(p2) T(p1) + h_N^(p1) T(p2) + T(p1, p2) +
+    T(p2, p1) + T(p1 + p2) with two, where, with G and H_s of
+    ``_tail_expansion``,
+
+    * T() = sum_{n>N} sigma^n R(n) = G(N + 1 - offset): the rational tail,
+      G's series at one point, by Horner's rule in 1/u, one floor division
+      per power;
+    * T(s) = sum_{k>N} u_k^(-s) G(k) = sigma^(N+1) sum_w g_w zeta(w + s;
+      N + 1/2), and T(s1, s2) = sum_{k>N} u_k^(-s1) H_s2(k), the same sum
+      over the h_w of H_s2 at w + s1: the batches at N + 1/2
+      (``_tail_batch``), from the products of the coefficients and the batch
+      mantissas.
+
+    All of it is assembled in integers at 2^-T, T = F + ``_TAIL_GUARD``, past
+    the head's 2^-F, each h_N (at 2^-H) times its piece with one floor, and
+    the total is rounded once, to ``prec``.
+
+    The bound ``tail_bound`` is (abs_head + sum |piece| + 1) 2^(-wp+10) (the
+    total for T() alone), plus |total| 2^(-prec+1) for the final rounding,
+    plus, for each batched piece, the continuation estimate |g_w zeta_w| / N
+    of its last kept power, times the piece's h_N.  It is summed exactly,
+    from the integers above (abs_head at 2^-F, the total and the pieces at
+    2^-T, the last g_w mantissa times the last batch mantissa, times the h_N
+    at 2^-H), and rounded up once, at wp.
+
+    The error budget, against the (abs_head + sum |piece| + 1) 2^(-wp+10)
+    term of the bound:
+
+    * The head errs by under abs_head 2^-wp.
+    * Each floor errs by under one unit of 2^-T.  A Horner step floors g_w
+      and the division by u, and divides the error it inherits by u > 127,
+      so the rational tail errs by under (1 + 1/u)/(1 - 1/u) < 2 units, and
+      a batched piece by under W.  With the floors of the products by h_N,
+      the total errs by under 2 units without a harmonic factor, 2 h_N + W +
+      1 with one, and 2 h1 h2 + W (h1 + h2 + 3) + 3 < (W + 2) h1 h2 + 3W + 3
+      with two, as each h_N >= 2.  ``_direct`` makes 2^-F <= |T_1| 2^-(wp+1)
+      / U for the first non-zero head term T_1 (1 if there is none), with U
+      >= N (2V + 1) and V >= max(1, h1 h2), so while W + 2 < 2^16 N those
+      units stay under (abs_head + 1) 2^-wp.
+    * The inputs carry relative errors: under 2^-(wp-1) for each g_w and
+      h_w, and under 2^-b_s for each batch value zeta_w, asked at the b_s
+      bits of its tier.  With the majorants A = sum |g_w| u^(-w) of the
+      rational tail and B = sum |g_w zeta_w| of a batched piece,
+      ``_tail_batch`` checks per call that sum |g_w zeta_w| 2^-b_s over the
+      values asked below wp stays under 2^-(wp+1) B, so the batch values add
+      under 1.5 2^-wp B, and the inputs under 2^-(wp-1) A times the h_N of
+      T(), and 2^-(wp-2) B times the h_N of each batched piece.  With the
+      two items above that is inside the term while those products stay
+      within 2^6 (abs_head + 1) and 2^6 (abs_head + |piece| + 1).  Past the
+      leading power the majorants' terms fall like ((1 + dmax)/u)^w, u >= 8
+      (1 + dmax), so only R's leading 1/v powers cancelling each other could
+      break that; ``test_tail_assembly_error_budget`` checks both on its
+      grid, and ``tests/test_bounds.py`` every bound against a value 160
+      bits finer.
+
+    Pieces that cancel (the partial fractions of near-coincident poles) need
+    no guard bits: the head floors each piece in absolute units and the g_w
+    come from the exact series of R.
+    """
     wp = prec + 48
     emax = max(e for _, fs in pieces for _, _, e in fs)
     # |t + offset + 1/2| = |2a + (2 offset + 1) b| / 2b for t = a/b; a true division
@@ -542,10 +645,10 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     N = max(128, math.ceil(0.55 * wp), math.ceil(8 * (1 + dmax)))
     W = _pick_truncation(sigma, wp, N, dmax, emax)
 
-    key = (offset, p, pieces, N, wp)
+    key = (offset, ps if len(ps) > 1 else ps[0] if ps else None, pieces, N, wp)
     head = _head_cache.get(key)
     if head is None:
-        totals, abs_total, _, F, hs, H = _direct(offset, () if p is None else (p,), pieces, N, wp)
+        totals, abs_total, _, F, hs, H = _direct(offset, ps, pieces, N, wp)
         head = _head_cache[key] = (totals, abs_total, F, hs, H)
     totals, abs_total, F, hs, H = head
     total = totals[sigma < 0]
@@ -558,30 +661,38 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
         rational_tail = 2 * (rational_tail + _at_scale(m, e + T)) // u2
     rational_tail *= sigma ** (N + 1 - offset)
     value = total << _TAIL_GUARD
-    if p is None:
+    conts = []  # (c, e): c 2^e of each continuation estimate, times N
+    if not ps:
         value += rational_tail
         pieces_abs = abs(value)
     else:
-        piece1 = hs[0] * rational_tail >> H
-        piece2 = 0
-        powers = [w for w, m in enumerate(mans, 1) if m]
-        zvals = _tail_batch(sigma, N, wp, W, math.ceil(1 + dmax).bit_length(), p, mans, exps,
-                            powers) if powers else []
-        for w in powers:
-            sign, man, exp, _ = zvals[w - powers[0]]._mpf_
-            piece2 += _at_scale(mans[w - 1] * (-man if sign else man), exps[w - 1] + exp + T)
-        piece2 *= sigma ** (N + 1)
-        value += piece1 + piece2
-        pieces_abs = abs(piece1) + abs(piece2)
+        sign, dbits = sigma ** (N + 1), math.ceil(1 + dmax).bit_length()
+        shift = max(sum(ps), _BATCH_ORDERS)
+
+        def batched(p, mans, exps, h=None):  # sigma^(N+1) sum_w g_w zeta(w + p), times h at 2^-H
+            piece, last = _tail_batch(sigma, N, wp, W, dbits, shift, p, mans, exps, T)
+            if h is None:
+                conts.extend(last)
+                return sign * piece
+            conts.extend((c * h, e - H) for c, e in last)
+            return sign * piece * h >> H
+
+        if len(ps) == 1:
+            parts = [hs[0] * rational_tail >> H, batched(ps[0], mans, exps)]
+        else:
+            (p1, p2), (h1, h2) = ps, hs
+            nested = [_tail_expansion(sigma, offset, pieces, W, wp, s) for s in (p2, p1)]
+            parts = [h1 * h2 * rational_tail >> 2 * H, batched(p1, mans, exps, h2),
+                     batched(p2, mans, exps, h1), batched(p1, *nested[0]),
+                     batched(p2, *nested[1]), batched(p1 + p2, mans, exps)]
+        value += sum(parts)
+        pieces_abs = sum(map(abs, parts))
     # the bound of the docstring as the integer bound / den at 2^e
     e, den = -(T + wp - 10), 1
     bound = (abs_total << _TAIL_GUARD) + pieces_abs + (1 << T) + (abs(value) << wp - prec - 9)
-    if p is not None and powers:
-        w = powers[-1]
-        _, man, exp, _ = zvals[w - powers[0]]._mpf_
-        et = exps[w - 1] + exp
-        low = min(e, et)
-        bound = (N * bound << e - low) + (abs(mans[w - 1]) * man << et - low)
+    if conts:
+        low = min(e, *(et for _, et in conts))
+        bound = (N * bound << e - low) + sum(c << et - low for c, et in conts)
         e, den = low, N
     tb = mp.make_mpf(mpf_div(from_man_exp(bound, e), from_int(den), wp, round_ceiling))
     value = mp.make_mpf(from_man_exp(value, -T, prec, round_nearest))
@@ -751,9 +862,13 @@ def euler_t_sum(spec: SumSpec, prec: int, method: str = "auto",
                 max_terms: Optional[int] = None) -> SeriesResult:
     """Numeric value of a parametric Euler T-sum.
 
-    method "auto" uses the accelerated path for at most one harmonic factor
-    and budgeted direct summation otherwise; "accelerated" and "naive"
-    force the respective path.
+    method "auto" uses the accelerated path for at most two harmonic factors
+    (``accel_linear_sum`` for one or none, ``_accel_sum`` for two) and
+    budgeted direct summation for three or more, doubling from ``max_terms``
+    (16384 if None) up to ``NAIVE_TERM_CAP`` until the tail bound meets
+    2^(16 - prec); "accelerated" and "naive" force the respective path.  The
+    accelerated path picks its own head length and ignores ``max_terms``,
+    which "naive" sums exactly.
     """
     if method not in ("auto", "accelerated", "naive"):
         raise SpecError(f"unknown method {method!r}")
@@ -767,9 +882,13 @@ def euler_t_sum(spec: SumSpec, prec: int, method: str = "auto",
         p = spec.p[0] if spec.p else None
         return accel_linear_sum(p, spec.offset, spec.sigma, [(Fraction(1), spec.factors())],
                                 prec)
+    if len(spec.p) == 2:  # the spec checked its shifts and its convergence
+        check_precision(prec)
+        return _accel_sum(spec.p, spec.offset, spec.sigma,
+                          _int_pieces([(Fraction(1), spec.factors())]), prec)
     if method == "accelerated":
-        raise SpecError("accelerated evaluation covers at most one harmonic factor")
-    # budgeted naive fallback for r >= 2
+        raise SpecError("accelerated evaluation covers at most two harmonic factors")
+    # budgeted naive fallback for r >= 3
     target = mpf(2) ** (-prec + 16)
     decay = sum(spec.q) - (spec.sigma == 1)
     while True:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from mpmath import mp, mpf
@@ -93,7 +94,7 @@ def test_arithmetic_error_exits_1(monkeypatch, capsys):
 
 
 def test_unreachable_product_budget_exits_1_after_one_round(monkeypatch, capsys):
-    # r = 2 with q = 3: the first 16384-term bound, extrapolated to the term
+    # r = 3 with q = 3: the first 16384-term bound, extrapolated to the term
     # cap, still misses 2^(16 - prec) by far, so eval stops without doubling
     rounds = []
     naive_sum = tsum.series.naive_sum
@@ -103,9 +104,61 @@ def test_unreachable_product_budget_exits_1_after_one_round(monkeypatch, capsys)
         return naive_sum(spec, prec, max_terms)
 
     monkeypatch.setattr(tsum.series, "naive_sum", counted)
-    assert main(["eval", "--p", "1,1", "--q", "3", "--a", "1/2"]) == 1
+    assert main(["eval", "--p", "1,1,1", "--q", "3", "--a", "1/2"]) == 1
     assert "above target after 16384 terms" in capsys.readouterr().err
     assert rounds == [tsum.series.NAIVE_START_TERMS]
+
+
+def test_accelerated_method_at_three_factors_exits_2(capsys):
+    assert main(["eval", "--p", "1,1,1", "--q", "3", "--a", "1/2", "--method", "accelerated"]) == 2
+    assert "covers at most two harmonic factors" in capsys.readouterr().err
+
+
+def _eval_json(capsys, *argv):
+    assert main(["eval", *argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    with mp.workprec(256):
+        return mpf(payload["value"]), mpf(payload["tail_bound"]), payload["terms_used"]
+
+
+def test_two_factor_product_at_sigma_plus_one_is_accelerated(capsys):
+    # the product that once exited 1 after its first direct round: 132 head
+    # terms and the tail by nested summation steps, well within 5 s
+    start = time.perf_counter()
+    value, bound, terms = _eval_json(capsys, "--p", "1,1", "--q", "3", "--a", "1/2",
+                                     "--precision-bits", "192")
+    assert time.perf_counter() - start < 5
+    assert terms == 132 and bound < mpf(2) ** -180
+    with mp.workprec(256):  # the 25 digits of an independent prototype
+        assert abs(value - mpf("5.804940349719955898311516")) < bound + mpf("1e-24")
+
+
+def _alternating_reference(p, q, terms=512, rounds=48, prec=320):
+    """sum_{n>=1} (-1)^n prod_i h_n^(p_i) / (n - 1/2)^q from ``terms + rounds``
+    partial sums, averaged pairwise ``rounds`` times (the Euler transform of
+    the alternating tail), and the change made by the last round."""
+    with mp.workprec(prec):
+        h, total, partial = [mpf(0)] * len(p), mpf(0), []
+        for n in range(1, terms + rounds + 1):
+            u = n - mpf(0.5)
+            h = [hi + u ** -pi for hi, pi in zip(h, p)]
+            term = mp.fprod(h) / u ** q
+            total += -term if n % 2 else term
+            if n >= terms:
+                partial.append(total)
+        while len(partial) > 1:
+            before, partial = partial, [(x + y) / 2 for x, y in zip(partial, partial[1:])]
+        return partial[0], abs(partial[0] - before[0]) + mpf(2) ** (16 - prec)
+
+
+def test_two_factor_product_at_sigma_minus_one_is_accelerated(capsys):
+    # sum (-1)^n (h_n^(2))^2 / (n - 1/2)^2 once exited 1 after its first round
+    value, bound, terms = _eval_json(capsys, "--p", "2,2", "--q", "2", "--a", "0",
+                                     "--sigma", "-1")
+    ref, err = _alternating_reference((2, 2), 2)
+    assert terms == 132 and err < mpf(2) ** -180
+    with mp.workprec(256):
+        assert abs(value - ref) <= bound + err
 
 
 def test_reduce_out_of_domain(capsys):
@@ -303,8 +356,8 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(argv, message, caps
 
 
 def test_max_terms_seeds_the_doubling_and_the_accelerated_path_ignores_it(monkeypatch, capsys):
-    # r = 2: --max-terms 1 starts the doubling at one term, which runs on to
-    # the 16384 terms the bound needs; r <= 1 without --method naive takes
+    # r = 3: --max-terms 1 starts the doubling at one term, which runs on to
+    # the 32768 terms the bound needs; r <= 2 without --method naive takes
     # the accelerated path, whose head length does not depend on it
     rounds = []
     naive_sum = tsum.series.naive_sum
@@ -319,9 +372,12 @@ def test_max_terms_seeds_the_doubling_and_the_accelerated_path_ignores_it(monkey
         assert main(["eval", *argv, "--format", "json"]) == 0
         return json.loads(capsys.readouterr().out)["terms_used"]
 
+    assert terms_used("--p", "1,1,1", "--q", "4", "--a", "1/3", "--sigma", "-1",
+                      "--precision-bits", "64", "--max-terms", "1") == 32768
+    assert rounds == [1 << k for k in range(16)]
     assert terms_used("--p", "1,1", "--q", "4", "--a", "1/3", "--sigma", "-1",
-                      "--precision-bits", "64", "--max-terms", "1") == 16384
-    assert rounds == [1 << k for k in range(15)]
+                      "--precision-bits", "64", "--max-terms", "1") == 128
+    assert rounds == [1 << k for k in range(16)]
     assert terms_used("--q", "2", "--a=-3", "--max-terms", "3") == 132
     assert terms_used("--q", "2", "--a=-3") == 132
     assert terms_used("--q", "2", "--a=-3", "--max-terms", "3", "--method", "naive") == 3

@@ -274,16 +274,17 @@ def test_brute_force_double_sum_agreement():
 
 
 def test_multi_harmonic_budgeted_fallback(monkeypatch):
-    # two harmonic factors with fast denominator decay meet the budget
-    spec = SumSpec(p=(2, 2), q=(4,), a=(F(1, 2),))
+    # three harmonic factors with fast denominator decay meet the budget
+    spec = SumSpec(p=(2, 2, 2), q=(4,), a=(F(1, 2),))
     res = euler_t_sum(spec, 40)
+    assert res.terms_used == 16384
     with mp.workprec(96):
         nai = naive_sum(spec, 64, 50000)
         assert abs(res.value - nai.value) <= res.tail_bound + nai.tail_bound
     # slow decay at high precision exhausts the term cap (shrunk here)
     monkeypatch.setattr("tsum.series.NAIVE_TERM_CAP", 1 << 15)
     with pytest.raises(BudgetExceededError):
-        euler_t_sum(SumSpec(p=(1, 1), q=(2,), a=(F(1, 2),)), 192, max_terms=1 << 14)
+        euler_t_sum(SumSpec(p=(1, 1, 1), q=(2,), a=(F(1, 2),)), 192, max_terms=1 << 14)
 
 
 @pytest.mark.parametrize("p, offset", [(2, 0), (None, 0), (1, 1)])
@@ -868,22 +869,24 @@ def test_either_sign_first_cold_or_warm_gives_the_same_sums(prec, monkeypatch):
 
 
 def test_naive_sum_neither_reads_nor_fills_the_head_cache(monkeypatch):
-    # the oracle, --method naive and r >= 2 walk every head afresh
+    # the oracle, --method naive and r >= 3 walk every head afresh
     monkeypatch.setattr(series, "_head_cache", _Untouchable())
-    for p, sigma in itertools.product(((), (2,), (1, 2)), (1, -1)):
+    for p, sigma in itertools.product(((), (2,), (1, 2), (1, 1, 2)), (1, -1)):
         spec = SumSpec(p=p, q=(6,), a=(F(1, 3),), sigma=sigma)
         naive_sum(spec, 64, 300)
         euler_t_sum(spec, 64, method="naive", max_terms=300)
-        if len(p) > 1:
+        if len(p) > 2:
             euler_t_sum(spec, 64)
     assert len(series._head_cache) == 0
     with pytest.raises(AssertionError, match="read"):  # the accelerated path does read it
         euler_t_sum(SumSpec(p=(2,), q=(3,), a=(F(1, 3),)), 64)
+    with pytest.raises(AssertionError, match="read"):  # for two factors too
+        euler_t_sum(SumSpec(p=(1, 2), q=(3,), a=(F(1, 3),)), 64)
 
 
 def test_accelerated_method_rejects_multiple_factors():
-    spec = SumSpec(p=(1, 2), q=(3,), a=(F(0),))
-    with pytest.raises(ValueError):
+    spec = SumSpec(p=(1, 1, 2), q=(3,), a=(F(0),))
+    with pytest.raises(SpecError, match="at most two harmonic factors"):
         euler_t_sum(spec, 64, method="accelerated")
 
 
@@ -1139,7 +1142,7 @@ def test_naive_positive_tail_bound_with_order_one_factors(p, q):
     # any later partial sum; with p_i = 1 the terms fall only like log^r n / n^d
     spec = SumSpec(p=p, q=q, a=(F(1, 2),))
     ref = naive_sum(spec, 64, NAIVE_REF_TERMS).value
-    acc = euler_t_sum(spec, 64).value if len(p) == 1 else None
+    acc = euler_t_sum(spec, 64).value if len(p) <= 2 else None
     for n in (2, 4, 8, 16, 32, 1024):
         res = naive_sum(spec, 64, n)
         with mp.workprec(128):
@@ -1157,3 +1160,147 @@ def test_naive_positive_tail_bound_around_negative_shifts():
         res = naive_sum(spec, 64, n)
         with mp.workprec(128):
             assert abs(acc.value - res.value) <= res.tail_bound, n
+
+
+# ---------------------------------------------------------------------------
+# One exact summation step, and products of two harmonic factors
+# ---------------------------------------------------------------------------
+
+def _step_input(coeffs):
+    """Exact Fractions c_0..c_M as the series of ``_sum_step``: one
+    denominator, D = 1."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    m0 = next(m for m, c in enumerate(coeffs) if c)
+    return series._Series(1, den, m0, [(c * den).numerator for c in coeffs])
+
+
+def _step_coeffs(out):
+    """The exact Fractions of a series that ``_sum_step`` returns."""
+    D, den, _, nums, divs = out
+    return [F(x, den * D ** m * divs[m]) for m, x in enumerate(nums)]
+
+
+@pytest.mark.parametrize("sigma, s", [(1, 2), (1, 3), (1, 5), (-1, 1), (-1, 2), (-1, 5)])
+def test_sum_step_of_a_power_is_its_bernoulli_series(sigma, s, monkeypatch):
+    # one step on u^-s: sum_{j>=0} sigma^j (u + j)^-s ~ u^(1-s)/(s-1) (sigma =
+    # +1 only) + u^-s/2 + sum_k beta_k C(s+2k-2, 2k-1) u^-(s+2k-1), with
+    # mpmath's Bernoulli numbers; at u = 1207/2 the series, cut after u^-59,
+    # meets the tail zeta value within the first power it drops
+    monkeypatch.setattr(series, "_bern_cache", {})
+    top = 60
+    got = _step_coeffs(series._sum_step(sigma, 0, _step_input([F(m == s) for m in range(top + 1)])))
+    want = [F(0)] * top
+    if sigma == 1:
+        want[s - 1] += F(1, s - 1)
+    want[s] += F(1, 2)
+    k = 1
+    while s + 2 * k - 1 < top:
+        want[s + 2 * k - 1] += _beta(sigma, k) * comb(s + 2 * k - 2, 2 * k - 1)
+        k += 1
+    assert got == want
+    u, prec = F(1207, 2), 256
+    dropped = abs(_beta(sigma, k)) * comb(s + 2 * k - 2, 2 * k - 1) / u ** (s + 2 * k - 1)
+    [zeta] = tail_zeta_batch(sigma, [s], u, prec)
+    value = sum(c / u ** w for w, c in enumerate(got))
+    assert abs(value - _exact(zeta)) <= dropped + abs(value) / 2 ** (prec - 1)
+
+
+def _nested_tail_reference(s1, s2, N, levels=10, bits=320):
+    """sum_{N<k<j} u_k^-s1 u_j^-s2, u = k - 1/2, from exact partial sums over
+    j <= M at M = 2N, 4N, ..., 2^levels N (in integers at 2^-bits, one floor
+    per power), Richardson-extrapolated in 1/M; and the last change of the
+    table, an estimate of its error."""
+    inner = total = 0
+    partial, M = [], 2 * N
+    for j in range(N + 1, (N << levels) + 1):
+        total += inner * ((1 << (bits + s2)) // (2 * j - 1) ** s2) >> bits
+        inner += (1 << (bits + s1)) // (2 * j - 1) ** s1
+        if j == M:
+            partial.append(F(total, 1 << bits))
+            M *= 2
+    for k in range(1, levels):
+        before, partial = partial, [(2 ** k * b - a) / (2 ** k - 1)
+                                    for a, b in zip(partial, partial[1:])]
+    return partial[0], abs(partial[0] - before[-1])
+
+
+@pytest.mark.parametrize("s1, s2", [(2, 3), (3, 2)])
+def test_two_steps_give_the_nested_tail(s1, s2, monkeypatch):
+    # H(k) = sum_{j>k} u_j^-s2 by one offset-1 step on u^-s2; u^-s1 H by one
+    # more, read at k = N, gives sum_{k>N} u_k^-s1 H(k): item 1's T(s1, s2)
+    # without R, against exact partial sums to 64 bits
+    monkeypatch.setattr(series, "_bern_cache", {})
+    N, top = 32, 48
+    inner = _step_coeffs(series._sum_step(1, 1, _step_input([F(m == s2) for m in range(top + 1)])))
+    outer = series._sum_step(1, 1, _step_input([F(0)] * s1 + inner[:top + 1 - s1]))
+    u = F(2 * N - 1, 2)
+    value = sum(c / u ** w for w, c in enumerate(_step_coeffs(outer)))
+    ref, err = _nested_tail_reference(s1, s2, N)
+    assert err < ref / 2 ** 80
+    assert abs(value - ref) < ref / 2 ** 64
+
+
+def test_symmetric_sum_identity_for_two_factors(monkeypatch):
+    # Hoffman's symmetric sums at sigma = +1: with S = sum_n u_n^-2
+    # (h_n^(2))^2, 3 S = ttilde(2)^3 + 3 ttilde(4) ttilde(2) + 2 ttilde(6) -
+    # 3 t*(2, 4), t*(2, 4) = sum_n u_n^-2 h_n^(4) the one-factor sum; without
+    # the stuffle term T(p1 + p2) the identity fails by far
+    stars = {prec: euler_t_sum(SumSpec(p=(4,), q=(2,), a=(F(0),)), prec) for prec in (192, 1024)}
+
+    def gap(prec):
+        s, star = euler_t_sum(SumSpec(p=(2, 2), q=(2,), a=(F(0),)), prec), stars[prec]
+        with mp.workprec(prec + 64):
+            t2, t4, t6 = (ttilde(k, prec + 64) for k in (2, 4, 6))
+            rhs = t2 ** 3 + 3 * t4 * t2 + 2 * t6 - 3 * star.value
+            return abs(3 * s.value - rhs), 3 * (s.tail_bound + star.tail_bound) + mpf(2) ** -prec
+
+    for prec in (192, 1024):
+        off, bound = gap(prec)
+        assert off <= bound, prec
+    batch = series._tail_batch
+
+    def no_stuffle_term(sigma, N, wp, W, dbits, shift, p, *rest):  # T(2 + 2) is the one at p = 4
+        return (0, []) if p == 4 else batch(sigma, N, wp, W, dbits, shift, p, *rest)
+
+    monkeypatch.setattr(series, "_tail_batch", no_stuffle_term)
+    off, bound = gap(192)
+    assert off > 2 ** 64 * bound
+
+
+def _two_factor_grid(seed: int = 2026):
+    """Seeded r = 2 specs at sigma = -1: p1 = p2 and p1 != p2, both offsets,
+    and the shifts 0, 1/3, 1/2 and 101/3."""
+    rng = random.Random(seed)
+    shifts = (F(0), F(1, 3), F(1, 2), F(101, 3))
+    specs = []
+    for i in range(8):
+        p1 = rng.randint(1, 3)
+        p = (p1, p1) if i % 2 else (p1, p1 + rng.randint(1, 2))
+        k = rng.randint(1, 2)
+        specs.append(SumSpec(p=p, q=tuple(rng.randint(1, 3) for _ in range(k)),
+                             a=(shifts[i % 4], *rng.sample(shifts, k - 1)), sigma=-1,
+                             harmonic_offset=("cur", "prev")[i // 2 % 2]))
+    return specs
+
+
+def test_two_factor_products_at_sigma_minus_one_match_direct_summation():
+    specs = _two_factor_grid()
+    assert {s.p[0] == s.p[1] for s in specs} == {True, False}
+    assert {s.offset for s in specs} == {0, 1}
+    assert {a for s in specs for a in s.a} == {F(0), F(1, 3), F(1, 2), F(101, 3)}
+    for spec in specs:
+        res, nai = euler_t_sum(spec, 64), naive_sum(spec, 64, 50000)
+        assert res.terms_used < series.NAIVE_START_TERMS  # an accelerated head
+        with mp.workprec(128):
+            assert abs(res.value - nai.value) <= res.tail_bound + nai.tail_bound, spec
+
+
+@pytest.mark.parametrize("p, sigma", [((1, 40), 1), ((40, 40), 1), ((2, 45), -1)])
+def test_two_factor_orders_past_the_truncation(p, sigma):
+    # at 64 bits the series keep about 30 powers, so the nested level of an
+    # order past them keeps none; the value still lies within its bound of
+    # the value 160 bits finer
+    spec = SumSpec(p=p, q=(2,), a=(F(0),), sigma=sigma)
+    res, ref = euler_t_sum(spec, 64), euler_t_sum(spec, 224)
+    with mp.workprec(300):
+        assert abs(res.value - ref.value) <= res.tail_bound
