@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .numeric import real_to_str
 from .reductions import FAMILIES
-from .series import BudgetExceededError, SumSpec, euler_t_sum
+from .series import SumSpec, euler_t_sum
 from .suite import (
     ALL_FAMILIES,
     ConfigError,
@@ -224,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--sigma", type=int, choices=(1, -1), default=1)
     pe.add_argument("--offset", choices=("cur", "prev", "n", "n-1"), default="cur")
     pe.add_argument("--method", choices=("auto", "accelerated", "naive"), default="auto")
-    pe.add_argument("--max-terms", type=int, help="direct-summation terms: exact with --method "
-                    "naive, the first doubling round for 3+ harmonic factors, else ignored")
+    pe.add_argument("--max-terms", type=int,
+                    help="direct-summation terms: exact with --method naive, else ignored")
     pe.set_defaults(func=cmd_eval)
 
     pt = sub.add_parser("table", help="emit all reductions of a family up to a weight bound")
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:  # every configuration and domain error
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out is None:

@@ -8,7 +8,7 @@ with W(n) a product of odd harmonic numbers h_n^(p) or h_{n-1}^(p) (possibly
 empty) and R(n) a rational function with half-integer-shifted poles,
 R(n) = prod_i (n + a_i - 1/2)^(-q_i).
 
-Evaluation strategy for at most two harmonic factors (r <= 2):
+Evaluation strategy, for any number r of harmonic factors:
 
 * R enters as pieces k prod (n + t)^(-e): one product piece for a spec, or
   one piece per partial fraction for the residue checks.  The entry points
@@ -26,28 +26,29 @@ Evaluation strategy for at most two harmonic factors (r <= 2):
 * The tail is rearranged exactly: with h the harmonic prefix sums,
   h(n) = h(N) + sum_{k=N+1..n} (k-1/2)^(-p), so one factor splits the tail
   into h(N) G(N + 1 - off) plus sum_{k>N} (k-1/2)^(-p) G(k), where
-  G(k) = sum_{n>=k+off} sigma^n R(n); two factors split it, by the stuffle
-  product, into six such sums, one of them nested a level deeper
-  (``_accel_sum``).  R is expanded once in exact powers of 1/v, v = n - 1/2,
-  and one exact summation step (``_sum_step``: Euler-Maclaurin at sigma =
-  +1, Boole summation at sigma = -1) gives G(k) = sigma^k sum_w g_w u^(-w)
-  with exact g_w, u = k - 1/2: one integer convolution of the 1/v series
-  with Bernoulli weights kept per sigma, shared by R and its reflection,
-  every t + 1/2 negated, which differs from it only in signs.  A nested
-  level is one more step on the exact series of G times u^(-s).  The first
-  part is a series at one point; each k-sum collapses to (alternating)
-  Hurwitz zeta values at N + 1/2, one ``tail_zeta_batch`` per precision
-  tier: as the terms g_w zeta_w fall with w, each exponent is asked at the
-  precision its term needs (``_tail_plan``), and a check per call asks
-  again at full precision any that would fall short.  Neither needs partial
-  fractions, so near-coincident poles cancel nothing.
+  G(k) = sum_{n>=k+off} sigma^n R(n); r factors split it, by the stuffle
+  product (``_words``), into such sums nested up to r levels deep, 6 of
+  them for r = 2 and 26 for r = 3 (``_accel_sum``).  R is expanded once in
+  exact powers of 1/v, v = n - 1/2, and one exact summation step
+  (``_sum_step``: Euler-Maclaurin at sigma = +1, Boole summation at sigma =
+  -1) gives G(k) = sigma^k sum_w g_w u^(-w) with exact g_w, u = k - 1/2:
+  one integer convolution of the 1/v series with Bernoulli weights kept per
+  sigma, shared by R and its reflection, every t + 1/2 negated, which
+  differs from it only in signs.  A nested level is one more step on the
+  exact series below it times u^(-s).  The first part is a series at one
+  point; each k-sum collapses to (alternating) Hurwitz zeta values at N +
+  1/2, one ``tail_zeta_batch`` per precision tier: as the terms g_w zeta_w
+  fall with w, each exponent is asked at the precision its term needs
+  (``_tail_plan``), and a check per call asks again at full precision any
+  that would fall short.  Neither needs partial fractions, so
+  near-coincident poles cancel nothing.
 * The tail is assembled in Python ints too, at 2^-T with T = F + 16 guard
   bits: the g_w, h(N) and the batch mantissas are shifted to that scale,
   one floor each, and head plus tail is rounded once, to the target
   precision.
 
-Products of three or more harmonic factors fall back to budgeted direct
-summation, in the same fixed point.
+``naive_sum`` sums a given number of terms directly, in the same fixed
+point: the oracle of the tests, and ``--method naive``.
 """
 
 from __future__ import annotations
@@ -85,12 +86,7 @@ class SingularSumError(SpecError):
     """A denominator factor vanishes at some summation index."""
 
 
-class BudgetExceededError(RuntimeError):
-    """Direct summation could not meet the tail target within the term cap."""
-
-
 NAIVE_START_TERMS = 1 << 14
-NAIVE_TERM_CAP = 1 << 22
 _BLOCK = 256  # terms per step of _direct; even, so that each block starts at an odd n
 
 
@@ -214,8 +210,8 @@ def _int_pieces(pieces: Pieces) -> IntPieces:
 
 
 # the accelerated path's caches; naive_sum, the oracle, reads none of them
-_expansion_cache: dict = {}  # (sigma, offset, pieces, W, wp[, s]) -> the floors of _tail_expansion
-_head_cache: dict = {}  # (offset, p or the pair, pieces, N, wp) -> the sign-free head of _direct
+_expansion_cache: dict = {}  # (sigma, offset, pieces, W, wp, *levels) -> _tail_expansion's floors
+_head_cache: dict = {}  # (offset, ps, pieces, N, wp) -> the sign-free head of _direct
 _weights: dict = {}  # (sigma, n) -> (L, beta_k L for k = 1..n)
 # (sigma, D, L, rho up to sign and alternation) -> bern_1..bern_W, of the
 # last build only: a reflection twin asks right after its mate
@@ -426,21 +422,23 @@ def _beta_weights(sigma: int, n: int) -> tuple[int, list[int]]:
 
 
 def _tail_expansion(sigma: int, offset: int, pieces: IntPieces, W: int, wp: int,
-                    s: Optional[int] = None) -> tuple[tuple[int, ...], array]:
+                    levels: tuple = ()) -> tuple[tuple[int, ...], array]:
     """g_1, ..., g_W with G(k) = sum_{n>=k+offset} sigma^n R(n) ~ sigma^k sum_w
     g_w u^(-w), u = k - 1/2, for R = sum_j k_j prod (n + t)^(-e); or, given
-    s, the h_1, ..., h_W of the next level, H_s(k) = sum_{j>k} u_j^(-s) G(j)
-    ~ sigma^k sum_w h_w u^(-w).  Each is floored once (``_floors``) straight
-    from its exact numerator and denominator, so that a dyadic one takes a
-    one-word int, and the exponents, all far from 0, sit in an array of
-    machine ints, 8 bytes each where an int object and its slot take 36.
-    Cached under (sigma, offset, pieces, W, wp) alone, and s for H_s, the
-    pieces in the integers of ``_int_pieces``: ``_accel_sum`` shifts the
-    pairs to the scale of each sum.
+    levels, the h_1, ..., h_W of the nested level on top of them, each level
+    s mapping a series H(k) ~ sigma^k sum_w h_w u^(-w) to sum_{j>k} u_j^(-s)
+    H(j) ~ sigma^k sum_w h'_w u^(-w), the first level on G.  Each is floored
+    once (``_floors``) straight from its exact numerator and denominator, so
+    that a dyadic one takes a one-word int, and the exponents, all far from
+    0, sit in an array of machine ints, 8 bytes each where an int object and
+    its slot take 36.  Cached under (sigma, offset, pieces, W, wp) and the
+    levels, the pieces in the integers of ``_int_pieces``: ``_accel_sum``
+    shifts the pairs to the scale of each sum.
 
-    G is ``_rho`` and one ``_sum_step``.  H_s is one more step, offset 1, on
-    the exact series of G times u^(-s), up to the same power W; its
-    convolution is not kept, so G's stays in ``_bern_cache`` for the next s.
+    G is ``_rho`` and one ``_sum_step``.  A level is one more step, offset 1,
+    on the exact series below it times u^(-s), up to the same power W; its
+    convolution is not kept, so G's stays in ``_bern_cache`` for the next
+    levels.
 
     Reflection: negating every t + 1/2 maps A to -A, so x_r to (-1)^r x_r and
     rho_m to eps (-1)^m rho_m (eps = (-1)^E if every piece has order E); each
@@ -448,11 +446,11 @@ def _tail_expansion(sigma: int, offset: int, pieces: IntPieces, W: int, wp: int,
     theorems weigh (a, b) against (-a, -b): both keys share one convolution
     (``_bern``).
     """
-    key = (sigma, offset, pieces, W, wp) if s is None else (sigma, offset, pieces, W, wp, s)
+    key = (sigma, offset, pieces, W, wp) + levels
     g = _expansion_cache.get(key)
     if g is None:
         series = _sum_step(sigma, offset, _rho(pieces, W))
-        if s is not None:  # times u^(-s), powers up to W + 1: none past W + 1 - s
+        for s in levels:  # times u^(-s), powers up to W + 1: none past W + 1 - s
             D, den, m0, nums, divs = series
             top = max(W + 2 - s, 0)
             nums = [0] * (W + 2 - top) + [x * D ** s for x in nums[:top]]
@@ -483,9 +481,9 @@ def _tail_batch(sigma: int, N: int, wp: int, W: int, dbits: int, shift: int, p: 
     The batch asks s from the first kept power plus p up to W + ``shift``:
     with shift = max(p, ``_BATCH_ORDERS``) that is every exponent the sums of
     orders p = 1.._BATCH_ORDERS of one R ask at this point, and with shift =
-    max(p1 + p2, _BATCH_ORDERS) every exponent of the five batches of a
-    product of two factors, so one call per tier serves them all and the
-    others read the cache.  Exponent s is asked at the bits of its tier in
+    max(sum ps, _BATCH_ORDERS) every exponent of the batches of a product of
+    the factors ps, whose words start at most at sum ps (``_words``), so one
+    call per tier serves them all and the others read the cache.  Exponent s is asked at the bits of its tier in
     ``_tail_plan`` at w = s - shift <= s - p, one ``tail_zeta_batch`` per
     tier.
 
@@ -561,76 +559,100 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     return _accel_sum(() if p is None else (p,), offset, sigma, pieces, prec)
 
 
+@functools.cache
+def _words(ps: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """prod_i (h_N^(p_i) + Delta_i), Delta_i = sum_{N<k<=n-offset} u_k^(-p_i),
+    multiplied out by the stuffle product into terms (word, idx): the nested
+    sum sum_{N<k_1<...<k_j<=n-offset} prod_l u_(k_l)^(-s_l) of the word (s_1,
+    ..., s_j) times the h_N^(p_i) of the indices i in idx.
+
+    Each factor, the last first, takes a term's h_N into idx, or puts the k
+    of its Delta before, between or after the word's k_l (p_i inserted) or on
+    one of them (p_i added to s_l).  So r factors give 1, 2, 6, 26, 150, ...
+    terms, for r = 2 in the order T(), T(p1), T(p2), T(p1, p2), T(p2, p1),
+    T(p1 + p2): the first batch, T(p1) on G, starts at the least exponent
+    and so asks every value the others read (``_tail_batch``).
+    """
+    terms = [((), ())]
+    for i in reversed(range(len(ps))):
+        p = ps[i]
+        terms = [t for word, idx in terms for t in (
+            (word, idx + (i,)),
+            *((word[:j] + (p,) + word[j:], idx) for j in range(len(word) + 1)),
+            *((word[:j] + (word[j] + p,) + word[j + 1:], idx) for j in range(len(word))))]
+    return tuple(terms)
+
+
 def _accel_sum(ps: tuple[int, ...], offset: int, sigma: int, pieces: IntPieces,
                prec: int) -> SeriesResult:
-    """Accelerated sum_{n>=1} sigma^n prod_i h_{n-offset}^(p_i) R(n) for r =
-    len(ps) <= 2 harmonic factors, ps sorted, the arguments checked and the
-    pieces in the integers of ``_int_pieces``.
+    """Accelerated sum_{n>=1} sigma^n prod_i h_{n-offset}^(p_i) R(n) for any
+    number r = len(ps) of harmonic factors, ps sorted, the arguments checked
+    and the pieces in the integers of ``_int_pieces``.
 
     The first N terms come from ``_direct``, whose one walk gives the head
-    for both signs: ``_head_cache`` keeps it under (offset, p, pieces, N, wp),
-    p None, the one order or the pair ps, so the sigma = -1 sum of the secant
-    theorems reads the head of its sigma = +1 tangent twin, and a warm call
-    walks no head.
+    for both signs: ``_head_cache`` keeps it under (offset, ps, pieces, N,
+    wp), so the sigma = -1 sum of the secant theorems reads the head of its
+    sigma = +1 tangent twin, and a warm call walks no head.
 
     The tail: for n > N, h_{n-offset}^(p) = h_N^(p) + sum_{N<k<=n-offset}
-    u_k^(-p), u_k = k - 1/2.  Multiplied out, and with the double sum of two
-    factors split at k1 < k2, k1 > k2 and k1 = k2 (the stuffle product), the
-    tail is T() without a harmonic factor, h_N T() + T(p) with one, and
-    h_N^(p1) h_N^(p2) T() + h_N^(p2) T(p1) + h_N^(p1) T(p2) + T(p1, p2) +
-    T(p2, p1) + T(p1 + p2) with two, where, with G and H_s of
-    ``_tail_expansion``,
+    u_k^(-p), u_k = k - 1/2.  Multiplied out by the stuffle product
+    (``_words``), the tail is a sum of terms P T(word), P the product of the
+    term's h_N, where, with G and its nested levels of ``_tail_expansion``,
 
     * T() = sum_{n>N} sigma^n R(n) = G(N + 1 - offset): the rational tail,
       G's series at one point, by Horner's rule in 1/u, one floor division
       per power;
-    * T(s) = sum_{k>N} u_k^(-s) G(k) = sigma^(N+1) sum_w g_w zeta(w + s;
-      N + 1/2), and T(s1, s2) = sum_{k>N} u_k^(-s1) H_s2(k), the same sum
-      over the h_w of H_s2 at w + s1: the batches at N + 1/2
-      (``_tail_batch``), from the products of the coefficients and the batch
-      mantissas.
+    * T(s_1, ..., s_j) = sum_{k>N} u_k^(-s_1) H(k) = sigma^(N+1) sum_w h_w
+      zeta(w + s_1; N + 1/2), H the levels s_j, ..., s_2 on G (G itself for
+      j = 1): the batches at N + 1/2 (``_tail_batch``), from the products of
+      the coefficients and the batch mantissas, one per distinct word.
 
-    All of it is assembled in integers at 2^-T, T = F + ``_TAIL_GUARD``, past
-    the head's 2^-F, each h_N (at 2^-H) times its piece with one floor, and
-    the total is rounded once, to ``prec``.
+    So the tail is T() without a harmonic factor, h_N T() + T(p) with one,
+    and h1 h2 T() + h2 T(p1) + h1 T(p2) + T(p1, p2) + T(p2, p1) + T(p1 + p2)
+    with two.  All of it is assembled in integers at 2^-T, T = F +
+    ``_TAIL_GUARD``, past the head's 2^-F, each term's P (at 2^-H per h_N)
+    times its part with one floor, and the total is rounded once, to
+    ``prec``.
 
-    The bound ``tail_bound`` is (abs_head + sum |piece| + 1) 2^(-wp+10) (the
+    The bound ``tail_bound`` is (abs_head + sum |part| + 1) 2^(-wp+10) (the
     total for T() alone), plus |total| 2^(-prec+1) for the final rounding,
-    plus, for each batched piece, the continuation estimate |g_w zeta_w| / N
-    of its last kept power, times the piece's h_N.  It is summed exactly,
-    from the integers above (abs_head at 2^-F, the total and the pieces at
-    2^-T, the last g_w mantissa times the last batch mantissa, times the h_N
-    at 2^-H), and rounded up once, at wp.
+    plus, for each batched term, the continuation estimate |g_w zeta_w| / N
+    of its last kept power, times its P.  It is summed exactly, from the
+    integers above (abs_head at 2^-F, the total and the parts at 2^-T, the
+    last g_w mantissa times the last batch mantissa, times P), and rounded
+    up once, at wp.
 
-    The error budget, against the (abs_head + sum |piece| + 1) 2^(-wp+10)
-    term of the bound:
+    The error budget, against the (abs_head + sum |part| + 1) 2^(-wp+10)
+    term of the bound, for n = len(_words(ps)) terms:
 
     * The head errs by under abs_head 2^-wp.
     * Each floor errs by under one unit of 2^-T.  A Horner step floors g_w
       and the division by u, and divides the error it inherits by u > 127,
       so the rational tail errs by under (1 + 1/u)/(1 - 1/u) < 2 units, and
-      a batched piece by under W.  With the floors of the products by h_N,
-      the total errs by under 2 units without a harmonic factor, 2 h_N + W +
-      1 with one, and 2 h1 h2 + W (h1 + h2 + 3) + 3 < (W + 2) h1 h2 + 3W + 3
-      with two, as each h_N >= 2.  ``_direct`` makes 2^-F <= |T_1| 2^-(wp+1)
-      / U for the first non-zero head term T_1 (1 if there is none), with U
-      >= N (2V + 1) and V >= max(1, h1 h2), so while W + 2 < 2^16 N those
-      units stay under (abs_head + 1) 2^-wp.
+      a batched piece by under W.  Times P, with one more floor if P has a
+      factor, a term errs by under 2P + 1 or WP + 1 units, so under (W + 2)
+      V, V = prod_i h_N^(p_i) >= P, as each h_N >= 2: 2 units in all
+      without a harmonic factor, 2 h_N + W + 1 with one, and under n (W + 2)
+      V for r factors.  ``_direct`` makes 2^-F <= |T_1| 2^-(wp+1) / U for the
+      first non-zero head term T_1 (1 if there is none), with U >= N (2V +
+      1), its V >= prod_i h_N^(p_i), so while n (W + 2) < 2^16 N those units
+      stay under (abs_head + 1) 2^-wp.  For r <= 6, n <= 9366, that is W +
+      2 < 7N: at 192 bits, N = 132 and W = 53..71 for dmax <= 4, emax <= 3;
+      for r = 7, n = 94586, only W + 2 < 0.69 N.
     * The inputs carry relative errors: under 2^-(wp-1) for each g_w and
       h_w, and under 2^-b_s for each batch value zeta_w, asked at the b_s
       bits of its tier.  With the majorants A = sum |g_w| u^(-w) of the
       rational tail and B = sum |g_w zeta_w| of a batched piece,
       ``_tail_batch`` checks per call that sum |g_w zeta_w| 2^-b_s over the
       values asked below wp stays under 2^-(wp+1) B, so the batch values add
-      under 1.5 2^-wp B, and the inputs under 2^-(wp-1) A times the h_N of
-      T(), and 2^-(wp-2) B times the h_N of each batched piece.  With the
-      two items above that is inside the term while those products stay
-      within 2^6 (abs_head + 1) and 2^6 (abs_head + |piece| + 1).  Past the
-      leading power the majorants' terms fall like ((1 + dmax)/u)^w, u >= 8
-      (1 + dmax), so only R's leading 1/v powers cancelling each other could
-      break that; ``test_tail_assembly_error_budget`` checks both on its
-      grid, and ``tests/test_bounds.py`` every bound against a value 160
-      bits finer.
+      under 1.5 2^-wp B, and the inputs under 2^-(wp-1) A P for T() and
+      2^-(wp-2) B P for each batched term.  With the two items above that is
+      inside the term while A P plus the B P of the batched terms stays
+      within 2^7 (abs_head + sum |part| + 1).  Past the leading power the
+      majorants' terms fall like ((1 + dmax)/u)^w, u >= 8 (1 + dmax), so
+      only R's leading 1/v powers cancelling each other could break that;
+      ``test_tail_assembly_error_budget`` checks it on its grid, and
+      ``tests/test_bounds.py`` every bound against a value 160 bits finer.
 
     Pieces that cancel (the partial fractions of near-coincident poles) need
     no guard bits: the head floors each piece in absolute units and the g_w
@@ -645,7 +667,7 @@ def _accel_sum(ps: tuple[int, ...], offset: int, sigma: int, pieces: IntPieces,
     N = max(128, math.ceil(0.55 * wp), math.ceil(8 * (1 + dmax)))
     W = _pick_truncation(sigma, wp, N, dmax, emax)
 
-    key = (offset, ps if len(ps) > 1 else ps[0] if ps else None, pieces, N, wp)
+    key = (offset, ps, pieces, N, wp)
     head = _head_cache.get(key)
     if head is None:
         totals, abs_total, _, F, hs, H = _direct(offset, ps, pieces, N, wp)
@@ -660,33 +682,25 @@ def _accel_sum(ps: tuple[int, ...], offset: int, sigma: int, pieces: IntPieces,
     for m, e in zip(reversed(mans), reversed(exps)):
         rational_tail = 2 * (rational_tail + _at_scale(m, e + T)) // u2
     rational_tail *= sigma ** (N + 1 - offset)
-    value = total << _TAIL_GUARD
-    conts = []  # (c, e): c 2^e of each continuation estimate, times N
-    if not ps:
-        value += rational_tail
-        pieces_abs = abs(value)
-    else:
-        sign, dbits = sigma ** (N + 1), math.ceil(1 + dmax).bit_length()
-        shift = max(sum(ps), _BATCH_ORDERS)
-
-        def batched(p, mans, exps, h=None):  # sigma^(N+1) sum_w g_w zeta(w + p), times h at 2^-H
-            piece, last = _tail_batch(sigma, N, wp, W, dbits, shift, p, mans, exps, T)
-            if h is None:
-                conts.extend(last)
-                return sign * piece
-            conts.extend((c * h, e - H) for c, e in last)
-            return sign * piece * h >> H
-
-        if len(ps) == 1:
-            parts = [hs[0] * rational_tail >> H, batched(ps[0], mans, exps)]
-        else:
-            (p1, p2), (h1, h2) = ps, hs
-            nested = [_tail_expansion(sigma, offset, pieces, W, wp, s) for s in (p2, p1)]
-            parts = [h1 * h2 * rational_tail >> 2 * H, batched(p1, mans, exps, h2),
-                     batched(p2, mans, exps, h1), batched(p1, *nested[0]),
-                     batched(p2, *nested[1]), batched(p1 + p2, mans, exps)]
-        value += sum(parts)
-        pieces_abs = sum(map(abs, parts))
+    parts, conts, batches = [], [], {}  # conts: (c, e), c 2^e, of each continuation times N
+    for word, idx in _words(ps):
+        P, k = math.prod(map(hs.__getitem__, idx)), len(idx) * H
+        if not word:
+            parts.append(rational_tail * P >> k)
+            continue
+        batch = batches.get(word)
+        if batch is None:  # sigma^(N+1) sum_w h_w zeta(w + s_1) at 2^-T
+            coeffs = (mans, exps) if len(word) == 1 else _tail_expansion(
+                sigma, offset, pieces, W, wp, word[:0:-1])
+            piece, last = _tail_batch(sigma, N, wp, W, math.ceil(1 + dmax).bit_length(),
+                                      max(sum(ps), _BATCH_ORDERS), word[0], *coeffs, T)
+            batch = batches[word] = sigma ** (N + 1) * piece, last
+        piece, last = batch
+        parts.append(piece * P >> k)
+        for c, e in last:
+            conts.append((c * P, e - k))
+    value = (total << _TAIL_GUARD) + sum(parts)
+    pieces_abs = sum(map(abs, parts)) if ps else abs(value)
     # the bound of the docstring as the integer bound / den at 2^e
     e, den = -(T + wp - 10), 1
     bound = (abs_total << _TAIL_GUARD) + pieces_abs + (1 << T) + (abs(value) << wp - prec - 9)
@@ -862,13 +876,10 @@ def euler_t_sum(spec: SumSpec, prec: int, method: str = "auto",
                 max_terms: Optional[int] = None) -> SeriesResult:
     """Numeric value of a parametric Euler T-sum.
 
-    method "auto" uses the accelerated path for at most two harmonic factors
-    (``accel_linear_sum`` for one or none, ``_accel_sum`` for two) and
-    budgeted direct summation for three or more, doubling from ``max_terms``
-    (16384 if None) up to ``NAIVE_TERM_CAP`` until the tail bound meets
-    2^(16 - prec); "accelerated" and "naive" force the respective path.  The
-    accelerated path picks its own head length and ignores ``max_terms``,
-    which "naive" sums exactly.
+    method "naive" sums exactly ``max_terms`` terms (16384 if None) directly
+    (``naive_sum``).  "auto" and "accelerated" are one path, ``_accel_sum``
+    for any number of harmonic factors: it picks its own head length and
+    ignores ``max_terms``.
     """
     if method not in ("auto", "accelerated", "naive"):
         raise SpecError(f"unknown method {method!r}")
@@ -878,30 +889,9 @@ def euler_t_sum(spec: SumSpec, prec: int, method: str = "auto",
         raise SpecError(f"max_terms must be >= 1, got {n}")
     if method == "naive":
         return naive_sum(spec, prec, n)
-    if len(spec.p) <= 1:
-        p = spec.p[0] if spec.p else None
-        return accel_linear_sum(p, spec.offset, spec.sigma, [(Fraction(1), spec.factors())],
-                                prec)
-    if len(spec.p) == 2:  # the spec checked its shifts and its convergence
-        check_precision(prec)
-        return _accel_sum(spec.p, spec.offset, spec.sigma,
-                          _int_pieces([(Fraction(1), spec.factors())]), prec)
-    if method == "accelerated":
-        raise SpecError("accelerated evaluation covers at most two harmonic factors")
-    # budgeted naive fallback for r >= 3
-    target = mpf(2) ** (-prec + 16)
-    decay = sum(spec.q) - (spec.sigma == 1)
-    while True:
-        res = naive_sum(spec, prec, n)
-        if res.tail_bound <= target:
-            return res
-        # the bound falls like n^-decay, log factors aside: this can only flatter
-        reach = res.tail_bound * (mpf(NAIVE_TERM_CAP) / n) ** -decay
-        if n >= NAIVE_TERM_CAP or mp.isfinite(reach) and reach > target * 2 ** 8:
-            raise BudgetExceededError(
-                f"tail bound {mp.nstr(res.tail_bound, 5)} above target after {n} terms, "
-                f"about {mp.nstr(reach, 5)} at the cap of {NAIVE_TERM_CAP}")
-        n *= 2
+    check_precision(prec)  # the spec checked its shifts and its convergence
+    return _accel_sum(spec.p, spec.offset, spec.sigma,
+                      _int_pieces([(Fraction(1), spec.factors())]), prec)
 
 
 def _double(name: str, big: bool, s1: int, s2: int, bar1: bool, prec: int) -> SeriesResult:

@@ -3,8 +3,8 @@
 On a seeded grid of linear specs (sigma = +-1, no harmonic factor or one of
 order 1..4, one to three denominator factors, shifts far out and near 0),
 the value at P bits must lie within its ``tail_bound`` of the value at
-P + 160 bits; and so on a second grid of products of two harmonic factors,
-whose tails sum the nested levels of the stuffle product.  The first grid
+P + 160 bits; and so on a second grid of products of two and of three
+harmonic factors, whose tails sum the nested levels of the stuffle product.  The first grid
 holds the poles of 0 and 10^-6 together, whose partial fractions cancel
 about 100 bits; and some specs at 192 bits have
 tail values at N + 1/2 that the asymptotic series alone cannot reach, so
@@ -82,26 +82,29 @@ def test_tail_bound_holds_on_seeded_grid(prec, monkeypatch):
 
 
 def _product_grid(seed: int = 2026):
-    """Products of two harmonic factors of orders 1..4, equal and not,
-    sigma = +-1, both offsets, one to three denominator factors over
-    ``SHIFTS``."""
+    """Products of two harmonic factors of orders 1..4, equal and not, then
+    of three, two or three of them equal or none, sigma = +-1, both offsets,
+    one to three denominator factors over ``SHIFTS``."""
     rng = random.Random(seed)
     specs = []
-    while len(specs) < PRODUCT_CASES:
-        k = rng.randint(1, 3)
-        p1 = rng.randint(1, 4)
-        p = (p1, p1) if len(specs) % 3 == 0 else (p1, rng.randint(1, 4))
-        try:
-            spec = SumSpec(p=p, q=tuple(rng.randint(1, 3) for _ in range(k)),
-                           a=tuple(rng.sample(SHIFTS, k)), sigma=(1, -1)[len(specs) % 2],
-                           harmonic_offset=rng.choice(("cur", "prev")))
-        except SpecError:
-            continue
-        specs.append(spec)
+    for r, cases in PRODUCT_CASES.items():
+        count = 0
+        while count < cases:
+            k = rng.randint(1, 3)
+            p1 = rng.randint(1, 4)
+            p = (p1,) * r if count % 3 == 0 else (p1, *(rng.randint(1, 4) for _ in range(r - 1)))
+            try:
+                spec = SumSpec(p=p, q=tuple(rng.randint(1, 3) for _ in range(k)),
+                               a=tuple(rng.sample(SHIFTS, k)), sigma=(1, -1)[count % 2],
+                               harmonic_offset=rng.choice(("cur", "prev")))
+            except SpecError:
+                continue
+            specs.append(spec)
+            count += 1
     return specs
 
 
-PRODUCT_CASES = 40
+PRODUCT_CASES = {2: 40, 3: 30}  # specs per number of harmonic factors
 
 
 @pytest.mark.parametrize("prec", [64, 192])
@@ -109,7 +112,9 @@ def test_tail_bound_holds_for_two_harmonic_factors(prec, monkeypatch):
     monkeypatch.setattr(special, "_zeta_cache", {})
     specs = _product_grid()
     assert {s.sigma for s in specs} == {1, -1} and {s.offset for s in specs} == {0, 1}
-    assert {s.p[0] == s.p[1] for s in specs} == {True, False}
+    assert {len(s.p) for s in specs} == {2, 3}
+    assert {len(set(s.p)) for s in specs if len(s.p) == 3} == {1, 2, 3}
+    assert {s.p[0] == s.p[1] for s in specs if len(s.p) == 2} == {True, False}
     assert {len(s.q) for s in specs} == {1, 2, 3}
     assert set(SHIFTS[:4]) <= {a for s in specs for a in s.a}
     worst = max(_ratio(spec, prec) for spec in specs)

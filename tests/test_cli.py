@@ -93,25 +93,32 @@ def test_arithmetic_error_exits_1(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: symbolic sum cancels every bit\n"
 
 
-def test_unreachable_product_budget_exits_1_after_one_round(monkeypatch, capsys):
-    # r = 3 with q = 3: the first 16384-term bound, extrapolated to the term
-    # cap, still misses 2^(16 - prec) by far, so eval stops without doubling
-    rounds = []
-    naive_sum = tsum.series.naive_sum
+def test_three_factor_eval_exits_0_within_its_bound(capsys):
+    # the product that exited 1 after one 16384-term direct round: 132 head
+    # terms and 26 stuffle terms of nested tails, within its bound of the
+    # value 160 bits finer
+    def value_and_bound(prec):
+        assert main(["eval", "--p", "1,1,1", "--q", "3", "--a", "1/2", "--precision-bits",
+                     str(prec), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        with mp.workprec(400):
+            return mpf(payload["value"]), mpf(payload["tail_bound"]), payload["terms_used"]
 
-    def counted(spec, prec, max_terms):
-        rounds.append(max_terms)
-        return naive_sum(spec, prec, max_terms)
-
-    monkeypatch.setattr(tsum.series, "naive_sum", counted)
-    assert main(["eval", "--p", "1,1,1", "--q", "3", "--a", "1/2"]) == 1
-    assert "above target after 16384 terms" in capsys.readouterr().err
-    assert rounds == [tsum.series.NAIVE_START_TERMS]
+    value, bound, terms = value_and_bound(192)
+    ref, _, _ = value_and_bound(352)
+    assert terms == 132 and bound < mpf(2) ** -180
+    with mp.workprec(400):
+        assert abs(value - ref) <= bound
+        assert abs(ref - mpf("13.6411248800115094350391428")) < mpf("1e-25")
 
 
-def test_accelerated_method_at_three_factors_exits_2(capsys):
-    assert main(["eval", "--p", "1,1,1", "--q", "3", "--a", "1/2", "--method", "accelerated"]) == 2
-    assert "covers at most two harmonic factors" in capsys.readouterr().err
+def test_accelerated_method_at_three_factors_gives_the_auto_bytes(capsys):
+    outs = []
+    for method in ("auto", "accelerated"):
+        assert main(["eval", "--p", "1,1,2", "--q", "3", "--a", "1/3", "--sigma", "-1",
+                     "--method", method]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def _eval_json(capsys, *argv):
@@ -355,10 +362,10 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(argv, message, caps
     assert message in capsys.readouterr().err
 
 
-def test_max_terms_seeds_the_doubling_and_the_accelerated_path_ignores_it(monkeypatch, capsys):
-    # r = 3: --max-terms 1 starts the doubling at one term, which runs on to
-    # the 32768 terms the bound needs; r <= 2 without --method naive takes
-    # the accelerated path, whose head length does not depend on it
+def test_max_terms_is_exact_with_naive_and_ignored_by_the_accelerated_path(monkeypatch, capsys):
+    # --method naive sums exactly --max-terms terms, for any number of
+    # factors; the accelerated path picks its own head length and never
+    # calls naive_sum, three factors included
     rounds = []
     naive_sum = tsum.series.naive_sum
 
@@ -372,12 +379,13 @@ def test_max_terms_seeds_the_doubling_and_the_accelerated_path_ignores_it(monkey
         assert main(["eval", *argv, "--format", "json"]) == 0
         return json.loads(capsys.readouterr().out)["terms_used"]
 
-    assert terms_used("--p", "1,1,1", "--q", "4", "--a", "1/3", "--sigma", "-1",
-                      "--precision-bits", "64", "--max-terms", "1") == 32768
-    assert rounds == [1 << k for k in range(16)]
+    r3 = ("--p", "1,1,1", "--q", "4", "--a", "1/3", "--sigma", "-1", "--precision-bits", "64")
+    assert terms_used(*r3, "--max-terms", "1") == terms_used(*r3) == 128
     assert terms_used("--p", "1,1", "--q", "4", "--a", "1/3", "--sigma", "-1",
                       "--precision-bits", "64", "--max-terms", "1") == 128
-    assert rounds == [1 << k for k in range(16)]
+    assert rounds == []
+    assert terms_used(*r3, "--max-terms", "3", "--method", "naive") == 3
+    assert rounds == [3]
     assert terms_used("--q", "2", "--a=-3", "--max-terms", "3") == 132
     assert terms_used("--q", "2", "--a=-3") == 132
     assert terms_used("--q", "2", "--a=-3", "--max-terms", "3", "--method", "naive") == 3

@@ -11,7 +11,6 @@ from math import comb
 import pytest
 from mpmath import mp, mpf
 
-import tsum.identities as identities
 import tsum.series as series
 import tsum.special as special
 from test_golden import EVAL_SPECS
@@ -20,7 +19,6 @@ from tsum.identities import (PartialFractionRational, verify_thm3_1, verify_thm3
                              verify_thm3_7)
 from tsum.numeric import real_const
 from tsum.series import (
-    BudgetExceededError,
     _direct,
     _int_pieces,
     accel_linear_sum,
@@ -273,18 +271,22 @@ def test_brute_force_double_sum_agreement():
         assert abs(res.value - total) < mpf(1e-7)
 
 
-def test_multi_harmonic_budgeted_fallback(monkeypatch):
-    # three harmonic factors with fast denominator decay meet the budget
+def test_three_factor_products_are_accelerated():
+    # three harmonic factors with fast denominator decay: a 128-term head and
+    # the nested tails land within the bound of 50000 direct terms; with slow
+    # decay at 192 bits, once past any budget of direct terms, the bound
+    # still holds against the value 160 bits finer
     spec = SumSpec(p=(2, 2, 2), q=(4,), a=(F(1, 2),))
     res = euler_t_sum(spec, 40)
-    assert res.terms_used == 16384
+    assert res.terms_used == 128
     with mp.workprec(96):
         nai = naive_sum(spec, 64, 50000)
         assert abs(res.value - nai.value) <= res.tail_bound + nai.tail_bound
-    # slow decay at high precision exhausts the term cap (shrunk here)
-    monkeypatch.setattr("tsum.series.NAIVE_TERM_CAP", 1 << 15)
-    with pytest.raises(BudgetExceededError):
-        euler_t_sum(SumSpec(p=(1, 1, 1), q=(2,), a=(F(1, 2),)), 192, max_terms=1 << 14)
+    slow = SumSpec(p=(1, 1, 1), q=(2,), a=(F(1, 2),))
+    res, ref = euler_t_sum(slow, 192), euler_t_sum(slow, 352)
+    assert res.tail_bound < mpf(2) ** -150
+    with mp.workprec(400):
+        assert abs(res.value - ref.value) <= res.tail_bound
 
 
 @pytest.mark.parametrize("p, offset", [(2, 0), (None, 0), (1, 1)])
@@ -309,14 +311,14 @@ def test_near_coincident_poles_need_no_guard(p, offset, sigma):
 def test_each_accelerated_call_makes_at_most_one_batch(monkeypatch):
     # the tail needs one batch at N + 1/2 (none without a harmonic factor)
     # and no per-value zeta or digamma call from the series engine
-    calls = []  # [p, batches, per-value calls] per accel_linear_sum call
+    calls = []  # [ps, batches, per-value calls] per accelerated sum
     inside = []
 
-    def spy_accel(p, *args):
-        calls.append([p, 0, 0])
+    def spy_accel(ps, *args):
+        calls.append([ps, 0, 0])
         inside.append(calls[-1])
         try:
-            return accel(p, *args)
+            return accel(ps, *args)
         finally:
             inside.pop()
 
@@ -327,9 +329,8 @@ def test_each_accelerated_call_makes_at_most_one_batch(monkeypatch):
             return fn(*args)
         return spy
 
-    accel = series.accel_linear_sum
-    monkeypatch.setattr(series, "accel_linear_sum", spy_accel)
-    monkeypatch.setattr(identities, "accel_linear_sum", spy_accel)
+    accel = series._accel_sum
+    monkeypatch.setattr(series, "_accel_sum", spy_accel)
     monkeypatch.setattr(series, "tail_zeta_batch", counting(series.tail_zeta_batch, 1))
     for name in ("hurwitz_zeta", "alt_hurwitz_zeta", "digamma"):
         spy = counting(getattr(special, name), 2)
@@ -340,9 +341,9 @@ def test_each_accelerated_call_makes_at_most_one_batch(monkeypatch):
             assert main(["eval", *spec, "--precision-bits", "192"]) == 0
     verify_thm3_6(1, PartialFractionRational.parse("(-1/4,1,12);(-1/3,1,-12)"), 96, "1e-20")
     verify_thm3_7(2, PartialFractionRational.parse("(1/5,2,1);(-1/4,3,1)"), 96, "1e-20")
-    assert {p is None for p, _, _ in calls} == {True, False}
-    for p, batches, per_value in calls:
-        assert batches <= (0 if p is None else 1) and per_value == 0, (p, batches, per_value)
+    assert {len(ps) for ps, _, _ in calls} == {0, 1}
+    for ps, batches, per_value in calls:
+        assert batches <= (1 if ps else 0) and per_value == 0, (ps, batches, per_value)
 
 
 def test_one_tail_batch_per_tier_serves_every_pair_order(monkeypatch):
@@ -417,27 +418,49 @@ def _tail_grid(prec):
     return list(itertools.product((1, -1), (0, 1), (None, 1, 2, 3, 4)))
 
 
+def _spy_tail_batches(monkeypatch, asked):
+    """Records every ``_tail_batch`` call as (p, mans, exps, the entries of
+    ``asked`` it made)."""
+    calls = []
+    tail_batch = series._tail_batch
+
+    def spy(sigma, N, wp, W, dbits, shift, p, mans, exps, T):
+        start = len(asked)
+        out = tail_batch(sigma, N, wp, W, dbits, shift, p, mans, exps, T)
+        calls.append((p, mans, exps, asked[start:]))
+        return out
+
+    monkeypatch.setattr(series, "_tail_batch", spy)
+    return calls
+
+
 @pytest.mark.parametrize("prec", [64, 192, 1024, 4096])
 def test_tail_assembly_error_budget(prec, monkeypatch):
     # the fixed-point tail against the same assembly in exact Fractions, from the
-    # same cached g_w and the batch values as accel_linear_sum asked them: its
-    # floors may cost 2 h_N + W + 1 units of 2^-T (2 without h_N), the majorants
-    # of the input errors stay within 2^6, and the values asked below wp err by
-    # under 2^-(wp+1) sum |g_w zeta_w| in all
+    # same cached g_w and the batch values as each batch asked them: its floors
+    # may cost 2P + 1 units of 2^-T for T() times its product P of h_N (2
+    # without h_N) and WP + 1 for a batched term (W without h_N), each
+    # majorant times P stays within 2^6 and all of them within 2^7, and the
+    # values asked below wp err by under 2^-(wp+1) sum |g_w zeta_w| per batch;
+    # one product of three factors too, below 4096 bits, where its nested
+    # convolutions would take most of the suite's time
     monkeypatch.setattr(series, "_expansion_cache", {})
     monkeypatch.setattr(series, "_bern_cache", {})
     seen = _spy_rounding(monkeypatch)
     asked = _spy_batches(monkeypatch)
+    batched = _spy_tail_batches(monkeypatch, asked)
     wp = prec + 48
     tiered = False
-    for sigma, offset, p in _tail_grid(prec):
+    pieces = _int_pieces(TAIL_PIECES)
+    cases = [(sigma, offset, () if p is None else (p,)) for sigma, offset, p in _tail_grid(prec)]
+    for sigma, offset, ps in cases + [(-1, 1, (1, 2, 2))] * (prec <= 1024):
         asked.clear()
-        res = accel_linear_sum(p, offset, sigma, TAIL_PIECES, prec)
+        batched.clear()
+        res = series._accel_sum(ps, offset, sigma, pieces, prec)
         (man, exp), N = seen.pop(), res.terms_used
         [(W, (mans, exps))] = [(k[3], v) for k, v in series._expansion_cache.items()
-                               if k[:2] == (sigma, offset) and k[4] == wp]
-        total, abs_total, _, scale, hs, hscale = _signed(
-            _direct(offset, () if p is None else (p,), _int_pieces(TAIL_PIECES), N, wp), sigma)
+                               if k[:2] == (sigma, offset) and k[4] == wp and len(k) == 5]
+        total, abs_total, _, scale, hs, hscale = _signed(_direct(offset, ps, pieces, N, wp), sigma)
         T = -exp
         assert T == scale + series._TAIL_GUARD
         g = [F(m) * F(2) ** e for m, e in zip(mans, exps)]
@@ -445,27 +468,40 @@ def test_tail_assembly_error_budget(prec, monkeypatch):
         rational_tail = sigma ** (N + 1 - offset) * sum(gw / u ** w for w, gw in enumerate(g, 1))
         majorant = sum(abs(gw) / u ** w for w, gw in enumerate(g, 1))
         head, abs_head = F(total, 1 << scale), F(abs_total, 1 << scale)
-        case = (sigma, offset, p)
-        if p is None:
-            assert not asked
-            exact, units = head + rational_tail, 2
-        else:
-            h = F(hs[0], 1 << hscale)
+        case = (sigma, offset, ps)
+        assert bool(asked) == bool(ps), case
+        parts = []  # (exact part, majorant times P, units of 2^-T, batched)
+        batches = iter(batched)
+        words = {}  # word -> its batch, in the order _tail_batch was called
+        for word, idx in series._words(ps):
+            P = math.prod(F(hs[i], 1 << hscale) for i in idx)
+            if not word:
+                parts.append((P * rational_tail, majorant * P, 2 * P + bool(idx), False))
+                continue
+            if word not in words:
+                words[word] = next(batches)
+            p, wm, we, calls = words[word]
+            assert p == word[0], case
             zeta = {}  # s -> (value, bits), a value asked again replacing the first
-            for ss, bits, values in asked:
+            for ss, bits, values in calls:
                 zeta.update((s, (z, bits)) for s, z in zip(ss, values))
-            powers = [w for w, gw in enumerate(g, 1) if gw]
-            terms = [(g[w - 1] * _exact(zeta[w + p][0]), zeta[w + p][1]) for w in powers]
-            piece2 = sigma ** (N + 1) * sum(t for t, _ in terms)
-            exact, units = head + h * rational_tail + piece2, 2 * h + W + 1
+            gw = [F(m) * F(2) ** e for m, e in zip(wm, we)]
+            terms = [(gw[w - 1] * _exact(zeta[w + p][0]), zeta[w + p][1])
+                     for w in range(1, len(gw) + 1) if gw[w - 1]]
             B = sum(abs(t) for t, _ in terms)
-            assert B <= 2 ** 6 * (abs_head + abs(piece2) + 1), case
             assert sum(abs(t) / F(2) ** bits for t, bits in terms if bits < wp) <= B / 2 ** (wp + 1)
             assert {bits for _, bits in terms} == {wp} or prec >= 1024, case  # one tier below 512
             tiered |= min(bits for _, bits in terms) < wp
-            majorant *= max(1, h)
+            parts.append((P * sigma ** (N + 1) * sum(t for t, _ in terms), B * P,
+                          W * P + bool(idx), True))
+        assert next(batches, None) is None, case
+        exact = head + sum(x for x, _, _, _ in parts)
+        units = sum(n for _, _, n, _ in parts)
         assert abs(F(man, 1 << T) - exact) <= F(units, 1 << T), case
-        assert majorant <= 2 ** 6 * (abs_head + 1), case
+        for x, maj, _, batch in parts:
+            assert maj <= 2 ** 6 * (abs_head + batch * abs(x) + 1), case
+        assert (sum(maj for _, maj, _, _ in parts)
+                <= 2 ** 7 * (abs_head + sum(abs(x) for x, _, _, _ in parts) + 1)), case
     assert tiered == (prec >= 1024)
 
 
@@ -802,19 +838,18 @@ def test_default_verify_walks_one_head_per_key(monkeypatch):
     # a warm one walks none
     walks = _count_walks(monkeypatch)
     calls = []
-    accel = series.accel_linear_sum
+    accel = series._accel_sum
 
     def spy_accel(*args):
         calls.append(args)
         return accel(*args)
 
-    monkeypatch.setattr(series, "accel_linear_sum", spy_accel)
-    monkeypatch.setattr(identities, "accel_linear_sum", spy_accel)
+    monkeypatch.setattr(series, "_accel_sum", spy_accel)
     for _ in range(2):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["verify"]) == 0
     assert len(calls) == 2 * 224
-    keys = {(offset, p, _int_pieces(pieces), prec) for p, offset, _, pieces, prec in calls}
+    keys = {(offset, ps, pieces, prec) for ps, offset, _, pieces, prec in calls}
     assert len(walks) == len(keys) == 145
 
 
@@ -868,26 +903,17 @@ def test_either_sign_first_cold_or_warm_gives_the_same_sums(prec, monkeypatch):
         assert seen[0] == seen[1] == seen[2], (offset, p)
 
 
-def test_naive_sum_neither_reads_nor_fills_the_head_cache(monkeypatch):
-    # the oracle, --method naive and r >= 3 walk every head afresh
+def test_only_the_accelerated_path_uses_the_head_cache(monkeypatch):
+    # the oracle and --method naive walk every head afresh; the accelerated
+    # path reads the kept head for any number of factors, three included
     monkeypatch.setattr(series, "_head_cache", _Untouchable())
     for p, sigma in itertools.product(((), (2,), (1, 2), (1, 1, 2)), (1, -1)):
         spec = SumSpec(p=p, q=(6,), a=(F(1, 3),), sigma=sigma)
         naive_sum(spec, 64, 300)
         euler_t_sum(spec, 64, method="naive", max_terms=300)
-        if len(p) > 2:
+        with pytest.raises(AssertionError, match="read"):
             euler_t_sum(spec, 64)
     assert len(series._head_cache) == 0
-    with pytest.raises(AssertionError, match="read"):  # the accelerated path does read it
-        euler_t_sum(SumSpec(p=(2,), q=(3,), a=(F(1, 3),)), 64)
-    with pytest.raises(AssertionError, match="read"):  # for two factors too
-        euler_t_sum(SumSpec(p=(1, 2), q=(3,), a=(F(1, 3),)), 64)
-
-
-def test_accelerated_method_rejects_multiple_factors():
-    spec = SumSpec(p=(1, 1, 2), q=(3,), a=(F(0),))
-    with pytest.raises(SpecError, match="at most two harmonic factors"):
-        euler_t_sum(spec, 64, method="accelerated")
 
 
 # The fixed-point direct loop against exact partial sums: sigma = +-1, r = 0..3,
@@ -1267,15 +1293,47 @@ def test_symmetric_sum_identity_for_two_factors(monkeypatch):
     assert off > 2 ** 64 * bound
 
 
+def test_telescoping_identity_for_three_factors(monkeypatch):
+    # with S(x; y...) = sum_n u_n^-x prod h_n^(y), summing (h_n)^4 - (h_n -
+    # u_n^-2)^4, h = h^(2), gives 4 S(2; 2, 2, 2) = ttilde(2)^4 + 6 S(4; 2, 2)
+    # - 4 t*(6, 2) + ttilde(8); without the stuffle term T(2 + 2 + 2) the
+    # identity fails by far
+    others = {prec: [euler_t_sum(SumSpec(p=p, q=(q,), a=(F(0),)), prec)
+                     for p, q in (((2, 2), 4), ((2,), 6))] for prec in (192, 1024)}
+
+    def gap(prec):
+        s, (s4, star) = euler_t_sum(SumSpec(p=(2, 2, 2), q=(2,), a=(F(0),)), prec), others[prec]
+        with mp.workprec(prec + 64):
+            t2, t8 = (ttilde(k, prec + 64) for k in (2, 8))
+            rhs = t2 ** 4 + 6 * s4.value - 4 * star.value + t8
+            bound = 4 * s.tail_bound + 6 * s4.tail_bound + 4 * star.tail_bound + mpf(2) ** -prec
+            return abs(4 * s.value - rhs), bound
+
+    for prec in (192, 1024):
+        off, bound = gap(prec)
+        assert off <= bound, prec
+    batch = series._tail_batch
+
+    def no_stuffle_term(sigma, N, wp, W, dbits, shift, p, *rest):  # the word (6,) is at p = 6
+        return (0, []) if p == 6 else batch(sigma, N, wp, W, dbits, shift, p, *rest)
+
+    monkeypatch.setattr(series, "_tail_batch", no_stuffle_term)
+    off, bound = gap(192)
+    assert off > 2 ** 64 * bound
+
+
 def _two_factor_grid(seed: int = 2026):
     """Seeded r = 2 specs at sigma = -1: p1 = p2 and p1 != p2, both offsets,
-    and the shifts 0, 1/3, 1/2 and 101/3."""
+    and the shifts 0, 1/3, 1/2 and 101/3; then four r = 3 specs, the same
+    way with a third order of 1..3."""
     rng = random.Random(seed)
     shifts = (F(0), F(1, 3), F(1, 2), F(101, 3))
     specs = []
-    for i in range(8):
+    for i in range(12):
         p1 = rng.randint(1, 3)
         p = (p1, p1) if i % 2 else (p1, p1 + rng.randint(1, 2))
+        if i >= 8:
+            p += (rng.randint(1, 3),)
         k = rng.randint(1, 2)
         specs.append(SumSpec(p=p, q=tuple(rng.randint(1, 3) for _ in range(k)),
                              a=(shifts[i % 4], *rng.sample(shifts, k - 1)), sigma=-1,
@@ -1286,6 +1344,7 @@ def _two_factor_grid(seed: int = 2026):
 def test_two_factor_products_at_sigma_minus_one_match_direct_summation():
     specs = _two_factor_grid()
     assert {s.p[0] == s.p[1] for s in specs} == {True, False}
+    assert {len(s.p) for s in specs} == {2, 3}
     assert {s.offset for s in specs} == {0, 1}
     assert {a for s in specs for a in s.a} == {F(0), F(1, 3), F(1, 2), F(101, 3)}
     for spec in specs:
