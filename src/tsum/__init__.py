@@ -37,12 +37,9 @@ from .special import (
     alt_hurwitz_zeta,
     alt_zeta,
     digamma,
-    dirichlet_beta,
     hurwitz_zeta,
-    hurwitz_zeta1,
     kernel_jet,
-    kernel_value,
-    param_digamma_deriv,
+    kernel_sums,
     psi_jet,
     riemann_zeta,
     single_t,

@@ -5,9 +5,10 @@ registry (``suite.run_case``), and ``SuiteConfig`` checks their settings.
 Each subcommand returns its report text and whether every case passed;
 ``main`` writes the text and maps the exit code.
 
-Exit codes: 0 success (and all cases passed), 1 verification failures or a
-summation budget failure, 2 invalid configuration or out-of-domain
-parameters, 3 I/O failure.
+Exit codes: 0 success (and all cases passed), 1 failed cases or an
+ArithmeticError, such as a sum of kernel values that cancels past 2048
+guard bits, 2 invalid configuration or out-of-domain parameters, 3 I/O
+failure.
 
 Reports are deterministic: timing fields are written as 0 unless --timings
 is given, so identical invocations produce byte-identical output except the

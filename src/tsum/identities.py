@@ -4,7 +4,7 @@ Each verifier evaluates both sides of one identity by independent routes:
 the series side through the summation engine, the closed-form side through
 the special function evaluators.  The closed form of a pair theorem or
 corollary, a polynomial in kernel values with rational factors, is one
-``special._kernel_sums`` sum, which covers its measured cancellation.  A
+``special.kernel_sums`` sum, which covers its measured cancellation.  A
 residue-sum-zero statement (Theorems 3.6 and 3.7) is checked as two sides
 of the four terms of its proof: the two series, and the derivative sums
 plus the residues, the latter read from products of exact jets and added
@@ -33,9 +33,9 @@ from .special import (
     KernelKind,
     Terms,
     ZetaConvention,
-    _kernel_sums,
     alt_zeta,
     kernel_jet,
+    kernel_sums,
     psi_jet,
     riemann_zeta,
     ttilde,
@@ -158,7 +158,7 @@ def _verify_pair(kern: _Kernel, family: str, p: int, a: Frac, b: Frac, prec: int
         for e, x in ((c, b), (-c, a)):
             trig = kernel_jet(kern.kind, x, 0).coeffs[0]
             terms += trig * e * (convention.terms(1, p, x) + neg_tt)
-        lhs, rhs = round_to(lhs, prec), _kernel_sums([terms], prec)[0]
+        lhs, rhs = round_to(lhs, prec), kernel_sums([terms], prec)[0]
     params = {"p": p, "a": _fmt(a), "b": _fmt(b)}
     case_id = f"{family}[p={p},a={_fmt(a)},b={_fmt(b)}]"
     return _report(case_id, family, params, lhs, rhs, tol, prec,
@@ -217,7 +217,7 @@ def _verify_single(kern: _Kernel, family: str, m: int, a: Frac, prec: int, toler
             s0 = euler_t_sum(SumSpec(p=(), q=(p, 1, 1), a=(Frac(0), a, b), sigma=kern.sigma), wp)
             terms += s0.terms_used
             c, sign, head = 1 / (2 * a), 1, Terms([(Frac(*to_rational(s0.value._mpf_)) / 2, ())])
-        rhs = _kernel_sums([head + _j_sum(kern, p, a, b, convention) * (sign * c)
+        rhs = kernel_sums([head + _j_sum(kern, p, a, b, convention) * (sign * c)
                             + kernel_jet(kern.kind, a, 0).coeffs[0] * (c / 2) * zetas], prec)[0]
         lhs = round_to(lhs, prec)
     params = {"m": m, "a": _fmt(a)}
@@ -372,7 +372,7 @@ def _verify_residue(kern: _Kernel, family: str, p: int, r: PartialFractionRation
         term2 = -sgn * (tp * rat2.value - sum2.value)
         lhs = round_to(term1 + term2, prec)
     closed = _derivative_terms(kern, p, r) + _residue_terms(kern.kind, p, r)
-    rhs = _kernel_sums([closed * -1], prec)[0]
+    rhs = kernel_sums([closed * -1], prec)[0]
     params = {"p": p, "r": r.text()}
     return _report(f"{family}[p={p},r={r.text()}]", family, params, lhs, rhs,
                    tol, prec, sum1.terms_used + sum2.terms_used, t0)
@@ -425,7 +425,7 @@ def _lemma_psi_checks(order: int, prec: int, note) -> None:
             sgn = 1 if p % 2 == 0 else -1
             for n in range(4):
                 # expansion at the integer pole n
-                coeffs = _kernel_sums(psi_jet(p, Fraction(n), order).coeffs, wp)
+                coeffs = kernel_sums(psi_jet(p, Fraction(n), order).coeffs, wp)
                 note(coeffs[0] / fac, mpf(1))
                 for i in range(1, min(p, order + 1)):
                     note(coeffs[i], mpf(0))
@@ -435,7 +435,7 @@ def _lemma_psi_checks(order: int, prec: int, note) -> None:
                         (-1) ** j * to_mpf(harmonic(n, j), wp) + zj)
                     note(coeffs[j] / fac, closed)
                 # expansion at n - 1/2 (analytic)
-                coeffs = _kernel_sums(psi_jet(p, Fraction(2 * n - 1, 2), order).coeffs, wp)
+                coeffs = kernel_sums(psi_jet(p, Fraction(2 * n - 1, 2), order).coeffs, wp)
                 for j in range(order + 1):
                     i = p + j
                     closed = sgn * comb(i - 1, p - 1) * (
@@ -443,7 +443,7 @@ def _lemma_psi_checks(order: int, prec: int, note) -> None:
                     note(coeffs[j], closed * fac)
                 # expansion at 1/2 - n (analytic), n >= 1
                 if n >= 1:
-                    coeffs = _kernel_sums(psi_jet(p, Fraction(1 - 2 * n, 2), order).coeffs, wp)
+                    coeffs = kernel_sums(psi_jet(p, Fraction(1 - 2 * n, 2), order).coeffs, wp)
                     for j in range(order + 1):
                         i = p + j
                         closed = sgn * comb(i - 1, p - 1) * (
@@ -457,7 +457,7 @@ def _lemma_trig_checks(order: int, prec: int, note) -> None:
     with mp.workprec(wp):
         for n in range(4):
             # tangent kernel at the integer n: odd coefficients 2*ttilde(j+1)
-            coeffs = _kernel_sums(kernel_jet(KernelKind.PI_TAN, n, order).coeffs, wp)
+            coeffs = kernel_sums(kernel_jet(KernelKind.PI_TAN, n, order).coeffs, wp)
             for j in range(order + 1):
                 closed = 2 * ttilde(j + 1, wp) if j % 2 == 1 else mpf(0)
                 note(coeffs[j], closed)
@@ -465,7 +465,7 @@ def _lemma_trig_checks(order: int, prec: int, note) -> None:
                 note(factorial(j) * coeffs[j],
                       (1 - (-1) ** j) * factorial(j) * ttilde(j + 1, wp))
             # secant kernel at n: even coefficients (-1)^(n-1) 2 ttilde_bar(j+1)
-            coeffs = _kernel_sums(kernel_jet(KernelKind.PI_OVER_COS, n, order).coeffs, wp)
+            coeffs = kernel_sums(kernel_jet(KernelKind.PI_OVER_COS, n, order).coeffs, wp)
             for j in range(order + 1):
                 closed = (-1) ** (n - 1) * 2 * ttilde_bar(j + 1, wp) if j % 2 == 0 else mpf(0)
                 note(coeffs[j], closed)
@@ -473,13 +473,13 @@ def _lemma_trig_checks(order: int, prec: int, note) -> None:
                       (-1) ** (n - 1) * (1 + (-1) ** j) * factorial(j) * ttilde_bar(j + 1, wp))
             # tangent kernel at the pole n - 1/2
             pole = Fraction(2 * n - 1, 2)
-            coeffs = _kernel_sums(kernel_jet(KernelKind.PI_TAN, pole, order).coeffs, wp)
+            coeffs = kernel_sums(kernel_jet(KernelKind.PI_TAN, pole, order).coeffs, wp)
             note(coeffs[0], mpf(-1))
             for j in range(1, order + 1):
                 closed = 2 * riemann_zeta(j, wp) if (j % 2 == 0 and j >= 2) else mpf(0)
                 note(coeffs[j], closed)
             # secant kernel at the pole n - 1/2
-            coeffs = _kernel_sums(kernel_jet(KernelKind.PI_OVER_COS, pole, order).coeffs, wp)
+            coeffs = kernel_sums(kernel_jet(KernelKind.PI_OVER_COS, pole, order).coeffs, wp)
             s = (-1) ** n
             note(coeffs[0], mpf(s))
             for j in range(1, order + 1):

@@ -9,7 +9,7 @@ so ``c_0`` multiplies the most singular power and the residue (coefficient
 of the (-1)-power) sits at index ``m - 1``.  Arithmetic is the exact
 truncation of formal Laurent-series arithmetic at K+1 stored coefficients,
 with the coefficients' own + and *: rationals, or ``special.Terms`` that
-stay unrounded until one ``special._kernel_sums`` rounds them.
+stay unrounded until one ``special.kernel_sums`` rounds them.
 """
 
 from __future__ import annotations

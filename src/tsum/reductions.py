@@ -26,8 +26,8 @@ from .numeric import check_integer
 from .series import SeriesResult, double_t, double_T
 from .special import (
     Terms,
-    _kernel_sums,
     alt_zeta,
+    kernel_sums,
     riemann_zeta,
     single_t,
     single_t_bar,
@@ -161,7 +161,7 @@ def _sym_value(s: Symbol) -> Terms:
 
 def eval_symbolic(expr: SymbolicExpr, prec: int) -> mpf:
     """Numeric value of ``expr`` with every symbol replaced by its constant:
-    one sum of products of kernel values (``special._kernel_sums``), rounded
+    one sum of products of kernel values (``special.kernel_sums``), rounded
     once at ``prec``.
 
     Symbols that share a kernel value merge exactly, so T(3) - 2 t(3) is 0.
@@ -175,7 +175,7 @@ def eval_symbolic(expr: SymbolicExpr, prec: int) -> mpf:
     for mono, coeff in expr:
         terms += prod(map(_sym_value, mono), start=Terms([(coeff, ())]))
     weight = max(expr.weights(), default=0)
-    return _kernel_sums([terms], prec, 16 + int(log2(3) * weight))[0]
+    return kernel_sums([terms], prec, 16 + int(log2(3) * weight))[0]
 
 
 def normalize_to_zeta(expr: SymbolicExpr) -> SymbolicExpr:

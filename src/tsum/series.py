@@ -321,7 +321,7 @@ def _rho(pieces: IntPieces, W: int) -> _Series:
     return _Series(D, K, min(sum(e for _, _, e in fs) for _, fs in pieces), rho)
 
 
-def _sum_step(sigma: int, offset: int, series: _Series, keep: bool = True) -> _Series:
+def _sum_step(sigma: int, offset: int, series: _Series) -> _Series:
     """One exact summation step: from f(j) = sum_m c_m v^(-m), v = j - 1/2,
     given as ``series`` with powers m <= M, the series of sum_{j>=k+offset}
     sigma^j f(j) ~ sigma^k sum_w g_w u^(-w), u = k - 1/2, for w = 1..M - 1.
@@ -340,13 +340,13 @@ def _sum_step(sigma: int, offset: int, series: _Series, keep: bool = True) -> _S
     lcm is 1 at sigma = -1, where w divides every num_w, and at sigma = +1
     it is 1 or small, as L, the common denominator of the beta_k, is a
     multiple of (nearly) every w <= M.  At sigma = +1, x_1 must be 0: the
-    power v^-1 has no sum.  ``keep`` False leaves ``_bern_cache`` as it was.
+    power v^-1 has no sum.
     """
     D, K, m0, x, divs = series
     if divs is not None:
         M = math.lcm(*(q // math.gcd(xm, q) for xm, q in zip(x, divs)))
         x, K = [xm * M // q for xm, q in zip(x, divs)], K * M
-    L, bern = _bern(sigma, D, m0, x, keep)
+    L, bern = _bern(sigma, D, m0, x)
     nums = [0]
     for w, b in enumerate(bern, 1):
         num = 2 * w * D * b + (1 - 2 * offset) * w * L * D * x[w]
@@ -374,8 +374,7 @@ def _floors(series: _Series, wp: int) -> tuple[tuple[int, ...], array]:
     return tuple(mans), array("q", exps)
 
 
-def _bern(sigma: int, D: int, m0: int, rho: list[int],
-          keep: bool = True) -> tuple[int, list[int]]:
+def _bern(sigma: int, D: int, m0: int, rho: list[int]) -> tuple[int, list[int]]:
     """rho -> L and bern_w = sum_k gamma_k C(w-1, 2k-1) rho_(w-2k+1), w = 1..W,
     gamma_k = beta_k L D^(2k-1), each w one pipeline of builtins.  As rho_m =
     0 below m0, only k <= n = (W + 1 - m0) // 2 meet a non-zero rho_m, so L
@@ -384,9 +383,9 @@ def _bern(sigma: int, D: int, m0: int, rho: list[int],
     up to sign and alternation (``_tail_expansion``): ``_bern_cache`` keeps
     the bern of the largest of rho, -rho and their alternations, and a
     member with rho_m = eps (-1)^(a m) rep_m takes eps (-1)^(a (w+1)) times
-    the representative's bern_w.  Only the last build is kept, and none
-    with ``keep`` False: the twins are asked one right after the other, and
-    a warm call reads ``_expansion_cache`` before it gets here.
+    the representative's bern_w.  Only the last build is kept: the twins
+    are asked one right after the other, and a warm call reads
+    ``_expansion_cache`` before it gets here.
     """
     alt = [-x if m & 1 else x for m, x in enumerate(rho)]
     rep, eps, a = max((rho, 1, 0), ([-x for x in rho], -1, 0), (alt, 1, 1),
@@ -403,9 +402,8 @@ def _bern(sigma: int, D: int, m0: int, rho: list[int],
                                 rep[w - 1::-2])) if w > m0 else 0)
             row = [1, *map(add, row, row[1:]), 1]
         bern = tuple(bern)
-        if keep:
-            _bern_cache.clear()
-            _bern_cache[key] = bern
+        _bern_cache.clear()
+        _bern_cache[key] = bern
     return L, [eps * (-1) ** (a * (w + 1)) * b for w, b in enumerate(bern, 1)]
 
 
@@ -422,7 +420,8 @@ def _beta_weights(sigma: int, n: int) -> tuple[int, list[int]]:
 
 
 def _tail_expansion(sigma: int, offset: int, pieces: IntPieces, W: int, wp: int,
-                    levels: tuple = ()) -> tuple[tuple[int, ...], array]:
+                    levels: tuple = (), built: Optional[dict] = None
+                    ) -> tuple[tuple[int, ...], array]:
     """g_1, ..., g_W with G(k) = sum_{n>=k+offset} sigma^n R(n) ~ sigma^k sum_w
     g_w u^(-w), u = k - 1/2, for R = sum_j k_j prod (n + t)^(-e); or, given
     levels, the h_1, ..., h_W of the nested level on top of them, each level
@@ -436,9 +435,11 @@ def _tail_expansion(sigma: int, offset: int, pieces: IntPieces, W: int, wp: int,
     shifts the pairs to the scale of each sum.
 
     G is ``_rho`` and one ``_sum_step``.  A level is one more step, offset 1,
-    on the exact series below it times u^(-s), up to the same power W; its
-    convolution is not kept, so G's stays in ``_bern_cache`` for the next
-    levels.
+    on the exact series of its parent levels[:-1] times u^(-s), up to the
+    same power W.  The exact series are kept in ``built`` under their levels
+    (a new dict if None); the levels of one ``_accel_sum`` are closed under
+    prefixes, so with one dict per call each is one step on a parent built
+    before it: for ps = (1, 2, 2), 7 level steps on one G.
 
     Reflection: negating every t + 1/2 maps A to -A, so x_r to (-1)^r x_r and
     rho_m to eps (-1)^m rho_m (eps = (-1)^E if every piece has order E); each
@@ -449,14 +450,17 @@ def _tail_expansion(sigma: int, offset: int, pieces: IntPieces, W: int, wp: int,
     key = (sigma, offset, pieces, W, wp) + levels
     g = _expansion_cache.get(key)
     if g is None:
-        series = _sum_step(sigma, offset, _rho(pieces, W))
-        for s in levels:  # times u^(-s), powers up to W + 1: none past W + 1 - s
-            D, den, m0, nums, divs = series
-            top = max(W + 2 - s, 0)
-            nums = [0] * (W + 2 - top) + [x * D ** s for x in nums[:top]]
-            series = _sum_step(sigma, 1, _Series(D, den, m0 + s, nums,
-                                                 (1,) * (W + 2 - top) + divs[:top]), keep=False)
-        g = _expansion_cache[key] = _floors(series, wp)
+        built = {} if built is None else built
+        if () not in built:
+            built[()] = _sum_step(sigma, offset, _rho(pieces, W))
+        for i, s in enumerate(levels, 1):  # times u^(-s), powers up to W + 1: none past W + 1 - s
+            if levels[:i] not in built:
+                D, den, m0, nums, divs = built[levels[:i - 1]]
+                top = max(W + 2 - s, 0)
+                nums = [0] * (W + 2 - top) + [x * D ** s for x in nums[:top]]
+                built[levels[:i]] = _sum_step(sigma, 1, _Series(
+                    D, den, m0 + s, nums, (1,) * (W + 2 - top) + divs[:top]))
+        g = _expansion_cache[key] = _floors(built[levels], wp)
     return g
 
 
@@ -532,7 +536,8 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
     """Accelerated sum_{n>=1} sigma^n h_{n-offset}^(p) R(n), R(n) = sum_j k_j
     prod (n + t)^(-e) over pieces (k_j, [(t, e)]); p is None (no harmonic
     factor) or an int >= 1, offset 0 or 1 and sigma +1 or -1, all three
-    checked before any other work, and then the pieces.  ``_accel_sum`` sums
+    checked before any other work, and then the pieces: at least one, each
+    with a factor, as a constant term's sum diverges.  ``_accel_sum`` sums
     it.
     """
     name = "accel_linear_sum"
@@ -544,7 +549,11 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
         raise SpecError("sigma must be +1 or -1")
     check_precision(prec)
     pieces = _int_pieces(pieces)  # hashable too: the cache keys
+    if not pieces:
+        raise SpecError("accel_linear_sum needs at least one piece")
     for _, fs in pieces:
+        if not fs:
+            raise DivergentSumError("a piece without a factor is a constant, whose sum diverges")
         for b, a, e in fs:
             check_integer(e, name, SpecError)
             if b == 1 and a <= -1:
@@ -674,7 +683,8 @@ def _accel_sum(ps: tuple[int, ...], offset: int, sigma: int, pieces: IntPieces,
         head = _head_cache[key] = (totals, abs_total, F, hs, H)
     totals, abs_total, F, hs, H = head
     total = totals[sigma < 0]
-    mans, exps = _tail_expansion(sigma, offset, pieces, W, wp)
+    built: dict = {}  # levels -> exact series, each built once in this call
+    mans, exps = _tail_expansion(sigma, offset, pieces, W, wp, (), built)
     T = F + _TAIL_GUARD
     # sum_{n>N} sigma^n R(n) = G(N + 1 - offset), at u = N + 1/2 - offset
     u2 = 2 * N + 1 - 2 * offset
@@ -691,7 +701,7 @@ def _accel_sum(ps: tuple[int, ...], offset: int, sigma: int, pieces: IntPieces,
         batch = batches.get(word)
         if batch is None:  # sigma^(N+1) sum_w h_w zeta(w + s_1) at 2^-T
             coeffs = (mans, exps) if len(word) == 1 else _tail_expansion(
-                sigma, offset, pieces, W, wp, word[:0:-1])
+                sigma, offset, pieces, W, wp, word[:0:-1], built)
             piece, last = _tail_batch(sigma, N, wp, W, math.ceil(1 + dmax).bit_length(),
                                       max(sum(ps), _BATCH_ORDERS), word[0], *coeffs, T)
             batch = batches[word] = sigma ** (N + 1) * piece, last
@@ -827,6 +837,14 @@ def _first_term(offset: int, ps: Sequence[int], scaled: list, N: int) -> tuple[i
     return 1, 1
 
 
+def _term_count(max_terms: int, name: str) -> int:
+    """``max_terms`` as an int of at least 1, else a SpecError of ``name``."""
+    n = check_integer(max_terms, name, SpecError)
+    if n < 1:
+        raise SpecError(f"max_terms must be >= 1, got {n}")
+    return n
+
+
 def naive_sum(spec: SumSpec, prec: int, max_terms: int = NAIVE_START_TERMS) -> SeriesResult:
     """Direct summation of ``spec`` to ``max_terms`` = N terms by ``_direct``'s
     block pipelines, one floor division per piece and term; its error, under
@@ -841,6 +859,7 @@ def naive_sum(spec: SumSpec, prec: int, max_terms: int = NAIVE_START_TERMS) -> S
     j!/(d-1)^(j+1) times the p >= 2 bounds; with N <= -t it is +inf.
     """
     check_precision(prec)
+    max_terms = _term_count(max_terms, "naive_sum")
     wp = prec + guard_bits(max_terms)
     factors = spec.factors()
     d = sum(e for _, e in factors)
@@ -883,10 +902,7 @@ def euler_t_sum(spec: SumSpec, prec: int, method: str = "auto",
     """
     if method not in ("auto", "accelerated", "naive"):
         raise SpecError(f"unknown method {method!r}")
-    n = NAIVE_START_TERMS if max_terms is None else check_integer(max_terms, "euler_t_sum",
-                                                                  SpecError)
-    if n < 1:
-        raise SpecError(f"max_terms must be >= 1, got {n}")
+    n = _term_count(NAIVE_START_TERMS if max_terms is None else max_terms, "euler_t_sum")
     if method == "naive":
         return naive_sum(spec, prec, n)
     check_precision(prec)  # the spec checked its shifts and its convergence

@@ -16,7 +16,7 @@ past it.  Digamma is minus the sigma = +1, s = 1 case, whose divergent
 prec + 56 bits, and each value is rounded once.
 
 Everything else is a sum of rationals times products of such values
-K_sigma(s; x), added exactly and rounded once (``_kernel_sums``): pi tan
+K_sigma(s; x), added exactly and rounded once (``kernel_sums``): pi tan
 and pi sec come from pi cot(pi x) and pi csc(pi x), the sums of
 sigma^n/(x + n) over all integers n, so each Taylor coefficient at a
 rational base is a difference of two kernel values (at a pole, after the
@@ -25,10 +25,11 @@ plus rationals; each depth-1 constant (zeta, the alternating zeta, t, T
 and their alternating forms) is one kernel term, a rational times a value
 at 1 or 1/2; the closed forms of the identity checks and the symbolic
 reductions multiply these.  Such a sum stays unrounded as ``Terms`` until
-one ``_kernel_sums`` rounds it: at ``prec`` None the depth-1 constants
-return their term, and ``kernel_jet`` and ``psi_jet`` always return exact
-jets of ``Terms``, which the residue checks multiply out and the lemma
-checks round.  Every function here takes rational arguments only.
+one ``kernel_sums``, the public rounding of every such sum, rounds it: at
+``prec`` None the depth-1 constants return their term, and ``kernel_jet``
+and ``psi_jet`` always return exact jets of ``Terms``, which the residue
+checks multiply out and the lemma checks round.  Every function here takes
+rational arguments only.
 
 ``tail_zeta_batch`` serves the many exponents the series engine needs at
 one point in one pass; the per-value functions are batches of one, cached
@@ -58,10 +59,6 @@ from .numeric import (DomainError, Rational, bernoulli, check_integer, check_pre
                       check_rational)
 
 _HALF = Fraction(1, 2)
-
-
-class PoleProximityError(DomainError):
-    """Evaluation point exactly at a pole."""
 
 
 class KernelKind(Enum):
@@ -402,7 +399,7 @@ def digamma(a: Rational, prec: int) -> mpf:
 
 
 class Terms(list):
-    """An unrounded sum of kernel terms (c, keys) for ``_kernel_sums``: + joins
+    """An unrounded sum of kernel terms (c, keys) for ``kernel_sums``: + joins
     two sums, and * multiplies them out, or scales each c by a rational."""
 
     def __add__(self, other: list) -> "Terms":
@@ -417,28 +414,10 @@ class Terms(list):
 
 
 def _zeta_terms(c: Rational, s: int, a: Fraction) -> Terms:
-    """c zeta(s; a) as terms (c, ((sigma, s, x),)) of ``_kernel_sums``;
+    """c zeta(s; a) as terms (c, ((sigma, s, x),)) of ``kernel_sums``;
     zeta(1; a) is the convention psi(1/2) - psi(a) = K(1; a) - K(1; 1/2)."""
     terms = Terms([(c, ((1, s, a),))])
     return terms + [(-c, ((1, 1, _HALF),))] if s == 1 else terms
-
-
-def hurwitz_zeta1(a: Rational, prec: int) -> mpf:
-    """The zeta(1; a) convention value psi(1/2) - psi(a), for rational a not a
-    non-positive integer."""
-    return _kernel_sums([_zeta_terms(1, 1, _admissible(a, "hurwitz_zeta1"))], prec)[0]
-
-
-def param_digamma_deriv(p: int, a: Rational, prec: int) -> mpf:
-    """Value of the shifted digamma derivative Psi^(p-1)(1/2 + a), a > 0.
-
-    Equals (-1)^p (p-1)! zeta(p; a) for p >= 2 and -(psi(1/2) - psi(a))
-    for p = 1.
-    """
-    if check_integer(p, "param_digamma_deriv") < 1:
-        raise DomainError("param_digamma_deriv requires p >= 1")
-    c = (-1) ** p * factorial(p - 1)
-    return _kernel_sums([_zeta_terms(c, p, _admissible(a, "param_digamma_deriv"))], prec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +431,7 @@ class ZetaConvention:
     enabled: bool = True
 
     def terms(self, c: Rational, s: int, a: Rational) -> Terms:
-        """c zeta(s; a) as kernel terms for ``_kernel_sums``; at s = 1 the
+        """c zeta(s; a) as kernel terms for ``kernel_sums``; at s = 1 the
         convention K(1; a) - K(1; 1/2), or no term when disabled."""
         return Terms() if s == 1 and not self.enabled else _zeta_terms(c, s, Fraction(a))
 
@@ -468,7 +447,7 @@ def _kernel_term(c: Rational, sigma: int, s: int, x: Rational, prec: int | None)
     """c K_sigma(s; x), kept unrounded as ``Terms`` at ``prec`` None, else
     rounded once."""
     terms = Terms([(c, ((sigma, s, x),))])
-    return terms if prec is None else _kernel_sums([terms], prec)[0]
+    return terms if prec is None else kernel_sums([terms], prec)[0]
 
 
 def single_t(s: int, prec: int | None) -> mpf | Terms:
@@ -476,13 +455,6 @@ def single_t(s: int, prec: int | None) -> mpf | Terms:
     if check_integer(s, "single_t") < 2:
         raise DomainError("single_t requires s >= 2 (t(1) diverges)")
     return _kernel_term(Fraction(1, 2 ** s), 1, s, _HALF, prec)
-
-
-def dirichlet_beta(s: int, prec: int) -> mpf:
-    """beta(s) = sum_{n>=0} (-1)^n (2n+1)^(-s) = 2^-s alt_hurwitz_zeta(s, 1/2), s >= 1."""
-    if check_integer(s, "dirichlet_beta") < 1:
-        raise DomainError("dirichlet_beta requires s >= 1")
-    return mp.ldexp(alt_hurwitz_zeta(s, _HALF, prec), -s)
 
 
 def single_t_bar(s: int, prec: int | None) -> mpf | Terms:
@@ -527,11 +499,14 @@ def single_T_bar(s: int, prec: int | None) -> mpf | Terms:
 # Sums of products of kernel values: the trigonometric kernels and the Psi jets
 # ---------------------------------------------------------------------------
 
-def _kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
+def kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
     """Each sum [(c, keys), ...] (a list or ``Terms``) = sum c prod
     K_sigma(s; x) over the (sigma, s, x) of keys, with rational c and K the
     value of ``_zeta_batch``, rounded once at ``prec``; a term with no keys
-    is c itself.
+    is c itself.  This is the one rounding of every exact value here: the
+    coefficients of ``kernel_jet`` and ``psi_jet`` (at order 0, pi tan,
+    pi sec and Psi^(p-1) at a point), ``ZetaConvention.terms`` (zeta(1; a)
+    among them) and the depth-1 constants at ``prec`` None.
 
     Terms with the same keys, in any order, are merged first, so terms that
     cancel exactly give an exact 0.  A key is merged as the integers (sigma,
@@ -554,6 +529,8 @@ def _kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
     up to about 14 bits; ``eval_symbolic`` starts from the weight.
     """
     check_precision(prec)
+    if check_integer(guard, "kernel_sums") < 1:
+        raise DomainError("kernel_sums requires guard >= 1")
     merged = []
     for terms in sums:
         acc: dict = {}
@@ -579,7 +556,8 @@ def _kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
             cache = _zeta_cache.get((sigma, num, den, prec + g), {})
             missing = sorted(s for s in ss if s not in cache)
             if missing:
-                _zeta_batch(sigma, missing, Fraction(num, den), prec + g)
+                _zeta_batch(sigma, missing, _admissible(Fraction(num, den), "kernel_sums"),
+                            prec + g)
                 cache = _zeta_cache[sigma, num, den, prec + g]
             values.update(((sigma, s, num, den), cache[s]._mpf_) for s in ss)
         short, need = [], g
@@ -636,26 +614,17 @@ def kernel_jet(kind: KernelKind, base: Rational, order: int) -> JetSeries:
                                  for j in range(order + 1)))
 
 
-def kernel_value(kind: KernelKind, a: Rational, prec: int) -> mpf:
-    """pi*tan(pi a) or pi/cos(pi a) at rational a; both have their poles at
-    the half-integers."""
-    jet = kernel_jet(kind, a, 0)
-    if jet.pole_order:
-        raise PoleProximityError(f"{kind.value} has a pole at {a}")
-    return _kernel_sums(jet.coeffs, prec)[0]
-
-
 def psi_jet(p: int, base: Rational, order: int) -> JetSeries:
     """Exact jet of the shifted digamma derivative Psi^(p-1)(1/2 - z) at
     ``base``, each coefficient a sum of kernel values kept unrounded as
     ``Terms``.
 
     The z^j coefficient is (-1)^p (p-1)! C(p-1+j, j) zeta(p+j; -base), with
-    the zeta(1; a) convention of ``hurwitz_zeta1``.  At a non-negative
-    integer base n the function has a pole of order p, (p-1)!/(z-n)^p, and
-    the jet carries pole_order = p; the Hurwitz value at -n is then the
-    finite sum over its first n terms plus zeta(q; 1), so that at
-    p = 1 the constant term is H_n + psi(1) - psi(1/2) = H_n + 2 ln 2.
+    the zeta(1; a) convention psi(1/2) - psi(a) of ``ZetaConvention``.  At a
+    non-negative integer base n the function has a pole of order p,
+    (p-1)!/(z-n)^p, and the jet carries pole_order = p; the Hurwitz value at
+    -n is then the finite sum over its first n terms plus zeta(q; 1), so
+    that at p = 1 the constant term is H_n + psi(1) - psi(1/2) = H_n + 2 ln 2.
     """
     if check_integer(p, "psi_jet") < 1:
         raise DomainError("psi_jet requires p >= 1")

@@ -67,7 +67,6 @@ CALLS = {
     "bernoulli": {"n": 4},
     "build_cases": {"config": _config()},
     "digamma": {"a": T3, "prec": 64},
-    "dirichlet_beta": {"s": 2, "prec": 64},
     "double_T": {"s1": 3, "s2": 1, "bar1": False, "prec": 64},
     "double_t": {"s1": 3, "s2": 1, "bar1": False, "prec": 64},
     "euler_t_sum": {"spec": SumSpec(p=(1,), q=(2,), a=(F(0),), sigma=-1), "prec": 64,
@@ -75,14 +74,12 @@ CALLS = {
     "eval_symbolic": {"expr": tsum.reduce_t_even_odd(1, 0), "prec": 64},
     "harmonic": {"n": 3, "p": 2},
     "hurwitz_zeta": {"s": 2, "a": T3, "prec": 64},
-    "hurwitz_zeta1": {"a": T3, "prec": 64},
     "jet_mul": {"a": _jet(), "b": _jet()},
     "jet_residue": {"f": JetSeries(Q, (F(1), F(2)), 1)},
     "kernel_jet": {"kind": TAN, "base": T3, "order": 2},
-    "kernel_value": {"kind": TAN, "a": T3, "prec": 64},
+    "kernel_sums": {"sums": [tsum.kernel_jet(TAN, T3, 0).coeffs[0]], "prec": 64, "guard": 32},
     "normalize_to_zeta": {"expr": tsum.reduce_t_even_odd(1, 0)},
     "odd_harmonic": {"n": 3, "p": 2},
-    "param_digamma_deriv": {"p": 2, "a": T3, "prec": 64},
     "psi_jet": {"p": 2, "base": T3, "order": 2},
     "real_const": {"name": "pi", "prec": 64},
     "real_to_str": {"x": mpf(1), "prec": 64},

@@ -97,14 +97,14 @@ class TestPairTheorems:
     def test_each_closed_form_is_one_kernel_sum(self, monkeypatch):
         # one sum, rounded once at the report's precision
         calls = []
-        kernel_sums = identities._kernel_sums
+        kernel_sums = identities.kernel_sums
 
         def counted(sums, prec):
             calls.append((len(sums), prec))
             return kernel_sums(sums, prec)
 
-        monkeypatch.setattr(identities, "_kernel_sums", counted)
-        monkeypatch.setattr(special, "_kernel_sums", counted)
+        monkeypatch.setattr(identities, "kernel_sums", counted)
+        monkeypatch.setattr(special, "kernel_sums", counted)
         residues = [(verify, (p, PartialFractionRational.parse(rtext)))
                     for p, rtext in RESIDUE_CASE_CATALOG for verify in (verify_thm3_6, verify_thm3_7)]
         for verify, args in [(verify_thm3_1, (3, F(1, 4), F(1, 3))),
@@ -293,20 +293,20 @@ class TestExpansionSuites:
 
     def test_tan_derivative_value_at_one(self):
         # first derivative of the tangent kernel at z = 1 is 2 ttilde(2)
-        coeffs = special._kernel_sums(kernel_jet(KernelKind.PI_TAN, 1, 1).coeffs, P)
+        coeffs = special.kernel_sums(kernel_jet(KernelKind.PI_TAN, 1, 1).coeffs, P)
         with mp.workprec(P + 16):
             assert abs(factorial(1) * coeffs[1] - 2 * ttilde(2, P + 16)) < mpf(2) ** -180
 
     def test_sec_second_derivative_at_zero(self):
         # second derivative of the secant kernel at 0 is -2 * 2! * ttilde_bar(3)
-        coeffs = special._kernel_sums(kernel_jet(KernelKind.PI_OVER_COS, 0, 2).coeffs, P)
+        coeffs = special.kernel_sums(kernel_jet(KernelKind.PI_OVER_COS, 0, 2).coeffs, P)
         with mp.workprec(P + 16):
             want = -2 * factorial(2) * ttilde_bar(3, P + 16)
             assert abs(factorial(2) * coeffs[2] - want) < mpf(2) ** -180
 
     def test_psi_expansion_coefficient_value(self):
         # at base 1/2 with p = 2: first coefficient is h_1^(2) + ttilde(2) = 4 + pi^2/2
-        coeffs = special._kernel_sums(psi_jet(2, F(1, 2), 2).coeffs, P)
+        coeffs = special.kernel_sums(psi_jet(2, F(1, 2), 2).coeffs, P)
         with mp.workprec(P + 16):
             want = 4 + ttilde(2, P + 16)
             assert abs(coeffs[0] - want) < mpf(2) ** -180

@@ -29,9 +29,9 @@ from tsum.series import (SumSpec, accel_linear_sum, double_t, double_T, euler_t_
 from tsum.special import (
     KernelKind,
     digamma,
-    dirichlet_beta,
     hurwitz_zeta,
-    kernel_value,
+    kernel_jet,
+    kernel_sums,
     riemann_zeta,
     tail_zeta_batch,
     ttilde,
@@ -93,7 +93,8 @@ ENTRY_POINTS = {
     "riemann_zeta": lambda prec: riemann_zeta(3, prec),
     "digamma": lambda prec: digamma(F(1, 3), prec),
     "ttilde": lambda prec: ttilde(2, prec),
-    "kernel_value": lambda prec: kernel_value(KernelKind.PI_TAN, F(1, 3), prec),
+    "kernel_sums": lambda prec: kernel_sums(kernel_jet(KernelKind.PI_TAN, F(1, 3), 0).coeffs,
+                                            prec),
     "accel_linear_sum": lambda prec: accel_linear_sum(1, 0, 1, [(F(1), [(F(-1, 6), 2)])], prec),
     "naive_sum": lambda prec: naive_sum(SumSpec(p=(1,), q=(2,), a=(F(1, 3),)), prec),
     "euler_t_sum": lambda prec: euler_t_sum(SumSpec(p=(1,), q=(2,), a=(F(1, 3),)), prec),
@@ -143,7 +144,6 @@ INTEGER_ARGUMENTS = {
     "verify_thm3_6": lambda v: verify_thm3_6(v, RESIDUE_R, 64, "1e-3"),
     "verify_thm3_7": lambda v: verify_thm3_7(v, RESIDUE_R, 64, "1e-3"),
     "verify_kernel_expansions": lambda v: verify_kernel_expansions(v, 64, "1e-3"),
-    "dirichlet_beta": lambda v: dirichlet_beta(v, 64),
     "ttilde": lambda v: ttilde(v, 64),
     "ttilde_bar": lambda v: ttilde_bar(v, 64),
     "double_t-s1": lambda v: double_t(v, 1, False, 64),
@@ -152,10 +152,12 @@ INTEGER_ARGUMENTS = {
     "double_T-s2": lambda v: double_T(3, v, False, 64),
     "euler_t_sum-max_terms": lambda v: euler_t_sum(SumSpec(p=(1,), q=(2,), a=(F(0),)), 64,
                                                    "naive", v),
+    "naive_sum-max_terms": lambda v: naive_sum(SumSpec(p=(1,), q=(2,), a=(F(0),)), 64, v),
+    "kernel_sums-guard": lambda v: kernel_sums([[(F(1), ((1, 2, 1),))]], 64, v),
 }
 # at 2.5 these already raised a ValueError deeper in (a non-integer exponent
 # of the kernel, a spec with a float order), so only "2" was a bare error
-ONLY_A_STRING = {"verify_thm3_6", "verify_thm3_7", "verify_kernel_expansions", "dirichlet_beta",
+ONLY_A_STRING = {"verify_thm3_6", "verify_thm3_7", "verify_kernel_expansions",
                  "ttilde", "ttilde_bar", "double_t-s1", "double_t-s2", "double_T-s1",
                  "double_T-s2"}
 

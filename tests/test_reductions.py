@@ -108,13 +108,13 @@ def test_symbols_of_one_kernel_value_cancel_exactly():
 
 def test_eval_symbolic_is_one_kernel_sum(monkeypatch):
     calls = []
-    kernel_sums = tsum.reductions._kernel_sums
+    kernel_sums = tsum.reductions.kernel_sums
 
     def spy(sums, *args):
         calls.append(len(sums))
         return kernel_sums(sums, *args)
 
-    monkeypatch.setattr(tsum.reductions, "_kernel_sums", spy)
+    monkeypatch.setattr(tsum.reductions, "kernel_sums", spy)
     for fam in FAMILIES.values():
         for j, m in fam.pairs_up_to_weight(9):
             calls.clear()

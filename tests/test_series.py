@@ -880,8 +880,51 @@ def test_accel_linear_sum_checks_its_arguments_first(monkeypatch):
                              (1.0, 0, 1), (1, 0, 0), (1, 0, 2), (None, F(1), 1)):
         with pytest.raises(SpecError):
             accel_linear_sum(p, offset, sigma, pieces, 64)
+    # a piece with no factor, alone or not, is a constant term, whose sum
+    # diverges; no piece at all is no sum (a bare TypeError or ValueError
+    # from inside the head once)
+    for bad, error in (([(F(1), [(F(1, 3), 1)]), (F(1), [])], DivergentSumError),
+                       ([(F(1), [])], DivergentSumError), ([], SpecError)):
+        with pytest.raises(error):
+            accel_linear_sum(None, 0, -1, bad, 64)
     with pytest.raises(AssertionError, match="read"):
         accel_linear_sum(1, 0, -1, pieces, 64)
+
+
+def test_naive_sum_checks_its_max_terms():
+    # -5 failed in guard_bits with a bare "math domain error", 2.5 with a
+    # TypeError
+    spec = SumSpec(p=(1,), q=(2,), a=(F(1, 3),))
+    for bad in (-5, 0, 2.5, "2", F(4)):
+        with pytest.raises(SpecError, match="max_terms|integer"):
+            naive_sum(spec, 64, bad)
+    assert naive_sum(spec, 64, 1).terms_used == 1
+
+
+def test_each_nested_level_is_built_once_per_call(monkeypatch):
+    # the levels of one call are closed under prefixes, and each is one
+    # summation step on its parent's exact series: for (1, 2, 2), G's step
+    # and one step for each of its 7 levels; each floored level equals the
+    # one built alone from G
+    steps = []
+    sum_step = series._sum_step
+
+    def counted(*args, **kwargs):
+        steps.append(args)
+        return sum_step(*args, **kwargs)
+
+    monkeypatch.setattr(series, "_sum_step", counted)
+    monkeypatch.setattr(series, "_expansion_cache", {})
+    ps, pieces = (1, 2, 2), _int_pieces([(F(1), [(F(-1, 6), 3)])])
+    levels = {word[:0:-1] for word, _ in series._words(ps) if len(word) > 1}
+    assert len({lv[:i] for lv in levels for i in range(1, len(lv) + 1)}) == 7
+    series._accel_sum(ps, 1, -1, pieces, 64)
+    assert len(steps) == 1 + 7
+    built = dict(series._expansion_cache)
+    assert len(built) == 1 + len(levels)
+    for key, floors in built.items():
+        series._expansion_cache.clear()
+        assert series._tail_expansion(*key[:5], key[5:]) == floors, key
 
 
 @pytest.mark.parametrize("prec", [64, 192, 1024])

@@ -15,10 +15,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "tsum"
 # the benchmark's tracer wraps series.hurwitz_zeta to count the calls made there
 KEPT_IMPORTS = {("series.py", "hurwitz_zeta")}
-# private names that cross modules on purpose: the kernel sum that the closed
-# sides share, and the hypotheses and report that the suite builds cases from
-PRIVATE_IMPORTS = {("identities.py", "_kernel_sums"), ("reductions.py", "_kernel_sums"),
-                   ("suite.py", "_check_ab"), ("suite.py", "_check_single_a"),
+# private names that cross modules on purpose: the hypotheses and report
+# that the suite builds cases from
+PRIVATE_IMPORTS = {("suite.py", "_check_ab"), ("suite.py", "_check_single_a"),
                    ("suite.py", "_report")}
 
 
