@@ -433,7 +433,11 @@ class ZetaConvention:
     def terms(self, c: Rational, s: int, a: Rational) -> Terms:
         """c zeta(s; a) as kernel terms for ``kernel_sums``; at s = 1 the
         convention K(1; a) - K(1; 1/2), or no term when disabled."""
-        return Terms() if s == 1 and not self.enabled else _zeta_terms(c, s, Fraction(a))
+        name = "ZetaConvention.terms"
+        c, s, a = check_rational(c, name), check_integer(s, name), check_rational(a, name)
+        if s == 1 and not self.enabled:
+            return Terms()
+        return _zeta_terms(c, s, a)
 
 
 DEFAULT_CONVENTION = ZetaConvention()

@@ -10,6 +10,10 @@ terms of a ``PartialFractionRational``, the samples of a ``SuiteConfig``).
 Objects passed as arguments (a spec, a jet, a config) are swept through
 their own constructors.  The coefficients of a ``JetSeries`` are its values,
 not a parameter: exact rationals or ``Terms``, or those rounded once.
+
+The calls that README "Library use" gives for one kernel value, a
+Psi^(p-1) value, zeta(1; a) and Dirichlet beta are swept the same way, as
+composed routes, each argument as it enters the first call.
 """
 
 import signal
@@ -17,7 +21,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 import tsum
 from tsum import (IdentityCase, JetSeries, KernelKind, PartialFractionRational, SumSpec,
@@ -108,6 +112,22 @@ CALLS = {
 }
 
 
+# route -> keyword arguments of one valid call of its composed "call"
+ROUTES = {
+    "kernel_value": {"call": lambda kind, base, prec:
+                     tsum.kernel_sums(tsum.kernel_jet(kind, base, 0).coeffs, prec)[0],
+                     "kind": TAN, "base": T3, "prec": 64},
+    "psi_value": {"call": lambda p, base, prec:
+                  tsum.kernel_sums(tsum.psi_jet(p, base, 0).coeffs, prec)[0],
+                  "p": 2, "base": -T3, "prec": 64},
+    "zeta1_value": {"call": lambda c, s, a, prec:
+                    tsum.kernel_sums([ZetaConvention().terms(c, s, a)], prec)[0],
+                    "c": 1, "s": 1, "a": T3, "prec": 64},
+    "dirichlet_beta": {"call": lambda s, prec: mp.fneg(tsum.single_t_bar(s, prec), exact=True),
+                       "s": 2, "prec": 64},
+}
+
+
 def _exports():
     return sorted(name for name in dir(tsum)
                   if not name.startswith("_") and callable(getattr(tsum, name)))
@@ -129,15 +149,20 @@ def _replaced(value, path, new):
     return value[:i] + (_replaced(value[i], rest, new),) + value[i + 1:]
 
 
+def _valid(name):
+    return ROUTES[name] if name in ROUTES else CALLS[name]
+
+
 def _call(name, kwargs):
     kwargs = dict(kwargs)
-    return kwargs.pop("call", getattr(tsum, name))(**kwargs)
+    call = kwargs.pop("call") if "call" in kwargs else getattr(tsum, name)
+    return call(**kwargs)
 
 
 def _hostile():
-    """(export, argument path, value) for every swept argument."""
-    for name in _exports():
-        for arg, value in CALLS.get(name, {}).items():
+    """(export or route, argument path, value) for every swept argument."""
+    for name in _exports() + sorted(ROUTES):
+        for arg, value in (ROUTES.get(name) or CALLS.get(name, {})).items():
             if arg == "call" or (name, arg) == ("JetSeries", "coeffs"):
                 continue
             for path in _leaves(value):
@@ -151,8 +176,9 @@ def _hostile():
 
 def test_every_export_has_a_valid_call():
     assert sorted(CALLS) == _exports()
-    for name in _exports():
-        _call(name, CALLS[name])
+    assert not set(ROUTES) & set(CALLS)
+    for name in _exports() + sorted(ROUTES):
+        _call(name, _valid(name))
 
 
 class _Late(Exception):
@@ -165,7 +191,7 @@ def _alarm(signum, frame):
 
 @pytest.mark.parametrize("name, arg, path, bad", list(_hostile()))
 def test_a_non_integer_or_non_rational_argument_is_a_value_error(name, arg, path, bad):
-    kwargs = dict(CALLS[name])
+    kwargs = dict(_valid(name))
     kwargs[arg] = _replaced(kwargs[arg], path, bad)
     old = signal.signal(signal.SIGALRM, _alarm)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
