@@ -33,7 +33,6 @@ from .series import (
 )
 from .special import (
     KernelKind,
-    ZetaConvention,
     alt_hurwitz_zeta,
     alt_zeta,
     digamma,
@@ -48,6 +47,7 @@ from .special import (
     single_T_bar,
     ttilde,
     ttilde_bar,
+    zeta_terms,
 )
 from .identities import (
     PartialFractionRational,
@@ -56,7 +56,8 @@ from .identities import (
     verify_cor3_3,
     verify_cor3_5,
     verify_cor3_6,
-    verify_kernel_expansions,
+    verify_lemma2_3,
+    verify_lemma2_4,
     verify_thm3_1,
     verify_thm3_4,
     verify_thm3_6,

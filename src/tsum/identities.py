@@ -28,11 +28,9 @@ from .numeric import (check_integer, check_precision, check_rational, real_const
                       to_mpf, tolerance_mpf)
 from .series import SumSpec, accel_linear_sum, euler_t_sum, harmonic, odd_harmonic
 from .special import (
-    DEFAULT_CONVENTION,
     DomainError,
     KernelKind,
     Terms,
-    ZetaConvention,
     alt_zeta,
     kernel_jet,
     kernel_sums,
@@ -40,6 +38,7 @@ from .special import (
     riemann_zeta,
     ttilde,
     ttilde_bar,
+    zeta_terms,
 )
 
 Frac = Fraction
@@ -123,21 +122,21 @@ _TAN = _Kernel(KernelKind.PI_TAN, 1, 2)
 _SEC = _Kernel(KernelKind.PI_OVER_COS, -1, 1)
 
 
-def _j_sum(kern: _Kernel, p: int, a: Frac, b: Frac, conv: ZetaConvention) -> Terms:
+def _j_sum(kern: _Kernel, p: int, a: Frac, b: Frac) -> Terms:
     """sum_j tt(j) (zeta(p+1-j; a) - zeta(p+1-j; b)), j = first_j, first_j + 2,
     ..., p, as kernel terms: tt(j) = sigma K_sigma(j; 1/2), ttilde or
     ttilde_bar, and the zeta values are K_-1 for the secant."""
     out = Terms()
     for j in range(kern.first_j, p + 1, 2):
         s = p + 1 - j
-        diff = (conv.terms(1, s, a) + conv.terms(-1, s, b) if kern.sigma > 0
+        diff = (zeta_terms(1, s, a) + zeta_terms(-1, s, b) if kern.sigma > 0
                 else [(1, ((-1, s, a),)), (-1, ((-1, s, b),))])
         out += Terms([(kern.sigma, ((kern.sigma, j, _HALF),))]) * diff
     return out
 
 
 def _verify_pair(kern: _Kernel, family: str, p: int, a: Frac, b: Frac, prec: int,
-                 tolerance, convention: ZetaConvention) -> VerificationReport:
+                 tolerance) -> VerificationReport:
     """Theorems 3.1 (tangent) and 3.4 (secant)."""
     t0 = time.perf_counter()
     check_precision(prec)
@@ -152,12 +151,12 @@ def _verify_pair(kern: _Kernel, family: str, p: int, a: Frac, b: Frac, prec: int
         s2 = accel_linear_sum(p, 1, kern.sigma, _pair_pieces(a, b, True), wp)
         sgn = 1 if p % 2 == 0 else -1
         lhs = s1.value - kern.sigma * sgn * s2.value
-        c, neg_tt = Frac(sgn) / (b - a), convention.terms(-1, p, _HALF)
-        terms = _j_sum(kern, p, a, b, convention) * (2 * c * kern.sigma)
+        c, neg_tt = Frac(sgn) / (b - a), zeta_terms(-1, p, _HALF)
+        terms = _j_sum(kern, p, a, b) * (2 * c * kern.sigma)
         # pi tan or pi sec of pi x times zeta(p; x) - ttilde(p), at x = b and a
         for e, x in ((c, b), (-c, a)):
             trig = kernel_jet(kern.kind, x, 0).coeffs[0]
-            terms += trig * e * (convention.terms(1, p, x) + neg_tt)
+            terms += trig * e * (zeta_terms(1, p, x) + neg_tt)
         lhs, rhs = round_to(lhs, prec), kernel_sums([terms], prec)[0]
     params = {"p": p, "a": _fmt(a), "b": _fmt(b)}
     case_id = f"{family}[p={p},a={_fmt(a)},b={_fmt(b)}]"
@@ -165,14 +164,12 @@ def _verify_pair(kern: _Kernel, family: str, p: int, a: Frac, b: Frac, prec: int
                    s1.terms_used + s2.terms_used, t0)
 
 
-def verify_thm3_1(p: int, a: Frac, b: Frac, prec: int, tolerance,
-                  convention: ZetaConvention = DEFAULT_CONVENTION) -> VerificationReport:
-    return _verify_pair(_TAN, "thm3_1", p, a, b, prec, tolerance, convention)
+def verify_thm3_1(p: int, a: Frac, b: Frac, prec: int, tolerance) -> VerificationReport:
+    return _verify_pair(_TAN, "thm3_1", p, a, b, prec, tolerance)
 
 
-def verify_thm3_4(p: int, a: Frac, b: Frac, prec: int, tolerance,
-                  convention: ZetaConvention = DEFAULT_CONVENTION) -> VerificationReport:
-    return _verify_pair(_SEC, "thm3_4", p, a, b, prec, tolerance, convention)
+def verify_thm3_4(p: int, a: Frac, b: Frac, prec: int, tolerance) -> VerificationReport:
+    return _verify_pair(_SEC, "thm3_4", p, a, b, prec, tolerance)
 
 
 def _check_single_a(a: Frac, reflect: bool) -> None:
@@ -188,7 +185,7 @@ def _check_single_a(a: Frac, reflect: bool) -> None:
 
 
 def _verify_single(kern: _Kernel, family: str, m: int, a: Frac, prec: int, tolerance,
-                   convention: ZetaConvention, reflect: bool) -> VerificationReport:
+                   reflect: bool) -> VerificationReport:
     """The b = -a specializations (Corollaries 3.2 and 3.5) of the pair
     theorems, or the b = 1 - a ones (3.3 and 3.6) when ``reflect``.  The
     harmonic order is p = 2m + 1, except p = 2m for the secant at b = -a."""
@@ -204,8 +201,8 @@ def _verify_single(kern: _Kernel, family: str, m: int, a: Frac, prec: int, toler
     wp = prec + 24
     p = 2 * m if even else 2 * m + 1
     # zeta(p; a) - zeta(p; b), or 2 ttilde(p) - zeta(p; a) - zeta(p; b)
-    zetas = (convention.terms(1, p, a) if even else convention.terms(2, p, _HALF)
-             + convention.terms(-1, p, a)) + convention.terms(-1, p, b)
+    zetas = (zeta_terms(1, p, a) if even else zeta_terms(2, p, _HALF)
+             + zeta_terms(-1, p, a)) + zeta_terms(-1, p, b)
     with mp.workprec(wp):
         tol = tolerance_mpf(tolerance, wp)
         s1 = accel_linear_sum(p, 0, kern.sigma, _pair_pieces(a, b, False), wp)
@@ -217,7 +214,7 @@ def _verify_single(kern: _Kernel, family: str, m: int, a: Frac, prec: int, toler
             s0 = euler_t_sum(SumSpec(p=(), q=(p, 1, 1), a=(Frac(0), a, b), sigma=kern.sigma), wp)
             terms += s0.terms_used
             c, sign, head = 1 / (2 * a), 1, Terms([(Frac(*to_rational(s0.value._mpf_)) / 2, ())])
-        rhs = kernel_sums([head + _j_sum(kern, p, a, b, convention) * (sign * c)
+        rhs = kernel_sums([head + _j_sum(kern, p, a, b) * (sign * c)
                             + kernel_jet(kern.kind, a, 0).coeffs[0] * (c / 2) * zetas], prec)[0]
         lhs = round_to(lhs, prec)
     params = {"m": m, "a": _fmt(a)}
@@ -225,28 +222,24 @@ def _verify_single(kern: _Kernel, family: str, m: int, a: Frac, prec: int, toler
                    prec, terms, t0)
 
 
-def verify_cor3_2(m: int, a: Frac, prec: int, tolerance,
-                  convention: ZetaConvention = DEFAULT_CONVENTION) -> VerificationReport:
+def verify_cor3_2(m: int, a: Frac, prec: int, tolerance) -> VerificationReport:
     """The b = -a specialization of the tangent-kernel identity, odd-order factor."""
-    return _verify_single(_TAN, "cor3_2", m, a, prec, tolerance, convention, False)
+    return _verify_single(_TAN, "cor3_2", m, a, prec, tolerance, False)
 
 
-def verify_cor3_3(m: int, a: Frac, prec: int, tolerance,
-                  convention: ZetaConvention = DEFAULT_CONVENTION) -> VerificationReport:
+def verify_cor3_3(m: int, a: Frac, prec: int, tolerance) -> VerificationReport:
     """The b = 1 - a specialization of the tangent-kernel identity."""
-    return _verify_single(_TAN, "cor3_3", m, a, prec, tolerance, convention, True)
+    return _verify_single(_TAN, "cor3_3", m, a, prec, tolerance, True)
 
 
-def verify_cor3_5(m: int, a: Frac, prec: int, tolerance,
-                  convention: ZetaConvention = DEFAULT_CONVENTION) -> VerificationReport:
+def verify_cor3_5(m: int, a: Frac, prec: int, tolerance) -> VerificationReport:
     """The b = -a specialization of the secant-kernel identity, even-order factor."""
-    return _verify_single(_SEC, "cor3_5", m, a, prec, tolerance, convention, False)
+    return _verify_single(_SEC, "cor3_5", m, a, prec, tolerance, False)
 
 
-def verify_cor3_6(m: int, a: Frac, prec: int, tolerance,
-                  convention: ZetaConvention = DEFAULT_CONVENTION) -> VerificationReport:
+def verify_cor3_6(m: int, a: Frac, prec: int, tolerance) -> VerificationReport:
     """The b = 1 - a specialization of the secant-kernel identity."""
-    return _verify_single(_SEC, "cor3_6", m, a, prec, tolerance, convention, True)
+    return _verify_single(_SEC, "cor3_6", m, a, prec, tolerance, True)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +293,11 @@ class PartialFractionRational:
     def parse(cls, s: str) -> "PartialFractionRational":
         terms = []
         for chunk in s.split(";"):
-            chunk = chunk.strip().strip("()")
-            b, m, c = chunk.split(",")
-            terms.append((Fraction(b), int(m), Fraction(c)))
+            try:
+                b, m, c = chunk.strip().strip("()").split(",")
+                terms.append((Fraction(b), int(m), Fraction(c)))
+            except ValueError as exc:
+                raise HypothesisError(f"pole term {chunk!r} is not (beta,m,c): {exc}") from None
         return cls(tuple(terms))
 
 
@@ -487,23 +482,26 @@ def _lemma_trig_checks(order: int, prec: int, note) -> None:
                 note(coeffs[j], closed)
 
 
-def verify_kernel_expansions(order: int, prec: int, tolerance,
-                             parts: tuple[str, ...] = ("lemma2_3", "lemma2_4")) -> VerificationReport:
-    """Check jet coefficients against the closed expansion formulas."""
+def _verify_expansion(family: str, checks, order: int, prec: int,
+                      tolerance) -> VerificationReport:
+    """One lemma's ``checks`` of jet coefficients through z^order against
+    the closed expansion formulas, reported at their largest gap."""
     t0 = time.perf_counter()
     check_precision(prec)
-    if check_integer(order, "verify_kernel_expansions", HypothesisError) > 8:
-        raise HypothesisError("expansion checks support order <= 8")
+    if not 1 <= check_integer(order, f"verify_{family}", HypothesisError) <= 8:
+        raise HypothesisError("expansion checks support 1 <= order <= 8")
     tol = tolerance_mpf(tolerance, prec + 16)
     worst = _Worst()
-    for part in parts:
-        if part == "lemma2_3":
-            _lemma_psi_checks(order, prec, worst.note)
-        elif part == "lemma2_4":
-            _lemma_trig_checks(order, prec, worst.note)
-        else:
-            raise HypothesisError(f"unknown expansion part {part!r}")
-    family = parts[0] if len(parts) == 1 else "lemma2_3+lemma2_4"
-    params = {"order": order}
-    case_id = f"{family}[order={order}]"
-    return _report(case_id, family, params, worst.lhs, worst.rhs, tol, prec, worst.count, t0)
+    checks(order, prec, worst.note)
+    return _report(f"{family}[order={order}]", family, {"order": order}, worst.lhs, worst.rhs,
+                   tol, prec, worst.count, t0)
+
+
+def verify_lemma2_3(order: int, prec: int, tolerance) -> VerificationReport:
+    """Lemma 2.3: the expansions of Psi^(p-1)(1/2 - z) at n, n - 1/2 and 1/2 - n."""
+    return _verify_expansion("lemma2_3", _lemma_psi_checks, order, prec, tolerance)
+
+
+def verify_lemma2_4(order: int, prec: int, tolerance) -> VerificationReport:
+    """Lemma 2.4: the expansions of pi tan and pi sec at n and n - 1/2."""
+    return _verify_expansion("lemma2_4", _lemma_trig_checks, order, prec, tolerance)

@@ -36,9 +36,9 @@ one point in one pass; the per-value functions are batches of one, cached
 under the same keys.
 
 Conventions for the divergent boundary symbols: ``ttilde(1)`` is 0, and
-zeta(1; a) -> psi(1/2) - psi(a) lives in ``ZetaConvention``, applied only
-where explicitly requested; ``riemann_zeta(1)`` is an error.  The symbolic
-zeta(1) -> -2 log 2 rule lives with the reductions.
+zeta(1; a) is psi(1/2) - psi(a) in ``zeta_terms``, the one reading that
+the pair theorems and their corollaries take; ``riemann_zeta(1)`` is an
+error.  The symbolic zeta(1) -> -2 log 2 rule lives with the reductions.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
@@ -413,34 +412,15 @@ class Terms(list):
     __rmul__ = __mul__
 
 
-def _zeta_terms(c: Rational, s: int, a: Fraction) -> Terms:
-    """c zeta(s; a) as terms (c, ((sigma, s, x),)) of ``kernel_sums``;
-    zeta(1; a) is the convention psi(1/2) - psi(a) = K(1; a) - K(1; 1/2)."""
+def zeta_terms(c: Rational, s: int, a: Rational) -> Terms:
+    """c zeta(s; a), integer s >= 1, as terms (c, ((1, s, a),)) of
+    ``kernel_sums``; zeta(1; a) is psi(1/2) - psi(a) = K(1; a) - K(1; 1/2)."""
+    name = "zeta_terms"
+    c, s, a = check_rational(c, name), check_integer(s, name), check_rational(a, name)
+    if s < 1:
+        raise DomainError("zeta_terms requires s >= 1")
     terms = Terms([(c, ((1, s, a),))])
     return terms + [(-c, ((1, 1, _HALF),))] if s == 1 else terms
-
-
-# ---------------------------------------------------------------------------
-# Conventions for the divergent boundary symbols
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ZetaConvention:
-    """Explicit replacement for zeta(1; a); ``enabled=False`` drops it."""
-
-    enabled: bool = True
-
-    def terms(self, c: Rational, s: int, a: Rational) -> Terms:
-        """c zeta(s; a) as kernel terms for ``kernel_sums``; at s = 1 the
-        convention K(1; a) - K(1; 1/2), or no term when disabled."""
-        name = "ZetaConvention.terms"
-        c, s, a = check_rational(c, name), check_integer(s, name), check_rational(a, name)
-        if s == 1 and not self.enabled:
-            return Terms()
-        return _zeta_terms(c, s, a)
-
-
-DEFAULT_CONVENTION = ZetaConvention()
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +489,10 @@ def kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
     value of ``_zeta_batch``, rounded once at ``prec``; a term with no keys
     is c itself.  This is the one rounding of every exact value here: the
     coefficients of ``kernel_jet`` and ``psi_jet`` (at order 0, pi tan,
-    pi sec and Psi^(p-1) at a point), ``ZetaConvention.terms`` (zeta(1; a)
-    among them) and the depth-1 constants at ``prec`` None.
+    pi sec and Psi^(p-1) at a point), ``zeta_terms`` (zeta(1; a) among
+    them) and the depth-1 constants at ``prec`` None.  A term whose c or x
+    is not an int or a Fraction, or s not an int >= 1, or sigma not +-1, is
+    a DomainError.
 
     Terms with the same keys, in any order, are merged first, so terms that
     cancel exactly give an exact 0.  A key is merged as the integers (sigma,
@@ -539,6 +521,11 @@ def kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
     for terms in sums:
         acc: dict = {}
         for c, keys in terms:
+            if not isinstance(c, (int, Fraction)) or not all(
+                    sigma in (1, -1) and isinstance(sigma, int) and isinstance(s, int) and s >= 1
+                    and isinstance(x, (int, Fraction)) for sigma, s, x in keys):
+                raise DomainError("kernel_sums takes a rational c and keys (+-1, int s >= 1, "
+                                  f"rational x), not {(c, keys)!r}")
             key = tuple(sorted([(sigma, s, x.numerator, x.denominator) for sigma, s, x in keys]))
             if key in acc:
                 acc[key] += c
@@ -624,7 +611,7 @@ def psi_jet(p: int, base: Rational, order: int) -> JetSeries:
     ``Terms``.
 
     The z^j coefficient is (-1)^p (p-1)! C(p-1+j, j) zeta(p+j; -base), with
-    the zeta(1; a) convention psi(1/2) - psi(a) of ``ZetaConvention``.  At a
+    the zeta(1; a) convention psi(1/2) - psi(a) of ``zeta_terms``.  At a
     non-negative integer base n the function has a pole of order p,
     (p-1)!/(z-n)^p, and the jet carries pole_order = p; the Hurwitz value at
     -n is then the finite sum over its first n terms plus zeta(q; 1), so
@@ -645,7 +632,7 @@ def psi_jet(p: int, base: Rational, order: int) -> JetSeries:
         for q in range(p, order + 1):
             b = c * comb(q - 1, q - p)
             sums.append(Terms([(b * sum(Fraction(1, (-m) ** q) for m in range(1, n + 1)), ())])
-                        + _zeta_terms(b, q, Fraction(1)))
+                        + zeta_terms(b, q, 1))
     else:
-        sums = [_zeta_terms(c * comb(p - 1 + j, j), p + j, -base) for j in range(order + 1)]
+        sums = [zeta_terms(c * comb(p - 1 + j, j), p + j, -base) for j in range(order + 1)]
     return JetSeries(base, tuple(sums), p if pole else 0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -27,7 +28,8 @@ from .identities import (
     verify_cor3_3,
     verify_cor3_5,
     verify_cor3_6,
-    verify_kernel_expansions,
+    verify_lemma2_3,
+    verify_lemma2_4,
     verify_thm3_1,
     verify_thm3_4,
     verify_thm3_6,
@@ -117,16 +119,12 @@ def _residue_cases(spec: FamilySpec, config) -> list[tuple]:
 
 
 def _lemma_cases(spec: FamilySpec, config) -> list[tuple]:
-    return [(config.order, spec.name)]
+    return [(config.order,)]
 
 
 def _reduction_cases(spec: FamilySpec, config) -> list[tuple]:
     pairs = FAMILIES[spec.name].pairs_up_to_weight(config.weight_max)
     return [(spec.name, j, m) for j, m in pairs]
-
-
-def _verify_lemma(order: int, part: str, precision: int, tolerance: str) -> VerificationReport:
-    return verify_kernel_expansions(order, precision, tolerance, parts=(part,))
 
 
 def _report_to_dict(rep: VerificationReport, timings: bool) -> dict:
@@ -188,8 +186,8 @@ FAMILY_SPECS: dict[str, FamilySpec] = {spec.name: spec for spec in (
     FamilySpec("cor3_6", _single_cases, verify_cor3_6, (0, 1, 2), reflect=True),
     FamilySpec("thm3_6", _residue_cases, verify_thm3_6),
     FamilySpec("thm3_7", _residue_cases, verify_thm3_7),
-    FamilySpec("lemma2_3", _lemma_cases, _verify_lemma),
-    FamilySpec("lemma2_4", _lemma_cases, _verify_lemma),
+    FamilySpec("lemma2_3", _lemma_cases, verify_lemma2_3),
+    FamilySpec("lemma2_4", _lemma_cases, verify_lemma2_4),
     *(FamilySpec(name, _reduction_cases, run_reduction_case) for name in FAMILIES),
 )}
 ALL_FAMILIES = tuple(FAMILY_SPECS)
@@ -213,6 +211,13 @@ class SuiteConfig:
         for sample in self.samples:
             for v in sample if isinstance(sample, tuple) else (sample,):
                 check_rational(v, "samples")
+        pairs = [",".join(map(str, map(Fraction, s))) for s in self.samples
+                 if isinstance(s, tuple) and len(s) == 2]
+        # a repeat would print its case ids twice
+        for kind, items in (("family", self.families), ("pair sample", pairs)):
+            for item, n in Counter(items).items():
+                if n > 1:
+                    raise ConfigError(f"{kind} {item} is given twice")
         try:
             tolerance_mpf(self.tolerance, 64)
         except ValueError as exc:

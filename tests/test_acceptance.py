@@ -9,10 +9,12 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
+import tsum.identities as identities
 from tsum.identities import (
     PartialFractionRational,
     RESIDUE_CASE_CATALOG,
-    verify_kernel_expansions,
+    verify_lemma2_3,
+    verify_lemma2_4,
     verify_thm3_1,
     verify_thm3_4,
     verify_thm3_6,
@@ -22,7 +24,7 @@ from tsum.numeric import real_const
 from tsum.reductions import FAMILIES, eval_symbolic
 from tsum.series import double_t
 from tsum.special import (
-    ZetaConvention,
+    Terms,
     alt_zeta,
     riemann_zeta,
     single_t,
@@ -88,9 +90,10 @@ def test_criterion_2_residue_theorems():
 
 
 def test_criterion_3_kernel_expansions():
-    rep = verify_kernel_expansions(6, P, "1e-40")
+    reps = [verify_lemma2_3(6, P, "1e-40"), verify_lemma2_4(6, P, "1e-40")]
     _conclude(3, "expansion coefficients through order 6 at 1e-40",
-              rep.passed, f"{rep.terms_used} coefficient checks")
+              all(rep.passed for rep in reps),
+              f"{sum(rep.terms_used for rep in reps)} coefficient checks")
 
 
 def test_criterion_4_reduction_certification():
@@ -142,12 +145,15 @@ def test_criterion_6_classical_constants():
     _conclude(6, "classical constants at 1e-45", ok)
 
 
-def test_criterion_7_negative_control():
-    rep = verify_thm3_1(2, F(1, 4), F(1, 3), P, "1e-40",
-                        convention=ZetaConvention(enabled=False))
+def test_criterion_7_negative_control(monkeypatch):
+    # the closed side without zeta(1; a): the rule drops its s = 1 terms
+    zeta_terms = identities.zeta_terms
+    monkeypatch.setattr(identities, "zeta_terms",
+                        lambda c, s, a: Terms() if s == 1 else zeta_terms(c, s, a))
+    rep = verify_thm3_1(2, F(1, 4), F(1, 3), P, "1e-40")
     with mp.workprec(64):
         ok = (not rep.passed) and rep.absolute_gap > mpf("1e-6")
-    _conclude(7, "disabled convention breaks the p = 2 check", ok,
+    _conclude(7, "dropping zeta(1; a) breaks the p = 2 check", ok,
               f"gap {mp.nstr(rep.absolute_gap, 3)}")
 
 

@@ -13,9 +13,12 @@ not a parameter: exact rationals or ``Terms``, or those rounded once.
 
 The calls that README "Library use" gives for one kernel value, a
 Psi^(p-1) value, zeta(1; a) and Dirichlet beta are swept the same way, as
-composed routes, each argument as it enters the first call.
+composed routes, each argument as it enters the first call.  The terms of
+a ``kernel_sums`` sum sit in lists, which the sweep does not enter, so
+malformed terms have a test of their own; and no verifier takes a switch.
 """
 
+import inspect
 import signal
 import time
 from fractions import Fraction as F
@@ -24,8 +27,11 @@ import pytest
 from mpmath import mp, mpf
 
 import tsum
+import tsum.identities as identities
 from tsum import (IdentityCase, JetSeries, KernelKind, PartialFractionRational, SumSpec,
-                  SuiteConfig, ZetaConvention, run_case)
+                  SuiteConfig, run_case)
+from tsum.numeric import DomainError
+from tsum.suite import FAMILY_SPECS
 
 Q, T3 = F(1, 4), F(1, 3)
 RESIDUE = ((F(-1, 4), 1, F(12)), (F(-1, 3), 1, F(-12)))
@@ -65,7 +71,6 @@ CALLS = {
                            "rhs": mpf(1), "absolute_gap": mpf(0), "passed": True,
                            "tolerance": mpf(1), "precision_bits": 64, "terms_used": 128,
                            "elapsed_ms": 0.0},
-    "ZetaConvention": {"enabled": True},
     "alt_hurwitz_zeta": {"s": 2, "a": T3, "prec": 64},
     "alt_zeta": {"s": 2, "prec": 64},
     "bernoulli": {"n": 4},
@@ -97,18 +102,19 @@ CALLS = {
     "single_t_bar": {"s": 3, "prec": 64},
     "ttilde": {"s": 3, "prec": 64},
     "ttilde_bar": {"s": 3, "prec": 64},
-    "verify_cor3_2": {"m": 1, **SINGLE, "convention": ZetaConvention()},
+    "verify_cor3_2": {"m": 1, **SINGLE},
     "verify_cor3_3": {"m": 1, **SINGLE},
     "verify_cor3_5": {"m": 1, **SINGLE},
     "verify_cor3_6": {"m": 1, **SINGLE},
-    "verify_kernel_expansions": {"order": 2, "prec": 64, "tolerance": "1e-3",
-                                 "parts": ("lemma2_3",)},
+    "verify_lemma2_3": {"order": 2, "prec": 64, "tolerance": "1e-3"},
+    "verify_lemma2_4": {"order": 2, "prec": 64, "tolerance": "1e-3"},
     "verify_thm3_1": {"p": 1, **PAIR},
     "verify_thm3_4": {"p": 1, **PAIR},
     "verify_thm3_6": {"p": 1, "r": PartialFractionRational(RESIDUE), "prec": 64,
                       "tolerance": "1e-3"},
     "verify_thm3_7": {"p": 1, "r": PartialFractionRational(RESIDUE), "prec": 64,
                       "tolerance": "1e-3"},
+    "zeta_terms": {"c": 1, "s": 1, "a": T3},
 }
 
 
@@ -121,7 +127,7 @@ ROUTES = {
                   tsum.kernel_sums(tsum.psi_jet(p, base, 0).coeffs, prec)[0],
                   "p": 2, "base": -T3, "prec": 64},
     "zeta1_value": {"call": lambda c, s, a, prec:
-                    tsum.kernel_sums([ZetaConvention().terms(c, s, a)], prec)[0],
+                    tsum.kernel_sums([tsum.zeta_terms(c, s, a)], prec)[0],
                     "c": 1, "s": 1, "a": T3, "prec": 64},
     "dirichlet_beta": {"call": lambda s, prec: mp.fneg(tsum.single_t_bar(s, prec), exact=True),
                        "s": 2, "prec": 64},
@@ -203,3 +209,41 @@ def test_a_non_integer_or_non_rational_argument_is_a_value_error(name, arg, path
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
     assert time.perf_counter() - t0 < 1.0
+
+
+# each was a KeyError, a ZeroDivisionError, a bare math domain error or an
+# AttributeError
+MALFORMED_TERMS = {
+    "sigma=2": (1, ((2, 2, T3),)),
+    "s=0": (1, ((1, 0, T3),)),
+    "s=-1": (1, ((1, -1, T3),)),
+    "s=1.5": (1, ((1, 1.5, T3),)),
+    "s='2'": (1, ((1, "2", T3),)),
+    "x=0.5": (1, ((1, 2, 0.5),)),
+    "c=0.5": (0.5, ((1, 2, T3),)),
+    "c='1'": ("1", ((1, 2, T3),)),
+}
+
+
+@pytest.mark.parametrize("term", list(MALFORMED_TERMS.values()), ids=list(MALFORMED_TERMS))
+def test_kernel_sums_rejects_a_malformed_term(term):
+    with pytest.raises(DomainError):
+        tsum.kernel_sums([[(1, ()), term]], 64)
+
+
+def test_a_float_exponent_does_not_read_the_cached_int_one():
+    tsum.kernel_sums([[(1, ((1, 2, T3),))]], 64)
+    with pytest.raises(DomainError):
+        tsum.kernel_sums([[(1, ((1, 2.0, T3),))]], 64)
+
+
+def test_no_verifier_takes_a_switch():
+    # one verifier per family: its case parameters, the precision and the
+    # tolerance, none of them optional
+    verifiers = [spec.verifier for spec in FAMILY_SPECS.values()] + [
+        fn for name, fn in vars(identities).items() if inspect.isfunction(fn)
+        and not name.startswith("_") and fn.__module__ == identities.__name__]
+    for fn in verifiers:
+        params = inspect.signature(fn).parameters
+        assert [p for p in params.values() if p.default is not p.empty] == [], fn.__name__
+        assert list(params)[-1] == "tolerance", fn.__name__

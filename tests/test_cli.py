@@ -201,6 +201,25 @@ def test_verify_rejects_equal_pair_sample(capsys):
     assert "rejected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--families", "lemma2_4,lemma2_4"], "family lemma2_4 is given twice"),
+    (["--families", "thm3_1", "--samples=1/4,1/3;1/4,1/3"], "pair sample 1/4,1/3 is given twice"),
+    (["--families", "thm3_4", "--samples=1/4,1/3;2/8,1/3"], "pair sample 1/4,1/3 is given twice"),
+])
+def test_verify_rejects_a_repeat_that_would_print_a_case_id_twice(argv, message, capsys):
+    assert main(["verify", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_verify_pairs_may_share_a_component(capsys):
+    # singletons skip a repeated component, so every case id is distinct
+    rc = main(["verify", "--families", "thm3_1,cor3_2", "--samples=1/4,1/3;1/4,1/5",
+               "--precision-bits", "64", "--tolerance", "1e-10", "--format", "json"])
+    assert rc == 0
+    ids = [c["case_id"] for c in json.loads(capsys.readouterr().out)["cases"]]
+    assert len(ids) == 10 + 3 * 3 == len(set(ids))
+
+
 def test_verify_stops_on_a_closed_form_that_cancels_past_its_guard(capsys):
     # at a = 10^-200, zeta(s; a) ~ a^-s cancels against its products with the
     # kernels far beyond 2048 guard bits at p = 4 and 5: no report, exit 1

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -15,7 +16,8 @@ from tsum.identities import (
     verify_cor3_3,
     verify_cor3_5,
     verify_cor3_6,
-    verify_kernel_expansions,
+    verify_lemma2_3,
+    verify_lemma2_4,
     verify_thm3_1,
     verify_thm3_4,
     verify_thm3_6,
@@ -25,7 +27,6 @@ from tsum.special import (
     DomainError,
     KernelKind,
     Terms,
-    ZetaConvention,
     kernel_jet,
     psi_jet,
     ttilde,
@@ -35,6 +36,14 @@ from tsum.special import (
 P = 192
 TOL = "1e-40"
 F = Fraction
+
+
+@pytest.fixture
+def without_zeta1(monkeypatch):
+    """The closed sides with the zeta(1; a) terms dropped from the rule."""
+    zeta_terms = identities.zeta_terms
+    monkeypatch.setattr(identities, "zeta_terms",
+                        lambda c, s, a: Terms() if s == 1 else zeta_terms(c, s, a))
 
 
 class TestPairTheorems:
@@ -115,9 +124,8 @@ class TestPairTheorems:
             assert verify(*args, P, TOL).passed
             assert calls == [(1, P)], (verify.__name__, args)
 
-    def test_negative_control_detects_missing_convention(self):
-        rep = verify_thm3_1(2, F(1, 4), F(1, 3), P, TOL,
-                            convention=ZetaConvention(enabled=False))
+    def test_negative_control_detects_missing_convention(self, without_zeta1):
+        rep = verify_thm3_1(2, F(1, 4), F(1, 3), P, TOL)
         assert not rep.passed
         with mp.workprec(64):
             assert rep.absolute_gap > mpf("1e-6")
@@ -155,9 +163,9 @@ class TestCorollaries:
             rep = verify(m, a, P, TOL)
             assert rep.passed, (m, rep.absolute_gap)
 
-    def test_reflection_without_the_convention_drops_zeta1(self):
+    def test_reflection_without_the_convention_drops_zeta1(self, without_zeta1):
         # p = 1 needs the zeta(1; a) convention, as in the negative control
-        rep = verify_cor3_3(0, F(1, 3), P, TOL, convention=ZetaConvention(enabled=False))
+        rep = verify_cor3_3(0, F(1, 3), P, TOL)
         assert not rep.passed
         assert rep.rhs == 0
         with mp.workprec(64):
@@ -271,6 +279,12 @@ class TestResidueTheorems:
         with pytest.raises(HypothesisError, match="integer"):
             PartialFractionRational(((F(-1, 4), 2.7, F(1)),))  # not truncated to order 2
 
+    @pytest.mark.parametrize("text, chunk", [("(1/3,1)", "(1/3,1)"), ("", ""),
+                                             ("(-1/4,1,12);(-1/3,1)", "(-1/3,1)")])
+    def test_parse_names_a_malformed_chunk(self, text, chunk):
+        with pytest.raises(HypothesisError, match=re.escape(f"pole term {chunk!r}")):
+            PartialFractionRational.parse(text)
+
     def test_parse_and_text_roundtrip(self):
         r = PartialFractionRational.parse("(-1/4,1,12);(-1/3,1,-12)")
         assert r.text() == "(-1/4,1,12);(-1/3,1,-12)"
@@ -278,18 +292,20 @@ class TestResidueTheorems:
 
 
 class TestExpansionSuites:
-    def test_full_suite_order_six(self):
-        rep = verify_kernel_expansions(6, P, TOL)
+    @pytest.mark.parametrize("verify, family, checks", [(verify_lemma2_3, "lemma2_3", 231),
+                                                        (verify_lemma2_4, "lemma2_4", 168)])
+    def test_order_six(self, verify, family, checks):
+        rep = verify(6, P, TOL)
         assert rep.passed
-        assert rep.terms_used > 300
+        assert (rep.family, rep.case_id) == (family, f"{family}[order=6]")
+        assert rep.terms_used == checks
 
-    def test_individual_parts(self):
-        assert verify_kernel_expansions(6, P, TOL, parts=("lemma2_3",)).passed
-        assert verify_kernel_expansions(6, P, TOL, parts=("lemma2_4",)).passed
-
-    def test_order_guard(self):
-        with pytest.raises(HypothesisError):
-            verify_kernel_expansions(9, P, TOL)
+    @pytest.mark.parametrize("verify", [verify_lemma2_3, verify_lemma2_4])
+    @pytest.mark.parametrize("order", [0, 9, -1])
+    def test_order_guard(self, verify, order):
+        # the range SuiteConfig and --order take
+        with pytest.raises(HypothesisError, match="1 <= order <= 8"):
+            verify(order, P, TOL)
 
     def test_tan_derivative_value_at_one(self):
         # first derivative of the tangent kernel at z = 1 is 2 ttilde(2)

@@ -16,7 +16,8 @@ from tsum.identities import (
     verify_cor3_3,
     verify_cor3_5,
     verify_cor3_6,
-    verify_kernel_expansions,
+    verify_lemma2_3,
+    verify_lemma2_4,
     verify_thm3_1,
     verify_thm3_4,
     verify_thm3_6,
@@ -104,7 +105,8 @@ ENTRY_POINTS = {
     "verify_cor3_2": lambda prec: verify_cor3_2(1, F(1, 4), prec, "1e-3"),
     "verify_thm3_6": lambda prec: verify_thm3_6(
         1, PartialFractionRational.parse("(-1/4,1,12);(-1/3,1,-12)"), prec, "1e-3"),
-    "verify_kernel_expansions": lambda prec: verify_kernel_expansions(2, prec, "1e-3"),
+    "verify_lemma2_3": lambda prec: verify_lemma2_3(2, prec, "1e-3"),
+    "verify_lemma2_4": lambda prec: verify_lemma2_4(2, prec, "1e-3"),
     "run_reduction_case": lambda prec: run_reduction_case("t_even_odd", 1, 0, prec, "1e-3"),
 }
 
@@ -143,7 +145,8 @@ INTEGER_ARGUMENTS = {
     "verify_cor3_6": lambda v: verify_cor3_6(v, QUARTER, 64, "1e-3"),
     "verify_thm3_6": lambda v: verify_thm3_6(v, RESIDUE_R, 64, "1e-3"),
     "verify_thm3_7": lambda v: verify_thm3_7(v, RESIDUE_R, 64, "1e-3"),
-    "verify_kernel_expansions": lambda v: verify_kernel_expansions(v, 64, "1e-3"),
+    "verify_lemma2_3": lambda v: verify_lemma2_3(v, 64, "1e-3"),
+    "verify_lemma2_4": lambda v: verify_lemma2_4(v, 64, "1e-3"),
     "ttilde": lambda v: ttilde(v, 64),
     "ttilde_bar": lambda v: ttilde_bar(v, 64),
     "double_t-s1": lambda v: double_t(v, 1, False, 64),
@@ -157,9 +160,8 @@ INTEGER_ARGUMENTS = {
 }
 # at 2.5 these already raised a ValueError deeper in (a non-integer exponent
 # of the kernel, a spec with a float order), so only "2" was a bare error
-ONLY_A_STRING = {"verify_thm3_6", "verify_thm3_7", "verify_kernel_expansions",
-                 "ttilde", "ttilde_bar", "double_t-s1", "double_t-s2", "double_T-s1",
-                 "double_T-s2"}
+ONLY_A_STRING = {"verify_thm3_6", "verify_thm3_7", "ttilde", "ttilde_bar", "double_t-s1",
+                 "double_t-s2", "double_T-s1", "double_T-s2"}
 
 
 @pytest.mark.parametrize("name, value", [(name, value) for name in INTEGER_ARGUMENTS

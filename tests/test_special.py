@@ -13,7 +13,6 @@ from tsum.series import _pick_truncation
 from tsum.special import (
     DomainError,
     KernelKind,
-    ZetaConvention,
     alt_hurwitz_zeta,
     alt_zeta,
     digamma,
@@ -29,6 +28,7 @@ from tsum.special import (
     tail_zeta_batch,
     ttilde,
     ttilde_bar,
+    zeta_terms,
 )
 
 P = 192
@@ -557,7 +557,7 @@ def _psi_value(p, a, prec):
 
 def _zeta1(a, prec):
     """The zeta(1; a) convention psi(1/2) - psi(a), rounded once."""
-    return kernel_sums([ZetaConvention().terms(1, 1, a)], prec)[0]
+    return kernel_sums([zeta_terms(1, 1, a)], prec)[0]
 
 
 class TestKernels:
