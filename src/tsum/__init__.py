@@ -7,7 +7,7 @@ to a configurable tolerance.
 """
 
 from .jets import JetSeries, jet_mul, jet_residue
-from .numeric import bernoulli, real_const, real_to_str
+from .numeric import bernoulli, real_to_str
 from .reductions import (
     FAMILIES,
     SymbolicExpr,

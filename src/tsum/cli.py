@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .numeric import real_to_str
 from .reductions import FAMILIES
-from .series import SumSpec, euler_t_sum
+from .series import NAIVE_START_TERMS, SumSpec, euler_t_sum, naive_sum
 from .suite import (
     ALL_FAMILIES,
     ConfigError,
@@ -127,11 +127,18 @@ def cmd_reduce(args) -> tuple[str, bool]:
 
 
 def cmd_eval(args) -> tuple[str, bool]:
+    if args.method != "naive" and args.max_terms is not None:
+        raise ConfigError("--max-terms is the term count of --method naive; the accelerated "
+                          "path picks its own head length")
     ps = tuple(int(v) for v in args.p.split(",")) if args.p else ()
     qs = tuple(int(v) for v in args.q.split(","))
     shift = tuple(Fraction(v) for v in args.a.split(","))
     spec = SumSpec(p=ps, q=qs, a=shift, sigma=args.sigma, harmonic_offset=args.offset)
-    result = euler_t_sum(spec, args.precision_bits, method=args.method, max_terms=args.max_terms)
+    if args.method == "naive":
+        terms = NAIVE_START_TERMS if args.max_terms is None else args.max_terms
+        result = naive_sum(spec, args.precision_bits, terms)
+    else:
+        result = euler_t_sum(spec, args.precision_bits)
     prec = args.precision_bits
     if args.format == "json":
         payload = {
@@ -223,10 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--q", required=True, help="comma list of denominator exponents")
     pe.add_argument("--a", required=True, help="comma list of rational shifts")
     pe.add_argument("--sigma", type=int, choices=(1, -1), default=1)
-    pe.add_argument("--offset", choices=("cur", "prev", "n", "n-1"), default="cur")
-    pe.add_argument("--method", choices=("auto", "accelerated", "naive"), default="auto")
+    pe.add_argument("--offset", choices=("cur", "prev"), default="cur",
+                    help="harmonic numbers h_n (cur) or h_{n-1} (prev)")
+    pe.add_argument("--method", choices=("accelerated", "naive"), default="accelerated")
     pe.add_argument("--max-terms", type=int,
-                    help="direct-summation terms: exact with --method naive, else ignored")
+                    help=f"terms of --method naive (default {NAIVE_START_TERMS}); "
+                         "no other method takes it")
     pe.set_defaults(func=cmd_eval)
 
     pt = sub.add_parser("table", help="emit all reductions of a family up to a weight bound")

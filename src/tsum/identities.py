@@ -24,8 +24,8 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
 from .jets import JetSeries, jet_mul, jet_residue
-from .numeric import (check_integer, check_precision, check_rational, real_const, round_to,
-                      to_mpf, tolerance_mpf)
+from .numeric import (check_integer, check_precision, check_rational, round_to, to_mpf,
+                      tolerance_mpf)
 from .series import SumSpec, accel_linear_sum, euler_t_sum, harmonic, odd_harmonic
 from .special import (
     DomainError,
@@ -147,8 +147,8 @@ def _verify_pair(kern: _Kernel, family: str, p: int, a: Frac, b: Frac, prec: int
     wp = prec + 24
     with mp.workprec(wp):
         tol = tolerance_mpf(tolerance, wp)
-        s1 = accel_linear_sum(p, 0, kern.sigma, _pair_pieces(a, b, False), wp)
-        s2 = accel_linear_sum(p, 1, kern.sigma, _pair_pieces(a, b, True), wp)
+        s1 = accel_linear_sum((p,), 0, kern.sigma, _pair_pieces(a, b, False), wp)
+        s2 = accel_linear_sum((p,), 1, kern.sigma, _pair_pieces(a, b, True), wp)
         sgn = 1 if p % 2 == 0 else -1
         lhs = s1.value - kern.sigma * sgn * s2.value
         c, neg_tt = Frac(sgn) / (b - a), zeta_terms(-1, p, _HALF)
@@ -205,7 +205,7 @@ def _verify_single(kern: _Kernel, family: str, m: int, a: Frac, prec: int, toler
              + zeta_terms(-1, p, a)) + zeta_terms(-1, p, b)
     with mp.workprec(wp):
         tol = tolerance_mpf(tolerance, wp)
-        s1 = accel_linear_sum(p, 0, kern.sigma, _pair_pieces(a, b, False), wp)
+        s1 = accel_linear_sum((p,), 0, kern.sigma, _pair_pieces(a, b, False), wp)
         lhs = s1.value
         terms = s1.terms_used
         if reflect:
@@ -357,13 +357,13 @@ def _verify_residue(kern: _Kernel, family: str, p: int, r: PartialFractionRation
         pf1, pf2 = _half_shift_pieces(r, False), _half_shift_pieces(r, True)
         sgn = 1 if p % 2 == 0 else -1
         tp = ttilde(p, wp)
-        sum1 = accel_linear_sum(p, 0, kern.sigma, pf1, wp)
-        rat1 = accel_linear_sum(None, 0, kern.sigma, pf1, wp)
+        sum1 = accel_linear_sum((p,), 0, kern.sigma, pf1, wp)
+        rat1 = accel_linear_sum((), 0, kern.sigma, pf1, wp)
         term1 = -kern.sigma * (sgn * tp * rat1.value + sum1.value)
-        sum2 = accel_linear_sum(p, 1, kern.sigma, pf2, wp)
+        sum2 = accel_linear_sum((p,), 1, kern.sigma, pf2, wp)
         # a sum with no harmonic factor does not depend on the offset; offset 1
         # shares sum2's expansion key, so that expansion is built once
-        rat2 = accel_linear_sum(None, 1, kern.sigma, pf2, wp)
+        rat2 = accel_linear_sum((), 1, kern.sigma, pf2, wp)
         term2 = -sgn * (tp * rat2.value - sum2.value)
         lhs = round_to(term1 + term2, prec)
     closed = _derivative_terms(kern, p, r) + _residue_terms(kern.kind, p, r)
@@ -425,7 +425,7 @@ def _lemma_psi_checks(order: int, prec: int, note) -> None:
                 for i in range(1, min(p, order + 1)):
                     note(coeffs[i], mpf(0))
                 for j in range(p, order + 1):
-                    zj = -2 * real_const("log2", wp) if j == 1 else riemann_zeta(j, wp)
+                    zj = kernel_sums([-2 * alt_zeta(1) if j == 1 else riemann_zeta(j)], wp)[0]
                     closed = sgn * comb(j - 1, p - 1) * (
                         (-1) ** j * to_mpf(harmonic(n, j), wp) + zj)
                     note(coeffs[j] / fac, closed)
@@ -471,14 +471,14 @@ def _lemma_trig_checks(order: int, prec: int, note) -> None:
             coeffs = kernel_sums(kernel_jet(KernelKind.PI_TAN, pole, order).coeffs, wp)
             note(coeffs[0], mpf(-1))
             for j in range(1, order + 1):
-                closed = 2 * riemann_zeta(j, wp) if (j % 2 == 0 and j >= 2) else mpf(0)
+                closed = kernel_sums([2 * riemann_zeta(j)], wp)[0] if j % 2 == 0 else mpf(0)
                 note(coeffs[j], closed)
             # secant kernel at the pole n - 1/2
             coeffs = kernel_sums(kernel_jet(KernelKind.PI_OVER_COS, pole, order).coeffs, wp)
             s = (-1) ** n
             note(coeffs[0], mpf(s))
             for j in range(1, order + 1):
-                closed = s * 2 * alt_zeta(j, wp) if (j % 2 == 0 and j >= 2) else mpf(0)
+                closed = kernel_sums([2 * s * alt_zeta(j)], wp)[0] if j % 2 == 0 else mpf(0)
                 note(coeffs[j], closed)
 
 

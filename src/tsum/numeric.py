@@ -1,17 +1,18 @@
-"""Arbitrary-precision plumbing: precision policy, constants, Bernoulli numbers.
+"""Arbitrary-precision plumbing: precision policy, argument checks, Bernoulli numbers.
 
 All real arithmetic rides on mpmath ``mpf`` values (binary mantissa/exponent,
 deterministic round-to-nearest at the active precision).  Every public
 operation in this package that returns a number takes a target precision
-``prec`` in bits; the jets are exact and take none.  A kernel value
-(Hurwitz zeta, its alternating form, digamma) is rounded once to ``prec``
-from the exact integers of the fixed-point kernel.  A value that
-is a sum of rationals times products of such values (a depth-1 constant,
-pi tan, pi sec and the coefficients of their jets, those of the Psi jets,
-zeta(1; a), the closed side of every identity check, residue checks
-included, and the symbolic reductions) is added exactly from kernel values
-with as many guard bits as its measured cancellation needs, and is rounded
-once too.
+``prec`` in bits; the jets and the depth-1 constants are exact ``Terms``
+and take none.  A kernel value (Hurwitz zeta, its alternating form,
+digamma) is rounded once to ``prec`` from the exact integers of the
+fixed-point kernel.  A value that is a sum of rationals times products of
+such values (a depth-1 constant, log 2 = alt_zeta(1) and pi = -4
+t_bar(1) among them, pi tan, pi sec and the coefficients of their jets,
+those of the Psi jets, zeta(1; a), the closed side of every identity
+check, residue checks included, and the symbolic reductions) is added
+exactly from kernel values by ``special.kernel_sums``, with as many guard
+bits as its measured cancellation needs, and is rounded once too.
 Only composite computations (the series engine and the series sides) work
 at ``prec`` plus guard bits and round the result back to ``prec``.  Exact rational
 bookkeeping uses ``fractions.Fraction``, and a fraction becomes an mpf by
@@ -39,7 +40,6 @@ RealLike = Union[int, Fraction, mpf]
 
 MIN_PRECISION = 16
 
-_const_cache: dict[tuple[str, int], mpf] = {}
 _tolerance_cache: dict[tuple[str, int], mpf] = {}
 _bernoulli_even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
 # stages 1..k of T_k, k = len(_bernoulli_even) - 1: the state of the tangent pass
@@ -111,27 +111,6 @@ def to_mpf(x: RealLike, prec: int) -> mpf:
 def round_to(x: mpf, prec: int) -> mpf:
     with mp.workprec(prec):
         return +x
-
-
-def real_const(name: str, prec: int) -> mpf:
-    """Fundamental constant (``pi``, ``log2`` or ``euler_gamma``) at ``prec`` bits."""
-    check_precision(prec)
-    key = (name, prec)
-    cached = _const_cache.get(key)
-    if cached is not None:
-        return cached
-    with mp.workprec(prec + 8):
-        if name == "pi":
-            value = +mp.pi
-        elif name == "log2":
-            value = +mp.ln2
-        elif name == "euler_gamma":
-            value = +mp.euler
-        else:
-            raise ValueError(f"unknown constant {name!r}")
-    value = round_to(value, prec)
-    _const_cache[key] = value
-    return value
 
 
 def bernoulli(n: int) -> Fraction:

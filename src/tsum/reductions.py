@@ -143,20 +143,20 @@ class SymbolicExpr:
 def _sym_value(s: Symbol) -> Terms:
     """The constant of ``s`` as one kernel term."""
     if s.kind == "zeta":
-        return riemann_zeta(s.arg, None)
+        return riemann_zeta(s.arg)
     if s.kind == "zetabar":
-        return alt_zeta(s.arg, None)
+        return alt_zeta(s.arg)
     if s.kind == "t":
-        return single_t(s.arg, None)
+        return single_t(s.arg)
     if s.kind == "tbar":
-        return single_t_bar(s.arg, None)
+        return single_t_bar(s.arg)
     if s.kind == "T":
-        return single_T(s.arg, None)
+        return single_T(s.arg)
     if s.kind == "Tbar":
-        return single_T_bar(s.arg, None)
+        return single_T_bar(s.arg)
     if s.kind == "log2":
-        return alt_zeta(1, None)
-    return -4 * single_t_bar(1, None)
+        return alt_zeta(1)
+    return -4 * single_t_bar(1)
 
 
 def eval_symbolic(expr: SymbolicExpr, prec: int) -> mpf:

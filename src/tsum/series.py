@@ -47,8 +47,11 @@ Evaluation strategy, for any number r of harmonic factors:
   one floor each, and head plus tail is rounded once, to the target
   precision.
 
-``naive_sum`` sums a given number of terms directly, in the same fixed
-point: the oracle of the tests, and ``--method naive``.
+``accel_linear_sum`` is the one entry of the accelerated path, for sums of
+partial fractions and products of harmonic factors alike; ``euler_t_sum``
+is that call on a spec's one piece.  ``naive_sum`` sums a given number of
+terms directly, in the same fixed point: the oracle of the tests, and
+``--method naive``.
 """
 
 from __future__ import annotations
@@ -137,9 +140,7 @@ class SumSpec:
     def __post_init__(self):
         if check_integer(self.sigma, "SumSpec", SpecError) not in (1, -1):
             raise SpecError("sigma must be +1 or -1")
-        offset = {"n": "cur", "n-1": "prev"}.get(self.harmonic_offset, self.harmonic_offset)
-        object.__setattr__(self, "harmonic_offset", offset)
-        if offset not in ("cur", "prev"):
+        if self.harmonic_offset not in ("cur", "prev"):
             raise SpecError("harmonic_offset must be 'cur' (h_n) or 'prev' (h_{n-1})")
         if len(self.q) != len(self.a):
             raise SpecError("q and a must have equal length")
@@ -531,17 +532,22 @@ def _tail_batch(sigma: int, N: int, wp: int, W: int, dbits: int, shift: int, p: 
     return piece, [(abs(mans[w - 1]) * man, exps[w - 1] + exp)]
 
 
-def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
+def accel_linear_sum(ps: tuple[int, ...], offset: int, sigma: int, pieces: Pieces,
                      prec: int) -> SeriesResult:
-    """Accelerated sum_{n>=1} sigma^n h_{n-offset}^(p) R(n), R(n) = sum_j k_j
-    prod (n + t)^(-e) over pieces (k_j, [(t, e)]); p is None (no harmonic
-    factor) or an int >= 1, offset 0 or 1 and sigma +1 or -1, all three
-    checked before any other work, and then the pieces: at least one, each
-    with a factor, as a constant term's sum diverges.  ``_accel_sum`` sums
-    it.
+    """Accelerated sum_{n>=1} sigma^n prod_i h_{n-offset}^(p_i) R(n), R(n) =
+    sum_j k_j prod (n + t)^(-e) over pieces (k_j, [(t, e)]): a product of
+    any number of harmonic factors, one per order of the tuple ps (() for
+    none, each an int >= 1, taken sorted), offset 0 or 1 and sigma +1 or -1,
+    all three checked before any other work, and then the pieces: at least
+    one, each with a factor, as a constant term's sum diverges.  The one
+    door to ``_accel_sum``, which sums it; ``euler_t_sum`` is this call on
+    one piece.
     """
     name = "accel_linear_sum"
-    if p is not None and check_integer(p, name, SpecError) < 1:
+    if not isinstance(ps, tuple):
+        raise SpecError(f"accel_linear_sum takes a tuple of harmonic orders, not {ps!r}")
+    ps = tuple(sorted(check_integer(p, name, SpecError) for p in ps))
+    if ps and ps[0] < 1:
         raise SpecError("harmonic order must be >= 1")
     if check_integer(offset, name, SpecError) not in (0, 1):
         raise SpecError("offset must be 0 (h_n) or 1 (h_{n-1})")
@@ -565,7 +571,7 @@ def accel_linear_sum(p: Optional[int], offset: int, sigma: int, pieces: Pieces,
         den = math.lcm(*(d for _, d in ones))
         if sum(n * (den // d) for n, d in ones):
             raise DivergentSumError("sum of order-1 coefficients must vanish for sigma=+1")
-    return _accel_sum(() if p is None else (p,), offset, sigma, pieces, prec)
+    return _accel_sum(ps, offset, sigma, pieces, prec)
 
 
 @functools.cache
@@ -837,14 +843,6 @@ def _first_term(offset: int, ps: Sequence[int], scaled: list, N: int) -> tuple[i
     return 1, 1
 
 
-def _term_count(max_terms: int, name: str) -> int:
-    """``max_terms`` as an int of at least 1, else a SpecError of ``name``."""
-    n = check_integer(max_terms, name, SpecError)
-    if n < 1:
-        raise SpecError(f"max_terms must be >= 1, got {n}")
-    return n
-
-
 def naive_sum(spec: SumSpec, prec: int, max_terms: int = NAIVE_START_TERMS) -> SeriesResult:
     """Direct summation of ``spec`` to ``max_terms`` = N terms by ``_direct``'s
     block pipelines, one floor division per piece and term; its error, under
@@ -859,7 +857,9 @@ def naive_sum(spec: SumSpec, prec: int, max_terms: int = NAIVE_START_TERMS) -> S
     j!/(d-1)^(j+1) times the p >= 2 bounds; with N <= -t it is +inf.
     """
     check_precision(prec)
-    max_terms = _term_count(max_terms, "naive_sum")
+    max_terms = check_integer(max_terms, "naive_sum", SpecError)
+    if max_terms < 1:
+        raise SpecError(f"max_terms must be >= 1, got {max_terms}")
     wp = prec + guard_bits(max_terms)
     factors = spec.factors()
     d = sum(e for _, e in factors)
@@ -891,23 +891,11 @@ def naive_sum(spec: SumSpec, prec: int, max_terms: int = NAIVE_START_TERMS) -> S
 # Public entry points
 # ---------------------------------------------------------------------------
 
-def euler_t_sum(spec: SumSpec, prec: int, method: str = "auto",
-                max_terms: Optional[int] = None) -> SeriesResult:
-    """Numeric value of a parametric Euler T-sum.
-
-    method "naive" sums exactly ``max_terms`` terms (16384 if None) directly
-    (``naive_sum``).  "auto" and "accelerated" are one path, ``_accel_sum``
-    for any number of harmonic factors: it picks its own head length and
-    ignores ``max_terms``.
-    """
-    if method not in ("auto", "accelerated", "naive"):
-        raise SpecError(f"unknown method {method!r}")
-    n = _term_count(NAIVE_START_TERMS if max_terms is None else max_terms, "euler_t_sum")
-    if method == "naive":
-        return naive_sum(spec, prec, n)
-    check_precision(prec)  # the spec checked its shifts and its convergence
-    return _accel_sum(spec.p, spec.offset, spec.sigma,
-                      _int_pieces([(Fraction(1), spec.factors())]), prec)
+def euler_t_sum(spec: SumSpec, prec: int) -> SeriesResult:
+    """Numeric value of a parametric Euler T-sum: ``accel_linear_sum`` on
+    the one piece R of ``spec``, for any number of harmonic factors, with
+    its own head length.  ``naive_sum`` is the direct summation."""
+    return accel_linear_sum(spec.p, spec.offset, spec.sigma, [(1, spec.factors())], prec)
 
 
 def _double(name: str, big: bool, s1: int, s2: int, bar1: bool, prec: int) -> SeriesResult:

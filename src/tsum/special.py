@@ -25,10 +25,11 @@ plus rationals; each depth-1 constant (zeta, the alternating zeta, t, T
 and their alternating forms) is one kernel term, a rational times a value
 at 1 or 1/2; the closed forms of the identity checks and the symbolic
 reductions multiply these.  Such a sum stays unrounded as ``Terms`` until
-one ``kernel_sums``, the public rounding of every such sum, rounds it: at
-``prec`` None the depth-1 constants return their term, and ``kernel_jet``
-and ``psi_jet`` always return exact jets of ``Terms``, which the residue
-checks multiply out and the lemma checks round.  Every function here takes
+one ``kernel_sums``, the public rounding of every such sum, rounds it: the
+depth-1 constants return their term, so zeta(3) is
+``kernel_sums([riemann_zeta(3)], prec)[0]``, and ``kernel_jet`` and
+``psi_jet`` return exact jets of ``Terms``, which the residue checks
+multiply out and the lemma checks round.  Every function here takes
 rational arguments only.
 
 ``tail_zeta_batch`` serves the many exponents the series engine needs at
@@ -346,7 +347,7 @@ def tail_zeta_batch(sigma: int, ss, x: Rational, prec: int) -> list[mpf]:
     A ``range`` of exponents, as the series engine passes, is checked once:
     its items are ints by construction, and the domain test reads its least
     item.  Any other iterable is checked item by item."""
-    x = _admissible(x, "the zeta family")
+    x, sigma = _admissible(x, "the zeta family"), check_integer(sigma, "the zeta family")
     if isinstance(ss, range):
         least = min(ss[0], ss[-1]) if ss else None
     else:
@@ -369,25 +370,10 @@ def hurwitz_zeta(s: int, a: Rational, prec: int) -> mpf:
     return tail_zeta_batch(1, [s], a, prec)[0]
 
 
-def riemann_zeta(s: int, prec: int | None) -> mpf | Terms:
-    """zeta(s) = K_+1(s; 1) for integer s >= 2."""
-    if check_integer(s, "riemann_zeta") < 2:
-        raise DomainError("riemann_zeta requires s >= 2; zeta(1) exists only as a convention")
-    return _kernel_term(1, 1, s, 1, prec)
-
-
 def alt_hurwitz_zeta(s: int, a: Rational, prec: int) -> mpf:
     """Alternating Hurwitz zeta sum_{n>=0} (-1)^n (n+a)^(-s), s >= 1, rational a
     not a non-positive integer."""
     return tail_zeta_batch(-1, [s], a, prec)[0]
-
-
-def alt_zeta(s: int, prec: int | None) -> mpf | Terms:
-    """Alternating Riemann zeta sum_{n>=1} (-1)^(n-1) n^(-s) = K_-1(s; 1), s >= 1;
-    alt_zeta(1) is log 2."""
-    if check_integer(s, "alt_zeta") < 1:
-        raise DomainError("alt_zeta requires s >= 1")
-    return _kernel_term(1, -1, s, 1, prec)
 
 
 def digamma(a: Rational, prec: int) -> mpf:
@@ -395,6 +381,22 @@ def digamma(a: Rational, prec: int) -> mpf:
     sigma = +1, s = 1 value, sum_{j<n} 1/(a+j) - ln y + 1/(2y) + sum_k
     B_2k/(2k) y^(-2k) at y = a + n."""
     return mp.fneg(_zeta_batch(1, [1], _admissible(a, "digamma"), prec)[0], exact=True)
+
+
+def ttilde(s: int, prec: int) -> mpf:
+    """ttilde(s) = 2^s t(s) = zeta(s; 1/2); ttilde(1) is 0 by convention."""
+    if check_integer(s, "ttilde") < 1:
+        raise DomainError("ttilde requires s >= 1")
+    if s == 1:
+        return mpf(0)
+    return hurwitz_zeta(s, _HALF, prec)
+
+
+def ttilde_bar(s: int, prec: int) -> mpf:
+    """Alternating ttilde(s) = 2^s t_bar(s) = -alt_hurwitz_zeta(s, 1/2)."""
+    if check_integer(s, "ttilde_bar") < 1:
+        raise DomainError("ttilde_bar requires s >= 1")
+    return mp.fneg(alt_hurwitz_zeta(s, _HALF, prec), exact=True)
 
 
 class Terms(list):
@@ -427,56 +429,48 @@ def zeta_terms(c: Rational, s: int, a: Rational) -> Terms:
 # Depth-1 constants: each one kernel term at 1 or 1/2 (pi = 2 K_-1(1; 1/2))
 # ---------------------------------------------------------------------------
 
-def _kernel_term(c: Rational, sigma: int, s: int, x: Rational, prec: int | None) -> mpf | Terms:
-    """c K_sigma(s; x), kept unrounded as ``Terms`` at ``prec`` None, else
-    rounded once."""
-    terms = Terms([(c, ((sigma, s, x),))])
-    return terms if prec is None else kernel_sums([terms], prec)[0]
+def riemann_zeta(s: int) -> Terms:
+    """zeta(s) = K_+1(s; 1) for integer s >= 2."""
+    if check_integer(s, "riemann_zeta") < 2:
+        raise DomainError("riemann_zeta requires s >= 2; zeta(1) exists only as a convention")
+    return Terms([(1, ((1, s, 1),))])
 
 
-def single_t(s: int, prec: int | None) -> mpf | Terms:
+def alt_zeta(s: int) -> Terms:
+    """Alternating Riemann zeta sum_{n>=1} (-1)^(n-1) n^(-s) = K_-1(s; 1), s >= 1;
+    alt_zeta(1) is log 2."""
+    if check_integer(s, "alt_zeta") < 1:
+        raise DomainError("alt_zeta requires s >= 1")
+    return Terms([(1, ((-1, s, 1),))])
+
+
+def single_t(s: int) -> Terms:
     """t(s) = sum_{n>=1} (2n-1)^(-s) = 2^-s K_+1(s; 1/2), s >= 2."""
     if check_integer(s, "single_t") < 2:
         raise DomainError("single_t requires s >= 2 (t(1) diverges)")
-    return _kernel_term(Fraction(1, 2 ** s), 1, s, _HALF, prec)
+    return Terms([(Fraction(1, 2 ** s), ((1, s, _HALF),))])
 
 
-def single_t_bar(s: int, prec: int | None) -> mpf | Terms:
+def single_t_bar(s: int) -> Terms:
     """t(s with alternating sign) = sum_{n>=1} (-1)^n (2n-1)^(-s) = -beta(s)
     = -2^-s K_-1(s; 1/2), s >= 1."""
     if check_integer(s, "single_t_bar") < 1:
         raise DomainError("single_t_bar requires s >= 1")
-    return _kernel_term(Fraction(-1, 2 ** s), -1, s, _HALF, prec)
+    return Terms([(Fraction(-1, 2 ** s), ((-1, s, _HALF),))])
 
 
-def ttilde(s: int, prec: int) -> mpf:
-    """ttilde(s) = 2^s t(s) = zeta(s; 1/2); ttilde(1) is 0 by convention."""
-    if check_integer(s, "ttilde") < 1:
-        raise DomainError("ttilde requires s >= 1")
-    if s == 1:
-        return mpf(0)
-    return hurwitz_zeta(s, _HALF, prec)
-
-
-def ttilde_bar(s: int, prec: int) -> mpf:
-    """Alternating ttilde(s) = 2^s t_bar(s) = -alt_hurwitz_zeta(s, 1/2)."""
-    if check_integer(s, "ttilde_bar") < 1:
-        raise DomainError("ttilde_bar requires s >= 1")
-    return mp.fneg(alt_hurwitz_zeta(s, _HALF, prec), exact=True)
-
-
-def single_T(s: int, prec: int | None) -> mpf | Terms:
+def single_T(s: int) -> Terms:
     """Depth-1 T value, T(s) = 2 t(s) = 2^(1-s) K_+1(s; 1/2), s >= 2."""
     if check_integer(s, "single_T") < 2:
         raise DomainError("single_T requires s >= 2")
-    return _kernel_term(Fraction(2, 2 ** s), 1, s, _HALF, prec)
+    return Terms([(Fraction(2, 2 ** s), ((1, s, _HALF),))])
 
 
-def single_T_bar(s: int, prec: int | None) -> mpf | Terms:
+def single_T_bar(s: int) -> Terms:
     """Depth-1 alternating T value, 2 t_bar(s) = -2^(1-s) K_-1(s; 1/2), s >= 1."""
     if check_integer(s, "single_T_bar") < 1:
         raise DomainError("single_T_bar requires s >= 1")
-    return _kernel_term(Fraction(-2, 2 ** s), -1, s, _HALF, prec)
+    return Terms([(Fraction(-2, 2 ** s), ((-1, s, _HALF),))])
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +484,8 @@ def kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
     is c itself.  This is the one rounding of every exact value here: the
     coefficients of ``kernel_jet`` and ``psi_jet`` (at order 0, pi tan,
     pi sec and Psi^(p-1) at a point), ``zeta_terms`` (zeta(1; a) among
-    them) and the depth-1 constants at ``prec`` None.  A term whose c or x
+    them) and the depth-1 constants.  A sum that is not a list, such as one
+    term or one sum where the list of sums belongs, or a term whose c or x
     is not an int or a Fraction, or s not an int >= 1, or sigma not +-1, is
     a DomainError.
 
@@ -519,6 +514,9 @@ def kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
         raise DomainError("kernel_sums requires guard >= 1")
     merged = []
     for terms in sums:
+        if not isinstance(terms, list):
+            raise DomainError("kernel_sums takes a list of sums, each a list of terms (c, keys), "
+                              f"not {terms!r} as a sum")
         acc: dict = {}
         for c, keys in terms:
             if not isinstance(c, (int, Fraction)) or not all(

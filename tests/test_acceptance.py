@@ -20,12 +20,12 @@ from tsum.identities import (
     verify_thm3_6,
     verify_thm3_7,
 )
-from tsum.numeric import real_const
 from tsum.reductions import FAMILIES, eval_symbolic
 from tsum.series import double_t
 from tsum.special import (
     Terms,
     alt_zeta,
+    kernel_sums,
     riemann_zeta,
     single_t,
     ttilde_bar,
@@ -120,25 +120,30 @@ def test_criterion_4_reduction_certification():
 def test_criterion_5_stuffle():
     tol = mpf("1e-35")
     ok = True
+    t = [None, None] + kernel_sums([single_t(s) for s in range(2, 11)], P + 16)
     for s1 in range(2, 6):
         for s2 in range(s1, 6):
             with mp.workprec(P + 16):
-                lhs = single_t(s1, P + 16) * single_t(s2, P + 16)
+                lhs = t[s1] * t[s2]
                 rhs = (double_t(s1, s2, False, P).value
                        + double_t(s2, s1, False, P).value
-                       + single_t(s1 + s2, P + 16))
+                       + t[s1 + s2])
                 ok = ok and abs(lhs - rhs) <= tol
     _conclude(5, "stuffle products for 2 <= s1 <= s2 <= 5 at 1e-35", ok)
 
 
 def test_criterion_6_classical_constants():
     tol = mpf("1e-45")
+    # every value through the one rounding of exact kernel sums; the
+    # references are mpmath's own pi and log 2
+    t2, t3, log2 = kernel_sums([single_t(2), single_t(3), alt_zeta(1)], P)
+    zeta3 = kernel_sums([riemann_zeta(3)], P + 16)[0]
     with mp.workprec(P + 16):
-        pi = real_const("pi", P + 16)
+        pi = +mp.pi
         checks = [
-            abs(single_t(2, P) - pi * pi / 8),
-            abs(single_t(3, P) - mpf(7) / 8 * riemann_zeta(3, P + 16)),
-            abs(alt_zeta(1, P) - real_const("log2", P + 16)),
+            abs(t2 - pi * pi / 8),
+            abs(t3 - mpf(7) / 8 * zeta3),
+            abs(log2 - mp.ln2),
             abs(ttilde_bar(1, P) + pi / 2),
         ]
         ok = all(c <= tol for c in checks)

@@ -2,7 +2,9 @@
 exports, called once with a valid argument set, and then with each integer
 or rational argument in turn replaced by 2.5, the string "2" and an mpf of
 the same value.  Each such call must raise a ValueError subclass within a
-second; none may return.
+second; none may return.  A ``prec`` of None is a PrecisionError
+everywhere: no precision argument selects another mode, and the depth-1
+constants, which are exact, take none.
 
 An argument counts when its value is an int (not a bool) or a Fraction, or
 such a value inside a tuple of arguments (the shifts of a ``SumSpec``, the
@@ -15,7 +17,8 @@ The calls that README "Library use" gives for one kernel value, a
 Psi^(p-1) value, zeta(1; a) and Dirichlet beta are swept the same way, as
 composed routes, each argument as it enters the first call.  The terms of
 a ``kernel_sums`` sum sit in lists, which the sweep does not enter, so
-malformed terms have a test of their own; and no verifier takes a switch.
+malformed terms have a test of their own, as has one sum passed where the
+list of sums belongs; and no verifier takes a switch.
 """
 
 import inspect
@@ -24,13 +27,13 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mpf
 
 import tsum
 import tsum.identities as identities
 from tsum import (IdentityCase, JetSeries, KernelKind, PartialFractionRational, SumSpec,
                   SuiteConfig, run_case)
-from tsum.numeric import DomainError
+from tsum.numeric import DomainError, PrecisionError
 from tsum.suite import FAMILY_SPECS
 
 Q, T3 = F(1, 4), F(1, 3)
@@ -72,14 +75,13 @@ CALLS = {
                            "tolerance": mpf(1), "precision_bits": 64, "terms_used": 128,
                            "elapsed_ms": 0.0},
     "alt_hurwitz_zeta": {"s": 2, "a": T3, "prec": 64},
-    "alt_zeta": {"s": 2, "prec": 64},
+    "alt_zeta": {"s": 2},
     "bernoulli": {"n": 4},
     "build_cases": {"config": _config()},
     "digamma": {"a": T3, "prec": 64},
     "double_T": {"s1": 3, "s2": 1, "bar1": False, "prec": 64},
     "double_t": {"s1": 3, "s2": 1, "bar1": False, "prec": 64},
-    "euler_t_sum": {"spec": SumSpec(p=(1,), q=(2,), a=(F(0),), sigma=-1), "prec": 64,
-                    "method": "naive", "max_terms": 1024},
+    "euler_t_sum": {"spec": SumSpec(p=(1,), q=(2,), a=(F(0),), sigma=-1), "prec": 64},
     "eval_symbolic": {"expr": tsum.reduce_t_even_odd(1, 0), "prec": 64},
     "harmonic": {"n": 3, "p": 2},
     "hurwitz_zeta": {"s": 2, "a": T3, "prec": 64},
@@ -90,16 +92,15 @@ CALLS = {
     "normalize_to_zeta": {"expr": tsum.reduce_t_even_odd(1, 0)},
     "odd_harmonic": {"n": 3, "p": 2},
     "psi_jet": {"p": 2, "base": T3, "order": 2},
-    "real_const": {"name": "pi", "prec": 64},
     "real_to_str": {"x": mpf(1), "prec": 64},
     **{name: _reduce(name) for name in dir(tsum) if name.startswith("reduce_")},
-    "riemann_zeta": {"s": 3, "prec": 64},
+    "riemann_zeta": {"s": 3},
     "run_case": {"case": IdentityCase("thm3_1", (1, Q, T3), 64, "1e-3")},
     "run_suite": {"config": _config()},
-    "single_T": {"s": 3, "prec": 64},
-    "single_T_bar": {"s": 3, "prec": 64},
-    "single_t": {"s": 3, "prec": 64},
-    "single_t_bar": {"s": 3, "prec": 64},
+    "single_T": {"s": 3},
+    "single_T_bar": {"s": 3},
+    "single_t": {"s": 3},
+    "single_t_bar": {"s": 3},
     "ttilde": {"s": 3, "prec": 64},
     "ttilde_bar": {"s": 3, "prec": 64},
     "verify_cor3_2": {"m": 1, **SINGLE},
@@ -129,7 +130,8 @@ ROUTES = {
     "zeta1_value": {"call": lambda c, s, a, prec:
                     tsum.kernel_sums([tsum.zeta_terms(c, s, a)], prec)[0],
                     "c": 1, "s": 1, "a": T3, "prec": 64},
-    "dirichlet_beta": {"call": lambda s, prec: mp.fneg(tsum.single_t_bar(s, prec), exact=True),
+    "dirichlet_beta": {"call": lambda s, prec:
+                       tsum.kernel_sums([tsum.single_t_bar(s) * -1], prec)[0],
                        "s": 2, "prec": 64},
 }
 
@@ -209,6 +211,29 @@ def test_a_non_integer_or_non_rational_argument_is_a_value_error(name, arg, path
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("name", [name for name in _exports() + sorted(ROUTES)
+                                  if "prec" in _valid(name)])
+def test_a_precision_of_none_is_a_precision_error(name):
+    kwargs = dict(_valid(name), prec=None)
+    with pytest.raises(PrecisionError):
+        _call(name, kwargs)
+
+
+def test_the_exact_constants_take_no_precision():
+    for name in ("riemann_zeta", "alt_zeta", "single_t", "single_t_bar", "single_T",
+                 "single_T_bar"):
+        assert list(inspect.signature(getattr(tsum, name)).parameters) == ["s"], name
+
+
+@pytest.mark.parametrize("wrong", [tsum.riemann_zeta(3), tsum.zeta_terms(1, 3, 1)],
+                         ids=["riemann_zeta", "zeta_terms"])
+def test_kernel_sums_names_the_list_of_sums_it_takes(wrong):
+    # one sum where the list of sums belongs was a bare "cannot unpack"
+    # TypeError
+    with pytest.raises(DomainError, match="list of sums"):
+        tsum.kernel_sums(wrong, 64)
 
 
 # each was a KeyError, a ZeroDivisionError, a bare math domain error or an

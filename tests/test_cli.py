@@ -112,11 +112,11 @@ def test_three_factor_eval_exits_0_within_its_bound(capsys):
         assert abs(ref - mpf("13.6411248800115094350391428")) < mpf("1e-25")
 
 
-def test_accelerated_method_at_three_factors_gives_the_auto_bytes(capsys):
+def test_accelerated_method_at_three_factors_gives_the_default_bytes(capsys):
     outs = []
-    for method in ("auto", "accelerated"):
+    for method in ((), ("--method", "accelerated")):
         assert main(["eval", "--p", "1,1,2", "--q", "3", "--a", "1/3", "--sigma", "-1",
-                     "--method", method]) == 0
+                     *method]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
 
@@ -372,6 +372,9 @@ def test_out_of_domain_budgets_and_tolerances_exit_2(argv, capsys):
     (["eval", "--q", "2", "--a", "1/2", "--format", "csv"], "invalid choice: 'csv'"),
     (["reduce", "--family", "T_even_odd", "--j", "1", "--m", "0", "--format", "csv"],
      "invalid choice: 'csv'"),
+    (["eval", "--q", "2", "--a", "1/2", "--method", "auto"], "invalid choice: 'auto'"),
+    (["eval", "--q", "2", "--a", "1/2", "--offset", "n-1"], "invalid choice: 'n-1'"),
+    (["eval", "--q", "2", "--a", "1/2", "--offset", "n"], "invalid choice: 'n'"),
 ])
 def test_options_a_subcommand_does_not_read_are_usage_errors(argv, message, capsys):
     # argparse stops at the command line, before any subcommand runs
@@ -381,10 +384,10 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(argv, message, caps
     assert message in capsys.readouterr().err
 
 
-def test_max_terms_is_exact_with_naive_and_ignored_by_the_accelerated_path(monkeypatch, capsys):
-    # --method naive sums exactly --max-terms terms, for any number of
-    # factors; the accelerated path picks its own head length and never
-    # calls naive_sum, three factors included
+def test_max_terms_is_exact_with_naive_and_refused_by_the_accelerated_path(monkeypatch, capsys):
+    # --method naive sums exactly --max-terms terms (16384 if not given), for
+    # any number of factors; the accelerated path picks its own head length,
+    # refuses --max-terms and never calls naive_sum, three factors included
     rounds = []
     naive_sum = tsum.series.naive_sum
 
@@ -393,18 +396,34 @@ def test_max_terms_is_exact_with_naive_and_ignored_by_the_accelerated_path(monke
         return naive_sum(spec, prec, max_terms)
 
     monkeypatch.setattr(tsum.series, "naive_sum", counted)
+    monkeypatch.setattr(tsum.cli, "naive_sum", counted)
 
     def terms_used(*argv):
         assert main(["eval", *argv, "--format", "json"]) == 0
         return json.loads(capsys.readouterr().out)["terms_used"]
 
     r3 = ("--p", "1,1,1", "--q", "4", "--a", "1/3", "--sigma", "-1", "--precision-bits", "64")
-    assert terms_used(*r3, "--max-terms", "1") == terms_used(*r3) == 128
+    assert main(["eval", *r3, "--max-terms", "1"]) == 2
+    assert "--method naive" in capsys.readouterr().err
+    assert terms_used(*r3) == terms_used(*r3, "--method", "accelerated") == 128
     assert terms_used("--p", "1,1", "--q", "4", "--a", "1/3", "--sigma", "-1",
-                      "--precision-bits", "64", "--max-terms", "1") == 128
+                      "--precision-bits", "64") == 128
     assert rounds == []
     assert terms_used(*r3, "--max-terms", "3", "--method", "naive") == 3
     assert rounds == [3]
-    assert terms_used("--q", "2", "--a=-3", "--max-terms", "3") == 132
     assert terms_used("--q", "2", "--a=-3") == 132
     assert terms_used("--q", "2", "--a=-3", "--max-terms", "3", "--method", "naive") == 3
+    assert terms_used("--q", "2", "--a=-3", "--method", "naive") == 16384
+    assert rounds == [3, 3, 16384]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-terms", "3"],
+    ["--max-terms", "0"],
+    ["--max-terms", "20000", "--method", "accelerated"],
+])
+def test_max_terms_without_the_naive_method_exits_2_and_names_it(argv, capsys):
+    # it was checked and then ignored
+    assert main(["eval", "--q", "2", "--a", "1/2", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--method naive" in err

@@ -23,17 +23,19 @@ from tsum.identities import (
     verify_thm3_6,
     verify_thm3_7,
 )
-from tsum.numeric import PrecisionError, bernoulli, real_const, real_to_str, to_mpf
-from tsum.reductions import FAMILIES, eval_symbolic
+from tsum.numeric import PrecisionError, bernoulli, real_to_str, to_mpf
+from tsum.reductions import FAMILIES, Symbol, eval_symbolic
 from tsum.series import (SumSpec, accel_linear_sum, double_t, double_T, euler_t_sum, harmonic,
                          naive_sum, odd_harmonic)
 from tsum.special import (
     KernelKind,
+    alt_zeta,
     digamma,
     hurwitz_zeta,
     kernel_jet,
     kernel_sums,
     riemann_zeta,
+    single_t_bar,
     tail_zeta_batch,
     ttilde,
     ttilde_bar,
@@ -52,6 +54,15 @@ def _gap(a, b, wp=256):
         return abs(mpf(a) - mpf(b))
 
 
+# pi, log 2 and Euler's gamma at prec, each through the kernel: -4 t_bar(1),
+# alt_zeta(1) and -psi(1)
+CONSTANTS = {
+    "pi": lambda prec: kernel_sums([-4 * single_t_bar(1)], prec)[0],
+    "log2": lambda prec: kernel_sums([alt_zeta(1)], prec)[0],
+    "euler_gamma": lambda prec: mp.fneg(digamma(1, prec), exact=True),
+}
+
+
 @pytest.mark.parametrize("name,digits", [
     ("pi", PI_DIGITS),
     ("log2", LOG2_DIGITS),
@@ -60,13 +71,15 @@ def _gap(a, b, wp=256):
 def test_constants_against_reference_digits(name, digits):
     with mp.workprec(220):
         want = mpf(digits)
-    assert _gap(real_const(name, 192), want) < mpf(2) ** -186
+    assert _gap(CONSTANTS[name](192), want) < mpf(2) ** -186
 
 
 def test_euler_gamma_against_digamma_oracle():
     # gamma = -psi(1), with psi computed by the shifted asymptotic engine
+    with mp.workprec(192):
+        gamma = +mp.euler
     with mp.workprec(256):
-        assert abs(real_const("euler_gamma", 192) + digamma(1, 200)) < mpf(2) ** -186
+        assert abs(gamma + digamma(1, 200)) < mpf(2) ** -186
 
 
 def test_fraction_conversion_is_correctly_rounded():
@@ -80,23 +93,24 @@ def test_fraction_conversion_is_correctly_rounded():
 
 def test_unknown_constant_rejected():
     with pytest.raises(ValueError):
-        real_const("feigenbaum", 64)
+        Symbol("feigenbaum")
 
 
 def test_minimum_precision_enforced():
     with pytest.raises(PrecisionError):
-        real_const("pi", 8)
+        kernel_sums([-4 * single_t_bar(1)], 8)
 
 
 ENTRY_POINTS = {
     "hurwitz_zeta": lambda prec: hurwitz_zeta(2, F(1, 3), prec),
     "tail_zeta_batch": lambda prec: tail_zeta_batch(1, [2, 3], F(1, 3), prec),
-    "riemann_zeta": lambda prec: riemann_zeta(3, prec),
+    "riemann_zeta": lambda prec: kernel_sums([riemann_zeta(3)], prec),
     "digamma": lambda prec: digamma(F(1, 3), prec),
     "ttilde": lambda prec: ttilde(2, prec),
     "kernel_sums": lambda prec: kernel_sums(kernel_jet(KernelKind.PI_TAN, F(1, 3), 0).coeffs,
                                             prec),
-    "accel_linear_sum": lambda prec: accel_linear_sum(1, 0, 1, [(F(1), [(F(-1, 6), 2)])], prec),
+    "accel_linear_sum": lambda prec: accel_linear_sum((1,), 0, 1, [(F(1), [(F(-1, 6), 2)])],
+                                                      prec),
     "naive_sum": lambda prec: naive_sum(SumSpec(p=(1,), q=(2,), a=(F(1, 3),)), prec),
     "euler_t_sum": lambda prec: euler_t_sum(SumSpec(p=(1,), q=(2,), a=(F(1, 3),)), prec),
     "double_t": lambda prec: double_t(2, 1, False, prec),
@@ -153,8 +167,7 @@ INTEGER_ARGUMENTS = {
     "double_t-s2": lambda v: double_t(3, v, False, 64),
     "double_T-s1": lambda v: double_T(v, 1, False, 64),
     "double_T-s2": lambda v: double_T(3, v, False, 64),
-    "euler_t_sum-max_terms": lambda v: euler_t_sum(SumSpec(p=(1,), q=(2,), a=(F(0),)), 64,
-                                                   "naive", v),
+    "accel_linear_sum-ps": lambda v: accel_linear_sum((v,), 0, 1, [(F(1), [(F(-1, 6), 2)])], 64),
     "naive_sum-max_terms": lambda v: naive_sum(SumSpec(p=(1,), q=(2,), a=(F(0),)), 64, v),
     "kernel_sums-guard": lambda v: kernel_sums([[(F(1), ((1, 2, 1),))]], 64, v),
 }
@@ -174,10 +187,14 @@ def test_integer_arguments_are_checked_at_the_public_boundary(name, value):
         INTEGER_ARGUMENTS[name](value)
 
 
-def test_constants_are_memoized_and_deterministic():
-    a = real_const("pi", 128)
-    b = real_const("pi", 128)
-    assert a is b
+def test_constants_are_memoized_and_deterministic(monkeypatch):
+    a = CONSTANTS["pi"](128)
+
+    def summed(*args):
+        raise AssertionError("a kept kernel value was summed again")
+    monkeypatch.setattr(special, "_fixed_sums", summed)
+    b = CONSTANTS["pi"](128)
+    assert a == b
     assert real_to_str(a, 128) == real_to_str(b, 128)
 
 
@@ -243,8 +260,8 @@ def test_bernoulli_negative_index_rejected():
 
 
 @pytest.mark.parametrize("value", [
-    lambda p: real_const("pi", p),
-    lambda p: riemann_zeta(3, p),
+    CONSTANTS["pi"],
+    lambda p: kernel_sums([riemann_zeta(3)], p)[0],
     lambda p: hurwitz_zeta(3, Fraction(1, 3), p),
     lambda p: digamma(Fraction(1, 3), p),
     lambda p: ttilde(5, p),

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -17,7 +18,6 @@ from test_golden import EVAL_SPECS
 from tsum.cli import main
 from tsum.identities import (PartialFractionRational, verify_thm3_1, verify_thm3_4, verify_thm3_6,
                              verify_thm3_7)
-from tsum.numeric import real_const
 from tsum.series import (
     _direct,
     _int_pieces,
@@ -33,10 +33,20 @@ from tsum.series import (
     naive_sum,
     odd_harmonic,
 )
-from tsum.special import DomainError, hurwitz_zeta, riemann_zeta, tail_zeta_batch, ttilde
+from tsum.special import (DomainError, alt_zeta, hurwitz_zeta, kernel_sums, riemann_zeta,
+                          single_t_bar, tail_zeta_batch, ttilde)
 
 P = 192
 F = Fraction
+
+
+def _orders(p):
+    """The harmonic orders of accel_linear_sum for one order p, or none."""
+    return () if p is None else (p,)
+
+
+def _zeta(s, prec):
+    return kernel_sums([riemann_zeta(s)], prec)[0]
 
 # independent reference values (alternating-series acceleration on
 # digamma-expressed summands, frozen)
@@ -77,12 +87,15 @@ def test_spec_validation():
         with pytest.raises(SpecError, match="integer"):
             SumSpec(p=p, q=q, a=(F(1, 3),))
     with pytest.raises(SpecError, match="integer"):
-        accel_linear_sum(1, 0, 1, [(F(1), [(F(-1, 6), 2.0)])], 64)
+        accel_linear_sum((1,), 0, 1, [(F(1), [(F(-1, 6), 2.0)])], 64)
     # q = 0 factors are dropped at normalization
     spec = SumSpec(p=(1,), q=(2, 0), a=(F(0), F(1, 4)), sigma=1)
     assert spec.q == (2,) and spec.a == (F(0),)
-    # offset aliases
-    assert SumSpec(p=(), q=(2,), a=(F(0),), harmonic_offset="n-1").harmonic_offset == "prev"
+    # one spelling per offset
+    assert SumSpec(p=(), q=(2,), a=(F(0),), harmonic_offset="prev").harmonic_offset == "prev"
+    for alias in ("n", "n-1"):
+        with pytest.raises(SpecError, match="harmonic_offset"):
+            SumSpec(p=(), q=(2,), a=(F(0),), harmonic_offset=alias)
 
 
 def partial_fractions(factors):
@@ -115,15 +128,14 @@ def test_sum_h_over_n_squared_closed_form():
     # sum h_n / n^2 = (7/2) zeta(3)
     res = euler_t_sum(SumSpec(p=(1,), q=(2,), a=(F(1, 2),)), P)
     with mp.workprec(P + 16):
-        assert abs(res.value - mpf(7) / 2 * riemann_zeta(3, P + 16)) < mpf(10) ** -50
+        assert abs(res.value - mpf(7) / 2 * _zeta(3, P + 16)) < mpf(10) ** -50
 
 
 def test_depth_two_ttilde_2_2():
     # sum h_{n-1}^(2)/(n-1/2)^2 = pi^4/24, by the stuffle relation
     res = euler_t_sum(SumSpec(p=(2,), q=(2,), a=(F(0),), harmonic_offset="prev"), P)
     with mp.workprec(P + 16):
-        pi = real_const("pi", P + 16)
-        assert abs(res.value - pi ** 4 / 24) < mpf(10) ** -50
+        assert abs(res.value - mp.pi ** 4 / 24) < mpf(10) ** -50
         half = (ttilde(2, P + 16) ** 2 - ttilde(4, P + 16)) / 2
         assert abs(res.value - half) < mpf(10) ** -50
 
@@ -219,17 +231,17 @@ def test_stuffle_relation():
     with mp.workprec(P + 16):
         for s1, s2 in ((3, 2), (2, 2), (4, 3)):
             lhs = (double_t(s1, s2, False, P).value + double_t(s2, s1, False, P).value
-                   + (1 - mpf(2) ** -(s1 + s2)) * riemann_zeta(s1 + s2, P + 16))
-            t1 = (1 - mpf(2) ** -s1) * riemann_zeta(s1, P + 16)
-            t2 = (1 - mpf(2) ** -s2) * riemann_zeta(s2, P + 16)
+                   + (1 - mpf(2) ** -(s1 + s2)) * _zeta(s1 + s2, P + 16))
+            t1 = (1 - mpf(2) ** -s1) * _zeta(s1, P + 16)
+            t2 = (1 - mpf(2) ** -s2) * _zeta(s2, P + 16)
             assert abs(lhs - t1 * t2) < mpf(10) ** -45
 
 
 def test_double_t_classical_value():
     res = double_t(2, 1, False, P)
     with mp.workprec(P + 16):
-        pi = real_const("pi", P + 16)
-        want = pi * pi / 8 * real_const("log2", P + 16) - mpf(7) / 16 * riemann_zeta(3, P + 16)
+        pi, log2 = kernel_sums([-4 * single_t_bar(1), alt_zeta(1)], P + 16)
+        want = pi * pi / 8 * log2 - mpf(7) / 16 * _zeta(3, P + 16)
         assert abs(res.value - want) < mpf(10) ** -50
     assert mp.nstr(res.value, 4) == "0.3292"
 
@@ -243,7 +255,7 @@ def test_double_t_alternating_reference():
 def test_double_T_values():
     res = double_T(2, 1, False, P)
     with mp.workprec(P + 16):
-        assert abs(res.value - mpf(7) / 4 * riemann_zeta(3, P + 16)) < mpf(10) ** -50
+        assert abs(res.value - mpf(7) / 4 * _zeta(3, P + 16)) < mpf(10) ** -50
     alt = double_T(2, 2, True, P)
     with mp.workprec(P + 16):
         assert abs(alt.value - mpf(TBIG_2BAR_2)) < mpf(10) ** -45
@@ -303,7 +315,7 @@ def test_near_coincident_poles_need_no_guard(p, offset, sigma):
     for prec in (64, 192):
         ref = euler_t_sum(spec, prec + 160)
         for pieces in ([(F(1), factors)], pf):
-            res = accel_linear_sum(p, offset, sigma, pieces, prec)
+            res = accel_linear_sum(_orders(p), offset, sigma, pieces, prec)
             with mp.workprec(prec + 200):
                 assert abs(res.value - ref.value) <= res.tail_bound, (prec, len(pieces))
 
@@ -523,12 +535,12 @@ def test_tail_bound_is_its_formula_rounded_up_once(prec, monkeypatch):
     wp = prec + 48
     for sigma, offset, p in _tail_grid(prec):
         asked.clear()
-        res = accel_linear_sum(p, offset, sigma, TAIL_PIECES, prec)
+        res = accel_linear_sum(_orders(p), offset, sigma, TAIL_PIECES, prec)
         (man, exp), N = seen[-1], res.terms_used
         [(mans, exps)] = [v for k, v in series._expansion_cache.items()
                           if k[:2] == (sigma, offset) and k[4] == wp]
         total, abs_total, _, scale, hs, hscale = _signed(
-            _direct(offset, () if p is None else (p,), _int_pieces(TAIL_PIECES), N, wp), sigma)
+            _direct(offset, _orders(p), _int_pieces(TAIL_PIECES), N, wp), sigma)
         T = -exp
         tail = 0  # the rational tail by Horner's rule, one floor per step
         for m, e in zip(reversed(mans), reversed(exps)):
@@ -568,13 +580,13 @@ def test_an_aggressive_plan_is_asked_again_at_wp(sigma, monkeypatch):
     monkeypatch.setattr(series, "_tail_plans", {})
     monkeypatch.setattr(special, "_zeta_cache", {})
     asked = _spy_batches(monkeypatch)
-    want = accel_linear_sum(2, 0, sigma, TAIL_PIECES, prec)
+    want = accel_linear_sum((2,), 0, sigma, TAIL_PIECES, prec)
     assert [bits for _, bits, _ in asked].count(wp) == 1
     monkeypatch.setattr(series, "_PLAN_GUARD", series._PLAN_GUARD - 256)
     monkeypatch.setattr(series, "_tail_plans", {})
     monkeypatch.setattr(special, "_zeta_cache", {})
     asked.clear()
-    got = accel_linear_sum(2, 0, sigma, TAIL_PIECES, prec)
+    got = accel_linear_sum((2,), 0, sigma, TAIL_PIECES, prec)
     [(first, _, _), (again, _, _)] = [call for call in asked if call[1] == wp]
     assert again and min(again) > max(first)
     assert (got.value, got.terms_used) == (want.value, want.terms_used)
@@ -795,12 +807,12 @@ def test_a_warm_accelerated_call_builds_no_fraction(name, monkeypatch):
     # or without a harmonic factor, builds no Fraction
     pieces = TAIL_PIECES if name == "tail" else EXPANSION_PIECES[name]
     calls = list(itertools.product((None, 1, 3), (0, 1), (1, -1)))
-    cold = [accel_linear_sum(p, offset, sigma, pieces, P) for p, offset, sigma in calls]
+    cold = [accel_linear_sum(_orders(p), offset, sigma, pieces, P) for p, offset, sigma in calls]
     built = []
     new = F.__new__
     monkeypatch.setattr(F, "__new__", staticmethod(
         lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs)))
-    warm = [accel_linear_sum(p, offset, sigma, pieces, P) for p, offset, sigma in calls]
+    warm = [accel_linear_sum(_orders(p), offset, sigma, pieces, P) for p, offset, sigma in calls]
     assert built == []
     assert warm == cold
 
@@ -876,19 +888,22 @@ def test_accel_linear_sum_checks_its_arguments_first(monkeypatch):
     monkeypatch.setattr(series, "_direct", summed)
     monkeypatch.setattr(series, "_head_cache", _Untouchable())
     pieces = [(F(1), [(F(-1, 4), 1), (F(-1, 6), 1)])]
-    for p, offset, sigma in ((1, 2, -1), (1, -1, 1), (0, 0, -1), (-1, 0, -1), (F(3, 2), 0, 1),
-                             (1.0, 0, 1), (1, 0, 0), (1, 0, 2), (None, F(1), 1)):
+    # the orders are one tuple: a bare order or None, once the switch for
+    # "no harmonic factor", is a SpecError too
+    for ps, offset, sigma in (((1,), 2, -1), ((1,), -1, 1), ((0,), 0, -1), ((-1,), 0, -1),
+                              ((1, 0), 0, -1), ((F(3, 2),), 0, 1), ((1.0,), 0, 1), ((1,), 0, 0),
+                              ((1,), 0, 2), ((), F(1), 1), (1, 0, 1), (None, 0, 1), ([1], 0, 1)):
         with pytest.raises(SpecError):
-            accel_linear_sum(p, offset, sigma, pieces, 64)
+            accel_linear_sum(ps, offset, sigma, pieces, 64)
     # a piece with no factor, alone or not, is a constant term, whose sum
     # diverges; no piece at all is no sum (a bare TypeError or ValueError
     # from inside the head once)
     for bad, error in (([(F(1), [(F(1, 3), 1)]), (F(1), [])], DivergentSumError),
                        ([(F(1), [])], DivergentSumError), ([], SpecError)):
         with pytest.raises(error):
-            accel_linear_sum(None, 0, -1, bad, 64)
+            accel_linear_sum((), 0, -1, bad, 64)
     with pytest.raises(AssertionError, match="read"):
-        accel_linear_sum(1, 0, -1, pieces, 64)
+        accel_linear_sum((1,), 0, -1, pieces, 64)
 
 
 def test_naive_sum_checks_its_max_terms():
@@ -939,21 +954,25 @@ def test_either_sign_first_cold_or_warm_gives_the_same_sums(prec, monkeypatch):
                 for name in ("_head_cache", "_expansion_cache", "_bern_cache"):
                     monkeypatch.setattr(series, name, {})
             walks.clear()
-            res = {sigma: accel_linear_sum(p, offset, sigma, TAIL_PIECES, prec) for sigma in order}
+            res = {sigma: accel_linear_sum(_orders(p), offset, sigma, TAIL_PIECES, prec)
+                   for sigma in order}
             assert len(walks) == (1 if len(seen) < 2 else 0), (offset, p, order)
             seen.append({sigma: (r.value._mpf_, r.tail_bound._mpf_, r.terms_used)
                          for sigma, r in res.items()})
         assert seen[0] == seen[1] == seen[2], (offset, p)
 
 
-def test_only_the_accelerated_path_uses_the_head_cache(monkeypatch):
+def test_only_the_accelerated_path_uses_the_head_cache(monkeypatch, capsys):
     # the oracle and --method naive walk every head afresh; the accelerated
     # path reads the kept head for any number of factors, three included
     monkeypatch.setattr(series, "_head_cache", _Untouchable())
     for p, sigma in itertools.product(((), (2,), (1, 2), (1, 1, 2)), (1, -1)):
         spec = SumSpec(p=p, q=(6,), a=(F(1, 3),), sigma=sigma)
         naive_sum(spec, 64, 300)
-        euler_t_sum(spec, 64, method="naive", max_terms=300)
+        assert main(["eval", "--p", ",".join(map(str, p)), "--q", "6", "--a", "1/3",
+                     "--sigma", str(sigma), "--precision-bits", "64", "--method", "naive",
+                     "--max-terms", "300", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["terms_used"] == 300
         with pytest.raises(AssertionError, match="read"):
             euler_t_sum(spec, 64)
     assert len(series._head_cache) == 0

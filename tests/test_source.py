@@ -1,8 +1,9 @@
 """Static checks of the package source: no unused import, no private
 top-level function that nothing in the package references, no private
 top-level name that nothing in the package reads, no private name imported
-from another module unless it is listed here, and no rounding in the jets
-(``jets.py`` imports nothing from mpmath or ``numeric``).
+from another module unless it is listed here, no rounding in the jets
+(``jets.py`` imports nothing from mpmath or ``numeric``), and no public
+top-level function whose parameter or result is annotated as a union.
 
 ``__init__.py`` is skipped for imports, since its imports are the public
 API.  An import marked ``# noqa: F401`` is kept on purpose; the only one is
@@ -98,3 +99,34 @@ def test_jets_are_exact_only():
         "." * node.level + (node.module or "") for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)}
     assert not {m for m in modules if m.split(".")[0] == "mpmath" or m.endswith("numeric")}
+
+
+def _is_union(node: ast.expr) -> bool:
+    """An annotation that admits more than one type: Optional[...],
+    Union[...] or X | Y, also when written as a string."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval").body
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, ast.BitOr)
+    if isinstance(node, ast.Subscript):
+        base = node.value
+        return (base.attr if isinstance(base, ast.Attribute)
+                else getattr(base, "id", None)) in ("Optional", "Union")
+    return False
+
+
+def test_no_public_function_takes_or_returns_a_union():
+    # one meaning per name: no argument switches the path or the type of
+    # the result, as prec=None once turned a constant into its exact terms
+    found = []
+    for name, text in _modules().items():
+        for node in ast.parse(text).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *(a for a in (args.vararg, args.kwarg) if a)]
+            annotations = [a.annotation for a in params] + [node.returns]
+            if any(ann is not None and _is_union(ann) for ann in annotations):
+                found.append(f"{name}: {node.name}")
+    assert found == []

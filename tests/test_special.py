@@ -8,7 +8,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_div, round_nearest
 
 import tsum.special as special
-from tsum.numeric import bernoulli, real_const
+from tsum.numeric import bernoulli
 from tsum.series import _pick_truncation
 from tsum.special import (
     DomainError,
@@ -267,6 +267,13 @@ class TestTailZetaBatch:
             with pytest.raises(DomainError, match="integer"):
                 call(2.5, Fraction(1, 3), 64)
 
+    def test_sigma_is_an_integer(self):
+        # 1.0 passed the sigma = +-1 test and died in the fixed-point sums
+        # with a bare TypeError from >>
+        for sigma in (1.0, -1.0, mpf(1), Fraction(1)):
+            with pytest.raises(DomainError, match="integer"):
+                tail_zeta_batch(sigma, [2], 1, 64)
+
     def test_a_range_is_checked_once_at_its_least_item(self):
         # a range is ints by construction: its least item decides the domain,
         # in either direction; any other iterable is still checked per item
@@ -287,33 +294,33 @@ class TestTailZetaBatch:
 class TestRiemannZeta:
     def test_classical_even_values(self):
         with mp.workprec(P + 16):
-            pi = real_const("pi", P + 16)
-            assert _gap(riemann_zeta(2, P), pi ** 2 / 6) < TIGHT
-            assert _gap(riemann_zeta(4, P), pi ** 4 / 90) < TIGHT
+            pi = +mp.pi
+            assert _gap(_value(riemann_zeta(2), P), pi ** 2 / 6) < TIGHT
+            assert _gap(_value(riemann_zeta(4), P), pi ** 4 / 90) < TIGHT
 
     def test_zeta3_reference(self):
-        assert _close(riemann_zeta(3, P), ZETA3)
+        assert _close(_value(riemann_zeta(3), P), ZETA3)
 
     def test_zeta3_direct_summation_bracket(self):
         # integral bounds give sum_{n<=N} + 1/(2(N+1)^2) < zeta(3) < sum + 1/(2N^2)
         N = 2000
         with mp.workprec(96):
             head = sum(mpf(n) ** -3 for n in range(1, N + 1))
-            z = riemann_zeta(3, 96)
+            z = _value(riemann_zeta(3), 96)
             assert head + mpf(1) / (2 * (N + 1) ** 2) < z < head + mpf(1) / (2 * N ** 2)
 
     def test_one_is_an_error(self):
         with pytest.raises(DomainError):
-            riemann_zeta(1, P)
+            riemann_zeta(1)
 
 
 class TestHurwitz:
     def test_reduces_to_riemann_at_one(self):
-        assert _gap(hurwitz_zeta(2, 1, P), riemann_zeta(2, P)) == 0
+        assert _gap(hurwitz_zeta(2, 1, P), _value(riemann_zeta(2), P)) == 0
 
     def test_half_shift_value(self):
         with mp.workprec(P + 16):
-            pi = real_const("pi", P + 16)
+            pi = +mp.pi
             assert _gap(hurwitz_zeta(2, Fraction(1, 2), P), pi * pi / 2) < TIGHT
 
     def test_quarter_shift_reference(self):
@@ -350,17 +357,16 @@ class TestHurwitz:
 class TestDigamma:
     def test_at_one_is_minus_gamma(self):
         with mp.workprec(P + 16):
-            assert abs(digamma(1, P) + real_const("euler_gamma", P)) < TIGHT
+            assert abs(digamma(1, P) + mp.euler) < TIGHT
 
     def test_at_half(self):
         with mp.workprec(P + 16):
-            want = -real_const("euler_gamma", P + 16) - 2 * real_const("log2", P + 16)
+            want = -mp.euler - 2 * mp.ln2
             assert _gap(digamma(Fraction(1, 2), P), want) < TIGHT
 
     def test_at_quarter_closed_form(self):
         with mp.workprec(P + 16):
-            want = (-real_const("euler_gamma", P + 16) - real_const("pi", P + 16) / 2
-                    - 3 * real_const("log2", P + 16))
+            want = -mp.euler - mp.pi / 2 - 3 * mp.ln2
             assert _gap(digamma(Fraction(1, 4), P), want) < TIGHT
 
     def test_at_third_reference(self):
@@ -381,7 +387,7 @@ class TestDigamma:
     def test_zeta1_convention(self):
         assert _gap(_zeta1(Fraction(1, 2), P), 0) == 0
         with mp.workprec(P + 16):
-            assert _gap(_zeta1(1, P), -2 * real_const("log2", P + 16)) < TIGHT
+            assert _gap(_zeta1(1, P), -2 * mp.ln2) < TIGHT
             want = digamma(Fraction(1, 2), P + 16) - digamma(Fraction(1, 3), P + 16)
             assert _gap(_zeta1(Fraction(1, 3), P), want) < TIGHT
         with pytest.raises(DomainError):
@@ -392,23 +398,24 @@ class TestAlternating:
     def test_alt_zeta_one_is_log2(self):
         # K_-1(1; 1) is mpmath's log 2, bit for bit
         for prec in (P, 64, 96, 1024):
-            assert alt_zeta(1, prec) == real_const("log2", prec), prec
+            with mp.workprec(prec):
+                assert _value(alt_zeta(1), prec) == +mp.ln2, prec
 
     def test_alt_zeta_reference(self):
-        assert _close(alt_zeta(3, P), ALTZETA3)
+        assert _close(_value(alt_zeta(3), P), ALTZETA3)
 
     def test_functional_relation_cross_check(self):
         # zetabar(s) = (1 - 2^(1-s)) zeta(s); evaluation path is independent
         tol = mpf(2) ** (12 - P)
         for s in (2, 3, 4, 5, 6):
             with mp.workprec(P + 16):
-                want = (1 - mpf(2) ** (1 - s)) * riemann_zeta(s, P + 16)
-                assert _gap(alt_zeta(s, P), want) < tol
+                want = (1 - mpf(2) ** (1 - s)) * _value(riemann_zeta(s), P + 16)
+                assert _gap(_value(alt_zeta(s), P), want) < tol
 
     def test_alt_hurwitz_values(self):
         with mp.workprec(P + 16):
-            pi = real_const("pi", P + 16)
-            assert _gap(alt_hurwitz_zeta(1, 1, P), real_const("log2", P + 16)) < TIGHT
+            pi = +mp.pi
+            assert _gap(alt_hurwitz_zeta(1, 1, P), mp.ln2) < TIGHT
             assert _gap(alt_hurwitz_zeta(2, 1, P), pi * pi / 12) < TIGHT
         assert _close(alt_hurwitz_zeta(2, Fraction(1, 3), P), ALT_HURWITZ_2_THIRD)
 
@@ -433,7 +440,7 @@ class TestAlternating:
 
 class TestParamDigamma:
     def test_reduces_to_hurwitz(self):
-        assert _gap(_psi_value(2, 1, P), riemann_zeta(2, P)) == 0
+        assert _gap(_psi_value(2, 1, P), _value(riemann_zeta(2), P)) == 0
         with mp.workprec(P + 16):
             want = -2 * hurwitz_zeta(3, Fraction(1, 3), P + 16)
             assert _gap(_psi_value(3, Fraction(1, 3), P), want) < TIGHT
@@ -445,24 +452,25 @@ class TestParamDigamma:
 class TestSingleValues:
     def test_t_values(self):
         with mp.workprec(P + 16):
-            pi = real_const("pi", P + 16)
-            assert _gap(single_t(2, P), pi * pi / 8) < TIGHT
-            assert _gap(single_t(3, P), mpf(7) / 8 * riemann_zeta(3, P + 16)) < TIGHT
+            pi = +mp.pi
+            assert _gap(_value(single_t(2), P), pi * pi / 8) < TIGHT
+            zeta3 = _value(riemann_zeta(3), P + 16)
+            assert _gap(_value(single_t(3), P), mpf(7) / 8 * zeta3) < TIGHT
         with pytest.raises(DomainError):
-            single_t(1, P)
+            single_t(1)
 
     def test_beta_and_alternating_t(self):
         # Dirichlet beta(s) is -t_bar(s)
         with mp.workprec(P + 16):
-            pi = real_const("pi", P + 16)
-            assert _gap(single_t_bar(1, P), -pi / 4) < TIGHT
+            pi = +mp.pi
+            assert _gap(_value(single_t_bar(1), P), -pi / 4) < TIGHT
             assert _gap(ttilde_bar(1, P), -pi / 2) < TIGHT
-        assert _close(mp.fneg(single_t_bar(2, P), exact=True), CATALAN)
+        assert _close(mp.fneg(_value(single_t_bar(2), P), exact=True), CATALAN)
 
     def test_depth_one_T_is_twice_t(self):
         with mp.workprec(P + 16):
             for s in (2, 3, 4):
-                assert abs(single_T(s, P) - 2 * single_t(s, P)) < TIGHT
+                assert abs(_value(single_T(s), P) - 2 * _value(single_t(s), P)) < TIGHT
 
     # each constant, its least s, and the composition of kernel values it was
     # before it became one kernel term
@@ -481,9 +489,7 @@ class TestSingleValues:
     def test_constants_keep_their_bits(self, prec):
         for f, least, composed in self.COMPOSED:
             for s in range(least, 41):
-                value = f(s, prec)
-                assert value == composed(s, prec), (f.__name__, s)
-                assert kernel_sums([f(s, None)], prec) == [value], (f.__name__, s)
+                assert kernel_sums([f(s)], prec) == [composed(s, prec)], (f.__name__, s)
 
     def test_ttilde_is_hurwitz_at_half(self):
         # ttilde and the alternating ttilde, t and T are one kernel value at
@@ -492,22 +498,22 @@ class TestSingleValues:
         for s in (1, 2, 3, 4, 7):
             eta = mp.fneg(alt_hurwitz_zeta(s, half, P), exact=True)
             assert ttilde_bar(s, P) == eta
-            assert single_t_bar(s, P) == mp.ldexp(eta, -s)
-            assert single_T_bar(s, P) == mp.ldexp(eta, 1 - s)
+            assert _value(single_t_bar(s), P) == mp.ldexp(eta, -s)
+            assert _value(single_T_bar(s), P) == mp.ldexp(eta, 1 - s)
             if s > 1:
                 zeta = hurwitz_zeta(s, half, P)
                 assert ttilde(s, P) == zeta
-                assert single_T(s, P) == mp.ldexp(zeta, 1 - s)
+                assert _value(single_T(s), P) == mp.ldexp(zeta, 1 - s)
         assert ttilde(1, P) == 0
 
 
 INTEGER_ARGUMENTS = {
-    "riemann_zeta": lambda v: riemann_zeta(v, 64),
-    "alt_zeta": lambda v: alt_zeta(v, 64),
-    "single_t": lambda v: single_t(v, 64),
-    "single_t_bar": lambda v: single_t_bar(v, None),
-    "single_T": lambda v: single_T(v, 64),
-    "single_T_bar": lambda v: single_T_bar(v, None),
+    "riemann_zeta": riemann_zeta,
+    "alt_zeta": alt_zeta,
+    "single_t": single_t,
+    "single_t_bar": single_t_bar,
+    "single_T": single_T,
+    "single_T_bar": single_T_bar,
     "psi_jet-p": lambda v: psi_jet(v, Fraction(1, 3), 1),
     "psi_jet-order": lambda v: psi_jet(1, Fraction(1, 3), v),
     "kernel_jet-order": lambda v: kernel_jet(KernelKind.PI_TAN, Fraction(1, 3), v),
@@ -555,6 +561,11 @@ def _psi_value(p, a, prec):
     return kernel_sums(psi_jet(p, -a, 0).coeffs, prec)[0]
 
 
+def _value(terms, prec):
+    """An exact constant, rounded once at prec."""
+    return kernel_sums([terms], prec)[0]
+
+
 def _zeta1(a, prec):
     """The zeta(1; a) convention psi(1/2) - psi(a), rounded once."""
     return kernel_sums([zeta_terms(1, 1, a)], prec)[0]
@@ -563,7 +574,7 @@ def _zeta1(a, prec):
 class TestKernels:
     def test_values(self):
         with mp.workprec(P + 16):
-            pi = real_const("pi", P + 16)
+            pi = +mp.pi
             assert _gap(_kernel_value(KernelKind.PI_TAN, Fraction(1, 4), P), pi) < TIGHT
             assert _gap(_kernel_value(KernelKind.PI_OVER_COS, 0, P), pi) < TIGHT
 
@@ -634,8 +645,8 @@ class TestPsiJet:
         assert jet.pole_order == 1
         assert _gap(jet.coeffs[0], 1) == 0
         with mp.workprec(P + 16):
-            assert _gap(jet.coeffs[1], 2 * real_const("log2", P + 16)) < TIGHT
-            assert _gap(jet.coeffs[2], -riemann_zeta(2, P + 16)) < TIGHT
+            assert _gap(jet.coeffs[1], 2 * mp.ln2) < TIGHT
+            assert _gap(jet.coeffs[2], -_value(riemann_zeta(2), P + 16)) < TIGHT
 
     def test_constant_term_matches_the_kernel_values(self):
         # Psi^(p-1)(1/2 - z) at z = b is (-1)^p (p-1)! zeta(p; -b), and
@@ -853,8 +864,10 @@ def _assert_within_one_ulp(fn, s, x, prec):
     """The kernel value against mpmath at prec + 160 bits, plus the bits that
     |v| lies below 1, since mpmath's error is absolute; those bits also cover
     the cancellation of the pairing."""
-    args = (x,) if fn == "digamma" else (s,) if fn == "single_t_bar" else (s, x)
-    value = getattr(special, fn)(*args, prec)
+    if fn == "single_t_bar":
+        value = _value(special.single_t_bar(s), prec)
+    else:
+        value = getattr(special, fn)(*((x,) if fn == "digamma" else (s, x)), prec)
     wp = prec + 160 + max(0, 1 - mp.mag(value))
     _assert_ulps([value], [_mpmath_reference(fn, s, x, wp)], prec)
 
