@@ -1,46 +1,43 @@
-"""Arbitrary-precision plumbing: precision policy, argument checks, Bernoulli numbers.
+"""Arbitrary-precision plumbing: precision policy, argument checks, exact
+balls, Bernoulli numbers.
 
-All real arithmetic rides on mpmath ``mpf`` values (binary mantissa/exponent,
-deterministic round-to-nearest at the active precision).  Every public
-operation in this package that returns a number takes a target precision
-``prec`` in bits; the jets and the depth-1 constants are exact ``Terms``
-and take none.  A kernel value (Hurwitz zeta, its alternating form,
-digamma) is rounded once to ``prec`` from the exact integers of the
-fixed-point kernel.  A value that is a sum of rationals times products of
-such values (a depth-1 constant, log 2 = alt_zeta(1) and pi = -4
-t_bar(1) among them, pi tan, pi sec and the coefficients of their jets,
-those of the Psi jets, zeta(1; a), the closed side of every identity
-check, residue checks included, and the symbolic reductions) is added
-exactly from kernel values by ``special.kernel_sums``, with as many guard
-bits as its measured cancellation needs, and is rounded once too.
-Only composite computations (the series engine and the series sides) work
-at ``prec`` plus guard bits and round the result back to ``prec``.  Exact rational
-bookkeeping uses ``fractions.Fraction``, and a fraction becomes an mpf by
-one correct rounding.  The Bernoulli numbers are exact fractions from an
-integer pass over the tangent numbers that is extended as far as asked,
-never redone, with no zeta evaluation.
-
-Parallelism is process-only: ``mp.workprec`` mutates mpmath's
-process-global context, so no computation here may run on two threads of
-one process at once.  The module caches are plain dicts for that reason.
+Every public operation in this package that returns a number takes a
+target precision ``prec`` in bits; the jets and the depth-1 constants are
+exact ``Terms`` and take none.  A kernel value (Hurwitz zeta, its
+alternating form, digamma) is rounded once to ``prec`` from the exact
+integers of the fixed-point kernel, and so is a sum of rationals times
+products of such values (``special.kernel_sums``: the depth-1 constants,
+pi tan, pi sec, the jets' coefficients, the closed side of every identity
+check and the symbolic reductions), with guard bits for its measured
+cancellation.  Only the series engine works at ``prec`` plus guard bits
+and rounds back to ``prec``.  Every value past the engines is a ``Ball``,
+by one radius rule: a value rounded once at ``prec`` from a sum that kept
+prec + 8 bits (``kernel_sums``, ``eval_symbolic``, ``ttilde``) lies within
+2^(1-prec) of its size, and a ``SeriesResult`` within its ``tail_bound``.
+No computation reads mpmath's process-global precision; every mpmath call
+names its own.  Parallelism is still process-only: the module caches and
+the tables that grow in place (``_bernoulli_even``, ``_tangent_column``,
+``special._coeff_tables``) have no lock.  The Bernoulli numbers are exact
+fractions from an integer pass over the tangent numbers that is extended
+as far as asked, never redone, with no zeta evaluation.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, mpf_pos, round_nearest, to_str
+from mpmath.libmp import from_man_exp, mpf_pos, round_nearest, to_str
 
 Rational = Union[int, Fraction]
-RealLike = Union[int, Fraction, mpf]
 
 MIN_PRECISION = 16
+_DECIMAL = re.compile(r"\s*\+?(?:\d+\.?\d*|\.\d+)(?:[eE]([-+]?\d+))?\s*")
 
-_tolerance_cache: dict[tuple[str, int], mpf] = {}
 _bernoulli_even: list[Fraction] = [Fraction(1)]  # B_0, B_2, B_4, ...
 # stages 1..k of T_k, k = len(_bernoulli_even) - 1: the state of the tangent pass
 _tangent_column: list[int] = []
@@ -82,35 +79,92 @@ def check_integer(x, name: str, error: type[ValueError] = DomainError) -> int:
         raise error(f"{name} takes integer arguments, not {x!r}") from None
 
 
-def tolerance_mpf(tol, wp: int) -> mpf:
-    """The acceptance tolerance ``tol`` (a decimal string) as an mpf at
-    ``wp`` bits; NaN, infinities and values <= 0 are rejected.  Kept per
-    (str(tol), wp), which is all the value depends on: an mpf is immutable."""
-    key = (str(tol), wp)
-    value = _tolerance_cache.get(key)
-    if value is None:
-        with mp.workprec(wp):
-            try:
-                value = +mpf(key[0])
-            except ValueError:
-                value = mp.nan
-        if not (mp.isfinite(value) and value > 0):
-            raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
-        _tolerance_cache[key] = value
+def check_tolerance(tol: str) -> Fraction:
+    """The tolerance ``tol``, a positive decimal string such as "1e-40", as
+    an exact Fraction; anything else is a DomainError, and so is a decimal
+    exponent of 10^5 or more in size, read before any power of ten is built."""
+    match = isinstance(tol, str) and _DECIMAL.fullmatch(tol)
+    if not match or len((match[1] or "").lstrip("+-0")) > 5 or not (value := Fraction(tol)):
+        raise DomainError("tolerance must be a positive decimal number with an exponent "
+                          f"below 10^5 in size, got {tol!r}")
     return value
 
 
-def to_mpf(x: RealLike, prec: int) -> mpf:
-    """Convert ``x`` to an mpf correctly rounded at ``prec`` bits."""
-    if isinstance(x, Fraction):
-        return mp.make_mpf(from_rational(x.numerator, x.denominator, prec, round_nearest))
-    with mp.workprec(prec):
-        return +mpf(x)
+def _exact(x: mpf) -> "Ball":
+    """A finite mpf as a ball of radius 0."""
+    sign, man, exp, _ = x._mpf_
+    if not man and exp:
+        raise ArithmeticError(f"a ball needs a finite value, not {x}")
+    return Ball(-man if sign else man, 0, exp)
 
 
-def round_to(x: mpf, prec: int) -> mpf:
-    with mp.workprec(prec):
-        return +x
+class Ball:
+    """The reals within rad 2^exp of mid 2^exp, on Python ints.  + - * keep
+    the midpoint exact and add to rad all that the radii can move it.  * by
+    a rational p/q floors at a unit 2^exp/2^k, 2^k >= q, and + of one adds
+    it times 1 at 2^min(exp, 0); each adds to rad what its floor drops.
+    ``round`` is the one rounding."""
+
+    __slots__ = ("mid", "rad", "exp")
+
+    def __init__(self, mid: int, rad: int = 0, exp: int = 0):
+        self.mid, self.rad, self.exp = mid, rad, exp
+
+    @classmethod
+    def from_series(cls, res) -> "Ball":
+        """A ``SeriesResult``'s value within its ``tail_bound``."""
+        bound = _exact(res.tail_bound)
+        return _exact(res.value) + cls(0, bound.mid, bound.exp)
+
+    @classmethod
+    def from_rounded(cls, v: mpf, prec: int) -> "Ball":
+        """``v``, rounded once at ``prec``: 2^(1-prec) |v| is under 2 units of
+        2^(top - prec), |v| < 2^top."""
+        x = _exact(v)
+        return x + cls(0, 2 if x.mid else 0, x.exp + abs(x.mid).bit_length() - prec)
+
+    def __add__(self, other) -> "Ball":
+        if not isinstance(other, Ball):
+            other = Ball(1 << max(-self.exp, 0), 0, min(self.exp, 0)) * other
+        low = min(self.exp, other.exp)
+        a, b = self.exp - low, other.exp - low
+        return Ball((self.mid << a) + (other.mid << b), (self.rad << a) + (other.rad << b), low)
+
+    def __neg__(self) -> "Ball":
+        return Ball(-self.mid, self.rad, self.exp)
+
+    def __sub__(self, other) -> "Ball":
+        return self + -other
+
+    def __mul__(self, other) -> "Ball":
+        if isinstance(other, Ball):
+            return Ball(self.mid * other.mid, abs(self.mid) * other.rad
+                        + self.rad * (abs(other.mid) + other.rad), self.exp + other.exp)
+        n, d = other.numerator, other.denominator  # an int or a Fraction
+        k = (d - 1).bit_length()
+        mid, rest = divmod(self.mid * n << k, d)
+        return Ball(mid, -(-(self.rad * abs(n) << k) // d) + (rest != 0), self.exp - k)
+
+    def round(self, prec: int) -> "Ball":
+        """The midpoint to ``prec`` bits, to nearest with ties to even as
+        mpmath's round_nearest, and rad widened by the move."""
+        shift = abs(self.mid).bit_length() - prec
+        if shift <= 0:
+            return self
+        half = 1 << shift - 1
+        q, r = divmod(abs(self.mid), half << 1)
+        q += r > half or r == half and q & 1
+        near = (q if self.mid > 0 else -q) << shift
+        return Ball(near, self.rad + abs(self.mid - near), self.exp)
+
+    def upper(self) -> Fraction:
+        """(|mid| + rad) 2^exp: no point of the ball is larger in size."""
+        top = abs(self.mid) + self.rad
+        return Fraction(top << self.exp) if self.exp >= 0 else Fraction(top, 1 << -self.exp)
+
+    def mpf(self) -> mpf:
+        """The midpoint as an mpf, exactly."""
+        return mp.make_mpf(from_man_exp(self.mid, self.exp))
 
 
 def bernoulli(n: int) -> Fraction:

@@ -68,10 +68,9 @@ from operator import add, floordiv, mul, rshift
 from typing import NamedTuple, Optional, Sequence
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_div, round_ceiling, round_nearest
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_log, round_ceiling, round_nearest
 
-from .numeric import (bernoulli, check_integer, check_precision, check_rational, guard_bits,
-                      round_to, to_mpf)
+from .numeric import Ball, bernoulli, check_integer, check_precision, check_rational, guard_bits
 from .special import tail_zeta_batch
 # not called here: perfbench's span tracer checks that it rebinds this name
 from .special import hurwitz_zeta  # noqa: F401
@@ -854,7 +853,10 @@ def naive_sum(spec: SumSpec, prec: int, max_terms: int = NAIVE_START_TERMS) -> S
     h_n^(p) <= h_N^(p) + (N - 1/2)^(1-p)/(p-1) for p >= 2.  With s factors of
     order 1 and L raised to s/d the bound decreases in n, so the tail is under
     rho N int_1^oo y^(-d) (L + ln y)^s dy = rho N sum_j C(s, j) L^(s-j)
-    j!/(d-1)^(j+1) times the p >= 2 bounds; with N <= -t it is +inf.
+    j!/(d-1)^(j+1) times the p >= 2 bounds, summed as balls from the ball of
+    ln(4N); with N <= -t it is +inf.  The value is the ball of the head
+    within its rounding term, widened by the tail bound and rounded once to
+    prec, and ``tail_bound`` is its radius.
     """
     check_precision(prec)
     max_terms = check_integer(max_terms, "naive_sum", SpecError)
@@ -868,23 +870,26 @@ def naive_sum(spec: SumSpec, prec: int, max_terms: int = NAIVE_START_TERMS) -> S
     totals, abs_total, lasts, F, hs, H = _direct(spec.offset, spec.p, _int_pieces([(1, factors)]),
                                                  N + 1 if alt else N, wp)
     total, last = totals[alt], lasts[alt]
-    with mp.workprec(wp):
-        if alt:
-            total, abs_total = total - last, abs_total - abs(last)
-            bound = mpf(1.25) * abs(mpf((last, -F)))
-        elif any(N + t <= 0 for t, _ in factors):
-            bound = mp.inf
-        else:
-            s = spec.p.count(1)
-            L = max(mp.log(4 * N) + 1, mpf(s) / d)
-            rho = N * math.prod(Fraction(N + min(t, 0)) ** -e for t, e in factors) * math.prod(
-                Fraction(h, 1 << H) + Fraction(2 * N - 1, 2) ** (1 - p) / (p - 1)
-                for p, h in zip(spec.p, hs) if p >= 2)
-            bound = to_mpf(rho, wp) * sum(comb(s, j) * L ** (s - j) * factorial(j)
-                                          / mpf(d - 1) ** (j + 1) for j in range(s + 1))
-        total, abs_total = mpf((total, -F)), mpf((abs_total, -F))
-        bound += abs_total * mpf(2) ** (-wp + 8) + abs(total) * mpf(2) ** (-prec + 1)
-        return SeriesResult(round_to(total, prec), +bound, max_terms, prec)
+    if alt:
+        total, abs_total = total - last, abs_total - abs(last)
+        tail = Ball(0, 5 * abs(last), -F - 2)  # 1.25 |last|
+    elif any(N + t <= 0 for t, _ in factors):  # no finite bound
+        return SeriesResult(Ball(total, 0, -F).round(prec).mpf(), mp.inf, max_terms, prec)
+    else:
+        s = spec.p.count(1)
+        L = Ball.from_rounded(mp.make_mpf(mpf_log(from_int(4 * N), wp, round_nearest)), wp) + 1
+        if Fraction(s, d) > L.upper():
+            L = Ball(s << wp, 0, -wp) * Fraction(1, d)
+        rho = N * math.prod(Fraction(N + min(t, 0)) ** -e for t, e in factors) * math.prod(
+            Fraction(h, 1 << H) + Fraction(2 * N - 1, 2) ** (1 - p) / (p - 1)
+            for p, h in zip(spec.p, hs) if p >= 2)
+        est = sum((math.prod([L] * (s - j), start=Ball(1 << wp, 0, -wp))
+                   * Fraction(comb(s, j) * factorial(j), (d - 1) ** (j + 1))
+                   for j in range(s + 1)), start=Ball(0)) * rho
+        tail = Ball(0, abs(est.mid) + est.rad, est.exp)
+    # the head within abs_total 2^(-wp+8), the tail, and the rounding to prec
+    value = (Ball(total << wp - 8, abs_total, -F - wp + 8) + tail).round(prec)
+    return SeriesResult(value.mpf(), Ball(value.rad, 0, value.exp).mpf(), max_terms, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -912,13 +917,12 @@ def _double(name: str, big: bool, s1: int, s2: int, bar1: bool, prec: int) -> Se
         raise DivergentSumError(f"divergent {name} parameters")
     spec = SumSpec(p=(s2,), q=(s1,), a=(Fraction(big, 2),), sigma=-1 if bar1 else 1,
                    harmonic_offset="cur" if big else "prev")
+    # the scale is a power of two, so the ball's one rounding, to prec, is
+    # all that the bound of the sum at prec + 8 does not cover
+    scale = Fraction(-1 if big and bar1 else 1, 2 ** (s1 + s2 - 2 * big))
     res = euler_t_sum(spec, prec + 8)
-    with mp.workprec(prec + 8):
-        scale = mpf(2) ** (2 * big - s1 - s2)
-        if big and bar1:
-            scale = -scale
-        return SeriesResult(round_to(res.value * scale, prec),
-                            +abs(res.tail_bound * scale), res.terms_used, prec)
+    value = (Ball.from_series(res) * scale).round(prec)
+    return SeriesResult(value.mpf(), Ball(value.rad, 0, value.exp).mpf(), res.terms_used, prec)
 
 
 def double_t(s1: int, s2: int, bar1: bool, prec: int) -> SeriesResult:

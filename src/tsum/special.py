@@ -52,7 +52,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
+from mpmath.libmp import (from_int, from_man_exp, mpf_div, mpf_log, mpf_pi, mpf_pow_int,
+                          mpf_rdiv_int, mpf_shift, round_nearest, to_int)
 
 from .jets import JetSeries
 from .numeric import (DomainError, Rational, bernoulli, check_integer, check_precision,
@@ -117,10 +118,10 @@ def _coefficients(sigma: int, G: int):
             break
         powers.append(t)
         squares.append(n * n)
-    with mp.workprec(P + 16):
-        base = mp.pi ** 2 * (4 if sigma == 1 else 1)
-        _, pw, pe, _ = (base ** -k)._mpf_  # pw 2^pe = base^-k
-        _, r, re, _ = (1 / base)._mpf_
+    base = mpf_pow_int(mpf_pi(P + 16, round_nearest), 2, P + 16, round_nearest)
+    base = mpf_shift(base, 2) if sigma == 1 else base  # 4 pi^2 or pi^2, exactly
+    _, pw, pe, _ = mpf_pow_int(base, -k, P + 16, round_nearest)  # pw 2^pe = base^-k
+    _, r, re, _ = mpf_rdiv_int(1, base, P + 16, round_nearest)
     while True:
         prod = ((1 << P) + sum(powers)) * pw  # 2^(P - 1 - pe) c_k
         shift = prod.bit_length() - G - 8
@@ -204,9 +205,9 @@ def _scaled_tails(sigma: int, ss: list[int], Y: int, D: int, F: int) -> list[int
         v = half + sum(terms[::2]) - sum(terms[1::2])
         if sigma == 1 and s > 1:
             v += (1 << F) // (s - 1)
-        elif sigma == 1:
-            with mp.workprec(F + 16):
-                v -= int(mp.ldexp(mp.ln(mpf(Y) / D), F))
+        elif sigma == 1:  # ln y to F + 16 bits, truncated to 2^-F
+            v -= to_int(mpf_shift(mpf_log(mpf_div(from_int(Y), from_int(D), F + 16, round_nearest),
+                                          F + 16, round_nearest), F))
         out.append(v)
     return out[::-1]
 
@@ -388,7 +389,7 @@ def ttilde(s: int, prec: int) -> mpf:
     if check_integer(s, "ttilde") < 1:
         raise DomainError("ttilde requires s >= 1")
     if s == 1:
-        return mpf(0)
+        return mp.zero
     return hurwitz_zeta(s, _HALF, prec)
 
 
@@ -485,9 +486,10 @@ def kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
     coefficients of ``kernel_jet`` and ``psi_jet`` (at order 0, pi tan,
     pi sec and Psi^(p-1) at a point), ``zeta_terms`` (zeta(1; a) among
     them) and the depth-1 constants.  A sum that is not a list, such as one
-    term or one sum where the list of sums belongs, or a term whose c or x
-    is not an int or a Fraction, or s not an int >= 1, or sigma not +-1, is
-    a DomainError.
+    term or one sum where the list of sums belongs, a term not of the shape
+    (c, keys) with keys a tuple of triples, or a term whose c or x is not an
+    int or a Fraction, or s not an int >= 1, or sigma not +-1, is a
+    DomainError.
 
     Terms with the same keys, in any order, are merged first, so terms that
     cancel exactly give an exact 0.  A key is merged as the integers (sigma,
@@ -518,12 +520,17 @@ def kernel_sums(sums, prec: int, guard: int = 32) -> list[mpf]:
             raise DomainError("kernel_sums takes a list of sums, each a list of terms (c, keys), "
                               f"not {terms!r} as a sum")
         acc: dict = {}
-        for c, keys in terms:
-            if not isinstance(c, (int, Fraction)) or not all(
+        for term in terms:
+            try:
+                c, keys = term
+                ok = isinstance(c, (int, Fraction)) and all(
                     sigma in (1, -1) and isinstance(sigma, int) and isinstance(s, int) and s >= 1
-                    and isinstance(x, (int, Fraction)) for sigma, s, x in keys):
-                raise DomainError("kernel_sums takes a rational c and keys (+-1, int s >= 1, "
-                                  f"rational x), not {(c, keys)!r}")
+                    and isinstance(x, (int, Fraction)) for sigma, s, x in keys)
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise DomainError("kernel_sums takes terms (c, keys), a rational c and a tuple of "
+                                  f"keys (+-1, int s >= 1, rational x), not {term!r}")
             key = tuple(sorted([(sigma, s, x.numerator, x.denominator) for sigma, s, x in keys]))
             if key in acc:
                 acc[key] += c

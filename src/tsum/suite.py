@@ -16,6 +16,9 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable
 
+from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
+
 from .identities import (
     HypothesisError,
     PartialFractionRational,
@@ -35,7 +38,8 @@ from .identities import (
     verify_thm3_6,
     verify_thm3_7,
 )
-from .numeric import check_integer, check_precision, check_rational, real_to_str, tolerance_mpf
+from .numeric import (Ball, check_integer, check_precision, check_rational, check_tolerance,
+                      real_to_str)
 from .reductions import FAMILIES, eval_symbolic
 
 DEFAULT_SAMPLES = ((Fraction(1, 4), Fraction(1, 3)),
@@ -128,7 +132,7 @@ def _reduction_cases(spec: FamilySpec, config) -> list[tuple]:
 
 
 def _report_to_dict(rep: VerificationReport, timings: bool) -> dict:
-    prec = rep.precision_bits
+    prec, tol = rep.precision_bits, rep.tolerance
     return {
         "case_id": rep.case_id,
         "family": rep.family,
@@ -137,7 +141,8 @@ def _report_to_dict(rep: VerificationReport, timings: bool) -> dict:
         "rhs": real_to_str(rep.rhs, prec),
         "gap": real_to_str(rep.absolute_gap, 64),
         "passed": rep.passed,
-        "tolerance": real_to_str(rep.tolerance, 64),
+        "tolerance": real_to_str(mp.make_mpf(from_rational(tol.numerator, tol.denominator, 72,
+                                                           round_nearest)), 64),
         "precision_bits": prec,
         "terms_used": rep.terms_used,
         "elapsed_ms": round(rep.elapsed_ms, 3) if timings else 0,
@@ -165,14 +170,14 @@ def run_reduction_case(family: str, j: int, m: int, precision: int,
     """Certify one closed-form reduction against its series oracle."""
     t0 = time.perf_counter()
     check_precision(precision)
-    tol = tolerance_mpf(tolerance, precision + 16)
+    tol = check_tolerance(tolerance)
     fam = FAMILIES[family]
     expr = fam.reduce(j, m)
-    value = eval_symbolic(expr, precision)
+    value = Ball.from_rounded(eval_symbolic(expr, precision), precision)
     oracle = fam.oracle(j, m, precision)
     params = {"j": j, "m": m, "value_label": fam.label(j, m), "expr": expr.to_text()}
-    return _report(f"{family}[j={j},m={m}]", family, params, value, oracle.value, tol,
-                   precision, oracle.terms_used, t0)
+    return _report(f"{family}[j={j},m={m}]", family, params, value, Ball.from_series(oracle),
+                   tol, precision, oracle.terms_used, t0)
 
 
 # Insertion order is the canonical family order of ``ALL_FAMILIES``, which
@@ -219,7 +224,7 @@ class SuiteConfig:
                 if n > 1:
                     raise ConfigError(f"{kind} {item} is given twice")
         try:
-            tolerance_mpf(self.tolerance, 64)
+            check_tolerance(self.tolerance)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if not WEIGHT_MIN <= self.weight_max <= WEIGHT_MAX_GUARD:

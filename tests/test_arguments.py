@@ -22,6 +22,7 @@ list of sums belongs; and no verifier takes a switch.
 """
 
 import inspect
+import re
 import signal
 import time
 from fractions import Fraction as F
@@ -71,9 +72,9 @@ CALLS = {
     "SumSpec": {"p": (1,), "q": (2,), "a": (T3,), "sigma": 1, "harmonic_offset": "cur"},
     "SymbolicExpr": {},
     "VerificationReport": {"case_id": "c", "family": "thm3_1", "params": {}, "lhs": mpf(1),
-                           "rhs": mpf(1), "absolute_gap": mpf(0), "passed": True,
-                           "tolerance": mpf(1), "precision_bits": 64, "terms_used": 128,
-                           "elapsed_ms": 0.0},
+                           "rhs": mpf(1), "absolute_gap": mpf(0), "bound": mpf(0),
+                           "passed": True, "tolerance": F(1, 1000), "precision_bits": 64,
+                           "terms_used": 128, "elapsed_ms": 0.0},
     "alt_hurwitz_zeta": {"s": 2, "a": T3, "prec": 64},
     "alt_zeta": {"s": 2},
     "bernoulli": {"n": 4},
@@ -254,6 +255,16 @@ MALFORMED_TERMS = {
 def test_kernel_sums_rejects_a_malformed_term(term):
     with pytest.raises(DomainError):
         tsum.kernel_sums([[(1, ()), term]], 64)
+
+
+@pytest.mark.parametrize("term", [(1, (1, 2, T3)), (1,), (1, "abc"), 5],
+                         ids=["one key not in a tuple of keys", "no keys", "keys a string",
+                              "not a pair"])
+def test_kernel_sums_names_the_term_shape_it_takes(term):
+    # the first two were a bare "cannot unpack" TypeError and a bare
+    # ValueError about unpacking
+    with pytest.raises(DomainError, match=re.escape("(c, keys)")):
+        tsum.kernel_sums([[term]], 64)
 
 
 def test_a_float_exponent_does_not_read_the_cached_int_one():

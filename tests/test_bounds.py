@@ -9,7 +9,9 @@ holds the poles of 0 and 10^-6 together, whose partial fractions cancel
 about 100 bits; and some specs at 192 bits have
 tail values at N + 1/2 that the asymptotic series alone cannot reach, so
 their batch runs a direct head.  At 1024 bits the batches at N + 1/2 ask
-their higher exponents at the lower precisions of their tiers.
+their higher exponents at the lower precisions of their tiers.  The depth-2
+t and T values, a sum at P + 8 bits scaled and rounded to P, are held to
+the same test.
 """
 
 import random
@@ -20,7 +22,7 @@ from mpmath import mp
 
 import tsum.series as series
 import tsum.special as special
-from tsum.series import SpecError, SumSpec, euler_t_sum
+from tsum.series import SpecError, SumSpec, double_t, double_T, euler_t_sum
 
 SHIFTS = tuple(map(Fraction, ("101/3", "-47/3", "200/7", "1/1000000", "0", "1/2",
                               "1/4", "-1/3", "3/5", "7/2")))
@@ -44,9 +46,9 @@ def _grid(seed: int = 20221):
     return specs
 
 
-def _ratio(spec: SumSpec, prec: int):
-    res = euler_t_sum(spec, prec)
-    ref = euler_t_sum(spec, prec + 160)
+def _ratio(spec, prec: int, value=euler_t_sum):
+    res = value(spec, prec)
+    ref = value(spec, prec + 160)
     with mp.workprec(prec + 200):
         return abs(res.value - ref.value) / res.tail_bound
 
@@ -118,4 +120,19 @@ def test_tail_bound_holds_for_two_harmonic_factors(prec, monkeypatch):
     assert {len(s.q) for s in specs} == {1, 2, 3}
     assert set(SHIFTS[:4]) <= {a for s in specs for a in s.a}
     worst = max(_ratio(spec, prec) for spec in specs)
+    assert worst <= 1
+
+
+def _double(args, prec: int):
+    fn, s1, s2, bar1 = args
+    return fn(s1, s2, bar1, prec)
+
+
+@pytest.mark.parametrize("prec", [64, 192])
+def test_tail_bound_holds_for_double_values(prec):
+    # the bound must cover the final rounding to prec, not only the sum's
+    # bound at prec + 8
+    grid = [(fn, s1, s2, bar1) for fn in (double_t, double_T) for bar1 in (False, True)
+            for s1 in range(2, 7) for s2 in range(1, 6)]
+    worst = max(_ratio(args, prec, _double) for args in grid)
     assert worst <= 1

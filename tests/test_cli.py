@@ -1,6 +1,8 @@
 import concurrent.futures
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import time
@@ -8,6 +10,7 @@ import time
 import pytest
 from mpmath import mp, mpf
 
+import tsum.numeric
 import tsum.reductions
 import tsum.series
 import tsum.special
@@ -351,6 +354,8 @@ def test_import_loads_no_process_pool():
     ["table", "--family", "t_bar_odd", "--tolerance=-1"],
     ["table", "--family", "t_bar_odd", "--tolerance", "nan"],
     ["reduce", "--family", "T_even_odd", "--j", "1", "--m", "0", "--tolerance", "nan"],
+    *(["verify", "--families", "lemma2_4", "--order", "1", "--tolerance=" + tol]
+      for tol in ("0", "-1e-3", "nan", "inf", "", "1e", "0x10")),
     ["table", "--family", "t_bar_odd", "--weight-max=-3"],
     ["verify", "--families", "t_bar_odd", "--weight-max", "1"],
     ["reduce", "--family", "T_even_odd", "--j", "1", "--m", "0", "--precision-bits", "8"],
@@ -427,3 +432,39 @@ def test_max_terms_without_the_naive_method_exits_2_and_names_it(argv, capsys):
     assert main(["eval", "--q", "2", "--a", "1/2", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--method naive" in err
+
+
+@pytest.mark.parametrize("tol", ["1e-999999999", "1e999999999"])
+def test_a_tolerance_exponent_out_of_range_exits_2_within_a_second(tol, capsys):
+    # as an exact Fraction, 1e-999999999 would build an integer of a billion
+    # digits; the exponent is read first and refused
+    def late(signum, frame):
+        raise AssertionError(f"--tolerance {tol} still running after a second")
+    old = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        rc = main(["verify", "--families", "lemma2_4", "--order", "1", "--tolerance", tol])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert rc == 2
+    assert "exponent below 10^5" in capsys.readouterr().err
+
+
+VERIFY_96_STRICT = ["verify", "--precision-bits", "96", "--tolerance", "1e-60", "--format", "text"]
+
+
+def test_96_bits_certify_no_case_to_1e_60(capsys):
+    # one unit in the last place of a 96-bit value near 1 is about 1e-29:
+    # each row's gap + bound exceeds 1e-60, though the gaps print 0.0
+    assert main(VERIFY_96_STRICT) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("passed=0 failed=145\n")
+    assert out.count(" gap=0.0\n") > 100
+
+
+def test_96_bits_with_the_radii_taken_to_0_pass_cases_again(monkeypatch, capsys):
+    # negative control: the radii, and not the gaps, fail the cases above
+    monkeypatch.setattr(tsum.numeric.Ball, "rad", property(lambda self: 0, lambda self, v: None))
+    main(VERIFY_96_STRICT)
+    assert int(re.search(r"passed=(\d+)", capsys.readouterr().out)[1]) > 100

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 import tsum.identities as identities
 import tsum.series as series
@@ -23,6 +24,7 @@ from tsum.identities import (
     verify_thm3_6,
     verify_thm3_7,
 )
+from tsum.suite import run_reduction_case
 from tsum.special import (
     DomainError,
     KernelKind,
@@ -38,6 +40,10 @@ TOL = "1e-40"
 F = Fraction
 
 
+def _exact(x: mpf) -> Fraction:
+    return Fraction(*to_rational(x._mpf_))
+
+
 @pytest.fixture
 def without_zeta1(monkeypatch):
     """The closed sides with the zeta(1; a) terms dropped from the rule."""
@@ -50,7 +56,7 @@ class TestPairTheorems:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_tan_kernel_identity(self, p):
         rep = verify_thm3_1(p, F(1, 4), F(1, 3), P, TOL)
-        assert rep.passed and rep.absolute_gap <= rep.tolerance
+        assert rep.passed and _exact(rep.absolute_gap) + _exact(rep.bound) <= rep.tolerance
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_cos_kernel_identity(self, p):
@@ -129,7 +135,7 @@ class TestPairTheorems:
         assert not rep.passed
         with mp.workprec(64):
             assert rep.absolute_gap > mpf("1e-6")
-            assert rep.absolute_gap > mpf(10) ** 6 * rep.tolerance
+        assert _exact(rep.absolute_gap) > 10 ** 6 * rep.tolerance
 
 
 class TestCorollaries:
@@ -215,14 +221,17 @@ class TestResidueTheorems:
 
     @pytest.mark.parametrize("verify", [verify_thm3_6, verify_thm3_7])
     @pytest.mark.parametrize("p", [1, 2, 3])
-    @pytest.mark.parametrize("beta", [F(1, 10 ** 20), F(1, 10 ** 30), F(1, 2) - F(1, 10 ** 30)],
+    @pytest.mark.parametrize("beta, prec", [(F(1, 10 ** 20), P), (F(1, 10 ** 30), P),
+                                            (F(1, 2) - F(1, 10 ** 30), P + 64)],
                              ids=["1e-20", "1e-30", "half-1e-30"])
-    def test_pole_next_to_the_excluded_set(self, beta, p, verify):
+    def test_pole_next_to_the_excluded_set(self, beta, prec, p, verify):
         # r = 1/(z + 1/4) - 1/(z - beta): next to 0, K(q; -beta) ~ beta^-q
         # cancels against the kernel and Psi jets at beta; next to 1/2 the
-        # kernel jet at beta holds K(j; 1/2 - beta) ~ 1e30j
+        # kernel jet at beta holds K(j; 1/2 - beta) ~ 1e30j, and both sides
+        # are near 1e30 too: one unit of their last place at 192 bits is
+        # about 1e-28, so a 1e-40 certificate of them takes 240 bits
         r = PartialFractionRational(((F(-1, 4), 1, F(1)), (beta, 1, F(-1))))
-        rep = verify(p, r, P, TOL)
+        rep = verify(p, r, prec, TOL)
         assert rep.passed, rep.absolute_gap
 
     @pytest.mark.parametrize("prec", [96, 192])
@@ -326,3 +335,22 @@ class TestExpansionSuites:
         with mp.workprec(P + 16):
             want = 4 + ttilde(2, P + 16)
             assert abs(coeffs[0] - want) < mpf(2) ** -180
+
+
+@pytest.mark.parametrize("verify, args", [
+    (verify_thm3_1, (2, F(1, 4), F(1, 3))),
+    (verify_cor3_2, (1, F(1, 4))),
+    (verify_thm3_6, (2, PartialFractionRational.parse("(-1/4,2,1)"))),
+    (verify_lemma2_4, (6,)),
+    (run_reduction_case, ("T_even_odd", 1, 1)),
+], ids=["pair", "corollary", "residue", "lemma", "reduction"])
+def test_a_pass_needs_gap_plus_bound_within_the_tolerance(verify, args):
+    # at 96 bits each side carries an error of about 2^-96 of its size; a
+    # tolerance between the gap and gap + bound was met by the gap alone
+    rep = verify(*args, 96, "1e-20")
+    gap, bound = _exact(rep.absolute_gap), _exact(rep.bound)
+    tol = f"{float(gap + bound / 2):.6e}"
+    assert rep.passed and gap <= Fraction(tol) < gap + bound
+    strict = verify(*args, 96, tol)
+    assert not strict.passed
+    assert (strict.lhs, strict.rhs, strict.absolute_gap) == (rep.lhs, rep.rhs, rep.absolute_gap)

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest, to_rational
 
 import tsum.numeric as numeric
 import tsum.series as series
@@ -23,7 +23,7 @@ from tsum.identities import (
     verify_thm3_6,
     verify_thm3_7,
 )
-from tsum.numeric import PrecisionError, bernoulli, real_to_str, to_mpf
+from tsum.numeric import Ball, PrecisionError, bernoulli, real_to_str
 from tsum.reductions import FAMILIES, Symbol, eval_symbolic
 from tsum.series import (SumSpec, accel_linear_sum, double_t, double_T, euler_t_sum, harmonic,
                          naive_sum, odd_harmonic)
@@ -80,15 +80,6 @@ def test_euler_gamma_against_digamma_oracle():
         gamma = +mp.euler
     with mp.workprec(256):
         assert abs(gamma + digamma(1, 200)) < mpf(2) ** -186
-
-
-def test_fraction_conversion_is_correctly_rounded():
-    # mpf(p) / q rounds twice and misses about one conversion in four here
-    rng = random.Random(9)
-    for _ in range(20000):
-        p = rng.getrandbits(200) - (1 << 199)
-        q = rng.getrandbits(120) | 1
-        assert to_mpf(Fraction(p, q), 64)._mpf_ == from_rational(p, q, 64, round_nearest)
 
 
 def test_unknown_constant_rejected():
@@ -274,3 +265,72 @@ def test_precision_monotonicity(value):
     with mp.workprec(2 * P + 16):
         ulp = mpf(2) ** (-P) * max(mpf(1), abs(lo))
         assert abs(lo - hi) <= 4 * ulp
+
+
+def _exact(b: Ball, k: int = 0) -> Fraction:
+    """The point mid + k rad of a ball, times 2^exp, exactly."""
+    return (b.mid + k * b.rad) * Fraction(2) ** b.exp
+
+
+def _holds(b: Ball, x: Fraction) -> bool:
+    return abs(x - _exact(b)) <= b.rad * Fraction(2) ** b.exp
+
+
+def _balls(rng: random.Random, count: int) -> list:
+    """Balls of 1 to 200 bits, exact (radius 0) and not, exponents both ways."""
+    out = []
+    for _ in range(count):
+        bits = rng.choice((1, 8, 64, 200))
+        rad = rng.choice((0, 1, rng.getrandbits(bits // 2 + 1)))
+        out.append(Ball(rng.choice((1, -1)) * rng.getrandbits(bits), rad, rng.randint(-300, 300)))
+    return out
+
+
+# non-dyadic denominators among them, one of 64 bits
+RATIONALS = (F(1, 3), F(-5, 7), F(3, 4), F(-1, 1024), F(7), F(0), F(10 ** 30 + 1, 3 ** 40))
+
+
+def test_every_ball_operation_holds_the_exact_result():
+    # each result's interval contains the exact result of the operation on
+    # the endpoints and midpoints of its operands
+    balls = _balls(random.Random(31), 120)
+    for x, y in zip(balls, balls[1:]):
+        for u in (_exact(x, k) for k in (-1, 0, 1)):
+            assert _holds(-x, -u)
+            for v in (_exact(y, k) for k in (-1, 0, 1)):
+                assert _holds(x + y, u + v) and _holds(x - y, u - v) and _holds(x * y, u * v)
+            for q in RATIONALS:
+                assert _holds(x * q, u * q)
+                assert _holds(x + q, u + q) and _holds(x - q, u - q)
+        assert x.upper() == (abs(x.mid) + x.rad) * Fraction(2) ** x.exp
+
+
+def test_ball_rounding_is_to_nearest_and_widens_by_the_distance():
+    for x in _balls(random.Random(37), 200):
+        for prec in (16, 53, 64, 200):
+            r = x.round(prec)
+            assert r.mpf() == mp.make_mpf(from_man_exp(x.mid, x.exp, prec, round_nearest))
+            assert r.rad * Fraction(2) ** r.exp == (x.rad * Fraction(2) ** x.exp
+                                                   + abs(_exact(r) - _exact(x)))
+            assert all(_holds(r, _exact(x, k)) for k in (-1, 0, 1))
+
+
+@pytest.mark.parametrize("value", [
+    lambda p: kernel_sums([riemann_zeta(3)], p)[0],
+    lambda p: kernel_sums(kernel_jet(KernelKind.PI_TAN, F(1, 3), 3).coeffs, p)[3],
+    lambda p: kernel_sums([alt_zeta(1) * riemann_zeta(2) + [(F(-1, 3), ())]], p)[0],
+    lambda p: hurwitz_zeta(3, F(-5, 7), p),
+    lambda p: ttilde(5, p),
+    lambda p: eval_symbolic(FAMILIES["T_bar_odd"].reduce(1, 2), p),
+], ids=["zeta3", "tan-jet", "product", "hurwitz", "ttilde", "reduction"])
+def test_a_rounded_value_lies_in_its_ball(value):
+    # the one radius rule against the same value 160 bits finer
+    for prec in (24, 64, 192):
+        ball, ref = Ball.from_rounded(value(prec), prec), value(prec + 160)
+        assert _holds(ball, Fraction(*to_rational(ref._mpf_))), prec
+
+
+def test_a_series_ball_is_its_value_within_its_tail_bound():
+    res = euler_t_sum(SumSpec(p=(1,), q=(2,), a=(F(1, 3),)), 64)
+    ball = Ball.from_series(res)
+    assert ball.mpf() == res.value and Ball(ball.rad, 0, ball.exp).mpf() == res.tail_bound

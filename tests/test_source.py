@@ -2,8 +2,10 @@
 top-level function that nothing in the package references, no private
 top-level name that nothing in the package reads, no private name imported
 from another module unless it is listed here, no rounding in the jets
-(``jets.py`` imports nothing from mpmath or ``numeric``), and no public
-top-level function whose parameter or result is annotated as a union.
+(``jets.py`` imports nothing from mpmath or ``numeric``), no public
+top-level function whose parameter or result is annotated as a union, and
+no word of mpmath's process-global precision (``workprec``, ``mp.prec``,
+``mp.dps``) nor any name that the exact balls replaced.
 
 ``__init__.py`` is skipped for imports, since its imports are the public
 API.  An import marked ``# noqa: F401`` is kept on purpose; the only one is
@@ -11,6 +13,7 @@ named here, so that another shows up as a change to this file.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tsum"
@@ -20,6 +23,8 @@ KEPT_IMPORTS = {("series.py", "hurwitz_zeta")}
 # that the suite builds cases from
 PRIVATE_IMPORTS = {("suite.py", "_check_ab"), ("suite.py", "_check_single_a"),
                    ("suite.py", "_report")}
+# the mpf helpers and the tolerance cache that the exact balls replaced
+REPLACED = ("to_mpf", "round_to", "tolerance_mpf", "_tolerance_cache", "RealLike")
 
 
 def _modules() -> dict:
@@ -129,4 +134,13 @@ def test_no_public_function_takes_or_returns_a_union():
             annotations = [a.annotation for a in params] + [node.returns]
             if any(ann is not None and _is_union(ann) for ann in annotations):
                 found.append(f"{name}: {node.name}")
+    assert found == []
+
+
+def test_no_global_precision_and_no_replaced_name():
+    # every mpmath call names its precision, so no path reads or sets the
+    # process-global context
+    pattern = re.compile(r"workprec|\bmp\.(?:prec|dps)\b|\b(?:" + "|".join(REPLACED) + r")\b")
+    found = [f"{name}:{text.count(chr(10), 0, m.start()) + 1}: {m[0]}"
+             for name, text in _modules().items() for m in pattern.finditer(text)]
     assert found == []
